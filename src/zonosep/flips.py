@@ -15,14 +15,26 @@ The witness sets are
     N_up      = {P+q : q in Q} + {(P-p)+q : p in P, q in Q}
     N_down    = {Q-q : q in Q} + {(Q-q)+p : p in P, q in Q}
 
-and the central local statements, checked here by sheer enumeration,
-are: if {Y, XP} is bad (not weakly r-separated) then some S in N_up
-has {Y, XS} bad, and dually for XQ with N_down (odd r); the refined
-dichotomy that a bad {Y, XP} with all N_up witnesses good forces every
-element of P, or every element of Q, to be a singleton brick of the
-interval cortege; and the even-r classification of the exceptional Y
-as XQ+{a} or XP-{b}, with uniqueness of the double-comb partner among
-the neighbor pools.
+and the central local statements are: if {Y, XP} is bad (not weakly
+r-separated) then some S in N_up has {Y, XS} bad, and dually for XQ
+with N_down (odd r); the refined dichotomy that a bad {Y, XP} with all
+N_up witnesses good forces every element of P, or every element of Q,
+to be a singleton brick of the interval cortege; and the even-r
+classification of the exceptional Y as XQ+{a} or XP-{b}, with
+uniqueness of the double-comb partner among the neighbor pools.
+
+The harnesses settle them for every site and every Y over [n] as set
+algebra on the rows of one relation table: bad[v] is the bitset of the
+sets Y != v with {Y, v} bad.  At a site, the Y violating the up clause
+are exactly
+
+    bad[XP] & ~OR(bad[X|S] for S in N_up) & ~{XP, XQ},
+
+and dually for the down clause, so every Y is judged by a handful of
+big-integer operations per site.  The cortege, shape and double-comb
+tests run only on the bits of those candidate sets, and `checks` still
+counts every (site, Y) pair judged, 2^n - 2 per site.  The table is
+capped at n = RELATION_TABLE_CAP, checked before any site is visited.
 
 apply_flip performs the XP <-> XQ swap on an actual collection after
 verifying membership and witnesses, then re-checks the weak separation
@@ -45,10 +57,18 @@ from .ground import (
     elements,
     interval_cortege,
     interlacing_degree,
+    iter_elements,
     set_notation,
 )
-from .separation import is_double_r_comb, is_weakly_r_separated
-from .systems import SCHEMA, SetSystem, check_pairwise, weak
+from .separation import is_double_r_comb
+from .systems import (
+    SCHEMA,
+    SetSystem,
+    check_pairwise,
+    check_table_ground,
+    complement_table,
+    weak,
+)
 
 PARITY_ODD = "odd"
 PARITY_EVEN = "even"
@@ -60,11 +80,6 @@ MODE_SHARP = "sharp"
 
 class FalsificationError(RuntimeError):
     """A re-checked conclusion of a proved statement failed to hold."""
-
-
-def bad_pair(a: int, b: int, r: int) -> bool:
-    """The pair is bad when it is not weakly r-separated."""
-    return not is_weakly_r_separated(a, b, r)
 
 
 @dataclass(frozen=True)
@@ -161,25 +176,33 @@ def _pool(site: FlipSite, lo: int, hi: int) -> list[int]:
     return out
 
 
-def neighbors_up(site: FlipSite) -> SetSystem:
-    """{P+q} and {(P-p)+q}: the witnesses guarding XP from above."""
+def _up(site: FlipSite) -> set[int]:
     out = set()
     for qe in elements(site.q):
         out.add(site.p | 1 << (qe - 1))
         for pe in elements(site.p):
             out.add((site.p & ~(1 << (pe - 1))) | 1 << (qe - 1))
-    return SetSystem.from_masks(site.n, out)
+    return out
 
 
-def neighbors_down(site: FlipSite) -> SetSystem:
-    """{Q-q} and {(Q-q)+p}: the witnesses guarding XQ from below."""
+def _down(site: FlipSite) -> set[int]:
     out = set()
     for qe in elements(site.q):
         rest = site.q & ~(1 << (qe - 1))
         out.add(rest)
         for pe in elements(site.p):
             out.add(rest | 1 << (pe - 1))
-    return SetSystem.from_masks(site.n, out)
+    return out
+
+
+def neighbors_up(site: FlipSite) -> SetSystem:
+    """{P+q} and {(P-p)+q}: the witnesses guarding XP from above."""
+    return SetSystem.from_masks(site.n, _up(site))
+
+
+def neighbors_down(site: FlipSite) -> SetSystem:
+    """{Q-q} and {(Q-q)+p}: the witnesses guarding XQ from below."""
+    return SetSystem.from_masks(site.n, _down(site))
 
 
 def apply_flip(
@@ -244,7 +267,7 @@ def odd_sites(n: int, r: int):
     check_ground(n)
     if r < 1 or r % 2 == 0:
         raise ValueError(f"odd positive r required, got {r}")
-    yield from _sites(n, r, start_with_q=True)
+    return _sites(n, r, start_with_q=True)
 
 
 def even_sites(n: int, r: int):
@@ -252,7 +275,7 @@ def even_sites(n: int, r: int):
     check_ground(n)
     if r < 2 or r % 2:
         raise ValueError(f"even r >= 2 required, got {r}")
-    yield from _sites(n, r, start_with_q=False)
+    return _sites(n, r, start_with_q=False)
 
 
 def _sites(n: int, r: int, start_with_q: bool):
@@ -315,6 +338,19 @@ def _shard_filter(shard: tuple[int, int] | None):
     return lambda idx: idx % m == k
 
 
+def _bad_rows(n: int, r: int) -> list[int]:
+    """Row v: the sets Y != v with {Y, v} not weakly r-separated."""
+    return complement_table(n, weak(r))
+
+
+def _cover(bad: list[int], x: int, pool: set[int]) -> int:
+    """The sets Y with {Y, XS} bad for some S in the pool."""
+    cover = 0
+    for s in pool:
+        cover |= bad[x | s]
+    return cover
+
+
 def verify_flip_theorem_odd(
     n: int, r: int, shard: tuple[int, int] | None = None
 ) -> HarnessReport:
@@ -323,31 +359,31 @@ def verify_flip_theorem_odd(
     Y ranges over all subsets, intersections with X included; nothing
     is normalized away.
     """
+    check_table_ground(n)  # before any site or table
+    sites = odd_sites(n, r)
+    keep = _shard_filter(shard)
     report = HarnessReport(
         name="flip_theorem_odd",
         n=n,
         r=r,
         shard=None if shard is None else f"{shard[0]}/{shard[1]}",
     )
-    keep = _shard_filter(shard)
-    for idx, site in enumerate(odd_sites(n, r)):
+    bad = _bad_rows(n, r)
+    for idx, site in enumerate(sites):
         if not keep(idx):
             continue
         report.sites += 1
-        up = [site.x | s for s in neighbors_up(site).members]
-        down = [site.x | s for s in neighbors_down(site).members]
-        for y in range(1 << n):
-            if y in (site.xp, site.xq):
-                continue
-            report.checks += 1
-            if bad_pair(y, site.xp, r) and not any(bad_pair(y, s, r) for s in up):
-                report.counterexamples.append(
-                    {"site": site.to_json(), "y": elements(y), "clause": "up"}
-                )
-            if bad_pair(y, site.xq, r) and not any(bad_pair(y, s, r) for s in down):
-                report.counterexamples.append(
-                    {"site": site.to_json(), "y": elements(y), "clause": "down"}
-                )
+        report.checks += (1 << n) - 2
+        pair = 1 << site.xp | 1 << site.xq
+        up = bad[site.xp] & ~_cover(bad, site.x, _up(site)) & ~pair
+        down = bad[site.xq] & ~_cover(bad, site.x, _down(site)) & ~pair
+        for e in iter_elements(up | down):
+            y = e - 1  # bit y of a row stands for the set y
+            for clause, failed in (("up", up), ("down", down)):
+                if failed >> y & 1:
+                    report.counterexamples.append(
+                        {"site": site.to_json(), "y": elements(y), "clause": clause}
+                    )
     return report
 
 
@@ -366,26 +402,25 @@ def verify_refined_lemma(
 ) -> HarnessReport:
     """Bad {Y, XP} with all N_up witnesses good forces singleton bricks:
     every element of P on the XP side, or every element of Q on the Y side."""
+    check_table_ground(n)  # before any site or table
+    sites = odd_sites(n, r)
+    keep = _shard_filter(shard)
     report = HarnessReport(
         name="refined_lemma",
         n=n,
         r=r,
         shard=None if shard is None else f"{shard[0]}/{shard[1]}",
     )
-    keep = _shard_filter(shard)
-    for idx, site in enumerate(odd_sites(n, r)):
+    bad = _bad_rows(n, r)
+    for idx, site in enumerate(sites):
         if not keep(idx):
             continue
         report.sites += 1
-        up = [site.x | s for s in neighbors_up(site).members]
-        for y in range(1 << n):
-            if y in (site.xp, site.xq):
-                continue
-            if not bad_pair(y, site.xp, r):
-                continue
-            if any(bad_pair(y, s, r) for s in up):
-                continue
-            report.checks += 1
+        pair = 1 << site.xp | 1 << site.xq
+        triggered = bad[site.xp] & ~_cover(bad, site.x, _up(site)) & ~pair
+        report.checks += triggered.bit_count()
+        for e in iter_elements(triggered):
+            y = e - 1
             y_single, xp_single = _singleton_bricks(y, site.xp)
             star = all(e in xp_single for e in elements(site.p))
             starstar = all(e in y_single for e in elements(site.q))
@@ -401,6 +436,56 @@ def _bracket_index(site: FlipSite, value: int) -> int:
     return sum(1 for p in elements(site.p) if p < value)
 
 
+def _even_up_case(site: FlipSite, y: int, r: int) -> dict | None:
+    """Judge a Y with {Y, XP} bad, (r+2)-interlaced and every N_up witness good."""
+    extra = y & ~site.xq
+    shape_ok = (
+        y | site.xq == y
+        and extra.bit_count() == 1
+        and not extra & (site.xp | site.q)
+        and extra.bit_length() > elements(site.p)[0]
+    )
+    if not shape_ok:
+        return {"site": site.to_json(), "y": elements(y), "clause": "XQ+a"}
+    i = _bracket_index(site, extra.bit_length())
+    expected = site.p | 1 << (elements(site.q)[i - 1] - 1)
+    rp = site.p.bit_count()
+    combs = [s for s in _pool(site, rp, rp + 1) if is_double_r_comb(y, site.x | s, r)]
+    if combs == [expected]:
+        return None
+    return {
+        "site": site.to_json(),
+        "y": elements(y),
+        "clause": "uniqueness-upper",
+        "combs": [elements(s) for s in combs],
+    }
+
+
+def _even_down_case(site: FlipSite, y: int, r: int) -> dict | None:
+    """Judge a Y with {Y, XQ} bad, (r+2)-interlaced and every N_down witness good."""
+    gone = site.xp & ~y
+    shape_ok = (
+        y | site.xp == site.xp
+        and gone.bit_count() == 1
+        and gone & site.x == gone
+        and gone.bit_length() > elements(site.p)[0]
+    )
+    if not shape_ok:
+        return {"site": site.to_json(), "y": elements(y), "clause": "XP-b"}
+    i = _bracket_index(site, gone.bit_length())
+    expected = site.q & ~(1 << (elements(site.q)[i - 1] - 1))
+    rp = site.p.bit_count()
+    combs = [s for s in _pool(site, rp - 1, rp) if is_double_r_comb(y, site.x | s, r)]
+    if combs == [expected]:
+        return None
+    return {
+        "site": site.to_json(),
+        "y": elements(y),
+        "clause": "uniqueness-lower",
+        "combs": [elements(s) for s in combs],
+    }
+
+
 def verify_local_neighb_even(
     n: int, r: int, shard: tuple[int, int] | None = None
 ) -> HarnessReport:
@@ -414,104 +499,50 @@ def verify_local_neighb_even(
     confirmed to trigger.  Cases of interlacing degree above r+2 are
     counted but not judged.
     """
+    check_table_ground(n)  # before any site or table
+    sites = even_sites(n, r)
+    keep = _shard_filter(shard)
     report = HarnessReport(
         name="local_neighb_even",
         n=n,
         r=r,
         shard=None if shard is None else f"{shard[0]}/{shard[1]}",
     )
-    keep = _shard_filter(shard)
-    for idx, site in enumerate(even_sites(n, r)):
+    bad = _bad_rows(n, r)
+    for idx, site in enumerate(sites):
         if not keep(idx):
             continue
         report.sites += 1
-        rp = site.p.bit_count()
-        up = [site.x | s for s in neighbors_up(site).members]
-        down = [site.x | s for s in neighbors_down(site).members]
-        upper_pool = _pool(site, rp, rp + 1)
-        lower_pool = _pool(site, rp - 1, rp)
-        p_elems = elements(site.p)
-        q_elems = elements(site.q)
-        p1 = p_elems[0]
-        xpq = site.x | site.p | site.q
-        for y in range(1 << n):
-            if y in (site.xp, site.xq):
-                continue
-            report.checks += 1
-            if bad_pair(y, site.xp, r) and not any(bad_pair(y, s, r) for s in up):
-                if interlacing_degree(y, site.xp) != r + 2:
+        report.checks += (1 << n) - 2
+        pair = 1 << site.xp | 1 << site.xq
+        cover_up = _cover(bad, site.x, _up(site))
+        cover_down = _cover(bad, site.x, _down(site))
+        up = bad[site.xp] & ~cover_up & ~pair
+        down = bad[site.xq] & ~cover_down & ~pair
+        for e in iter_elements(up | down):
+            y = e - 1
+            for failed, lead, judge in (
+                (up, site.xp, _even_up_case),
+                (down, site.xq, _even_down_case),
+            ):
+                if not failed >> y & 1:
+                    continue
+                if interlacing_degree(y, lead) != r + 2:
                     report.recorded += 1
-                else:
-                    extra = y & ~site.xq
-                    shape_ok = (
-                        y | site.xq == y
-                        and extra.bit_count() == 1
-                        and not extra & xpq
-                        and extra.bit_length() > p1
-                    )
-                    if not shape_ok:
-                        report.counterexamples.append(
-                            {"site": site.to_json(), "y": elements(y), "clause": "XQ+a"}
-                        )
-                    else:
-                        a = extra.bit_length()
-                        i = _bracket_index(site, a)
-                        expected = site.p | 1 << (q_elems[i - 1] - 1)
-                        combs = [
-                            s
-                            for s in upper_pool
-                            if is_double_r_comb(y, site.x | s, r)
-                        ]
-                        if combs != [expected]:
-                            report.counterexamples.append(
-                                {
-                                    "site": site.to_json(),
-                                    "y": elements(y),
-                                    "clause": "uniqueness-upper",
-                                    "combs": [elements(s) for s in combs],
-                                }
-                            )
-            if bad_pair(y, site.xq, r) and not any(bad_pair(y, s, r) for s in down):
-                if interlacing_degree(y, site.xq) != r + 2:
-                    report.recorded += 1
-                else:
-                    gone = site.xp & ~y
-                    shape_ok = (
-                        y | site.xp == site.xp
-                        and gone.bit_count() == 1
-                        and gone & site.x == gone
-                        and gone.bit_length() > p1
-                    )
-                    if not shape_ok:
-                        report.counterexamples.append(
-                            {"site": site.to_json(), "y": elements(y), "clause": "XP-b"}
-                        )
-                    else:
-                        b = gone.bit_length()
-                        i = _bracket_index(site, b)
-                        expected = site.q & ~(1 << (q_elems[i - 1] - 1))
-                        combs = [
-                            s
-                            for s in lower_pool
-                            if is_double_r_comb(y, site.x | s, r)
-                        ]
-                        if combs != [expected]:
-                            report.counterexamples.append(
-                                {
-                                    "site": site.to_json(),
-                                    "y": elements(y),
-                                    "clause": "uniqueness-lower",
-                                    "combs": [elements(s) for s in combs],
-                                }
-                            )
+                    continue
+                found = judge(site, y, r)
+                if found is not None:
+                    report.counterexamples.append(found)
         # constructed instances must trigger the hypotheses
+        p1 = elements(site.p)[0]
+        xpq = site.x | site.p | site.q
         for a in range(p1 + 1, n + 1):
             bit = 1 << (a - 1)
             if bit & xpq:
                 continue
             y = site.xq | bit
             report.checks += 1
-            if not bad_pair(y, site.xp, r) or any(bad_pair(y, s, r) for s in up):
+            if not bad[site.xp] >> y & 1 or cover_up >> y & 1:
                 report.counterexamples.append(
                     {"site": site.to_json(), "y": elements(y), "clause": "converse-up"}
                 )
@@ -520,7 +551,7 @@ def verify_local_neighb_even(
                 continue
             y = site.xp & ~(1 << (b - 1))
             report.checks += 1
-            if not bad_pair(y, site.xq, r) or any(bad_pair(y, s, r) for s in down):
+            if not bad[site.xq] >> y & 1 or cover_down >> y & 1:
                 report.counterexamples.append(
                     {"site": site.to_json(), "y": elements(y), "clause": "converse-down"}
                 )

@@ -47,7 +47,16 @@ from .geometry import zonotope_sides
 from .ground import elements, set_notation
 from .posets import IdealCapExceeded, digraph_dot, scan_ideals, topological_order
 from .separation import is_double_r_comb, is_weakly_r_separated
-from .systems import SCHEMA, SetSystem, s_formula
+from .systems import (
+    SCHEMA,
+    SetSystem,
+    complement_table,
+    relation_table,
+    s_formula,
+    weak,
+    weak_even,
+    weak_even_no_comb,
+)
 
 H_TILE = "H"
 V_TILE = "V"
@@ -524,29 +533,14 @@ class MembraneScanReport:
         }
 
 
-def _weak_incompat_table(n: int, r: int) -> list[int]:
-    """incompat[v] = bitset of masks u not weakly r-separated from v."""
-    size = 1 << n
-    table = [0] * size
-    for v in range(size):
-        row = 0
-        for u in range(size):
-            if u != v and not is_weakly_r_separated(u, v, r):
-                row |= 1 << u
-        table[v] = row
-    return table
+def _comb_rows(n: int, r: int) -> list[int]:
+    """Row v: the sets forming a double r-comb with v.
 
-
-def _comb_table(n: int, r: int) -> list[int]:
-    size = 1 << n
-    table = [0] * size
-    for v in range(size):
-        row = 0
-        for u in range(size):
-            if u != v and is_double_r_comb(u, v, r):
-                row |= 1 << u
-        table[v] = row
-    return table
+    A double r-comb is weakly r-separated, so these are exactly the
+    weak partners of v that WEAK_EVEN_NO_COMB(r) drops.
+    """
+    kept = relation_table(n, weak_even_no_comb(r))
+    return [row ^ kept[v] for v, row in enumerate(relation_table(n, weak_even(r)))]
 
 
 def scan_membranes(
@@ -584,8 +578,8 @@ def scan_membranes(
         cap=cap,
     )
 
-    incompat = _weak_incompat_table(q.n, r)
-    combs = _comb_table(q.n, r) if check_combs else None
+    incompat = complement_table(q.n, weak(r))
+    combs = _comb_rows(q.n, r) if check_combs else None
 
     eps_front_of = [sorted(d_.eps_front(), key=Tile.sorted_verts) for d_ in deltas]
     eps_rear_of = [sorted(d_.eps_rear(), key=Tile.sorted_verts) for d_ in deltas]

@@ -15,6 +15,11 @@ a witness (branch and bound with a greedy coloring bound), streaming
 of all inclusion-maximal cliques, and deterministic completion of a
 partial system to a maximal one.
 
+Every pair table in the package comes from relation_table: one row
+bitset per subset of [n], filled symmetrically on first use and
+memoised per (n, predicate).  The searches read it as an adjacency
+matrix; the membrane scans and the flip harnesses read its complement.
+
 The expected maximum for strong separation is the closed form
 
     s(n, r) = C(n,0) + C(n,1) + ... + C(n,r+1),
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -49,6 +55,9 @@ SCHEMA = "zonosep/1"
 
 DEFAULT_EXHAUSTIVE_BOUND = 7
 HARD_EXHAUSTIVE_CAP = 8
+# relation tables: 2^n rows of 2^n bits, so 4096 rows of 512 bytes at the cap
+RELATION_TABLE_CAP = 12
+RELATION_CACHE_SIZE = 8
 
 KIND_STRONG = "STRONG"
 KIND_WEAK_ODD = "WEAK_ODD"
@@ -240,21 +249,51 @@ def _check_bound(n: int, bound: int) -> None:
         )
 
 
+def check_table_ground(n: int) -> None:
+    """Reject ground sets whose relation tables would pass RELATION_TABLE_CAP."""
+    check_ground(n)
+    if n > RELATION_TABLE_CAP:
+        raise ValueError(
+            f"n = {n} exceeds the relation-table cap {RELATION_TABLE_CAP} "
+            f"(a table has 2^n rows of 2^n bits)"
+        )
+
+
+@lru_cache(maxsize=RELATION_CACHE_SIZE)
+def relation_table(n: int, predicate: PairwisePredicate) -> tuple[int, ...]:
+    """Row v is the bitset of the sets u != v with predicate(u, v), over 2^[n].
+
+    One predicate call per unordered pair fills both rows; the table is
+    built on first use and the last few are memoised per (n, predicate).
+    The diagonal is empty, so the complement row of the sets *not*
+    related to v is full ^ row ^ (1 << v) with full = (1 << 2^n) - 1.
+    """
+    check_table_ground(n)
+    holds = predicate.holds
+    size = 1 << n
+    table = [0] * size
+    for u in range(size):
+        row = table[u]
+        for v in range(u + 1, size):
+            if holds(u, v):
+                row |= 1 << v
+                table[v] |= 1 << u
+        table[u] = row
+    return tuple(table)
+
+
+def complement_table(n: int, predicate: PairwisePredicate) -> list[int]:
+    """Row v is the bitset of the sets u != v that fail predicate(u, v)."""
+    full = (1 << (1 << n)) - 1
+    return [full ^ row ^ (1 << v) for v, row in enumerate(relation_table(n, predicate))]
+
+
 def compatibility_adjacency(n: int, predicate: PairwisePredicate) -> list[int]:
     """Adjacency bitsets of the compatibility graph over all 2^n subsets.
 
     Entry v is an integer whose bit u says u and v are compatible (u != v).
     """
-    size = 1 << n
-    adj = [0] * size
-    for u in range(size):
-        row = 0
-        for v in range(u + 1, size):
-            if predicate.holds(u, v):
-                row |= 1 << v
-                adj[v] |= 1 << u
-        adj[u] |= row
-    return adj
+    return list(relation_table(n, predicate))
 
 
 def max_size(

@@ -175,3 +175,189 @@ def _fm_strict_feasible(rows) -> bool:
             seen.add(row)
             reduced.append(row)
     return _fm_strict_feasible(reduced)
+
+
+# ---------------------------------------------------------------------------
+# Reference flip harnesses: the per-Y loops the production harnesses
+# replaced with row algebra over relation tables.  They share the site
+# enumeration and witness pools with zonosep.flips, but judge every
+# (site, Y) pair by direct predicate calls, through `bad(a, b, r)`.
+
+
+def bad_pair(a: int, b: int, r: int) -> bool:
+    """The pair is bad when it is not weakly r-separated."""
+    from zonosep.separation import is_weakly_r_separated
+
+    return not is_weakly_r_separated(a, b, r)
+
+
+def _report(name: str, n: int, r: int, shard):
+    from zonosep.flips import HarnessReport
+
+    return HarnessReport(
+        name=name, n=n, r=r, shard=None if shard is None else f"{shard[0]}/{shard[1]}"
+    )
+
+
+def reference_flip_theorem_odd(n: int, r: int, shard=None, bad=bad_pair):
+    from zonosep.flips import _shard_filter, neighbors_down, neighbors_up, odd_sites
+    from zonosep.ground import elements
+
+    report = _report("flip_theorem_odd", n, r, shard)
+    keep = _shard_filter(shard)
+    for idx, site in enumerate(odd_sites(n, r)):
+        if not keep(idx):
+            continue
+        report.sites += 1
+        up = [site.x | s for s in neighbors_up(site).members]
+        down = [site.x | s for s in neighbors_down(site).members]
+        for y in range(1 << n):
+            if y in (site.xp, site.xq):
+                continue
+            report.checks += 1
+            if bad(y, site.xp, r) and not any(bad(y, s, r) for s in up):
+                report.counterexamples.append(
+                    {"site": site.to_json(), "y": elements(y), "clause": "up"}
+                )
+            if bad(y, site.xq, r) and not any(bad(y, s, r) for s in down):
+                report.counterexamples.append(
+                    {"site": site.to_json(), "y": elements(y), "clause": "down"}
+                )
+    return report
+
+
+def reference_refined_lemma(n: int, r: int, shard=None, bad=bad_pair):
+    from zonosep.flips import _shard_filter, _singleton_bricks, neighbors_up, odd_sites
+    from zonosep.ground import elements
+
+    report = _report("refined_lemma", n, r, shard)
+    keep = _shard_filter(shard)
+    for idx, site in enumerate(odd_sites(n, r)):
+        if not keep(idx):
+            continue
+        report.sites += 1
+        up = [site.x | s for s in neighbors_up(site).members]
+        for y in range(1 << n):
+            if y in (site.xp, site.xq):
+                continue
+            if not bad(y, site.xp, r):
+                continue
+            if any(bad(y, s, r) for s in up):
+                continue
+            report.checks += 1
+            y_single, xp_single = _singleton_bricks(y, site.xp)
+            star = all(e in xp_single for e in elements(site.p))
+            starstar = all(e in y_single for e in elements(site.q))
+            if not (star or starstar):
+                report.counterexamples.append({"site": site.to_json(), "y": elements(y)})
+    return report
+
+
+def reference_local_neighb_even(n: int, r: int, shard=None, bad=bad_pair):
+    from zonosep.flips import (
+        _bracket_index,
+        _pool,
+        _shard_filter,
+        even_sites,
+        neighbors_down,
+        neighbors_up,
+    )
+    from zonosep.ground import elements, interlacing_degree
+    from zonosep.separation import is_double_r_comb
+
+    report = _report("local_neighb_even", n, r, shard)
+    keep = _shard_filter(shard)
+    for idx, site in enumerate(even_sites(n, r)):
+        if not keep(idx):
+            continue
+        report.sites += 1
+        rp = site.p.bit_count()
+        up = [site.x | s for s in neighbors_up(site).members]
+        down = [site.x | s for s in neighbors_down(site).members]
+        upper_pool = _pool(site, rp, rp + 1)
+        lower_pool = _pool(site, rp - 1, rp)
+        q_elems = elements(site.q)
+        p1 = elements(site.p)[0]
+        xpq = site.x | site.p | site.q
+        for y in range(1 << n):
+            if y in (site.xp, site.xq):
+                continue
+            report.checks += 1
+            if bad(y, site.xp, r) and not any(bad(y, s, r) for s in up):
+                if interlacing_degree(y, site.xp) != r + 2:
+                    report.recorded += 1
+                else:
+                    extra = y & ~site.xq
+                    if not (
+                        y | site.xq == y
+                        and extra.bit_count() == 1
+                        and not extra & xpq
+                        and extra.bit_length() > p1
+                    ):
+                        report.counterexamples.append(
+                            {"site": site.to_json(), "y": elements(y), "clause": "XQ+a"}
+                        )
+                    else:
+                        i = _bracket_index(site, extra.bit_length())
+                        expected = site.p | 1 << (q_elems[i - 1] - 1)
+                        combs = [
+                            s for s in upper_pool if is_double_r_comb(y, site.x | s, r)
+                        ]
+                        if combs != [expected]:
+                            report.counterexamples.append(
+                                {
+                                    "site": site.to_json(),
+                                    "y": elements(y),
+                                    "clause": "uniqueness-upper",
+                                    "combs": [elements(s) for s in combs],
+                                }
+                            )
+            if bad(y, site.xq, r) and not any(bad(y, s, r) for s in down):
+                if interlacing_degree(y, site.xq) != r + 2:
+                    report.recorded += 1
+                else:
+                    gone = site.xp & ~y
+                    if not (
+                        y | site.xp == site.xp
+                        and gone.bit_count() == 1
+                        and gone & site.x == gone
+                        and gone.bit_length() > p1
+                    ):
+                        report.counterexamples.append(
+                            {"site": site.to_json(), "y": elements(y), "clause": "XP-b"}
+                        )
+                    else:
+                        i = _bracket_index(site, gone.bit_length())
+                        expected = site.q & ~(1 << (q_elems[i - 1] - 1))
+                        combs = [
+                            s for s in lower_pool if is_double_r_comb(y, site.x | s, r)
+                        ]
+                        if combs != [expected]:
+                            report.counterexamples.append(
+                                {
+                                    "site": site.to_json(),
+                                    "y": elements(y),
+                                    "clause": "uniqueness-lower",
+                                    "combs": [elements(s) for s in combs],
+                                }
+                            )
+        for a in range(p1 + 1, n + 1):
+            bit = 1 << (a - 1)
+            if bit & xpq:
+                continue
+            y = site.xq | bit
+            report.checks += 1
+            if not bad(y, site.xp, r) or any(bad(y, s, r) for s in up):
+                report.counterexamples.append(
+                    {"site": site.to_json(), "y": elements(y), "clause": "converse-up"}
+                )
+        for b in elements(site.x):
+            if b <= p1:
+                continue
+            y = site.xp & ~(1 << (b - 1))
+            report.checks += 1
+            if not bad(y, site.xq, r) or any(bad(y, s, r) for s in down):
+                report.counterexamples.append(
+                    {"site": site.to_json(), "y": elements(y), "clause": "converse-down"}
+                )
+    return report

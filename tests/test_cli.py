@@ -288,6 +288,12 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     code, _, err = run(capsys, "verify", "flips", "--n", "5", "--r", "1", "--shard", "nope")
     assert code == 2
+    for command in ("flips", "refined", "even"):
+        r = "2" if command == "even" else "3"
+        code, out, err = run(capsys, "verify", command, "--n", "13", "--r", r)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "relation-table cap 12" in err
 
 
 def test_output_is_deterministic(capsys, tmp_path):

@@ -8,6 +8,14 @@ from math import comb
 
 import pytest
 
+import zonosep.flips as flips_module
+import zonosep.separation as separation_module
+from oracles import (
+    bad_pair,
+    reference_flip_theorem_odd,
+    reference_local_neighb_even,
+    reference_refined_lemma,
+)
 from zonosep.cubillage import apex_vertices, standard_cubillage
 from zonosep.flips import (
     LOWER,
@@ -19,7 +27,6 @@ from zonosep.flips import (
     FalsificationError,
     FlipSite,
     apply_flip,
-    bad_pair,
     even_sites,
     neighbors,
     neighbors_down,
@@ -38,7 +45,15 @@ from zonosep.membranes import (
     w_membranes,
 )
 from zonosep.separation import surrounds
-from zonosep.systems import SetSystem, check_pairwise, weak
+from zonosep.systems import (
+    RELATION_TABLE_CAP,
+    SetSystem,
+    check_pairwise,
+    complement_table,
+    relation_table,
+    strong,
+    weak,
+)
 
 
 def masks(n: int, *sets) -> list[int]:
@@ -353,3 +368,114 @@ def test_site_json_roundtrip_fields():
         "r": 3,
     }
     assert site.label() == "X={6} P={2,4} Q={1,3,5}"
+
+
+# Every real harness run reports no counterexamples, so the row-algebra
+# path that emits them is pinned against the per-Y reference loops of
+# tests/oracles.py: equal reports on the real relation, and equal,
+# nonempty counterexample lists once both sides get the same wrong one.
+
+ODD_RANGES = [(n, r) for n in range(3, 8) for r in range(1, n - 1, 2)]
+EVEN_RANGES = [(n, r) for n in range(4, 8) for r in range(2, n - 1, 2)]
+
+
+@pytest.mark.parametrize("n, r", ODD_RANGES)
+def test_odd_harnesses_match_the_reference_loops(n, r):
+    assert verify_flip_theorem_odd(n, r).to_json() == (
+        reference_flip_theorem_odd(n, r).to_json()
+    )
+    assert verify_refined_lemma(n, r).to_json() == (
+        reference_refined_lemma(n, r).to_json()
+    )
+
+
+@pytest.mark.parametrize("n, r", EVEN_RANGES)
+def test_even_harness_matches_the_reference_loop(n, r):
+    assert verify_local_neighb_even(n, r).to_json() == (
+        reference_local_neighb_even(n, r).to_json()
+    )
+
+
+def test_sharded_harnesses_match_the_reference_loops():
+    for k in range(3):
+        assert verify_flip_theorem_odd(6, 1, shard=(k, 3)).to_json() == (
+            reference_flip_theorem_odd(6, 1, shard=(k, 3)).to_json()
+        )
+        assert verify_local_neighb_even(7, 2, shard=(k, 3)).to_json() == (
+            reference_local_neighb_even(7, 2, shard=(k, 3)).to_json()
+        )
+
+
+def _strong_bad(a, b, r):
+    return not separation_module.is_strongly_r_separated(a, b, r)
+
+
+def _weak_good(a, b, r):
+    return a != b and separation_module.is_weakly_r_separated(a, b, r)
+
+
+@pytest.mark.parametrize(
+    "harness, reference, n, r, clauses",
+    [
+        (verify_flip_theorem_odd, reference_flip_theorem_odd, 5, 1, {"up", "down"}),
+        (verify_flip_theorem_odd, reference_flip_theorem_odd, 6, 3, {"up", "down"}),
+        (
+            verify_local_neighb_even,
+            reference_local_neighb_even,
+            7,
+            2,
+            {"XQ+a", "XP-b", "converse-up", "converse-down"},
+        ),
+    ],
+)
+def test_wrong_relation_gives_the_same_counterexamples(
+    monkeypatch, harness, reference, n, r, clauses
+):
+    # strong instead of weak separation: more pairs are bad
+    monkeypatch.setattr(
+        flips_module, "_bad_rows", lambda n, r: complement_table(n, strong(r))
+    )
+    got = harness(n, r).to_json()
+    want = reference(n, r, bad=_strong_bad).to_json()
+    assert got["counterexamples"]
+    assert {c["clause"] for c in got["counterexamples"]} == clauses
+    assert got["counterexamples"] == want["counterexamples"]
+    assert got == want
+
+
+def test_inverted_relation_gives_the_same_refined_counterexamples(monkeypatch):
+    # strong separation leaves the singleton-brick dichotomy intact, so
+    # the refined harness is fed the inverted relation instead
+    monkeypatch.setattr(
+        flips_module, "_bad_rows", lambda n, r: list(relation_table(n, weak(r)))
+    )
+    got = verify_refined_lemma(6, 1).to_json()
+    want = reference_refined_lemma(6, 1, bad=_weak_good).to_json()
+    assert len(got["counterexamples"]) == 26
+    assert got == want
+
+
+def test_wrong_comb_predicate_gives_the_same_uniqueness_counterexamples(monkeypatch):
+    never = lambda a, b, r: False  # noqa: E731
+    monkeypatch.setattr(flips_module, "is_double_r_comb", never)
+    monkeypatch.setattr(separation_module, "is_double_r_comb", never)
+    got = verify_local_neighb_even(6, 2).to_json()
+    want = reference_local_neighb_even(6, 2).to_json()
+    assert {c["clause"] for c in got["counterexamples"]} == {
+        "uniqueness-upper",
+        "uniqueness-lower",
+    }
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "harness", [verify_flip_theorem_odd, verify_refined_lemma, verify_local_neighb_even]
+)
+def test_harness_range_is_checked_before_the_run(monkeypatch, harness):
+    def no_table(n, r):
+        raise AssertionError("table built before the range check")
+
+    monkeypatch.setattr(flips_module, "_bad_rows", no_table)
+    r = 2 if harness is verify_local_neighb_even else 3
+    with pytest.raises(ValueError, match="relation-table cap"):
+        harness(RELATION_TABLE_CAP + 1, r)
