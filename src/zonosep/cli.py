@@ -7,7 +7,8 @@ Two-level subcommands: predicates and corteges (sep), exact searches
 non-purity walkthrough (demo).
 
 Exit codes: 0 all checks passed, 1 a verification or validation
-failed, 2 usage error.  Output is deterministic for fixed flags:
+failed, 2 usage error, 3 the run was capped and did not cover its whole
+range.  Output is deterministic for fixed flags:
 tables to stdout, machine-readable JSON or DOT to files on request.
 """
 
@@ -21,7 +22,7 @@ from . import flips as fl
 from . import membranes as mb
 from .geometry import boundary_vertices, zonotope_sides
 from .ground import elements, interval_cortege, mask_of, set_notation
-from .posets import is_acyclic
+from .posets import IdealCapExceeded, is_acyclic
 from .separation import is_strongly_r_separated, is_weakly_r_separated
 from .systems import (
     KIND_STRONG,
@@ -50,6 +51,9 @@ KINDS = {
 
 # the cubillage instances every structural verify suite walks
 STRUCTURAL = ((4, 2), (4, 3), (5, 3), (6, 4), (5, 5))
+
+# exit code of a run that stopped at its cap before covering its range
+EXIT_INCOMPLETE = 3
 
 
 class UsageError(ValueError):
@@ -378,9 +382,7 @@ def cmd_membrane_scan(args) -> int:
         check_combs=args.combs,
     )
     name = _cub_name(args.n, args.d, args.anti)
-    status = "PASS" if not report.violations else "FAIL"
-    if report.capped:
-        status += f" (capped at {report.membrane_count}, remainder skipped)"
+    status, code = _scan_status(report)
     print(
         f"scan {args.flavor}-membranes of {name}: {report.membrane_count} scanned, "
         f"sizes {sorted(report.sizes_seen)}, expected {report.expected_size}, {status}"
@@ -390,7 +392,20 @@ def cmd_membrane_scan(args) -> int:
     for violation in report.violations[:10]:
         print(f"  violation: {violation}")
     _emit_json(args, report.to_json())
-    return 0 if not report.violations else 1
+    return code
+
+
+def _scan_status(report: mb.MembraneScanReport) -> tuple[str, int]:
+    """Verdict and exit code of a scan: a capped run is never PASS."""
+    if report.ok:
+        return "PASS", 0
+    if report.violations:
+        status, code = "FAIL", 1
+    else:
+        status, code = "INCOMPLETE", EXIT_INCOMPLETE
+    if report.capped:
+        status += f" (capped at {report.membrane_count}, remainder skipped)"
+    return status, code
 
 
 # --------------------------------------------------------------- flip
@@ -528,20 +543,19 @@ def cmd_verify_acyclicity(args) -> int:
 
 def cmd_verify_membranes(args) -> int:
     targets = [(n, 3) for n in range(3, args.nmax + 1)] + [(5, 5)]
-    all_ok = True
+    codes = set()
     for n, d in targets:
         q = cb.standard_cubillage(n, d)
         report = mb.scan_membranes(q, cap=args.cap)
-        ok = not report.violations
-        all_ok &= ok
-        status = _verdict(ok)
-        if report.capped:
-            status += f" (capped at {report.membrane_count}, remainder skipped)"
+        status, code = _scan_status(report)
+        codes.add(code)
         print(
             f"w-membranes of Z({n},{d}): {report.membrane_count} scanned, "
             f"size {report.expected_size}, {status}"
         )
-    return 0 if all_ok else 1
+    if 1 in codes:
+        return 1
+    return EXIT_INCOMPLETE if EXIT_INCOMPLETE in codes else 0
 
 
 def cmd_verify_nonpurity(args) -> int:
@@ -822,6 +836,9 @@ def main(argv: list[str] | None = None) -> int:
     except fl.FalsificationError as exc:
         print(f"FALSIFICATION: {exc}", file=sys.stderr)
         return 1
+    except IdealCapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCOMPLETE
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,9 +26,14 @@ Scans over all e-membranes check the vertex systems for double
 (d-2)-combs and weak separation violations.
 
 Enumerations stream through the ideal lattice depth first, one raising
-flip per step, keeping vertex reference counts and violation counters
-incrementally; nothing is ever recomputed from scratch per membrane,
-so exhaustive runs over six-figure ideal counts stay in seconds.
+flip per step.  The scan keeps, per vertex, its multiplicity: the number
+of membrane tiles containing it.  Each fragment's raising flip changes
+those multiplicities by a fixed net amount (+1 per rear tile, -1 per
+front tile, zeros dropped), precomputed once; a flip applies it, its
+undo applies the negation, and only a vertex whose count crosses 0
+touches the live vertex bitset and the violation counters.  Nothing is
+recomputed from scratch per membrane or per tile, so exhaustive runs
+over seven-figure ideal counts stay in seconds.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .cubillage import (
     rear_facets,
 )
 from .geometry import zonotope_sides
-from .ground import elements, set_notation
+from .ground import elements, iter_elements, set_notation
 from .posets import IdealCapExceeded, digraph_dot, scan_ideals, topological_order
 from .separation import is_double_r_comb, is_weakly_r_separated
 from .systems import (
@@ -554,12 +559,15 @@ def scan_membranes(
 ) -> MembraneScanReport:
     """Walk every membrane with incremental separation bookkeeping.
 
-    Maintains, across raising and lowering flips, the live vertex set
-    as a bitset plus the number of vertex pairs violating weak
-    r-separation (and forming double r-combs when asked); each visited
-    membrane then costs O(1) to judge.  With sample_every = k > 0,
-    every k-th membrane is additionally re-checked from scratch
-    against the incremental counters.
+    Maintains, across raising and lowering flips, the multiplicity of
+    every vertex, the live vertex set as a bitset, and the number of
+    vertex pairs violating weak r-separation (and forming double
+    r-combs when asked); each flip costs one step per vertex whose
+    multiplicity it changes and each visited membrane O(1) to judge.
+    A negative multiplicity is an internal error.  `on_membrane`
+    receives the ideal and the vertex masks of each membrane.  With
+    sample_every = k > 0, every k-th membrane is additionally
+    re-checked from scratch against the incremental counters.
     """
     if flavor == FLAVOR_E:
         deltas, succs = enlarged_precedence(q)
@@ -581,101 +589,118 @@ def scan_membranes(
     incompat = complement_table(q.n, weak(r))
     combs = _comb_rows(q.n, r) if check_combs else None
 
-    eps_front_of = [sorted(d_.eps_front(), key=Tile.sorted_verts) for d_ in deltas]
-    eps_rear_of = [sorted(d_.eps_rear(), key=Tile.sorted_verts) for d_ in deltas]
+    # net multiplicity change of each vertex under the raising flip of
+    # each fragment; the lowering flip applies the negation
+    raising: list[tuple[tuple[int, int], ...]] = []
+    lowering: list[tuple[tuple[int, int], ...]] = []
+    for delta in deltas:
+        net = _multiplicities(delta.eps_rear())
+        for v, k in _multiplicities(delta.eps_front()).items():
+            net[v] = net.get(v, 0) - k
+        changes = tuple(sorted((v, k) for v, k in net.items() if k))
+        raising.append(changes)
+        lowering.append(tuple((v, -k) for v, k in changes))
 
-    refcount: dict[int, int] = {}
-    state = {"active": 0, "bad": 0, "comb": 0}
+    refcount = [0] * (1 << q.n)
+    active = bad = comb = comb_hits = 0
 
-    def activate(v: int) -> None:
-        state["bad"] += (state["active"] & incompat[v]).bit_count()
-        if combs is not None:
-            state["comb"] += (state["active"] & combs[v]).bit_count()
-        state["active"] |= 1 << v
+    def flipper(table: Sequence[tuple[tuple[int, int], ...]]) -> Callable[[int], None]:
+        """A callback applying the multiplicity changes table[i]; a vertex
+        whose count crosses 0 joins or leaves the active bitset."""
 
-    def deactivate(v: int) -> None:
-        state["active"] &= ~(1 << v)
-        state["bad"] -= (state["active"] & incompat[v]).bit_count()
-        if combs is not None:
-            state["comb"] -= (state["active"] & combs[v]).bit_count()
+        def flip(i: int) -> None:
+            nonlocal active, bad, comb
+            for v, k in table[i]:
+                before = refcount[v]
+                after = before + k
+                if after < 0:
+                    raise AssertionError(
+                        f"vertex {set_notation(v)} has multiplicity {after}"
+                    )
+                refcount[v] = after
+                if not before:
+                    bad += (active & incompat[v]).bit_count()
+                    if combs is not None:
+                        comb += (active & combs[v]).bit_count()
+                    active |= 1 << v
+                elif not after:
+                    active ^= 1 << v
+                    bad -= (active & incompat[v]).bit_count()
+                    if combs is not None:
+                        comb -= (active & combs[v]).bit_count()
 
-    def add_tile(tile: Tile) -> None:
-        for v in tile.verts:
-            count = refcount.get(v, 0)
-            if count == 0:
-                activate(v)
-            refcount[v] = count + 1
+        return flip
 
-    def drop_tile(tile: Tile) -> None:
-        for v in tile.verts:
-            count = refcount[v] - 1
-            refcount[v] = count
-            if count == 0:
-                deactivate(v)
-
-    for tile in base_membrane(q, flavor=flavor).tiles:
-        add_tile(tile)
-
-    def enter(i: int) -> None:
-        for tile in eps_front_of[i]:
-            drop_tile(tile)
-        for tile in eps_rear_of[i]:
-            add_tile(tile)
-
-    def leave(i: int) -> None:
-        for tile in eps_rear_of[i]:
-            drop_tile(tile)
-        for tile in eps_front_of[i]:
-            add_tile(tile)
+    # the front boundary: every vertex count rises from 0
+    base = _multiplicities(base_membrane(q, flavor=flavor).tiles)
+    flipper([tuple(base.items())])(0)
 
     def visit(ideal: tuple[int, ...]) -> None:
+        nonlocal comb_hits
         report.membrane_count += 1
-        size = state["active"].bit_count()
+        size = active.bit_count()
         report.sizes_seen.add(size)
         if size != report.expected_size:
             report.violations.append(
                 f"ideal {[deltas[i].label() for i in ideal]}: {size} vertices"
             )
-        if state["bad"]:
+        if bad:
             report.violations.append(
                 f"ideal {[deltas[i].label() for i in ideal]}: "
-                f"{state['bad']} weak separation violations"
+                f"{bad} weak separation violations"
             )
-        if combs is not None and state["comb"]:
+        if comb:
+            comb_hits += 1
             report.violations.append(
                 f"ideal {[deltas[i].label() for i in ideal]}: "
-                f"{state['comb']} double comb pairs"
+                f"{comb} double comb pairs"
             )
         if on_membrane is not None:
-            on_membrane(ideal, frozenset(v for v in refcount if refcount[v] > 0))
+            on_membrane(ideal, frozenset(e - 1 for e in iter_elements(active)))
         if sample_every and report.membrane_count % sample_every == 0:
             _recheck(ideal)
 
     def _recheck(ideal: tuple[int, ...]) -> None:
-        live = sorted(v for v, c in refcount.items() if c > 0)
-        bad = sum(
+        live = [v for v, c in enumerate(refcount) if c > 0]
+        recount = sum(
             1
             for a in range(len(live))
             for b in range(a + 1, len(live))
             if not is_weakly_r_separated(live[a], live[b], r)
         )
-        if bad != state["bad"]:
+        if recount != bad:
             raise AssertionError(
                 f"incremental bad-pair counter drifted at ideal {ideal}"
             )
         mask = 0
         for v in live:
             mask |= 1 << v
-        if mask != state["active"]:
+        if mask != active:
             raise AssertionError(f"active bitset drifted at ideal {ideal}")
 
     try:
-        scan_ideals(len(deltas), succs, visit=visit, enter=enter, leave=leave, cap=cap)
+        scan_ideals(
+            len(deltas),
+            succs,
+            visit=visit,
+            enter=flipper(raising),
+            leave=flipper(lowering),
+            cap=cap,
+        )
     except IdealCapExceeded:
         report.capped = True
     if combs is not None:
-        report.comb_free = all("comb" not in v for v in report.violations)
+        report.comb_free = not comb_hits
     return report
+
+
+def _multiplicities(tiles: Iterable[Tile]) -> dict[int, int]:
+    """How many of the tiles contain each vertex."""
+    counts: dict[int, int] = {}
+    for tile in tiles:
+        for v in tile.verts:
+            counts[v] = counts.get(v, 0) + 1
+    return counts
 
 
 def property_P_scan(q: Cubillage, cap: int | None = None) -> MembraneScanReport:

@@ -3,14 +3,23 @@
 Precedence relations in this package (cubes under shared-facet
 precedence, fragments and enlarged fragments under shared-tile
 precedence) are given as successor maps on an indexed node list.  The
-enumeration of order ideals walks the ideal lattice depth first: the
-children of an ideal I are the ideals I + {e} where e is addable (all
-predecessors inside I) and e carries a larger topological index than
-everything in I.  Each ideal then has the unique parent obtained by
-removing its topologically largest element, so every ideal is visited
-exactly once, starting from the empty ideal, with one enter/leave
-callback pair per lattice edge - which is exactly a raising flip and
-its undo for the membrane structures built on top.
+enumeration of order ideals is a reverse search over the ideal
+lattice: nodes are re-indexed by topological position, and the
+children of an ideal I are the ideals I + {p} where p is addable (all
+predecessors inside I) and lies above every position in I.  Each
+ideal then has the unique parent obtained by removing its topologically
+largest element, so every ideal is visited exactly once, starting from
+the empty ideal, with one enter/leave callback pair per lattice edge -
+which is exactly a raising flip and its undo for the membrane
+structures built on top.
+
+The walk is iterative.  An explicit stack holds one frame per ideal on
+the current path: the bitmask of children not yet tried and the
+bitmask of positions included.  Adding p takes it out of the addable
+mask and sets the bit of each successor of p whose predecessors are
+now all included; the new frame's children are the addable positions
+above p.  No position is rescanned and nothing recurses, so the depth
+of the poset is bounded by memory only.
 """
 
 from __future__ import annotations
@@ -65,23 +74,6 @@ def is_acyclic(count: int, succs: Sequence[Sequence[int]]) -> bool:
         return False
 
 
-def transitive_closure_reaches(
-    count: int, succs: Sequence[Sequence[int]], source: int, target: int
-) -> bool:
-    """Plain DFS reachability check."""
-    stack = [source]
-    seen = {source}
-    while stack:
-        node = stack.pop()
-        if node == target:
-            return True
-        for nxt in succs[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
 def scan_ideals(
     count: int,
     succs: Sequence[Sequence[int]],
@@ -99,42 +91,57 @@ def scan_ideals(
     Raises IdealCapExceeded when more than `cap` ideals appear.
     """
     topo = topological_order(count, succs)
-    position = {node: i for i, node in enumerate(topo)}
-    # predecessor bitmask per topological position
+    position = [0] * count
+    for i, node in enumerate(topo):
+        position[node] = i
+    # per topological position: predecessor bitmask, successor positions
     preds = [0] * count
+    later: list[list[int]] = [[] for _ in range(count)]
     for node in range(count):
         for succ in succs[node]:
             preds[position[succ]] |= 1 << position[node]
+            later[position[node]].append(position[succ])
 
     current: list[int] = []
-    visited = 0
-
-    def emit() -> None:
-        nonlocal visited
+    visited = 1
+    if cap is not None and visited > cap:
+        raise IdealCapExceeded(cap)
+    if visit is not None:
+        visit(())
+    roots = 0
+    for pos in range(count):
+        if not preds[pos]:
+            roots |= 1 << pos
+    # frame: (children still to try, positions in the ideal); the
+    # children of an ideal are its addable positions above its last one
+    stack = [(roots, 0)]
+    while stack:
+        children, included = stack[-1]
+        if not children:
+            stack.pop()
+            if stack:
+                node = current.pop()
+                if leave is not None:
+                    leave(node)
+            continue
+        low = children & -children
+        rest = children ^ low
+        stack[-1] = (rest, included)
+        pos = low.bit_length() - 1
+        included |= low
+        for succ in later[pos]:
+            if not preds[succ] & ~included:
+                rest |= 1 << succ
+        node = topo[pos]
+        if enter is not None:
+            enter(node)
+        current.append(node)
         visited += 1
         if cap is not None and visited > cap:
             raise IdealCapExceeded(cap)
         if visit is not None:
             visit(tuple(current))
-
-    def walk(last: int, included: int) -> None:
-        for pos in range(last + 1, count):
-            if included >> pos & 1:
-                continue
-            if preds[pos] & ~included:
-                continue
-            node = topo[pos]
-            if enter is not None:
-                enter(node)
-            current.append(node)
-            emit()
-            walk(pos, included | 1 << pos)
-            current.pop()
-            if leave is not None:
-                leave(node)
-
-    emit()  # the empty ideal
-    walk(-1, 0)
+        stack.append((rest, included))
     return visited
 
 

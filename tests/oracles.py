@@ -361,3 +361,155 @@ def reference_local_neighb_even(n: int, r: int, shard=None, bad=bad_pair):
                     {"site": site.to_json(), "y": elements(y), "clause": "converse-down"}
                 )
     return report
+
+
+def reference_scan_ideals(count, succs, visit=None, enter=None, leave=None, cap=None):
+    """The recursive order-ideal walk that `posets.scan_ideals` replaced.
+
+    Rescans every position above the last one at each node; same
+    callbacks, same order, same cap behaviour.  Recursion depth grows
+    with the longest chain, so keep it to small posets.
+    """
+    from zonosep.posets import IdealCapExceeded, topological_order
+
+    topo = topological_order(count, succs)
+    position = {node: i for i, node in enumerate(topo)}
+    preds = [0] * count
+    for node in range(count):
+        for succ in succs[node]:
+            preds[position[succ]] |= 1 << position[node]
+
+    current = []
+    visited = 0
+
+    def emit():
+        nonlocal visited
+        visited += 1
+        if cap is not None and visited > cap:
+            raise IdealCapExceeded(cap)
+        if visit is not None:
+            visit(tuple(current))
+
+    def walk(last, included):
+        for pos in range(last + 1, count):
+            if included >> pos & 1:
+                continue
+            if preds[pos] & ~included:
+                continue
+            node = topo[pos]
+            if enter is not None:
+                enter(node)
+            current.append(node)
+            emit()
+            walk(pos, included | 1 << pos)
+            current.pop()
+            if leave is not None:
+                leave(node)
+
+    emit()
+    walk(-1, 0)
+    return visited
+
+
+def reference_scan_membranes(
+    q, flavor="W", r=None, cap=None, check_combs=False, incompat=None
+):
+    """The per-tile refcount scan that `membranes.scan_membranes` replaced.
+
+    Every flip drops the front tiles and adds the rear tiles one vertex
+    at a time, driven by `reference_scan_ideals`.  `incompat` overrides
+    the rows of the pairs counted as violations (default: not weakly
+    r-separated).
+    """
+    from zonosep.membranes import (
+        FLAVOR_E,
+        MembraneScanReport,
+        Tile,
+        _comb_rows,
+        base_membrane,
+        enlarged_precedence,
+        fragment_precedence,
+    )
+    from zonosep.posets import IdealCapExceeded
+    from zonosep.systems import complement_table, s_formula, weak
+
+    if flavor == FLAVOR_E:
+        deltas, succs = enlarged_precedence(q)
+    else:
+        deltas, succs = fragment_precedence(q)
+    if r is None:
+        r = q.d - 2
+    report = MembraneScanReport(
+        n=q.n, d=q.d, flavor=flavor, r=r, expected_size=s_formula(q.n, q.d - 2), cap=cap
+    )
+    if incompat is None:
+        incompat = complement_table(q.n, weak(r))
+    combs = _comb_rows(q.n, r) if check_combs else None
+    eps_front_of = [sorted(d_.eps_front(), key=Tile.sorted_verts) for d_ in deltas]
+    eps_rear_of = [sorted(d_.eps_rear(), key=Tile.sorted_verts) for d_ in deltas]
+    refcount = {}
+    state = {"active": 0, "bad": 0, "comb": 0}
+
+    def activate(v):
+        state["bad"] += (state["active"] & incompat[v]).bit_count()
+        if combs is not None:
+            state["comb"] += (state["active"] & combs[v]).bit_count()
+        state["active"] |= 1 << v
+
+    def deactivate(v):
+        state["active"] &= ~(1 << v)
+        state["bad"] -= (state["active"] & incompat[v]).bit_count()
+        if combs is not None:
+            state["comb"] -= (state["active"] & combs[v]).bit_count()
+
+    def add_tile(tile):
+        for v in tile.verts:
+            count = refcount.get(v, 0)
+            if count == 0:
+                activate(v)
+            refcount[v] = count + 1
+
+    def drop_tile(tile):
+        for v in tile.verts:
+            count = refcount[v] - 1
+            refcount[v] = count
+            if count == 0:
+                deactivate(v)
+
+    for tile in base_membrane(q, flavor=flavor).tiles:
+        add_tile(tile)
+
+    def enter(i):
+        for tile in eps_front_of[i]:
+            drop_tile(tile)
+        for tile in eps_rear_of[i]:
+            add_tile(tile)
+
+    def leave(i):
+        for tile in eps_rear_of[i]:
+            drop_tile(tile)
+        for tile in eps_front_of[i]:
+            add_tile(tile)
+
+    def visit(ideal):
+        report.membrane_count += 1
+        size = state["active"].bit_count()
+        report.sizes_seen.add(size)
+        problems = []
+        if size != report.expected_size:
+            problems.append(f"{size} vertices")
+        if state["bad"]:
+            problems.append(f"{state['bad']} weak separation violations")
+        if combs is not None and state["comb"]:
+            problems.append(f"{state['comb']} double comb pairs")
+        if problems:
+            labels = [deltas[i].label() for i in ideal]
+            report.violations.extend(f"ideal {labels}: {p}" for p in problems)
+
+    try:
+        reference_scan_ideals(len(deltas), succs, visit=visit, enter=enter, leave=leave, cap=cap)
+    except IdealCapExceeded:
+        report.capped = True
+    if combs is not None:
+        report.comb_free = all("comb" not in v for v in report.violations)
+    return report

@@ -243,10 +243,46 @@ def test_verify_membranes(capsys):
     assert "w-membranes of Z(5,5): 6 scanned, size 31, PASS" in out
 
 
-def test_verify_membranes_cap_reports_skip(capsys):
+def test_verify_membranes_cap_is_incomplete(capsys):
     code, out, _ = run(capsys, "verify", "membranes", "--nmax", "3", "--cap", "2")
-    assert code == 0  # capped is a skip, not a failure
-    assert "capped at 2, remainder skipped" in out
+    assert code == 3  # capped is neither a pass nor a failure
+    assert "w-membranes of Z(3,3): 2 scanned, size 7, INCOMPLETE (capped at 2, remainder skipped)" in out
+    assert "PASS" not in out
+    code, out, _ = run(capsys, "verify", "membranes", "--nmax", "3", "--cap", "4")
+    assert code == 3
+    assert "w-membranes of Z(3,3): 4 scanned, size 7, PASS" in out
+    assert "w-membranes of Z(5,5): 4 scanned, size 31, INCOMPLETE" in out
+
+
+def test_membrane_scan_cap_is_incomplete(capsys, tmp_path):
+    path = tmp_path / "scan.json"
+    code, out, _ = run(
+        capsys, "membrane", "scan", "--n", "5", "--d", "3", "--cap", "10",
+        "--json", str(path),
+    )
+    assert code == 3
+    assert (
+        "scan w-membranes of Z(5,3): 10 scanned, sizes [16], expected 16, "
+        "INCOMPLETE (capped at 10, remainder skipped)" in out
+    )
+    assert "PASS" not in out
+    blob = json.loads(path.read_text())
+    assert blob["capped"] is True and blob["membranes"] == 10
+    # a violation found before the cap is a finding, not an incomplete run
+    code, out, _ = run(capsys, "membrane", "scan", "--n", "5", "--d", "4", "--cap", "10")
+    assert code == 1
+    assert "FAIL (capped at 10, remainder skipped)" in out
+
+
+def test_membrane_enumerate_cap_is_one_line_error(capsys):
+    for flavor in ("w", "e", "s"):
+        code, out, err = run(
+            capsys, "membrane", "enumerate", "--n", "5", "--d", "4", "--flavor", flavor,
+            "--cap", "5",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: order-ideal enumeration exceeded the cap of 5\n"
 
 
 def test_verify_nonpurity(capsys):

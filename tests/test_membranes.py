@@ -339,6 +339,28 @@ def test_property_p_scan_reports() -> None:
         property_P_scan(standard_cubillage(4, 3))
 
 
+def test_property_p_scan_z64_both_cubillages() -> None:
+    for anti in (False, True):
+        rep = property_P_scan(standard_cubillage(6, 4, anti))
+        assert rep.ok and rep.comb_free is True
+        assert rep.membrane_count == 3256
+        assert rep.sizes_seen == {42} == {s_formula(6, 2)}
+        assert rep.violations == []
+
+
+def test_on_membrane_streams_ideals_and_vertex_sets() -> None:
+    q = standard_cubillage(5, 3)
+    index = {delta: i for i, delta in enumerate(fragments(q))}
+    seen = []
+    rep = scan_membranes(q, on_membrane=lambda ideal, verts: seen.append((ideal, verts)))
+    expected = [
+        (tuple(index[delta] for delta in mem.ideal), mem.vertex_masks())
+        for mem in w_membranes(q)
+    ]
+    assert rep.membrane_count == len(seen) == 496
+    assert seen == expected
+
+
 def test_scan_counters_survive_full_recheck() -> None:
     # sample_every=1 re-verifies the incremental counters on every membrane
     q = standard_cubillage(4, 3)
