@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import cubillage as cb
 from . import flips as fl
@@ -25,6 +26,7 @@ from .ground import elements, interval_cortege, mask_of, set_notation
 from .posets import IdealCapExceeded, is_acyclic
 from .separation import is_strongly_r_separated, is_weakly_r_separated
 from .systems import (
+    DEFAULT_EXHAUSTIVE_BOUND,
     KIND_STRONG,
     KIND_WEAK_EVEN,
     KIND_WEAK_EVEN_NO_COMB,
@@ -37,6 +39,7 @@ from .systems import (
     max_size,
     nonpurity_witness,
     s_formula,
+    search_max,
     check_pairwise,
     extend_to_maximal,
     weak_odd,
@@ -165,12 +168,29 @@ def _predicate(args) -> PairwisePredicate:
     return PairwisePredicate(KINDS[args.kind], args.r)
 
 
+def _exhaustive_n(n: int) -> int:
+    """The ground size a command may search exhaustively; the CLI has no bound option."""
+    if n > DEFAULT_EXHAUSTIVE_BOUND:
+        raise UsageError(
+            f"n = {n} exceeds {DEFAULT_EXHAUSTIVE_BOUND}, the largest ground set "
+            f"the command line searches exhaustively"
+        )
+    return n
+
+
 def cmd_search_max(args) -> int:
     predicate = _predicate(args)
-    size, witness = max_size(args.n, predicate)
-    print(f"max {predicate.label()} on [{args.n}]: {size}")
-    print(f"witness: {witness}")
-    _emit_json(args, {"size": size, **witness.to_json(predicate)})
+    start = time.perf_counter()
+    found = search_max(_exhaustive_n(args.n), predicate)
+    seconds = time.perf_counter() - start
+    print(f"max {predicate.label()} on [{args.n}]: {found.size}")
+    print(f"witness: {found.witness}")
+    print(
+        f"search: {found.nodes} nodes, {found.universal} universal, "
+        f"{found.symmetry_pruned} root branches pruned by symmetry, {seconds:.2f} s",
+        file=sys.stderr,
+    )
+    _emit_json(args, {"size": found.size, **found.witness.to_json(predicate)})
     return 0
 
 
@@ -178,7 +198,7 @@ def cmd_search_maximal(args) -> int:
     predicate = _predicate(args)
     sizes: dict[int, int] = {}
     emitted = 0
-    for system in enumerate_maximal(args.n, predicate, limit=args.limit):
+    for system in enumerate_maximal(_exhaustive_n(args.n), predicate, limit=args.limit):
         sizes[len(system)] = sizes.get(len(system), 0) + 1
         emitted += 1
     label = "all" if args.limit is None else f"first {args.limit}"
@@ -202,7 +222,7 @@ def cmd_search_maximal(args) -> int:
 
 
 def cmd_zono_vertices(args) -> int:
-    verts = boundary_vertices(args.n, args.d)
+    verts = boundary_vertices(_exhaustive_n(args.n), args.d)
     print(f"vertices of Z({args.n},{args.d}): {len(verts)}")
     print(str(verts))
     _emit_json(args, {"count": len(verts), **verts.to_json()})

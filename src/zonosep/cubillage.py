@@ -195,11 +195,17 @@ class Cubillage:
 
     @staticmethod
     def from_json(blob: dict) -> "Cubillage":
-        cubes = [
-            Cube(mask_of(c["root"], blob["n"]), mask_of(c["type"], blob["n"]))
-            for c in blob["cubes"]
-        ]
-        return Cubillage.from_cubes(blob["n"], blob["d"], cubes)
+        try:
+            n, d = blob["n"], blob["d"]
+            cubes = [Cube(mask_of(c["root"], n), mask_of(c["type"], n)) for c in blob["cubes"]]
+        except (KeyError, TypeError):
+            raise ValueError(
+                "cubillage JSON needs keys n, d and cubes, each cube a root and a type list"
+            ) from None
+        check_ground(n)
+        if not isinstance(d, int) or not 1 <= d <= n:
+            raise ValueError(f"cubillage dimension must be an integer in 1..{n}, got {d!r}")
+        return Cubillage.from_cubes(n, d, cubes)
 
 
 def standard_cubillage(n: int, d: int, anti: bool = False) -> Cubillage:

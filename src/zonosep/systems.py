@@ -11,9 +11,11 @@ one of four pairwise predicates,
     WEAK_EVEN_NO_COMB(r)  weak separation, r even, and no double r-comb,
 
 and answer exact questions about cliques: the maximum clique size with
-a witness (branch and bound with a greedy coloring bound), streaming
-of all inclusion-maximal cliques, and deterministic completion of a
-partial system to a maximal one.
+a witness and search counters (branch and bound in the style of BBMC:
+universal sets join up front, bitset colour classes bound each node and
+the complement symmetry prunes the root), streaming of all
+inclusion-maximal cliques, and deterministic completion of a partial
+system to a maximal one.
 
 Every pair table in the package comes from relation_table: one row
 bitset per subset of [n], filled symmetrically on first use and
@@ -27,7 +29,8 @@ The expected maximum for strong separation is the closed form
 which weak separation provably meets for odd r; the search machinery
 here is what checks such statements exhaustively at desk scale.  The
 exhaustive-search bound defaults to n = 7 and may be raised to 8
-explicitly; larger ground sets are rejected rather than approximated.
+through the bound argument; larger ground sets are rejected rather than
+approximated.
 
 The 55-member witness on [6] showing that maximal weakly 3-separated
 systems need not all reach the maximum size 57 is also built here: the
@@ -38,10 +41,10 @@ plus {2,4}, {3,5}, {1,3,4,6}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .ground import check_ground, check_mask, elements, mask_of, set_notation
 from .separation import (
@@ -296,6 +299,152 @@ def compatibility_adjacency(n: int, predicate: PairwisePredicate) -> list[int]:
     return list(relation_table(n, predicate))
 
 
+@dataclass(frozen=True)
+class MaxSearch:
+    """One exact maximum search: the size, a witness and its counters.
+
+    nodes counts the branch-and-bound nodes expanded, the root included;
+    universal counts the sets related to every other set, which join the
+    clique up front; symmetry_pruned counts the root candidates skipped
+    because their complement had already been branched on.
+    """
+
+    size: int
+    witness: SetSystem
+    nodes: int
+    universal: int
+    symmetry_pruned: int
+
+
+def check_complement_invariant(n: int, table: Sequence[int]) -> None:
+    """Raise unless v -> [n] - v maps the relation table onto itself.
+
+    Over 2^[n] the complement sends bit u of a row to bit 2^n - 1 - u,
+    which reverses the row; so row v reversed must equal the row of the
+    complement of v.
+    """
+    size = 1 << n
+    if len(table) != size:
+        raise ValueError(f"relation table over 2^[{n}] needs {size} rows, got {len(table)}")
+    for v, row in enumerate(table):
+        if int(format(row, f"0{size}b")[::-1], 2) != table[size - 1 - v]:
+            raise RuntimeError(
+                f"relation table not invariant under complement at {set_notation(v)}"
+            )
+
+
+def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
+    """Exact maximum clique of a complement-invariant relation table.
+
+    Branch and bound in the style of BBMC (San Segundo et al. 2011):
+    1. Universal vertices, related to every other set, join every
+       maximum clique, so they go in up front and the search covers
+       the rest.
+    2. The rest are numbered by degree (descending, canonical
+       tie-break).  At each node the candidates are split greedily
+       into colour classes (independent sets) with bitset operations;
+       only vertices of colour k >= best - |clique| + 1 are branched
+       on, highest colour first, and a branch stops once |clique| + k
+       cannot beat the best.  A branch that leaves no candidate is a
+       leaf and is scored without another call.
+    3. The complement map preserves the table (checked here, never
+       assumed).  So once the root has branched on v, both v and its
+       complement leave the root candidates: any clique through the
+       complement of v maps to one of the same size through v.  The
+       dropped set stays closed under complement, so every later root
+       branch keeps this argument.
+
+    The search never stops early at a target size.  Fully
+    deterministic.
+    """
+    check_complement_invariant(n, table)
+    size = 1 << n
+    everyone = (1 << size) - 1
+    universal = [v for v in range(size) if table[v] | 1 << v == everyone]
+    order = sorted(
+        (v for v in range(size) if table[v] | 1 << v != everyone),
+        key=lambda v: (-table[v].bit_count(),) + canonical_key(v),
+    )
+    m = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    # relabel so vertex i is the i-th in search order
+    adj = [0] * m
+    for i, v in enumerate(order):
+        row = 0
+        for u in order:
+            if table[v] >> u & 1:
+                row |= 1 << pos[u]
+        adj[i] = row
+    all_m = (1 << m) - 1
+    # non-neighbours of i, i itself included: one AND per colour step
+    others = [all_m ^ row ^ 1 << i for i, row in enumerate(adj)]
+    twin = [1 << pos[size - 1 - v] for v in order]
+
+    best_clique = 0
+    best_size = 0
+    nodes = 0
+    symmetry_pruned = 0
+
+    def colour_classes(cand: int, kmin: int) -> list[tuple[int, int]]:
+        # (colour k, class bitset) for every class with k >= kmin
+        classes = []
+        k = 0
+        while cand:
+            k += 1
+            left = cand
+            cls = 0
+            while left:
+                low = left & -left
+                cls |= low
+                left &= others[low.bit_length() - 1]
+            cand ^= cls
+            if k >= kmin:
+                classes.append((k, cls))
+        return classes
+
+    def expand(clique: int, csize: int, cand: int, root: bool) -> None:
+        nonlocal best_clique, best_size, nodes, symmetry_pruned
+        nodes += 1
+        grown = csize + 1
+        for k, cls in reversed(colour_classes(cand, best_size - csize + 1)):
+            while cls:
+                if csize + k <= best_size:
+                    return
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                cls ^= bit
+                if not cand & bit:
+                    symmetry_pruned += 1
+                    continue
+                sub = cand & adj[v]
+                if sub:
+                    expand(clique | bit, grown, sub, False)
+                elif grown > best_size:
+                    best_clique, best_size = clique | bit, grown
+                cand &= ~(bit | twin[v]) if root else ~bit
+
+    expand(0, 0, all_m, True)
+
+    witness = universal + [order[i] for i in range(m) if best_clique >> i & 1]
+    return MaxSearch(
+        size=len(witness),
+        witness=SetSystem.from_masks(n, witness),
+        nodes=nodes,
+        universal=len(universal),
+        symmetry_pruned=symmetry_pruned,
+    )
+
+
+def search_max(
+    n: int,
+    predicate: PairwisePredicate,
+    bound: int = DEFAULT_EXHAUSTIVE_BOUND,
+) -> MaxSearch:
+    """Exact maximum predicate-compatible system, with the search counters."""
+    _check_bound(n, bound)
+    return max_clique(n, relation_table(n, predicate))
+
+
 def max_size(
     n: int,
     predicate: PairwisePredicate,
@@ -303,72 +452,10 @@ def max_size(
 ) -> tuple[int, SetSystem]:
     """Exact maximum size of a predicate-compatible system, with a witness.
 
-    Branch and bound over the 2^n-vertex compatibility graph: vertices
-    are ordered by degree (descending, canonical tie-break) and pruned
-    with a greedy coloring bound.  Fully deterministic.
+    search_max without the counters; see max_clique for the search.
     """
-    _check_bound(n, bound)
-    adj = compatibility_adjacency(n, predicate)
-    size = 1 << n
-    order = sorted(range(size), key=lambda v: (-adj[v].bit_count(),) + canonical_key(v))
-    pos = {v: i for i, v in enumerate(order)}
-    # relabel so vertex i is the i-th in search order
-    radj = [0] * size
-    for v in range(size):
-        row = adj[v]
-        new_row = 0
-        while row:
-            low = row & -row
-            new_row |= 1 << pos[low.bit_length() - 1]
-            row ^= low
-        radj[pos[v]] = new_row
-
-    best_clique = 0
-    best_size = 0
-
-    def color_bound(cand: int) -> list[tuple[int, int]]:
-        # greedy coloring; returns (vertex, color_count_so_far) in paint order
-        painted: list[tuple[int, int]] = []
-        color = 0
-        while cand:
-            color += 1
-            avail = cand
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                painted.append((v, color))
-                cand ^= low
-                avail &= ~radj[v] & ~low
-        return painted
-
-    def expand(clique: int, csize: int, cand: int) -> None:
-        nonlocal best_clique, best_size
-        painted = color_bound(cand)
-        for v, color in reversed(painted):
-            if csize + color <= best_size:
-                return
-            bit = 1 << v
-            expand(clique | bit, csize + 1, cand & radj[v])
-            cand &= ~bit
-        if not cand and csize > best_size:
-            best_size = csize
-            best_clique = clique
-
-    # seed with the greedy clique along the search order for a warm bound
-    seed = 0
-    seed_size = 0
-    cand = (1 << size) - 1
-    while cand:
-        v = (cand & -cand).bit_length() - 1
-        seed |= 1 << v
-        seed_size += 1
-        cand &= radj[v]
-    best_clique, best_size = seed, seed_size
-
-    expand(0, 0, (1 << size) - 1)
-
-    witness = [order[i] for i in range(size) if best_clique >> i & 1]
-    return best_size, SetSystem.from_masks(n, witness)
+    found = search_max(n, predicate, bound)
+    return found.size, found.witness
 
 
 def enumerate_maximal(
@@ -430,26 +517,6 @@ def nonpurity_witness() -> SetSystem:
     vertex_masks = set(boundary_vertices(6, 4).members)
     extras = {mask_of(s, 6) for s in ({2, 4}, {3, 5}, {1, 3, 4, 6})}
     return SetSystem.from_masks(6, vertex_masks | extras)
-
-
-@dataclass
-class DotOptions:
-    name: str = "compat"
-
-
-def compatibility_dot(n: int, predicate: PairwisePredicate, bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> str:
-    """DOT rendering of the compatibility graph (each edge emitted once)."""
-    _check_bound(n, bound)
-    lines = [f'digraph compat {{']
-    lines.append('  edge [dir=none];')
-    for u in range(1 << n):
-        lines.append(f'  "{set_notation(u)}";')
-    for u in range(1 << n):
-        for v in range(u + 1, 1 << n):
-            if predicate.holds(u, v):
-                lines.append(f'  "{set_notation(u)}" -> "{set_notation(v)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def dump_json(blob: dict) -> str:

@@ -513,3 +513,85 @@ def reference_scan_membranes(
     if combs is not None:
         report.comb_free = all("comb" not in v for v in report.violations)
     return report
+
+
+def reference_max_size(n: int, predicate) -> tuple[int, list[int]]:
+    """The earlier maximum search: plain branch and bound, greedy colouring.
+
+    Builds its own adjacency from predicate.holds (no relation table, no
+    universal-vertex reduction, no symmetry pruning).  Vertices are
+    ordered by degree (descending, then cardinality and bit value) and
+    pruned with a greedy colouring bound.  Returns the size and the
+    witness masks in search order.
+    """
+    size = 1 << n
+    adj = [0] * size
+    for u in range(size):
+        for v in range(u + 1, size):
+            if predicate.holds(u, v):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    order = sorted(range(size), key=lambda v: (-adj[v].bit_count(), v.bit_count(), v))
+    pos = {v: i for i, v in enumerate(order)}
+    # relabel so vertex i is the i-th in search order
+    radj = [0] * size
+    for v in range(size):
+        for u in range(size):
+            if adj[v] >> u & 1:
+                radj[pos[v]] |= 1 << pos[u]
+
+    best_clique = 0
+    best_size = 0
+
+    def color_bound(cand: int) -> list[tuple[int, int]]:
+        # greedy coloring; returns (vertex, color_count_so_far) in paint order
+        painted: list[tuple[int, int]] = []
+        color = 0
+        while cand:
+            color += 1
+            avail = cand
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                painted.append((v, color))
+                cand ^= low
+                avail &= ~radj[v] & ~low
+        return painted
+
+    def expand(clique: int, csize: int, cand: int) -> None:
+        nonlocal best_clique, best_size
+        painted = color_bound(cand)
+        for v, color in reversed(painted):
+            if csize + color <= best_size:
+                return
+            bit = 1 << v
+            expand(clique | bit, csize + 1, cand & radj[v])
+            cand &= ~bit
+        if not cand and csize > best_size:
+            best_size = csize
+            best_clique = clique
+
+    # seed with the greedy clique along the search order for a warm bound
+    cand = (1 << size) - 1
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        best_clique |= 1 << v
+        best_size += 1
+        cand &= radj[v]
+
+    expand(0, 0, (1 << size) - 1)
+    return best_size, [order[i] for i in range(size) if best_clique >> i & 1]
+
+
+def brute_force_max_clique(rows) -> int:
+    """Maximum clique size of an adjacency-bitset table, no bound (tiny graphs only)."""
+
+    def grow(cand: int, k: int) -> int:
+        best = k
+        while cand:
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            best = max(best, grow(cand & rows[v], k + 1))
+        return best
+
+    return grow((1 << len(rows)) - 1, 0)

@@ -1,6 +1,7 @@
 """Command-line behavior: output shape, exit codes, file export, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -55,6 +56,43 @@ def test_search_max(capsys):
     assert "max WEAK_ODD(1) on [4]: 11" in out
 
 
+def test_search_max_counters_stay_out_of_json(capsys, tmp_path):
+    blobs = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        code, out, err = run(
+            capsys, "search", "max", "--n", "6", "--kind", "weak_odd", "--r", "1",
+            "--json", str(path),
+        )
+        assert code == 0
+        assert "max WEAK_ODD(1) on [6]: 22" in out
+        assert re.fullmatch(
+            r"search: \d+ nodes, 12 universal, \d+ root branches pruned by symmetry, "
+            r"\d+\.\d\d s\n",
+            err,
+        ), err
+        assert "nodes" not in out
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+    assert set(json.loads(blobs[0])) == {"members", "n", "predicate", "schema", "size"}
+    assert b"nodes" not in blobs[0] and b"second" not in blobs[0]
+
+
+def test_search_beyond_the_command_line_bound(capsys):
+    for argv in (
+        ("search", "max", "--n", "8", "--kind", "strong", "--r", "1"),
+        ("search", "maximal", "--n", "8", "--kind", "strong", "--r", "1"),
+        ("zono", "vertices", "--n", "8", "--d", "3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: n = 8 exceeds 7, the largest ground set the command line "
+            "searches exhaustively\n"
+        )
+
+
 def test_search_maximal(capsys):
     code, out, _ = run(
         capsys, "search", "maximal", "--n", "4", "--kind", "strong", "--r", "1",
@@ -101,6 +139,25 @@ def test_cub_validate_rejects_broken(capsys, tmp_path):
     assert code == 1
     assert "validator FAIL" in out
     assert "problem" in out
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"n": 4, "d": 2},  # no "cubes"
+        [],
+        {"n": 4, "d": 2, "cubes": [{"root": []}]},
+        {"n": 4, "d": 2, "cubes": [{"root": 5, "type": [1, 2]}]},
+        {"n": 4, "d": "2", "cubes": []},
+    ],
+)
+def test_cub_validate_malformed_json(capsys, tmp_path, blob):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "cub", "validate", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cub_anti(capsys):
