@@ -187,6 +187,7 @@ def cmd_search_max(args) -> int:
     print(f"witness: {found.witness}")
     print(
         f"search: {found.nodes} nodes, {found.universal} universal, "
+        f"{found.symmetries} symmetries, "
         f"{found.symmetry_pruned} root branches pruned by symmetry, {seconds:.2f} s",
         file=sys.stderr,
     )
@@ -222,7 +223,7 @@ def cmd_search_maximal(args) -> int:
 
 
 def cmd_zono_vertices(args) -> int:
-    verts = boundary_vertices(_exhaustive_n(args.n), args.d)
+    verts = boundary_vertices(args.n, args.d)
     print(f"vertices of Z({args.n},{args.d}): {len(verts)}")
     print(str(verts))
     _emit_json(args, {"count": len(verts), **verts.to_json()})

@@ -42,7 +42,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .geometry import _dot, normal_vector, veronese, zonotope_sides
-from .ground import check_ground, check_mask, elements, mask_of, set_notation
+from .ground import check_ground, check_mask, elements, mask_of, set_notation, submasks
 from .posets import digraph_dot, is_acyclic, scan_ideals
 from .separation import is_strongly_r_separated
 from .systems import SCHEMA, SetSystem, s_formula
@@ -85,25 +85,15 @@ class FacetDescriptor:
     type: int
 
     def vertex_masks(self) -> list[int]:
-        return [self.root | sub for sub in _submasks(self.type)]
+        return [self.root | sub for sub in submasks(self.type)]
 
     def label(self) -> str:
         return f"{set_notation(self.root)}|{set_notation(self.type)}"
 
 
-def _submasks(mask: int) -> list[int]:
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            return out
-        sub = (sub - 1) & mask
-
-
 def cube_vertices(cube: Cube, n: int) -> SetSystem:
     """The 2^d vertex sets of a cube as a SetSystem over [n]."""
-    return SetSystem.from_masks(n, (cube.root | sub for sub in _submasks(cube.type)))
+    return SetSystem.from_masks(n, (cube.root | sub for sub in submasks(cube.type)))
 
 
 def apex_vertices(cube: Cube) -> tuple[int, int]:
@@ -181,7 +171,7 @@ class Cubillage:
     def vertex_set(self) -> SetSystem:
         verts: set[int] = set()
         for cube in self.cubes:
-            for sub in _submasks(cube.type):
+            for sub in submasks(cube.type):
                 verts.add(cube.root | sub)
         return SetSystem.from_masks(self.n, verts)
 
@@ -365,7 +355,7 @@ def cubillage_from_collection(collection: SetSystem, d: int) -> Cubillage:
         for root in have:
             if root & typemask:
                 continue
-            if all(root | sub in have for sub in _submasks(typemask)):
+            if all(root | sub in have for sub in submasks(typemask)):
                 cubes.append(Cube(root, typemask))
     q = Cubillage.from_cubes(n, d, cubes)
     report = validate_cubillage(q)
@@ -384,7 +374,7 @@ def all_cubes(n: int, d: int) -> list[Cube]:
     for combo in combinations(range(1, n + 1), d):
         typemask = mask_of(combo, n)
         rest = ((1 << n) - 1) & ~typemask
-        for root in sorted(_submasks(rest)):
+        for root in sorted(submasks(rest)):
             cubes.append(Cube(root, typemask))
     return sorted(cubes, key=lambda c: (c.type, c.root))
 
@@ -525,7 +515,7 @@ class SMembrane:
     def vertex_set(self) -> SetSystem:
         verts: set[int] = set()
         for root, typemask in self.facets:
-            for sub in _submasks(typemask):
+            for sub in submasks(typemask):
                 verts.add(root | sub)
         return SetSystem.from_masks(self.n, verts)
 

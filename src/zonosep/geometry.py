@@ -40,8 +40,9 @@ from .ground import (
     full_mask,
     interval_count,
     mask_of,
+    submasks,
 )
-from .systems import DEFAULT_EXHAUSTIVE_BOUND, SetSystem, _check_bound
+from .systems import SetSystem, check_table_ground
 
 Vector = tuple[int, ...]
 
@@ -210,9 +211,12 @@ def _strict_feasible(rows: list[Vector]) -> bool:
     return _strict_feasible(sorted(combined))
 
 
-def boundary_vertices(n: int, d: int, bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> SetSystem:
-    """All subsets of [n] spanning vertices of Z(n, d), canonically ordered."""
-    _check_bound(n, bound)
+def boundary_vertices(n: int, d: int) -> SetSystem:
+    """All subsets of [n] spanning vertices of Z(n, d), canonically ordered.
+
+    A scan over all 2^n subsets, so n is held to the relation-table cap.
+    """
+    check_table_ground(n)
     if not 2 <= d <= n:
         raise ValueError(f"need 2 <= d <= n, got d={d}, n={n}")
     return SetSystem.from_masks(
@@ -297,7 +301,7 @@ def zonotope_sides(n: int, d: int) -> ZonotopeSides:
                 rear_root |= 1 << (i - 1)
         front_facets.append((front_root, typemask))
         rear_facets.append((rear_root, typemask))
-        for sub in _submasks(typemask):
+        for sub in submasks(typemask):
             front_verts.add(front_root | sub)
             rear_verts.add(rear_root | sub)
     front = SetSystem.from_masks(n, front_verts)
@@ -312,13 +316,3 @@ def zonotope_sides(n: int, d: int) -> ZonotopeSides:
         rear=rear,
         rim=rim,
     )
-
-
-def _submasks(mask: int):
-    """All submasks of a mask, including 0 and the mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

@@ -80,6 +80,17 @@ def elements(mask: int) -> list[int]:
     return out
 
 
+def submasks(mask: int) -> list[int]:
+    """Every submask of a mask, from the mask itself down to 0."""
+    out = []
+    sub = mask
+    while True:
+        out.append(sub)
+        if sub == 0:
+            return out
+        sub = (sub - 1) & mask
+
+
 def iter_elements(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask

@@ -49,7 +49,7 @@ from .cubillage import (
     rear_facets,
 )
 from .geometry import zonotope_sides
-from .ground import elements, iter_elements, set_notation
+from .ground import elements, iter_elements, set_notation, submasks
 from .posets import IdealCapExceeded, digraph_dot, scan_ideals, topological_order
 from .separation import is_double_r_comb, is_weakly_r_separated
 from .systems import (
@@ -97,7 +97,7 @@ def h_tile(cube: Cube, j: int) -> Tile | None:
     d = cube.d
     if not 1 <= j <= d - 1:
         return None
-    verts = {cube.root | sub for sub in _submasks(cube.type) if sub.bit_count() == j}
+    verts = {cube.root | sub for sub in submasks(cube.type) if sub.bit_count() == j}
     return Tile(H_TILE, frozenset(verts))
 
 
@@ -109,20 +109,10 @@ def v_tile(facet: FacetDescriptor, slab: int) -> Tile | None:
         return None
     verts = {
         facet.root | sub
-        for sub in _submasks(facet.type)
+        for sub in submasks(facet.type)
         if sub.bit_count() in (k, k + 1)
     }
     return Tile(V_TILE, frozenset(verts))
-
-
-def _submasks(mask: int) -> list[int]:
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            return out
-        sub = (sub - 1) & mask
 
 
 @dataclass(frozen=True)

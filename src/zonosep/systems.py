@@ -13,9 +13,9 @@ one of four pairwise predicates,
 and answer exact questions about cliques: the maximum clique size with
 a witness and search counters (branch and bound in the style of BBMC:
 universal sets join up front, bitset colour classes bound each node and
-the complement symmetry prunes the root), streaming of all
-inclusion-maximal cliques, and deterministic completion of a partial
-system to a maximal one.
+the root branches drop whole orbits of the table's checked symmetry
+group), streaming of all inclusion-maximal cliques, and deterministic
+completion of a partial system to a maximal one.
 
 Every pair table in the package comes from relation_table: one row
 bitset per subset of [n], filled symmetrically on first use and
@@ -43,7 +43,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .ground import check_ground, check_mask, elements, mask_of, set_notation
@@ -305,15 +307,66 @@ class MaxSearch:
 
     nodes counts the branch-and-bound nodes expanded, the root included;
     universal counts the sets related to every other set, which join the
-    clique up front; symmetry_pruned counts the root candidates skipped
-    because their complement had already been branched on.
+    clique up front; symmetries is the order of the group of checked
+    table symmetries (see symmetry_orbits); symmetry_pruned counts the
+    root candidates skipped because a set in their orbit had already
+    been branched on.
     """
 
     size: int
     witness: SetSystem
     nodes: int
     universal: int
+    symmetries: int
     symmetry_pruned: int
+
+
+def _complement(v: int, n: int) -> int:
+    return v ^ ((1 << n) - 1)
+
+
+def _reversal(v: int, n: int) -> int:
+    # i -> n + 1 - i
+    return int(format(v, f"0{n}b")[::-1], 2)
+
+
+def _rotation(v: int, n: int) -> int:
+    # i -> i + 1, n -> 1
+    return ((v << 1) | (v >> (n - 1))) & ((1 << n) - 1)
+
+
+def _twisted_rotation(v: int, n: int) -> int:
+    # the rotation, then element 1 toggled
+    return _rotation(v, n) ^ 1
+
+
+# Maps on subsets of [n] that may preserve a relation table.  The
+# relations depend on how A - B and B - A interlace along the line;
+# complement swaps the two and reversal mirrors the line.  Exhaustive
+# checks at 3 <= n <= 8 and r < n - 2 found: STRONG(r) tables keep
+# complement, reversal and the rotation (r even) or the twisted rotation
+# (r odd); WEAK_ODD(r) tables keep complement and reversal; the even weak
+# kinds keep complement alone.  Tables closer to complete keep more.  The
+# search checks each candidate against the table, never the kind.
+SYMMETRY_CANDIDATES = (_complement, _reversal, _rotation, _twisted_rotation)
+
+
+def _first_break(table: Sequence[int], image: Sequence[int]) -> int | None:
+    """The first set v whose row, mapped by image, is not the row of image[v].
+
+    image is a permutation of 2^[n].  Bit u of a row is character
+    size - 1 - u of its binary string, so the mapped row reads
+    character size - 1 - pre(size - 1 - j) at place j, pre the inverse.
+    """
+    size = len(image)
+    pre = [0] * size
+    for v, w in enumerate(image):
+        pre[w] = v
+    pick = itemgetter(*(size - 1 - pre[size - 1 - j] for j in range(size)))
+    for v, row in enumerate(table):
+        if int("".join(pick(format(row, f"0{size}b"))), 2) != table[image[v]]:
+            return v
+    return None
 
 
 def check_complement_invariant(n: int, table: Sequence[int]) -> None:
@@ -326,11 +379,53 @@ def check_complement_invariant(n: int, table: Sequence[int]) -> None:
     size = 1 << n
     if len(table) != size:
         raise ValueError(f"relation table over 2^[{n}] needs {size} rows, got {len(table)}")
-    for v, row in enumerate(table):
-        if int(format(row, f"0{size}b")[::-1], 2) != table[size - 1 - v]:
-            raise RuntimeError(
-                f"relation table not invariant under complement at {set_notation(v)}"
-            )
+    v = _first_break(table, range(size - 1, -1, -1))
+    if v is not None:
+        raise RuntimeError(
+            f"relation table not invariant under complement at {set_notation(v)}"
+        )
+
+
+def symmetry_orbits(n: int, table: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """The group the table keeps among SYMMETRY_CANDIDATES: its order and orbits.
+
+    The complement must preserve the table (check_complement_invariant
+    raises otherwise); each other candidate joins the generators only if
+    it maps every row onto the row of its image.  Returns the order of
+    the group the generators span and, for each set v of 2^[n], its
+    orbit as a sorted tuple (one tuple shared by all its members).
+    """
+    check_complement_invariant(n, table)
+    size = 1 << n
+    images = [tuple(map_(v, n) for v in range(size)) for map_ in SYMMETRY_CANDIDATES]
+    generators = images[:1] + [g for g in images[1:] if _first_break(table, g) is None]
+    # every candidate is v -> pi(v) XOR c for a permutation pi of [n], and
+    # so is each element g of the group; g is fixed by its images of the
+    # empty set and the singletons, so the closure runs on those n + 1
+    base = (0,) + tuple(1 << i for i in range(n))
+    group = [base]
+    seen = {base}
+    for g in group:  # grows while it is read
+        for h in generators:
+            hg = tuple(h[x] for x in g)
+            if hg not in seen:
+                seen.add(hg)
+                group.append(hg)
+    orbits: list[tuple[int, ...]] = [()] * size
+    for v in range(size):
+        if orbits[v]:
+            continue
+        members = [v]
+        found = {v}
+        for x in members:  # grows while it is read
+            for h in generators:
+                if h[x] not in found:
+                    found.add(h[x])
+                    members.append(h[x])
+        orbit = tuple(sorted(members))
+        for x in orbit:
+            orbits[x] = orbit
+    return len(group), orbits
 
 
 def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
@@ -347,17 +442,19 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
        on, highest colour first, and a branch stops once |clique| + k
        cannot beat the best.  A branch that leaves no candidate is a
        leaf and is scored without another call.
-    3. The complement map preserves the table (checked here, never
-       assumed).  So once the root has branched on v, both v and its
-       complement leave the root candidates: any clique through the
-       complement of v maps to one of the same size through v.  The
-       dropped set stays closed under complement, so every later root
-       branch keeps this argument.
+    3. Orbital branching at the root (Ostrowski et al. 2011): the
+       group of symmetry_orbits preserves the table (checked here,
+       never assumed).  So once the root has branched on v, the whole
+       orbit of v leaves the root candidates: any clique through g(v)
+       maps under g^-1 to one of the same size through v.  The dropped
+       sets are a union of orbits, so the candidates left are too, and
+       every later root branch keeps this argument.  Below the root
+       the candidates are not closed under the group, so only v goes.
 
     The search never stops early at a target size.  Fully
     deterministic.
     """
-    check_complement_invariant(n, table)
+    symmetries, orbits = symmetry_orbits(n, table)
     size = 1 << n
     everyone = (1 << size) - 1
     universal = [v for v in range(size) if table[v] | 1 << v == everyone]
@@ -378,7 +475,7 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
     all_m = (1 << m) - 1
     # non-neighbours of i, i itself included: one AND per colour step
     others = [all_m ^ row ^ 1 << i for i, row in enumerate(adj)]
-    twin = [1 << pos[size - 1 - v] for v in order]
+    orbit = [sum(1 << pos[u] for u in orbits[v]) for v in order]
 
     best_clique = 0
     best_size = 0
@@ -421,7 +518,7 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
                     expand(clique | bit, grown, sub, False)
                 elif grown > best_size:
                     best_clique, best_size = clique | bit, grown
-                cand &= ~(bit | twin[v]) if root else ~bit
+                cand &= ~orbit[v] if root else ~bit
 
     expand(0, 0, all_m, True)
 
@@ -431,6 +528,7 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
         witness=SetSystem.from_masks(n, witness),
         nodes=nodes,
         universal=len(universal),
+        symmetries=symmetries,
         symmetry_pruned=symmetry_pruned,
     )
 
@@ -468,12 +566,18 @@ def enumerate_maximal(
 
     Deterministic pivoted Bron-Kerbosch over the compatibility graph;
     the stream order is the fixed DFS order of that algorithm.  A limit
-    of k stops after k systems.
+    of k stops after k systems (none for k = 0).  The bound and the
+    limit are checked on the call, before the search starts.
     """
     _check_bound(n, bound)
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
+    return islice(_maximal_cliques(n, predicate), limit)
+
+
+def _maximal_cliques(n: int, predicate: PairwisePredicate) -> Iterator[SetSystem]:
     adj = compatibility_adjacency(n, predicate)
     size = 1 << n
-    emitted = 0
     full = (1 << size) - 1
 
     def bk(clique: list[int], cand: int, excluded: int) -> Iterator[list[int]]:
@@ -501,9 +605,6 @@ def enumerate_maximal(
 
     for clique in bk([], full, 0):
         yield SetSystem.from_masks(n, clique)
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
 
 
 def nonpurity_witness() -> SetSystem:

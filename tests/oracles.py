@@ -584,14 +584,20 @@ def reference_max_size(n: int, predicate) -> tuple[int, list[int]]:
 
 
 def brute_force_max_clique(rows) -> int:
-    """Maximum clique size of an adjacency-bitset table, no bound (tiny graphs only)."""
+    """Maximum clique size of an adjacency-bitset table (tiny graphs only).
 
-    def grow(cand: int, k: int) -> int:
-        best = k
-        while cand:
+    Plain enumeration of cliques, no colouring and no symmetry; a branch
+    stops only once |clique| + |candidates| cannot beat the best so far.
+    """
+    best = 0
+
+    def grow(cand: int, k: int) -> None:
+        nonlocal best
+        best = max(best, k)
+        while cand and k + cand.bit_count() > best:
             v = cand.bit_length() - 1
             cand ^= 1 << v
-            best = max(best, grow(cand & rows[v], k + 1))
-        return best
+            grow(cand & rows[v], k + 1)
 
-    return grow((1 << len(rows)) - 1, 0)
+    grow((1 << len(rows)) - 1, 0)
+    return best

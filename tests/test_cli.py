@@ -67,8 +67,8 @@ def test_search_max_counters_stay_out_of_json(capsys, tmp_path):
         assert code == 0
         assert "max WEAK_ODD(1) on [6]: 22" in out
         assert re.fullmatch(
-            r"search: \d+ nodes, 12 universal, \d+ root branches pruned by symmetry, "
-            r"\d+\.\d\d s\n",
+            r"search: \d+ nodes, 12 universal, 4 symmetries, "
+            r"\d+ root branches pruned by symmetry, \d+\.\d\d s\n",
             err,
         ), err
         assert "nodes" not in out
@@ -78,11 +78,18 @@ def test_search_max_counters_stay_out_of_json(capsys, tmp_path):
     assert b"nodes" not in blobs[0] and b"second" not in blobs[0]
 
 
+def test_search_max_reports_the_group_order(capsys):
+    # STRONG(1) keeps complement, reversal and the twisted rotation: 4n
+    code, out, err = run(capsys, "search", "max", "--n", "7", "--kind", "strong", "--r", "1")
+    assert code == 0
+    assert "max STRONG(1) on [7]: 29" in out
+    assert ", 28 symmetries, " in err
+
+
 def test_search_beyond_the_command_line_bound(capsys):
     for argv in (
         ("search", "max", "--n", "8", "--kind", "strong", "--r", "1"),
         ("search", "maximal", "--n", "8", "--kind", "strong", "--r", "1"),
-        ("zono", "vertices", "--n", "8", "--d", "3"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -102,10 +109,31 @@ def test_search_maximal(capsys):
     assert "first 5 maximal STRONG(1) systems on [4]: 5" in out
 
 
+def test_search_maximal_limit_zero_and_negative(capsys):
+    argv = ("search", "maximal", "--n", "4", "--kind", "strong", "--r", "1", "--limit")
+    code, out, _ = run(capsys, *argv, "0")
+    assert code == 0
+    assert "first 0 maximal STRONG(1) systems on [4]: 0" in out
+    code, out, err = run(capsys, *argv, "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: limit must be at least 0, got -1\n"
+
+
 def test_zono_vertices(capsys):
     code, out, _ = run(capsys, "zono", "vertices", "--n", "6", "--d", "4")
     assert code == 0
     assert "vertices of Z(6,4): 52" in out
+
+
+def test_zono_vertices_is_not_held_to_the_search_bound(capsys):
+    code, out, _ = run(capsys, "zono", "vertices", "--n", "8", "--d", "3")
+    assert code == 0
+    assert "vertices of Z(8,3): 58" in out
+    code, out, err = run(capsys, "zono", "vertices", "--n", "13", "--d", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: n = 13 exceeds") and err.count("\n") == 1
 
 
 def test_zono_sides(capsys, tmp_path):

@@ -67,6 +67,15 @@ def test_sign_rule_examples():
     assert is_zonotope_vertex(0, 4, 2) and is_zonotope_vertex(m(1, 2, 3, 4), 4, 2)
 
 
+def test_boundary_vertices_beyond_the_search_bound():
+    # a 2^n scan, held to the relation-table cap rather than the clique
+    # search bound: at most d - 1 = 2 sign changes, 2 (1 + C(n-1, 1) + C(n-1, 2))
+    assert len(boundary_vertices(8, 3)) == 58
+    assert len(boundary_vertices(12, 3)) == 134
+    with pytest.raises(ValueError, match="n = 13 exceeds the relation-table cap 12"):
+        boundary_vertices(13, 3)
+
+
 def test_boundary_vertices_counts():
     assert len(boundary_vertices(4, 2)) == 8
     assert len(boundary_vertices(6, 4)) == 52

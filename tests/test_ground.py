@@ -23,6 +23,7 @@ from zonosep.ground import (
     mask_min,
     mask_of,
     set_notation,
+    submasks,
 )
 
 from oracles import alternation_degree
@@ -53,6 +54,16 @@ def test_min_max_conventions():
     assert entirely_less(m(6), 0, 6)
     assert entirely_less(m(1, 2), m(3), 6)
     assert not entirely_less(m(3), m(3), 6)
+
+
+def test_submasks():
+    assert submasks(0) == [0]
+    assert submasks(m(1, 3)) == [m(1, 3), m(3), m(1), 0]
+    mask = m(2, 3, 5, 7)
+    got = submasks(mask)
+    assert len(got) == len(set(got)) == 16
+    assert set(got) == {x for x in range(1 << 7) if x & ~mask == 0}
+    assert got == sorted(got, reverse=True)
 
 
 def test_interval_decomposition():

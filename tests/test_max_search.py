@@ -2,16 +2,19 @@
 
 reference_max_size in oracles.py is the plain greedy-colouring search
 that max_size used before the universal-vertex reduction, the colour
-class bound and the complement-orbit pruning; it builds its own
-adjacency from the predicate.
+class bound and the orbit pruning at the root; it builds its own
+adjacency from the predicate.  Random tables closed under subgroups of
+the candidate symmetries are checked against plain clique enumeration.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
+from zonosep.ground import elements
 from zonosep.systems import (
     check_pairwise,
     max_clique,
@@ -19,6 +22,7 @@ from zonosep.systems import (
     relation_table,
     search_max,
     strong,
+    symmetry_orbits,
     weak_even,
     weak_even_no_comb,
     weak_odd,
@@ -122,3 +126,128 @@ def test_random_invariant_tables_against_brute_force():
         assert found.size == brute_force_max_clique(table), seed
         clique = sum(1 << v for v in found.witness)
         assert all((table[v] | 1 << v) & clique == clique for v in found.witness), seed
+
+
+# The four candidate maps, written over element lists rather than bits.
+def _complement(v, n):
+    return (1 << n) - 1 - v
+
+
+def _reversal(v, n):  # i -> n + 1 - i
+    return sum(1 << (n - i) for i in elements(v))
+
+
+def _rotation(v, n):  # i -> i + 1, n -> 1
+    return sum(1 << (i % n) for i in elements(v))
+
+
+def _twisted_rotation(v, n):  # the rotation, then element 1 toggled
+    return _rotation(v, n) ^ 1
+
+
+EXTRA_MAPS = {"reversal": _reversal, "rotation": _rotation, "twisted": _twisted_rotation}
+SUBGROUPS = [
+    (n, names)
+    for n in (4, 5)
+    for k in range(len(EXTRA_MAPS) + 1)
+    for names in combinations(EXTRA_MAPS, k)
+    if (n, names) != (4, ())  # complement alone on [4]: the test above
+]
+
+
+def _group_order(generators):
+    """Order of the permutation group the generators span, by closure."""
+    identity = tuple(range(len(generators[0])))
+    group = {identity}
+    todo = [identity]
+    while todo:
+        g = todo.pop()
+        for h in generators:
+            hg = tuple(h[x] for x in g)
+            if hg not in group:
+                group.add(hg)
+                todo.append(hg)
+    return len(group)
+
+
+def _random_closed_table(n, generators, rng):
+    """Random edge orbits up to a target density, plus a planted clique.
+
+    Each edge joins with its whole orbit, so the group the generators
+    span preserves the table.
+    """
+    size = 1 << n
+    rows = [0] * size
+
+    def relate(u, v):
+        todo = [(u, v)]
+        while todo:
+            a, b = todo.pop()
+            if not rows[a] >> b & 1:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+                todo.extend((g[a], g[b]) for g in generators)
+
+    pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
+    rng.shuffle(pairs)
+    goal = rng.choice((0.1, 0.2, 0.3, 0.5)) * len(pairs)
+    for u, v in pairs:
+        if sum(row.bit_count() for row in rows) >= 2 * goal:
+            break
+        relate(u, v)
+    planted = rng.sample(range(size), rng.choice((3, 4, 5)))
+    for i, u in enumerate(planted):
+        for v in planted[i + 1 :]:
+            relate(u, v)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "n, names", SUBGROUPS, ids=[f"n{n}-" + "+".join(("complement",) + s) for n, s in SUBGROUPS]
+)
+def test_random_group_closed_tables_against_brute_force(n, names):
+    maps = [_complement] + [EXTRA_MAPS[name] for name in names]
+    generators = [tuple(f(v, n) for v in range(1 << n)) for f in maps]
+    order = _group_order(generators)
+    for seed in range(100):
+        table = _random_closed_table(n, generators, random.Random(seed))
+        found = max_clique(n, table)
+        assert found.size == brute_force_max_clique(table), seed
+        clique = sum(1 << v for v in found.witness)
+        assert all((table[v] | 1 << v) & clique == clique for v in found.witness), seed
+        # the checked group contains the one the table was closed under
+        assert found.symmetries % order == 0, seed
+        assert found == max_clique(n, table)
+
+
+def _group_orders(n, predicates):
+    return {p.label(): symmetry_orbits(n, relation_table(n, p))[0] for p in predicates}
+
+
+@pytest.mark.parametrize("n", (6, 7, 8))
+def test_group_order_per_kind(n):
+    # r <= n - 3; tables nearer to complete keep more (see below)
+    predicates = _predicates(n - 2)
+    expected = {p.label(): {"STRONG": 4 * n, "WEAK_ODD": 4}.get(p.kind, 2) for p in predicates}
+    assert _group_orders(n, predicates) == expected
+
+
+def test_group_order_near_complete_tables():
+    # every pair related: all four maps hold, and rotation with twisted
+    # rotation gives every XOR, so 2^n masks times the dihedral group
+    assert _group_orders(6, [strong(5)]) == {"STRONG(5)": 64 * 12}
+    assert _group_orders(6, [weak_odd(5), weak_even_no_comb(4)]) == {
+        "WEAK_ODD(5)": 768,
+        "WEAK_EVEN_NO_COMB(4)": 24,
+    }
+    assert _group_orders(7, [weak_odd(5)]) == {"WEAK_ODD(5)": 28}
+
+
+def test_orbits_partition_the_sets():
+    for n, predicate in ((6, strong(1)), (6, weak_odd(1)), (7, weak_even(2))):
+        order, orbits = symmetry_orbits(n, relation_table(n, predicate))
+        for v, orbit in enumerate(orbits):
+            assert v in orbit and all(orbits[u] is orbit for u in orbit)
+            assert order % len(orbit) == 0  # orbit-stabiliser
+            # the complement is always in the group
+            assert (1 << n) - 1 - v in orbit

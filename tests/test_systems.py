@@ -147,6 +147,13 @@ def test_enumerate_maximal_respects_limit():
     assert len(got) == 5
 
 
+def test_enumerate_maximal_limit_zero_and_negative():
+    assert list(enumerate_maximal(4, strong(1), limit=0)) == []
+    # checked on the call, before any system is searched for
+    with pytest.raises(ValueError, match="limit must be at least 0, got -1"):
+        enumerate_maximal(4, strong(1), limit=-1)
+
+
 def test_adjacency_is_symmetric_and_irreflexive():
     adj = compatibility_adjacency(4, weak_odd(1))
     for u in range(16):
