@@ -58,8 +58,9 @@ while progressed and step < 4:
 print("  ... and so on to the rear boundary.")
 print()
 
-print("The incremental scanner replays that lattice walk once per edge and")
-print("judges every membrane in constant time per step:")
+print("The scanner decides the same claims without visiting any membrane:")
+print("each vertex is present on one interval of the ideal lattice, so the")
+print("count, the sizes and the violating pairs follow from the intervals:")
 report = scan_membranes(q)
-print(f"  scanned {report.membrane_count} membranes, sizes {sorted(report.sizes_seen)}, "
+print(f"  decided {report.membrane_count} membranes, sizes {sorted(report.sizes_seen)}, "
       f"violations {len(report.violations)}")

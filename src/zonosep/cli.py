@@ -7,9 +7,10 @@ Two-level subcommands: predicates and corteges (sep), exact searches
 non-purity walkthrough (demo).
 
 Exit codes: 0 all checks passed, 1 a verification or validation
-failed, 2 usage error, 3 the run was capped and did not cover its whole
-range.  Output is deterministic for fixed flags:
-tables to stdout, machine-readable JSON or DOT to files on request.
+failed or an internal invariant broke, 2 usage error, 3 the run was
+capped or left undecided and did not cover its whole range.  Output is
+deterministic for fixed flags: tables to stdout, machine-readable JSON
+or DOT to files on request; counters and timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -393,16 +394,39 @@ def cmd_membrane_flipwalk(args) -> int:
     return 0
 
 
+def _reject_cap(args) -> None:
+    if args.cap is not None:
+        raise UsageError(
+            "--cap has nothing to cap: the scan decides every membrane without visiting it"
+        )
+
+
+def _print_scan_stats(what: str, report: mb.MembraneScanReport) -> None:
+    """One stderr line of counters and phase seconds for a decided scan."""
+    if report.undecided is not None:
+        return
+    s = report.stats
+    print(
+        f"decided {what}: {s['fragments']} fragments, {s['vertices']} vertices, "
+        f"{s['states']} memo states, {s['pairs']} pairs tested; "
+        f"precedence {s['precedence_s']:.3f} s, lifespans and intervals "
+        f"{s['intervals_s']:.3f} s, count {s['count_s']:.3f} s, "
+        f"pairs {s['pairs_s']:.3f} s",
+        file=sys.stderr,
+    )
+
+
 def cmd_membrane_scan(args) -> int:
+    _reject_cap(args)
     q = _build_cubillage(args.n, args.d, args.anti)
     report = mb.scan_membranes(
         q,
         flavor=args.flavor.upper(),
         r=args.r,
-        cap=args.cap,
         check_combs=args.combs,
     )
     name = _cub_name(args.n, args.d, args.anti)
+    _print_scan_stats(f"{args.flavor}-membranes of {name}", report)
     status, code = _scan_status(report)
     print(
         f"scan {args.flavor}-membranes of {name}: {report.membrane_count} scanned, "
@@ -417,16 +441,12 @@ def cmd_membrane_scan(args) -> int:
 
 
 def _scan_status(report: mb.MembraneScanReport) -> tuple[str, int]:
-    """Verdict and exit code of a scan: a capped run is never PASS."""
+    """Verdict and exit code of a scan: an undecided run is never PASS."""
     if report.ok:
         return "PASS", 0
     if report.violations:
-        status, code = "FAIL", 1
-    else:
-        status, code = "INCOMPLETE", EXIT_INCOMPLETE
-    if report.capped:
-        status += f" (capped at {report.membrane_count}, remainder skipped)"
-    return status, code
+        return "FAIL", 1
+    return f"INCOMPLETE (not decided: {report.undecided})", EXIT_INCOMPLETE
 
 
 # --------------------------------------------------------------- flip
@@ -563,11 +583,13 @@ def cmd_verify_acyclicity(args) -> int:
 
 
 def cmd_verify_membranes(args) -> int:
+    _reject_cap(args)
     targets = [(n, 3) for n in range(3, args.nmax + 1)] + [(5, 5)]
     codes = set()
     for n, d in targets:
         q = cb.standard_cubillage(n, d)
-        report = mb.scan_membranes(q, cap=args.cap)
+        report = mb.scan_membranes(q)
+        _print_scan_stats(f"w-membranes of Z({n},{d})", report)
         status, code = _scan_status(report)
         codes.add(code)
         print(
@@ -651,6 +673,11 @@ def _add_dot(parser) -> None:
 def _add_nd(parser, dmin: int = 1) -> None:
     parser.add_argument("--n", type=int, required=True, help="ground set size")
     parser.add_argument("--d", type=int, required=True, help=f"dimension (>= {dmin})")
+
+
+def _add_rejected_cap(parser) -> None:
+    # parsed only to turn a --cap left over in a script into a one-line usage error
+    parser.add_argument("--cap", type=int, default=None, help=argparse.SUPPRESS)
 
 
 def _add_threads(parser) -> None:
@@ -758,12 +785,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_nd(flipwalk)
     flipwalk.add_argument("--anti", action="store_true")
     flipwalk.set_defaults(func=cmd_membrane_flipwalk)
-    scan = sub.add_parser("scan", help="verify every membrane incrementally")
+    scan = sub.add_parser("scan", help="decide the claims over every membrane")
     _add_nd(scan)
     scan.add_argument("--anti", action="store_true")
     scan.add_argument("--flavor", choices=("w", "e"), default="w")
     scan.add_argument("--r", type=int, default=None)
-    scan.add_argument("--cap", type=int, default=None)
+    _add_rejected_cap(scan)
     scan.add_argument("--combs", action="store_true", help="also scan for double combs")
     _add_json(scan)
     scan.set_defaults(func=cmd_membrane_scan)
@@ -831,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
     acyclicity.set_defaults(func=cmd_verify_acyclicity)
     membranes_ = sub.add_parser("membranes", help="membrane vertex systems")
     membranes_.add_argument("--nmax", type=int, default=6)
-    membranes_.add_argument("--cap", type=int, default=2_000_000)
+    _add_rejected_cap(membranes_)
     _add_threads(membranes_)
     membranes_.set_defaults(func=cmd_verify_membranes)
     nonpurity = sub.add_parser("nonpurity", help="two maximal sizes exist")
@@ -860,6 +887,9 @@ def main(argv: list[str] | None = None) -> int:
     except IdealCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
+    except mb.MembraneInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

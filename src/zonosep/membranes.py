@@ -25,21 +25,20 @@ section disappearing inside it.  Ideals of the enlarged order give
 Scans over all e-membranes check the vertex systems for double
 (d-2)-combs and weak separation violations.
 
-Enumerations stream through the ideal lattice depth first, one raising
-flip per step.  The scan keeps, per vertex, its multiplicity: the number
-of membrane tiles containing it.  Each fragment's raising flip changes
-those multiplicities by a fixed net amount (+1 per rear tile, -1 per
-front tile, zeros dropped), precomputed once; a flip applies it, its
-undo applies the negation, and only a vertex whose count crosses 0
-touches the live vertex bitset and the violation counters.  Nothing is
-recomputed from scratch per membrane or per tile, so exhaustive runs
-over seven-figure ideal counts stay in seconds.
+Listing enumerations stream through the ideal lattice depth first, one
+raising flip per step.  The scans visit no membrane: tile lifespans
+turn each vertex's multiplicity into its front-boundary count plus the
+net changes of the fragments behind the membrane, each vertex's
+presence is checked to be one interval of the ideal lattice, and the
+count, the sizes and the violating pairs follow from those intervals
+(see `scan_membranes`).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cubillage import (
     Cube,
@@ -49,9 +48,9 @@ from .cubillage import (
     rear_facets,
 )
 from .geometry import zonotope_sides
-from .ground import elements, iter_elements, set_notation, submasks
-from .posets import IdealCapExceeded, digraph_dot, scan_ideals, topological_order
-from .separation import is_double_r_comb, is_weakly_r_separated
+from .ground import elements, set_notation, submasks
+from .posets import IdealCapExceeded, Poset, digraph_dot, scan_ideals, topological_order
+from .separation import is_double_r_comb
 from .systems import (
     SCHEMA,
     SetSystem,
@@ -410,9 +409,19 @@ def membrane_from_ideal(
         if delta not in index:
             raise ValueError(f"{delta.label()} is not a fragment of this cubillage")
         chosen.add(index[delta])
+    return _replay(base_membrane(q, flavor=flavor), deltas, succs, chosen)
+
+
+def _replay(
+    base: Membrane,
+    deltas: Sequence[Fragment | EnlargedFragment],
+    succs: Sequence[Sequence[int]],
+    chosen: set[int],
+) -> Membrane:
+    """Raise the base membrane by the chosen fragments, in topological order."""
     _check_ideal(deltas, succs, chosen)
     order = topological_order(len(deltas), succs)
-    m = base_membrane(q, flavor=flavor)
+    m = base
     for i in order:
         if i in chosen:
             m = raising_flip(m, deltas[i])
@@ -491,9 +500,73 @@ def double_comb_scan(system: SetSystem, r: int) -> list[tuple[int, int]]:
     return found
 
 
+class MembraneInvariantError(RuntimeError):
+    """A structural invariant of the membrane model failed.
+
+    Raised when a tile is born or dies at two fragments, when a tile's
+    multiplicity would leave {0, 1} (present twice, or dying while
+    absent), or when a witness ideal's replayed membrane does not carry
+    the pair the scan reported.  It is an internal error of the model,
+    never a usage error.
+    """
+
+
+KIND_SIZE = "size"
+KIND_WEAK = "weak"
+KIND_COMB = "comb"
+
+
+@dataclass(frozen=True)
+class ScanViolation:
+    """One reason a scan fails.
+
+    Kinds weak and comb: a vertex pair violating weak r-separation, or
+    forming a double r-comb, that some membrane carries; `witness` holds
+    the fragment labels of the least such ideal, the down-set of the two
+    vertices' entry fragments.  Kind size: membrane sizes other than the
+    expected one; `weights` names each fragment whose raising flip
+    changes the size, with the change.
+    """
+
+    kind: str
+    pair: tuple[int, int] = (0, 0)
+    witness: tuple[str, ...] = ()
+    sizes: tuple[int, ...] = ()
+    weights: tuple[tuple[str, int], ...] = ()
+
+    def __str__(self) -> str:
+        if self.kind == KIND_SIZE:
+            changes = ", ".join(f"{label} {w:+d}" for label, w in self.weights)
+            return f"sizes {list(self.sizes)}; size-changing fragments: {changes or 'none'}"
+        u, v = self.pair
+        return (
+            f"{set_notation(u)} vs {set_notation(v)} ({self.kind}), "
+            f"witness ideal {list(self.witness)}"
+        )
+
+    def to_json(self) -> dict:
+        if self.kind == KIND_SIZE:
+            return {
+                "kind": self.kind,
+                "sizes": list(self.sizes),
+                "fragments": [{"fragment": label, "change": w} for label, w in self.weights],
+            }
+        return {
+            "kind": self.kind,
+            "pair": [elements(v) for v in self.pair],
+            "witness": list(self.witness),
+        }
+
+
 @dataclass
 class MembraneScanReport:
-    """Streaming verification over every membrane of one cubillage."""
+    """The decided membrane claims of one cubillage.
+
+    `undecided` says why the scan could not decide (a vertex whose
+    presence is not one interval of the ideal lattice, or a count past
+    its memo budget); such a report is never ok.  `stats` holds
+    counters and phase seconds for display and never enters the JSON.
+    """
 
     n: int
     d: int
@@ -501,18 +574,23 @@ class MembraneScanReport:
     r: int
     expected_size: int
     membrane_count: int = 0
-    capped: bool = False
-    cap: int | None = None
     sizes_seen: set[int] = field(default_factory=set)
-    violations: list[str] = field(default_factory=list)
+    violations: list[ScanViolation] = field(default_factory=list)
     comb_free: bool | None = None
+    undecided: str | None = None
+    stats: dict = field(default_factory=dict)
+
+    @property
+    def capped(self) -> bool:
+        """The scan did not cover every membrane."""
+        return self.undecided is not None
 
     @property
     def ok(self) -> bool:
         return not self.violations and not self.capped
 
     def to_json(self) -> dict:
-        return {
+        blob = {
             "schema": SCHEMA,
             "n": self.n,
             "d": self.d,
@@ -521,11 +599,13 @@ class MembraneScanReport:
             "expected_size": self.expected_size,
             "membranes": self.membrane_count,
             "capped": self.capped,
-            "cap": self.cap,
             "sizes": sorted(self.sizes_seen),
-            "violations": self.violations,
+            "violations": [v.to_json() for v in self.violations],
             "comb_free": self.comb_free,
         }
+        if self.undecided is not None:
+            blob["undecided"] = self.undecided
+        return blob
 
 
 def _comb_rows(n: int, r: int) -> list[int]:
@@ -542,145 +622,110 @@ def scan_membranes(
     q: Cubillage,
     flavor: str = FLAVOR_W,
     r: int | None = None,
-    cap: int | None = None,
     check_combs: bool = False,
-    sample_every: int = 0,
-    on_membrane: Callable[[tuple[int, ...], frozenset[int]], None] | None = None,
 ) -> MembraneScanReport:
-    """Walk every membrane with incremental separation bookkeeping.
+    """Decide the membrane claims of one cubillage without visiting membranes.
 
-    Maintains, across raising and lowering flips, the multiplicity of
-    every vertex, the live vertex set as a bitset, and the number of
-    vertex pairs violating weak r-separation (and forming double
-    r-combs when asked); each flip costs one step per vertex whose
-    multiplicity it changes and each visited membrane O(1) to judge.
-    A negative multiplicity is an internal error.  `on_membrane`
-    receives the ideal and the vertex masks of each membrane.  With
-    sample_every = k > 0, every k-th membrane is additionally
-    re-checked from scratch against the incremental counters.
+    The claims: every membrane has s(n, d-2) vertices, no two of its
+    vertices violate weak r-separation, and (with check_combs) no two
+    form a double r-comb.  The decision runs in four phases:
+
+    1. the fragment precedence and its down- and up-set bitmasks;
+    2. tile lifespans: every tile is born by at most one raising flip
+       and dies by at most one, so a vertex's multiplicity on the
+       membrane of ideal I is its front-boundary multiplicity plus the
+       net changes of the fragments in I; then, per vertex, the ideals
+       of the subposet of fragments changing that multiplicity are
+       enumerated to derive fragments a_v, b_v with "v is present iff
+       a_v in I and b_v not in I" (a_v absent for a vertex on the front
+       boundary, b_v for one never leaving).  That form is checked on
+       every instance, never assumed; where it fails the report is
+       undecided;
+    3. the membrane count, and the sizes as size(empty ideal) plus the
+       fragment weights w = #(a_v = fragment) - #(b_v = fragment)
+       summed over I, folded over the ideals only when a weight is
+       nonzero;
+    4. pairs: an incompatible pair (u, v) lies on a common membrane iff
+       neither b_u nor b_v lies in the down-set of {a_u, a_v}, and
+       that down-set is the witness.  Every witness is replayed through
+       the membrane construction and the pair re-checked from scratch.
     """
-    if flavor == FLAVOR_E:
-        deltas, succs = enlarged_precedence(q)
-    else:
-        deltas, succs = fragment_precedence(q)
     if r is None:
         r = q.d - 2
     if r < 1:
         raise ValueError("separation order must be at least 1")
+    clock = time.perf_counter
+    started = clock()
+    if flavor == FLAVOR_E:
+        deltas, succs = enlarged_precedence(q)
+    else:
+        deltas, succs = fragment_precedence(q)
     report = MembraneScanReport(
         n=q.n,
         d=q.d,
         flavor=flavor,
         r=r,
         expected_size=s_formula(q.n, q.d - 2),
-        cap=cap,
     )
+    poset = Poset(len(deltas), succs)
+    stats = report.stats
+    stats["fragments"] = len(deltas)
+    stats["precedence_s"] = clock() - started
 
-    incompat = complement_table(q.n, weak(r))
-    combs = _comb_rows(q.n, r) if check_combs else None
+    started = clock()
+    base = base_membrane(q, flavor=flavor)
+    nets = _tile_lifespans(base.tiles, deltas)
+    intervals = _presence_intervals(poset, _multiplicities(base.tiles), nets)
+    stats["intervals_s"] = clock() - started
+    if isinstance(intervals, str):
+        report.undecided = intervals
+        return report
+    stats["vertices"] = len(intervals)
 
-    # net multiplicity change of each vertex under the raising flip of
-    # each fragment; the lowering flip applies the negation
-    raising: list[tuple[tuple[int, int], ...]] = []
-    lowering: list[tuple[tuple[int, int], ...]] = []
-    for delta in deltas:
-        net = _multiplicities(delta.eps_rear())
-        for v, k in _multiplicities(delta.eps_front()).items():
-            net[v] = net.get(v, 0) - k
-        changes = tuple(sorted((v, k) for v, k in net.items() if k))
-        raising.append(changes)
-        lowering.append(tuple((v, -k) for v, k in changes))
-
-    refcount = [0] * (1 << q.n)
-    active = bad = comb = comb_hits = 0
-
-    def flipper(table: Sequence[tuple[tuple[int, int], ...]]) -> Callable[[int], None]:
-        """A callback applying the multiplicity changes table[i]; a vertex
-        whose count crosses 0 joins or leaves the active bitset."""
-
-        def flip(i: int) -> None:
-            nonlocal active, bad, comb
-            for v, k in table[i]:
-                before = refcount[v]
-                after = before + k
-                if after < 0:
-                    raise AssertionError(
-                        f"vertex {set_notation(v)} has multiplicity {after}"
-                    )
-                refcount[v] = after
-                if not before:
-                    bad += (active & incompat[v]).bit_count()
-                    if combs is not None:
-                        comb += (active & combs[v]).bit_count()
-                    active |= 1 << v
-                elif not after:
-                    active ^= 1 << v
-                    bad -= (active & incompat[v]).bit_count()
-                    if combs is not None:
-                        comb -= (active & combs[v]).bit_count()
-
-        return flip
-
-    # the front boundary: every vertex count rises from 0
-    base = _multiplicities(base_membrane(q, flavor=flavor).tiles)
-    flipper([tuple(base.items())])(0)
-
-    def visit(ideal: tuple[int, ...]) -> None:
-        nonlocal comb_hits
-        report.membrane_count += 1
-        size = active.bit_count()
-        report.sizes_seen.add(size)
-        if size != report.expected_size:
-            report.violations.append(
-                f"ideal {[deltas[i].label() for i in ideal]}: {size} vertices"
-            )
-        if bad:
-            report.violations.append(
-                f"ideal {[deltas[i].label() for i in ideal]}: "
-                f"{bad} weak separation violations"
-            )
-        if comb:
-            comb_hits += 1
-            report.violations.append(
-                f"ideal {[deltas[i].label() for i in ideal]}: "
-                f"{comb} double comb pairs"
-            )
-        if on_membrane is not None:
-            on_membrane(ideal, frozenset(e - 1 for e in iter_elements(active)))
-        if sample_every and report.membrane_count % sample_every == 0:
-            _recheck(ideal)
-
-    def _recheck(ideal: tuple[int, ...]) -> None:
-        live = [v for v, c in enumerate(refcount) if c > 0]
-        recount = sum(
-            1
-            for a in range(len(live))
-            for b in range(a + 1, len(live))
-            if not is_weakly_r_separated(live[a], live[b], r)
-        )
-        if recount != bad:
-            raise AssertionError(
-                f"incremental bad-pair counter drifted at ideal {ideal}"
-            )
-        mask = 0
-        for v in live:
-            mask |= 1 << v
-        if mask != active:
-            raise AssertionError(f"active bitset drifted at ideal {ideal}")
-
+    started = clock()
+    weights = [0] * len(deltas)
+    size0 = 0
+    for a, b in intervals.values():
+        if a is None:
+            size0 += 1
+        else:
+            weights[poset.topo[a]] += 1
+        if b is not None:
+            weights[poset.topo[b]] -= 1
     try:
-        scan_ideals(
-            len(deltas),
-            succs,
-            visit=visit,
-            enter=flipper(raising),
-            leave=flipper(lowering),
-            cap=cap,
+        report.membrane_count = poset.count_ideals()
+        sums = poset.ideal_sums(weights) if any(weights) else {0}
+    except IdealCapExceeded as exc:
+        report.undecided = str(exc)
+        return report
+    stats["states"] = poset.states
+    report.sizes_seen = {size0 + s for s in sums}
+    stats["count_s"] = clock() - started
+    if report.sizes_seen != {report.expected_size}:
+        report.violations.append(
+            ScanViolation(
+                KIND_SIZE,
+                sizes=tuple(sorted(report.sizes_seen)),
+                weights=tuple((deltas[i].label(), w) for i, w in enumerate(weights) if w),
+            )
         )
-    except IdealCapExceeded:
-        report.capped = True
-    if combs is not None:
-        report.comb_free = not comb_hits
+
+    started = clock()
+    rows = [(KIND_WEAK, complement_table(q.n, weak(r)))]
+    if check_combs:
+        rows.append((KIND_COMB, _comb_rows(q.n, r)))
+    tested = 0
+    for kind, table in rows:
+        pairs, count = _coexisting_pairs(poset, intervals, table)
+        tested += count
+        for u, v, witness in pairs:
+            report.violations.append(
+                _replayed(base, deltas, succs, kind, r, u, v, poset.nodes(witness))
+            )
+        if kind == KIND_COMB:
+            report.comb_free = not pairs
+    stats["pairs"] = tested
+    stats["pairs_s"] = clock() - started
     return report
 
 
@@ -693,19 +738,177 @@ def _multiplicities(tiles: Iterable[Tile]) -> dict[int, int]:
     return counts
 
 
-def property_P_scan(q: Cubillage, cap: int | None = None) -> MembraneScanReport:
-    """Scan all e-membranes for double (d-2)-combs and weak separation.
+def _tile_lifespans(
+    base: frozenset[Tile], deltas: Sequence[Fragment | EnlargedFragment]
+) -> list[dict[int, int]]:
+    """Check every tile's lifespan; return each raising flip's net vertex changes.
+
+    A tile is born by the raising flip of the fragment whose rear side
+    holds it and dies by the one whose front side holds it; a tile of
+    the front boundary is there from the start.  The precedence puts a
+    tile's birth before its death, so when every tile is born at most
+    once, dies at most once, is not born onto the front boundary and
+    is present before it dies, its multiplicity on every membrane is 0
+    or 1, and a vertex's multiplicity is its front-boundary count plus
+    the net changes (+1 per rear tile, -1 per front tile) of the ideal.
+    """
+    born: dict[Tile, int] = {}
+    dies: dict[Tile, int] = {}
+    for i, delta in enumerate(deltas):
+        for tile in delta.eps_rear():
+            if tile in born:
+                raise MembraneInvariantError(
+                    f"tile {tile.label()} is born at both "
+                    f"{deltas[born[tile]].label()} and {delta.label()}"
+                )
+            if tile in base:
+                raise MembraneInvariantError(
+                    f"front-boundary tile {tile.label()} is born again at "
+                    f"{delta.label()}: multiplicity 2"
+                )
+            born[tile] = i
+        for tile in delta.eps_front():
+            if tile in dies:
+                raise MembraneInvariantError(
+                    f"tile {tile.label()} dies at both "
+                    f"{deltas[dies[tile]].label()} and {delta.label()}"
+                )
+            dies[tile] = i
+    for tile, i in dies.items():
+        if tile not in base and born.get(tile, i) == i:
+            raise MembraneInvariantError(
+                f"tile {tile.label()} dies at {deltas[i].label()} without being "
+                f"present before: multiplicity -1"
+            )
+    nets = []
+    for delta in deltas:
+        net = _multiplicities(delta.eps_rear())
+        for v, k in _multiplicities(delta.eps_front()).items():
+            net[v] = net.get(v, 0) - k
+        nets.append({v: k for v, k in net.items() if k})
+    return nets
+
+
+def _presence_intervals(
+    poset: Poset, base: dict[int, int], nets: Sequence[dict[int, int]]
+) -> dict[int, tuple[int | None, int | None]] | str:
+    """Per vertex ever present, the positions (a, b) of its presence interval.
+
+    v lies on the membrane of ideal I iff a is in I (a None: always) and
+    b is not (b None: never leaves).  Candidates come from the ideals of
+    the subposet of fragments changing v's multiplicity (a tops the
+    intersection of the present ones, b bottoms what none of them
+    reaches), and the form is checked on each of those ideals; the first
+    vertex where it fails turns the result into a reason string.  With
+    multiplicities additive over I and never negative, the form forces
+    a below b, as the size weights need.
+    """
+    changes: dict[int, list[tuple[int, int]]] = {v: [] for v in base}
+    for pos, node in enumerate(poset.topo):
+        for v, k in nets[node].items():
+            changes.setdefault(v, []).append((pos, k))
+    down = poset.down
+    out: dict[int, tuple[int | None, int | None]] = {}
+    for v, steps in changes.items():
+        span = 0
+        for pos, _ in steps:
+            span |= 1 << pos
+        ideals = [(0, base.get(v, 0))]
+        for pos, k in steps:
+            need = down[pos] & span & ~(1 << pos)
+            ideals += [(j | 1 << pos, m + k) for j, m in ideals if j & need == need]
+        present = [j for j, m in ideals if m > 0]
+        if not present:
+            continue  # never on a membrane
+        inside, reach = span, 0
+        for j in present:
+            inside &= j
+            reach |= j
+        a = inside.bit_length() - 1 if inside else None
+        gone = span & ~reach
+        b = (gone & -gone).bit_length() - 1 if gone else None
+        if any(
+            (m > 0) != ((a is None or j >> a & 1) and (b is None or not j >> b & 1))
+            for j, m in ideals
+        ):
+            return (
+                f"presence of vertex {set_notation(v)} is not one interval "
+                f"of the ideal lattice"
+            )
+        out[v] = (a, b)
+    return out
+
+
+def _coexisting_pairs(
+    poset: Poset,
+    intervals: dict[int, tuple[int | None, int | None]],
+    table: Sequence[int],
+) -> tuple[list[tuple[int, int, int]], int]:
+    """Pairs (u, v, witness) with v in table[u] that share a membrane.
+
+    The witness is the least ideal holding both entry fragments; the
+    pair shares a membrane iff neither exit fragment lies in it.  Also
+    returns the number of pairs tested.
+    """
+    live = 0
+    low: dict[int, int] = {}
+    high: dict[int, int] = {}
+    for v, (a, b) in intervals.items():
+        live |= 1 << v
+        low[v] = poset.down[a] if a is not None else 0
+        high[v] = 1 << b if b is not None else 0
+    found = []
+    tested = 0
+    for u in sorted(intervals):
+        row = table[u] & live & ~((2 << u) - 1)
+        while row:
+            bit = row & -row
+            row ^= bit
+            v = bit.bit_length() - 1
+            tested += 1
+            witness = low[u] | low[v]
+            if not witness & (high[u] | high[v]):
+                found.append((u, v, witness))
+    return found, tested
+
+
+def _replayed(
+    base: Membrane,
+    deltas: Sequence[Fragment | EnlargedFragment],
+    succs: Sequence[Sequence[int]],
+    kind: str,
+    r: int,
+    u: int,
+    v: int,
+    witness: list[int],
+) -> ScanViolation:
+    """The violation of pair (u, v), after replaying its witness ideal.
+
+    The membrane is rebuilt flip by flip and the pair re-judged with the
+    plain predicates, independently of the tables and intervals.
+    """
+    try:
+        verts = _replay(base, deltas, succs, set(witness)).vertex_masks()
+    except ValueError as exc:
+        raise MembraneInvariantError(f"witness replay failed: {exc}") from exc
+    if kind == KIND_WEAK:
+        fails = not weak(r).holds(u, v)
+    else:
+        fails = is_double_r_comb(u, v, r)
+    if u not in verts or v not in verts or not fails:
+        raise MembraneInvariantError(
+            f"witness of {set_notation(u)} vs {set_notation(v)} ({kind}) "
+            f"does not replay"
+        )
+    return ScanViolation(kind, (u, v), tuple(deltas[i].label() for i in witness))
+
+
+def property_P_scan(q: Cubillage) -> MembraneScanReport:
+    """Decide double (d-2)-combs and weak separation over all e-membranes.
 
     A nonempty violation list would exhibit an e-membrane breaking
     either the comb-freeness statement or the separation conjecture.
     """
     if q.d % 2:
         raise ValueError("the scan runs over e-membranes, so dimension must be even")
-    return scan_membranes(
-        q,
-        flavor=FLAVOR_E,
-        r=q.d - 2,
-        cap=cap,
-        check_combs=True,
-        sample_every=997,
-    )
+    return scan_membranes(q, flavor=FLAVOR_E, r=q.d - 2, check_combs=True)

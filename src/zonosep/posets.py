@@ -20,11 +20,29 @@ mask and sets the bit of each successor of p whose predecessors are
 now all included; the new frame's children are the addable positions
 above p.  No position is rescanned and nothing recurses, so the depth
 of the poset is bounded by memory only.
+
+Counting the ideals does not walk them.  `Poset` holds every node's
+down-set and up-set as bitmasks over topological positions, and
+`Poset.count_ideals` uses I(P) = I(P - up(x)) + I(P - down(x)) with x
+the middle remaining node in topological order: the ideals avoiding x
+are the ideals of P - up(x), those holding x are down(x) joined with an
+ideal of P - down(x).  Each remaining set splits into its connected
+components under comparability, whose counts multiply, and every
+count is memoised on its remaining bitset.  The posets here are narrow
+and fall apart quickly, so seven- to eleven-figure counts take a few
+thousand memo states.  Counting ideals is #P-hard in general (Provan &
+Ball, SIAM J. Comput. 1983), so the memo is held to a fixed budget of
+states, past which the count stops with IdealCapExceeded.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Sequence
+
+# memo states a count may hold before it stops; a count that reaches
+# the budget peaks near 175 MiB (Z(9,4) e-membranes, which need ~4.1 M)
+IDEAL_STATE_BUDGET = 1_000_000
 
 
 class CycleError(ValueError):
@@ -32,10 +50,10 @@ class CycleError(ValueError):
 
 
 class IdealCapExceeded(RuntimeError):
-    """Ideal enumeration hit its configured cap before finishing."""
+    """Ideal enumeration hit its cap, or an ideal count its memo budget."""
 
-    def __init__(self, cap: int):
-        super().__init__(f"order-ideal enumeration exceeded the cap of {cap}")
+    def __init__(self, cap: int, what: str = "order-ideal enumeration"):
+        super().__init__(f"{what} exceeded the cap of {cap}")
         self.cap = cap
 
 
@@ -143,6 +161,130 @@ def scan_ideals(
             visit(tuple(current))
         stack.append((rest, included))
     return visited
+
+
+class Poset:
+    """A finite poset given by successor lists on nodes 0..count-1.
+
+    Nodes are re-indexed by topological position; `down[p]` and `up[p]`
+    are the bitmasks of the positions below and above position p, p
+    included.  `states` is the number of memo states the last count or
+    sum-set fold held.
+    """
+
+    def __init__(self, count: int, succs: Sequence[Sequence[int]]):
+        self.topo = topological_order(count, succs)
+        position = [0] * count
+        for pos, node in enumerate(self.topo):
+            position[node] = pos
+        self.preds = [0] * count  # tails of the given arcs, by position
+        for node in range(count):
+            for succ in succs[node]:
+                self.preds[position[succ]] |= 1 << position[node]
+        self.down = [1 << pos for pos in range(count)]
+        self.up = [1 << pos for pos in range(count)]
+        for pos in range(count):
+            for below in _positions(self.preds[pos]):
+                self.down[pos] |= self.down[below]
+        for pos in range(count - 1, -1, -1):
+            for below in _positions(self.preds[pos]):
+                self.up[below] |= self.up[pos]
+        self.states = 0
+
+    def nodes(self, mask: int) -> list[int]:
+        """The nodes at the positions set in mask, in topological order."""
+        return [self.topo[pos] for pos in _positions(mask)]
+
+    def count_ideals(self) -> int:
+        return self._fold(1, lambda a, b: a * b, lambda without, with_, _down: without + with_)
+
+    def ideal_sums(self, weights: Sequence[int]) -> set[int]:
+        """Every value of the weight sum over an ideal (weights by node)."""
+        at = [weights[node] for node in self.topo]
+
+        def branch(without: frozenset, with_: frozenset, down: int) -> frozenset:
+            shift = sum(at[pos] for pos in _positions(down))
+            return without | {s + shift for s in with_}
+
+        def times(a: frozenset, b: frozenset) -> frozenset:
+            return frozenset(x + y for x in a for y in b)
+
+        return set(self._fold(frozenset((0,)), times, branch))
+
+    def _fold(self, one, times, branch):
+        """Fold over the ideals by the split on the middle node, bottom up.
+
+        `branch(without, with_, down)` combines the value over the ideals
+        avoiding the split node with the value over the rest once the
+        node's down-set `down` (within the remaining set) is taken;
+        `times` joins components.  A remaining set is always convex (an
+        ideal minus a filter), so its components are found from its
+        minimal elements: two share a component iff their up-sets meet.
+        An explicit stack replaces recursion, so depth costs no frames.
+        """
+        budget = IDEAL_STATE_BUDGET
+        preds, up, down = self.preds, self.up, self.down
+        full = (1 << len(self.topo)) - 1
+        memo = {0: one}
+        plans: dict[int, tuple] = {}
+        stack = [full]
+        while stack:
+            rest = stack[-1]
+            if rest in memo:
+                stack.pop()
+                continue
+            plan = plans.pop(rest, None)
+            if plan is None:
+                order = []
+                parts: list[int] = []
+                todo = rest
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    pos = low.bit_length() - 1
+                    order.append(pos)
+                    if not preds[pos] & rest:
+                        part = up[pos] & rest
+                        disjoint = []
+                        for other in parts:
+                            if other & part:
+                                part |= other
+                            else:
+                                disjoint.append(other)
+                        disjoint.append(part)
+                        parts = disjoint
+                if len(parts) > 1:
+                    plan = (None, parts)
+                else:
+                    x = order[len(order) // 2]
+                    plan = (x, (rest & ~up[x], rest & ~down[x]))
+                plans[rest] = plan
+                stack.extend(part for part in plan[1] if part not in memo)
+                continue
+            x, parts = plan
+            if x is None:
+                memo[rest] = reduce(times, (memo[part] for part in parts))
+            else:
+                memo[rest] = branch(memo[parts[0]], memo[parts[1]], rest & down[x])
+            stack.pop()
+            if len(memo) > budget:
+                raise IdealCapExceeded(budget, "ideal count's memo")
+        self.states = len(memo)
+        return memo[full]
+
+
+def count_ideals(count: int, succs: Sequence[Sequence[int]]) -> int:
+    """Number of order ideals, the empty one included, without a walk."""
+    return Poset(count, succs).count_ideals()
+
+
+def _positions(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def digraph_dot(

@@ -8,6 +8,7 @@ path.  Slow is fine; these run at desk scale only.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -411,19 +412,34 @@ def reference_scan_ideals(count, succs, visit=None, enter=None, leave=None, cap=
     return visited
 
 
+@dataclass
+class ReferenceScan:
+    """What the walking scan saw: every membrane, and every violating pair.
+
+    Pairs are (u, v) vertex masks with u < v, collected from every
+    membrane whose counters were nonzero.
+    """
+
+    membrane_count: int = 0
+    capped: bool = False
+    sizes_seen: set = field(default_factory=set)
+    bad_pairs: set = field(default_factory=set)
+    comb_pairs: set = field(default_factory=set)
+    comb_free: bool | None = None
+
+
 def reference_scan_membranes(
     q, flavor="W", r=None, cap=None, check_combs=False, incompat=None
 ):
-    """The per-tile refcount scan that `membranes.scan_membranes` replaced.
+    """The per-tile refcount walk that `membranes.scan_membranes` replaced.
 
-    Every flip drops the front tiles and adds the rear tiles one vertex
-    at a time, driven by `reference_scan_ideals`.  `incompat` overrides
-    the rows of the pairs counted as violations (default: not weakly
-    r-separated).
+    Visits every membrane: each flip drops the front tiles and adds the
+    rear tiles one vertex at a time, driven by `reference_scan_ideals`.
+    `incompat` overrides the rows of the pairs counted as violations
+    (default: not weakly r-separated).
     """
     from zonosep.membranes import (
         FLAVOR_E,
-        MembraneScanReport,
         Tile,
         _comb_rows,
         base_membrane,
@@ -431,7 +447,7 @@ def reference_scan_membranes(
         fragment_precedence,
     )
     from zonosep.posets import IdealCapExceeded
-    from zonosep.systems import complement_table, s_formula, weak
+    from zonosep.systems import complement_table, weak
 
     if flavor == FLAVOR_E:
         deltas, succs = enlarged_precedence(q)
@@ -439,9 +455,7 @@ def reference_scan_membranes(
         deltas, succs = fragment_precedence(q)
     if r is None:
         r = q.d - 2
-    report = MembraneScanReport(
-        n=q.n, d=q.d, flavor=flavor, r=r, expected_size=s_formula(q.n, q.d - 2), cap=cap
-    )
+    report = ReferenceScan()
     if incompat is None:
         incompat = complement_table(q.n, weak(r))
     combs = _comb_rows(q.n, r) if check_combs else None
@@ -491,27 +505,30 @@ def reference_scan_membranes(
         for tile in eps_front_of[i]:
             add_tile(tile)
 
+    def pairs(rows, into):
+        above = state["active"]
+        while above:
+            u = (above & -above).bit_length() - 1
+            above &= above - 1
+            row = rows[u] & above
+            while row:
+                into.add((u, (row & -row).bit_length() - 1))
+                row &= row - 1
+
     def visit(ideal):
         report.membrane_count += 1
-        size = state["active"].bit_count()
-        report.sizes_seen.add(size)
-        problems = []
-        if size != report.expected_size:
-            problems.append(f"{size} vertices")
+        report.sizes_seen.add(state["active"].bit_count())
         if state["bad"]:
-            problems.append(f"{state['bad']} weak separation violations")
+            pairs(incompat, report.bad_pairs)
         if combs is not None and state["comb"]:
-            problems.append(f"{state['comb']} double comb pairs")
-        if problems:
-            labels = [deltas[i].label() for i in ideal]
-            report.violations.extend(f"ideal {labels}: {p}" for p in problems)
+            pairs(combs, report.comb_pairs)
 
     try:
         reference_scan_ideals(len(deltas), succs, visit=visit, enter=enter, leave=leave, cap=cap)
     except IdealCapExceeded:
         report.capped = True
     if combs is not None:
-        report.comb_free = all("comb" not in v for v in report.violations)
+        report.comb_free = not report.comb_pairs
     return report
 
 

@@ -1,12 +1,17 @@
 """Command-line behavior: output shape, exit codes, file export, determinism."""
 
+import dataclasses
 import json
 import re
 
 import pytest
 
+import zonosep.membranes as mb
+import zonosep.posets as posets
 from zonosep.cli import main
 from zonosep.cubillage import Cubillage, standard_cubillage
+from zonosep.membranes import scan_membranes
+from zonosep.systems import dump_json
 
 
 def run(capsys, *argv):
@@ -328,35 +333,107 @@ def test_verify_membranes(capsys):
     assert "w-membranes of Z(5,5): 6 scanned, size 31, PASS" in out
 
 
-def test_verify_membranes_cap_is_incomplete(capsys):
-    code, out, _ = run(capsys, "verify", "membranes", "--nmax", "3", "--cap", "2")
-    assert code == 3  # capped is neither a pass nor a failure
-    assert "w-membranes of Z(3,3): 2 scanned, size 7, INCOMPLETE (capped at 2, remainder skipped)" in out
-    assert "PASS" not in out
-    code, out, _ = run(capsys, "verify", "membranes", "--nmax", "3", "--cap", "4")
+def test_verify_membranes_cap_is_incomplete(capsys, monkeypatch):
+    # a count past its memo budget is neither a pass nor a failure
+    monkeypatch.setattr(posets, "IDEAL_STATE_BUDGET", 10)
+    code, out, _ = run(capsys, "verify", "membranes", "--nmax", "4")
     assert code == 3
     assert "w-membranes of Z(3,3): 4 scanned, size 7, PASS" in out
-    assert "w-membranes of Z(5,5): 4 scanned, size 31, INCOMPLETE" in out
+    assert (
+        "w-membranes of Z(4,3): 0 scanned, size 11, INCOMPLETE "
+        "(not decided: ideal count's memo exceeded the cap of 10)" in out
+    )
+    assert "w-membranes of Z(5,5): 6 scanned, size 31, PASS" in out
 
 
-def test_membrane_scan_cap_is_incomplete(capsys, tmp_path):
+def test_membrane_scan_cap_is_incomplete(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(posets, "IDEAL_STATE_BUDGET", 10)
     path = tmp_path / "scan.json"
-    code, out, _ = run(
-        capsys, "membrane", "scan", "--n", "5", "--d", "3", "--cap", "10",
-        "--json", str(path),
+    code, out, err = run(
+        capsys, "membrane", "scan", "--n", "5", "--d", "3", "--json", str(path),
     )
     assert code == 3
     assert (
-        "scan w-membranes of Z(5,3): 10 scanned, sizes [16], expected 16, "
-        "INCOMPLETE (capped at 10, remainder skipped)" in out
+        "scan w-membranes of Z(5,3): 0 scanned, sizes [], expected 16, "
+        "INCOMPLETE (not decided: ideal count's memo exceeded the cap of 10)" in out
     )
     assert "PASS" not in out
+    assert "decided" not in err
     blob = json.loads(path.read_text())
-    assert blob["capped"] is True and blob["membranes"] == 10
-    # a violation found before the cap is a finding, not an incomplete run
-    code, out, _ = run(capsys, "membrane", "scan", "--n", "5", "--d", "4", "--cap", "10")
+    assert blob["capped"] is True and blob["membranes"] == 0
+    assert blob["undecided"] == "ideal count's memo exceeded the cap of 10"
+
+
+def test_scan_cap_flag_is_a_usage_error(capsys):
+    for argv in (
+        ("membrane", "scan", "--n", "5", "--d", "3", "--cap", "10"),
+        ("verify", "membranes", "--nmax", "3", "--cap", "4"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: --cap has nothing to cap: the scan decides every membrane "
+            "without visiting it\n"
+        )
+
+
+def test_membrane_scan_failure_names_pairs_and_fragments(capsys, tmp_path):
+    # w-membranes of Z(5,4) vary in size and carry double 2-combs
+    path = tmp_path / "scan.json"
+    code, out, _ = run(
+        capsys, "membrane", "scan", "--n", "5", "--d", "4", "--combs", "--json", str(path),
+    )
     assert code == 1
-    assert "FAIL (capped at 10, remainder skipped)" in out
+    assert "sizes [26, 27, 28, 29], expected 26, FAIL" in out
+    assert "  violation: sizes [26, 27, 28, 29]; size-changing fragments: {}|{1,2,3,4}#h2 +1," in out
+    assert (
+        "  violation: {1,3} vs {2,4} (comb), witness ideal "
+        "['{}|{1,2,3,4}#h1', '{}|{1,2,3,4}#h2']" in out
+    )
+    blob = json.loads(path.read_text())
+    assert "cap" not in blob and blob["comb_free"] is False
+    size, first = blob["violations"][:2]
+    assert size["kind"] == "size" and size["sizes"] == [26, 27, 28, 29]
+    assert {"fragment": "{}|{1,2,3,4}#h3", "change": -1} in size["fragments"]
+    assert first == {
+        "kind": "comb",
+        "pair": [[1, 3], [2, 4]],
+        "witness": ["{}|{1,2,3,4}#h1", "{}|{1,2,3,4}#h2"],
+    }
+    assert len(blob["violations"]) == 9
+
+
+def test_scan_stats_line_stays_out_of_json(capsys, tmp_path):
+    path = tmp_path / "scan.json"
+    code, out, err = run(
+        capsys, "membrane", "scan", "--n", "6", "--d", "4", "--flavor", "e", "--combs",
+        "--json", str(path),
+    )
+    assert code == 0
+    assert re.fullmatch(
+        r"decided e-membranes of Z\(6,4\): 45 fragments, 57 vertices, \d+ memo states, "
+        r"52 pairs tested; precedence [\d.]+ s, lifespans and intervals [\d.]+ s, "
+        r"count [\d.]+ s, pairs [\d.]+ s\n",
+        err,
+    )
+    report = scan_membranes(standard_cubillage(6, 4), flavor="E", check_combs=True)
+    assert path.read_text() == dump_json(report.to_json())
+    code, _, err = run(capsys, "verify", "membranes", "--nmax", "4")
+    assert code == 0 and err.count("decided w-membranes of Z(") == 3
+
+
+def test_internal_error_is_one_line_and_not_usage(capsys, monkeypatch):
+    # an empty front boundary breaks the tile lifespans
+    real = mb.base_membrane
+    monkeypatch.setattr(
+        mb,
+        "base_membrane",
+        lambda q, flavor="W": dataclasses.replace(real(q, flavor), tiles=frozenset()),
+    )
+    code, out, err = run(capsys, "membrane", "scan", "--n", "4", "--d", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("internal error: tile ") and err.count("\n") == 1
+    assert "multiplicity -1" in err
 
 
 def test_membrane_enumerate_cap_is_one_line_error(capsys):

@@ -1,27 +1,37 @@
-"""The iterative ideal walker and the per-flip membrane scan against the old engine.
+"""The ideal walker, the ideal count and the decided membrane scan against oracles.
 
-`tests/oracles.py` keeps the recursive walker and the per-tile refcount
-scan that these replaced; every callback and every report byte must
-agree with them.
+`tests/oracles.py` keeps the recursive walker, a breadth-first ideal
+counter and the per-tile refcount walk over every membrane; the walker's
+callbacks, the counts, the sizes and the exact sets of violating pairs
+must agree with them.
 """
 
 import dataclasses
+import random
+from functools import lru_cache
+from itertools import product
 
 import pytest
 
 import zonosep.membranes as mb
+import zonosep.posets as posets
 from zonosep.cubillage import precedence_digraph, standard_cubillage
 from zonosep.membranes import (
     FLAVOR_E,
     FLAVOR_W,
+    KIND_COMB,
+    KIND_WEAK,
+    MembraneInvariantError,
     enlarged_precedence,
     fragment_precedence,
+    membrane_from_ideal,
     scan_membranes,
 )
-from zonosep.posets import IdealCapExceeded, scan_ideals
-from zonosep.systems import complement_table, strong
+from zonosep.posets import IdealCapExceeded, count_ideals, scan_ideals
+from zonosep.separation import is_double_r_comb
+from zonosep.systems import complement_table, strong, weak, weak_odd
 
-from oracles import reference_scan_ideals, reference_scan_membranes
+from oracles import count_ideals_bfs, reference_scan_ideals, reference_scan_membranes
 
 
 def _events(walker, count, succs, cap=None):
@@ -83,56 +93,199 @@ def test_deep_chain_does_not_recurse():
 
 def test_deep_fragment_precedence_scans_to_its_cap():
     # Z(10,5) has 1,260 fragments, chained deeper than the recursion limit
-    report = scan_membranes(standard_cubillage(10, 5), cap=3000)
-    assert report.capped and not report.ok
-    assert report.membrane_count == 3000
-
-
-SCANS = [
-    # (n, d, flavor, check_combs, cap)
-    (5, 3, FLAVOR_W, False, None),
-    (6, 3, FLAVOR_W, False, None),
-    (6, 3, FLAVOR_W, False, 500),
-    (5, 4, FLAVOR_W, False, None),
-    (5, 4, FLAVOR_W, True, None),
-    (6, 4, FLAVOR_W, False, 1500),
-    (5, 4, FLAVOR_E, True, None),
-    (6, 4, FLAVOR_E, False, None),
-    (6, 4, FLAVOR_E, True, None),
-    (6, 4, FLAVOR_E, True, 1000),
-]
+    deltas, succs = fragment_precedence(standard_cubillage(10, 5))
+    assert len(deltas) == 1260
+    seen = []
+    with pytest.raises(IdealCapExceeded):
+        scan_ideals(len(deltas), succs, visit=seen.append, cap=3000)
+    assert len(seen) == 3000
 
 
 @pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
-@pytest.mark.parametrize("n, d, flavor, check_combs, cap", SCANS)
-def test_scan_report_matches_per_tile_scan(n, d, flavor, check_combs, cap, anti):
+def test_count_matches_breadth_first_oracle(anti):
+    for n in range(2, 6):
+        for d in range(2, n + 1):
+            for kind, succs in _precedences(n, d, anti):
+                assert count_ideals(len(succs), succs) == count_ideals_bfs(
+                    len(succs), succs
+                ), (n, d, anti, kind)
+
+
+def test_count_on_random_posets():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        count = rng.randint(0, 12)
+        density = rng.random()
+        succs = [
+            [j for j in range(i + 1, count) if rng.random() < density / 3]
+            for i in range(count)
+        ]
+        assert count_ideals(count, succs) == count_ideals_bfs(count, succs)
+
+
+def test_deep_chain_counts_without_recursion():
+    count = 5000
+    succs = [[i + 1] for i in range(count - 1)] + [[]]
+    assert count_ideals(count, succs) == count + 1
+    assert count_ideals(20, [[] for _ in range(20)]) == 1 << 20
+
+
+def test_count_stops_at_its_state_budget(monkeypatch):
+    deltas, succs = fragment_precedence(standard_cubillage(6, 3))
+    assert count_ideals(len(deltas), succs) == 17812
+    monkeypatch.setattr(posets, "IDEAL_STATE_BUDGET", 50)
+    with pytest.raises(IdealCapExceeded, match="exceeded the cap of 50"):
+        count_ideals(len(deltas), succs)
+
+
+def _instances():
+    """Every scan with n <= 6: both flavours where defined, combs at even d.
+
+    The last field is a memo budget for the count, or None; a budget
+    too small stops the scan undecided and never changes a result.
+    """
+    out = []
+    for n in range(3, 7):
+        for d in range(3, n + 1):
+            for flavor in (FLAVOR_W, FLAVOR_E) if d % 2 == 0 else (FLAVOR_W,):
+                for combs in (False, True) if d % 2 == 0 else (False,):
+                    out.append((n, d, flavor, combs, None))
+    return out + [
+        (6, 3, FLAVOR_W, False, 500),
+        (6, 4, FLAVOR_W, False, 1500),
+        (6, 4, FLAVOR_E, True, 1000),
+    ]
+
+
+@lru_cache(maxsize=None)
+def _walked(n, d, anti, flavor):
+    # the walk with combs sees the weak pairs too, so one walk serves both
     q = standard_cubillage(n, d, anti)
-    got = scan_membranes(q, flavor=flavor, cap=cap, check_combs=check_combs)
-    want = reference_scan_membranes(q, flavor=flavor, cap=cap, check_combs=check_combs)
-    assert got.to_json() == want.to_json()
-    assert got.capped == (cap is not None)
+    return reference_scan_membranes(q, flavor=flavor, check_combs=d % 2 == 0)
+
+
+def _pairs(report, kind):
+    return {v.pair for v in report.violations if v.kind == kind}
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+@pytest.mark.parametrize("n, d, flavor, check_combs, cap", _instances())
+def test_scan_report_matches_per_tile_scan(n, d, flavor, check_combs, cap, anti, monkeypatch):
+    want = _walked(n, d, anti, flavor)
+    if cap is not None:
+        monkeypatch.setattr(posets, "IDEAL_STATE_BUDGET", cap)
+    got = scan_membranes(standard_cubillage(n, d, anti), flavor=flavor, check_combs=check_combs)
+    if got.capped:
+        assert cap is not None and not got.ok and not got.violations
+        assert got.undecided == f"ideal count's memo exceeded the cap of {cap}"
+        return
+    assert got.membrane_count == want.membrane_count
+    assert got.sizes_seen == want.sizes_seen
+    assert _pairs(got, KIND_WEAK) == want.bad_pairs
+    if check_combs:
+        assert _pairs(got, KIND_COMB) == want.comb_pairs
+        assert got.comb_free == want.comb_free
+    else:
+        assert got.comb_free is None and not _pairs(got, KIND_COMB)
+    assert got.ok == (not want.bad_pairs and not (check_combs and want.comb_pairs)
+                      and want.sizes_seen == {got.expected_size})
+
+
+def test_budget_entries_stop_the_scan():
+    # the smallest budget above is below the states Z(6,3) needs
+    deltas, succs = fragment_precedence(standard_cubillage(6, 3))
+    poset = posets.Poset(len(deltas), succs)
+    poset.count_ideals()
+    assert poset.states > 500
+
+
+WRONG_TABLES = [
+    # (n, d, flavor, r, stand-in for weak(r), violating pairs)
+    (5, 3, FLAVOR_W, 1, strong, 7),
+    (6, 4, FLAVOR_E, 1, weak_odd, 249),
+]
 
 
 def test_scan_and_oracle_agree_on_a_wrong_table(monkeypatch):
-    # count strong instead of weak 1-separation failures on both sides:
-    # Z(5,3) then has violating membranes, and both must list the same ones
-    q = standard_cubillage(5, 3)
-    monkeypatch.setattr(mb, "weak", strong)
-    got = scan_membranes(q)
-    want = reference_scan_membranes(q, incompat=complement_table(5, strong(1)))
-    assert got.violations
-    assert got.violations == want.violations
-    assert got.to_json() == want.to_json()
+    # count stricter relations than weak r-separation as violations on
+    # both sides: the scans then fail, and must name the same pairs
+    for (n, d, flavor, r, stand_in, pairs), anti in product(WRONG_TABLES, (False, True)):
+        q = standard_cubillage(n, d, anti)
+        want = reference_scan_membranes(
+            q, flavor=flavor, r=r, incompat=complement_table(n, stand_in(r))
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(mb, "weak", stand_in)
+            got = scan_membranes(q, flavor=flavor, r=r)
+        assert len(want.bad_pairs) == pairs
+        assert _pairs(got, KIND_WEAK) == want.bad_pairs
+        assert not got.ok
+
+
+def test_witnesses_replay_to_violating_membranes():
+    # each reported witness ideal rebuilds a membrane carrying its pair
+    for anti in (False, True):
+        q = standard_cubillage(5, 4, anti)
+        deltas, _ = fragment_precedence(q)
+        by_label = {delta.label(): delta for delta in deltas}
+        report = scan_membranes(q, check_combs=True)
+        combs = [v for v in report.violations if v.kind == KIND_COMB]
+        assert len(combs) == 8 and report.comb_free is False
+        for violation in combs:
+            u, v = violation.pair
+            mem = membrane_from_ideal(q, [by_label[x] for x in violation.witness])
+            assert {u, v} <= mem.vertex_masks()
+            assert is_double_r_comb(u, v, 2) and weak(2).holds(u, v)
+
+
+def test_pairs_need_both_vertices_present():
+    # on the chain 0 < 1 < 2, {3} lives until fragment 0, {2} from
+    # fragment 1 on and {1} from 1 until 2: only {1} and {2} meet, and
+    # {3}, the larger mask of its pairs, is the one that leaves first
+    chain = posets.Poset(3, [[1], [2], []])
+    early, late, middle = 0b100, 0b10, 0b1
+    intervals = {early: (None, 0), late: (1, None), middle: (1, 2)}
+    table = [0] * 8
+    for u, v in ((early, late), (early, middle), (late, middle)):
+        table[u] |= 1 << v
+        table[v] |= 1 << u
+    found, tested = mb._coexisting_pairs(chain, intervals, table)
+    assert tested == 3
+    assert found == [(middle, late, chain.down[1])]
 
 
 def test_negative_multiplicity_is_an_internal_error(monkeypatch):
     # start from an empty front boundary: the first raising flip then
-    # takes a vertex below zero, which the old per-tile scan let pass
+    # removes tiles that were never there
     real = mb.base_membrane
     monkeypatch.setattr(
         mb,
         "base_membrane",
         lambda q, flavor=FLAVOR_W: dataclasses.replace(real(q, flavor), tiles=frozenset()),
     )
-    with pytest.raises(AssertionError, match="multiplicity -1"):
+    with pytest.raises(MembraneInvariantError, match="multiplicity -1"):
         scan_membranes(standard_cubillage(4, 3))
+    assert not issubclass(MembraneInvariantError, ValueError)
+
+
+def test_tile_born_twice_is_an_internal_error(monkeypatch):
+    # give two fragments the same rear side
+    q = standard_cubillage(4, 3)
+    deltas, succs = fragment_precedence(q)
+    twin = deltas[1]
+    monkeypatch.setattr(
+        mb, "fragment_precedence", lambda _q: ([twin] + deltas[1:], succs)
+    )
+    with pytest.raises(MembraneInvariantError, match="born at both"):
+        scan_membranes(q)
+
+
+def test_witness_mismatch_is_an_internal_error(monkeypatch):
+    # a replay that loses the pair's vertices contradicts the intervals
+    q = standard_cubillage(5, 3)
+    monkeypatch.setattr(mb, "weak", strong)
+    monkeypatch.setattr(
+        mb, "_replay", lambda *args: dataclasses.replace(mb.base_membrane(q), tiles=frozenset())
+    )
+    with pytest.raises(MembraneInvariantError, match="does not replay"):
+        scan_membranes(q)

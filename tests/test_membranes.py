@@ -10,6 +10,8 @@ from zonosep.cubillage import (
 )
 from zonosep.geometry import front_rear_vertices
 from zonosep.ground import mask_of
+import zonosep.membranes as mb
+import zonosep.posets as posets
 from zonosep.membranes import (
     EnlargedFragment,
     Fragment,
@@ -348,32 +350,59 @@ def test_property_p_scan_z64_both_cubillages() -> None:
         assert rep.violations == []
 
 
-def test_on_membrane_streams_ideals_and_vertex_sets() -> None:
-    q = standard_cubillage(5, 3)
-    index = {delta: i for i, delta in enumerate(fragments(q))}
-    seen = []
-    rep = scan_membranes(q, on_membrane=lambda ideal, verts: seen.append((ideal, verts)))
-    expected = [
-        (tuple(index[delta] for delta in mem.ideal), mem.vertex_masks())
-        for mem in w_membranes(q)
-    ]
-    assert rep.membrane_count == len(seen) == 496
-    assert seen == expected
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+def test_property_p_scan_z74(anti):
+    rep = property_P_scan(standard_cubillage(7, 4, anti))
+    assert not rep.capped
+    assert rep.membrane_count == 1_575_598
+    assert rep.sizes_seen == {64} == {s_formula(7, 2)}
+    assert rep.violations == []
+    assert rep.comb_free is True
+    assert rep.ok
 
 
-def test_scan_counters_survive_full_recheck() -> None:
-    # sample_every=1 re-verifies the incremental counters on every membrane
-    q = standard_cubillage(4, 3)
-    rep = scan_membranes(q, sample_every=1)
-    assert rep.ok and rep.membrane_count == 30
-    assert rep.sizes_seen == {s_formula(4, 1)}
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+def test_membrane_theorem_z83(anti):
+    # beyond any walk: 242,687,960 w-membranes, each of size s(8,1) = 37
+    rep = scan_membranes(standard_cubillage(8, 3, anti))
+    assert rep.membrane_count == 242_687_960
+    assert rep.sizes_seen == {37} == {s_formula(8, 1)}
+    assert rep.violations == [] and rep.ok
 
 
-def test_scan_cap_reports_skip() -> None:
-    q = standard_cubillage(4, 3)
-    rep = scan_membranes(q, cap=7)
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+def test_property_p_scan_z84(anti):
+    rep = property_P_scan(standard_cubillage(8, 4, anti))
+    assert rep.membrane_count == 8_955_302_494
+    assert rep.sizes_seen == {93} == {s_formula(8, 2)}
+    assert rep.violations == [] and rep.comb_free is True and rep.ok
+
+
+def test_scan_cap_reports_skip(monkeypatch) -> None:
+    # a count past its memo budget leaves the scan undecided, never PASS
+    monkeypatch.setattr(posets, "IDEAL_STATE_BUDGET", 50)
+    rep = scan_membranes(standard_cubillage(5, 3))
     assert rep.capped and not rep.ok
-    assert rep.membrane_count == 7
+    assert rep.undecided == "ideal count's memo exceeded the cap of 50"
+    assert rep.violations == [] and rep.sizes_seen == set()
+    assert rep.to_json()["capped"] is True
+
+
+def test_scan_without_one_presence_interval_is_undecided(monkeypatch) -> None:
+    # on the chain 0 < 1 < 2 a vertex leaving at 0 and returning at 1 is
+    # present on two intervals of the ideal lattice
+    chain = posets.Poset(3, [[1], [2], []])
+    v = m(1)
+    assert mb._presence_intervals(chain, {v: 1}, [{v: -1}, {}, {}]) == {v: (None, 0)}
+    assert mb._presence_intervals(chain, {}, [{}, {v: 1}, {v: -1}]) == {v: (1, 2)}
+    reason = mb._presence_intervals(chain, {v: 1}, [{v: -1}, {v: 1}, {}])
+    assert reason == "presence of vertex {1} is not one interval of the ideal lattice"
+    # such an instance is reported undecided, never as a pass
+    monkeypatch.setattr(mb, "_presence_intervals", lambda *args: reason)
+    rep = scan_membranes(standard_cubillage(5, 3))
+    assert rep.capped and not rep.ok
+    assert rep.undecided == reason
+    assert rep.to_json()["undecided"] == reason
 
 
 def test_membrane_json_and_dot() -> None:

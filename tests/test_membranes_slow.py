@@ -1,26 +1,34 @@
-"""The property-P scan over every e-membrane of Z(7,4) (opt-in, seconds per cubillage).
+"""The decided scans of Z(7,3) and Z(7,4) against the walk over every membrane (opt-in, minutes).
 
     PYTHONPATH=src python -m pytest -q -m slow
 
-The membrane count pins the amount of work, so a run cannot pass by
-covering less.
+The walk visits all 1,406,640 w-membranes of Z(7,3) and all 1,575,598
+e-membranes of Z(7,4); count, sizes and the exact sets of violating
+pairs must agree with the scan that visits none of them.
 """
 
 import pytest
 
 from zonosep.cubillage import standard_cubillage
-from zonosep.membranes import property_P_scan
-from zonosep.systems import s_formula
+from zonosep.membranes import FLAVOR_E, FLAVOR_W, KIND_COMB, KIND_WEAK, scan_membranes
+
+from oracles import reference_scan_membranes
 
 pytestmark = pytest.mark.slow
 
 
 @pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
-def test_property_p_scan_z74(anti):
-    rep = property_P_scan(standard_cubillage(7, 4, anti))
-    assert not rep.capped
-    assert rep.membrane_count == 1_575_598
-    assert rep.sizes_seen == {64} == {s_formula(7, 2)}
-    assert rep.violations == []
-    assert rep.comb_free is True
-    assert rep.ok
+@pytest.mark.parametrize(
+    "n, d, flavor, check_combs, count",
+    [(7, 3, FLAVOR_W, False, 1_406_640), (7, 4, FLAVOR_E, True, 1_575_598)],
+)
+def test_scan_matches_the_walk_at_n7(n, d, flavor, check_combs, count, anti):
+    q = standard_cubillage(n, d, anti)
+    want = reference_scan_membranes(q, flavor=flavor, check_combs=check_combs)
+    got = scan_membranes(q, flavor=flavor, check_combs=check_combs)
+    assert want.membrane_count == got.membrane_count == count
+    assert got.sizes_seen == want.sizes_seen
+    assert {v.pair for v in got.violations if v.kind == KIND_WEAK} == want.bad_pairs
+    assert {v.pair for v in got.violations if v.kind == KIND_COMB} == want.comb_pairs
+    assert got.comb_free == want.comb_free
+    assert got.ok
