@@ -9,11 +9,11 @@ from zonosep.cubillage import (
     cube_vertices,
     gamma_is_acyclic,
     precedence_digraph,
-    s_membranes,
     standard_cubillage,
     validate_cubillage,
 )
 from zonosep.ground import set_notation
+from zonosep.membranes import s_membrane_census
 from zonosep.systems import s_formula
 
 n, d = 4, 3
@@ -52,6 +52,6 @@ for i, thread in enumerate(threads.threads):
     print(f"  thread {i}: {' -> '.join(set_notation(v) for v in thread)}")
 print()
 
-count = sum(1 for _ in s_membranes(q))
+count = s_membrane_census(q).count
 print(f"Ideals of the precedence order are membranes: {count} of them here,")
 print("from the front boundary (empty ideal) to the rear (all cubes).")

@@ -6,13 +6,15 @@ Run: python3 demos/07_even_dimension.py
 from zonosep.cubillage import apex_vertices, standard_cubillage
 from zonosep.ground import set_notation
 from zonosep.membranes import (
+    FLAVOR_E,
     double_comb_scan,
-    e_membranes,
     enlarged_fragmentation,
+    fragments,
     is_e_membrane,
+    membrane_from_ideal,
     membrane_vertices,
     property_P_scan,
-    w_membranes,
+    scan_membranes,
 )
 from zonosep.systems import s_formula
 
@@ -20,14 +22,15 @@ n, d = 4, 4
 q = standard_cubillage(n, d)
 print(f"In even dimension the membrane count theorem fails: Z({n},{d})")
 print("has membranes of different vertex-system sizes.")
-sizes = sorted(len(membrane_vertices(m)) for m in w_membranes(q))
-print(f"  sizes: {sizes}")
+report = scan_membranes(q)
+print(f"  {report.membrane_count} membranes, sizes {sorted(report.sizes_seen)}")
 print()
 
-big = next(m for m in w_membranes(q) if len(membrane_vertices(m)) == max(sizes))
+# the membrane between the two middle slabs of the cube
+big = membrane_from_ideal(q, [fr for fr in fragments(q) if fr.h <= d // 2])
 combs = double_comb_scan(membrane_vertices(big), d - 2)
-print("The oversized membrane passes through both middle slabs of a cube")
-print("and so picks up a double comb:")
+print(f"The oversized membrane, of size {len(membrane_vertices(big))}, passes through")
+print("both middle slabs of a cube and so picks up a double comb:")
 for a, b in combs:
     print(f"  comb pair {set_notation(a)}, {set_notation(b)}")
 cube = q.cubes[0]
@@ -40,11 +43,11 @@ centers = [delta for delta in enlarged if delta.is_center]
 print("Merging each cube's two middle slabs into a center fragment removes")
 print(f"exactly those paths: {len(enlarged)} enlarged fragments, "
       f"{len(centers)} centers.")
-members = e_membranes(q)
-print(f"Center-avoiding membranes: {len(members)}, all of them middle-free:")
-for m in members:
-    verts = membrane_vertices(m)
-    print(f"  size {len(verts)}, center-avoiding {is_e_membrane(q, m)}")
+report = scan_membranes(q, flavor=FLAVOR_E)
+print(f"Center-avoiding membranes: {report.membrane_count}, sizes "
+      f"{sorted(report.sizes_seen)}; the one just behind the center:")
+behind = membrane_from_ideal(q, [delta for delta in enlarged if delta.h <= d // 2], FLAVOR_E)
+print(f"  size {len(membrane_vertices(behind))}, center-avoiding {is_e_membrane(q, behind)}")
 print()
 
 print("Scanning them for double combs and separation on ground sets 4")

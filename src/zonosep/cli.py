@@ -24,7 +24,7 @@ from . import flips as fl
 from . import membranes as mb
 from .geometry import boundary_vertices, zonotope_sides
 from .ground import elements, interval_cortege, mask_of, set_notation
-from .posets import IdealCapExceeded, is_acyclic
+from .posets import is_acyclic
 from .separation import is_strongly_r_separated, is_weakly_r_separated
 from .systems import (
     DEFAULT_EXHAUSTIVE_BOUND,
@@ -334,38 +334,35 @@ def cmd_cub_gamma(args) -> int:
 
 
 def cmd_membrane_enumerate(args) -> int:
+    _reject_cap(args)
     q = _build_cubillage(args.n, args.d, args.anti)
-    name = _cub_name(args.n, args.d, args.anti)
+    what = f"{args.flavor}-membranes of {_cub_name(args.n, args.d, args.anti)}"
     if args.flavor == "s":
-        count = sum(1 for _ in cb.s_membranes(q, cap=args.cap))
-        print(f"s-membranes of {name}: {count}")
-        _emit_json(
-            args,
-            {"schema": SCHEMA, "n": args.n, "d": args.d, "flavor": "s", "count": count},
-        )
-        return 0
-    if args.flavor == "w":
-        members = mb.w_membranes(q, cap=args.cap)
-        deltas, succs = mb.fragment_precedence(q)
+        census = mb.s_membrane_census(q)
     else:
-        members = mb.e_membranes(q, cap=args.cap)
-        deltas, succs = mb.enlarged_precedence(q)
-    sizes = sorted({len(mb.membrane_vertices(m)) for m in members})
-    print(f"{args.flavor}-membranes of {name}: {len(members)}")
-    print(f"vertex-system sizes: {', '.join(str(s) for s in sizes)}")
-    _emit_json(
-        args,
-        {
-            "schema": SCHEMA,
-            "n": args.n,
-            "d": args.d,
-            "flavor": args.flavor.upper(),
-            "count": len(members),
-            "sizes": sizes,
-        },
-    )
+        census = mb.membrane_census(q, args.flavor.upper())
+    if census.undecided is not None:
+        print(f"{what}: {_incomplete(census.undecided)}")
+        return EXIT_INCOMPLETE
+    print(f"{what}: {census.count}")
+    blob = {
+        "schema": SCHEMA,
+        "n": args.n,
+        "d": args.d,
+        "flavor": args.flavor,
+        "count": census.count,
+    }
+    if args.flavor != "s":
+        sizes = sorted(census.sizes)
+        print(f"vertex-system sizes: {', '.join(str(s) for s in sizes)}")
+        blob.update(flavor=args.flavor.upper(), sizes=sizes)
+    _emit_json(args, blob)
     if getattr(args, "dot", None):
-        _write(args.dot, mb.precedence_to_dot(deltas, succs), "dot")
+        if args.flavor == "s":
+            dot = cb.precedence_dot(q.cubes, cb.precedence_digraph(q.cubes))
+        else:
+            dot = mb.precedence_to_dot(census.deltas, census.succs)
+        _write(args.dot, dot, "dot")
     return 0
 
 
@@ -446,7 +443,11 @@ def _scan_status(report: mb.MembraneScanReport) -> tuple[str, int]:
         return "PASS", 0
     if report.violations:
         return "FAIL", 1
-    return f"INCOMPLETE (not decided: {report.undecided})", EXIT_INCOMPLETE
+    return _incomplete(report.undecided), EXIT_INCOMPLETE
+
+
+def _incomplete(reason: str) -> str:
+    return f"INCOMPLETE (not decided: {reason})"
 
 
 # --------------------------------------------------------------- flip
@@ -548,13 +549,6 @@ def cmd_verify_flips(args) -> int:
 
 def cmd_verify_refined(args) -> int:
     report = fl.verify_refined_lemma(args.n, args.r)
-    _print_harness(report)
-    _emit_json(args, report.to_json())
-    return 0 if report.ok else 1
-
-
-def cmd_verify_even(args) -> int:
-    report = fl.verify_local_neighb_even(args.n, args.r)
     _print_harness(report)
     _emit_json(args, report.to_json())
     return 0 if report.ok else 1
@@ -777,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_nd(enumerate_)
     enumerate_.add_argument("--anti", action="store_true")
     enumerate_.add_argument("--flavor", choices=("s", "w", "e"), default="w")
-    enumerate_.add_argument("--cap", type=int, default=None)
+    _add_rejected_cap(enumerate_)
     _add_json(enumerate_)
     _add_dot(enumerate_)
     enumerate_.set_defaults(func=cmd_membrane_enumerate)
@@ -825,11 +819,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = verify.add_subparsers(dest="command", required=True)
     snr = sub.add_parser("snr", help="strong separation maximum sizes")
     snr.add_argument("--nmax", type=int, default=6)
-    _add_threads(snr)
     snr.set_defaults(func=cmd_verify_snr)
     wnr = sub.add_parser("wnr", help="weak separation maximum sizes")
     wnr.add_argument("--nmax", type=int, default=6)
-    _add_threads(wnr)
     wnr.set_defaults(func=cmd_verify_wnr)
     flips_ = sub.add_parser("flips", help="flip witness theorem harness")
     flips_.add_argument("--n", type=int, required=True)
@@ -845,24 +837,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threads(refined)
     _add_json(refined)
     refined.set_defaults(func=cmd_verify_refined)
-    even = sub.add_parser("even", help="even-parity local classification harness")
-    even.add_argument("--n", type=int, required=True)
-    even.add_argument("--r", type=int, required=True)
-    _add_threads(even)
-    _add_json(even)
-    even.set_defaults(func=cmd_verify_even)
     acyclicity = sub.add_parser("acyclicity", help="precedence digraphs are acyclic")
     acyclicity.add_argument("--nmax", type=int, default=5)
     acyclicity.add_argument("--dmax", type=int, default=3)
-    _add_threads(acyclicity)
     acyclicity.set_defaults(func=cmd_verify_acyclicity)
     membranes_ = sub.add_parser("membranes", help="membrane vertex systems")
     membranes_.add_argument("--nmax", type=int, default=6)
     _add_rejected_cap(membranes_)
-    _add_threads(membranes_)
     membranes_.set_defaults(func=cmd_verify_membranes)
     nonpurity = sub.add_parser("nonpurity", help="two maximal sizes exist")
-    _add_threads(nonpurity)
     nonpurity.set_defaults(func=cmd_verify_nonpurity)
 
     # demo
@@ -884,9 +867,6 @@ def main(argv: list[str] | None = None) -> int:
     except fl.FalsificationError as exc:
         print(f"FALSIFICATION: {exc}", file=sys.stderr)
         return 1
-    except IdealCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
     except mb.MembraneInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Cubes, cubillages, precedence, bead threads, and cube-level membranes.
+"""Cubes, cubillages, precedence, and bead threads.
 
 A *cube* (X | T) consists of a root X and a type T, disjoint subsets
 of [n] with |T| = d; its vertices are the sets X + A over A inside T.
@@ -29,9 +29,8 @@ Cubes are partially ordered by shared facets (rear facet of one equals
 front facet of the next); this precedence is acyclic both on any
 single cubillage and on the set of all cubes on [n].  On top of it
 live the *bead threads* (arcs t_C -> h_C chained into paths across the
-cubillage) and the cube-level membranes: order ideals of the cube
-precedence, realized as facet sets obtained from the front boundary by
-replaying one cube flip per ideal element.
+cubillage) and the cube-level membranes, the order ideals of the cube
+precedence, which `membranes.s_membrane_census` counts.
 """
 
 from __future__ import annotations
@@ -39,11 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .geometry import _dot, normal_vector, veronese, zonotope_sides
 from .ground import check_ground, check_mask, elements, mask_of, set_notation, submasks
-from .posets import digraph_dot, is_acyclic, scan_ideals
+from .posets import digraph_dot, is_acyclic
 from .separation import is_strongly_r_separated
 from .systems import SCHEMA, SetSystem, s_formula
 
@@ -500,68 +499,3 @@ def bead_thread_graph(q: Cubillage) -> BeadThreads:
         problems.append("threads do not cover all arc vertices")
 
     return BeadThreads(n=q.n, d=q.d, arcs=arcs, threads=threads, problems=problems)
-
-
-@dataclass(frozen=True)
-class SMembrane:
-    """A cube-level membrane: an ideal of the cube precedence of one cubillage,
-    realized as the facet set swept from the front boundary."""
-
-    n: int
-    d: int
-    ideal: tuple[Cube, ...]
-    facets: frozenset[tuple[int, int]]
-
-    def vertex_set(self) -> SetSystem:
-        verts: set[int] = set()
-        for root, typemask in self.facets:
-            for sub in submasks(typemask):
-                verts.add(root | sub)
-        return SetSystem.from_masks(self.n, verts)
-
-
-def s_membranes(q: Cubillage, cap: int | None = None) -> Iterator[SMembrane]:
-    """All cube-level membranes of a cubillage, one per precedence ideal.
-
-    Starts from the front boundary facets of Z(n, d); including a cube
-    removes its front facets and adds its rear facets, with both
-    replacements asserted to be legal at that point.
-    """
-    succs = precedence_digraph(q.cubes)
-    sides = zonotope_sides(q.n, q.d)
-    state: set[tuple[int, int]] = set(sides.front_facets)
-
-    snapshots: list[SMembrane] = []
-
-    def enter(idx: int) -> None:
-        cube = q.cubes[idx]
-        front = {(f.root, f.type) for f in front_facets(cube)}
-        rear = {(f.root, f.type) for f in rear_facets(cube)}
-        if not front <= state:
-            raise AssertionError(f"cube {cube.label()} raised before its front facets")
-        if rear & state:
-            raise AssertionError(f"cube {cube.label()} rear facets already present")
-        state.difference_update(front)
-        state.update(rear)
-
-    def leave(idx: int) -> None:
-        cube = q.cubes[idx]
-        front = {(f.root, f.type) for f in front_facets(cube)}
-        rear = {(f.root, f.type) for f in rear_facets(cube)}
-        state.difference_update(rear)
-        state.update(front)
-
-    def visit(ideal_indices: tuple[int, ...]) -> None:
-        snapshots.append(
-            SMembrane(
-                n=q.n,
-                d=q.d,
-                ideal=tuple(q.cubes[i] for i in ideal_indices),
-                facets=frozenset(state),
-            )
-        )
-
-    # scan_ideals drives enter/leave; snapshots are collected eagerly so the
-    # mutable state never escapes
-    scan_ideals(len(q.cubes), succs, visit=visit, enter=enter, leave=leave, cap=cap)
-    return iter(snapshots)

@@ -14,9 +14,9 @@ A subset X of [n] spans a vertex (the point sum of xi_i over i in X)
 exactly when some linear functional is positive on the xi_i with i in
 X and negative on the rest; for a cyclic configuration this is a sign
 rule: the +/- membership sequence of X along 1..n may change sign at
-most d - 1 times.  The sign rule is the production test; the rational
-Fourier-Motzkin feasibility check below is kept as an oracle and the
-two are compared exhaustively in the test suite.
+most d - 1 times.  The sign rule is the test used here; the test suite
+compares it exhaustively with an exact Fourier-Motzkin feasibility
+check (`tests/oracles.linear_functional_separates`).
 
 The boundary of Z splits into a front and a rear side (outward normal
 with negative resp. positive last coordinate).  Their vertex sets are
@@ -172,43 +172,6 @@ def normal_vector(config: CyclicConfiguration, typemask: int) -> Vector:
 
 def _dot(u: Vector, v: Vector) -> int:
     return sum(a * b for a, b in zip(u, v))
-
-
-def vertex_functional_exists(config: CyclicConfiguration, mask: int) -> bool:
-    """Oracle: a rational c with c.xi_i > 0 on X and c.xi_i < 0 off X exists.
-
-    Homogeneous strict feasibility by Fourier-Motzkin elimination over
-    exact integers; intended for d <= 5 at desk scale.
-    """
-    check_mask(mask, config.n)
-    rows = []
-    for i in range(1, config.n + 1):
-        col = config.column(i)
-        if mask >> (i - 1) & 1:
-            rows.append(tuple(col))
-        else:
-            rows.append(tuple(-x for x in col))
-    return _strict_feasible(rows)
-
-
-def _strict_feasible(rows: list[Vector]) -> bool:
-    """Feasibility of row . c > 0 for all rows (homogeneous, strict)."""
-    if not rows:
-        return True
-    width = len(rows[0])
-    if any(all(x == 0 for x in row) for row in rows):
-        return False
-    if width == 1:
-        return len({row[0] > 0 for row in rows}) == 1
-    pos = [r for r in rows if r[-1] > 0]
-    neg = [r for r in rows if r[-1] < 0]
-    combined = {r[:-1] for r in rows if r[-1] == 0}
-    for p in pos:
-        for q in neg:
-            combined.add(
-                tuple(-q[-1] * p[i] + p[-1] * q[i] for i in range(width - 1))
-            )
-    return _strict_feasible(sorted(combined))
 
 
 def boundary_vertices(n: int, d: int) -> SetSystem:

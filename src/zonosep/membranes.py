@@ -25,13 +25,15 @@ section disappearing inside it.  Ideals of the enlarged order give
 Scans over all e-membranes check the vertex systems for double
 (d-2)-combs and weak separation violations.
 
-Listing enumerations stream through the ideal lattice depth first, one
-raising flip per step.  The scans visit no membrane: tile lifespans
-turn each vertex's multiplicity into its front-boundary count plus the
-net changes of the fragments behind the membrane, each vertex's
-presence is checked to be one interval of the ideal lattice, and the
-count, the sizes and the violating pairs follow from those intervals
-(see `scan_membranes`).
+No membrane is visited to count or to check them: tile lifespans turn
+each vertex's multiplicity into its front-boundary count plus the net
+changes of the fragments behind the membrane, each vertex's presence is
+checked to be one interval of the ideal lattice, and the count and the
+sizes (`membrane_census`) and the violating pairs (`scan_membranes`)
+follow from those intervals.  The cube-level s-membranes of the
+cubillage, ideals of its cube precedence, are counted the same way
+(`s_membrane_census`).  One membrane at a time is built by replay
+(`membrane_from_ideal`).
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ from .cubillage import (
     Cubillage,
     FacetDescriptor,
     front_facets,
+    precedence_digraph,
     rear_facets,
 )
 from .geometry import zonotope_sides
 from .ground import elements, set_notation, submasks
-from .posets import IdealCapExceeded, Poset, digraph_dot, scan_ideals, topological_order
+from .posets import IdealCapExceeded, Poset, digraph_dot, topological_order
 from .separation import is_double_r_comb
 from .systems import (
     SCHEMA,
@@ -428,59 +431,6 @@ def _replay(
     return m
 
 
-def w_membranes(q: Cubillage, cap: int | None = None) -> list[Membrane]:
-    """All w-membranes, one per ideal of the fragment precedence."""
-    deltas, succs = fragment_precedence(q)
-    return _collect_membranes(q, deltas, succs, FLAVOR_W, cap)
-
-
-def e_membranes(q: Cubillage, cap: int | None = None) -> list[Membrane]:
-    """All e-membranes, one per ideal of the enlarged precedence."""
-    deltas, succs = enlarged_precedence(q)
-    return _collect_membranes(q, deltas, succs, FLAVOR_E, cap)
-
-
-def _collect_membranes(
-    q: Cubillage,
-    deltas: Sequence[Fragment | EnlargedFragment],
-    succs: Sequence[Sequence[int]],
-    flavor: str,
-    cap: int | None,
-) -> list[Membrane]:
-    tiles = set(base_membrane(q, flavor=flavor).tiles)
-    stack: list[Fragment | EnlargedFragment] = []
-    out: list[Membrane] = []
-
-    def enter(i: int) -> None:
-        delta = deltas[i]
-        front, rear = delta.eps_front(), delta.eps_rear()
-        if front - tiles or rear & tiles:
-            raise AssertionError(f"illegal raising flip at {delta.label()}")
-        tiles.difference_update(front)
-        tiles.update(rear)
-        stack.append(delta)
-
-    def leave(i: int) -> None:
-        delta = deltas[i]
-        tiles.difference_update(delta.eps_rear())
-        tiles.update(delta.eps_front())
-        stack.pop()
-
-    def visit(_ideal: tuple[int, ...]) -> None:
-        out.append(
-            Membrane(
-                n=q.n,
-                d=q.d,
-                flavor=flavor,
-                ideal=tuple(stack),
-                tiles=frozenset(tiles),
-            )
-        )
-
-    scan_ideals(len(deltas), succs, visit=visit, enter=enter, leave=leave, cap=cap)
-    return out
-
-
 def is_e_membrane(q: Cubillage, m: Membrane) -> bool:
     """No tile of the membrane is the middle section of a cube of Q."""
     if q.d % 2:
@@ -618,6 +568,110 @@ def _comb_rows(n: int, r: int) -> list[int]:
     return [row ^ kept[v] for v, row in enumerate(relation_table(n, weak_even(r)))]
 
 
+@dataclass
+class MembraneCensus:
+    """How many membranes one cubillage has, and their vertex-set sizes.
+
+    `count` and `sizes` hold when `undecided` is None; otherwise it says
+    why they could not be decided (a vertex whose presence is not one
+    interval of the ideal lattice, or a count past its memo budget).
+    `sizes` stays empty for s-membranes.  `stats` holds counters and
+    phase seconds for display.  The other fields are what the census
+    decided the sizes from, and what `scan_membranes` tests pairs on:
+    the fragments and their precedence, the poset over them, the front
+    boundary, each vertex's presence interval (positions a, b, as in
+    `_presence_intervals`) and each fragment's size change.
+    """
+
+    count: int = 0
+    sizes: set[int] = field(default_factory=set)
+    undecided: str | None = None
+    stats: dict = field(default_factory=dict)
+    deltas: Sequence[Fragment | EnlargedFragment] = ()
+    succs: Sequence[Sequence[int]] = ()
+    poset: Poset | None = None
+    base: Membrane | None = None
+    intervals: dict[int, tuple[int | None, int | None]] = field(default_factory=dict)
+    weights: list[int] = field(default_factory=list)
+
+
+def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:
+    """Count the w- (or e-) membranes and their sizes without visiting one.
+
+    These are the first three phases of `scan_membranes`: the fragment
+    precedence, then tile lifespans and presence intervals, then the
+    ideal count and the size fold.
+    """
+    clock = time.perf_counter
+    started = clock()
+    if flavor == FLAVOR_E:
+        deltas, succs = enlarged_precedence(q)
+    else:
+        deltas, succs = fragment_precedence(q)
+    poset = Poset(len(deltas), succs)
+    census = MembraneCensus(deltas=deltas, succs=succs, poset=poset)
+    stats = census.stats
+    stats["fragments"] = len(deltas)
+    stats["precedence_s"] = clock() - started
+
+    started = clock()
+    census.base = base = base_membrane(q, flavor=flavor)
+    fronts = [delta.eps_front() for delta in deltas]
+    rears = [delta.eps_rear() for delta in deltas]
+    _check_lifespans(base.tiles, deltas, fronts, rears)
+    nets = [_net_changes(front, rear) for front, rear in zip(fronts, rears)]
+    intervals = _presence_intervals(poset, _multiplicities(base.tiles), nets)
+    stats["intervals_s"] = clock() - started
+    if isinstance(intervals, str):
+        census.undecided = intervals
+        return census
+    census.intervals = intervals
+    stats["vertices"] = len(intervals)
+
+    started = clock()
+    census.weights = weights = [0] * len(deltas)
+    size0 = 0
+    for a, b in intervals.values():
+        if a is None:
+            size0 += 1
+        else:
+            weights[poset.topo[a]] += 1
+        if b is not None:
+            weights[poset.topo[b]] -= 1
+    try:
+        census.count = poset.count_ideals()
+        sums = poset.ideal_sums(weights) if any(weights) else {0}
+    except IdealCapExceeded as exc:
+        census.undecided = str(exc)
+        return census
+    stats["states"] = poset.states
+    census.sizes = {size0 + s for s in sums}
+    stats["count_s"] = clock() - started
+    return census
+
+
+def s_membrane_census(q: Cubillage) -> MembraneCensus:
+    """Count the s-membranes, the cube-level membranes, without visiting one.
+
+    An s-membrane is an ideal of the cube precedence, realized as the
+    facets swept from the front boundary by one cube flip per ideal
+    element.  The facets pass the tile lifespan check, so on every ideal
+    each cube flip finds its front facets present and its rear facets
+    absent; then the ideals are counted.
+    """
+    sides = zonotope_sides(q.n, q.d)
+    base = frozenset(FacetDescriptor(root, typemask) for root, typemask in sides.front_facets)
+    fronts = [frozenset(front_facets(cube)) for cube in q.cubes]
+    rears = [frozenset(rear_facets(cube)) for cube in q.cubes]
+    _check_lifespans(base, q.cubes, fronts, rears, what="facet")
+    census = MembraneCensus()
+    try:
+        census.count = Poset(len(q.cubes), precedence_digraph(q.cubes)).count_ideals()
+    except IdealCapExceeded as exc:
+        census.undecided = str(exc)
+    return census
+
+
 def scan_membranes(
     q: Cubillage,
     flavor: str = FLAVOR_W,
@@ -628,7 +682,8 @@ def scan_membranes(
 
     The claims: every membrane has s(n, d-2) vertices, no two of its
     vertices violate weak r-separation, and (with check_combs) no two
-    form a double r-comb.  The decision runs in four phases:
+    form a double r-comb.  The decision runs in four phases, the first
+    three of them `membrane_census`:
 
     1. the fragment precedence and its down- and up-set bitmasks;
     2. tile lifespans: every tile is born by at most one raising flip
@@ -654,78 +709,51 @@ def scan_membranes(
         r = q.d - 2
     if r < 1:
         raise ValueError("separation order must be at least 1")
-    clock = time.perf_counter
-    started = clock()
-    if flavor == FLAVOR_E:
-        deltas, succs = enlarged_precedence(q)
-    else:
-        deltas, succs = fragment_precedence(q)
+    census = membrane_census(q, flavor)
     report = MembraneScanReport(
         n=q.n,
         d=q.d,
         flavor=flavor,
         r=r,
         expected_size=s_formula(q.n, q.d - 2),
+        membrane_count=census.count,
+        sizes_seen=census.sizes,
+        undecided=census.undecided,
+        stats=census.stats,
     )
-    poset = Poset(len(deltas), succs)
-    stats = report.stats
-    stats["fragments"] = len(deltas)
-    stats["precedence_s"] = clock() - started
-
-    started = clock()
-    base = base_membrane(q, flavor=flavor)
-    nets = _tile_lifespans(base.tiles, deltas)
-    intervals = _presence_intervals(poset, _multiplicities(base.tiles), nets)
-    stats["intervals_s"] = clock() - started
-    if isinstance(intervals, str):
-        report.undecided = intervals
+    if census.undecided is not None:
         return report
-    stats["vertices"] = len(intervals)
-
-    started = clock()
-    weights = [0] * len(deltas)
-    size0 = 0
-    for a, b in intervals.values():
-        if a is None:
-            size0 += 1
-        else:
-            weights[poset.topo[a]] += 1
-        if b is not None:
-            weights[poset.topo[b]] -= 1
-    try:
-        report.membrane_count = poset.count_ideals()
-        sums = poset.ideal_sums(weights) if any(weights) else {0}
-    except IdealCapExceeded as exc:
-        report.undecided = str(exc)
-        return report
-    stats["states"] = poset.states
-    report.sizes_seen = {size0 + s for s in sums}
-    stats["count_s"] = clock() - started
+    deltas, poset = census.deltas, census.poset
     if report.sizes_seen != {report.expected_size}:
         report.violations.append(
             ScanViolation(
                 KIND_SIZE,
                 sizes=tuple(sorted(report.sizes_seen)),
-                weights=tuple((deltas[i].label(), w) for i, w in enumerate(weights) if w),
+                weights=tuple(
+                    (deltas[i].label(), w) for i, w in enumerate(census.weights) if w
+                ),
             )
         )
 
+    clock = time.perf_counter
     started = clock()
     rows = [(KIND_WEAK, complement_table(q.n, weak(r)))]
     if check_combs:
         rows.append((KIND_COMB, _comb_rows(q.n, r)))
     tested = 0
     for kind, table in rows:
-        pairs, count = _coexisting_pairs(poset, intervals, table)
+        pairs, count = _coexisting_pairs(poset, census.intervals, table)
         tested += count
         for u, v, witness in pairs:
             report.violations.append(
-                _replayed(base, deltas, succs, kind, r, u, v, poset.nodes(witness))
+                _replayed(
+                    census.base, deltas, census.succs, kind, r, u, v, poset.nodes(witness)
+                )
             )
         if kind == KIND_COMB:
             report.comb_free = not pairs
-    stats["pairs"] = tested
-    stats["pairs_s"] = clock() - started
+    report.stats["pairs"] = tested
+    report.stats["pairs_s"] = clock() - started
     return report
 
 
@@ -738,55 +766,67 @@ def _multiplicities(tiles: Iterable[Tile]) -> dict[int, int]:
     return counts
 
 
-def _tile_lifespans(
-    base: frozenset[Tile], deltas: Sequence[Fragment | EnlargedFragment]
-) -> list[dict[int, int]]:
-    """Check every tile's lifespan; return each raising flip's net vertex changes.
+def _check_lifespans(
+    base: frozenset,
+    pieces: Sequence[Fragment | EnlargedFragment | Cube],
+    fronts: Sequence[frozenset],
+    rears: Sequence[frozenset],
+    what: str = "tile",
+) -> None:
+    """Check that every tile is present on one interval of raising flips.
 
-    A tile is born by the raising flip of the fragment whose rear side
-    holds it and dies by the one whose front side holds it; a tile of
-    the front boundary is there from the start.  The precedence puts a
-    tile's birth before its death, so when every tile is born at most
-    once, dies at most once, is not born onto the front boundary and
-    is present before it dies, its multiplicity on every membrane is 0
-    or 1, and a vertex's multiplicity is its front-boundary count plus
-    the net changes (+1 per rear tile, -1 per front tile) of the ideal.
+    pieces[i], a fragment (or a cube, whose tiles are its facets), has
+    the front side fronts[i] and the rear side rears[i]; base is the
+    front boundary.  A tile is born by the raising flip of the piece
+    whose rear side holds it and dies by the one whose front side holds
+    it; a tile of the front boundary is there from the start.  The
+    precedence puts a tile's birth before its death, so when every tile
+    is born at most once, dies at most once, is not born onto the front
+    boundary and is present before it dies, its multiplicity on every
+    membrane is 0 or 1, and every raising flip finds its front side
+    present and its rear side absent.
     """
-    born: dict[Tile, int] = {}
-    dies: dict[Tile, int] = {}
-    for i, delta in enumerate(deltas):
-        for tile in delta.eps_rear():
+    born: dict = {}
+    dies: dict = {}
+    for i, piece in enumerate(pieces):
+        for tile in rears[i]:
             if tile in born:
                 raise MembraneInvariantError(
-                    f"tile {tile.label()} is born at both "
-                    f"{deltas[born[tile]].label()} and {delta.label()}"
+                    f"{what} {tile.label()} is born at both "
+                    f"{pieces[born[tile]].label()} and {piece.label()}"
                 )
             if tile in base:
                 raise MembraneInvariantError(
-                    f"front-boundary tile {tile.label()} is born again at "
-                    f"{delta.label()}: multiplicity 2"
+                    f"front-boundary {what} {tile.label()} is born again at "
+                    f"{piece.label()}: multiplicity 2"
                 )
             born[tile] = i
-        for tile in delta.eps_front():
+        for tile in fronts[i]:
             if tile in dies:
                 raise MembraneInvariantError(
-                    f"tile {tile.label()} dies at both "
-                    f"{deltas[dies[tile]].label()} and {delta.label()}"
+                    f"{what} {tile.label()} dies at both "
+                    f"{pieces[dies[tile]].label()} and {piece.label()}"
                 )
             dies[tile] = i
     for tile, i in dies.items():
         if tile not in base and born.get(tile, i) == i:
             raise MembraneInvariantError(
-                f"tile {tile.label()} dies at {deltas[i].label()} without being "
+                f"{what} {tile.label()} dies at {pieces[i].label()} without being "
                 f"present before: multiplicity -1"
             )
-    nets = []
-    for delta in deltas:
-        net = _multiplicities(delta.eps_rear())
-        for v, k in _multiplicities(delta.eps_front()).items():
-            net[v] = net.get(v, 0) - k
-        nets.append({v: k for v, k in net.items() if k})
-    return nets
+
+
+def _net_changes(front: frozenset[Tile], rear: frozenset[Tile]) -> dict[int, int]:
+    """A raising flip's nonzero vertex multiplicity changes.
+
+    +1 per rear tile holding the vertex, -1 per front tile; with the
+    lifespans checked, a vertex's multiplicity on a membrane is its
+    front-boundary count plus these changes over the ideal.
+    """
+    net = _multiplicities(rear)
+    for v, k in _multiplicities(front).items():
+        net[v] = net.get(v, 0) - k
+    return {v: k for v, k in net.items() if k}
 
 
 def _presence_intervals(

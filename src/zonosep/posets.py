@@ -10,8 +10,8 @@ predecessors inside I) and lies above every position in I.  Each
 ideal then has the unique parent obtained by removing its topologically
 largest element, so every ideal is visited exactly once, starting from
 the empty ideal, with one enter/leave callback pair per lattice edge -
-which is exactly a raising flip and its undo for the membrane
-structures built on top.
+which is exactly a raising flip and its undo for a walker that builds
+every membrane (the test suite's reference walkers do).
 
 The walk is iterative.  An explicit stack holds one frame per ideal on
 the current path: the bitmask of children not yet tried and the

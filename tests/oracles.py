@@ -9,7 +9,6 @@ path.  Slow is fine; these run at desk scale only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 
@@ -139,10 +138,12 @@ def standard_root(typeset: set[int], n: int, anti: bool = False) -> set[int]:
 
 
 def linear_functional_separates(vectors_in, vectors_out) -> bool:
-    """Exact rational LP-free feasibility: exists c with c.v > 0 on one side,
-    c.v < 0 on the other.  Fourier-Motzkin elimination over Fractions."""
-    rows = [tuple(Fraction(x) for x in v) for v in vectors_in]
-    rows += [tuple(-Fraction(x) for x in v) for v in vectors_out]
+    """Exact LP-free feasibility: exists c with c.v > 0 on one side,
+    c.v < 0 on the other.  Fourier-Motzkin elimination over the entries'
+    own exact type (ints or Fractions): the eliminations multiply and
+    add, never divide, so integer input stays integer."""
+    rows = [tuple(v) for v in vectors_in]
+    rows += [tuple(-x for x in v) for v in vectors_out]
     return _fm_strict_feasible(rows)
 
 
@@ -410,6 +411,128 @@ def reference_scan_ideals(count, succs, visit=None, enter=None, leave=None, cap=
     emit()
     walk(-1, 0)
     return visited
+
+
+# ---------------------------------------------------------------------------
+# Membrane walkers: every membrane built by replaying one raising flip per
+# lattice edge, with every flip's preconditions asserted.  They are the
+# reference that the decided counts and sizes (`membranes.membrane_census`,
+# `membranes.s_membrane_census`) and the single-membrane tests compare against.
+
+
+def w_membranes(q, cap=None, visit=None):
+    """All w-membranes, one per ideal of the fragment precedence.
+
+    With `visit`, each membrane goes to it instead of into the list.
+    """
+    from zonosep.membranes import FLAVOR_W, fragment_precedence
+
+    deltas, succs = fragment_precedence(q)
+    return _collect_membranes(q, deltas, succs, FLAVOR_W, cap, visit)
+
+
+def e_membranes(q, cap=None, visit=None):
+    """All e-membranes, one per ideal of the enlarged precedence."""
+    from zonosep.membranes import FLAVOR_E, enlarged_precedence
+
+    deltas, succs = enlarged_precedence(q)
+    return _collect_membranes(q, deltas, succs, FLAVOR_E, cap, visit)
+
+
+def _collect_membranes(q, deltas, succs, flavor, cap, visit=None):
+    from zonosep.membranes import Membrane, base_membrane
+    from zonosep.posets import scan_ideals
+
+    tiles = set(base_membrane(q, flavor=flavor).tiles)
+    fronts = [delta.eps_front() for delta in deltas]
+    rears = [delta.eps_rear() for delta in deltas]
+    stack = []
+    out = []
+    if visit is None:
+        visit = out.append
+
+    def enter(i):
+        if fronts[i] - tiles or rears[i] & tiles:
+            raise AssertionError(f"illegal raising flip at {deltas[i].label()}")
+        tiles.difference_update(fronts[i])
+        tiles.update(rears[i])
+        stack.append(deltas[i])
+
+    def leave(i):
+        tiles.difference_update(rears[i])
+        tiles.update(fronts[i])
+        stack.pop()
+
+    def snapshot(_ideal):
+        visit(Membrane(n=q.n, d=q.d, flavor=flavor, ideal=tuple(stack), tiles=frozenset(tiles)))
+
+    scan_ideals(len(deltas), succs, visit=snapshot, enter=enter, leave=leave, cap=cap)
+    return out
+
+
+@dataclass(frozen=True)
+class SMembrane:
+    """A cube-level membrane: an ideal of the cube precedence of one cubillage,
+    realized as the facet set swept from the front boundary."""
+
+    n: int
+    d: int
+    ideal: tuple
+    facets: frozenset
+
+    def vertex_set(self):
+        from zonosep.ground import submasks
+        from zonosep.systems import SetSystem
+
+        verts = set()
+        for root, typemask in self.facets:
+            for sub in submasks(typemask):
+                verts.add(root | sub)
+        return SetSystem.from_masks(self.n, verts)
+
+
+def s_membranes(q, cap=None):
+    """All cube-level membranes of a cubillage, one per precedence ideal.
+
+    Starts from the front boundary facets of Z(n, d); including a cube
+    removes its front facets and adds its rear facets, with both
+    replacements asserted to be legal at that point.
+    """
+    from zonosep.cubillage import front_facets, precedence_digraph, rear_facets
+    from zonosep.geometry import zonotope_sides
+    from zonosep.posets import scan_ideals
+
+    succs = precedence_digraph(q.cubes)
+    state = set(zonotope_sides(q.n, q.d).front_facets)
+    fronts = [{(f.root, f.type) for f in front_facets(cube)} for cube in q.cubes]
+    rears = [{(f.root, f.type) for f in rear_facets(cube)} for cube in q.cubes]
+    snapshots = []
+
+    def enter(idx):
+        label = q.cubes[idx].label()
+        if not fronts[idx] <= state:
+            raise AssertionError(f"cube {label} raised before its front facets")
+        if rears[idx] & state:
+            raise AssertionError(f"cube {label} rear facets already present")
+        state.difference_update(fronts[idx])
+        state.update(rears[idx])
+
+    def leave(idx):
+        state.difference_update(rears[idx])
+        state.update(fronts[idx])
+
+    def visit(ideal_indices):
+        snapshots.append(
+            SMembrane(
+                n=q.n,
+                d=q.d,
+                ideal=tuple(q.cubes[i] for i in ideal_indices),
+                facets=frozenset(state),
+            )
+        )
+
+    scan_ideals(len(q.cubes), succs, visit=visit, enter=enter, leave=leave, cap=cap)
+    return snapshots
 
 
 @dataclass

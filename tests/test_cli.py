@@ -11,7 +11,9 @@ import zonosep.posets as posets
 from zonosep.cli import main
 from zonosep.cubillage import Cubillage, standard_cubillage
 from zonosep.membranes import scan_membranes
-from zonosep.systems import dump_json
+from zonosep.systems import SCHEMA, dump_json
+
+from oracles import e_membranes, s_membranes, w_membranes
 
 
 def run(capsys, *argv):
@@ -313,7 +315,9 @@ def test_verify_refined_and_even(capsys):
     code, out, _ = run(capsys, "verify", "refined", "--n", "5", "--r", "1")
     assert code == 0
     assert "refined_lemma n=5 r=1: 40 sites, 0 checks" in out
-    code, out, _ = run(capsys, "verify", "even", "--n", "5", "--r", "2")
+    code, out, _ = run(
+        capsys, "verify", "flips", "--n", "5", "--r", "2", "--parity", "even"
+    )
     assert code == 0
     assert "10 sites" in out
     assert "4 recorded" in out
@@ -442,9 +446,83 @@ def test_membrane_enumerate_cap_is_one_line_error(capsys):
             capsys, "membrane", "enumerate", "--n", "5", "--d", "4", "--flavor", flavor,
             "--cap", "5",
         )
-        assert code == 3
+        assert code == 2
         assert out == ""
-        assert err == "error: order-ideal enumeration exceeded the cap of 5\n"
+        assert err == (
+            "error: --cap has nothing to cap: the scan decides every membrane "
+            "without visiting it\n"
+        )
+
+
+def _walked(walker, q):
+    """Count and vertex-set sizes of every membrane the walker visits."""
+    sizes = []
+    walker(q, visit=lambda mem: sizes.append(len(mem.vertex_masks())))
+    return len(sizes), sorted(set(sizes))
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(3, 7) for d in range(2, n + 1)])
+def test_membrane_enumerate_matches_the_walkers(capsys, tmp_path, n, d, anti):
+    # the decided count and sizes print what the walk over every membrane sees
+    q = standard_cubillage(n, d, anti)
+    name = f"{'anti-' if anti else ''}Z({n},{d})"
+    path = tmp_path / "enumerate.json"
+    head = {"schema": SCHEMA, "n": n, "d": d}
+    count = len(s_membranes(q))
+    expected = {
+        "s": (f"s-membranes of {name}: {count}\n", {**head, "flavor": "s", "count": count})
+    }
+    for flavor, walker in (("w", w_membranes), ("e", e_membranes)):
+        if flavor == "e" and d % 2:
+            continue
+        count, sizes = _walked(walker, q)
+        expected[flavor] = (
+            f"{flavor}-membranes of {name}: {count}\n"
+            f"vertex-system sizes: {', '.join(str(s) for s in sizes)}\n",
+            {**head, "flavor": flavor.upper(), "count": count, "sizes": sizes},
+        )
+    for flavor, (lines, blob) in expected.items():
+        argv = ["membrane", "enumerate", "--n", str(n), "--d", str(d), "--flavor", flavor]
+        code, out, err = run(capsys, *argv, *(["--anti"] if anti else []), "--json", str(path))
+        assert code == 0 and err == ""
+        assert out == lines + f"wrote json to {path}\n"
+        assert path.read_text() == dump_json(blob)
+
+
+def test_membrane_enumerate_undecided_is_incomplete(capsys, tmp_path, monkeypatch):
+    # a count past its memo budget is neither a count nor a failure
+    monkeypatch.setattr(posets, "IDEAL_STATE_BUDGET", 10)
+    path = tmp_path / "enumerate.json"
+    for flavor in ("w", "e", "s"):
+        code, out, err = run(
+            capsys, "membrane", "enumerate", "--n", "6", "--d", "4", "--flavor", flavor,
+            "--json", str(path),
+        )
+        assert code == 3 and err == ""
+        assert out == (
+            f"{flavor}-membranes of Z(6,4): INCOMPLETE "
+            "(not decided: ideal count's memo exceeded the cap of 10)\n"
+        )
+        assert not path.exists()
+    reason = "presence of vertex {1} is not one interval of the ideal lattice"
+    monkeypatch.setattr(mb, "_presence_intervals", lambda *args: reason)
+    code, out, _ = run(capsys, "membrane", "enumerate", "--n", "5", "--d", "3")
+    assert code == 3
+    assert out == f"w-membranes of Z(5,3): INCOMPLETE (not decided: {reason})\n"
+
+
+def test_membrane_enumerate_dot(capsys, tmp_path):
+    # the DOT file holds the precedence the membranes are the ideals of
+    path = tmp_path / "precedence.dot"
+    for flavor, header, arcs in (("w", "digraph fragments {", 2), ("s", "digraph gamma {", 0)):
+        code, out, _ = run(
+            capsys, "membrane", "enumerate", "--n", "3", "--d", "3", "--flavor", flavor,
+            "--dot", str(path),
+        )
+        assert code == 0 and f"wrote dot to {path}" in out
+        assert path.read_text().startswith(header)
+        assert path.read_text().count("->") == arcs
 
 
 def test_verify_nonpurity(capsys):
@@ -481,14 +559,24 @@ def test_usage_errors(capsys):
     assert code == 2
     assert "leaves the ground set" in err
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "snr", "--threads", "0"])
+        main(["verify", "flips", "--n", "4", "--r", "1", "--threads", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # --threads is offered only where a later change may honour it
+    for command in ("snr", "wnr", "acyclicity", "membranes", "nonpurity"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", command, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "even", "--n", "5", "--r", "2"])  # now verify flips --parity even
     assert exc.value.code == 2
     capsys.readouterr()
     code, _, err = run(capsys, "verify", "flips", "--n", "5", "--r", "1", "--shard", "nope")
     assert code == 2
-    for command in ("flips", "refined", "even"):
-        r = "2" if command == "even" else "3"
-        code, out, err = run(capsys, "verify", command, "--n", "13", "--r", r)
+    harnesses = ((("flips",), "3"), (("refined",), "3"), (("flips", "--parity", "even"), "2"))
+    for command, r in harnesses:
+        code, out, err = run(capsys, "verify", *command, "--n", "13", "--r", r)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "relation-table cap 12" in err

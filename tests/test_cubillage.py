@@ -18,7 +18,6 @@ from zonosep.cubillage import (
     precedence_digraph,
     precedence_dot,
     rear_facets,
-    s_membranes,
     standard_cubillage,
     validate_cubillage,
 )
@@ -28,7 +27,7 @@ from zonosep.systems import SetSystem, s_formula
 
 import pytest
 
-from oracles import standard_root
+from oracles import s_membranes, standard_root
 
 
 def m(*elems: int) -> int:

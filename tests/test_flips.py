@@ -15,6 +15,7 @@ from oracles import (
     reference_flip_theorem_odd,
     reference_local_neighb_even,
     reference_refined_lemma,
+    w_membranes,
 )
 from zonosep.cubillage import apex_vertices, standard_cubillage
 from zonosep.flips import (
@@ -42,7 +43,6 @@ from zonosep.membranes import (
     fragments,
     membrane_vertices,
     raising_flip,
-    w_membranes,
 )
 from zonosep.separation import surrounds
 from zonosep.systems import (

@@ -12,7 +12,6 @@ from zonosep.geometry import (
     normal_vector,
     point_of,
     sign_changes,
-    vertex_functional_exists,
     veronese,
     zonotope_sides,
 )
@@ -101,20 +100,10 @@ def test_sign_rule_matches_functional_oracle():
         for d in range(2, min(n, 5) + 1):
             config = veronese(n, d, validate=False)
             for x in range(1 << n):
-                want = vertex_functional_exists(config, x)
+                inside = [config.column(i) for i in elements(x)]
+                outside = [config.column(i) for i in range(1, n + 1) if not x >> (i - 1) & 1]
+                want = linear_functional_separates(inside, outside)
                 assert is_zonotope_vertex(x, n, d) == want, (n, d, x)
-
-
-def test_functional_oracle_against_independent_fm():
-    config = veronese(5, 3, validate=False)
-    for x in range(32):
-        inside = [config.column(i) for i in elements(x)]
-        outside = [
-            config.column(i) for i in range(1, 6) if not x >> (i - 1) & 1
-        ]
-        assert vertex_functional_exists(config, x) == linear_functional_separates(
-            inside, outside
-        )
 
 
 def test_front_rear_closed_form_odd():

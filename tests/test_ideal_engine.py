@@ -280,6 +280,14 @@ def test_tile_born_twice_is_an_internal_error(monkeypatch):
         scan_membranes(q)
 
 
+def test_facet_born_twice_is_an_internal_error():
+    # a cube listed twice sweeps its rear facets in twice
+    q = standard_cubillage(4, 3)
+    doubled = dataclasses.replace(q, cubes=(q.cubes[0],) + q.cubes)
+    with pytest.raises(MembraneInvariantError, match="^facet .* is born at both"):
+        mb.s_membrane_census(doubled)
+
+
 def test_witness_mismatch_is_an_internal_error(monkeypatch):
     # a replay that loses the pair's vertices contradicts the intervals
     q = standard_cubillage(5, 3)

@@ -18,7 +18,6 @@ from zonosep.membranes import (
     Membrane,
     base_membrane,
     double_comb_scan,
-    e_membranes,
     enlarged_fragmentation,
     enlarged_precedence,
     eps_front,
@@ -36,14 +35,13 @@ from zonosep.membranes import (
     rear_boundary_tiles,
     scan_membranes,
     v_tile,
-    w_membranes,
 )
 from zonosep.separation import is_weakly_r_separated
 from zonosep.systems import SetSystem, s_formula, weak
 
 import pytest
 
-from oracles import count_ideals_bfs
+from oracles import count_ideals_bfs, e_membranes, w_membranes
 
 
 def m(*elems: int) -> int:
