@@ -23,16 +23,19 @@ of the poset is bounded by memory only.
 
 Counting the ideals does not walk them.  `Poset` holds every node's
 down-set and up-set as bitmasks over topological positions, and
-`Poset.count_ideals` uses I(P) = I(P - up(x)) + I(P - down(x)) with x
-the middle remaining node in topological order: the ideals avoiding x
-are the ideals of P - up(x), those holding x are down(x) joined with an
-ideal of P - down(x).  Each remaining set splits into its connected
-components under comparability, whose counts multiply, and every
-count is memoised on its remaining bitset.  The posets here are narrow
-and fall apart quickly, so seven- to eleven-figure counts take a few
-thousand memo states.  Counting ideals is #P-hard in general (Provan &
-Ball, SIAM J. Comput. 1983), so the memo is held to a fixed budget of
-states, past which the count stops with IdealCapExceeded.
+`Poset.count_ideals` uses I(P) = I(P - up(x)) + I(P - down(x)): the
+ideals avoiding x are the ideals of P - up(x), those holding x are
+down(x) joined with an ideal of P - down(x).  The split node x is the
+remaining node comparable to the most others, by the product of its
+remaining up-set and down-set sizes, so both branches shed many nodes.
+Each remaining set splits into its connected components under
+comparability, whose counts multiply, and every count is memoised on
+its remaining bitset.  The posets here are narrow and fall apart
+quickly, so counts of seven to twenty-two figures take from a thousand
+to a few hundred thousand memo states.  Counting ideals is #P-hard in
+general (Provan & Ball, SIAM J. Comput. 1983), so the memo is held to a
+fixed budget of states, past which the count stops with
+IdealCapExceeded.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from functools import reduce
 from typing import Callable, Sequence
 
 # memo states a count may hold before it stops; a count that reaches
-# the budget peaks near 175 MiB (Z(9,4) e-membranes, which need ~4.1 M)
+# the budget peaks near 175 MiB (Z(11,3) w-membranes do)
 IDEAL_STATE_BUDGET = 1_000_000
 
 
@@ -177,17 +180,17 @@ class Poset:
         position = [0] * count
         for pos, node in enumerate(self.topo):
             position[node] = pos
-        self.preds = [0] * count  # tails of the given arcs, by position
+        preds = [0] * count  # tails of the given arcs, by position
         for node in range(count):
             for succ in succs[node]:
-                self.preds[position[succ]] |= 1 << position[node]
+                preds[position[succ]] |= 1 << position[node]
         self.down = [1 << pos for pos in range(count)]
         self.up = [1 << pos for pos in range(count)]
         for pos in range(count):
-            for below in _positions(self.preds[pos]):
+            for below in _positions(preds[pos]):
                 self.down[pos] |= self.down[below]
         for pos in range(count - 1, -1, -1):
-            for below in _positions(self.preds[pos]):
+            for below in _positions(preds[pos]):
                 self.up[below] |= self.up[pos]
         self.states = 0
 
@@ -212,7 +215,7 @@ class Poset:
         return set(self._fold(frozenset((0,)), times, branch))
 
     def _fold(self, one, times, branch):
-        """Fold over the ideals by the split on the middle node, bottom up.
+        """Fold over the ideals by the split on the most comparable node, bottom up.
 
         `branch(without, with_, down)` combines the value over the ideals
         avoiding the split node with the value over the rest once the
@@ -220,10 +223,15 @@ class Poset:
         `times` joins components.  A remaining set is always convex (an
         ideal minus a filter), so its components are found from its
         minimal elements: two share a component iff their up-sets meet.
-        An explicit stack replaces recursion, so depth costs no frames.
+        The lowest remaining position is minimal, and so is the lowest
+        one outside the up-sets already taken.  A connected remaining
+        set splits on the node x with the largest |up(x)| * |down(x)|
+        within it (lowest position on ties), so that both branches drop
+        many nodes.  An explicit stack replaces recursion, so depth
+        costs no frames.
         """
         budget = IDEAL_STATE_BUDGET
-        preds, up, down = self.preds, self.up, self.down
+        up, down = self.up, self.down
         full = (1 << len(self.topo)) - 1
         memo = {0: one}
         plans: dict[int, tuple] = {}
@@ -235,28 +243,27 @@ class Poset:
                 continue
             plan = plans.pop(rest, None)
             if plan is None:
-                order = []
                 parts: list[int] = []
                 todo = rest
                 while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    pos = low.bit_length() - 1
-                    order.append(pos)
-                    if not preds[pos] & rest:
-                        part = up[pos] & rest
-                        disjoint = []
-                        for other in parts:
-                            if other & part:
-                                part |= other
-                            else:
-                                disjoint.append(other)
-                        disjoint.append(part)
-                        parts = disjoint
+                    part = up[(todo & -todo).bit_length() - 1] & rest
+                    todo &= ~part
+                    disjoint = []
+                    for other in parts:
+                        if other & part:
+                            part |= other
+                        else:
+                            disjoint.append(other)
+                    disjoint.append(part)
+                    parts = disjoint
                 if len(parts) > 1:
                     plan = (None, parts)
                 else:
-                    x = order[len(order) // 2]
+                    best = -1
+                    for pos in _positions(rest):
+                        score = (up[pos] & rest).bit_count() * (down[pos] & rest).bit_count()
+                        if score > best:
+                            best, x = score, pos
                     plan = (x, (rest & ~up[x], rest & ~down[x]))
                 plans[rest] = plan
                 stack.extend(part for part in plan[1] if part not in memo)

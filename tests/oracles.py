@@ -413,6 +413,74 @@ def reference_scan_ideals(count, succs, visit=None, enter=None, leave=None, cap=
     return visited
 
 
+def reference_count_ideals(count, succs) -> tuple[int, int]:
+    """The ideal count that `posets.Poset.count_ideals` replaced: (count, memo states).
+
+    Splits a connected remaining set on its middle node in topological
+    order, I(P) = I(P - up(x)) + I(P - down(x)), multiplies over
+    components and memoises on the remaining bitset, with no budget.
+    The states count the memo entries, the empty set included.
+    """
+    from zonosep.posets import topological_order
+
+    topo = topological_order(count, succs)
+    position = {node: i for i, node in enumerate(topo)}
+    preds = [0] * count
+    for node in range(count):
+        for succ in succs[node]:
+            preds[position[succ]] |= 1 << position[node]
+    down = [1 << pos for pos in range(count)]
+    up = [1 << pos for pos in range(count)]
+    for pos in range(count):
+        for below in range(pos):
+            if preds[pos] >> below & 1:
+                down[pos] |= down[below]
+    for pos in range(count - 1, -1, -1):
+        for below in range(pos):
+            if preds[pos] >> below & 1:
+                up[below] |= up[pos]
+
+    memo = {0: 1}
+    plans = {}
+    stack = [(1 << count) - 1]
+    while stack:
+        rest = stack[-1]
+        if rest in memo:
+            stack.pop()
+            continue
+        if rest not in plans:
+            order = []
+            todo = rest
+            while todo:
+                order.append((todo & -todo).bit_length() - 1)
+                todo &= todo - 1
+            parts = []
+            for pos in order:
+                if not preds[pos] & rest:
+                    part = up[pos] & rest
+                    for other in [other for other in parts if other & part]:
+                        parts.remove(other)
+                        part |= other
+                    parts.append(part)
+            if len(parts) > 1:
+                plans[rest] = (None, parts)
+            else:
+                x = order[len(order) // 2]
+                plans[rest] = (x, [rest & ~up[x], rest & ~down[x]])
+            stack.extend(part for part in plans[rest][1] if part not in memo)
+            continue
+        x, parts = plans.pop(rest)
+        if x is None:
+            total = 1
+            for part in parts:
+                total *= memo[part]
+            memo[rest] = total
+        else:
+            memo[rest] = memo[parts[0]] + memo[parts[1]]
+        stack.pop()
+    return memo[(1 << count) - 1], len(memo)
+
+
 # ---------------------------------------------------------------------------
 # Membrane walkers: every membrane built by replaying one raising flip per
 # lattice edge, with every flip's preconditions asserted.  They are the

@@ -255,6 +255,19 @@ def test_membrane_scan(capsys, tmp_path):
     assert blob["membranes"] == 4
 
 
+def test_membrane_scan_z94_is_decided(capsys):
+    # ~20,000 memo states: the count stays far inside its budget
+    code, out, err = run(
+        capsys, "membrane", "scan", "--n", "9", "--d", "4", "--flavor", "e", "--combs",
+    )
+    assert code == 0
+    assert out == (
+        "scan e-membranes of Z(9,4): 900508869423234 scanned, sizes [130], "
+        "expected 130, PASS\ndouble-comb free: True\n"
+    )
+    assert err.startswith("decided e-membranes of Z(9,4): 378 fragments, 256 vertices, ")
+
+
 def test_flip_witnesses(capsys):
     code, out, _ = run(capsys, "flip", "witnesses", "--n", "3", "--p", "2", "--q", "1,3")
     assert code == 0

@@ -1,9 +1,9 @@
 """The ideal walker, the ideal count and the decided membrane scan against oracles.
 
 `tests/oracles.py` keeps the recursive walker, a breadth-first ideal
-counter and the per-tile refcount walk over every membrane; the walker's
-callbacks, the counts, the sizes and the exact sets of violating pairs
-must agree with them.
+counter, the middle-split ideal count and the per-tile refcount walk
+over every membrane; the walker's callbacks, the counts, the sizes and
+the exact sets of violating pairs must agree with them.
 """
 
 import dataclasses
@@ -31,7 +31,12 @@ from zonosep.posets import IdealCapExceeded, count_ideals, scan_ideals
 from zonosep.separation import is_double_r_comb
 from zonosep.systems import complement_table, strong, weak, weak_odd
 
-from oracles import count_ideals_bfs, reference_scan_ideals, reference_scan_membranes
+from oracles import (
+    count_ideals_bfs,
+    reference_count_ideals,
+    reference_scan_ideals,
+    reference_scan_membranes,
+)
 
 
 def _events(walker, count, succs, cap=None):
@@ -112,15 +117,56 @@ def test_count_matches_breadth_first_oracle(anti):
 
 
 def test_count_on_random_posets():
+    for count, succs in _random_posets():
+        assert count_ideals(count, succs) == count_ideals_bfs(count, succs)
+
+
+def _random_posets():
     rng = random.Random(20261018)
     for _ in range(300):
         count = rng.randint(0, 12)
         density = rng.random()
-        succs = [
+        yield count, [
             [j for j in range(i + 1, count) if rng.random() < density / 3]
             for i in range(count)
         ]
-        assert count_ideals(count, succs) == count_ideals_bfs(count, succs)
+
+
+def _split_states(succs):
+    """(memo states of the product split, of the middle split), counts checked equal."""
+    poset = posets.Poset(len(succs), succs)
+    count = poset.count_ideals()
+    want, states = reference_count_ideals(len(succs), succs)
+    assert count == want
+    return poset.states, states
+
+
+def test_count_matches_middle_split_on_small_posets():
+    # the product split may hold a few more states than the middle split
+    # on a small poset, but fewer in total on each family
+    for family in (
+        [succs for _, succs in _random_posets()],
+        [
+            succs
+            for n in range(2, 7)
+            for d in range(2, n + 1)
+            for anti in (False, True)
+            for _, succs in _precedences(n, d, anti)
+        ],
+    ):
+        got, want = map(sum, zip(*map(_split_states, family)))
+        assert got < want
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+@pytest.mark.parametrize(
+    "n, d, precedence", [(8, 3, fragment_precedence), (8, 4, enlarged_precedence)]
+)
+def test_product_split_needs_fewer_states_at_n8(n, d, precedence, anti):
+    # Z(8,3) w: 4,517 / 4,529 states against 30,575 / 15,862;
+    # Z(8,4) e: 2,476 / 2,514 against 65,490 / 64,321
+    got, want = _split_states(precedence(standard_cubillage(n, d, anti))[1])
+    assert 3 * got < want
 
 
 def test_deep_chain_counts_without_recursion():
@@ -151,7 +197,7 @@ def _instances():
                 for combs in (False, True) if d % 2 == 0 else (False,):
                     out.append((n, d, flavor, combs, None))
     return out + [
-        (6, 3, FLAVOR_W, False, 500),
+        (6, 3, FLAVOR_W, False, 200),
         (6, 4, FLAVOR_W, False, 1500),
         (6, 4, FLAVOR_E, True, 1000),
     ]
@@ -192,11 +238,12 @@ def test_scan_report_matches_per_tile_scan(n, d, flavor, check_combs, cap, anti,
 
 
 def test_budget_entries_stop_the_scan():
-    # the smallest budget above is below the states Z(6,3) needs
-    deltas, succs = fragment_precedence(standard_cubillage(6, 3))
-    poset = posets.Poset(len(deltas), succs)
-    poset.count_ideals()
-    assert poset.states > 500
+    # the smallest budget above is below the states Z(6,3) needs (295 / 283)
+    for anti in (False, True):
+        deltas, succs = fragment_precedence(standard_cubillage(6, 3, anti))
+        poset = posets.Poset(len(deltas), succs)
+        poset.count_ideals()
+        assert poset.states > 200
 
 
 WRONG_TABLES = [

@@ -376,6 +376,15 @@ def test_property_p_scan_z84(anti):
     assert rep.violations == [] and rep.comb_free is True and rep.ok
 
 
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+def test_property_p_scan_z94(anti):
+    # beyond any walk: ~21,000 memo states, far inside the count's budget
+    rep = property_P_scan(standard_cubillage(9, 4, anti))
+    assert rep.membrane_count == 900_508_869_423_234
+    assert rep.sizes_seen == {130} == {s_formula(9, 2)}
+    assert rep.violations == [] and rep.comb_free is True and rep.ok
+
+
 def test_scan_cap_reports_skip(monkeypatch) -> None:
     # a count past its memo budget leaves the scan undecided, never PASS
     monkeypatch.setattr(posets, "IDEAL_STATE_BUDGET", 50)

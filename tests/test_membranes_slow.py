@@ -4,13 +4,15 @@
 
 The walk visits all 1,406,640 w-membranes of Z(7,3) and all 1,575,598
 e-membranes of Z(7,4); count, sizes and the exact sets of violating
-pairs must agree with the scan that visits none of them.
+pairs must agree with the scan that visits none of them.  Z(10,3), far
+past any walk, pins the scan's own count and sizes.
 """
 
 import pytest
 
 from zonosep.cubillage import standard_cubillage
 from zonosep.membranes import FLAVOR_E, FLAVOR_W, KIND_COMB, KIND_WEAK, scan_membranes
+from zonosep.systems import s_formula
 
 from oracles import reference_scan_membranes
 
@@ -32,3 +34,12 @@ def test_scan_matches_the_walk_at_n7(n, d, flavor, check_combs, count, anti):
     assert {v.pair for v in got.violations if v.kind == KIND_COMB} == want.comb_pairs
     assert got.comb_free == want.comb_free
     assert got.ok
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+def test_membrane_theorem_z103(anti):
+    # beyond any walk: ~150,000 memo states, ~5 s per cubillage
+    rep = scan_membranes(standard_cubillage(10, 3, anti))
+    assert rep.membrane_count == 76_066_025_690_064
+    assert rep.sizes_seen == {56} == {s_formula(10, 1)}
+    assert rep.violations == [] and rep.ok
