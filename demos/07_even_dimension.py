@@ -8,7 +8,6 @@ from zonosep.ground import set_notation
 from zonosep.membranes import (
     FLAVOR_E,
     double_comb_scan,
-    enlarged_fragmentation,
     fragments,
     is_e_membrane,
     membrane_from_ideal,
@@ -38,8 +37,8 @@ t, h = apex_vertices(cube)
 print(f"  (the apexes of {cube.label()} are {set_notation(t)} and {set_notation(h)})")
 print()
 
-enlarged = enlarged_fragmentation(q)
-centers = [delta for delta in enlarged if delta.is_center]
+enlarged = fragments(q, FLAVOR_E)
+centers = [delta for delta in enlarged if delta.center]
 print("Merging each cube's two middle slabs into a center fragment removes")
 print(f"exactly those paths: {len(enlarged)} enlarged fragments, "
       f"{len(centers)} centers.")

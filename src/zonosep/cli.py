@@ -101,12 +101,6 @@ def _emit_json(args, blob: dict) -> None:
         _write(args.json, dump_json(blob), "json")
 
 
-def _build_cubillage(n: int, d: int, anti: bool) -> cb.Cubillage:
-    if anti:
-        return cb.anti_standard_cubillage(n, d)
-    return cb.standard_cubillage(n, d)
-
-
 def _cub_name(n: int, d: int, anti: bool) -> str:
     return f"{'anti-' if anti else ''}Z({n},{d})"
 
@@ -265,7 +259,7 @@ def cmd_zono_sides(args) -> int:
 
 
 def _cub_build_and_validate(args, anti: bool) -> int:
-    q = _build_cubillage(args.n, args.d, anti)
+    q = cb.standard_cubillage(args.n, args.d, anti)
     report = cb.validate_cubillage(q)
     verdict = "PASS" if report.ok else "FAIL"
     print(f"{_cub_name(args.n, args.d, anti)}: {len(q.cubes)} cubes, validator {verdict}")
@@ -299,7 +293,7 @@ def cmd_cub_validate(args) -> int:
 
 
 def cmd_cub_beads(args) -> int:
-    q = _build_cubillage(args.n, args.d, args.anti)
+    q = cb.standard_cubillage(args.n, args.d, args.anti)
     threads = cb.bead_thread_graph(q)
     verdict = "PASS" if threads.ok else "FAIL"
     print(
@@ -335,7 +329,7 @@ def cmd_cub_gamma(args) -> int:
 
 def cmd_membrane_enumerate(args) -> int:
     _reject_cap(args)
-    q = _build_cubillage(args.n, args.d, args.anti)
+    q = cb.standard_cubillage(args.n, args.d, args.anti)
     what = f"{args.flavor}-membranes of {_cub_name(args.n, args.d, args.anti)}"
     if args.flavor == "s":
         census = mb.s_membrane_census(q)
@@ -367,7 +361,7 @@ def cmd_membrane_enumerate(args) -> int:
 
 
 def cmd_membrane_flipwalk(args) -> int:
-    q = _build_cubillage(args.n, args.d, args.anti)
+    q = cb.standard_cubillage(args.n, args.d, args.anti)
     deltas = mb.fragments(q)
     current = mb.base_membrane(q)
     target = mb.rear_boundary_tiles(q)
@@ -415,7 +409,7 @@ def _print_scan_stats(what: str, report: mb.MembraneScanReport) -> None:
 
 def cmd_membrane_scan(args) -> int:
     _reject_cap(args)
-    q = _build_cubillage(args.n, args.d, args.anti)
+    q = cb.standard_cubillage(args.n, args.d, args.anti)
     report = mb.scan_membranes(
         q,
         flavor=args.flavor.upper(),
@@ -503,7 +497,7 @@ def _verdict(ok: bool) -> str:
 
 def cmd_verify_snr(args) -> int:
     all_ok = True
-    for n in range(2, args.nmax + 1):
+    for n in range(2, _exhaustive_n(args.nmax) + 1):
         for r in range(1, n):
             size, _ = max_size(n, PairwisePredicate(KIND_STRONG, r))
             want = s_formula(n, r)
@@ -515,8 +509,9 @@ def cmd_verify_snr(args) -> int:
 
 def cmd_verify_wnr(args) -> int:
     all_ok = True
+    nmax = _exhaustive_n(args.nmax)
     for r in (1, 3):
-        for n in range(r + 1, args.nmax + 1):
+        for n in range(r + 1, nmax + 1):
             size, _ = max_size(n, PairwisePredicate(KIND_WEAK_ODD, r))
             want = s_formula(n, r)
             ok = size == want
@@ -563,16 +558,14 @@ def cmd_verify_acyclicity(args) -> int:
             print(f"precedence on all cubes, n={n} d={d}: {_verdict(ok)}")
     for n, d in STRUCTURAL:
         for anti in (False, True):
-            q = _build_cubillage(n, d, anti)
-            deltas, succs = mb.fragment_precedence(q)
-            ok = is_acyclic(len(deltas), succs)
-            all_ok &= ok
-            print(f"fragment precedence {_cub_name(n, d, anti)}: {_verdict(ok)}")
-            if d % 2 == 0:
-                deltas, succs = mb.enlarged_precedence(q)
+            q = cb.standard_cubillage(n, d, anti)
+            # the enlarged fragmentation exists at even d only
+            flavors = ((mb.FLAVOR_W, "fragment"), (mb.FLAVOR_E, "enlarged"))[: 2 - d % 2]
+            for flavor, what in flavors:
+                deltas, succs = mb.fragment_precedence(q, flavor)
                 ok = is_acyclic(len(deltas), succs)
                 all_ok &= ok
-                print(f"enlarged precedence {_cub_name(n, d, anti)}: {_verdict(ok)}")
+                print(f"{what} precedence {_cub_name(n, d, anti)}: {_verdict(ok)}")
     return 0 if all_ok else 1
 
 
@@ -672,15 +665,6 @@ def _add_nd(parser, dmin: int = 1) -> None:
 def _add_rejected_cap(parser) -> None:
     # parsed only to turn a --cap left over in a script into a one-line usage error
     parser.add_argument("--cap", type=int, default=None, help=argparse.SUPPRESS)
-
-
-def _add_threads(parser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface stability; execution is single-threaded",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -828,13 +812,11 @@ def build_parser() -> argparse.ArgumentParser:
     flips_.add_argument("--r", type=int, required=True)
     flips_.add_argument("--parity", choices=("odd", "even"), default="odd")
     flips_.add_argument("--shard", default=None, metavar="K/M")
-    _add_threads(flips_)
     _add_json(flips_)
     flips_.set_defaults(func=cmd_verify_flips)
     refined = sub.add_parser("refined", help="refined-element dichotomy harness")
     refined.add_argument("--n", type=int, required=True)
     refined.add_argument("--r", type=int, required=True)
-    _add_threads(refined)
     _add_json(refined)
     refined.set_defaults(func=cmd_verify_refined)
     acyclicity = sub.add_parser("acyclicity", help="precedence digraphs are acyclic")
@@ -860,8 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.func(args)
     except fl.FalsificationError as exc:

@@ -27,10 +27,13 @@ orientation.
 
 Cubes are partially ordered by shared facets (rear facet of one equals
 front facet of the next); this precedence is acyclic both on any
-single cubillage and on the set of all cubes on [n].  On top of it
-live the *bead threads* (arcs t_C -> h_C chained into paths across the
-cubillage) and the cube-level membranes, the order ideals of the cube
-precedence, which `membranes.s_membrane_census` counts.
+single cubillage and on the set of all cubes on [n].  The same rule,
+with tiles in place of facets, orders the fragments of a cubillage, and
+`side_precedence` builds both orders from the pieces' two sides.  On
+top of the cube order live the *bead threads* (arcs t_C -> h_C chained
+into paths across the cubillage) and the cube-level membranes, the
+order ideals of the cube precedence, which `membranes.s_membrane_census`
+counts.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .geometry import _dot, normal_vector, veronese, zonotope_sides
 from .ground import check_ground, check_mask, elements, mask_of, set_notation, submasks
@@ -160,12 +163,6 @@ class Cubillage:
     def from_cubes(n: int, d: int, cubes: Sequence[Cube]) -> "Cubillage":
         ordered = tuple(sorted(cubes, key=lambda c: (c.type, c.root)))
         return Cubillage(n=n, d=d, cubes=ordered)
-
-    def cube_of_type(self, typemask: int) -> Cube:
-        for cube in self.cubes:
-            if cube.type == typemask:
-                return cube
-        raise KeyError(f"no cube of type {set_notation(typemask)}")
 
     def vertex_set(self) -> SetSystem:
         verts: set[int] = set()
@@ -384,26 +381,29 @@ def immediately_precedes(first: Cube, second: Cube) -> bool:
     return any((f.root, f.type) in rear for f in front_facets(second))
 
 
-def precedence_digraph(cubes: Sequence[Cube]) -> list[list[int]]:
-    """Successor lists of the shared-facet precedence on the given cubes.
+def side_precedence(
+    fronts: Sequence[Iterable[Hashable]], rears: Sequence[Iterable[Hashable]]
+) -> list[list[int]]:
+    """Arcs i -> j where a rear side piece of i is a front side piece of j.
 
-    Arcs are found by indexing facets, so the cost is linear in the
-    number of cube facets.
+    Pieces i have the front sides fronts[i] and the rear sides rears[i]:
+    facets for cubes, tiles for fragments.  Arcs are found by indexing
+    the front sides, so the cost is linear in the total side size.  The
+    two sides of a piece are disjoint, so a self-arc would show a broken
+    piece as a cycle.
     """
-    front_index: dict[tuple[int, int], list[int]] = {}
-    for idx, cube in enumerate(cubes):
-        for facet in front_facets(cube):
-            front_index.setdefault((facet.root, facet.type), []).append(idx)
-    succs: list[list[int]] = [[] for _ in cubes]
-    for idx, cube in enumerate(cubes):
-        seen: set[int] = set()
-        for facet in rear_facets(cube):
-            for succ in front_index.get((facet.root, facet.type), ()):
-                if succ != idx and succ not in seen:
-                    seen.add(succ)
-                    succs[idx].append(succ)
-        succs[idx].sort()
-    return succs
+    front_index: dict[Hashable, list[int]] = {}
+    for j, front in enumerate(fronts):
+        for piece in front:
+            front_index.setdefault(piece, []).append(j)
+    return [
+        sorted({j for piece in rear for j in front_index.get(piece, ())}) for rear in rears
+    ]
+
+
+def precedence_digraph(cubes: Sequence[Cube]) -> list[list[int]]:
+    """Successor lists of the shared-facet precedence on the given cubes."""
+    return side_precedence([front_facets(c) for c in cubes], [rear_facets(c) for c in cubes])
 
 
 def gamma_graph(n: int, d: int) -> tuple[list[Cube], list[list[int]]]:

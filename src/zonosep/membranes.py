@@ -9,21 +9,22 @@ with vertex sets X + A, |A| = j, and a V-tile is a one-slab slice of a
 cube facet.  Tiles are identified by their vertex sets alone, which
 determine the facet and the slab, so facet sharing is decided exactly.
 
-The ordering of fragments (rear side of one meets the front side of
-the next) is acyclic; its order ideals are in bijection with the
-*w-membranes* of the cubillage.  A membrane is constructed by replay:
-start with the front boundary of Z sliced into slabs and, for each
-fragment of the ideal in topological order, swap its front side for
-its rear side.  Every precondition of every swap is asserted, so a
-defect in the lattice structure surfaces as a hard failure instead of
-a silently wrong tile set.
+Fragments are ordered as cubes are (`cubillage.side_precedence`): the
+rear side of one meets the front side of the next.  The order is
+acyclic; its order ideals are in bijection with the *w-membranes* of
+the cubillage.  A membrane is constructed by replay: start with the
+front boundary of Z sliced into slabs and, for each fragment of the
+ideal in topological order, swap its front side for its rear side.
+Every precondition of every swap is asserted, so a defect in the
+lattice structure surfaces as a hard failure instead of a silently
+wrong tile set.
 
-For even d there is also the *enlarged* fragmentation: the two middle
-slabs of every cube merge into one center piece, the middle horizontal
-section disappearing inside it.  Ideals of the enlarged order give
-*e-membranes*, exactly the w-membranes avoiding all middle H-tiles.
-Scans over all e-membranes check the vertex systems for double
-(d-2)-combs and weak separation violations.
+For even d there is also the *enlarged* fragmentation (flavor E): the
+two middle slabs of every cube merge into one *center* fragment, the
+middle horizontal section disappearing inside it.  Ideals of the
+enlarged order give *e-membranes*, exactly the w-membranes avoiding all
+middle H-tiles.  Scans over all e-membranes check the vertex systems
+for double (d-2)-combs and weak separation violations.
 
 No membrane is visited to count or to check them: tile lifespans turn
 each vertex's multiplicity into its front-boundary count plus the net
@@ -47,12 +48,12 @@ from .cubillage import (
     Cubillage,
     FacetDescriptor,
     front_facets,
-    precedence_digraph,
     rear_facets,
+    side_precedence,
 )
 from .geometry import zonotope_sides
 from .ground import elements, set_notation, submasks
-from .posets import IdealCapExceeded, Poset, digraph_dot, topological_order
+from .posets import IdealCapExceeded, Poset, digraph_dot
 from .separation import is_double_r_comb
 from .systems import (
     SCHEMA,
@@ -119,155 +120,85 @@ def v_tile(facet: FacetDescriptor, slab: int) -> Tile | None:
 
 @dataclass(frozen=True)
 class Fragment:
-    """The h-th slab piece of a cube, between heights |X|+h-1 and |X|+h."""
+    """The h-th slab piece of a cube, between heights |X|+h-1 and |X|+h.
+
+    A center (even d, h = d/2 only) is the piece of the enlarged
+    fragmentation that merges slabs h and h+1; the section between
+    them is interior to it.
+    """
 
     cube: Cube
     h: int
+    center: bool = False
 
     def __post_init__(self) -> None:
-        if not 1 <= self.h <= self.cube.d:
-            raise ValueError(f"slab index {self.h} outside 1..{self.cube.d}")
+        d = self.cube.d
+        if self.center:
+            if d % 2:
+                raise ValueError("center pieces need even cube dimension")
+            if self.h != d // 2:
+                raise ValueError(f"center must merge slabs {d // 2} and {d // 2 + 1}")
+        elif not 1 <= self.h <= d:
+            raise ValueError(f"slab index {self.h} outside 1..{d}")
 
     @property
     def slabs(self) -> tuple[int, ...]:
-        return (self.h,)
+        return (self.h, self.h + 1) if self.center else (self.h,)
 
     def label(self) -> str:
-        return f"{self.cube.label()}#h{self.h}"
+        return f"{self.cube.label()}#h{'+'.join(str(s) for s in self.slabs)}"
 
     def low_height(self) -> int:
         return self.cube.root.bit_count() + self.h - 1
 
     def eps_front(self) -> frozenset[Tile]:
-        return _eps_side(self.cube, (self.h,), front=True)
+        return self._side(front_facets(self.cube), self.h - 1)
 
     def eps_rear(self) -> frozenset[Tile]:
-        return _eps_side(self.cube, (self.h,), front=False)
+        return self._side(rear_facets(self.cube), self.slabs[-1])
+
+    def _side(self, facets: list[FacetDescriptor], lid: int) -> frozenset[Tile]:
+        """V-tiles of the facets at every covered slab, plus the section at
+        local height lid: the floor (front side) or the ceiling (rear side)."""
+        base = self.cube.root.bit_count()
+        tiles = {v_tile(facet, base + h - 1) for h in self.slabs for facet in facets}
+        tiles.add(h_tile(self.cube, lid))
+        tiles.discard(None)
+        return frozenset(tiles)
 
 
-@dataclass(frozen=True)
-class EnlargedFragment:
-    """A fragment of the enlarged fragmentation: one slab, or the merged
-    center covering the two middle slabs of a cube (even d only)."""
+def fragments(q: Cubillage, flavor: str = FLAVOR_W) -> list[Fragment]:
+    """The fragments, cubes in canonical order, slabs ascending.
 
-    cube: Cube
-    slabs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        d = self.cube.d
-        if len(self.slabs) == 1:
-            if not 1 <= self.slabs[0] <= d:
-                raise ValueError(f"slab index {self.slabs[0]} outside 1..{d}")
-        elif len(self.slabs) == 2:
-            if d % 2:
-                raise ValueError("center pieces need even cube dimension")
-            if self.slabs != (d // 2, d // 2 + 1):
-                raise ValueError(f"center must merge slabs {d // 2} and {d // 2 + 1}")
-        else:
-            raise ValueError("a fragment covers one or two slabs")
-
-    @property
-    def is_center(self) -> bool:
-        return len(self.slabs) == 2
-
-    @property
-    def h(self) -> int:
-        return self.slabs[0]
-
-    def label(self) -> str:
-        tag = "+".join(str(s) for s in self.slabs)
-        return f"{self.cube.label()}#h{tag}"
-
-    def low_height(self) -> int:
-        return self.cube.root.bit_count() + self.slabs[0] - 1
-
-    def eps_front(self) -> frozenset[Tile]:
-        return _eps_side(self.cube, self.slabs, front=True)
-
-    def eps_rear(self) -> frozenset[Tile]:
-        return _eps_side(self.cube, self.slabs, front=False)
-
-
-def _eps_side(cube: Cube, slabs: tuple[int, ...], front: bool) -> frozenset[Tile]:
-    """Front or rear side of the piece of a cube covering the given slabs.
-
-    V-tiles of the matching cube facets at every covered slab level,
-    plus the floor section (front side) or ceiling section (rear side);
-    interior sections between merged slabs belong to neither side.
+    Flavor W: all d * C(n, d) slabs.  Flavor E, the enlarged
+    fragmentation (even d only): each cube's two middle slabs merged
+    into its center.
     """
-    facets = front_facets(cube) if front else rear_facets(cube)
-    base = cube.root.bit_count()
-    tiles: set[Tile] = set()
-    for h in slabs:
-        for facet in facets:
-            tile = v_tile(facet, base + h - 1)
-            if tile is not None:
-                tiles.add(tile)
-    cap_height = slabs[0] - 1 if front else slabs[-1]
-    lid = h_tile(cube, cap_height)
-    if lid is not None:
-        tiles.add(lid)
-    return frozenset(tiles)
-
-
-def eps_front(delta: Fragment | EnlargedFragment) -> frozenset[Tile]:
-    return delta.eps_front()
-
-
-def eps_rear(delta: Fragment | EnlargedFragment) -> frozenset[Tile]:
-    return delta.eps_rear()
-
-
-def fragments(q: Cubillage) -> list[Fragment]:
-    """All d * C(n, d) fragments, cubes in canonical order, slabs ascending."""
-    return [Fragment(cube, h) for cube in q.cubes for h in range(1, q.d + 1)]
-
-
-def enlarged_fragmentation(q: Cubillage) -> list[EnlargedFragment]:
-    """Fragments with each cube's two middle slabs merged into a center."""
-    if q.d % 2:
+    merge = flavor == FLAVOR_E
+    if merge and q.d % 2:
         raise ValueError("enlarged fragmentation needs even dimension")
     half = q.d // 2
-    out = []
-    for cube in q.cubes:
-        for h in range(1, q.d + 1):
-            if h == half:
-                out.append(EnlargedFragment(cube, (half, half + 1)))
-            elif h != half + 1:
-                out.append(EnlargedFragment(cube, (h,)))
-    return out
+    return [
+        Fragment(cube, h, merge and h == half)
+        for cube in q.cubes
+        for h in range(1, q.d + 1)
+        if not (merge and h == half + 1)
+    ]
 
 
-def _precedence(deltas: Sequence[Fragment | EnlargedFragment]) -> list[list[int]]:
-    """Arcs i -> j where a rear tile of delta_i is a front tile of delta_j."""
-    front_index: dict[frozenset[int], list[int]] = {}
-    for j, delta in enumerate(deltas):
-        for tile in delta.eps_front():
-            front_index.setdefault(tile.verts, []).append(j)
-    succs: list[list[int]] = [[] for _ in deltas]
-    for i, delta in enumerate(deltas):
-        seen: set[int] = set()
-        for tile in delta.eps_rear():
-            for j in front_index.get(tile.verts, ()):
-                if j != i and j not in seen:
-                    seen.add(j)
-                    succs[i].append(j)
-        succs[i].sort()
-    return succs
-
-
-def fragment_precedence(q: Cubillage) -> tuple[list[Fragment], list[list[int]]]:
-    deltas = fragments(q)
-    return deltas, _precedence(deltas)
-
-
-def enlarged_precedence(q: Cubillage) -> tuple[list[EnlargedFragment], list[list[int]]]:
-    deltas = enlarged_fragmentation(q)
-    return deltas, _precedence(deltas)
+def fragment_precedence(
+    q: Cubillage, flavor: str = FLAVOR_W
+) -> tuple[list[Fragment], list[list[int]]]:
+    """The fragments of the flavor, and arcs i -> j where a rear tile of
+    fragment i is a front tile of fragment j."""
+    deltas = fragments(q, flavor)
+    fronts = [delta.eps_front() for delta in deltas]
+    rears = [delta.eps_rear() for delta in deltas]
+    return deltas, side_precedence(fronts, rears)
 
 
 def precedence_to_dot(
-    deltas: Sequence[Fragment | EnlargedFragment],
+    deltas: Sequence[Fragment],
     succs: Sequence[Sequence[int]],
     name: str = "fragments",
 ) -> str:
@@ -336,7 +267,7 @@ def rear_boundary_tiles(q: Cubillage) -> frozenset[Tile]:
     return frozenset(_slice_boundary(sides.rear_facets))
 
 
-def raising_flip(m: Membrane, delta: Fragment | EnlargedFragment) -> Membrane:
+def raising_flip(m: Membrane, delta: Fragment) -> Membrane:
     """Swap the front side of the fragment for its rear side."""
     if delta in m.ideal:
         raise ValueError(f"{delta.label()} already behind the membrane")
@@ -362,7 +293,7 @@ def raising_flip(m: Membrane, delta: Fragment | EnlargedFragment) -> Membrane:
     )
 
 
-def lowering_flip(m: Membrane, delta: Fragment | EnlargedFragment) -> Membrane:
+def lowering_flip(m: Membrane, delta: Fragment) -> Membrane:
     """Inverse of the raising flip at the same fragment."""
     if delta not in m.ideal:
         raise ValueError(f"{delta.label()} not behind the membrane")
@@ -379,54 +310,42 @@ def lowering_flip(m: Membrane, delta: Fragment | EnlargedFragment) -> Membrane:
     )
 
 
-def _check_ideal(
-    deltas: Sequence[Fragment | EnlargedFragment],
-    succs: Sequence[Sequence[int]],
-    chosen: set[int],
-) -> None:
-    preds: list[list[int]] = [[] for _ in deltas]
-    for i, out in enumerate(succs):
-        for j in out:
-            preds[j].append(i)
-    for j in chosen:
-        for i in preds[j]:
-            if i not in chosen:
-                raise ValueError(
-                    f"not an ideal: {deltas[j].label()} lacks {deltas[i].label()}"
-                )
-
-
 def membrane_from_ideal(
     q: Cubillage,
-    ideal: Iterable[Fragment | EnlargedFragment],
+    ideal: Iterable[Fragment],
     flavor: str = FLAVOR_W,
 ) -> Membrane:
     """Replay one raising flip per ideal element, in topological order."""
-    if flavor == FLAVOR_E:
-        deltas, succs = enlarged_precedence(q)
-    else:
-        deltas, succs = fragment_precedence(q)
+    deltas, succs = fragment_precedence(q, flavor)
     index = {delta: i for i, delta in enumerate(deltas)}
     chosen = set()
     for delta in ideal:
         if delta not in index:
             raise ValueError(f"{delta.label()} is not a fragment of this cubillage")
         chosen.add(index[delta])
-    return _replay(base_membrane(q, flavor=flavor), deltas, succs, chosen)
+    return _replay(base_membrane(q, flavor=flavor), deltas, Poset(len(deltas), succs), chosen)
 
 
 def _replay(
     base: Membrane,
-    deltas: Sequence[Fragment | EnlargedFragment],
-    succs: Sequence[Sequence[int]],
+    deltas: Sequence[Fragment],
+    poset: Poset,
     chosen: set[int],
 ) -> Membrane:
-    """Raise the base membrane by the chosen fragments, in topological order."""
-    _check_ideal(deltas, succs, chosen)
-    order = topological_order(len(deltas), succs)
+    """Raise the base membrane by the chosen fragments, in topological order.
+
+    Each chosen fragment needs its whole down-set chosen too.
+    """
+    held = sum(1 << pos for pos, i in enumerate(poset.topo) if i in chosen)
     m = base
-    for i in order:
-        if i in chosen:
+    for pos, i in enumerate(poset.topo):
+        if held >> pos & 1:
+            lacking = poset.down[pos] & ~held
+            if lacking:
+                raise ValueError(
+                    f"not an ideal: {deltas[i].label()} lacks "
+                    f"{deltas[poset.nodes(lacking)[0]].label()}"
+                )
             m = raising_flip(m, deltas[i])
     return m
 
@@ -587,7 +506,7 @@ class MembraneCensus:
     sizes: set[int] = field(default_factory=set)
     undecided: str | None = None
     stats: dict = field(default_factory=dict)
-    deltas: Sequence[Fragment | EnlargedFragment] = ()
+    deltas: Sequence[Fragment] = ()
     succs: Sequence[Sequence[int]] = ()
     poset: Poset | None = None
     base: Membrane | None = None
@@ -604,10 +523,10 @@ def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:
     """
     clock = time.perf_counter
     started = clock()
-    if flavor == FLAVOR_E:
-        deltas, succs = enlarged_precedence(q)
-    else:
-        deltas, succs = fragment_precedence(q)
+    deltas = fragments(q, flavor)
+    fronts = [delta.eps_front() for delta in deltas]
+    rears = [delta.eps_rear() for delta in deltas]
+    succs = side_precedence(fronts, rears)
     poset = Poset(len(deltas), succs)
     census = MembraneCensus(deltas=deltas, succs=succs, poset=poset)
     stats = census.stats
@@ -616,8 +535,6 @@ def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:
 
     started = clock()
     census.base = base = base_membrane(q, flavor=flavor)
-    fronts = [delta.eps_front() for delta in deltas]
-    rears = [delta.eps_rear() for delta in deltas]
     _check_lifespans(base.tiles, deltas, fronts, rears)
     nets = [_net_changes(front, rear) for front, rear in zip(fronts, rears)]
     intervals = _presence_intervals(poset, _multiplicities(base.tiles), nets)
@@ -666,7 +583,7 @@ def s_membrane_census(q: Cubillage) -> MembraneCensus:
     _check_lifespans(base, q.cubes, fronts, rears, what="facet")
     census = MembraneCensus()
     try:
-        census.count = Poset(len(q.cubes), precedence_digraph(q.cubes)).count_ideals()
+        census.count = Poset(len(q.cubes), side_precedence(fronts, rears)).count_ideals()
     except IdealCapExceeded as exc:
         census.undecided = str(exc)
     return census
@@ -746,9 +663,7 @@ def scan_membranes(
         tested += count
         for u, v, witness in pairs:
             report.violations.append(
-                _replayed(
-                    census.base, deltas, census.succs, kind, r, u, v, poset.nodes(witness)
-                )
+                _replayed(census.base, deltas, poset, kind, r, u, v, poset.nodes(witness))
             )
         if kind == KIND_COMB:
             report.comb_free = not pairs
@@ -768,7 +683,7 @@ def _multiplicities(tiles: Iterable[Tile]) -> dict[int, int]:
 
 def _check_lifespans(
     base: frozenset,
-    pieces: Sequence[Fragment | EnlargedFragment | Cube],
+    pieces: Sequence[Fragment | Cube],
     fronts: Sequence[frozenset],
     rears: Sequence[frozenset],
     what: str = "tile",
@@ -914,8 +829,8 @@ def _coexisting_pairs(
 
 def _replayed(
     base: Membrane,
-    deltas: Sequence[Fragment | EnlargedFragment],
-    succs: Sequence[Sequence[int]],
+    deltas: Sequence[Fragment],
+    poset: Poset,
     kind: str,
     r: int,
     u: int,
@@ -928,7 +843,7 @@ def _replayed(
     plain predicates, independently of the tables and intervals.
     """
     try:
-        verts = _replay(base, deltas, succs, set(witness)).vertex_masks()
+        verts = _replay(base, deltas, poset, set(witness)).vertex_masks()
     except ValueError as exc:
         raise MembraneInvariantError(f"witness replay failed: {exc}") from exc
     if kind == KIND_WEAK:

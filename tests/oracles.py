@@ -493,24 +493,23 @@ def w_membranes(q, cap=None, visit=None):
 
     With `visit`, each membrane goes to it instead of into the list.
     """
-    from zonosep.membranes import FLAVOR_W, fragment_precedence
+    from zonosep.membranes import FLAVOR_W
 
-    deltas, succs = fragment_precedence(q)
-    return _collect_membranes(q, deltas, succs, FLAVOR_W, cap, visit)
+    return _collect_membranes(q, FLAVOR_W, cap, visit)
 
 
 def e_membranes(q, cap=None, visit=None):
     """All e-membranes, one per ideal of the enlarged precedence."""
-    from zonosep.membranes import FLAVOR_E, enlarged_precedence
+    from zonosep.membranes import FLAVOR_E
 
-    deltas, succs = enlarged_precedence(q)
-    return _collect_membranes(q, deltas, succs, FLAVOR_E, cap, visit)
+    return _collect_membranes(q, FLAVOR_E, cap, visit)
 
 
-def _collect_membranes(q, deltas, succs, flavor, cap, visit=None):
-    from zonosep.membranes import Membrane, base_membrane
+def _collect_membranes(q, flavor, cap, visit=None):
+    from zonosep.membranes import Membrane, base_membrane, fragment_precedence
     from zonosep.posets import scan_ideals
 
+    deltas, succs = fragment_precedence(q, flavor)
     tiles = set(base_membrane(q, flavor=flavor).tiles)
     fronts = [delta.eps_front() for delta in deltas]
     rears = [delta.eps_rear() for delta in deltas]
@@ -536,6 +535,17 @@ def _collect_membranes(q, deltas, succs, flavor, cap, visit=None):
 
     scan_ideals(len(deltas), succs, visit=snapshot, enter=enter, leave=leave, cap=cap)
     return out
+
+
+def pairwise_fragment_precedence(deltas):
+    """Arcs i -> j, i != j, where the rear side of fragment i meets the
+    front side of fragment j, tested pair by pair."""
+    fronts = [delta.eps_front() for delta in deltas]
+    rears = [delta.eps_rear() for delta in deltas]
+    return [
+        [j for j, front in enumerate(fronts) if j != i and rear & front]
+        for i, rear in enumerate(rears)
+    ]
 
 
 @dataclass(frozen=True)
@@ -629,21 +639,11 @@ def reference_scan_membranes(
     `incompat` overrides the rows of the pairs counted as violations
     (default: not weakly r-separated).
     """
-    from zonosep.membranes import (
-        FLAVOR_E,
-        Tile,
-        _comb_rows,
-        base_membrane,
-        enlarged_precedence,
-        fragment_precedence,
-    )
+    from zonosep.membranes import Tile, _comb_rows, base_membrane, fragment_precedence
     from zonosep.posets import IdealCapExceeded
     from zonosep.systems import complement_table, weak
 
-    if flavor == FLAVOR_E:
-        deltas, succs = enlarged_precedence(q)
-    else:
-        deltas, succs = fragment_precedence(q)
+    deltas, succs = fragment_precedence(q, flavor)
     if r is None:
         r = q.d - 2
     report = ReferenceScan()

@@ -34,7 +34,7 @@ from zonosep.flips import (
 from zonosep.geometry import boundary_vertices
 from zonosep.ground import elements, interlacing_degree, mask_of
 from zonosep.membranes import (
-    enlarged_precedence,
+    FLAVOR_E,
     fragment_precedence,
     property_P_scan,
     scan_membranes,
@@ -129,7 +129,7 @@ def test_criterion_05_precedence_acyclic():
             deltas, succs = fragment_precedence(q)
             assert is_acyclic(len(deltas), succs)
             if d % 2 == 0:
-                deltas, succs = enlarged_precedence(q)
+                deltas, succs = fragment_precedence(q, FLAVOR_E)
                 assert is_acyclic(len(deltas), succs)
     print("criterion 05 precedence digraphs acyclic: PASS")
 

@@ -307,6 +307,15 @@ def test_verify_wnr(capsys):
     assert "weak n=4 r=3: max 16, bound 16, PASS" in out
 
 
+def test_verify_sizes_beyond_the_bound_fail_before_searching(capsys):
+    # the bound is checked up front, so no PASS line precedes the error
+    for command in ("snr", "wnr"):
+        code, out, err = run(capsys, "verify", command, "--nmax", "8")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "exceeds 7," in err
+
+
 def test_verify_flips_odd_and_even(capsys):
     code, out, _ = run(capsys, "verify", "flips", "--n", "4", "--r", "1")
     assert code == 0
@@ -574,11 +583,15 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "flips", "--n", "4", "--r", "1", "--threads", "0"])
     assert exc.value.code == 2
-    capsys.readouterr()
-    # --threads is offered only where a later change may honour it
-    for command in ("snr", "wnr", "acyclicity", "membranes", "nonpurity"):
+    assert "unrecognized arguments: --threads 0" in capsys.readouterr().err
+    # no command accepts a --threads it would ignore
+    sized = ("--n", "4", "--r", "1")
+    for command in (
+        ("snr",), ("wnr",), ("acyclicity",), ("membranes",), ("nonpurity",),
+        ("flips", *sized), ("refined", *sized),
+    ):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", command, "--threads", "2"])
+            main(["verify", *command, "--threads", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
@@ -598,14 +611,8 @@ def test_usage_errors(capsys):
 def test_output_is_deterministic(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    code_a, out_a, _ = run(
-        capsys, "verify", "flips", "--n", "4", "--r", "1", "--threads", "1",
-        "--json", str(a),
-    )
-    code_b, out_b, _ = run(
-        capsys, "verify", "flips", "--n", "4", "--r", "1", "--threads", "7",
-        "--json", str(b),
-    )
+    code_a, out_a, _ = run(capsys, "verify", "flips", "--n", "4", "--r", "1", "--json", str(a))
+    code_b, out_b, _ = run(capsys, "verify", "flips", "--n", "4", "--r", "1", "--json", str(b))
     assert code_a == code_b == 0
     assert out_a.replace(str(a), "") == out_b.replace(str(b), "")
     assert a.read_bytes() == b.read_bytes()

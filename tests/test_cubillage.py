@@ -177,6 +177,18 @@ def test_immediate_precedence_example() -> None:
     assert not immediately_precedes(second, first)
 
 
+def test_precedence_digraph_matches_pairwise_definition() -> None:
+    # the indexed arcs on all cubes are the pairs sharing a rear/front facet
+    for n in range(1, 6):
+        for d in range(1, n + 1):
+            cubes = all_cubes(n, d)
+            want = [
+                [j for j, second in enumerate(cubes) if j != i and immediately_precedes(first, second)]
+                for i, first in enumerate(cubes)
+            ]
+            assert precedence_digraph(cubes) == want, (n, d)
+
+
 def test_precedence_digraph_z43_is_a_chain() -> None:
     q = standard_cubillage(4, 3)
     succs = precedence_digraph(q.cubes)

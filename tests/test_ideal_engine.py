@@ -22,7 +22,6 @@ from zonosep.membranes import (
     KIND_COMB,
     KIND_WEAK,
     MembraneInvariantError,
-    enlarged_precedence,
     fragment_precedence,
     membrane_from_ideal,
     scan_membranes,
@@ -63,7 +62,7 @@ def _precedences(n, d, anti):
     yield "fragment", fragment_precedence(q)[1]
     yield "cube", precedence_digraph(q.cubes)
     if d % 2 == 0:
-        yield "enlarged", enlarged_precedence(q)[1]
+        yield "enlarged", fragment_precedence(q, FLAVOR_E)[1]
 
 
 @pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
@@ -160,12 +159,14 @@ def test_count_matches_middle_split_on_small_posets():
 
 @pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
 @pytest.mark.parametrize(
-    "n, d, precedence", [(8, 3, fragment_precedence), (8, 4, enlarged_precedence)]
+    "n, d, flavor",
+    [(8, 3, FLAVOR_W), (8, 4, FLAVOR_E)],
+    ids=["8-3-fragment_precedence", "8-4-enlarged_precedence"],
 )
-def test_product_split_needs_fewer_states_at_n8(n, d, precedence, anti):
+def test_product_split_needs_fewer_states_at_n8(n, d, flavor, anti):
     # Z(8,3) w: 4,517 / 4,529 states against 30,575 / 15,862;
     # Z(8,4) e: 2,476 / 2,514 against 65,490 / 64,321
-    got, want = _split_states(precedence(standard_cubillage(n, d, anti))[1])
+    got, want = _split_states(fragment_precedence(standard_cubillage(n, d, anti), flavor)[1])
     assert 3 * got < want
 
 
@@ -318,11 +319,9 @@ def test_negative_multiplicity_is_an_internal_error(monkeypatch):
 def test_tile_born_twice_is_an_internal_error(monkeypatch):
     # give two fragments the same rear side
     q = standard_cubillage(4, 3)
-    deltas, succs = fragment_precedence(q)
+    deltas = mb.fragments(q)
     twin = deltas[1]
-    monkeypatch.setattr(
-        mb, "fragment_precedence", lambda _q: ([twin] + deltas[1:], succs)
-    )
+    monkeypatch.setattr(mb, "fragments", lambda _q, flavor=FLAVOR_W: [twin] + deltas[1:])
     with pytest.raises(MembraneInvariantError, match="born at both"):
         scan_membranes(q)
 

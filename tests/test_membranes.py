@@ -13,15 +13,12 @@ from zonosep.ground import mask_of
 import zonosep.membranes as mb
 import zonosep.posets as posets
 from zonosep.membranes import (
-    EnlargedFragment,
+    FLAVOR_E,
+    FLAVOR_W,
     Fragment,
     Membrane,
     base_membrane,
     double_comb_scan,
-    enlarged_fragmentation,
-    enlarged_precedence,
-    eps_front,
-    eps_rear,
     fragment_precedence,
     fragments,
     h_tile,
@@ -41,7 +38,7 @@ from zonosep.systems import SetSystem, s_formula, weak
 
 import pytest
 
-from oracles import count_ideals_bfs, e_membranes, w_membranes
+from oracles import count_ideals_bfs, e_membranes, pairwise_fragment_precedence, w_membranes
 
 
 def m(*elems: int) -> int:
@@ -56,7 +53,7 @@ def test_tile_identity_determines_shape() -> None:
     for n, d in [(4, 3), (5, 4)]:
         q = standard_cubillage(n, d)
         for fr in fragments(q):
-            for tile in eps_front(fr) | eps_rear(fr):
+            for tile in fr.eps_front() | fr.eps_rear():
                 sizes = {v.bit_count() for v in tile.verts}
                 want_kind = "H" if len(sizes) == 1 else "V"
                 assert tile.kind == want_kind
@@ -86,17 +83,17 @@ def test_bottom_fragment_has_no_floor() -> None:
     # the floor of the first slab degenerates to the root point
     c = Cube(0, m(1, 2, 3))
     fr = Fragment(c, 1)
-    assert all(tile.kind == "V" for tile in eps_front(fr))
-    assert any(tile.kind == "H" for tile in eps_rear(fr))
+    assert all(tile.kind == "V" for tile in fr.eps_front())
+    assert any(tile.kind == "H" for tile in fr.eps_rear())
     top = Fragment(c, 3)
-    assert all(tile.kind == "V" for tile in eps_rear(top))
+    assert all(tile.kind == "V" for tile in top.eps_rear())
 
 
 def test_eps_sides_partition_fragment_boundary() -> None:
     for n, d in [(4, 2), (4, 3), (5, 4), (5, 5)]:
         q = standard_cubillage(n, d)
         for fr in fragments(q):
-            front, rear = eps_front(fr), eps_rear(fr)
+            front, rear = fr.eps_front(), fr.eps_rear()
             assert not front & rear
             direct = set()
             base = fr.cube.root.bit_count()
@@ -233,7 +230,7 @@ def _flippable(q, mem: Membrane):
     for fr in fragments(q):
         if fr in mem.ideal:
             continue
-        if eps_front(fr) <= mem.tiles and not (eps_rear(fr) & mem.tiles):
+        if fr.eps_front() <= mem.tiles and not (fr.eps_rear() & mem.tiles):
             out.append(fr)
     return out
 
@@ -253,25 +250,50 @@ def test_lattice_laws_meet_join() -> None:
 
 def test_enlarged_fragmentation_z44() -> None:
     q = standard_cubillage(4, 4)
-    en = enlarged_fragmentation(q)
+    en = fragments(q, FLAVOR_E)
     assert [delta.label() for delta in en] == [
         "{}|{1,2,3,4}#h1",
         "{}|{1,2,3,4}#h2+3",
         "{}|{1,2,3,4}#h4",
     ]
     center = en[1]
-    assert center.is_center
+    assert center.center
+    assert center.slabs == (2, 3) and en[0].slabs == (1,)
     # the middle section is interior to the center: on neither side
     middle = h_tile(q.cubes[0], 2)
-    assert middle not in eps_front(center)
-    assert middle not in eps_rear(center)
+    assert middle not in center.eps_front()
+    assert middle not in center.eps_rear()
 
     with pytest.raises(ValueError):
-        enlarged_fragmentation(standard_cubillage(4, 3))
-    with pytest.raises(ValueError):
-        EnlargedFragment(q.cubes[0], (1, 2))
-    with pytest.raises(ValueError):
-        EnlargedFragment(Cube(0, m(1, 2, 3)), (1, 2))
+        fragments(standard_cubillage(4, 3), FLAVOR_E)
+    for h in (1, 3, 4):
+        with pytest.raises(ValueError, match="center must merge slabs 2 and 3"):
+            Fragment(q.cubes[0], h, center=True)
+    with pytest.raises(ValueError, match="even cube dimension"):
+        Fragment(Cube(0, m(1, 2, 3)), 1, center=True)
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+def test_fragment_precedence_matches_pairwise_oracle(anti) -> None:
+    for n in range(2, 7):
+        for d in range(2, n + 1):
+            q = standard_cubillage(n, d, anti)
+            for flavor in (FLAVOR_W, FLAVOR_E) if d % 2 == 0 else (FLAVOR_W,):
+                deltas, succs = fragment_precedence(q, flavor)
+                assert succs == pairwise_fragment_precedence(deltas), (n, d, flavor)
+
+
+def test_e_membrane_from_plain_fragments() -> None:
+    # the slabs outside the middle are the same fragments in both flavors
+    q = standard_cubillage(4, 4)
+    h1, h2, _h3, h4 = fragments(q)
+    center = Fragment(q.cubes[0], 2, center=True)
+    low = membrane_from_ideal(q, [h1], FLAVOR_E)
+    assert low.flavor == FLAVOR_E and is_e_membrane(q, low)
+    full = membrane_from_ideal(q, [h1, center, h4], FLAVOR_E)
+    assert full.tiles == rear_boundary_tiles(q)
+    with pytest.raises(ValueError, match="not a fragment"):
+        membrane_from_ideal(q, [h1, h2], FLAVOR_E)
 
 
 def test_e_membranes_are_middle_avoiding_w_membranes() -> None:
@@ -295,7 +317,7 @@ def test_e_membranes_are_middle_avoiding_w_membranes() -> None:
 
 def test_e_flip_swaps_apexes() -> None:
     q = standard_cubillage(4, 4)
-    deltas, _succs = enlarged_precedence(q)
+    deltas, _succs = fragment_precedence(q, FLAVOR_E)
     first, center = deltas[0], deltas[1]
     mem = raising_flip(base_membrane(q, flavor="E"), first)
     before = mem.vertex_masks()
