@@ -24,7 +24,7 @@ from . import flips as fl
 from . import membranes as mb
 from .geometry import boundary_vertices, zonotope_sides
 from .ground import elements, interval_cortege, mask_of, set_notation
-from .posets import is_acyclic
+from .posets import CycleError, is_acyclic
 from .separation import is_strongly_r_separated, is_weakly_r_separated
 from .systems import (
     DEFAULT_EXHAUSTIVE_BOUND,
@@ -847,7 +847,7 @@ def main(argv: list[str] | None = None) -> int:
     except fl.FalsificationError as exc:
         print(f"FALSIFICATION: {exc}", file=sys.stderr)
         return 1
-    except mb.MembraneInvariantError as exc:
+    except (mb.MembraneInvariantError, CycleError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     except (UsageError, ValueError, OSError) as exc:

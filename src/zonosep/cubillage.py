@@ -43,7 +43,7 @@ from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable, Sequence
 
-from .geometry import _dot, normal_vector, veronese, zonotope_sides
+from .geometry import side_roots, veronese, zonotope_sides
 from .ground import check_ground, check_mask, elements, mask_of, set_notation, submasks
 from .posets import digraph_dot, is_acyclic
 from .separation import is_strongly_r_separated
@@ -197,10 +197,10 @@ class Cubillage:
 def standard_cubillage(n: int, d: int, anti: bool = False) -> Cubillage:
     """Cut the standard (or anti-standard) cubillage of Z(n, d) by normals.
 
-    For each d-element type T, the hyperplane normal through the
-    corresponding generators one dimension up is oriented with negative
-    (standard) or positive (anti-standard) last coordinate; the root
-    collects the remaining generators with positive product against it.
+    For each d-element type T, the hyperplane through the corresponding
+    generators one dimension up splits the others (geometry.side_roots);
+    the root is the positive side (standard) or the negative side
+    (anti-standard) of the normal with negative last coordinate.
     """
     check_ground(n)
     if not 2 <= d <= n:
@@ -211,22 +211,7 @@ def standard_cubillage(n: int, d: int, anti: bool = False) -> Cubillage:
     cubes = []
     for combo in combinations(range(1, n + 1), d):
         typemask = mask_of(combo, n)
-        normal = normal_vector(config, typemask)
-        if normal[-1] == 0:
-            raise ArithmeticError("type normal with zero last coordinate")
-        want_positive_last = anti
-        if (normal[-1] > 0) != want_positive_last:
-            normal = tuple(-x for x in normal)
-        root = 0
-        for i in range(1, n + 1):
-            if typemask >> (i - 1) & 1:
-                continue
-            value = _dot(normal, config.column(i))
-            if value == 0:
-                raise ArithmeticError("generator on a cube hyperplane")
-            if value > 0:
-                root |= 1 << (i - 1)
-        cubes.append(Cube(root, typemask))
+        cubes.append(Cube(side_roots(config, typemask)[anti], typemask))
     return Cubillage.from_cubes(n, d, cubes)
 
 

@@ -33,8 +33,11 @@ are exactly
 and dually for the down clause, so every Y is judged by a handful of
 big-integer operations per site.  The cortege, shape and double-comb
 tests run only on the bits of those candidate sets, and `checks` still
-counts every (site, Y) pair judged, 2^n - 2 per site.  The table is
-capped at n = RELATION_TABLE_CAP, checked before any site is visited.
+counts every (site, Y) pair judged, 2^n - 2 per site.  One helper,
+_harness, opens every run: it checks n against RELATION_TABLE_CAP
+before any site or table, then r, builds the report, and keeps the
+sites of the shard.  Shard k/m keeps sites k, k+m, k+2m, ... of the
+canonical site order, so the m shards of a run partition its sites.
 
 apply_flip performs the XP <-> XQ swap on an actual collection after
 verifying membership and witnesses, then re-checks the weak separation
@@ -48,7 +51,8 @@ error instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
+from typing import Callable, Iterator
 
 from .ground import (
     SIDE_A,
@@ -329,26 +333,41 @@ class HarnessReport:
         }
 
 
-def _shard_filter(shard: tuple[int, int] | None):
-    if shard is None:
-        return lambda idx: True
-    k, m = shard
-    if not 0 <= k < m:
-        raise ValueError(f"shard index {k} outside 0..{m - 1}")
-    return lambda idx: idx % m == k
-
-
 def _bad_rows(n: int, r: int) -> list[int]:
     """Row v: the sets Y != v with {Y, v} not weakly r-separated."""
     return complement_table(n, weak(r))
 
 
-def _cover(bad: list[int], x: int, pool: set[int]) -> int:
-    """The sets Y with {Y, XS} bad for some S in the pool."""
-    cover = 0
+def _harness(
+    name: str,
+    n: int,
+    r: int,
+    shard: tuple[int, int] | None,
+    site_order: Callable[[int, int], Iterator[FlipSite]],
+) -> tuple[HarnessReport, Iterator[FlipSite], list[int]]:
+    """The report, the sites of the shard and the bad rows of one run.
+
+    The ground size is checked before any site or table, then r by the
+    site order.  Shard (k, m) keeps sites k, k + m, ... of that order.
+    """
+    check_table_ground(n)
+    sites = site_order(n, r)
+    report = HarnessReport(name=name, n=n, r=r)
+    if shard is not None:
+        k, m = shard
+        if not 0 <= k < m:
+            raise ValueError(f"shard index {k} outside 0..{m - 1}")
+        report.shard = f"{k}/{m}"
+        sites = islice(sites, k, None, m)
+    return report, sites, _bad_rows(n, r)
+
+
+def _unwitnessed(bad: list[int], site: FlipSite, lead: int, pool: set[int]) -> int:
+    """The Y other than XP, XQ with {Y, lead} bad and every {Y, XS} good, S in pool."""
+    cover = 1 << site.xp | 1 << site.xq
     for s in pool:
-        cover |= bad[x | s]
-    return cover
+        cover |= bad[site.x | s]
+    return bad[lead] & ~cover
 
 
 def verify_flip_theorem_odd(
@@ -359,24 +378,12 @@ def verify_flip_theorem_odd(
     Y ranges over all subsets, intersections with X included; nothing
     is normalized away.
     """
-    check_table_ground(n)  # before any site or table
-    sites = odd_sites(n, r)
-    keep = _shard_filter(shard)
-    report = HarnessReport(
-        name="flip_theorem_odd",
-        n=n,
-        r=r,
-        shard=None if shard is None else f"{shard[0]}/{shard[1]}",
-    )
-    bad = _bad_rows(n, r)
-    for idx, site in enumerate(sites):
-        if not keep(idx):
-            continue
+    report, sites, bad = _harness("flip_theorem_odd", n, r, shard, odd_sites)
+    for site in sites:
         report.sites += 1
         report.checks += (1 << n) - 2
-        pair = 1 << site.xp | 1 << site.xq
-        up = bad[site.xp] & ~_cover(bad, site.x, _up(site)) & ~pair
-        down = bad[site.xq] & ~_cover(bad, site.x, _down(site)) & ~pair
+        up = _unwitnessed(bad, site, site.xp, _up(site))
+        down = _unwitnessed(bad, site, site.xq, _down(site))
         for e in iter_elements(up | down):
             y = e - 1  # bit y of a row stands for the set y
             for clause, failed in (("up", up), ("down", down)):
@@ -402,22 +409,10 @@ def verify_refined_lemma(
 ) -> HarnessReport:
     """Bad {Y, XP} with all N_up witnesses good forces singleton bricks:
     every element of P on the XP side, or every element of Q on the Y side."""
-    check_table_ground(n)  # before any site or table
-    sites = odd_sites(n, r)
-    keep = _shard_filter(shard)
-    report = HarnessReport(
-        name="refined_lemma",
-        n=n,
-        r=r,
-        shard=None if shard is None else f"{shard[0]}/{shard[1]}",
-    )
-    bad = _bad_rows(n, r)
-    for idx, site in enumerate(sites):
-        if not keep(idx):
-            continue
+    report, sites, bad = _harness("refined_lemma", n, r, shard, odd_sites)
+    for site in sites:
         report.sites += 1
-        pair = 1 << site.xp | 1 << site.xq
-        triggered = bad[site.xp] & ~_cover(bad, site.x, _up(site)) & ~pair
+        triggered = _unwitnessed(bad, site, site.xp, _up(site))
         report.checks += triggered.bit_count()
         for e in iter_elements(triggered):
             y = e - 1
@@ -499,26 +494,12 @@ def verify_local_neighb_even(
     confirmed to trigger.  Cases of interlacing degree above r+2 are
     counted but not judged.
     """
-    check_table_ground(n)  # before any site or table
-    sites = even_sites(n, r)
-    keep = _shard_filter(shard)
-    report = HarnessReport(
-        name="local_neighb_even",
-        n=n,
-        r=r,
-        shard=None if shard is None else f"{shard[0]}/{shard[1]}",
-    )
-    bad = _bad_rows(n, r)
-    for idx, site in enumerate(sites):
-        if not keep(idx):
-            continue
+    report, sites, bad = _harness("local_neighb_even", n, r, shard, even_sites)
+    for site in sites:
         report.sites += 1
         report.checks += (1 << n) - 2
-        pair = 1 << site.xp | 1 << site.xq
-        cover_up = _cover(bad, site.x, _up(site))
-        cover_down = _cover(bad, site.x, _down(site))
-        up = bad[site.xp] & ~cover_up & ~pair
-        down = bad[site.xq] & ~cover_down & ~pair
+        up = _unwitnessed(bad, site, site.xp, _up(site))
+        down = _unwitnessed(bad, site, site.xq, _down(site))
         for e in iter_elements(up | down):
             y = e - 1
             for failed, lead, judge in (
@@ -533,7 +514,8 @@ def verify_local_neighb_even(
                 found = judge(site, y, r)
                 if found is not None:
                     report.counterexamples.append(found)
-        # constructed instances must trigger the hypotheses
+        # constructed instances must trigger the hypotheses; they are
+        # never XP or XQ, so the unwitnessed sets judge them exactly
         p1 = elements(site.p)[0]
         xpq = site.x | site.p | site.q
         for a in range(p1 + 1, n + 1):
@@ -542,7 +524,7 @@ def verify_local_neighb_even(
                 continue
             y = site.xq | bit
             report.checks += 1
-            if not bad[site.xp] >> y & 1 or cover_up >> y & 1:
+            if not up >> y & 1:
                 report.counterexamples.append(
                     {"site": site.to_json(), "y": elements(y), "clause": "converse-up"}
                 )
@@ -551,7 +533,7 @@ def verify_local_neighb_even(
                 continue
             y = site.xp & ~(1 << (b - 1))
             report.checks += 1
-            if not bad[site.xq] >> y & 1 or cover_down >> y & 1:
+            if not down >> y & 1:
                 report.counterexamples.append(
                     {"site": site.to_json(), "y": elements(y), "clause": "converse-down"}
                 )

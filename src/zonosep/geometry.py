@@ -174,6 +174,33 @@ def _dot(u: Vector, v: Vector) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+def side_roots(config: CyclicConfiguration, typemask: int) -> tuple[int, int]:
+    """The generators off the span of the type, split by the oriented normal.
+
+    The normal is oriented to a negative last coordinate; the first root
+    collects the generators with positive product against it, the
+    second those with negative product.  Raises ArithmeticError on a
+    zero last coordinate or a generator on the span (not cyclic).
+    """
+    normal = normal_vector(config, typemask)
+    if normal[-1] == 0:
+        raise ArithmeticError("normal with zero last coordinate")
+    if normal[-1] > 0:
+        normal = tuple(-x for x in normal)
+    positive_root = negative_root = 0
+    for i in range(1, config.n + 1):
+        if typemask >> (i - 1) & 1:
+            continue
+        value = _dot(normal, config.column(i))
+        if value == 0:
+            raise ArithmeticError("generator on the span of a type: not cyclic")
+        if value > 0:
+            positive_root |= 1 << (i - 1)
+        else:
+            negative_root |= 1 << (i - 1)
+    return positive_root, negative_root
+
+
 def boundary_vertices(n: int, d: int) -> SetSystem:
     """All subsets of [n] spanning vertices of Z(n, d), canonically ordered.
 
@@ -243,25 +270,9 @@ def zonotope_sides(n: int, d: int) -> ZonotopeSides:
     rear_verts: set[int] = set()
     for combo in combinations(range(1, n + 1), d - 1):
         typemask = mask_of(combo, n)
-        normal = normal_vector(config, typemask)
-        if normal[-1] == 0:
-            raise ArithmeticError("facet normal with zero last coordinate")
-        if normal[-1] > 0:
-            normal = tuple(-x for x in normal)
-        # with the outward normal pointing frontward, the root collects
-        # the generators on the positive side
-        front_root = 0
-        rear_root = 0
-        for i in range(1, n + 1):
-            if typemask >> (i - 1) & 1:
-                continue
-            value = _dot(normal, config.column(i))
-            if value == 0:
-                raise ArithmeticError("generator on a facet span: not cyclic")
-            if value > 0:
-                front_root |= 1 << (i - 1)
-            else:
-                rear_root |= 1 << (i - 1)
+        # with the outward normal pointing frontward, the front root
+        # collects the generators on the positive side
+        front_root, rear_root = side_roots(config, typemask)
         front_facets.append((front_root, typemask))
         rear_facets.append((rear_root, typemask))
         for sub in submasks(typemask):

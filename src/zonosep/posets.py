@@ -47,8 +47,11 @@ from typing import Callable, Sequence
 IDEAL_STATE_BUDGET = 1_000_000
 
 
-class CycleError(ValueError):
-    """A precedence relation expected to be acyclic has a directed cycle."""
+class CycleError(RuntimeError):
+    """A precedence relation expected to be acyclic has a directed cycle.
+
+    An internal fault, not bad input: the relations come from the code.
+    """
 
 
 class IdealCapExceeded(RuntimeError):

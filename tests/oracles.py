@@ -183,7 +183,8 @@ def _fm_strict_feasible(rows) -> bool:
 # Reference flip harnesses: the per-Y loops the production harnesses
 # replaced with row algebra over relation tables.  They share the site
 # enumeration and witness pools with zonosep.flips, but judge every
-# (site, Y) pair by direct predicate calls, through `bad(a, b, r)`.
+# (site, Y) pair by direct predicate calls, through `bad(a, b, r)`, and
+# pick a shard's sites by their index modulo m rather than by slicing.
 
 
 def bad_pair(a: int, b: int, r: int) -> bool:
@@ -201,14 +202,18 @@ def _report(name: str, n: int, r: int, shard):
     )
 
 
+def _in_shard(idx: int, shard) -> bool:
+    """Site idx of the canonical order belongs to shard (k, m) iff idx = k mod m."""
+    return shard is None or idx % shard[1] == shard[0]
+
+
 def reference_flip_theorem_odd(n: int, r: int, shard=None, bad=bad_pair):
-    from zonosep.flips import _shard_filter, neighbors_down, neighbors_up, odd_sites
+    from zonosep.flips import neighbors_down, neighbors_up, odd_sites
     from zonosep.ground import elements
 
     report = _report("flip_theorem_odd", n, r, shard)
-    keep = _shard_filter(shard)
     for idx, site in enumerate(odd_sites(n, r)):
-        if not keep(idx):
+        if not _in_shard(idx, shard):
             continue
         report.sites += 1
         up = [site.x | s for s in neighbors_up(site).members]
@@ -229,13 +234,12 @@ def reference_flip_theorem_odd(n: int, r: int, shard=None, bad=bad_pair):
 
 
 def reference_refined_lemma(n: int, r: int, shard=None, bad=bad_pair):
-    from zonosep.flips import _shard_filter, _singleton_bricks, neighbors_up, odd_sites
+    from zonosep.flips import _singleton_bricks, neighbors_up, odd_sites
     from zonosep.ground import elements
 
     report = _report("refined_lemma", n, r, shard)
-    keep = _shard_filter(shard)
     for idx, site in enumerate(odd_sites(n, r)):
-        if not keep(idx):
+        if not _in_shard(idx, shard):
             continue
         report.sites += 1
         up = [site.x | s for s in neighbors_up(site).members]
@@ -259,7 +263,6 @@ def reference_local_neighb_even(n: int, r: int, shard=None, bad=bad_pair):
     from zonosep.flips import (
         _bracket_index,
         _pool,
-        _shard_filter,
         even_sites,
         neighbors_down,
         neighbors_up,
@@ -268,9 +271,8 @@ def reference_local_neighb_even(n: int, r: int, shard=None, bad=bad_pair):
     from zonosep.separation import is_double_r_comb
 
     report = _report("local_neighb_even", n, r, shard)
-    keep = _shard_filter(shard)
     for idx, site in enumerate(even_sites(n, r)):
-        if not keep(idx):
+        if not _in_shard(idx, shard):
             continue
         report.sites += 1
         rp = site.p.bit_count()

@@ -462,6 +462,22 @@ def test_internal_error_is_one_line_and_not_usage(capsys, monkeypatch):
     assert "multiplicity -1" in err
 
 
+def test_precedence_cycle_is_an_internal_error(capsys, monkeypatch):
+    # a broken piece whose two sides share a tile shows as a self-arc
+    real = mb.side_precedence
+
+    def with_self_arc(fronts, rears):
+        succs = real(fronts, rears)
+        succs[0] = [0] + succs[0]
+        return succs
+
+    monkeypatch.setattr(mb, "side_precedence", with_self_arc)
+    for command in ("scan", "enumerate"):
+        code, out, err = run(capsys, "membrane", command, "--n", "5", "--d", "3")
+        assert code == 1 and out == ""
+        assert err == "internal error: cycle among 30 of 30 nodes\n"
+
+
 def test_membrane_enumerate_cap_is_one_line_error(capsys):
     for flavor in ("w", "e", "s"):
         code, out, err = run(

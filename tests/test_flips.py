@@ -156,14 +156,20 @@ def test_flip_theorem_odd_harness():
 
 
 def test_sharding_partitions_the_run():
-    whole = verify_flip_theorem_odd(5, 1)
-    parts = [verify_flip_theorem_odd(5, 1, shard=(k, 3)) for k in range(3)]
-    assert sum(p.sites for p in parts) == whole.sites
-    assert sum(p.checks for p in parts) == whole.checks
-    assert all(p.ok for p in parts)
-    assert parts[0].shard == "0/3"
-    with pytest.raises(ValueError):
-        verify_flip_theorem_odd(5, 1, shard=(3, 3))
+    for harness, n, r in [
+        (verify_flip_theorem_odd, 5, 1),
+        (verify_refined_lemma, 5, 1),
+        (verify_local_neighb_even, 6, 2),
+    ]:
+        whole = harness(n, r)
+        parts = [harness(n, r, shard=(k, 3)) for k in range(3)]
+        assert sum(p.sites for p in parts) == whole.sites
+        assert sum(p.checks for p in parts) == whole.checks
+        assert sum(p.recorded for p in parts) == whole.recorded
+        assert all(p.ok for p in parts)
+        assert [p.shard for p in parts] == ["0/3", "1/3", "2/3"]
+        with pytest.raises(ValueError):
+            harness(n, r, shard=(3, 3))
 
 
 def test_refined_lemma_harness_is_empty():
@@ -404,6 +410,9 @@ def test_sharded_harnesses_match_the_reference_loops():
         assert verify_local_neighb_even(7, 2, shard=(k, 3)).to_json() == (
             reference_local_neighb_even(7, 2, shard=(k, 3)).to_json()
         )
+        assert verify_refined_lemma(6, 1, shard=(k, 3)).to_json() == (
+            reference_refined_lemma(6, 1, shard=(k, 3)).to_json()
+        )
 
 
 def _strong_bad(a, b, r):
@@ -453,6 +462,10 @@ def test_inverted_relation_gives_the_same_refined_counterexamples(monkeypatch):
     want = reference_refined_lemma(6, 1, bad=_weak_good).to_json()
     assert len(got["counterexamples"]) == 26
     assert got == want
+    parts = [verify_refined_lemma(6, 1, shard=(k, 3)).to_json() for k in range(3)]
+    for k, part in enumerate(parts):
+        assert part == reference_refined_lemma(6, 1, shard=(k, 3), bad=_weak_good).to_json()
+    assert sum(len(p["counterexamples"]) for p in parts) == 26
 
 
 def test_wrong_comb_predicate_gives_the_same_uniqueness_counterexamples(monkeypatch):

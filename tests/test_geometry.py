@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from zonosep.geometry import (
+    CyclicConfiguration,
     boundary_vertices,
     flag_minors_positive,
     front_rear_vertices,
     is_zonotope_vertex,
     normal_vector,
     point_of,
+    side_roots,
     sign_changes,
     veronese,
     zonotope_sides,
@@ -158,6 +160,14 @@ def test_normal_vector_expectations():
     assert normal == (2, -3, 1)
     with pytest.raises(ValueError):
         normal_vector(config, m(1))
+    # side_roots flips it to (-2,3,-1); generator 3 = (1,3,9) gives -2
+    assert side_roots(config, m(1, 2)) == (0, m(3))
+    cols = ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0))
+    flat = CyclicConfiguration(4, 3, (1, 2, 3, 4), cols)
+    with pytest.raises(ArithmeticError, match="zero last coordinate"):
+        side_roots(flat, m(1, 2))  # normal (0,-1,0)
+    with pytest.raises(ArithmeticError, match="not cyclic"):
+        side_roots(flat, m(1, 3))  # generator 4 lies on the span
 
 
 def test_nonpurity_witness_shape():
