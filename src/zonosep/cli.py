@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 
 from . import cubillage as cb
 from . import flips as fl
@@ -520,7 +521,25 @@ def cmd_verify_wnr(args) -> int:
     return 0 if all_ok else 1
 
 
+def _print_harness_stats(report: fl.HarnessReport) -> None:
+    """One stderr line of counters and phase seconds for a harness run."""
+    s = report.stats
+    clauses = Counter(bad.get("clause", "dichotomy") for bad in report.counterexamples)
+    by_clause = ", ".join(f"{c} {k}" for c, k in sorted(clauses.items()))
+    rate = report.checks / s["sites_s"] if s["sites_s"] else 0.0
+    print(
+        f"{report.name}: {report.sites} sites in {s['patterns']} patterns, "
+        f"{report.checks} checks, {report.recorded} recorded, "
+        f"{len(report.counterexamples)} counterexamples"
+        f"{f' ({by_clause})' if by_clause else ''}, "
+        f"{s['judged']} judged, {s['memo']} memo entries; "
+        f"table {s['table_s']:.3f} s, sites {s['sites_s']:.3f} s, {rate:.0f} checks/s",
+        file=sys.stderr,
+    )
+
+
 def _print_harness(report: fl.HarnessReport) -> None:
+    _print_harness_stats(report)
     shard = f" shard {report.shard}" if report.shard else ""
     print(
         f"{report.name} n={report.n} r={report.r}{shard}: "

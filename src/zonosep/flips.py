@@ -33,11 +33,26 @@ are exactly
 and dually for the down clause, so every Y is judged by a handful of
 big-integer operations per site.  The cortege, shape and double-comb
 tests run only on the bits of those candidate sets, and `checks` still
-counts every (site, Y) pair judged, 2^n - 2 per site.  One helper,
-_harness, opens every run: it checks n against RELATION_TABLE_CAP
-before any site or table, then r, builds the report, and keeps the
-sites of the shard.  Shard k/m keeps sites k, k+m, k+2m, ... of the
-canonical site order, so the m shards of a run partition its sites.
+counts every (site, Y) pair judged, 2^n - 2 per site.
+
+The runs go pattern by pattern: the sites come grouped by (P, Q), and
+the witness pools, the judge pools and the elements of P and Q are
+worked out once per pattern.  The even judges go further.  For
+Y = XQ + {a} and S inside P+Q the pair (Y, X|S) has the difference
+sets (Q - S) + a and S - Q; for Y = XP - {b} they are P - S and
+b + (S - P).  Interlacing degree and the double-comb test read only
+the difference sets, so a judged Y's degree and partner list depend on
+(P, Q, a) or (P, Q, b), never on X, and each is worked out once per
+key.  Every such memo lives for one harness call.
+
+One helper, _harness, opens every run: it checks n against
+RELATION_TABLE_CAP before any site or table, then r (a range with
+r + 2 > n has no site and is an error, not a pass), builds the report,
+and keeps the sites of the shard.  Shard k/m keeps sites k, k+m,
+k+2m, ... of the canonical site order, so the m shards of a run
+partition its sites.  report.stats holds the run's counters and
+seconds (patterns, judged Y, memo entries, table and site-loop time);
+to_json leaves them out.
 
 apply_flip performs the XP <-> XQ swap on an actual collection after
 verifying membership and witnesses, then re-checks the weak separation
@@ -51,8 +66,9 @@ error instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
-from typing import Callable, Iterator
+from itertools import combinations
+from time import perf_counter
+from typing import Iterator
 
 from .ground import (
     SIDE_A,
@@ -80,6 +96,9 @@ RAISE = "raise"
 LOWER = "lower"
 MODE_FULL = "full"
 MODE_SHARP = "sharp"
+
+# (P, Q, the X masks of its sites): the sites of one interleaving pattern
+Pattern = tuple[int, int, list[int]]
 
 
 class FalsificationError(RuntimeError):
@@ -163,50 +182,50 @@ def neighbors(site: FlipSite) -> SetSystem:
     if site.parity != PARITY_ODD:
         raise ValueError("the full neighbor pool is defined for odd parity only")
     rp = site.p.bit_count()
-    pool = _pool(site, rp, rp + 1)
+    pool = _pool(site.p, site.q, rp, rp + 1)
     return SetSystem.from_masks(site.n, pool)
 
 
-def _pool(site: FlipSite, lo: int, hi: int) -> list[int]:
-    union = elements(site.p | site.q)
+def _pool(p: int, q: int, lo: int, hi: int) -> list[int]:
+    union = elements(p | q)
     out = []
     for size in range(lo, hi + 1):
         for combo in combinations(union, size):
             mask = 0
             for e in combo:
                 mask |= 1 << (e - 1)
-            if mask not in (site.p, site.q):
+            if mask not in (p, q):
                 out.append(mask)
     return out
 
 
-def _up(site: FlipSite) -> set[int]:
+def _up(p: int, q: int) -> set[int]:
     out = set()
-    for qe in elements(site.q):
-        out.add(site.p | 1 << (qe - 1))
-        for pe in elements(site.p):
-            out.add((site.p & ~(1 << (pe - 1))) | 1 << (qe - 1))
+    for qe in elements(q):
+        out.add(p | 1 << (qe - 1))
+        for pe in elements(p):
+            out.add((p & ~(1 << (pe - 1))) | 1 << (qe - 1))
     return out
 
 
-def _down(site: FlipSite) -> set[int]:
+def _down(p: int, q: int) -> set[int]:
     out = set()
-    for qe in elements(site.q):
-        rest = site.q & ~(1 << (qe - 1))
+    for qe in elements(q):
+        rest = q & ~(1 << (qe - 1))
         out.add(rest)
-        for pe in elements(site.p):
+        for pe in elements(p):
             out.add(rest | 1 << (pe - 1))
     return out
 
 
 def neighbors_up(site: FlipSite) -> SetSystem:
     """{P+q} and {(P-p)+q}: the witnesses guarding XP from above."""
-    return SetSystem.from_masks(site.n, _up(site))
+    return SetSystem.from_masks(site.n, _up(site.p, site.q))
 
 
 def neighbors_down(site: FlipSite) -> SetSystem:
     """{Q-q} and {(Q-q)+p}: the witnesses guarding XQ from below."""
-    return SetSystem.from_masks(site.n, _down(site))
+    return SetSystem.from_masks(site.n, _down(site.p, site.q))
 
 
 def apply_flip(
@@ -266,23 +285,39 @@ def apply_flip(
     return flipped
 
 
-def odd_sites(n: int, r: int):
+def odd_sites(n: int, r: int) -> Iterator[FlipSite]:
     """All odd-parity sites over [n] in canonical order."""
-    check_ground(n)
-    if r < 1 or r % 2 == 0:
-        raise ValueError(f"odd positive r required, got {r}")
-    return _sites(n, r, start_with_q=True)
+    return _sites(n, _site_patterns(n, r, PARITY_ODD))
 
 
-def even_sites(n: int, r: int):
+def even_sites(n: int, r: int) -> Iterator[FlipSite]:
     """All even-parity sites over [n] in canonical order."""
+    return _sites(n, _site_patterns(n, r, PARITY_EVEN))
+
+
+def _sites(n: int, patterns: Iterator[Pattern]) -> Iterator[FlipSite]:
+    for p, q, xs in patterns:
+        for x in xs:
+            yield FlipSite(n, x, p, q)
+
+
+def _site_patterns(n: int, r: int, parity: str) -> Iterator[Pattern]:
+    """The sites of one parity, pattern by pattern in canonical order.
+
+    n and r are checked here, before the first site is drawn: r must
+    have the parity, and P and Q need r + 2 <= n elements.
+    """
     check_ground(n)
-    if r < 2 or r % 2:
+    if parity == PARITY_ODD and (r < 1 or r % 2 == 0):
+        raise ValueError(f"odd positive r required, got {r}")
+    if parity == PARITY_EVEN and (r < 2 or r % 2):
         raise ValueError(f"even r >= 2 required, got {r}")
-    return _sites(n, r, start_with_q=False)
+    if r + 2 > n:
+        raise ValueError(f"r = {r} leaves no flip site: it needs n >= {r + 2}, got n = {n}")
+    return _patterns(n, r, start_with_q=parity == PARITY_ODD)
 
 
-def _sites(n: int, r: int, start_with_q: bool):
+def _patterns(n: int, r: int, start_with_q: bool) -> Iterator[Pattern]:
     for union in combinations(range(1, n + 1), r + 2):
         p = q = 0
         for idx, e in enumerate(union):
@@ -291,14 +326,9 @@ def _sites(n: int, r: int, start_with_q: bool):
                 q |= bit
             else:
                 p |= bit
-        union_mask = p | q
-        rest = [e for e in range(1, n + 1) if not union_mask >> (e - 1) & 1]
-        for k in range(len(rest) + 1):
-            for combo in combinations(rest, k):
-                x = 0
-                for e in combo:
-                    x |= 1 << (e - 1)
-                yield FlipSite(n, x, p, q)
+        rest = [1 << (e - 1) for e in range(1, n + 1) if not (p | q) >> (e - 1) & 1]
+        xs = [sum(combo) for k in range(len(rest) + 1) for combo in combinations(rest, k)]
+        yield p, q, xs
 
 
 @dataclass
@@ -313,6 +343,8 @@ class HarnessReport:
     counterexamples: list[dict] = field(default_factory=list)
     recorded: int = 0  # even harness: unclassified cases with degree > r+2
     shard: str | None = None
+    # counters and seconds of the run; never part of to_json
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -343,31 +375,56 @@ def _harness(
     n: int,
     r: int,
     shard: tuple[int, int] | None,
-    site_order: Callable[[int, int], Iterator[FlipSite]],
-) -> tuple[HarnessReport, Iterator[FlipSite], list[int]]:
-    """The report, the sites of the shard and the bad rows of one run.
+    parity: str,
+) -> tuple[HarnessReport, Iterator[Pattern], list[int]]:
+    """The report, the site patterns of the shard and the bad rows of one run.
 
-    The ground size is checked before any site or table, then r by the
-    site order.  Shard (k, m) keeps sites k, k + m, ... of that order.
+    The ground size is checked before any site or table, then r.  Shard
+    (k, m) keeps sites k, k + m, ... of the canonical order.  The loop
+    over the patterns is counted and timed into report.stats.
     """
     check_table_ground(n)
-    sites = site_order(n, r)
+    patterns = _site_patterns(n, r, parity)
     report = HarnessReport(name=name, n=n, r=r)
     if shard is not None:
         k, m = shard
         if not 0 <= k < m:
             raise ValueError(f"shard index {k} outside 0..{m - 1}")
         report.shard = f"{k}/{m}"
-        sites = islice(sites, k, None, m)
-    return report, sites, _bad_rows(n, r)
+        patterns = _shard(patterns, k, m)
+    start = perf_counter()
+    bad = _bad_rows(n, r)
+    table_s = perf_counter() - start
+    report.stats = {"patterns": 0, "judged": 0, "memo": 0, "table_s": table_s}
+    return report, _timed(report, patterns), bad
 
 
-def _unwitnessed(bad: list[int], site: FlipSite, lead: int, pool: set[int]) -> int:
-    """The Y other than XP, XQ with {Y, lead} bad and every {Y, XS} good, S in pool."""
-    cover = 1 << site.xp | 1 << site.xq
+def _shard(patterns: Iterator[Pattern], k: int, m: int) -> Iterator[Pattern]:
+    first = 0  # canonical index of the pattern's first site
+    for p, q, xs in patterns:
+        kept = xs[(k - first) % m :: m]
+        first += len(xs)
+        if kept:
+            yield p, q, kept
+
+
+def _timed(report: HarnessReport, patterns: Iterator[Pattern]) -> Iterator[Pattern]:
+    start = perf_counter()
+    for pattern in patterns:
+        report.stats["patterns"] += 1
+        yield pattern
+    report.stats["sites_s"] = perf_counter() - start
+
+
+def _unwitnessed(bad: list[int], x: int, lead: int, cover: int, pool: set[int]) -> int:
+    """The Y outside cover with {Y, lead} bad and every {Y, XS} good, S in pool."""
     for s in pool:
-        cover |= bad[site.x | s]
+        cover |= bad[x | s]
     return bad[lead] & ~cover
+
+
+def _counterexample(n: int, x: int, p: int, q: int, y: int, **fields) -> dict:
+    return {"site": FlipSite(n, x, p, q).to_json(), "y": elements(y), **fields}
 
 
 def verify_flip_theorem_odd(
@@ -378,19 +435,23 @@ def verify_flip_theorem_odd(
     Y ranges over all subsets, intersections with X included; nothing
     is normalized away.
     """
-    report, sites, bad = _harness("flip_theorem_odd", n, r, shard, odd_sites)
-    for site in sites:
-        report.sites += 1
-        report.checks += (1 << n) - 2
-        up = _unwitnessed(bad, site, site.xp, _up(site))
-        down = _unwitnessed(bad, site, site.xq, _down(site))
-        for e in iter_elements(up | down):
-            y = e - 1  # bit y of a row stands for the set y
-            for clause, failed in (("up", up), ("down", down)):
-                if failed >> y & 1:
-                    report.counterexamples.append(
-                        {"site": site.to_json(), "y": elements(y), "clause": clause}
-                    )
+    report, patterns, bad = _harness("flip_theorem_odd", n, r, shard, PARITY_ODD)
+    for p, q, xs in patterns:
+        up_pool, down_pool = _up(p, q), _down(p, q)
+        report.sites += len(xs)
+        report.checks += len(xs) * ((1 << n) - 2)
+        for x in xs:
+            xp, xq = x | p, x | q
+            pair = 1 << xp | 1 << xq
+            up = _unwitnessed(bad, x, xp, pair, up_pool)
+            down = _unwitnessed(bad, x, xq, pair, down_pool)
+            for e in iter_elements(up | down):
+                y = e - 1  # bit y of a row stands for the set y
+                for clause, failed in (("up", up), ("down", down)):
+                    if failed >> y & 1:
+                        report.counterexamples.append(
+                            _counterexample(n, x, p, q, y, clause=clause)
+                        )
     return report
 
 
@@ -409,76 +470,47 @@ def verify_refined_lemma(
 ) -> HarnessReport:
     """Bad {Y, XP} with all N_up witnesses good forces singleton bricks:
     every element of P on the XP side, or every element of Q on the Y side."""
-    report, sites, bad = _harness("refined_lemma", n, r, shard, odd_sites)
-    for site in sites:
-        report.sites += 1
-        triggered = _unwitnessed(bad, site, site.xp, _up(site))
-        report.checks += triggered.bit_count()
-        for e in iter_elements(triggered):
-            y = e - 1
-            y_single, xp_single = _singleton_bricks(y, site.xp)
-            star = all(e in xp_single for e in elements(site.p))
-            starstar = all(e in y_single for e in elements(site.q))
-            if not (star or starstar):
-                report.counterexamples.append(
-                    {"site": site.to_json(), "y": elements(y)}
-                )
+    report, patterns, bad = _harness("refined_lemma", n, r, shard, PARITY_ODD)
+    for p, q, xs in patterns:
+        up_pool = _up(p, q)
+        p_elems, q_elems = elements(p), elements(q)
+        report.sites += len(xs)
+        for x in xs:
+            xp = x | p
+            triggered = _unwitnessed(bad, x, xp, 1 << xp | 1 << (x | q), up_pool)
+            report.checks += triggered.bit_count()
+            report.stats["judged"] += triggered.bit_count()
+            for e in iter_elements(triggered):
+                y = e - 1
+                y_single, xp_single = _singleton_bricks(y, xp)
+                star = all(e in xp_single for e in p_elems)
+                starstar = all(e in y_single for e in q_elems)
+                if not (star or starstar):
+                    report.counterexamples.append(_counterexample(n, x, p, q, y))
     return report
 
 
-def _bracket_index(site: FlipSite, value: int) -> int:
+def _bracket_index(p: int, value: int) -> int:
     """Largest i with p_i < value (p_{r'+1} plays the role of n+1)."""
-    return sum(1 for p in elements(site.p) if p < value)
+    return (p & ((1 << (value - 1)) - 1)).bit_count()
 
 
-def _even_up_case(site: FlipSite, y: int, r: int) -> dict | None:
-    """Judge a Y with {Y, XP} bad, (r+2)-interlaced and every N_up witness good."""
-    extra = y & ~site.xq
-    shape_ok = (
-        y | site.xq == y
-        and extra.bit_count() == 1
-        and not extra & (site.xp | site.q)
-        and extra.bit_length() > elements(site.p)[0]
-    )
-    if not shape_ok:
-        return {"site": site.to_json(), "y": elements(y), "clause": "XQ+a"}
-    i = _bracket_index(site, extra.bit_length())
-    expected = site.p | 1 << (elements(site.q)[i - 1] - 1)
-    rp = site.p.bit_count()
-    combs = [s for s in _pool(site, rp, rp + 1) if is_double_r_comb(y, site.x | s, r)]
-    if combs == [expected]:
-        return None
-    return {
-        "site": site.to_json(),
-        "y": elements(y),
-        "clause": "uniqueness-upper",
-        "combs": [elements(s) for s in combs],
-    }
+def _raised_by(y: int, x: int, p: int, q: int, p1: int) -> int:
+    """a if Y = XQ + {a} with a outside XPQ and a > p_1, else 0."""
+    extra = y & ~(x | q)
+    if (x | q) & ~y or extra & (extra - 1) or extra & p:
+        return 0
+    a = extra.bit_length()
+    return a if a > p1 else 0
 
 
-def _even_down_case(site: FlipSite, y: int, r: int) -> dict | None:
-    """Judge a Y with {Y, XQ} bad, (r+2)-interlaced and every N_down witness good."""
-    gone = site.xp & ~y
-    shape_ok = (
-        y | site.xp == site.xp
-        and gone.bit_count() == 1
-        and gone & site.x == gone
-        and gone.bit_length() > elements(site.p)[0]
-    )
-    if not shape_ok:
-        return {"site": site.to_json(), "y": elements(y), "clause": "XP-b"}
-    i = _bracket_index(site, gone.bit_length())
-    expected = site.q & ~(1 << (elements(site.q)[i - 1] - 1))
-    rp = site.p.bit_count()
-    combs = [s for s in _pool(site, rp - 1, rp) if is_double_r_comb(y, site.x | s, r)]
-    if combs == [expected]:
-        return None
-    return {
-        "site": site.to_json(),
-        "y": elements(y),
-        "clause": "uniqueness-lower",
-        "combs": [elements(s) for s in combs],
-    }
+def _lowered_by(y: int, x: int, p: int, q: int, p1: int) -> int:
+    """b if Y = XP - {b} with b in X and b > p_1, else 0."""
+    gone = (x | p) & ~y
+    if y & ~(x | p) or gone & (gone - 1) or gone & ~x:
+        return 0
+    b = gone.bit_length()
+    return b if b > p1 else 0
 
 
 def verify_local_neighb_even(
@@ -493,48 +525,85 @@ def verify_local_neighb_even(
     matching neighbor pool.  Constructed instances of both shapes are
     confirmed to trigger.  Cases of interlacing degree above r+2 are
     counted but not judged.
+
+    The degree and the partner list of Y = XQ + {a} depend on (P, Q, a)
+    only, those of Y = XP - {b} on (P, Q, b) only (see the module
+    docstring), so each is worked out once per pattern and key.
     """
-    report, sites, bad = _harness("local_neighb_even", n, r, shard, even_sites)
-    for site in sites:
-        report.sites += 1
-        report.checks += (1 << n) - 2
-        up = _unwitnessed(bad, site, site.xp, _up(site))
-        down = _unwitnessed(bad, site, site.xq, _down(site))
-        for e in iter_elements(up | down):
-            y = e - 1
-            for failed, lead, judge in (
-                (up, site.xp, _even_up_case),
-                (down, site.xq, _even_down_case),
-            ):
-                if not failed >> y & 1:
+    report, patterns, bad = _harness("local_neighb_even", n, r, shard, PARITY_EVEN)
+    stats = report.stats
+    for p, q, xs in patterns:
+        up_pool, down_pool = _up(p, q), _down(p, q)
+        rp = p.bit_count()
+        p1 = (p & -p).bit_length()
+        q_bits = [1 << (e - 1) for e in elements(q)]
+        # per clause: shape key (a or b), judge pool, the partner expected
+        # for a key, the two counterexample labels, and the memo of this
+        # pattern: key -> (Y is (r+2)-interlaced with the lead, partners
+        # or None if they are exactly [expected])
+        clauses = (
+            (_raised_by, _pool(p, q, rp, rp + 1),
+             lambda a: p | q_bits[_bracket_index(p, a) - 1],
+             "XQ+a", "uniqueness-upper", {}),
+            (_lowered_by, _pool(p, q, rp - 1, rp),
+             lambda b: q & ~q_bits[_bracket_index(p, b) - 1],
+             "XP-b", "uniqueness-lower", {}),
+        )
+        report.sites += len(xs)
+        report.checks += len(xs) * ((1 << n) - 2)
+        for x in xs:
+            xp, xq = x | p, x | q
+            pair = 1 << xp | 1 << xq
+            up = _unwitnessed(bad, x, xp, pair, up_pool)
+            down = _unwitnessed(bad, x, xq, pair, down_pool)
+            found = []  # (y, clause index, counterexample), sorted below
+            for index, failed, lead in ((0, up, xp), (1, down, xq)):
+                key_of, pool, expected, shape, unique, memo = clauses[index]
+                for e in iter_elements(failed):
+                    y = e - 1
+                    key = key_of(y, x, p, q, p1)
+                    if key:
+                        if key not in memo:
+                            stats["memo"] += 1
+                            combs = [s for s in pool if is_double_r_comb(y, x | s, r)]
+                            want = [expected(key)]
+                            memo[key] = (
+                                interlacing_degree(y, lead) == r + 2,
+                                None if combs == want else combs,
+                            )
+                        interlaced, combs = memo[key]
+                    else:
+                        interlaced = interlacing_degree(y, lead) == r + 2
+                    if not interlaced:
+                        report.recorded += 1
+                        continue
+                    stats["judged"] += 1
+                    if not key:
+                        found.append((y, index, {"clause": shape}))
+                    elif combs is not None:
+                        combs_json = [elements(s) for s in combs]
+                        found.append((y, index, {"clause": unique, "combs": combs_json}))
+            for y, _, found_y in sorted(found, key=lambda t: t[:2]):
+                report.counterexamples.append(_counterexample(n, x, p, q, y, **found_y))
+            # constructed instances must trigger the hypotheses; they are
+            # never XP or XQ, so the unwitnessed sets judge them exactly
+            for a in range(p1 + 1, n + 1):
+                bit = 1 << (a - 1)
+                if bit & (xp | q):
                     continue
-                if interlacing_degree(y, lead) != r + 2:
-                    report.recorded += 1
+                y = xq | bit
+                report.checks += 1
+                if not up >> y & 1:
+                    report.counterexamples.append(
+                        _counterexample(n, x, p, q, y, clause="converse-up")
+                    )
+            for b in elements(x):
+                if b <= p1:
                     continue
-                found = judge(site, y, r)
-                if found is not None:
-                    report.counterexamples.append(found)
-        # constructed instances must trigger the hypotheses; they are
-        # never XP or XQ, so the unwitnessed sets judge them exactly
-        p1 = elements(site.p)[0]
-        xpq = site.x | site.p | site.q
-        for a in range(p1 + 1, n + 1):
-            bit = 1 << (a - 1)
-            if bit & xpq:
-                continue
-            y = site.xq | bit
-            report.checks += 1
-            if not up >> y & 1:
-                report.counterexamples.append(
-                    {"site": site.to_json(), "y": elements(y), "clause": "converse-up"}
-                )
-        for b in elements(site.x):
-            if b <= p1:
-                continue
-            y = site.xp & ~(1 << (b - 1))
-            report.checks += 1
-            if not down >> y & 1:
-                report.counterexamples.append(
-                    {"site": site.to_json(), "y": elements(y), "clause": "converse-down"}
-                )
+                y = xp & ~(1 << (b - 1))
+                report.checks += 1
+                if not down >> y & 1:
+                    report.counterexamples.append(
+                        _counterexample(n, x, p, q, y, clause="converse-down")
+                    )
     return report

@@ -261,7 +261,6 @@ def reference_refined_lemma(n: int, r: int, shard=None, bad=bad_pair):
 
 def reference_local_neighb_even(n: int, r: int, shard=None, bad=bad_pair):
     from zonosep.flips import (
-        _bracket_index,
         _pool,
         even_sites,
         neighbors_down,
@@ -278,8 +277,8 @@ def reference_local_neighb_even(n: int, r: int, shard=None, bad=bad_pair):
         rp = site.p.bit_count()
         up = [site.x | s for s in neighbors_up(site).members]
         down = [site.x | s for s in neighbors_down(site).members]
-        upper_pool = _pool(site, rp, rp + 1)
-        lower_pool = _pool(site, rp - 1, rp)
+        upper_pool = _pool(site.p, site.q, rp, rp + 1)
+        lower_pool = _pool(site.p, site.q, rp - 1, rp)
         q_elems = elements(site.q)
         p1 = elements(site.p)[0]
         xpq = site.x | site.p | site.q
@@ -302,7 +301,7 @@ def reference_local_neighb_even(n: int, r: int, shard=None, bad=bad_pair):
                             {"site": site.to_json(), "y": elements(y), "clause": "XQ+a"}
                         )
                     else:
-                        i = _bracket_index(site, extra.bit_length())
+                        i = sum(1 for e in elements(site.p) if e < extra.bit_length())
                         expected = site.p | 1 << (q_elems[i - 1] - 1)
                         combs = [
                             s for s in upper_pool if is_double_r_comb(y, site.x | s, r)
@@ -331,7 +330,7 @@ def reference_local_neighb_even(n: int, r: int, shard=None, bad=bad_pair):
                             {"site": site.to_json(), "y": elements(y), "clause": "XP-b"}
                         )
                     else:
-                        i = _bracket_index(site, gone.bit_length())
+                        i = sum(1 for e in elements(site.p) if e < gone.bit_length())
                         expected = site.q & ~(1 << (q_elems[i - 1] - 1))
                         combs = [
                             s for s in lower_pool if is_double_r_comb(y, site.x | s, r)

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import zonosep.flips as fl
 import zonosep.membranes as mb
 import zonosep.posets as posets
 from zonosep.cli import main
@@ -13,7 +14,13 @@ from zonosep.cubillage import Cubillage, standard_cubillage
 from zonosep.membranes import scan_membranes
 from zonosep.systems import SCHEMA, dump_json
 
-from oracles import e_membranes, s_membranes, w_membranes
+from oracles import (
+    e_membranes,
+    reference_flip_theorem_odd,
+    reference_local_neighb_even,
+    s_membranes,
+    w_membranes,
+)
 
 
 def run(capsys, *argv):
@@ -625,10 +632,68 @@ def test_usage_errors(capsys):
 
 
 def test_output_is_deterministic(capsys, tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    code_a, out_a, _ = run(capsys, "verify", "flips", "--n", "4", "--r", "1", "--json", str(a))
-    code_b, out_b, _ = run(capsys, "verify", "flips", "--n", "4", "--r", "1", "--json", str(b))
-    assert code_a == code_b == 0
-    assert out_a.replace(str(a), "") == out_b.replace(str(b), "")
-    assert a.read_bytes() == b.read_bytes()
+    # the counters and seconds go to stderr only: the --json report is the
+    # reference loop's report, byte for byte, on every run
+    for args, reference in (
+        (("--n", "4", "--r", "1"), reference_flip_theorem_odd(4, 1)),
+        (("--n", "7", "--r", "3"), reference_flip_theorem_odd(7, 3)),
+        (("--n", "6", "--r", "2", "--parity", "even", "--shard", "2/3"),
+         reference_local_neighb_even(6, 2, shard=(2, 3))),
+    ):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        code_a, out_a, _ = run(capsys, "verify", "flips", *args, "--json", str(a))
+        code_b, out_b, _ = run(capsys, "verify", "flips", *args, "--json", str(b))
+        assert code_a == code_b == 0
+        assert out_a.replace(str(a), "") == out_b.replace(str(b), "")
+        assert a.read_bytes() == b.read_bytes() == dump_json(reference.to_json()).encode()
+        assert set(json.loads(a.read_bytes())) == {
+            "schema", "name", "n", "r", "sites", "checks", "ok",
+            "counterexamples", "recorded", "shard",
+        }
+
+
+def test_empty_site_ranges_are_usage_errors(capsys):
+    # r + 2 > n leaves no site: the run must not print PASS over nothing
+    for command in (
+        ("flips", "--n", "3", "--r", "3"),
+        ("flips", "--parity", "even", "--n", "3", "--r", "2"),
+        ("refined", "--n", "1", "--r", "1"),
+    ):
+        code, out, err = run(capsys, "verify", *command)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: r = ") and "leaves no flip site" in err
+
+
+HARNESS_STATS = re.compile(
+    r"(flip_theorem_odd|refined_lemma|local_neighb_even): \d+ sites in \d+ patterns, "
+    r"\d+ checks, \d+ recorded, \d+ counterexamples( \((\S+ \d+(, )?)+\))?, "
+    r"\d+ judged, \d+ memo entries; "
+    r"table \d+\.\d{3} s, sites \d+\.\d{3} s, \d+ checks/s\n"
+)
+
+
+def test_harness_stats_line(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "flips", "--n", "8", "--r", "2", "--parity", "even")
+    assert code == 0 and out.endswith("PASS\n")
+    assert HARNESS_STATS.fullmatch(err)
+    assert err.startswith(
+        "local_neighb_even: 1120 sites in 70 patterns, 288064 checks, 4890 recorded, "
+        "0 counterexamples, 3584 judged, 448 memo entries; table "
+    )
+    code, _, err = run(capsys, "verify", "flips", "--n", "7", "--r", "3", "--shard", "1/3")
+    assert code == 0 and HARNESS_STATS.fullmatch(err)
+    assert err.startswith("flip_theorem_odd: 28 sites in 21 patterns, 3528 checks, ")
+    code, _, err = run(capsys, "verify", "refined", "--n", "6", "--r", "1")
+    assert code == 0 and HARNESS_STATS.fullmatch(err)
+    # counterexamples are counted by clause
+    monkeypatch.setattr(fl, "is_double_r_comb", lambda a, b, r: False)
+    code, _, err = run(capsys, "verify", "flips", "--n", "6", "--r", "2", "--parity", "even")
+    assert code == 1 and HARNESS_STATS.fullmatch(err)
+    assert (
+        "66 recorded, 96 counterexamples (uniqueness-lower 48, uniqueness-upper 48), "
+        "96 judged, 48 memo entries; "
+    ) in err
+

@@ -36,6 +36,7 @@ from zonosep.flips import (
     verify_flip_theorem_odd,
     verify_local_neighb_even,
     verify_refined_lemma,
+    _pool,
     _singleton_bricks,
 )
 from zonosep.ground import elements, interlacing_degree, mask_of, set_notation
@@ -44,7 +45,7 @@ from zonosep.membranes import (
     membrane_vertices,
     raising_flip,
 )
-from zonosep.separation import surrounds
+from zonosep.separation import is_double_r_comb, surrounds
 from zonosep.systems import (
     RELATION_TABLE_CAP,
     SetSystem,
@@ -468,10 +469,22 @@ def test_inverted_relation_gives_the_same_refined_counterexamples(monkeypatch):
     assert sum(len(p["counterexamples"]) for p in parts) == 26
 
 
-def test_wrong_comb_predicate_gives_the_same_uniqueness_counterexamples(monkeypatch):
-    never = lambda a, b, r: False  # noqa: E731
-    monkeypatch.setattr(flips_module, "is_double_r_comb", never)
-    monkeypatch.setattr(separation_module, "is_double_r_comb", never)
+def _never_comb(a, b, r):
+    return False
+
+
+def _comb_below_6(a, b, r):
+    # misses every partner whose difference with Y holds 6: the verdict
+    # then depends on a and b, but still on the difference sets only
+    return is_double_r_comb(a, b, r) and not (a ^ b) >> 5
+
+
+def _check_wrong_comb_predicate(monkeypatch, wrong):
+    # a real run first: partner lists kept from it across calls would
+    # hide every uniqueness counterexample of the patched run
+    assert verify_local_neighb_even(6, 2).ok
+    monkeypatch.setattr(flips_module, "is_double_r_comb", wrong)
+    monkeypatch.setattr(separation_module, "is_double_r_comb", wrong)
     got = verify_local_neighb_even(6, 2).to_json()
     want = reference_local_neighb_even(6, 2).to_json()
     assert {c["clause"] for c in got["counterexamples"]} == {
@@ -479,6 +492,15 @@ def test_wrong_comb_predicate_gives_the_same_uniqueness_counterexamples(monkeypa
         "uniqueness-lower",
     }
     assert got == want
+
+
+def test_wrong_comb_predicate_gives_the_same_uniqueness_counterexamples(monkeypatch):
+    _check_wrong_comb_predicate(monkeypatch, _never_comb)
+
+
+def test_partner_dependent_comb_predicate_gives_the_same_counterexamples(monkeypatch):
+    # a verdict kept per (P, Q) alone, not per (P, Q, a) and (P, Q, b), fails here
+    _check_wrong_comb_predicate(monkeypatch, _comb_below_6)
 
 
 @pytest.mark.parametrize(
@@ -492,3 +514,61 @@ def test_harness_range_is_checked_before_the_run(monkeypatch, harness):
     r = 2 if harness is verify_local_neighb_even else 3
     with pytest.raises(ValueError, match="relation-table cap"):
         harness(RELATION_TABLE_CAP + 1, r)
+
+
+@pytest.mark.parametrize(
+    "harness, n, r",
+    [
+        (verify_flip_theorem_odd, 3, 3),
+        (verify_refined_lemma, 1, 1),
+        (verify_local_neighb_even, 3, 2),
+    ],
+)
+def test_empty_site_range_is_an_error(monkeypatch, harness, n, r):
+    # r + 2 > n leaves no site; a run over nothing must not pass
+    def no_table(n, r):
+        raise AssertionError("table built before the range check")
+
+    monkeypatch.setattr(flips_module, "_bad_rows", no_table)
+    with pytest.raises(ValueError, match="leaves no flip site"):
+        harness(n, r)
+    sites = even_sites if harness is verify_local_neighb_even else odd_sites
+    with pytest.raises(ValueError, match="needs n >= "):
+        sites(n, r)  # raised on the call, before the first site is drawn
+
+
+def _partners(y, x, pool, r):
+    return [s for s in pool if is_double_r_comb(y, x | s, r)]
+
+
+def test_even_judge_verdicts_do_not_depend_on_x():
+    # the even harness works out the degree and the double-comb partners
+    # of Y = XQ + {a} once per (P, Q, a), and of Y = XP - {b} once per
+    # (P, Q, b); both must equal those at the smallest X carrying a or b
+    judged = 0
+    for n in range(4, 8):
+        for r in (2, 4):
+            if r + 2 > n:
+                continue
+            for site in even_sites(n, r):
+                p, q, x = site.p, site.q, site.x
+                rp = p.bit_count()
+                upper, lower = _pool(p, q, rp, rp + 1), _pool(p, q, rp - 1, rp)
+                p1 = elements(p)[0]
+                for a in range(p1 + 1, n + 1):
+                    bit = 1 << (a - 1)
+                    if bit & (x | p | q):
+                        continue
+                    y, y0 = site.xq | bit, q | bit
+                    assert _partners(y, x, upper, r) == _partners(y0, 0, upper, r)
+                    assert interlacing_degree(y, site.xp) == interlacing_degree(y0, p)
+                    judged += 1
+                for b in elements(x):
+                    if b <= p1:
+                        continue
+                    bit = 1 << (b - 1)
+                    y = site.xp & ~bit
+                    assert _partners(y, x, lower, r) == _partners(p, bit, lower, r)
+                    assert interlacing_degree(y, site.xq) == interlacing_degree(p, q | bit)
+                    judged += 1
+    assert judged == 788

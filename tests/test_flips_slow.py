@@ -10,6 +10,7 @@ from math import comb
 
 import pytest
 
+from oracles import reference_flip_theorem_odd, reference_local_neighb_even
 from zonosep.flips import (
     verify_flip_theorem_odd,
     verify_local_neighb_even,
@@ -57,3 +58,19 @@ def test_refined_lemma_wide():
     report = verify_refined_lemma(10, 3)
     assert report.counterexamples == []
     assert (report.sites, report.checks) == (8_064, 0)
+
+
+@pytest.mark.parametrize(
+    "harness, reference, n, r",
+    [
+        (verify_flip_theorem_odd, reference_flip_theorem_odd, 8, 3),
+        (verify_local_neighb_even, reference_local_neighb_even, 8, 2),
+    ],
+)
+def test_bench_ranges_match_the_reference_loops(harness, reference, n, r):
+    # the benchmark's ranges, whole and in three shards, against the
+    # per-Y loops of tests/oracles.py
+    for shard in (None, (0, 3), (1, 3), (2, 3)):
+        assert harness(n, r, shard=shard).to_json() == (
+            reference(n, r, shard=shard).to_json()
+        )
