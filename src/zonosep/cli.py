@@ -25,7 +25,7 @@ from . import flips as fl
 from . import membranes as mb
 from .geometry import boundary_vertices, zonotope_sides
 from .ground import elements, interval_cortege, mask_of, set_notation
-from .posets import CycleError, is_acyclic
+from .posets import is_acyclic
 from .separation import is_strongly_r_separated, is_weakly_r_separated
 from .systems import (
     DEFAULT_EXHAUSTIVE_BOUND,
@@ -43,6 +43,7 @@ from .systems import (
     s_formula,
     search_max,
     check_pairwise,
+    check_table_ground,
     extend_to_maximal,
     weak_odd,
 )
@@ -240,14 +241,8 @@ def cmd_zono_sides(args) -> int:
             "schema": SCHEMA,
             "n": args.n,
             "d": args.d,
-            "front_facets": [
-                {"root": elements(root), "type": elements(t)}
-                for root, t in sides.front_facets
-            ],
-            "rear_facets": [
-                {"root": elements(root), "type": elements(t)}
-                for root, t in sides.rear_facets
-            ],
+            "front_facets": [f.to_json() for f in sides.front_facets],
+            "rear_facets": [f.to_json() for f in sides.rear_facets],
             "front": sorted(elements(v) for v in sides.front),
             "rear": sorted(elements(v) for v in sides.rear),
             "rim": sorted(elements(v) for v in sides.rim),
@@ -496,9 +491,16 @@ def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
+def _suite_nmax(nmax: int) -> int:
+    """The top of a suite's range n = 2..nmax: nonempty and searchable."""
+    if nmax < 2:
+        raise UsageError(f"--nmax {nmax} leaves no n in 2..nmax to verify")
+    return _exhaustive_n(nmax)
+
+
 def cmd_verify_snr(args) -> int:
     all_ok = True
-    for n in range(2, _exhaustive_n(args.nmax) + 1):
+    for n in range(2, _suite_nmax(args.nmax) + 1):
         for r in range(1, n):
             size, _ = max_size(n, PairwisePredicate(KIND_STRONG, r))
             want = s_formula(n, r)
@@ -510,7 +512,7 @@ def cmd_verify_snr(args) -> int:
 
 def cmd_verify_wnr(args) -> int:
     all_ok = True
-    nmax = _exhaustive_n(args.nmax)
+    nmax = _suite_nmax(args.nmax)
     for r in (1, 3):
         for n in range(r + 1, nmax + 1):
             size, _ = max_size(n, PairwisePredicate(KIND_WEAK_ODD, r))
@@ -569,6 +571,9 @@ def cmd_verify_refined(args) -> int:
 
 
 def cmd_verify_acyclicity(args) -> int:
+    if args.nmax >= 2:
+        # all_cubes holds n to the 2^n-scan cap: check the largest n before any line
+        check_table_ground(args.nmax)
     all_ok = True
     for n in range(2, args.nmax + 1):
         for d in range(2, min(n, args.dmax) + 1):
@@ -866,7 +871,8 @@ def main(argv: list[str] | None = None) -> int:
     except fl.FalsificationError as exc:
         print(f"FALSIFICATION: {exc}", file=sys.stderr)
         return 1
-    except (mb.MembraneInvariantError, CycleError) as exc:
+    except (RuntimeError, ArithmeticError, AssertionError) as exc:
+        # a broken invariant of the program itself, from any module
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     except (UsageError, ValueError, OSError) as exc:

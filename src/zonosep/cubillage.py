@@ -9,7 +9,9 @@ Writing T = {p_1 < ... < p_d}, the 2d facets are
 and the facet is a *front* facet of the cube when d - i is even (for
 F_i) resp. odd (for G_i), otherwise a *rear* facet.  The two inner
 vertices are t_C = X + {p_i : d - i odd} (on every front facet) and
-h_C = X + {p_i : d - i even} (on every rear facet).
+h_C = X + {p_i : d - i even} (on every rear facet).  Cubes and facets
+are both `geometry.Face`s; a `Cube` is a face whose type is nonempty
+and disjoint from its root.
 
 A *cubillage* of Z(n, d) is a complete set of C(n, d) cubes, one per
 type, that fits together facet to facet: every facet shared by two
@@ -43,59 +45,35 @@ from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable, Sequence
 
-from .geometry import side_roots, veronese, zonotope_sides
+from .geometry import Face, side_roots, veronese, zonotope_sides
 from .ground import check_ground, check_mask, elements, mask_of, set_notation, submasks
 from .posets import digraph_dot, is_acyclic
-from .separation import is_strongly_r_separated
-from .systems import SCHEMA, SetSystem, s_formula
+from .systems import SCHEMA, SetSystem, check_pairwise, check_table_ground, s_formula, strong
 
 FRONT = "front"
 REAR = "rear"
 
 
-@dataclass(frozen=True)
-class Cube:
-    """A d-cube (root | type): root and type are disjoint subset masks."""
+class Cube(Face):
+    """A d-cube (root | type): root and type are disjoint, type nonempty."""
 
-    root: int
-    type: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.root & self.type:
-            raise ValueError(
-                f"root {set_notation(self.root)} meets type {set_notation(self.type)}"
-            )
-        if self.type == 0:
+    def __new__(cls, root: int, type: int) -> "Cube":
+        if root & type:
+            raise ValueError(f"root {set_notation(root)} meets type {set_notation(type)}")
+        if type == 0:
             raise ValueError("cube type must be nonempty")
+        return super().__new__(cls, root, type)
 
     @property
     def d(self) -> int:
         return self.type.bit_count()
 
-    def label(self) -> str:
-        return f"{set_notation(self.root)}|{set_notation(self.type)}"
-
-    def to_json(self) -> dict:
-        return {"root": elements(self.root), "type": elements(self.type)}
-
-
-@dataclass(frozen=True)
-class FacetDescriptor:
-    """A (d-1)-dimensional facet (root | type) of a cube or of the boundary."""
-
-    root: int
-    type: int
-
-    def vertex_masks(self) -> list[int]:
-        return [self.root | sub for sub in submasks(self.type)]
-
-    def label(self) -> str:
-        return f"{set_notation(self.root)}|{set_notation(self.type)}"
-
 
 def cube_vertices(cube: Cube, n: int) -> SetSystem:
     """The 2^d vertex sets of a cube as a SetSystem over [n]."""
-    return SetSystem.from_masks(n, (cube.root | sub for sub in submasks(cube.type)))
+    return SetSystem.from_masks(n, cube.vertices())
 
 
 def apex_vertices(cube: Cube) -> tuple[int, int]:
@@ -112,23 +90,23 @@ def apex_vertices(cube: Cube) -> tuple[int, int]:
     return front_inner, rear_inner
 
 
-def cube_facets(cube: Cube) -> list[tuple[FacetDescriptor, str]]:
+def cube_facets(cube: Cube) -> list[tuple[Face, str]]:
     """All 2d facets with their side, in a fixed order (F_1..F_d, G_1..G_d)."""
     order = elements(cube.type)
     d = len(order)
-    out: list[tuple[FacetDescriptor, str]] = []
+    out: list[tuple[Face, str]] = []
     for i, p in enumerate(order, start=1):
         bit = 1 << (p - 1)
         side_f = FRONT if (d - i) % 2 == 0 else REAR
-        out.append((FacetDescriptor(cube.root, cube.type & ~bit), side_f))
+        out.append((Face(cube.root, cube.type & ~bit), side_f))
     for i, p in enumerate(order, start=1):
         bit = 1 << (p - 1)
         side_g = FRONT if (d - i) % 2 else REAR
-        out.append((FacetDescriptor(cube.root | bit, cube.type & ~bit), side_g))
+        out.append((Face(cube.root | bit, cube.type & ~bit), side_g))
     return out
 
 
-def facet_side(cube: Cube, facet: FacetDescriptor) -> str:
+def facet_side(cube: Cube, facet: Face) -> str:
     """FRONT or REAR for a facet of this cube; raises if it is not one."""
     for candidate, side in cube_facets(cube):
         if candidate == facet:
@@ -136,11 +114,11 @@ def facet_side(cube: Cube, facet: FacetDescriptor) -> str:
     raise ValueError(f"{facet.label()} is not a facet of {cube.label()}")
 
 
-def front_facets(cube: Cube) -> list[FacetDescriptor]:
+def front_facets(cube: Cube) -> list[Face]:
     return [f for f, side in cube_facets(cube) if side == FRONT]
 
 
-def rear_facets(cube: Cube) -> list[FacetDescriptor]:
+def rear_facets(cube: Cube) -> list[Face]:
     return [f for f, side in cube_facets(cube) if side == REAR]
 
 
@@ -165,11 +143,9 @@ class Cubillage:
         return Cubillage(n=n, d=d, cubes=ordered)
 
     def vertex_set(self) -> SetSystem:
-        verts: set[int] = set()
-        for cube in self.cubes:
-            for sub in submasks(cube.type):
-                verts.add(cube.root | sub)
-        return SetSystem.from_masks(self.n, verts)
+        return SetSystem.from_masks(
+            self.n, (v for cube in self.cubes for v in cube.vertices())
+        )
 
     def to_json(self) -> dict:
         return {
@@ -245,17 +221,6 @@ class ValidationReport:
         }
 
 
-def _boundary_facet_table(n: int, d: int) -> dict[tuple[int, int], str]:
-    """Map (root, type) of each boundary facet of Z(n, d) to its side."""
-    sides = zonotope_sides(n, d)
-    table: dict[tuple[int, int], str] = {}
-    for root, typemask in sides.front_facets:
-        table[(root, typemask)] = FRONT
-    for root, typemask in sides.rear_facets:
-        table[(root, typemask)] = REAR
-    return table
-
-
 def validate_cubillage(q: Cubillage) -> ValidationReport:
     """Completeness, facet matching, boundary consistency, vertex separation."""
     problems: list[str] = []
@@ -270,21 +235,21 @@ def validate_cubillage(q: Cubillage) -> ValidationReport:
         problems.append("cube of wrong dimension")
 
     # facet matching: count (facet, side) incidences over all cubes
-    incidence: dict[tuple[int, int], list[str]] = {}
+    incidence: dict[Face, list[str]] = {}
     for cube in q.cubes:
         for facet, side in cube_facets(cube):
-            incidence.setdefault((facet.root, facet.type), []).append(side)
-    boundary = _boundary_facet_table(n, d)
-    for key, side_list in sorted(incidence.items()):
-        root, typemask = key
-        label = f"{set_notation(root)}|{set_notation(typemask)}"
+            incidence.setdefault(facet, []).append(side)
+    sides = zonotope_sides(n, d)
+    boundary = {f: FRONT for f in sides.front_facets} | {f: REAR for f in sides.rear_facets}
+    for facet, side_list in sorted(incidence.items()):
+        label = facet.label()
         if len(side_list) == 2:
             if sorted(side_list) != [FRONT, REAR]:
                 problems.append(f"facet {label} shared with equal sides")
-            if key in boundary:
+            if facet in boundary:
                 problems.append(f"boundary facet {label} shared by two cubes")
         elif len(side_list) == 1:
-            want = boundary.get(key)
+            want = boundary.get(facet)
             if want is None:
                 problems.append(f"internal facet {label} unmatched")
             elif want != side_list[0]:
@@ -298,19 +263,12 @@ def validate_cubillage(q: Cubillage) -> ValidationReport:
     expected = s_formula(n, d - 1) if d - 1 < n else 1 << n
     if len(vertices) != expected:
         problems.append(f"vertex count {len(vertices)}, expected {expected}")
-    members = vertices.members
-    done = False
-    for i in range(len(members)):
-        if done:
-            break
-        for j in range(i + 1, len(members)):
-            if not is_strongly_r_separated(members[i], members[j], d - 1):
-                problems.append(
-                    f"vertices {set_notation(members[i])}, {set_notation(members[j])} "
-                    f"not strongly {d - 1}-separated"
-                )
-                done = True
-                break
+    ok, bad = check_pairwise(vertices, strong(d - 1))
+    if not ok:
+        a, b = bad  # type: ignore[misc]
+        problems.append(
+            f"vertices {set_notation(a)}, {set_notation(b)} not strongly {d - 1}-separated"
+        )
 
     return ValidationReport(
         n=n,
@@ -336,8 +294,9 @@ def cubillage_from_collection(collection: SetSystem, d: int) -> Cubillage:
         for root in have:
             if root & typemask:
                 continue
-            if all(root | sub in have for sub in submasks(typemask)):
-                cubes.append(Cube(root, typemask))
+            cube = Cube(root, typemask)
+            if have.issuperset(cube.vertices()):
+                cubes.append(cube)
     q = Cubillage.from_cubes(n, d, cubes)
     report = validate_cubillage(q)
     if not report.ok:
@@ -349,8 +308,12 @@ def cubillage_from_collection(collection: SetSystem, d: int) -> Cubillage:
 
 
 def all_cubes(n: int, d: int) -> list[Cube]:
-    """Every cube (X | T) on [n] with |T| = d, in canonical order."""
-    check_ground(n)
+    """Every cube (X | T) on [n] with |T| = d, in canonical order.
+
+    There are C(n, d) * 2^(n-d) of them, so n is held to the cap of a
+    scan over all 2^n subsets.
+    """
+    check_table_ground(n)
     cubes = []
     for combo in combinations(range(1, n + 1), d):
         typemask = mask_of(combo, n)
@@ -362,8 +325,7 @@ def all_cubes(n: int, d: int) -> list[Cube]:
 
 def immediately_precedes(first: Cube, second: Cube) -> bool:
     """Some rear facet of the first cube is a front facet of the second."""
-    rear = {(f.root, f.type) for f in rear_facets(first)}
-    return any((f.root, f.type) in rear for f in front_facets(second))
+    return not set(rear_facets(first)).isdisjoint(front_facets(second))
 
 
 def side_precedence(

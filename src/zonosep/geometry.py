@@ -25,6 +25,11 @@ a closed combinatorial form: the front vertices are the k-intervals
 with k <= (d-1)/2, the rear vertices are their complements, and the
 rim (front meets rear) drops the (d-1)/2-intervals containing neither
 1 nor n.
+
+One type, `Face`, holds every (root | type) object: the sets root + A
+over A inside type.  It serves as a cube of a cubillage
+(`cubillage.Cube`, which adds its checks), a facet of a cube, and a
+boundary facet of Z(n, d).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .ground import (
     check_ground,
@@ -40,11 +46,33 @@ from .ground import (
     full_mask,
     interval_count,
     mask_of,
+    set_notation,
     submasks,
 )
 from .systems import SetSystem, check_table_ground
 
 Vector = tuple[int, ...]
+
+
+class Face(NamedTuple):
+    """A face (root | type): root and type are subset masks of [n].
+
+    A NamedTuple, so a face equals and hashes as its plain (root, type)
+    pair.
+    """
+
+    root: int
+    type: int
+
+    def vertices(self) -> list[int]:
+        """The vertex sets root + A, A inside type, from A = type down."""
+        return [self.root | sub for sub in submasks(self.type)]
+
+    def label(self) -> str:
+        return f"{set_notation(self.root)}|{set_notation(self.type)}"
+
+    def to_json(self) -> dict:
+        return {"root": elements(self.root), "type": elements(self.type)}
 
 
 @dataclass(frozen=True)
@@ -151,8 +179,8 @@ def normal_vector(config: CyclicConfiguration, typemask: int) -> Vector:
     """Integer normal to the span of d - 1 generators (cofactor expansion).
 
     The orientation is as produced by the cofactor formula; callers fix
-    the sign themselves.  Raises if the configuration is degenerate on
-    this type (never happens for a cyclic configuration).
+    the sign themselves.  Raises ArithmeticError if the configuration is
+    degenerate on this type (never happens for a cyclic configuration).
     """
     idx = elements(typemask)
     if len(idx) != config.d - 1:
@@ -166,7 +194,7 @@ def normal_vector(config: CyclicConfiguration, typemask: int) -> Vector:
             raise ArithmeticError("nonintegral cofactor from integer input")
         normal.append((-1) ** j * int(cof))
     if all(v == 0 for v in normal):
-        raise ValueError("degenerate span: zero normal")
+        raise ArithmeticError("degenerate span: zero normal")
     return tuple(normal)
 
 
@@ -246,16 +274,16 @@ def front_rear_vertices(n: int, d: int) -> tuple[SetSystem, SetSystem, SetSystem
 class ZonotopeSides:
     """Front/rear boundary facets of Z(n, d) and their vertex sets.
 
-    Facets are (root, type) pairs: type is a (d-1)-subset spanning the
-    facet's directions, root the set of generators strictly on the
-    facet's side of that span.  Vertex sets are unions of facet vertex
-    sets; the rim is the intersection of front and rear.
+    Facets are `Face`s, ordered by (type, root): type is a (d-1)-subset
+    spanning the facet's directions, root the set of generators strictly
+    on the facet's side of that span.  Vertex sets are unions of facet
+    vertex sets; the rim is the intersection of front and rear.
     """
 
     n: int
     d: int
-    front_facets: tuple[tuple[int, int], ...]
-    rear_facets: tuple[tuple[int, int], ...]
+    front_facets: tuple[Face, ...]
+    rear_facets: tuple[Face, ...]
     front: SetSystem
     rear: SetSystem
     rim: SetSystem
@@ -273,20 +301,18 @@ def zonotope_sides(n: int, d: int) -> ZonotopeSides:
         # with the outward normal pointing frontward, the front root
         # collects the generators on the positive side
         front_root, rear_root = side_roots(config, typemask)
-        front_facets.append((front_root, typemask))
-        rear_facets.append((rear_root, typemask))
-        for sub in submasks(typemask):
-            front_verts.add(front_root | sub)
-            rear_verts.add(rear_root | sub)
-    front = SetSystem.from_masks(n, front_verts)
-    rear = SetSystem.from_masks(n, rear_verts)
-    rim = SetSystem.from_masks(n, front_verts & rear_verts)
+        front = Face(front_root, typemask)
+        rear = Face(rear_root, typemask)
+        front_facets.append(front)
+        rear_facets.append(rear)
+        front_verts.update(front.vertices())
+        rear_verts.update(rear.vertices())
     return ZonotopeSides(
         n=n,
         d=d,
-        front_facets=tuple(sorted(front_facets, key=lambda f: (f[1], f[0]))),
-        rear_facets=tuple(sorted(rear_facets, key=lambda f: (f[1], f[0]))),
-        front=front,
-        rear=rear,
-        rim=rim,
+        front_facets=tuple(sorted(front_facets, key=lambda f: (f.type, f.root))),
+        rear_facets=tuple(sorted(rear_facets, key=lambda f: (f.type, f.root))),
+        front=SetSystem.from_masks(n, front_verts),
+        rear=SetSystem.from_masks(n, rear_verts),
+        rim=SetSystem.from_masks(n, front_verts & rear_verts),
     )

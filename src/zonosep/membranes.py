@@ -43,15 +43,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .cubillage import (
-    Cube,
-    Cubillage,
-    FacetDescriptor,
-    front_facets,
-    rear_facets,
-    side_precedence,
-)
-from .geometry import zonotope_sides
+from .cubillage import Cube, Cubillage, front_facets, rear_facets, side_precedence
+from .geometry import Face, zonotope_sides
 from .ground import elements, set_notation, submasks
 from .posets import IdealCapExceeded, Poset, digraph_dot
 from .separation import is_double_r_comb
@@ -104,7 +97,7 @@ def h_tile(cube: Cube, j: int) -> Tile | None:
     return Tile(H_TILE, frozenset(verts))
 
 
-def v_tile(facet: FacetDescriptor, slab: int) -> Tile | None:
+def v_tile(facet: Face, slab: int) -> Tile | None:
     """One-slab slice of a facet: the vertex layers at sizes slab, slab+1."""
     base = facet.root.bit_count()
     k = slab - base
@@ -157,7 +150,7 @@ class Fragment:
     def eps_rear(self) -> frozenset[Tile]:
         return self._side(rear_facets(self.cube), self.slabs[-1])
 
-    def _side(self, facets: list[FacetDescriptor], lid: int) -> frozenset[Tile]:
+    def _side(self, facets: list[Face], lid: int) -> frozenset[Tile]:
         """V-tiles of the facets at every covered slab, plus the section at
         local height lid: the floor (front side) or the ceiling (rear side)."""
         base = self.cube.root.bit_count()
@@ -239,12 +232,12 @@ def membrane_vertices(m: Membrane) -> SetSystem:
     return SetSystem.from_masks(m.n, m.vertex_masks())
 
 
-def _slice_boundary(facet_keys: Iterable[tuple[int, int]]) -> set[Tile]:
+def _slice_boundary(facets: Iterable[Face]) -> set[Tile]:
     tiles: set[Tile] = set()
-    for root, typemask in facet_keys:
-        base = root.bit_count()
-        for slab in range(base, base + typemask.bit_count()):
-            tile = v_tile(FacetDescriptor(root, typemask), slab)
+    for facet in facets:
+        base = facet.root.bit_count()
+        for slab in range(base, base + facet.type.bit_count()):
+            tile = v_tile(facet, slab)
             if tile is not None:
                 tiles.add(tile)
     return tiles
@@ -576,8 +569,7 @@ def s_membrane_census(q: Cubillage) -> MembraneCensus:
     each cube flip finds its front facets present and its rear facets
     absent; then the ideals are counted.
     """
-    sides = zonotope_sides(q.n, q.d)
-    base = frozenset(FacetDescriptor(root, typemask) for root, typemask in sides.front_facets)
+    base = frozenset(zonotope_sides(q.n, q.d).front_facets)
     fronts = [frozenset(front_facets(cube)) for cube in q.cubes]
     rears = [frozenset(rear_facets(cube)) for cube in q.cubes]
     _check_lifespans(base, q.cubes, fronts, rears, what="facet")

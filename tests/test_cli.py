@@ -7,8 +7,10 @@ import re
 import pytest
 
 import zonosep.flips as fl
+import zonosep.geometry as geometry
 import zonosep.membranes as mb
 import zonosep.posets as posets
+import zonosep.systems as systems
 from zonosep.cli import main
 from zonosep.cubillage import Cubillage, standard_cubillage
 from zonosep.membranes import scan_membranes
@@ -485,6 +487,21 @@ def test_precedence_cycle_is_an_internal_error(capsys, monkeypatch):
         assert err == "internal error: cycle among 30 of 30 nodes\n"
 
 
+def test_internal_errors_from_any_module_are_one_line(capsys, monkeypatch):
+    # a symmetry check that breaks at once raises RuntimeError in systems
+    with monkeypatch.context() as patch:
+        patch.setattr(systems, "_first_break", lambda table, image: 0)
+        code, out, err = run(capsys, "search", "max", "--n", "4", "--kind", "strong", "--r", "1")
+    assert code == 1 and out == ""
+    assert err == "internal error: relation table not invariant under complement at {}\n"
+    # a normal with a zero last coordinate raises ArithmeticError in geometry
+    real = geometry.normal_vector
+    monkeypatch.setattr(geometry, "normal_vector", lambda c, t: real(c, t)[:-1] + (0,))
+    code, out, err = run(capsys, "zono", "sides", "--n", "5", "--d", "3")
+    assert code == 1 and out == ""
+    assert err == "internal error: normal with zero last coordinate\n"
+
+
 def test_membrane_enumerate_cap_is_one_line_error(capsys):
     for flavor in ("w", "e", "s"):
         code, out, err = run(
@@ -665,6 +682,23 @@ def test_empty_site_ranges_are_usage_errors(capsys):
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: r = ") and "leaves no flip site" in err
+
+
+def test_empty_suite_ranges_are_usage_errors(capsys):
+    # nmax < 2 leaves no n in 2..nmax: the run must not exit 0 over nothing
+    for suite, nmax in (("snr", "1"), ("wnr", "1"), ("snr", "0")):
+        code, out, err = run(capsys, "verify", suite, "--nmax", nmax)
+        assert code == 2 and out == ""
+        assert err == f"error: --nmax {nmax} leaves no n in 2..nmax to verify\n"
+
+
+def test_all_cube_runs_past_the_scan_cap_are_usage_errors(capsys):
+    # C(n, d) * 2^(n-d) cubes: the ground size is checked before any output
+    for argv in (("cub", "gamma", "--n", "13", "--d", "3"), ("verify", "acyclicity", "--nmax", "13")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: n = 13 exceeds the relation-table cap 12")
+        assert err.count("\n") == 1
 
 
 HARNESS_STATS = re.compile(

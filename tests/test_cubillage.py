@@ -3,7 +3,6 @@
 from zonosep.cubillage import (
     Cube,
     Cubillage,
-    FacetDescriptor,
     all_cubes,
     anti_standard_cubillage,
     apex_vertices,
@@ -21,8 +20,9 @@ from zonosep.cubillage import (
     standard_cubillage,
     validate_cubillage,
 )
-from zonosep.geometry import zonotope_sides
+from zonosep.geometry import Face, zonotope_sides
 from zonosep.ground import mask_of
+from zonosep.separation import is_strongly_r_separated
 from zonosep.systems import SetSystem, s_formula
 
 import pytest
@@ -50,14 +50,25 @@ def test_cube_basics() -> None:
     assert sides[(0, m(2))] == "rear"
     assert sides[(m(2), m(1))] == "rear"
 
-    assert facet_side(c, FacetDescriptor(0, m(1))) == "front"
+    assert facet_side(c, Face(0, m(1))) == "front"
     with pytest.raises(ValueError):
-        facet_side(c, FacetDescriptor(m(3), m(1)))
+        facet_side(c, Face(m(3), m(1)))
 
     with pytest.raises(ValueError):
         Cube(m(1), m(1, 2))
     with pytest.raises(ValueError):
         Cube(0, 0)
+
+
+def test_cube_is_a_checked_face() -> None:
+    c = cube((3,), (1, 2))
+    assert isinstance(c, Face) and c == Face(m(3), m(1, 2)) == (m(3), m(1, 2))
+    assert hash(c) == hash((m(3), m(1, 2)))
+    assert repr(c) == "Cube(root=4, type=3)"
+    assert c.label() == "{3}|{1,2}" and c.d == 2
+    assert c.to_json() == {"root": [3], "type": [1, 2]}
+    assert c.vertices() == [m(1, 2, 3), m(2, 3), m(1, 3), m(3)]
+    assert Face(m(1), 0).vertices() == [m(1)]
 
 
 def test_apex_and_facets_in_dimension_three() -> None:
@@ -67,9 +78,9 @@ def test_apex_and_facets_in_dimension_three() -> None:
     assert h == m(1, 3, 4)
     # t_C lies on every front facet, h_C on every rear facet
     for f in front_facets(c):
-        assert t in f.vertex_masks()
+        assert t in f.vertices()
     for f in rear_facets(c):
-        assert h in f.vertex_masks()
+        assert h in f.vertices()
 
 
 def test_standard_z32_frozen() -> None:
@@ -145,6 +156,23 @@ def test_validate_catches_breakage() -> None:
     doubled = list(q.cubes[:-1]) + [q.cubes[0]]
     report = validate_cubillage(Cubillage.from_cubes(4, 2, doubled))
     assert any("duplicate" in p for p in report.problems)
+
+
+def test_validate_reports_the_first_unseparated_pair() -> None:
+    q = standard_cubillage(4, 2)
+    moved = Cubillage.from_cubes(4, 2, [cube((4,), (1, 2))] + list(q.cubes[1:]))
+    members = moved.vertex_set().members
+    bad = [
+        (a, b)
+        for i, a in enumerate(members)
+        for b in members[i + 1 :]
+        if not is_strongly_r_separated(a, b, 1)
+    ]
+    assert len(bad) >= 2 and bad[0] == (m(2), m(1, 4))
+    report = validate_cubillage(moved)
+    assert [p for p in report.problems if "separated" in p] == [
+        "vertices {2}, {1,4} not strongly 1-separated"
+    ]
 
 
 def test_reconstruction_roundtrip() -> None:

@@ -168,6 +168,9 @@ def test_normal_vector_expectations():
         side_roots(flat, m(1, 2))  # normal (0,-1,0)
     with pytest.raises(ArithmeticError, match="not cyclic"):
         side_roots(flat, m(1, 3))  # generator 4 lies on the span
+    twin = CyclicConfiguration(3, 3, (1, 2, 3), ((1, 1, 1), (2, 2, 2), (1, 2, 4)))
+    with pytest.raises(ArithmeticError, match="degenerate span"):
+        normal_vector(twin, m(1, 2))  # parallel generators span a line
 
 
 def test_nonpurity_witness_shape():
