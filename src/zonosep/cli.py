@@ -25,7 +25,7 @@ from . import flips as fl
 from . import membranes as mb
 from .geometry import boundary_vertices, zonotope_sides
 from .ground import elements, interval_cortege, mask_of, set_notation
-from .posets import is_acyclic
+from .posets import is_acyclic, topological_order
 from .separation import is_strongly_r_separated, is_weakly_r_separated
 from .systems import (
     DEFAULT_EXHAUSTIVE_BOUND,
@@ -33,6 +33,7 @@ from .systems import (
     KIND_WEAK_EVEN,
     KIND_WEAK_EVEN_NO_COMB,
     KIND_WEAK_ODD,
+    RELATION_TABLE_CAP,
     SCHEMA,
     PairwisePredicate,
     SetSystem,
@@ -42,8 +43,8 @@ from .systems import (
     nonpurity_witness,
     s_formula,
     search_max,
+    check_limit,
     check_pairwise,
-    check_table_ground,
     extend_to_maximal,
     weak_odd,
 )
@@ -60,6 +61,12 @@ STRUCTURAL = ((4, 2), (4, 3), (5, 3), (6, 4), (5, 5))
 
 # exit code of a run that stopped at its cap before covering its range
 EXIT_INCOMPLETE = 3
+
+# the search limit and its name on the command line, which has no bound option
+CLI_SEARCH_LIMIT = (
+    DEFAULT_EXHAUSTIVE_BOUND,
+    "{}, the largest ground set the command line searches exhaustively",
+)
 
 
 class UsageError(ValueError):
@@ -165,20 +172,11 @@ def _predicate(args) -> PairwisePredicate:
     return PairwisePredicate(KINDS[args.kind], args.r)
 
 
-def _exhaustive_n(n: int) -> int:
-    """The ground size a command may search exhaustively; the CLI has no bound option."""
-    if n > DEFAULT_EXHAUSTIVE_BOUND:
-        raise UsageError(
-            f"n = {n} exceeds {DEFAULT_EXHAUSTIVE_BOUND}, the largest ground set "
-            f"the command line searches exhaustively"
-        )
-    return n
-
-
 def cmd_search_max(args) -> int:
     predicate = _predicate(args)
+    n = check_limit(args.n, *CLI_SEARCH_LIMIT)
     start = time.perf_counter()
-    found = search_max(_exhaustive_n(args.n), predicate)
+    found = search_max(n, predicate)
     seconds = time.perf_counter() - start
     print(f"max {predicate.label()} on [{args.n}]: {found.size}")
     print(f"witness: {found.witness}")
@@ -196,7 +194,8 @@ def cmd_search_maximal(args) -> int:
     predicate = _predicate(args)
     sizes: dict[int, int] = {}
     emitted = 0
-    for system in enumerate_maximal(_exhaustive_n(args.n), predicate, limit=args.limit):
+    n = check_limit(args.n, *CLI_SEARCH_LIMIT)
+    for system in enumerate_maximal(n, predicate, limit=args.limit):
         sizes[len(system)] = sizes.get(len(system), 0) + 1
         emitted += 1
     label = "all" if args.limit is None else f"first {args.limit}"
@@ -358,26 +357,19 @@ def cmd_membrane_enumerate(args) -> int:
 
 def cmd_membrane_flipwalk(args) -> int:
     q = cb.standard_cubillage(args.n, args.d, args.anti)
-    deltas = mb.fragments(q)
+    deltas, succs = mb.fragment_precedence(q)
     current = mb.base_membrane(q)
-    target = mb.rear_boundary_tiles(q)
-    steps = 0
-    while frozenset(current.tiles) != target:
-        for delta in deltas:
-            if delta in current.ideal:
-                continue
-            try:
-                current = mb.raising_flip(current, delta)
-            except ValueError:
-                continue
-            steps += 1
-            size = len(mb.membrane_vertices(current))
-            print(f"step {steps}: raise {delta.label()}, {size} vertices")
-            break
-        else:
-            print("stuck before reaching the rear boundary")
-            return 1
-    print(f"front to rear in {steps} raising flips")
+    for step, i in enumerate(topological_order(len(deltas), succs), 1):
+        try:
+            current = mb.raising_flip(current, deltas[i])
+        except ValueError as exc:
+            # every fragment before it in the order is raised: a broken precedence
+            raise mb.MembraneInvariantError(str(exc)) from None
+        size = len(mb.membrane_vertices(current))
+        print(f"step {step}: raise {deltas[i].label()}, {size} vertices")
+    if current.tiles != mb.rear_boundary_tiles(q):
+        raise mb.MembraneInvariantError("raising every fragment misses the rear boundary")
+    print(f"front to rear in {len(deltas)} raising flips")
     return 0
 
 
@@ -405,6 +397,7 @@ def _print_scan_stats(what: str, report: mb.MembraneScanReport) -> None:
 
 def cmd_membrane_scan(args) -> int:
     _reject_cap(args)
+    check_limit(args.n)  # the scan's own check, before the cubillage is built
     q = cb.standard_cubillage(args.n, args.d, args.anti)
     report = mb.scan_membranes(
         q,
@@ -491,16 +484,20 @@ def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _suite_nmax(nmax: int) -> int:
-    """The top of a suite's range n = 2..nmax: nonempty and searchable."""
-    if nmax < 2:
-        raise UsageError(f"--nmax {nmax} leaves no n in 2..nmax to verify")
-    return _exhaustive_n(nmax)
+def _suite_range(option: str, top: int, low: int = 2, *limit) -> range:
+    """low..top, a suite's range of n (--nmax) or d (--dmax), checked whole
+    before its first line: an empty range, or a top past the limit given
+    as check_limit's arguments, is a usage error."""
+    if top < low:
+        raise UsageError(f"{option} {top} leaves no {option[2]} in {low}..{option[2:]} to verify")
+    if limit:
+        check_limit(top, *limit)
+    return range(low, top + 1)
 
 
 def cmd_verify_snr(args) -> int:
     all_ok = True
-    for n in range(2, _suite_nmax(args.nmax) + 1):
+    for n in _suite_range("--nmax", args.nmax, 2, *CLI_SEARCH_LIMIT):
         for r in range(1, n):
             size, _ = max_size(n, PairwisePredicate(KIND_STRONG, r))
             want = s_formula(n, r)
@@ -512,9 +509,9 @@ def cmd_verify_snr(args) -> int:
 
 def cmd_verify_wnr(args) -> int:
     all_ok = True
-    nmax = _suite_nmax(args.nmax)
+    ns = _suite_range("--nmax", args.nmax, 2, *CLI_SEARCH_LIMIT)
     for r in (1, 3):
-        for n in range(r + 1, nmax + 1):
+        for n in range(r + 1, ns.stop):
             size, _ = max_size(n, PairwisePredicate(KIND_WEAK_ODD, r))
             want = s_formula(n, r)
             ok = size == want
@@ -571,11 +568,10 @@ def cmd_verify_refined(args) -> int:
 
 
 def cmd_verify_acyclicity(args) -> int:
-    if args.nmax >= 2:
-        # all_cubes holds n to the 2^n-scan cap: check the largest n before any line
-        check_table_ground(args.nmax)
+    ns = _suite_range("--nmax", args.nmax, 2, RELATION_TABLE_CAP)
+    _suite_range("--dmax", args.dmax)
     all_ok = True
-    for n in range(2, args.nmax + 1):
+    for n in ns:
         for d in range(2, min(n, args.dmax) + 1):
             ok = cb.gamma_is_acyclic(n, d)
             all_ok &= ok
@@ -595,7 +591,8 @@ def cmd_verify_acyclicity(args) -> int:
 
 def cmd_verify_membranes(args) -> int:
     _reject_cap(args)
-    targets = [(n, 3) for n in range(3, args.nmax + 1)] + [(5, 5)]
+    ns = _suite_range("--nmax", args.nmax, 3, RELATION_TABLE_CAP)
+    targets = [(n, 3) for n in ns] + [(5, 5)]
     codes = set()
     for n, d in targets:
         q = cb.standard_cubillage(n, d)
@@ -681,9 +678,9 @@ def _add_dot(parser) -> None:
     parser.add_argument("--dot", metavar="PATH", help="write DOT graph to PATH")
 
 
-def _add_nd(parser, dmin: int = 1) -> None:
+def _add_nd(parser) -> None:
     parser.add_argument("--n", type=int, required=True, help="ground set size")
-    parser.add_argument("--d", type=int, required=True, help=f"dimension (>= {dmin})")
+    parser.add_argument("--d", type=int, required=True, help="dimension, at most n")
 
 
 def _add_rejected_cap(parser) -> None:

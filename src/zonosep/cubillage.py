@@ -48,7 +48,7 @@ from typing import Hashable, Iterable, Sequence
 from .geometry import Face, side_roots, veronese, zonotope_sides
 from .ground import check_ground, check_mask, elements, mask_of, set_notation, submasks
 from .posets import digraph_dot, is_acyclic
-from .systems import SCHEMA, SetSystem, check_pairwise, check_table_ground, s_formula, strong
+from .systems import SCHEMA, SetSystem, check_dimension, check_limit, check_pairwise, s_formula, strong
 
 FRONT = "front"
 REAR = "rear"
@@ -164,9 +164,7 @@ class Cubillage:
             raise ValueError(
                 "cubillage JSON needs keys n, d and cubes, each cube a root and a type list"
             ) from None
-        check_ground(n)
-        if not isinstance(d, int) or not 1 <= d <= n:
-            raise ValueError(f"cubillage dimension must be an integer in 1..{n}, got {d!r}")
+        check_dimension(n, d, low=1)
         return Cubillage.from_cubes(n, d, cubes)
 
 
@@ -178,9 +176,7 @@ def standard_cubillage(n: int, d: int, anti: bool = False) -> Cubillage:
     the root is the positive side (standard) or the negative side
     (anti-standard) of the normal with negative last coordinate.
     """
-    check_ground(n)
-    if not 2 <= d <= n:
-        raise ValueError(f"need 2 <= d <= n, got d={d}, n={n}")
+    check_dimension(n, d)
     if d == n:
         return Cubillage.from_cubes(n, d, [Cube(0, (1 << n) - 1)])
     config = veronese(n, d + 1, validate=False)
@@ -310,10 +306,11 @@ def cubillage_from_collection(collection: SetSystem, d: int) -> Cubillage:
 def all_cubes(n: int, d: int) -> list[Cube]:
     """Every cube (X | T) on [n] with |T| = d, in canonical order.
 
-    There are C(n, d) * 2^(n-d) of them, so n is held to the cap of a
-    scan over all 2^n subsets.
+    There are C(n, d) * 2^(n-d) of them, so n is held to the limit of a
+    scan over all 2^n subsets.  d = 1 is allowed: those cubes are edges.
     """
-    check_table_ground(n)
+    check_limit(n)
+    check_dimension(n, d, low=1)
     cubes = []
     for combo in combinations(range(1, n + 1), d):
         typemask = mask_of(combo, n)

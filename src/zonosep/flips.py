@@ -45,14 +45,14 @@ the difference sets, so a judged Y's degree and partner list depend on
 (P, Q, a) or (P, Q, b), never on X, and each is worked out once per
 key.  Every such memo lives for one harness call.
 
-One helper, _harness, opens every run: it checks n against
-RELATION_TABLE_CAP before any site or table, then r (a range with
-r + 2 > n has no site and is an error, not a pass), builds the report,
-and keeps the sites of the shard.  Shard k/m keeps sites k, k+m,
-k+2m, ... of the canonical site order, so the m shards of a run
-partition its sites.  report.stats holds the run's counters and
-seconds (patterns, judged Y, memo entries, table and site-loop time);
-to_json leaves them out.
+One helper, _harness, opens every run: it checks n against the
+relation-table limit (systems.check_limit) before any site or table,
+then r (a range with r + 2 > n has no site and is an error, not a
+pass), builds the report, and keeps the sites of the shard.  Shard k/m
+keeps sites k, k+m, k+2m, ... of the canonical site order, so the m
+shards of a run partition its sites.  report.stats holds the run's
+counters and seconds (patterns, judged Y, memo entries, table and
+site-loop time); to_json leaves them out.
 
 apply_flip performs the XP <-> XQ swap on an actual collection after
 verifying membership and witnesses, then re-checks the weak separation
@@ -84,8 +84,8 @@ from .separation import is_double_r_comb
 from .systems import (
     SCHEMA,
     SetSystem,
+    check_limit,
     check_pairwise,
-    check_table_ground,
     complement_table,
     weak,
 )
@@ -383,7 +383,7 @@ def _harness(
     (k, m) keeps sites k, k + m, ... of the canonical order.  The loop
     over the patterns is counted and timed into report.stats.
     """
-    check_table_ground(n)
+    check_limit(n)
     patterns = _site_patterns(n, r, parity)
     report = HarnessReport(name=name, n=n, r=r)
     if shard is not None:

@@ -40,7 +40,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .ground import (
-    check_ground,
     check_mask,
     elements,
     full_mask,
@@ -49,7 +48,7 @@ from .ground import (
     set_notation,
     submasks,
 )
-from .systems import SetSystem, check_table_ground
+from .systems import SetSystem, check_dimension, check_limit
 
 Vector = tuple[int, ...]
 
@@ -128,9 +127,7 @@ def flag_minors_positive(columns: list[Vector], d: int) -> bool:
 
 def veronese(n: int, d: int, ts: tuple[int, ...] | None = None, validate: bool = True) -> CyclicConfiguration:
     """Veronese cyclic configuration at integer parameters (default 1..n)."""
-    check_ground(n)
-    if not 2 <= d <= n:
-        raise ValueError(f"need 2 <= d <= n, got d={d}, n={n}")
+    check_dimension(n, d)
     if ts is None:
         ts = tuple(range(1, n + 1))
     if len(ts) != n or any(not isinstance(t, int) for t in ts):
@@ -168,10 +165,8 @@ def sign_changes(mask: int, n: int) -> int:
 
 def is_zonotope_vertex(mask: int, n: int, d: int) -> bool:
     """Vertex test for Z(n, d): at most d - 1 sign changes along 1..n."""
-    check_ground(n)
+    check_dimension(n, d)
     check_mask(mask, n)
-    if not 2 <= d <= n:
-        raise ValueError(f"need 2 <= d <= n, got d={d}, n={n}")
     return sign_changes(mask, n) <= d - 1
 
 
@@ -234,9 +229,8 @@ def boundary_vertices(n: int, d: int) -> SetSystem:
 
     A scan over all 2^n subsets, so n is held to the relation-table cap.
     """
-    check_table_ground(n)
-    if not 2 <= d <= n:
-        raise ValueError(f"need 2 <= d <= n, got d={d}, n={n}")
+    check_limit(n)
+    check_dimension(n, d)
     return SetSystem.from_masks(
         n, (x for x in range(1 << n) if sign_changes(x, n) <= d - 1)
     )
@@ -249,9 +243,8 @@ def front_rear_vertices(n: int, d: int) -> tuple[SetSystem, SetSystem, SetSystem
     0-interval).  Rear: complements of the front sets.  Rim: k-intervals
     with k < (d-1)/2, plus the (d-1)/2-intervals containing 1 or n.
     """
-    check_ground(n)
-    if not 2 <= d <= n:
-        raise ValueError(f"need 2 <= d <= n, got d={d}, n={n}")
+    check_limit(n)
+    check_dimension(n, d)
     if d % 2 == 0:
         raise ValueError("closed-form sides require odd d; use zonotope_sides")
     half = (d - 1) // 2

@@ -51,6 +51,7 @@ from .separation import is_double_r_comb
 from .systems import (
     SCHEMA,
     SetSystem,
+    check_limit,
     complement_table,
     relation_table,
     s_formula,
@@ -614,6 +615,7 @@ def scan_membranes(
        that down-set is the witness.  Every witness is replayed through
        the membrane construction and the pair re-checked from scratch.
     """
+    check_limit(q.n)  # phase 4 reads the relation table, so check before phase 1
     if r is None:
         r = q.d - 2
     if r < 1:

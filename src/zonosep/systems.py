@@ -28,9 +28,8 @@ The expected maximum for strong separation is the closed form
 
 which weak separation provably meets for odd r; the search machinery
 here is what checks such statements exhaustively at desk scale.  The
-exhaustive-search bound defaults to n = 7 and may be raised to 8
-through the bound argument; larger ground sets are rejected rather than
-approximated.
+limits on n are one table below, and check_limit rejects a larger
+ground set before any work starts rather than approximating it.
 
 The 55-member witness on [6] showing that maximal weakly 3-separated
 systems need not all reach the maximum size 57 is also built here: the
@@ -58,10 +57,16 @@ from .separation import (
 
 SCHEMA = "zonosep/1"
 
+# The limits on n, each checked by check_limit before the work it guards.
+# A relation table has 2^n rows of 2^n bits, 4096 rows of 512 bytes at 12;
+# the 2^n scans, the flip harnesses and the membrane scans share its limit.
+# An exhaustive search takes n up to its bound= (default 7), at most 8.
+RELATION_TABLE_CAP = 12
 DEFAULT_EXHAUSTIVE_BOUND = 7
 HARD_EXHAUSTIVE_CAP = 8
-# relation tables: 2^n rows of 2^n bits, so 4096 rows of 512 bytes at the cap
-RELATION_TABLE_CAP = 12
+TABLE_LIMIT = "the relation-table cap {} (a table has 2^n rows of 2^n bits)"
+SEARCH_LIMIT = f"the exhaustive-search bound {{}} (bound= raises it to {HARD_EXHAUSTIVE_CAP})"
+
 RELATION_CACHE_SIZE = 8
 
 KIND_STRONG = "STRONG"
@@ -223,6 +228,7 @@ def extend_to_maximal(system: SetSystem, predicate: PairwisePredicate) -> SetSys
     Scans every subset of [n] in canonical order and greedily adds the
     compatible ones, so the result is reproducible.
     """
+    check_limit(system.n)
     ok, bad = check_pairwise(system, predicate)
     if not ok:
         a, b = bad  # type: ignore[misc]
@@ -241,27 +247,20 @@ def extend_to_maximal(system: SetSystem, predicate: PairwisePredicate) -> SetSys
     return SetSystem.from_masks(system.n, chosen)
 
 
-def _check_bound(n: int, bound: int) -> None:
+def check_limit(n: int, limit: int = RELATION_TABLE_CAP, name: str = TABLE_LIMIT) -> int:
+    """Return the ground size n, or raise ValueError naming the limit it passes
+    (name, with the limit's value for "{}"); the relation-table limit by default."""
     check_ground(n)
-    if bound > HARD_EXHAUSTIVE_CAP:
-        raise ValueError(
-            f"exhaustive bound capped at n = {HARD_EXHAUSTIVE_CAP}; got bound {bound}"
-        )
-    if n > bound:
-        raise ValueError(
-            f"n = {n} exceeds the exhaustive-search bound {bound}; "
-            f"raise it explicitly (hard cap {HARD_EXHAUSTIVE_CAP})"
-        )
+    if n > limit:
+        raise ValueError(f"n = {n} exceeds {name.format(limit)}")
+    return n
 
 
-def check_table_ground(n: int) -> None:
-    """Reject ground sets whose relation tables would pass RELATION_TABLE_CAP."""
+def check_dimension(n: int, d: int, low: int = 2) -> None:
+    """Raise ValueError unless n is a ground size and d an integer in low..n."""
     check_ground(n)
-    if n > RELATION_TABLE_CAP:
-        raise ValueError(
-            f"n = {n} exceeds the relation-table cap {RELATION_TABLE_CAP} "
-            f"(a table has 2^n rows of 2^n bits)"
-        )
+    if not isinstance(d, int) or not low <= d <= n:
+        raise ValueError(f"need {low} <= d <= n, got d={d!r}, n={n}")
 
 
 @lru_cache(maxsize=RELATION_CACHE_SIZE)
@@ -273,7 +272,7 @@ def relation_table(n: int, predicate: PairwisePredicate) -> tuple[int, ...]:
     The diagonal is empty, so the complement row of the sets *not*
     related to v is full ^ row ^ (1 << v) with full = (1 << 2^n) - 1.
     """
-    check_table_ground(n)
+    check_limit(n)
     holds = predicate.holds
     size = 1 << n
     table = [0] * size
@@ -538,8 +537,11 @@ def search_max(
     predicate: PairwisePredicate,
     bound: int = DEFAULT_EXHAUSTIVE_BOUND,
 ) -> MaxSearch:
-    """Exact maximum predicate-compatible system, with the search counters."""
-    _check_bound(n, bound)
+    """Exact maximum predicate-compatible system, with the search counters.
+
+    n is held to the bound, and the bound to HARD_EXHAUSTIVE_CAP.
+    """
+    check_limit(n, min(bound, HARD_EXHAUSTIVE_CAP), SEARCH_LIMIT)
     return max_clique(n, relation_table(n, predicate))
 
 
@@ -566,10 +568,11 @@ def enumerate_maximal(
 
     Deterministic pivoted Bron-Kerbosch over the compatibility graph;
     the stream order is the fixed DFS order of that algorithm.  A limit
-    of k stops after k systems (none for k = 0).  The bound and the
-    limit are checked on the call, before the search starts.
+    of k stops after k systems (none for k = 0).  n is held to the bound
+    as in search_max; n and the limit are checked on the call, before the
+    search starts.
     """
-    _check_bound(n, bound)
+    check_limit(n, min(bound, HARD_EXHAUSTIVE_CAP), SEARCH_LIMIT)
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
     return islice(_maximal_cliques(n, predicate), limit)

@@ -227,6 +227,16 @@ def test_cub_gamma(capsys, tmp_path):
     assert path.read_text().count("->") == 48
 
 
+def test_cub_gamma_dimension_outside_1_to_n_is_a_usage_error(capsys):
+    for d in ("7", "0"):
+        code, out, err = run(capsys, "cub", "gamma", "--n", "5", "--d", d)
+        assert code == 2 and out == ""
+        assert err == f"error: need 1 <= d <= n, got d={d}, n=5\n"
+    code, out, _ = run(capsys, "cub", "gamma", "--n", "5", "--d", "1")
+    assert code == 0
+    assert out == "precedence digraph on all 80 cubes of C(5,1): 160 arcs, acyclic PASS\n"
+
+
 def test_membrane_enumerate(capsys):
     code, out, _ = run(capsys, "membrane", "enumerate", "--n", "4", "--d", "3")
     assert code == 0
@@ -249,6 +259,17 @@ def test_membrane_flipwalk(capsys):
     assert code == 0
     # one raising flip per fragment: 3 * C(4,3) = 12
     assert "front to rear in 12 raising flips" in out
+
+
+def test_membrane_flipwalk_failing_flip_is_an_internal_error(capsys, monkeypatch):
+    # the walk raises the fragments in topological order, so every flip is legal
+    def blocked(m, delta):
+        raise ValueError(f"raising flip at {delta.label()} blocked")
+
+    monkeypatch.setattr(mb, "raising_flip", blocked)
+    code, out, err = run(capsys, "membrane", "flipwalk", "--n", "5", "--d", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("internal error: raising flip at ") and err.count("\n") == 1
 
 
 def test_membrane_scan(capsys, tmp_path):
@@ -685,11 +706,18 @@ def test_empty_site_ranges_are_usage_errors(capsys):
 
 
 def test_empty_suite_ranges_are_usage_errors(capsys):
-    # nmax < 2 leaves no n in 2..nmax: the run must not exit 0 over nothing
-    for suite, nmax in (("snr", "1"), ("wnr", "1"), ("snr", "0")):
-        code, out, err = run(capsys, "verify", suite, "--nmax", nmax)
+    # an empty range of n or d checks nothing: the run must not exit 0 over it
+    for argv, empty in (
+        (("snr", "--nmax", "1"), "--nmax 1 leaves no n in 2..nmax"),
+        (("wnr", "--nmax", "1"), "--nmax 1 leaves no n in 2..nmax"),
+        (("snr", "--nmax", "0"), "--nmax 0 leaves no n in 2..nmax"),
+        (("acyclicity", "--nmax", "1"), "--nmax 1 leaves no n in 2..nmax"),
+        (("acyclicity", "--dmax", "1"), "--dmax 1 leaves no d in 2..dmax"),
+        (("membranes", "--nmax", "2"), "--nmax 2 leaves no n in 3..nmax"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == ""
-        assert err == f"error: --nmax {nmax} leaves no n in 2..nmax to verify\n"
+        assert err == f"error: {empty} to verify\n"
 
 
 def test_all_cube_runs_past_the_scan_cap_are_usage_errors(capsys):
@@ -699,6 +727,22 @@ def test_all_cube_runs_past_the_scan_cap_are_usage_errors(capsys):
         assert code == 2 and out == ""
         assert err.startswith("error: n = 13 exceeds the relation-table cap 12")
         assert err.count("\n") == 1
+
+
+def test_scans_past_the_table_limit_are_refused_before_the_census(capsys, monkeypatch):
+    # the pair phase needs the n = 13 table, so no count may start first
+    def no_census(*args):
+        raise AssertionError("census started before the limit check")
+
+    monkeypatch.setattr(mb, "fragments", no_census)
+    for argv in (
+        ("membrane", "scan", "--n", "13", "--d", "4", "--flavor", "e"),
+        ("membrane", "scan", "--n", "14", "--d", "3"),
+        ("verify", "membranes", "--nmax", "13"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: n = 1[34] exceeds the relation-table cap 12 .*\n", err)
 
 
 HARNESS_STATS = re.compile(

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from zonosep import cubillage, geometry, membranes, systems
+from zonosep.cubillage import all_cubes, standard_cubillage
+from zonosep.flips import verify_flip_theorem_odd, verify_local_neighb_even, verify_refined_lemma
+from zonosep.geometry import boundary_vertices, front_rear_vertices
 from zonosep.ground import mask_of
+from zonosep.posets import Poset
 from zonosep.systems import (
+    DEFAULT_EXHAUSTIVE_BOUND,
+    HARD_EXHAUSTIVE_CAP,
+    RELATION_TABLE_CAP,
     PairwisePredicate,
     SetSystem,
     check_pairwise,
@@ -13,7 +21,9 @@ from zonosep.systems import (
     enumerate_maximal,
     extend_to_maximal,
     max_size,
+    relation_table,
     s_formula,
+    search_max,
     strong,
     weak,
     weak_even,
@@ -200,3 +210,51 @@ def test_weak_nonpurity_streams_both_sizes():
             break
         assert count < 3000, f"sizes seen so far: {sorted(seen)}"
     assert {55, 57} <= seen
+
+
+def _unreachable(*args, **kwargs):
+    pytest.fail("the expensive stage ran before the limit check")
+
+
+class _UnreachablePredicate:
+    holds = staticmethod(_unreachable)
+
+
+TABLE = RELATION_TABLE_CAP + 1
+SEARCH = DEFAULT_EXHAUSTIVE_BOUND + 1
+PAST_THE_LIMIT = {
+    "relation_table": lambda: relation_table(TABLE, _UnreachablePredicate()),
+    "search_max": lambda: search_max(SEARCH, strong(1)),
+    "search_max bound=": lambda: search_max(
+        HARD_EXHAUSTIVE_CAP + 1, strong(1), bound=HARD_EXHAUSTIVE_CAP + 1
+    ),
+    "enumerate_maximal": lambda: enumerate_maximal(SEARCH, strong(1)),
+    "extend_to_maximal": lambda: extend_to_maximal(SetSystem(TABLE, ()), _UnreachablePredicate()),
+    "boundary_vertices": lambda: boundary_vertices(TABLE, 3),
+    "front_rear_vertices": lambda: front_rear_vertices(TABLE, 3),
+    "all_cubes": lambda: all_cubes(TABLE, 3),
+    "flip_theorem_odd": lambda: verify_flip_theorem_odd(TABLE, 3),
+    "refined_lemma": lambda: verify_refined_lemma(TABLE, 3),
+    "local_neighb_even": lambda: verify_local_neighb_even(TABLE, 2),
+    # an even d and only TABLE cubes, so property_P_scan gets as far as its limit
+    "scan_membranes": lambda: membranes.scan_membranes(standard_cubillage(TABLE, TABLE - 1)),
+    "property_P_scan": lambda: membranes.property_P_scan(standard_cubillage(TABLE, TABLE - 1)),
+}
+
+
+@pytest.mark.parametrize("entry", PAST_THE_LIMIT)
+def test_every_limit_is_checked_before_the_expensive_stage(monkeypatch, entry):
+    # n = limit + 1 is refused on the call: no table, ideal count or fragment
+    # list, and no 2^n scan of the entry point's own, is started first
+    for module, stage in (
+        (systems, "relation_table"),
+        (membranes, "relation_table"),
+        (membranes, "fragments"),
+        (geometry, "sign_changes"),
+        (geometry, "interval_count"),
+        (cubillage, "submasks"),
+    ):
+        monkeypatch.setattr(module, stage, _unreachable)
+    monkeypatch.setattr(Poset, "count_ideals", _unreachable)
+    with pytest.raises(ValueError, match=r"^n = \d+ exceeds "):
+        PAST_THE_LIMIT[entry]()
