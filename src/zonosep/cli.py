@@ -495,29 +495,44 @@ def _suite_range(option: str, top: int, low: int = 2, *limit) -> range:
     return range(low, top + 1)
 
 
-def cmd_verify_snr(args) -> int:
+def _verify_sizes(name: str, what: str, instances) -> int:
+    """Search each (n, predicate) and hold its maximum to s(n, r): one line
+    per instance, then one stderr line with the instances, their search
+    nodes in total and the seconds."""
     all_ok = True
-    for n in _suite_range("--nmax", args.nmax, 2, *CLI_SEARCH_LIMIT):
-        for r in range(1, n):
-            size, _ = max_size(n, PairwisePredicate(KIND_STRONG, r))
-            want = s_formula(n, r)
-            ok = size == want
-            all_ok &= ok
-            print(f"strong n={n} r={r}: max {size}, bound {want}, {_verdict(ok)}")
+    count = nodes = 0
+    start = time.perf_counter()
+    for n, predicate in instances:
+        found = search_max(n, predicate)
+        count += 1
+        nodes += found.nodes
+        want = s_formula(n, predicate.r)
+        ok = found.size == want
+        all_ok &= ok
+        print(
+            f"{what} n={n} r={predicate.r}: max {found.size}, bound {want}, "
+            f"{_verdict(ok)}"
+        )
+    seconds = time.perf_counter() - start
+    print(
+        f"{name}: {count} instances, {nodes} search nodes, {seconds:.2f} s",
+        file=sys.stderr,
+    )
     return 0 if all_ok else 1
+
+
+def cmd_verify_snr(args) -> int:
+    ns = _suite_range("--nmax", args.nmax, 2, *CLI_SEARCH_LIMIT)
+    strong_r = ((n, PairwisePredicate(KIND_STRONG, r)) for n in ns for r in range(1, n))
+    return _verify_sizes("snr", "strong", strong_r)
 
 
 def cmd_verify_wnr(args) -> int:
-    all_ok = True
     ns = _suite_range("--nmax", args.nmax, 2, *CLI_SEARCH_LIMIT)
-    for r in (1, 3):
-        for n in range(r + 1, ns.stop):
-            size, _ = max_size(n, PairwisePredicate(KIND_WEAK_ODD, r))
-            want = s_formula(n, r)
-            ok = size == want
-            all_ok &= ok
-            print(f"weak n={n} r={r}: max {size}, bound {want}, {_verdict(ok)}")
-    return 0 if all_ok else 1
+    weak_r = (
+        (n, PairwisePredicate(KIND_WEAK_ODD, r)) for r in (1, 3) for n in range(r + 1, ns.stop)
+    )
+    return _verify_sizes("wnr", "weak", weak_r)
 
 
 def _print_harness_stats(report: fl.HarnessReport) -> None:

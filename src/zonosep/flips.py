@@ -37,22 +37,28 @@ counts every (site, Y) pair judged, 2^n - 2 per site.
 
 The runs go pattern by pattern: the sites come grouped by (P, Q), and
 the witness pools, the judge pools and the elements of P and Q are
-worked out once per pattern.  The even judges go further.  For
-Y = XQ + {a} and S inside P+Q the pair (Y, X|S) has the difference
+worked out once per pattern.  The even judges go further.  A bad pair
+has interlacing degree at least r + 2, and degree at most r + 2 is
+strong (r+1)-separation, so one row of that second table splits the
+unwitnessed Y of a clause into the judged ones (degree r + 2) and the
+recorded ones (above it) by two big-integer operations.  A judged Y
+must be XQ + {a} or XP - {b}, the very sets the converse checks build.
+For Y = XQ + {a} and S inside P+Q the pair (Y, X|S) has the difference
 sets (Q - S) + a and S - Q; for Y = XP - {b} they are P - S and
-b + (S - P).  Interlacing degree and the double-comb test read only
-the difference sets, so a judged Y's degree and partner list depend on
-(P, Q, a) or (P, Q, b), never on X, and each is worked out once per
-key.  Every such memo lives for one harness call.
+b + (S - P).  The double-comb test reads only the difference sets, so
+the partner list of such a Y depends on (P, Q, a) or (P, Q, b), never
+on X, and is worked out once per key.  Every such memo lives for one
+harness call.
 
 One helper, _harness, opens every run: it checks n against the
 relation-table limit (systems.check_limit) before any site or table,
 then r (a range with r + 2 > n has no site and is an error, not a
 pass), builds the report, and keeps the sites of the shard.  Shard k/m
-keeps sites k, k+m, k+2m, ... of the canonical site order, so the m
-shards of a run partition its sites.  report.stats holds the run's
-counters and seconds (patterns, judged Y, memo entries, table and
-site-loop time); to_json leaves them out.
+(m >= 1) keeps sites k, k+m, k+2m, ... of the canonical site order, so
+the m shards of a run partition its sites.  report.stats holds the
+run's counters and seconds (patterns, judged Y, memo entries, the
+time to get the tables, one or two, and the site-loop time); to_json
+leaves them out.
 
 apply_flip performs the XP <-> XQ swap on an actual collection after
 verifying membership and witnesses, then re-checks the weak separation
@@ -76,7 +82,6 @@ from .ground import (
     check_mask,
     elements,
     interval_cortege,
-    interlacing_degree,
     iter_elements,
     set_notation,
 )
@@ -87,6 +92,8 @@ from .systems import (
     check_limit,
     check_pairwise,
     complement_table,
+    relation_table,
+    strong,
     weak,
 )
 
@@ -370,6 +377,19 @@ def _bad_rows(n: int, r: int) -> list[int]:
     return complement_table(n, weak(r))
 
 
+def _near_rows(n: int, r: int) -> tuple[int, ...]:
+    """Row v: the sets Y != v of interlacing degree at most r + 2 with v."""
+    return relation_table(n, strong(r + 1))
+
+
+def _table(report: HarnessReport, rows, n: int, r: int):
+    """rows(n, r), with its build time added to the run's table seconds."""
+    start = perf_counter()
+    table = rows(n, r)
+    report.stats["table_s"] += perf_counter() - start
+    return table
+
+
 def _harness(
     name: str,
     n: int,
@@ -379,24 +399,24 @@ def _harness(
 ) -> tuple[HarnessReport, Iterator[Pattern], list[int]]:
     """The report, the site patterns of the shard and the bad rows of one run.
 
-    The ground size is checked before any site or table, then r.  Shard
-    (k, m) keeps sites k, k + m, ... of the canonical order.  The loop
-    over the patterns is counted and timed into report.stats.
+    The ground size is checked before any site or table, then r, then
+    the shard: (k, m) with 0 <= k < m keeps sites k, k + m, ... of the
+    canonical order.  The table and the loop over the patterns are timed
+    into report.stats, the patterns counted.
     """
     check_limit(n)
     patterns = _site_patterns(n, r, parity)
     report = HarnessReport(name=name, n=n, r=r)
     if shard is not None:
         k, m = shard
+        if m < 1:
+            raise ValueError(f"shard count m must be at least 1, got {k}/{m}")
         if not 0 <= k < m:
             raise ValueError(f"shard index {k} outside 0..{m - 1}")
         report.shard = f"{k}/{m}"
         patterns = _shard(patterns, k, m)
-    start = perf_counter()
-    bad = _bad_rows(n, r)
-    table_s = perf_counter() - start
-    report.stats = {"patterns": 0, "judged": 0, "memo": 0, "table_s": table_s}
-    return report, _timed(report, patterns), bad
+    report.stats = {"patterns": 0, "judged": 0, "memo": 0, "table_s": 0.0}
+    return report, _timed(report, patterns), _table(report, _bad_rows, n, r)
 
 
 def _shard(patterns: Iterator[Pattern], k: int, m: int) -> Iterator[Pattern]:
@@ -445,6 +465,8 @@ def verify_flip_theorem_odd(
             pair = 1 << xp | 1 << xq
             up = _unwitnessed(bad, x, xp, pair, up_pool)
             down = _unwitnessed(bad, x, xq, pair, down_pool)
+            if not up | down:
+                continue
             for e in iter_elements(up | down):
                 y = e - 1  # bit y of a row stands for the set y
                 for clause, failed in (("up", up), ("down", down)):
@@ -495,24 +517,6 @@ def _bracket_index(p: int, value: int) -> int:
     return (p & ((1 << (value - 1)) - 1)).bit_count()
 
 
-def _raised_by(y: int, x: int, p: int, q: int, p1: int) -> int:
-    """a if Y = XQ + {a} with a outside XPQ and a > p_1, else 0."""
-    extra = y & ~(x | q)
-    if (x | q) & ~y or extra & (extra - 1) or extra & p:
-        return 0
-    a = extra.bit_length()
-    return a if a > p1 else 0
-
-
-def _lowered_by(y: int, x: int, p: int, q: int, p1: int) -> int:
-    """b if Y = XP - {b} with b in X and b > p_1, else 0."""
-    gone = (x | p) & ~y
-    if y & ~(x | p) or gone & (gone - 1) or gone & ~x:
-        return 0
-    b = gone.bit_length()
-    return b if b > p1 else 0
-
-
 def verify_local_neighb_even(
     n: int, r: int, shard: tuple[int, int] | None = None
 ) -> HarnessReport:
@@ -526,28 +530,34 @@ def verify_local_neighb_even(
     confirmed to trigger.  Cases of interlacing degree above r+2 are
     counted but not judged.
 
-    The degree and the partner list of Y = XQ + {a} depend on (P, Q, a)
-    only, those of Y = XP - {b} on (P, Q, b) only (see the module
-    docstring), so each is worked out once per pattern and key.
+    A bad pair has degree at least r + 2, so one row of the strong
+    (r+1)-table, the sets of degree at most r + 2 with the lead set,
+    splits the unwitnessed Y of a clause: inside it they are judged,
+    outside it recorded.  The Y of the two shapes are the constructed
+    instances, walked once per site; every other judged Y has the wrong
+    shape.  The partner list of Y = XQ + {a} depends on (P, Q, a) only,
+    that of Y = XP - {b} on (P, Q, b) only (see the module docstring),
+    so each is worked out once per pattern and key.
     """
     report, patterns, bad = _harness("local_neighb_even", n, r, shard, PARITY_EVEN)
+    near = _table(report, _near_rows, n, r)
     stats = report.stats
     for p, q, xs in patterns:
         up_pool, down_pool = _up(p, q), _down(p, q)
         rp = p.bit_count()
         p1 = (p & -p).bit_length()
+        above = (1 << n) - (1 << p1)  # the elements past p_1
         q_bits = [1 << (e - 1) for e in elements(q)]
-        # per clause: shape key (a or b), judge pool, the partner expected
-        # for a key, the two counterexample labels, and the memo of this
-        # pattern: key -> (Y is (r+2)-interlaced with the lead, partners
-        # or None if they are exactly [expected])
+        # per clause: judge pool, the partner expected for a key, the
+        # shape, uniqueness and converse labels, and the memo of this
+        # pattern: key -> partners, or None if they are exactly [expected]
         clauses = (
-            (_raised_by, _pool(p, q, rp, rp + 1),
+            (_pool(p, q, rp, rp + 1),
              lambda a: p | q_bits[_bracket_index(p, a) - 1],
-             "XQ+a", "uniqueness-upper", {}),
-            (_lowered_by, _pool(p, q, rp - 1, rp),
+             "XQ+a", "uniqueness-upper", "converse-up", {}),
+            (_pool(p, q, rp - 1, rp),
              lambda b: q & ~q_bits[_bracket_index(p, b) - 1],
-             "XP-b", "uniqueness-lower", {}),
+             "XP-b", "uniqueness-lower", "converse-down", {}),
         )
         report.sites += len(xs)
         report.checks += len(xs) * ((1 << n) - 2)
@@ -557,53 +567,34 @@ def verify_local_neighb_even(
             up = _unwitnessed(bad, x, xp, pair, up_pool)
             down = _unwitnessed(bad, x, xq, pair, down_pool)
             found = []  # (y, clause index, counterexample), sorted below
-            for index, failed, lead in ((0, up, xp), (1, down, xq)):
-                key_of, pool, expected, shape, unique, memo = clauses[index]
-                for e in iter_elements(failed):
-                    y = e - 1
-                    key = key_of(y, x, p, q, p1)
-                    if key:
-                        if key not in memo:
-                            stats["memo"] += 1
-                            combs = [s for s in pool if is_double_r_comb(y, x | s, r)]
-                            want = [expected(key)]
-                            memo[key] = (
-                                interlacing_degree(y, lead) == r + 2,
-                                None if combs == want else combs,
-                            )
-                        interlaced, combs = memo[key]
-                    else:
-                        interlaced = interlacing_degree(y, lead) == r + 2
-                    if not interlaced:
-                        report.recorded += 1
+            converse = []
+            # per clause, the constructed Y with their keys: XQ + {a}, XP - {b}
+            for index, failed, lead, shaped in (
+                (0, up, xp, [(a, xq | 1 << (a - 1)) for a in elements(above & ~(xp | q))]),
+                (1, down, xq, [(b, xp ^ 1 << (b - 1)) for b in elements(above & x)]),
+            ):
+                pool, expected, shape, unique, missed, memo = clauses[index]
+                judged = failed & near[lead]
+                report.recorded += (failed ^ judged).bit_count()
+                stats["judged"] += judged.bit_count()
+                report.checks += len(shaped)
+                for key, y in shaped:
+                    if not failed >> y & 1:
+                        converse.append(_counterexample(n, x, p, q, y, clause=missed))
                         continue
-                    stats["judged"] += 1
-                    if not key:
-                        found.append((y, index, {"clause": shape}))
-                    elif combs is not None:
-                        combs_json = [elements(s) for s in combs]
+                    if not judged >> y & 1:
+                        continue  # recorded
+                    judged ^= 1 << y
+                    if key not in memo:
+                        stats["memo"] += 1
+                        combs = [s for s in pool if is_double_r_comb(y, x | s, r)]
+                        memo[key] = None if combs == [expected(key)] else combs
+                    if memo[key] is not None:
+                        combs_json = [elements(s) for s in memo[key]]
                         found.append((y, index, {"clause": unique, "combs": combs_json}))
+                for e in iter_elements(judged):
+                    found.append((e - 1, index, {"clause": shape}))
             for y, _, found_y in sorted(found, key=lambda t: t[:2]):
                 report.counterexamples.append(_counterexample(n, x, p, q, y, **found_y))
-            # constructed instances must trigger the hypotheses; they are
-            # never XP or XQ, so the unwitnessed sets judge them exactly
-            for a in range(p1 + 1, n + 1):
-                bit = 1 << (a - 1)
-                if bit & (xp | q):
-                    continue
-                y = xq | bit
-                report.checks += 1
-                if not up >> y & 1:
-                    report.counterexamples.append(
-                        _counterexample(n, x, p, q, y, clause="converse-up")
-                    )
-            for b in elements(x):
-                if b <= p1:
-                    continue
-                y = xp & ~(1 << (b - 1))
-                report.checks += 1
-                if not down >> y & 1:
-                    report.counterexamples.append(
-                        _counterexample(n, x, p, q, y, clause="converse-down")
-                    )
+            report.counterexamples += converse
     return report

@@ -724,22 +724,30 @@ def reference_scan_membranes(
     return report
 
 
-def reference_max_size(n: int, predicate) -> tuple[int, list[int]]:
-    """The earlier maximum search: plain branch and bound, greedy colouring.
-
-    Builds its own adjacency from predicate.holds (no relation table, no
-    universal-vertex reduction, no symmetry pruning).  Vertices are
-    ordered by degree (descending, then cardinality and bit value) and
-    pruned with a greedy colouring bound.  Returns the size and the
-    witness masks in search order.
-    """
+def reference_relation_table(n: int, predicate) -> tuple[int, ...]:
+    """The earlier table builder: one predicate.holds(u, v) call per pair
+    u < v of subsets of [n], each filling both rows (4^n / 2 calls)."""
     size = 1 << n
-    adj = [0] * size
+    table = [0] * size
     for u in range(size):
         for v in range(u + 1, size):
             if predicate.holds(u, v):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+                table[u] |= 1 << v
+                table[v] |= 1 << u
+    return tuple(table)
+
+
+def reference_max_size(n: int, predicate) -> tuple[int, list[int]]:
+    """The earlier maximum search: plain branch and bound, greedy colouring.
+
+    Builds its own adjacency with reference_relation_table (no universal-
+    vertex reduction, no symmetry pruning).  Vertices are ordered by
+    degree (descending, then cardinality and bit value) and pruned with
+    a greedy colouring bound.  Returns the size and the witness masks in
+    search order.
+    """
+    size = 1 << n
+    adj = reference_relation_table(n, predicate)
     order = sorted(range(size), key=lambda v: (-adj[v].bit_count(), v.bit_count(), v))
     pos = {v: i for i, v in enumerate(order)}
     # relabel so vertex i is the i-th in search order

@@ -14,7 +14,7 @@ import zonosep.systems as systems
 from zonosep.cli import main
 from zonosep.cubillage import Cubillage, standard_cubillage
 from zonosep.membranes import scan_membranes
-from zonosep.systems import SCHEMA, dump_json
+from zonosep.systems import SCHEMA, dump_json, search_max, strong
 
 from oracles import (
     e_membranes,
@@ -325,16 +325,27 @@ def test_flip_apply_missing_witness_is_usage(capsys):
 
 
 def test_verify_snr(capsys):
-    code, out, _ = run(capsys, "verify", "snr", "--nmax", "4")
+    code, out, err = run(capsys, "verify", "snr", "--nmax", "4")
     assert code == 0
     assert "strong n=4 r=1: max 11, bound 11, PASS" in out
     assert "FAIL" not in out
+    # n = 2..4, r = 1..n-1: six searches, counted on stderr only
+    assert re.fullmatch(r"snr: 6 instances, \d+ search nodes, \d+\.\d\d s\n", err)
 
 
 def test_verify_wnr(capsys):
-    code, out, _ = run(capsys, "verify", "wnr", "--nmax", "4")
+    code, out, err = run(capsys, "verify", "wnr", "--nmax", "4")
     assert code == 0
     assert "weak n=4 r=3: max 16, bound 16, PASS" in out
+    # r = 1 at n = 2..4 and r = 3 at n = 4
+    assert re.fullmatch(r"wnr: 4 instances, \d+ search nodes, \d+\.\d\d s\n", err)
+
+
+def test_size_suites_count_their_search_nodes(capsys):
+    code, out, err = run(capsys, "verify", "snr", "--nmax", "3")
+    want = sum(search_max(n, strong(r)).nodes for n in (2, 3) for r in range(1, n))
+    assert code == 0 and out.count("PASS") == 3
+    assert err.startswith(f"snr: 3 instances, {want} search nodes, ")
 
 
 def test_verify_sizes_beyond_the_bound_fail_before_searching(capsys):
@@ -361,6 +372,17 @@ def test_verify_flips_sharded(capsys):
     code, out, _ = run(capsys, "verify", "flips", "--n", "5", "--r", "1", "--shard", "1/2")
     assert code == 0
     assert "shard 1/2: 20 sites" in out
+
+
+def test_empty_shard_count_is_a_usage_error(capsys):
+    for parity in ("odd", "even"):
+        for shard in ("0/0", "1/0", "0/-1"):
+            code, out, err = run(
+                capsys, "verify", "flips", "--n", "8", "--r", "2" if parity == "even" else "3",
+                "--parity", parity, "--shard", shard,
+            )
+            assert code == 2 and out == ""
+            assert err == f"error: shard count m must be at least 1, got {shard}\n"
 
 
 def test_verify_refined_and_even(capsys):

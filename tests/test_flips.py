@@ -5,6 +5,7 @@ here is a mechanical check of the local flip statements at desk scale.
 """
 
 from math import comb
+from time import sleep
 
 import pytest
 
@@ -171,6 +172,9 @@ def test_sharding_partitions_the_run():
         assert [p.shard for p in parts] == ["0/3", "1/3", "2/3"]
         with pytest.raises(ValueError):
             harness(n, r, shard=(3, 3))
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="shard count m must be at least 1"):
+                harness(n, r, shard=(k, 0))
 
 
 def test_refined_lemma_harness_is_empty():
@@ -453,6 +457,34 @@ def test_wrong_relation_gives_the_same_counterexamples(
     assert got == want
 
 
+@pytest.mark.parametrize("n, r", [(6, 2), (7, 2), (7, 4)])
+def test_too_narrow_near_rows_are_caught(monkeypatch, n, r):
+    # degree <= r + 1 instead of <= r + 2: no bad pair is near, so every
+    # unwitnessed Y is recorded, none judged, and the counts leave the reference
+    monkeypatch.setattr(
+        flips_module, "_near_rows", lambda n, r: relation_table(n, strong(r))
+    )
+    got = verify_local_neighb_even(n, r).to_json()
+    want = reference_local_neighb_even(n, r).to_json()
+    assert got["recorded"] > want["recorded"]
+    assert got != want
+
+
+def test_even_stats_time_both_tables_outside_the_site_loop(monkeypatch):
+    def slowed(rows):
+        def build(n, r):
+            sleep(0.05)
+            return rows(n, r)
+
+        return build
+
+    monkeypatch.setattr(flips_module, "_bad_rows", slowed(flips_module._bad_rows))
+    monkeypatch.setattr(flips_module, "_near_rows", slowed(flips_module._near_rows))
+    stats = verify_local_neighb_even(5, 2).stats
+    assert stats["table_s"] >= 0.1
+    assert stats["sites_s"] < 0.05
+
+
 def test_inverted_relation_gives_the_same_refined_counterexamples(monkeypatch):
     # strong separation leaves the singleton-brick dichotomy intact, so
     # the refined harness is fed the inverted relation instead
@@ -542,9 +574,10 @@ def _partners(y, x, pool, r):
 
 
 def test_even_judge_verdicts_do_not_depend_on_x():
-    # the even harness works out the degree and the double-comb partners
-    # of Y = XQ + {a} once per (P, Q, a), and of Y = XP - {b} once per
-    # (P, Q, b); both must equal those at the smallest X carrying a or b
+    # the even harness works out the double-comb partners of Y = XQ + {a}
+    # once per (P, Q, a), and of Y = XP - {b} once per (P, Q, b); they, and
+    # the degree with the lead set, must equal those at the smallest X
+    # carrying a or b
     judged = 0
     for n in range(4, 8):
         for r in (2, 4):

@@ -3,16 +3,25 @@
 relation_table is the one pair-table builder behind the searches, the
 membrane scans and the flip harnesses, so every predicate kind, and the
 double-comb rows the membrane scans derive from two of its tables, is
-checked exhaustively over small ground sets.
+checked exhaustively over small ground sets.  Its rows come from one
+predicate call per disjoint pair of difference sets; they are also
+checked against the per-pair builder it replaced
+(reference_relation_table), at n <= 7 here and at n = 8, 9 as `slow`.
 """
 
 import pytest
 
-from oracles import raw_double_comb, raw_strongly_separated, raw_weakly_separated
+from oracles import (
+    raw_double_comb,
+    raw_strongly_separated,
+    raw_weakly_separated,
+    reference_relation_table,
+)
 from zonosep.ground import elements
 from zonosep.membranes import _comb_rows
 from zonosep.systems import (
     RELATION_TABLE_CAP,
+    PairwisePredicate,
     complement_table,
     relation_table,
     strong,
@@ -87,3 +96,44 @@ def test_tables_are_memoised_and_immutable():
 def test_table_size_is_capped():
     with pytest.raises(ValueError, match="relation-table cap"):
         relation_table(RELATION_TABLE_CAP + 1, strong(1))
+
+
+def _every_predicate(n: int):
+    yield from (strong(r) for r in range(n + 1))
+    yield from (weak_odd(r) for r in range(1, n + 1, 2))
+    yield from (weak_even(r) for r in range(2, n + 1, 2))
+    yield from (weak_even_no_comb(r) for r in range(2, n + 1, 2))
+
+
+def test_kernel_calls_the_predicate_once_per_disjoint_pair(monkeypatch):
+    seen = []
+
+    def holds(self, a, b):
+        assert not a & b, "the kernel asks only about disjoint difference sets"
+        seen.append((a, b))
+        return True
+
+    monkeypatch.setattr(PairwisePredicate, "holds", holds)
+    table = relation_table.__wrapped__(6, strong(1))  # fresh, not from the cache
+    assert len(seen) == 3**6 == 729
+    assert len(set(seen)) == 729
+    full = (1 << 64) - 1
+    assert table == tuple(full ^ 1 << v for v in range(64))
+
+
+def _check_against_the_reference(n: int):
+    for predicate in _every_predicate(n):
+        assert relation_table.__wrapped__(n, predicate) == reference_relation_table(
+            n, predicate
+        ), predicate.label()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_kernel_equals_the_per_pair_builder(n):
+    _check_against_the_reference(n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [8, 9])
+def test_kernel_equals_the_per_pair_builder_wide(n):
+    _check_against_the_reference(n)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from zonosep import cubillage, geometry, membranes, systems
+from zonosep import cubillage, flips, geometry, membranes, systems
 from zonosep.cubillage import all_cubes, standard_cubillage
 from zonosep.flips import verify_flip_theorem_odd, verify_local_neighb_even, verify_refined_lemma
 from zonosep.geometry import boundary_vertices, front_rear_vertices
@@ -249,6 +249,7 @@ def test_every_limit_is_checked_before_the_expensive_stage(monkeypatch, entry):
     for module, stage in (
         (systems, "relation_table"),
         (membranes, "relation_table"),
+        (flips, "relation_table"),
         (membranes, "fragments"),
         (geometry, "sign_changes"),
         (geometry, "interval_count"),
