@@ -13,7 +13,7 @@ from zonosep.cubillage import (
     validate_cubillage,
 )
 from zonosep.ground import set_notation
-from zonosep.membranes import s_membrane_census
+from zonosep.membranes import FLAVOR_S, membrane_census
 from zonosep.systems import s_formula
 
 n, d = 4, 3
@@ -52,6 +52,8 @@ for i, thread in enumerate(threads.threads):
     print(f"  thread {i}: {' -> '.join(set_notation(v) for v in thread)}")
 print()
 
-count = s_membrane_census(q).count
-print(f"Ideals of the precedence order are membranes: {count} of them here,")
-print("from the front boundary (empty ideal) to the rear (all cubes).")
+census = membrane_census(q, FLAVOR_S)
+print(f"Ideals of the precedence order are membranes: {census.count} of them here,")
+print("from the front boundary (empty ideal) to the rear (all cubes), each")
+sizes = ", ".join(str(s) for s in sorted(census.sizes))
+print(f"with {sizes} vertices = C({n},<= {d - 1}) = {s_formula(n, d - 2)}.")

@@ -38,7 +38,7 @@ print(f"  (the apexes of {cube.label()} are {set_notation(t)} and {set_notation(
 print()
 
 enlarged = fragments(q, FLAVOR_E)
-centers = [delta for delta in enlarged if delta.center]
+centers = [delta for delta in enlarged if len(delta.slabs) == 2]
 print("Merging each cube's two middle slabs into a center fragment removes")
 print(f"exactly those paths: {len(enlarged)} enlarged fragments, "
       f"{len(centers)} centers.")

@@ -326,10 +326,7 @@ def cmd_membrane_enumerate(args) -> int:
     _reject_cap(args)
     q = cb.standard_cubillage(args.n, args.d, args.anti)
     what = f"{args.flavor}-membranes of {_cub_name(args.n, args.d, args.anti)}"
-    if args.flavor == "s":
-        census = mb.s_membrane_census(q)
-    else:
-        census = mb.membrane_census(q, args.flavor.upper())
+    census = mb.membrane_census(q, args.flavor.upper())
     if census.undecided is not None:
         print(f"{what}: {_incomplete(census.undecided)}")
         return EXIT_INCOMPLETE
@@ -348,7 +345,8 @@ def cmd_membrane_enumerate(args) -> int:
     _emit_json(args, blob)
     if getattr(args, "dot", None):
         if args.flavor == "s":
-            dot = cb.precedence_dot(q.cubes, cb.precedence_digraph(q.cubes))
+            # an uncut fragment is its cube, so the order is the cube precedence
+            dot = cb.precedence_dot([delta.cube for delta in census.deltas], census.succs)
         else:
             dot = mb.precedence_to_dot(census.deltas, census.succs)
         _write(args.dot, dot, "dot")
@@ -397,7 +395,6 @@ def _print_scan_stats(what: str, report: mb.MembraneScanReport) -> None:
 
 def cmd_membrane_scan(args) -> int:
     _reject_cap(args)
-    check_limit(args.n)  # the scan's own check, before the cubillage is built
     q = cb.standard_cubillage(args.n, args.d, args.anti)
     report = mb.scan_membranes(
         q,

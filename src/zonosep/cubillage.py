@@ -34,8 +34,8 @@ with tiles in place of facets, orders the fragments of a cubillage, and
 `side_precedence` builds both orders from the pieces' two sides.  On
 top of the cube order live the *bead threads* (arcs t_C -> h_C chained
 into paths across the cubillage) and the cube-level membranes, the
-order ideals of the cube precedence, which `membranes.s_membrane_census`
-counts.
+order ideals of the cube precedence, which `membranes.membrane_census`
+counts as the fragmentation that cuts no cube (flavor S).
 """
 
 from __future__ import annotations
@@ -175,7 +175,9 @@ def standard_cubillage(n: int, d: int, anti: bool = False) -> Cubillage:
     generators one dimension up splits the others (geometry.side_roots);
     the root is the positive side (standard) or the negative side
     (anti-standard) of the normal with negative last coordinate.
+    C(n, d) cubes, so n is held to the relation-table cap before any.
     """
+    check_limit(n)
     check_dimension(n, d)
     if d == n:
         return Cubillage.from_cubes(n, d, [Cube(0, (1 << n) - 1)])
@@ -318,11 +320,6 @@ def all_cubes(n: int, d: int) -> list[Cube]:
         for root in sorted(submasks(rest)):
             cubes.append(Cube(root, typemask))
     return sorted(cubes, key=lambda c: (c.type, c.root))
-
-
-def immediately_precedes(first: Cube, second: Cube) -> bool:
-    """Some rear facet of the first cube is a front facet of the second."""
-    return not set(rear_facets(first)).isdisjoint(front_facets(second))
 
 
 def side_precedence(

@@ -283,7 +283,11 @@ class ZonotopeSides:
 
 
 def zonotope_sides(n: int, d: int) -> ZonotopeSides:
-    """Front/rear split of the boundary of Z(n, d) from exact facet normals."""
+    """Front/rear split of the boundary of Z(n, d) from exact facet normals.
+
+    C(n, d - 1) facets a side, so n is held to the relation-table cap.
+    """
+    check_limit(n)
     config = veronese(n, d, validate=False)
     front_facets = []
     rear_facets = []

@@ -103,23 +103,9 @@ def set_notation(mask: int) -> str:
     return "{" + ",".join(str(e) for e in elements(mask)) + "}"
 
 
-def mask_min(mask: int, n: int | None = None) -> int:
-    """Smallest element, with min(emptyset) = n + 1 (requires n for empty input)."""
-    if mask:
-        return (mask & -mask).bit_length()
-    if n is None:
-        raise ValueError("min of the empty set needs the ground-set size")
-    return n + 1
-
-
 def mask_max(mask: int) -> int:
     """Largest element, with max(emptyset) = 0."""
     return mask.bit_length()
-
-
-def entirely_less(x: int, y: int, n: int) -> bool:
-    """X < Y: max(X) < min(Y), with the empty-set conventions above."""
-    return mask_max(x) < mask_min(y, n)
 
 
 def interval_mask(a: int, b: int) -> int:
@@ -127,21 +113,6 @@ def interval_mask(a: int, b: int) -> int:
     if a > b:
         return 0
     return ((1 << b) - 1) ^ ((1 << (a - 1)) - 1)
-
-
-def interval_decomposition(mask: int) -> list[tuple[int, int]]:
-    """Maximal runs of a mask as (lo, hi) pairs, in increasing order."""
-    runs = []
-    while mask:
-        low = mask & -mask
-        lo = low.bit_length()
-        # grow the run while consecutive bits are present
-        hi = lo
-        while mask >> hi & 1:
-            hi += 1
-        runs.append((lo, hi))
-        mask &= ~interval_mask(lo, hi)
-    return runs
 
 
 def interval_count(mask: int) -> int:

@@ -1,4 +1,4 @@
-"""Fragmentation of a cubillage, w-membranes, e-membranes, and their flips.
+"""Fragmentations of a cubillage, their s-, w- and e-membranes, and flips.
 
 Slicing every cube of a cubillage of Z(n, d) by the hyperplanes of
 integer height (cardinality of the vertex sets) cuts it into d
@@ -19,22 +19,24 @@ Every precondition of every swap is asserted, so a defect in the
 lattice structure surfaces as a hard failure instead of a silently
 wrong tile set.
 
-For even d there is also the *enlarged* fragmentation (flavor E): the
+A flavor is where the fragmentation cuts each cube (`fragments`).  The
+plain one (flavor W) cuts at every integer height.  For even d the
+*enlarged* fragmentation (flavor E) leaves the middle height uncut: the
 two middle slabs of every cube merge into one *center* fragment, the
 middle horizontal section disappearing inside it.  Ideals of the
 enlarged order give *e-membranes*, exactly the w-membranes avoiding all
 middle H-tiles.  Scans over all e-membranes check the vertex systems
-for double (d-2)-combs and weak separation violations.
+for double (d-2)-combs and weak separation violations.  Flavor S cuts
+nowhere: each fragment is a whole cube, its order is the cube
+precedence, and its ideals give the cube-level *s-membranes*.
 
 No membrane is visited to count or to check them: tile lifespans turn
 each vertex's multiplicity into its front-boundary count plus the net
 changes of the fragments behind the membrane, each vertex's presence is
 checked to be one interval of the ideal lattice, and the count and the
 sizes (`membrane_census`) and the violating pairs (`scan_membranes`)
-follow from those intervals.  The cube-level s-membranes of the
-cubillage, ideals of its cube precedence, are counted the same way
-(`s_membrane_census`).  One membrane at a time is built by replay
-(`membrane_from_ideal`).
+follow from those intervals, for every flavor alike.  One membrane at a
+time is built by replay (`membrane_from_ideal`).
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ H_TILE = "H"
 V_TILE = "V"
 FLAVOR_W = "W"
 FLAVOR_E = "E"
+FLAVOR_S = "S"
 
 
 @dataclass(frozen=True)
@@ -114,30 +117,25 @@ def v_tile(facet: Face, slab: int) -> Tile | None:
 
 @dataclass(frozen=True)
 class Fragment:
-    """The h-th slab piece of a cube, between heights |X|+h-1 and |X|+h.
+    """Slabs h..top of a cube, between heights |X|+h-1 and |X|+top.
 
-    A center (even d, h = d/2 only) is the piece of the enlarged
-    fragmentation that merges slabs h and h+1; the section between
-    them is interior to it.
+    top None is the one slab h.  The sections between the covered slabs
+    are interior to the fragment; where a flavor cuts is `fragments`'s
+    business.
     """
 
     cube: Cube
     h: int
-    center: bool = False
+    top: int | None = None
 
     def __post_init__(self) -> None:
-        d = self.cube.d
-        if self.center:
-            if d % 2:
-                raise ValueError("center pieces need even cube dimension")
-            if self.h != d // 2:
-                raise ValueError(f"center must merge slabs {d // 2} and {d // 2 + 1}")
-        elif not 1 <= self.h <= d:
-            raise ValueError(f"slab index {self.h} outside 1..{d}")
+        last = self.h if self.top is None else self.top
+        if not 1 <= self.h <= last <= self.cube.d:
+            raise ValueError(f"slabs {self.h}..{last} outside 1..{self.cube.d}")
 
     @property
     def slabs(self) -> tuple[int, ...]:
-        return (self.h, self.h + 1) if self.center else (self.h,)
+        return tuple(range(self.h, (self.h if self.top is None else self.top) + 1))
 
     def label(self) -> str:
         return f"{self.cube.label()}#h{'+'.join(str(s) for s in self.slabs)}"
@@ -164,19 +162,28 @@ class Fragment:
 def fragments(q: Cubillage, flavor: str = FLAVOR_W) -> list[Fragment]:
     """The fragments, cubes in canonical order, slabs ascending.
 
-    Flavor W: all d * C(n, d) slabs.  Flavor E, the enlarged
-    fragmentation (even d only): each cube's two middle slabs merged
-    into its center.
+    The one rule for where a flavor cuts a cube: W at every height
+    1..d-1, giving all d * C(n, d) slabs; E, the enlarged fragmentation
+    (even d only), at every height but d/2, so each cube's two middle
+    slabs merge into its center; S at none, so each fragment is a whole
+    cube and its sides are its facets, cut into slabs.
     """
-    merge = flavor == FLAVOR_E
-    if merge and q.d % 2:
-        raise ValueError("enlarged fragmentation needs even dimension")
-    half = q.d // 2
+    d = q.d
+    if flavor == FLAVOR_W:
+        cuts = list(range(1, d))
+    elif flavor == FLAVOR_E:
+        if d % 2:
+            raise ValueError("enlarged fragmentation needs even dimension")
+        cuts = [j for j in range(1, d) if j != d // 2]
+    elif flavor == FLAVOR_S:
+        cuts = []
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    bounds = [0, *cuts, d]
     return [
-        Fragment(cube, h, merge and h == half)
+        Fragment(cube, low + 1, top if top > low + 1 else None)
         for cube in q.cubes
-        for h in range(1, q.d + 1)
-        if not (merge and h == half + 1)
+        for low, top in zip(bounds, bounds[1:])
     ]
 
 
@@ -202,8 +209,7 @@ def precedence_to_dot(
 @dataclass(frozen=True)
 class Membrane:
     """A tile set between the front and rear boundary, with the ideal of
-    fragments behind it; flavor W for the plain fragmentation, E for the
-    enlarged one."""
+    fragments behind it; the flavor names the fragmentation (`fragments`)."""
 
     n: int
     d: int
@@ -488,9 +494,9 @@ class MembraneCensus:
     `count` and `sizes` hold when `undecided` is None; otherwise it says
     why they could not be decided (a vertex whose presence is not one
     interval of the ideal lattice, or a count past its memo budget).
-    `sizes` stays empty for s-membranes.  `stats` holds counters and
-    phase seconds for display.  The other fields are what the census
-    decided the sizes from, and what `scan_membranes` tests pairs on:
+    `stats` holds counters and phase seconds for display.  The other
+    fields are what the census decided the sizes from, and what
+    `scan_membranes` tests pairs on:
     the fragments and their precedence, the poset over them, the front
     boundary, each vertex's presence interval (positions a, b, as in
     `_presence_intervals`) and each fragment's size change.
@@ -509,7 +515,7 @@ class MembraneCensus:
 
 
 def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:
-    """Count the w- (or e-) membranes and their sizes without visiting one.
+    """Count the membranes of the flavor and their sizes without visiting one.
 
     These are the first three phases of `scan_membranes`: the fragment
     precedence, then tile lifespans and presence intervals, then the
@@ -558,27 +564,6 @@ def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:
     stats["states"] = poset.states
     census.sizes = {size0 + s for s in sums}
     stats["count_s"] = clock() - started
-    return census
-
-
-def s_membrane_census(q: Cubillage) -> MembraneCensus:
-    """Count the s-membranes, the cube-level membranes, without visiting one.
-
-    An s-membrane is an ideal of the cube precedence, realized as the
-    facets swept from the front boundary by one cube flip per ideal
-    element.  The facets pass the tile lifespan check, so on every ideal
-    each cube flip finds its front facets present and its rear facets
-    absent; then the ideals are counted.
-    """
-    base = frozenset(zonotope_sides(q.n, q.d).front_facets)
-    fronts = [frozenset(front_facets(cube)) for cube in q.cubes]
-    rears = [frozenset(rear_facets(cube)) for cube in q.cubes]
-    _check_lifespans(base, q.cubes, fronts, rears, what="facet")
-    census = MembraneCensus()
-    try:
-        census.count = Poset(len(q.cubes), side_precedence(fronts, rears)).count_ideals()
-    except IdealCapExceeded as exc:
-        census.undecided = str(exc)
     return census
 
 
@@ -677,15 +662,13 @@ def _multiplicities(tiles: Iterable[Tile]) -> dict[int, int]:
 
 def _check_lifespans(
     base: frozenset,
-    pieces: Sequence[Fragment | Cube],
-    fronts: Sequence[frozenset],
-    rears: Sequence[frozenset],
-    what: str = "tile",
+    pieces: Sequence[Fragment],
+    fronts: Sequence[frozenset[Tile]],
+    rears: Sequence[frozenset[Tile]],
 ) -> None:
     """Check that every tile is present on one interval of raising flips.
 
-    pieces[i], a fragment (or a cube, whose tiles are its facets), has
-    the front side fronts[i] and the rear side rears[i]; base is the
+    pieces[i] has the front side fronts[i] and the rear side rears[i]; base is the
     front boundary.  A tile is born by the raising flip of the piece
     whose rear side holds it and dies by the one whose front side holds
     it; a tile of the front boundary is there from the start.  The
@@ -695,32 +678,32 @@ def _check_lifespans(
     membrane is 0 or 1, and every raising flip finds its front side
     present and its rear side absent.
     """
-    born: dict = {}
-    dies: dict = {}
+    born: dict[Tile, int] = {}
+    dies: dict[Tile, int] = {}
     for i, piece in enumerate(pieces):
         for tile in rears[i]:
             if tile in born:
                 raise MembraneInvariantError(
-                    f"{what} {tile.label()} is born at both "
+                    f"tile {tile.label()} is born at both "
                     f"{pieces[born[tile]].label()} and {piece.label()}"
                 )
             if tile in base:
                 raise MembraneInvariantError(
-                    f"front-boundary {what} {tile.label()} is born again at "
+                    f"front-boundary tile {tile.label()} is born again at "
                     f"{piece.label()}: multiplicity 2"
                 )
             born[tile] = i
         for tile in fronts[i]:
             if tile in dies:
                 raise MembraneInvariantError(
-                    f"{what} {tile.label()} dies at both "
+                    f"tile {tile.label()} dies at both "
                     f"{pieces[dies[tile]].label()} and {piece.label()}"
                 )
             dies[tile] = i
     for tile, i in dies.items():
         if tile not in base and born.get(tile, i) == i:
             raise MembraneInvariantError(
-                f"{what} {tile.label()} dies at {pieces[i].label()} without being "
+                f"tile {tile.label()} dies at {pieces[i].label()} without being "
                 f"present before: multiplicity -1"
             )
 

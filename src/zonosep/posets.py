@@ -1,7 +1,7 @@
 """Finite poset utilities: topological order and order-ideal enumeration.
 
 Precedence relations in this package (cubes under shared-facet
-precedence, fragments of either flavor under shared-tile precedence) are given as successor maps on an indexed node list.  The
+precedence, fragments of any flavor under shared-tile precedence) are given as successor maps on an indexed node list.  The
 enumeration of order ideals is a reverse search over the ideal
 lattice: nodes are re-indexed by topological position, and the
 children of an ideal I are the ideals I + {p} where p is addable (all

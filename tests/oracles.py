@@ -485,8 +485,8 @@ def reference_count_ideals(count, succs) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Membrane walkers: every membrane built by replaying one raising flip per
 # lattice edge, with every flip's preconditions asserted.  They are the
-# reference that the decided counts and sizes (`membranes.membrane_census`,
-# `membranes.s_membrane_census`) and the single-membrane tests compare against.
+# reference that the decided counts and sizes (`membranes.membrane_census`)
+# and the single-membrane tests compare against.
 
 
 def w_membranes(q, cap=None, visit=None):
@@ -536,6 +536,14 @@ def _collect_membranes(q, flavor, cap, visit=None):
 
     scan_ideals(len(deltas), succs, visit=snapshot, enter=enter, leave=leave, cap=cap)
     return out
+
+
+def immediately_precedes(first, second):
+    """Some rear facet of the first cube is a front facet of the second: the
+    pairwise definition behind `cubillage.precedence_digraph`."""
+    from zonosep.cubillage import front_facets, rear_facets
+
+    return not set(rear_facets(first)).isdisjoint(front_facets(second))
 
 
 def pairwise_fragment_precedence(deltas):

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import zonosep.cubillage as cubillage
 import zonosep.flips as fl
 import zonosep.geometry as geometry
 import zonosep.membranes as mb
@@ -514,6 +515,18 @@ def test_internal_error_is_one_line_and_not_usage(capsys, monkeypatch):
     assert "multiplicity -1" in err
 
 
+def test_witness_replay_failure_is_an_internal_error(capsys, monkeypatch):
+    # the scan built the witness itself, so a flip it cannot replay is no usage error
+    def refuse(m, delta):
+        raise ValueError(f"raising flip at {delta.label()} blocked")
+
+    monkeypatch.setattr(mb, "raising_flip", refuse)
+    code, out, err = run(capsys, "membrane", "scan", "--n", "5", "--d", "4", "--combs")
+    assert code == 1 and out == ""
+    assert err.startswith("internal error: witness replay failed: raising flip at ")
+    assert err.count("\n") == 1
+
+
 def test_precedence_cycle_is_an_internal_error(capsys, monkeypatch):
     # a broken piece whose two sides share a tile shows as a self-arc
     real = mb.side_precedence
@@ -742,12 +755,35 @@ def test_empty_suite_ranges_are_usage_errors(capsys):
         assert err == f"error: {empty} to verify\n"
 
 
-def test_all_cube_runs_past_the_scan_cap_are_usage_errors(capsys):
-    # C(n, d) * 2^(n-d) cubes: the ground size is checked before any output
-    for argv in (("cub", "gamma", "--n", "13", "--d", "3"), ("verify", "acyclicity", "--nmax", "13")):
+def test_all_cube_runs_past_the_scan_cap_are_usage_errors(capsys, monkeypatch):
+    # C(n, d) * 2^(n-d) cubes, or the C(n, d) of one cubillage, or the
+    # C(n, d - 1) facets of a side: the ground size is checked before any
+    # output, and before the first generator a cube or facet is cut from
+    def no_generators(*args, **kwargs):
+        raise AssertionError("generators built before the limit check")
+
+    monkeypatch.setattr(geometry, "veronese", no_generators)
+    monkeypatch.setattr(cubillage, "veronese", no_generators)
+    built = [
+        (*command, "--n", n, "--d", d)
+        for command in (
+            ("zono", "sides"),
+            ("cub", "standard"),
+            ("cub", "anti"),
+            ("cub", "beads"),
+            ("membrane", "enumerate"),
+            ("membrane", "flipwalk"),
+        )
+        for n, d in (("13", "3"), ("26", "13"))
+    ]
+    for argv in (
+        ("cub", "gamma", "--n", "13", "--d", "3"),
+        ("verify", "acyclicity", "--nmax", "13"),
+        *built,
+    ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: n = 13 exceeds the relation-table cap 12")
+        assert re.match(r"error: n = (13|26) exceeds the relation-table cap 12", err), argv
         assert err.count("\n") == 1
 
 

@@ -13,7 +13,6 @@ from zonosep.cubillage import (
     facet_side,
     front_facets,
     gamma_is_acyclic,
-    immediately_precedes,
     precedence_digraph,
     precedence_dot,
     rear_facets,
@@ -27,7 +26,7 @@ from zonosep.systems import SetSystem, s_formula
 
 import pytest
 
-from oracles import s_membranes, standard_root
+from oracles import immediately_precedes, s_membranes, standard_root
 
 
 def m(*elems: int) -> int:

@@ -12,15 +12,12 @@ from zonosep.ground import (
     Cortege,
     CortegeInterval,
     elements,
-    entirely_less,
     full_mask,
     interlacing_degree,
     interval_cortege,
     interval_count,
-    interval_decomposition,
     interval_mask,
     mask_max,
-    mask_min,
     mask_of,
     set_notation,
     submasks,
@@ -46,14 +43,7 @@ def test_mask_basics():
 
 def test_min_max_conventions():
     assert mask_max(0) == 0
-    assert mask_min(0, 6) == 7
-    assert mask_min(m(3, 5)) == 3
     assert mask_max(m(3, 5)) == 5
-    # X < Y holds vacuously against the empty set on either side
-    assert entirely_less(0, m(1), 6)
-    assert entirely_less(m(6), 0, 6)
-    assert entirely_less(m(1, 2), m(3), 6)
-    assert not entirely_less(m(3), m(3), 6)
 
 
 def test_submasks():
@@ -66,10 +56,7 @@ def test_submasks():
     assert got == sorted(got, reverse=True)
 
 
-def test_interval_decomposition():
-    assert interval_decomposition(0) == []
-    assert interval_decomposition(m(2, 3, 4)) == [(2, 4)]
-    assert interval_decomposition(m(1, 3, 4, 6)) == [(1, 1), (3, 4), (6, 6)]
+def test_interval_count():
     assert interval_count(0) == 0
     assert interval_count(m(2, 3, 4)) == 1
     assert interval_count(m(1, 3, 4, 6)) == 3

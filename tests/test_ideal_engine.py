@@ -18,6 +18,7 @@ import zonosep.posets as posets
 from zonosep.cubillage import precedence_digraph, standard_cubillage
 from zonosep.membranes import (
     FLAVOR_E,
+    FLAVOR_S,
     FLAVOR_W,
     KIND_COMB,
     KIND_WEAK,
@@ -330,8 +331,8 @@ def test_facet_born_twice_is_an_internal_error():
     # a cube listed twice sweeps its rear facets in twice
     q = standard_cubillage(4, 3)
     doubled = dataclasses.replace(q, cubes=(q.cubes[0],) + q.cubes)
-    with pytest.raises(MembraneInvariantError, match="^facet .* is born at both"):
-        mb.s_membrane_census(doubled)
+    with pytest.raises(MembraneInvariantError, match="^tile V.* is born at both"):
+        mb.membrane_census(doubled, FLAVOR_S)
 
 
 def test_witness_mismatch_is_an_internal_error(monkeypatch):

@@ -6,6 +6,7 @@ from zonosep.cubillage import (
     Cube,
     apex_vertices,
     cube_facets,
+    precedence_digraph,
     standard_cubillage,
 )
 from zonosep.geometry import front_rear_vertices
@@ -14,6 +15,7 @@ import zonosep.membranes as mb
 import zonosep.posets as posets
 from zonosep.membranes import (
     FLAVOR_E,
+    FLAVOR_S,
     FLAVOR_W,
     Fragment,
     Membrane,
@@ -24,6 +26,7 @@ from zonosep.membranes import (
     h_tile,
     is_e_membrane,
     lowering_flip,
+    membrane_census,
     membrane_from_ideal,
     membrane_vertices,
     precedence_to_dot,
@@ -38,7 +41,13 @@ from zonosep.systems import SetSystem, s_formula, weak
 
 import pytest
 
-from oracles import count_ideals_bfs, e_membranes, pairwise_fragment_precedence, w_membranes
+from oracles import (
+    count_ideals_bfs,
+    e_membranes,
+    pairwise_fragment_precedence,
+    s_membranes,
+    w_membranes,
+)
 
 
 def m(*elems: int) -> int:
@@ -77,6 +86,8 @@ def test_fragment_counts_and_validation() -> None:
         Fragment(q.cubes[0], 0)
     with pytest.raises(ValueError):
         Fragment(q.cubes[0], 4)
+    with pytest.raises(ValueError, match="unknown flavor 's'"):
+        fragments(q, "s")
 
 
 def test_bottom_fragment_has_no_floor() -> None:
@@ -257,7 +268,7 @@ def test_enlarged_fragmentation_z44() -> None:
         "{}|{1,2,3,4}#h4",
     ]
     center = en[1]
-    assert center.center
+    assert center == Fragment(q.cubes[0], 2, 3)
     assert center.slabs == (2, 3) and en[0].slabs == (1,)
     # the middle section is interior to the center: on neither side
     middle = h_tile(q.cubes[0], 2)
@@ -266,11 +277,9 @@ def test_enlarged_fragmentation_z44() -> None:
 
     with pytest.raises(ValueError):
         fragments(standard_cubillage(4, 3), FLAVOR_E)
-    for h in (1, 3, 4):
-        with pytest.raises(ValueError, match="center must merge slabs 2 and 3"):
-            Fragment(q.cubes[0], h, center=True)
-    with pytest.raises(ValueError, match="even cube dimension"):
-        Fragment(Cube(0, m(1, 2, 3)), 1, center=True)
+    for h, top in ((3, 2), (4, 5)):
+        with pytest.raises(ValueError, match=f"slabs {h}..{top} outside 1..4"):
+            Fragment(q.cubes[0], h, top)
 
 
 @pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
@@ -278,16 +287,43 @@ def test_fragment_precedence_matches_pairwise_oracle(anti) -> None:
     for n in range(2, 7):
         for d in range(2, n + 1):
             q = standard_cubillage(n, d, anti)
-            for flavor in (FLAVOR_W, FLAVOR_E) if d % 2 == 0 else (FLAVOR_W,):
+            for flavor in (FLAVOR_W, FLAVOR_S, FLAVOR_E)[: 3 - d % 2]:
                 deltas, succs = fragment_precedence(q, flavor)
                 assert succs == pairwise_fragment_precedence(deltas), (n, d, flavor)
+            # an uncut cube's sides are its facets, so S orders cubes as cubes do
+            assert fragment_precedence(q, FLAVOR_S)[1] == precedence_digraph(q.cubes)
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(3, 7) for d in range(2, n + 1)])
+def test_s_census_matches_the_walker(n, d, anti) -> None:
+    # the census over uncut cubes sees what the facet walk sees; the
+    # command line prints no s sizes, so the walker test there checks counts only
+    q = standard_cubillage(n, d, anti)
+    walked = s_membranes(q)
+    census = membrane_census(q, FLAVOR_S)
+    assert census.undecided is None
+    assert census.count == len(walked)
+    assert census.sizes == {len(mem.vertex_set()) for mem in walked} == {s_formula(n, d - 2)}
+
+
+S_COUNTS = {
+    (4, 2): 8, (6, 3): 66, (6, 4): 32, (7, 4): 352, (8, 3): 2431, (8, 4): 9304, (9, 3): 21760,
+}
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+def test_s_census_counts(anti) -> None:
+    for (n, d), count in S_COUNTS.items():
+        census = membrane_census(standard_cubillage(n, d, anti), FLAVOR_S)
+        assert (census.count, census.sizes) == (count, {s_formula(n, d - 2)}), (n, d)
 
 
 def test_e_membrane_from_plain_fragments() -> None:
     # the slabs outside the middle are the same fragments in both flavors
     q = standard_cubillage(4, 4)
     h1, h2, _h3, h4 = fragments(q)
-    center = Fragment(q.cubes[0], 2, center=True)
+    center = Fragment(q.cubes[0], 2, 3)
     low = membrane_from_ideal(q, [h1], FLAVOR_E)
     assert low.flavor == FLAVOR_E and is_e_membrane(q, low)
     full = membrane_from_ideal(q, [h1, center, h4], FLAVOR_E)

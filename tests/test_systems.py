@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from zonosep import cubillage, flips, geometry, membranes, systems
-from zonosep.cubillage import all_cubes, standard_cubillage
+from zonosep.cubillage import Cube, Cubillage, all_cubes, standard_cubillage
 from zonosep.flips import verify_flip_theorem_odd, verify_local_neighb_even, verify_refined_lemma
-from zonosep.geometry import boundary_vertices, front_rear_vertices
+from zonosep.geometry import boundary_vertices, front_rear_vertices, zonotope_sides
 from zonosep.ground import mask_of
 from zonosep.posets import Poset
 from zonosep.systems import (
@@ -222,6 +222,11 @@ class _UnreachablePredicate:
 
 TABLE = RELATION_TABLE_CAP + 1
 SEARCH = DEFAULT_EXHAUSTIVE_BOUND + 1
+# an even d and only TABLE cubes, given as data because the builder
+# refuses TABLE itself, so property_P_scan gets as far as its limit
+WIDE = Cubillage.from_cubes(
+    TABLE, TABLE - 1, [Cube(0, (1 << TABLE) - 1 ^ 1 << i) for i in range(TABLE)]
+)
 PAST_THE_LIMIT = {
     "relation_table": lambda: relation_table(TABLE, _UnreachablePredicate()),
     "search_max": lambda: search_max(SEARCH, strong(1)),
@@ -233,12 +238,13 @@ PAST_THE_LIMIT = {
     "boundary_vertices": lambda: boundary_vertices(TABLE, 3),
     "front_rear_vertices": lambda: front_rear_vertices(TABLE, 3),
     "all_cubes": lambda: all_cubes(TABLE, 3),
+    "standard_cubillage": lambda: standard_cubillage(TABLE, 3),
+    "zonotope_sides": lambda: zonotope_sides(TABLE, 3),
     "flip_theorem_odd": lambda: verify_flip_theorem_odd(TABLE, 3),
     "refined_lemma": lambda: verify_refined_lemma(TABLE, 3),
     "local_neighb_even": lambda: verify_local_neighb_even(TABLE, 2),
-    # an even d and only TABLE cubes, so property_P_scan gets as far as its limit
-    "scan_membranes": lambda: membranes.scan_membranes(standard_cubillage(TABLE, TABLE - 1)),
-    "property_P_scan": lambda: membranes.property_P_scan(standard_cubillage(TABLE, TABLE - 1)),
+    "scan_membranes": lambda: membranes.scan_membranes(WIDE),
+    "property_P_scan": lambda: membranes.property_P_scan(WIDE),
 }
 
 
@@ -253,7 +259,9 @@ def test_every_limit_is_checked_before_the_expensive_stage(monkeypatch, entry):
         (membranes, "fragments"),
         (geometry, "sign_changes"),
         (geometry, "interval_count"),
+        (geometry, "veronese"),
         (cubillage, "submasks"),
+        (cubillage, "veronese"),
     ):
         monkeypatch.setattr(module, stage, _unreachable)
     monkeypatch.setattr(Poset, "count_ideals", _unreachable)
