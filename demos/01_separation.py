@@ -8,7 +8,6 @@ from zonosep.separation import (
     is_double_r_comb,
     is_strongly_r_separated,
     is_weakly_r_separated,
-    separation_verdict,
 )
 
 n = 6
@@ -49,5 +48,5 @@ a, b = mask_of((1, 3), 4), mask_of((2, 4), 4)
 print("The pair {1,3}, {2,4} on [4] is the smallest double 2-comb: weakly")
 print("2-separated, degree 4 = r+2, and each side alternates singletons.")
 print(f"double 2-comb: {is_double_r_comb(a, b, 2)}")
-print(f"full verdict: {separation_verdict(a, b, 2, 'weak').to_json()}")
+print(f"cortege: {interval_cortege(a, b).to_json()}")
 print(f"degree: {interlacing_degree(a, b)}")

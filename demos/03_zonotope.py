@@ -3,12 +3,7 @@
 Run: python3 demos/03_zonotope.py
 """
 
-from zonosep.geometry import (
-    boundary_vertices,
-    front_rear_vertices,
-    veronese,
-    zonotope_sides,
-)
+from zonosep.geometry import boundary_vertices, veronese, zonotope_sides
 from zonosep.ground import set_notation
 from zonosep.systems import s_formula
 
@@ -31,7 +26,6 @@ sides = zonotope_sides(n, d)
 print(f"The boundary of Z({n},{d}) splits into a front and a rear side,")
 print(f"glued along the rim: {len(sides.front_facets)} front facets, "
       f"{len(sides.rear_facets)} rear facets.")
-front, rear, rim = front_rear_vertices(n, d)
-print(f"  front side vertices: {', '.join(set_notation(v) for v in front)}")
-print(f"  rear side vertices:  {', '.join(set_notation(v) for v in rear)}")
-print(f"  rim (on both sides): {', '.join(set_notation(v) for v in rim)}")
+print(f"  front side vertices: {', '.join(set_notation(v) for v in sides.front)}")
+print(f"  rear side vertices:  {', '.join(set_notation(v) for v in sides.rear)}")
+print(f"  rim (on both sides): {', '.join(set_notation(v) for v in sides.rim)}")

@@ -6,7 +6,6 @@ Run: python3 demos/04_cubillages.py
 from zonosep.cubillage import (
     apex_vertices,
     bead_thread_graph,
-    cube_vertices,
     gamma_is_acyclic,
     precedence_digraph,
     standard_cubillage,
@@ -14,7 +13,7 @@ from zonosep.cubillage import (
 )
 from zonosep.ground import set_notation
 from zonosep.membranes import FLAVOR_S, membrane_census
-from zonosep.systems import s_formula
+from zonosep.systems import SetSystem, s_formula
 
 n, d = 4, 3
 q = standard_cubillage(n, d)
@@ -23,7 +22,7 @@ print(f"C({n},{d}) = {len(q.cubes)} parallelotopes, each named (root | type):")
 print()
 for cube in q.cubes:
     t, h = apex_vertices(cube)
-    verts = cube_vertices(cube, n)
+    verts = SetSystem.from_masks(n, cube.vertices())
     print(f"  {cube.label():<14} inner front apex {set_notation(t):<8} "
           f"inner rear apex {set_notation(h):<8} {len(verts)} vertices")
 print()

@@ -37,6 +37,7 @@ from .systems import (
     SCHEMA,
     PairwisePredicate,
     SetSystem,
+    canonical_key,
     dump_json,
     enumerate_maximal,
     max_size,
@@ -323,7 +324,6 @@ def cmd_cub_gamma(args) -> int:
 
 
 def cmd_membrane_enumerate(args) -> int:
-    _reject_cap(args)
     q = cb.standard_cubillage(args.n, args.d, args.anti)
     what = f"{args.flavor}-membranes of {_cub_name(args.n, args.d, args.anti)}"
     census = mb.membrane_census(q, args.flavor.upper())
@@ -371,13 +371,6 @@ def cmd_membrane_flipwalk(args) -> int:
     return 0
 
 
-def _reject_cap(args) -> None:
-    if args.cap is not None:
-        raise UsageError(
-            "--cap has nothing to cap: the scan decides every membrane without visiting it"
-        )
-
-
 def _print_scan_stats(what: str, report: mb.MembraneScanReport) -> None:
     """One stderr line of counters and phase seconds for a decided scan."""
     if report.undecided is not None:
@@ -394,7 +387,6 @@ def _print_scan_stats(what: str, report: mb.MembraneScanReport) -> None:
 
 
 def cmd_membrane_scan(args) -> int:
-    _reject_cap(args)
     q = cb.standard_cubillage(args.n, args.d, args.anti)
     report = mb.scan_membranes(
         q,
@@ -446,15 +438,15 @@ def cmd_flip_witnesses(args) -> int:
     site = _site(args)
     print(f"site {site.label()} on [{args.n}]")
     print(f"parity {site.parity}, r = {site.r}")
-    up = [set_notation(m) for m in fl.neighbors_up(site).members]
-    down = [set_notation(m) for m in fl.neighbors_down(site).members]
-    print(f"raised witnesses: {', '.join(up)}")
-    print(f"lowered witnesses: {', '.join(down)}")
+    up = fl.neighbors_up(site).members
+    down = fl.neighbors_down(site).members
+    print(f"raised witnesses: {', '.join(set_notation(m) for m in up)}")
+    print(f"lowered witnesses: {', '.join(set_notation(m) for m in down)}")
     blob = {
         "schema": SCHEMA,
         "site": site.to_json(),
-        "up": [elements(m) for m in fl.neighbors_up(site).members],
-        "down": [elements(m) for m in fl.neighbors_down(site).members],
+        "up": [elements(m) for m in up],
+        "down": [elements(m) for m in down],
     }
     if site.parity == fl.PARITY_ODD:
         pool = fl.neighbors(site)
@@ -602,7 +594,6 @@ def cmd_verify_acyclicity(args) -> int:
 
 
 def cmd_verify_membranes(args) -> int:
-    _reject_cap(args)
     ns = _suite_range("--nmax", args.nmax, 3, RELATION_TABLE_CAP)
     targets = [(n, 3) for n in ns] + [(5, 5)]
     codes = set()
@@ -621,12 +612,16 @@ def cmd_verify_membranes(args) -> int:
     return EXIT_INCOMPLETE if EXIT_INCOMPLETE in codes else 0
 
 
-def cmd_verify_nonpurity(args) -> int:
+def _nonpurity_instance() -> tuple[SetSystem, list[int], SetSystem]:
+    """Z(6,4)'s vertex system, the subsets of [6] outside it in canonical
+    order, and the 55-member maximal witness."""
     verts = boundary_vertices(6, 4)
-    missing = sorted(
-        set(range(64)) - verts.member_set(), key=lambda m: (m.bit_count(), m)
-    )
-    witness = nonpurity_witness()
+    missing = sorted(set(range(64)) - verts.member_set(), key=canonical_key)
+    return verts, missing, nonpurity_witness()
+
+
+def cmd_verify_nonpurity(args) -> int:
+    verts, missing, witness = _nonpurity_instance()
     sep_ok, _ = check_pairwise(witness, weak_odd(3))
     maximal = extend_to_maximal(witness, weak_odd(3)) == witness
     maximum = s_formula(6, 3)
@@ -654,21 +649,15 @@ def cmd_verify_nonpurity(args) -> int:
 
 
 def cmd_demo_nonpurity(args) -> int:
-    verts = boundary_vertices(6, 4)
+    verts, missing, witness = _nonpurity_instance()
     print("The vertex collections of cyclic zonotopes are weakly separated,")
     print("but not every maximal weakly separated collection has maximum size.")
     print()
     print(f"Z(6,4) has {len(verts)} vertices; its vertex sets are pairwise")
     print("strongly 3-separated, hence weakly 3-separated.")
-    missing = sorted(
-        set(range(64)) - verts.member_set(), key=lambda m: (m.bit_count(), m)
-    )
     names = ", ".join(set_notation(m) for m in missing)
     print(f"The other {len(missing)} subsets of [6]: {names}")
-    witness = nonpurity_witness()
-    extras = sorted(
-        witness.member_set() - verts.member_set(), key=lambda m: (m.bit_count(), m)
-    )
+    extras = sorted(witness.member_set() - verts.member_set(), key=canonical_key)
     print()
     print(f"Adding {', '.join(set_notation(m) for m in extras)} keeps the")
     print(f"collection weakly 3-separated and makes it inclusion-maximal at")
@@ -693,11 +682,6 @@ def _add_dot(parser) -> None:
 def _add_nd(parser) -> None:
     parser.add_argument("--n", type=int, required=True, help="ground set size")
     parser.add_argument("--d", type=int, required=True, help="dimension, at most n")
-
-
-def _add_rejected_cap(parser) -> None:
-    # parsed only to turn a --cap left over in a script into a one-line usage error
-    parser.add_argument("--cap", type=int, default=None, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -788,7 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_nd(enumerate_)
     enumerate_.add_argument("--anti", action="store_true")
     enumerate_.add_argument("--flavor", choices=("s", "w", "e"), default="w")
-    _add_rejected_cap(enumerate_)
     _add_json(enumerate_)
     _add_dot(enumerate_)
     enumerate_.set_defaults(func=cmd_membrane_enumerate)
@@ -801,7 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--anti", action="store_true")
     scan.add_argument("--flavor", choices=("w", "e"), default="w")
     scan.add_argument("--r", type=int, default=None)
-    _add_rejected_cap(scan)
     scan.add_argument("--combs", action="store_true", help="also scan for double combs")
     _add_json(scan)
     scan.set_defaults(func=cmd_membrane_scan)
@@ -858,7 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
     acyclicity.set_defaults(func=cmd_verify_acyclicity)
     membranes_ = sub.add_parser("membranes", help="membrane vertex systems")
     membranes_.add_argument("--nmax", type=int, default=6)
-    _add_rejected_cap(membranes_)
     membranes_.set_defaults(func=cmd_verify_membranes)
     nonpurity = sub.add_parser("nonpurity", help="two maximal sizes exist")
     nonpurity.set_defaults(func=cmd_verify_nonpurity)

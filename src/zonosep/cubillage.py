@@ -71,11 +71,6 @@ class Cube(Face):
         return self.type.bit_count()
 
 
-def cube_vertices(cube: Cube, n: int) -> SetSystem:
-    """The 2^d vertex sets of a cube as a SetSystem over [n]."""
-    return SetSystem.from_masks(n, cube.vertices())
-
-
 def apex_vertices(cube: Cube) -> tuple[int, int]:
     """(t_C, h_C): the inner vertex on the front side and on the rear side."""
     order = elements(cube.type)
@@ -104,14 +99,6 @@ def cube_facets(cube: Cube) -> list[tuple[Face, str]]:
         side_g = FRONT if (d - i) % 2 else REAR
         out.append((Face(cube.root | bit, cube.type & ~bit), side_g))
     return out
-
-
-def facet_side(cube: Cube, facet: Face) -> str:
-    """FRONT or REAR for a facet of this cube; raises if it is not one."""
-    for candidate, side in cube_facets(cube):
-        if candidate == facet:
-            return side
-    raise ValueError(f"{facet.label()} is not a facet of {cube.label()}")
 
 
 def front_facets(cube: Cube) -> list[Face]:
@@ -187,10 +174,6 @@ def standard_cubillage(n: int, d: int, anti: bool = False) -> Cubillage:
         typemask = mask_of(combo, n)
         cubes.append(Cube(side_roots(config, typemask)[anti], typemask))
     return Cubillage.from_cubes(n, d, cubes)
-
-
-def anti_standard_cubillage(n: int, d: int) -> Cubillage:
-    return standard_cubillage(n, d, anti=True)
 
 
 @dataclass
@@ -275,34 +258,6 @@ def validate_cubillage(q: Cubillage) -> ValidationReport:
         vertex_count=len(vertices),
         problems=problems,
     )
-
-
-def cubillage_from_collection(collection: SetSystem, d: int) -> Cubillage:
-    """Reconstruct a cubillage from the vertex set of one.
-
-    Rule: (X | T) is a cube exactly when all 2^d sets X + A, A inside
-    T, belong to the collection.  The result is validated; a collection
-    that is not the vertex set of a cubillage raises.
-    """
-    n = collection.n
-    have = collection.member_set()
-    cubes = []
-    for combo in combinations(range(1, n + 1), d):
-        typemask = mask_of(combo, n)
-        for root in have:
-            if root & typemask:
-                continue
-            cube = Cube(root, typemask)
-            if have.issuperset(cube.vertices()):
-                cubes.append(cube)
-    q = Cubillage.from_cubes(n, d, cubes)
-    report = validate_cubillage(q)
-    if not report.ok:
-        raise ValueError(
-            "collection is not the vertex set of a cubillage: "
-            + "; ".join(report.problems)
-        )
-    return q
 
 
 def all_cubes(n: int, d: int) -> list[Cube]:

@@ -76,15 +76,7 @@ from itertools import combinations
 from time import perf_counter
 from typing import Iterator
 
-from .ground import (
-    SIDE_A,
-    check_ground,
-    check_mask,
-    elements,
-    interval_cortege,
-    iter_elements,
-    set_notation,
-)
+from .ground import SIDE_A, check_ground, check_mask, elements, interval_cortege, set_notation
 from .separation import is_double_r_comb
 from .systems import (
     SCHEMA,
@@ -292,22 +284,6 @@ def apply_flip(
     return flipped
 
 
-def odd_sites(n: int, r: int) -> Iterator[FlipSite]:
-    """All odd-parity sites over [n] in canonical order."""
-    return _sites(n, _site_patterns(n, r, PARITY_ODD))
-
-
-def even_sites(n: int, r: int) -> Iterator[FlipSite]:
-    """All even-parity sites over [n] in canonical order."""
-    return _sites(n, _site_patterns(n, r, PARITY_EVEN))
-
-
-def _sites(n: int, patterns: Iterator[Pattern]) -> Iterator[FlipSite]:
-    for p, q, xs in patterns:
-        for x in xs:
-            yield FlipSite(n, x, p, q)
-
-
 def _site_patterns(n: int, r: int, parity: str) -> Iterator[Pattern]:
     """The sites of one parity, pattern by pattern in canonical order.
 
@@ -467,7 +443,7 @@ def verify_flip_theorem_odd(
             down = _unwitnessed(bad, x, xq, pair, down_pool)
             if not up | down:
                 continue
-            for e in iter_elements(up | down):
+            for e in elements(up | down):
                 y = e - 1  # bit y of a row stands for the set y
                 for clause, failed in (("up", up), ("down", down)):
                     if failed >> y & 1:
@@ -502,7 +478,7 @@ def verify_refined_lemma(
             triggered = _unwitnessed(bad, x, xp, 1 << xp | 1 << (x | q), up_pool)
             report.checks += triggered.bit_count()
             report.stats["judged"] += triggered.bit_count()
-            for e in iter_elements(triggered):
+            for e in elements(triggered):
                 y = e - 1
                 y_single, xp_single = _singleton_bricks(y, xp)
                 star = all(e in xp_single for e in p_elems)
@@ -592,7 +568,7 @@ def verify_local_neighb_even(
                     if memo[key] is not None:
                         combs_json = [elements(s) for s in memo[key]]
                         found.append((y, index, {"clause": unique, "combs": combs_json}))
-                for e in iter_elements(judged):
+                for e in elements(judged):
                     found.append((e - 1, index, {"clause": shape}))
             for y, _, found_y in sorted(found, key=lambda t: t[:2]):
                 report.counterexamples.append(_counterexample(n, x, p, q, y, **found_y))

@@ -20,11 +20,12 @@ check (`tests/oracles.linear_functional_separates`).
 
 The boundary of Z splits into a front and a rear side (outward normal
 with negative resp. positive last coordinate).  Their vertex sets are
-computed facet by facet from exact normals; for odd d they also have
+computed facet by facet from exact normals.  For odd d they also have
 a closed combinatorial form: the front vertices are the k-intervals
 with k <= (d-1)/2, the rear vertices are their complements, and the
 rim (front meets rear) drops the (d-1)/2-intervals containing neither
-1 nor n.
+1 nor n.  That form is an oracle (`tests/oracles.front_rear_vertices`)
+the test suite compares the facet-by-facet sides with.
 
 One type, `Face`, holds every (root | type) object: the sets root + A
 over A inside type.  It serves as a cube of a cubillage
@@ -39,15 +40,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .ground import (
-    check_mask,
-    elements,
-    full_mask,
-    interval_count,
-    mask_of,
-    set_notation,
-    submasks,
-)
+from .ground import elements, mask_of, set_notation, submasks
 from .systems import SetSystem, check_dimension, check_limit
 
 Vector = tuple[int, ...]
@@ -140,17 +133,6 @@ def veronese(n: int, d: int, ts: tuple[int, ...] | None = None, validate: bool =
     return CyclicConfiguration(n=n, d=d, ts=ts, columns=cols)
 
 
-def point_of(config: CyclicConfiguration, mask: int) -> Vector:
-    """Vertex point of X: the sum of the generators indexed by X."""
-    check_mask(mask, config.n)
-    point = [0] * config.d
-    for i in elements(mask):
-        col = config.column(i)
-        for j in range(config.d):
-            point[j] += col[j]
-    return tuple(point)
-
-
 def sign_changes(mask: int, n: int) -> int:
     """Sign changes of the +/- membership sequence of X along 1..n."""
     changes = 0
@@ -161,13 +143,6 @@ def sign_changes(mask: int, n: int) -> int:
             changes += 1
             prev = cur
     return changes
-
-
-def is_zonotope_vertex(mask: int, n: int, d: int) -> bool:
-    """Vertex test for Z(n, d): at most d - 1 sign changes along 1..n."""
-    check_dimension(n, d)
-    check_mask(mask, n)
-    return sign_changes(mask, n) <= d - 1
 
 
 def normal_vector(config: CyclicConfiguration, typemask: int) -> Vector:
@@ -233,33 +208,6 @@ def boundary_vertices(n: int, d: int) -> SetSystem:
     check_dimension(n, d)
     return SetSystem.from_masks(
         n, (x for x in range(1 << n) if sign_changes(x, n) <= d - 1)
-    )
-
-
-def front_rear_vertices(n: int, d: int) -> tuple[SetSystem, SetSystem, SetSystem]:
-    """Closed-form front, rear, and rim vertex sets of Z(n, d) for odd d.
-
-    Front: k-intervals with k <= (d-1)/2 (the empty set is the unique
-    0-interval).  Rear: complements of the front sets.  Rim: k-intervals
-    with k < (d-1)/2, plus the (d-1)/2-intervals containing 1 or n.
-    """
-    check_limit(n)
-    check_dimension(n, d)
-    if d % 2 == 0:
-        raise ValueError("closed-form sides require odd d; use zonotope_sides")
-    half = (d - 1) // 2
-    full = full_mask(n)
-    front = [x for x in range(1 << n) if interval_count(x) <= half]
-    rear = [full & ~x for x in front]
-    rim = [
-        x
-        for x in front
-        if interval_count(x) < half or x & 1 or x >> (n - 1) & 1
-    ]
-    return (
-        SetSystem.from_masks(n, front),
-        SetSystem.from_masks(n, rear),
-        SetSystem.from_masks(n, rim),
     )
 
 

@@ -31,7 +31,7 @@ Example: A = {1,2,5,6,7,10}, B = {2,3,6,9} produces the cortege
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MAX_GROUND = 64
 
@@ -44,12 +44,6 @@ def check_ground(n: int) -> int:
     if not isinstance(n, int) or not 1 <= n <= MAX_GROUND:
         raise ValueError(f"ground-set size must be an integer in 1..{MAX_GROUND}, got {n!r}")
     return n
-
-
-def full_mask(n: int) -> int:
-    """Mask of the whole ground set [n]."""
-    check_ground(n)
-    return (1 << n) - 1
 
 
 def mask_of(elems: Iterable[int], n: int) -> int:
@@ -91,13 +85,6 @@ def submasks(mask: int) -> list[int]:
         sub = (sub - 1) & mask
 
 
-def iter_elements(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length()
-        mask ^= low
-
-
 def set_notation(mask: int) -> str:
     """Render a mask as {1,3,4}; the empty set renders as {}."""
     return "{" + ",".join(str(e) for e in elements(mask)) + "}"
@@ -106,19 +93,6 @@ def set_notation(mask: int) -> str:
 def mask_max(mask: int) -> int:
     """Largest element, with max(emptyset) = 0."""
     return mask.bit_length()
-
-
-def interval_mask(a: int, b: int) -> int:
-    """Mask of the interval [a, b]; empty when a > b."""
-    if a > b:
-        return 0
-    return ((1 << b) - 1) ^ ((1 << (a - 1)) - 1)
-
-
-def interval_count(mask: int) -> int:
-    """Number of maximal runs: mask is an (interval_count)-interval."""
-    # a run starts at each set bit whose lower neighbor is clear
-    return (mask & ~(mask << 1)).bit_count()
 
 
 @dataclass(frozen=True)
@@ -134,9 +108,6 @@ class CortegeInterval:
             raise ValueError(f"bad interval [{self.lo},{self.hi}]")
         if self.side not in (SIDE_A, SIDE_B):
             raise ValueError(f"side must be {SIDE_A!r} or {SIDE_B!r}")
-
-    def mask(self) -> int:
-        return interval_mask(self.lo, self.hi)
 
     def to_json(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "side": self.side}
@@ -165,13 +136,6 @@ class Cortege:
     @property
     def degree(self) -> int:
         return len(self.intervals)
-
-    def side_mask(self, side: str) -> int:
-        m = 0
-        for iv in self.intervals:
-            if iv.side == side:
-                m |= iv.mask()
-        return m
 
     def to_json(self) -> list[dict]:
         return [iv.to_json() for iv in self.intervals]

@@ -35,8 +35,11 @@ each vertex's multiplicity into its front-boundary count plus the net
 changes of the fragments behind the membrane, each vertex's presence is
 checked to be one interval of the ideal lattice, and the count and the
 sizes (`membrane_census`) and the violating pairs (`scan_membranes`)
-follow from those intervals, for every flavor alike.  One membrane at a
-time is built by replay (`membrane_from_ideal`).
+follow from those intervals, for every flavor alike.  Property P, that
+no e-membrane carries a double (d-2)-comb, is
+`scan_membranes(q, FLAVOR_E, check_combs=True)`.  One membrane at a
+time is built by replay (`membrane_from_ideal`, or `base_membrane` and
+`raising_flip` step by step).
 """
 
 from __future__ import annotations
@@ -83,9 +86,6 @@ class Tile:
 
     def sorted_verts(self) -> tuple[int, ...]:
         return tuple(sorted(self.verts))
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "verts": [elements(v) for v in self.sorted_verts()]}
 
     def label(self) -> str:
         inner = ",".join(set_notation(v) for v in self.sorted_verts())
@@ -223,17 +223,6 @@ class Membrane:
             verts.update(tile.verts)
         return verts
 
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "n": self.n,
-            "d": self.d,
-            "flavor": self.flavor,
-            "ideal": [delta.label() for delta in self.ideal],
-            "tiles": [t.to_json() for t in sorted(self.tiles, key=Tile.sorted_verts)],
-            "vertices": [elements(v) for v in sorted(self.vertex_masks())],
-        }
-
 
 def membrane_vertices(m: Membrane) -> SetSystem:
     return SetSystem.from_masks(m.n, m.vertex_masks())
@@ -293,23 +282,6 @@ def raising_flip(m: Membrane, delta: Fragment) -> Membrane:
     )
 
 
-def lowering_flip(m: Membrane, delta: Fragment) -> Membrane:
-    """Inverse of the raising flip at the same fragment."""
-    if delta not in m.ideal:
-        raise ValueError(f"{delta.label()} not behind the membrane")
-    front, rear = delta.eps_front(), delta.eps_rear()
-    if rear - m.tiles or front & m.tiles:
-        raise ValueError(f"lowering flip at {delta.label()} blocked")
-    remaining = tuple(x for x in m.ideal if x != delta)
-    return Membrane(
-        n=m.n,
-        d=m.d,
-        flavor=m.flavor,
-        ideal=remaining,
-        tiles=(m.tiles - rear) | front,
-    )
-
-
 def membrane_from_ideal(
     q: Cubillage,
     ideal: Iterable[Fragment],
@@ -348,25 +320,6 @@ def _replay(
                 )
             m = raising_flip(m, deltas[i])
     return m
-
-
-def is_e_membrane(q: Cubillage, m: Membrane) -> bool:
-    """No tile of the membrane is the middle section of a cube of Q."""
-    if q.d % 2:
-        raise ValueError("middle sections need even dimension")
-    middle = {h_tile(cube, q.d // 2) for cube in q.cubes}
-    return not any(tile in m.tiles for tile in middle if tile is not None)
-
-
-def double_comb_scan(system: SetSystem, r: int) -> list[tuple[int, int]]:
-    """All pairs of members forming a double r-comb, in canonical order."""
-    members = system.members
-    found = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if is_double_r_comb(members[i], members[j], r):
-                found.append((members[i], members[j]))
-    return found
 
 
 class MembraneInvariantError(RuntimeError):
@@ -833,14 +786,3 @@ def _replayed(
             f"does not replay"
         )
     return ScanViolation(kind, (u, v), tuple(deltas[i].label() for i in witness))
-
-
-def property_P_scan(q: Cubillage) -> MembraneScanReport:
-    """Decide double (d-2)-combs and weak separation over all e-membranes.
-
-    A nonempty violation list would exhibit an e-membrane breaking
-    either the comb-freeness statement or the separation conjecture.
-    """
-    if q.d % 2:
-        raise ValueError("the scan runs over e-membranes, so dimension must be even")
-    return scan_membranes(q, flavor=FLAVOR_E, r=q.d - 2, check_combs=True)

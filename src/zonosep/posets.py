@@ -282,11 +282,6 @@ class Poset:
         return memo[full]
 
 
-def count_ideals(count: int, succs: Sequence[Sequence[int]]) -> int:
-    """Number of order ideals, the empty one included, without a walk."""
-    return Poset(count, succs).count_ideals()
-
-
 def _positions(mask: int) -> list[int]:
     out = []
     while mask:

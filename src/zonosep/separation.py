@@ -27,16 +27,7 @@ smallest example on [r+2] is the pair ({2,4,...,r+2}, {1,3,...,r+1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ground import (
-    SIDE_A,
-    SIDE_B,
-    Cortege,
-    interlacing_degree,
-    interval_cortege,
-    mask_max,
-)
+from .ground import interlacing_degree, mask_max
 
 
 def surrounds(a: int, b: int) -> bool:
@@ -121,77 +112,3 @@ def is_double_r_comb(a: int, b: int, r: int) -> bool:
         raise ValueError(f"even positive r required, got {r}")
     diff = a ^ b
     return diff.bit_count() == r + 2 and interlacing_degree(a, b) == r + 2
-
-
-@dataclass(frozen=True)
-class SeparationVerdict:
-    """Full diagnostic for one pair: cortege, degree, surrounds, verdicts."""
-
-    a: int
-    b: int
-    r: int
-    kind: str  # "strong" or "weak"
-    cortege: Cortege
-    degree: int
-    surrounds_ab: bool
-    surrounds_ba: bool
-    right_surrounds_ab: bool
-    right_surrounds_ba: bool
-    separated: bool
-
-    def to_json(self) -> dict:
-        from .ground import elements
-
-        return {
-            "a": elements(self.a),
-            "b": elements(self.b),
-            "r": self.r,
-            "kind": self.kind,
-            "cortege": self.cortege.to_json(),
-            "degree": self.degree,
-            "surrounds": {
-                "a_surrounds_b": self.surrounds_ab,
-                "b_surrounds_a": self.surrounds_ba,
-                "a_right_surrounds_b": self.right_surrounds_ab,
-                "b_right_surrounds_a": self.right_surrounds_ba,
-            },
-            "separated": self.separated,
-        }
-
-
-def separation_verdict(a: int, b: int, r: int, kind: str) -> SeparationVerdict:
-    """Evaluate one pair under the strong or weak predicate, with diagnostics."""
-    if kind == "strong":
-        sep = is_strongly_r_separated(a, b, r)
-    elif kind == "weak":
-        sep = is_weakly_r_separated(a, b, r)
-    else:
-        raise ValueError(f"kind must be 'strong' or 'weak', got {kind!r}")
-    return SeparationVerdict(
-        a=a,
-        b=b,
-        r=r,
-        kind=kind,
-        cortege=interval_cortege(a, b),
-        degree=interlacing_degree(a, b),
-        surrounds_ab=surrounds(a, b),
-        surrounds_ba=surrounds(b, a),
-        right_surrounds_ab=surrounds_from_right(a, b),
-        right_surrounds_ba=surrounds_from_right(b, a),
-        separated=sep,
-    )
-
-
-__all__ = [
-    "surrounds",
-    "surrounds_from_right",
-    "is_strongly_r_separated",
-    "is_weakly_r_separated_odd",
-    "is_weakly_r_separated_even",
-    "is_weakly_r_separated",
-    "is_double_r_comb",
-    "SeparationVerdict",
-    "separation_verdict",
-    "SIDE_A",
-    "SIDE_B",
-]

@@ -133,10 +133,6 @@ class SetSystem:
         blob["members"] = self.to_lists()
         return blob
 
-    @staticmethod
-    def from_json(blob: dict) -> "SetSystem":
-        return SetSystem.from_sets(blob["n"], blob["members"])
-
     def __str__(self) -> str:
         return "{" + ", ".join(set_notation(mask) for mask in self.members) + "}"
 
@@ -177,10 +173,6 @@ class PairwisePredicate:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "r": self.r}
-
-    @staticmethod
-    def from_json(blob: dict) -> "PairwisePredicate":
-        return PairwisePredicate(blob["kind"], blob["r"])
 
 
 def strong(r: int) -> PairwisePredicate:

@@ -78,6 +78,17 @@ def subsets_of(n: int):
             yield set(combo)
 
 
+def full_mask(n: int) -> int:
+    """Mask of the whole ground set [n]."""
+    return (1 << n) - 1
+
+
+def interval_count(mask: int) -> int:
+    """Number of maximal runs: mask is an (interval_count)-interval."""
+    # a run starts at each set bit whose lower neighbor is clear
+    return (mask & ~(mask << 1)).bit_count()
+
+
 def brute_force_max_system(n: int, compatible) -> int:
     """Maximum pairwise-compatible family size by plain recursion (tiny n only)."""
     all_sets = [frozenset(s) for s in subsets_of(n)]
@@ -137,6 +148,69 @@ def standard_root(typeset: set[int], n: int, anti: bool = False) -> set[int]:
     }
 
 
+def cubillage_from_collection(collection, d: int):
+    """Reconstruct a cubillage from the vertex set of one.
+
+    Rule: (X | T) is a cube exactly when all 2^d sets X + A, A inside
+    T, belong to the collection.  The result is validated; a collection
+    that is not the vertex set of a cubillage raises.
+    """
+    from zonosep.cubillage import Cube, Cubillage, validate_cubillage
+
+    n = collection.n
+    have = collection.member_set()
+    cubes = []
+    for combo in combinations(range(1, n + 1), d):
+        typemask = sum(1 << (e - 1) for e in combo)
+        for root in have:
+            if root & typemask:
+                continue
+            cube = Cube(root, typemask)
+            if have.issuperset(cube.vertices()):
+                cubes.append(cube)
+    q = Cubillage.from_cubes(n, d, cubes)
+    report = validate_cubillage(q)
+    if not report.ok:
+        raise ValueError(
+            "collection is not the vertex set of a cubillage: "
+            + "; ".join(report.problems)
+        )
+    return q
+
+
+def point_of(config, mask: int) -> tuple[int, ...]:
+    """Vertex point of X: the sum of the generators indexed by X."""
+    cols = [config.column(i) for i in range(1, config.n + 1) if mask >> (i - 1) & 1]
+    return tuple(sum(col[j] for col in cols) for j in range(config.d))
+
+
+def front_rear_vertices(n: int, d: int):
+    """Closed-form front, rear, and rim vertex sets of Z(n, d) for odd d.
+
+    Front: k-intervals with k <= (d-1)/2 (the empty set is the unique
+    0-interval).  Rear: complements of the front sets.  Rim: k-intervals
+    with k < (d-1)/2, plus the (d-1)/2-intervals containing 1 or n.
+    """
+    from zonosep.systems import SetSystem
+
+    if d % 2 == 0:
+        raise ValueError("closed-form sides require odd d; use zonotope_sides")
+    half = (d - 1) // 2
+    full = full_mask(n)
+    front = [x for x in range(1 << n) if interval_count(x) <= half]
+    rear = [full & ~x for x in front]
+    rim = [
+        x
+        for x in front
+        if interval_count(x) < half or x & 1 or x >> (n - 1) & 1
+    ]
+    return (
+        SetSystem.from_masks(n, front),
+        SetSystem.from_masks(n, rear),
+        SetSystem.from_masks(n, rim),
+    )
+
+
 def linear_functional_separates(vectors_in, vectors_out) -> bool:
     """Exact LP-free feasibility: exists c with c.v > 0 on one side,
     c.v < 0 on the other.  Fourier-Motzkin elimination over the entries'
@@ -187,6 +261,23 @@ def _fm_strict_feasible(rows) -> bool:
 # pick a shard's sites by their index modulo m rather than by slicing.
 
 
+def odd_sites(n: int, r: int):
+    """All odd-parity sites over [n] in canonical order."""
+    return _sites(n, r, "odd")
+
+
+def even_sites(n: int, r: int):
+    """All even-parity sites over [n] in canonical order."""
+    return _sites(n, r, "even")
+
+
+def _sites(n: int, r: int, parity: str):
+    from zonosep.flips import FlipSite, _site_patterns
+
+    patterns = _site_patterns(n, r, parity)  # checks n and r on the call
+    return (FlipSite(n, x, p, q) for p, q, xs in patterns for x in xs)
+
+
 def bad_pair(a: int, b: int, r: int) -> bool:
     """The pair is bad when it is not weakly r-separated."""
     from zonosep.separation import is_weakly_r_separated
@@ -208,7 +299,7 @@ def _in_shard(idx: int, shard) -> bool:
 
 
 def reference_flip_theorem_odd(n: int, r: int, shard=None, bad=bad_pair):
-    from zonosep.flips import neighbors_down, neighbors_up, odd_sites
+    from zonosep.flips import neighbors_down, neighbors_up
     from zonosep.ground import elements
 
     report = _report("flip_theorem_odd", n, r, shard)
@@ -234,7 +325,7 @@ def reference_flip_theorem_odd(n: int, r: int, shard=None, bad=bad_pair):
 
 
 def reference_refined_lemma(n: int, r: int, shard=None, bad=bad_pair):
-    from zonosep.flips import _singleton_bricks, neighbors_up, odd_sites
+    from zonosep.flips import _singleton_bricks, neighbors_up
     from zonosep.ground import elements
 
     report = _report("refined_lemma", n, r, shard)
@@ -260,12 +351,7 @@ def reference_refined_lemma(n: int, r: int, shard=None, bad=bad_pair):
 
 
 def reference_local_neighb_even(n: int, r: int, shard=None, bad=bad_pair):
-    from zonosep.flips import (
-        _pool,
-        even_sites,
-        neighbors_down,
-        neighbors_up,
-    )
+    from zonosep.flips import _pool, neighbors_down, neighbors_up
     from zonosep.ground import elements, interlacing_degree
     from zonosep.separation import is_double_r_comb
 
@@ -504,6 +590,16 @@ def e_membranes(q, cap=None, visit=None):
     from zonosep.membranes import FLAVOR_E
 
     return _collect_membranes(q, FLAVOR_E, cap, visit)
+
+
+def is_e_membrane(q, m) -> bool:
+    """No tile of the membrane is the middle section of a cube of Q."""
+    from zonosep.membranes import h_tile
+
+    if q.d % 2:
+        raise ValueError("middle sections need even dimension")
+    middle = {h_tile(cube, q.d // 2) for cube in q.cubes}
+    return not any(tile in m.tiles for tile in middle if tile is not None)
 
 
 def _collect_membranes(q, flavor, cap, visit=None):

@@ -9,12 +9,12 @@ import random
 
 from oracles import (
     alternation_degree,
+    odd_sites,
     raw_double_comb,
     raw_strongly_separated,
     raw_weakly_separated,
 )
 from zonosep.cubillage import (
-    anti_standard_cubillage,
     bead_thread_graph,
     gamma_is_acyclic,
     standard_cubillage,
@@ -26,7 +26,6 @@ from zonosep.flips import (
     RAISE,
     apply_flip,
     neighbors,
-    odd_sites,
     verify_flip_theorem_odd,
     verify_local_neighb_even,
     verify_refined_lemma,
@@ -36,7 +35,6 @@ from zonosep.ground import elements, interlacing_degree, mask_of
 from zonosep.membranes import (
     FLAVOR_E,
     fragment_precedence,
-    property_P_scan,
     scan_membranes,
 )
 from zonosep.posets import is_acyclic
@@ -62,7 +60,7 @@ STRUCTURAL = ((4, 2), (4, 3), (5, 3), (6, 4), (5, 5))
 
 def both_cubillages(n: int, d: int):
     yield standard_cubillage(n, d)
-    yield anti_standard_cubillage(n, d)
+    yield standard_cubillage(n, d, anti=True)
 
 
 def test_criterion_01_strong_maximum_sizes():
@@ -176,7 +174,7 @@ def test_criterion_09_even_local_harness_empty():
 def test_criterion_10_comb_free_scan():
     for n in (4, 5):
         for q in both_cubillages(n, 4):
-            report = property_P_scan(q)
+            report = scan_membranes(q, FLAVOR_E, check_combs=True)
             assert not report.violations and not report.capped
             assert report.comb_free is True
             assert report.sizes_seen == {s_formula(n, 2)}

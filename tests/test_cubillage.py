@@ -4,13 +4,9 @@ from zonosep.cubillage import (
     Cube,
     Cubillage,
     all_cubes,
-    anti_standard_cubillage,
     apex_vertices,
     bead_thread_graph,
     cube_facets,
-    cube_vertices,
-    cubillage_from_collection,
-    facet_side,
     front_facets,
     gamma_is_acyclic,
     precedence_digraph,
@@ -26,7 +22,7 @@ from zonosep.systems import SetSystem, s_formula
 
 import pytest
 
-from oracles import immediately_precedes, s_membranes, standard_root
+from oracles import cubillage_from_collection, immediately_precedes, s_membranes, standard_root
 
 
 def m(*elems: int) -> int:
@@ -39,7 +35,7 @@ def cube(root: tuple[int, ...], typ: tuple[int, ...]) -> Cube:
 
 def test_cube_basics() -> None:
     c = cube((), (1, 2))
-    assert set(cube_vertices(c, 4).members) == {0, m(1), m(2), m(1, 2)}
+    assert set(SetSystem.from_masks(4, c.vertices()).members) == {0, m(1), m(2), m(1, 2)}
     assert apex_vertices(c) == (m(1), m(2))
 
     # rhombus facet sides: the lower path is the front
@@ -48,10 +44,6 @@ def test_cube_basics() -> None:
     assert sides[(m(1), m(2))] == "front"
     assert sides[(0, m(2))] == "rear"
     assert sides[(m(2), m(1))] == "rear"
-
-    assert facet_side(c, Face(0, m(1))) == "front"
-    with pytest.raises(ValueError):
-        facet_side(c, Face(m(3), m(1)))
 
     with pytest.raises(ValueError):
         Cube(m(1), m(1, 2))
@@ -86,7 +78,7 @@ def test_standard_z32_frozen() -> None:
     q = standard_cubillage(3, 2)
     assert q.cubes == (cube((), (1, 2)), cube((2,), (1, 3)), cube((), (2, 3)))
     assert len(q.vertex_set()) == 7
-    anti = anti_standard_cubillage(3, 2)
+    anti = standard_cubillage(3, 2, anti=True)
     assert anti.cubes == (cube((3,), (1, 2)), cube((), (1, 3)), cube((1,), (2, 3)))
 
 
@@ -130,10 +122,10 @@ def test_construction_matches_closed_form_root_rule() -> None:
 
 def test_validate_standard_and_anti() -> None:
     for n, d in [(4, 2), (4, 3), (5, 3), (5, 5)]:
-        for builder in (standard_cubillage, anti_standard_cubillage):
-            q = builder(n, d)
+        for anti in (False, True):
+            q = standard_cubillage(n, d, anti)
             report = validate_cubillage(q)
-            assert report.ok, (n, d, builder.__name__, report.problems)
+            assert report.ok, (n, d, anti, report.problems)
             assert report.vertex_count == s_formula(n, d - 1)
 
 
@@ -246,9 +238,9 @@ def test_bead_threads_z43_frozen() -> None:
 
 def test_bead_threads_structural() -> None:
     for n, d in [(4, 2), (5, 3), (5, 4), (6, 3)]:
-        for builder in (standard_cubillage, anti_standard_cubillage):
-            beads = bead_thread_graph(builder(n, d))
-            assert beads.ok, (n, d, builder.__name__, beads.problems)
+        for anti in (False, True):
+            beads = bead_thread_graph(standard_cubillage(n, d, anti))
+            assert beads.ok, (n, d, anti, beads.problems)
     dot = bead_thread_graph(standard_cubillage(4, 2)).to_dot()
     assert dot.count("->") == 6
 

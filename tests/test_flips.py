@@ -13,6 +13,8 @@ import zonosep.flips as flips_module
 import zonosep.separation as separation_module
 from oracles import (
     bad_pair,
+    even_sites,
+    odd_sites,
     reference_flip_theorem_odd,
     reference_local_neighb_even,
     reference_refined_lemma,
@@ -29,11 +31,9 @@ from zonosep.flips import (
     FalsificationError,
     FlipSite,
     apply_flip,
-    even_sites,
     neighbors,
     neighbors_down,
     neighbors_up,
-    odd_sites,
     verify_flip_theorem_odd,
     verify_local_neighb_even,
     verify_refined_lemma,

@@ -8,20 +8,23 @@ from zonosep.geometry import (
     CyclicConfiguration,
     boundary_vertices,
     flag_minors_positive,
-    front_rear_vertices,
-    is_zonotope_vertex,
     normal_vector,
-    point_of,
     side_roots,
     sign_changes,
     veronese,
     zonotope_sides,
 )
-from zonosep.ground import elements, full_mask, interval_count, mask_of
+from zonosep.ground import elements, mask_of
 from zonosep.separation import is_strongly_r_separated
 from zonosep.systems import SetSystem, s_formula
 
-from oracles import linear_functional_separates
+from oracles import (
+    front_rear_vertices,
+    full_mask,
+    interval_count,
+    linear_functional_separates,
+    point_of,
+)
 
 
 def m(*elems: int) -> int:
@@ -60,12 +63,13 @@ def test_sign_rule_examples():
     assert sign_changes(0, 6) == 0
     assert sign_changes(m(2, 3), 6) == 2
     assert sign_changes(m(1, 4, 5), 6) == 3
-    assert is_zonotope_vertex(m(2, 3, 4), 6, 4)
-    assert is_zonotope_vertex(m(1, 2, 5), 6, 4)  # 2-interval containing 1
-    assert not is_zonotope_vertex(m(2, 4), 6, 4)
-    assert not is_zonotope_vertex(m(2, 4, 6), 7, 5)
-    assert is_zonotope_vertex(m(2, 4), 6, 5)
-    assert is_zonotope_vertex(0, 4, 2) and is_zonotope_vertex(m(1, 2, 3, 4), 4, 2)
+    # a vertex of Z(n, d) has at most d - 1 sign changes
+    assert sign_changes(m(2, 3, 4), 6) <= 3
+    assert sign_changes(m(1, 2, 5), 6) <= 3  # 2-interval containing 1
+    assert sign_changes(m(2, 4), 6) > 3
+    assert sign_changes(m(2, 4, 6), 7) > 4
+    assert sign_changes(m(2, 4), 6) <= 4
+    assert sign_changes(0, 4) <= 1 and sign_changes(m(1, 2, 3, 4), 4) <= 1
 
 
 def test_boundary_vertices_beyond_the_search_bound():
@@ -92,7 +96,7 @@ def test_boundary_vertices_counts():
         m(1, 2, 4, 6), m(1, 3, 4, 6), m(1, 3, 5, 6),
     ]
     assert sorted(missing) == sorted(want)
-    assert all(not is_zonotope_vertex(x, 6, 4) for x in want)
+    assert all(sign_changes(x, 6) > 3 for x in want)
     # non-vertices pair up under complementation in [6]
     assert {full & ~x for x in want} == set(want)
 
@@ -105,7 +109,7 @@ def test_sign_rule_matches_functional_oracle():
                 inside = [config.column(i) for i in elements(x)]
                 outside = [config.column(i) for i in range(1, n + 1) if not x >> (i - 1) & 1]
                 want = linear_functional_separates(inside, outside)
-                assert is_zonotope_vertex(x, n, d) == want, (n, d, x)
+                assert (sign_changes(x, n) <= d - 1) == want, (n, d, x)
 
 
 def test_front_rear_closed_form_odd():
@@ -129,7 +133,7 @@ def test_front_rear_closed_form_larger():
     for x in inner_rear:
         assert interval_count(x) == 3 and x & 1 and x >> 5 & 1
     for x in front.members:
-        assert is_zonotope_vertex(x, 6, 5)
+        assert sign_changes(x, 6) <= 4
         assert interval_count(x) <= 2
 
 

@@ -27,7 +27,7 @@ from zonosep.membranes import (
     membrane_from_ideal,
     scan_membranes,
 )
-from zonosep.posets import IdealCapExceeded, count_ideals, scan_ideals
+from zonosep.posets import IdealCapExceeded, Poset, scan_ideals
 from zonosep.separation import is_double_r_comb
 from zonosep.systems import complement_table, strong, weak, weak_odd
 
@@ -111,14 +111,14 @@ def test_count_matches_breadth_first_oracle(anti):
     for n in range(2, 6):
         for d in range(2, n + 1):
             for kind, succs in _precedences(n, d, anti):
-                assert count_ideals(len(succs), succs) == count_ideals_bfs(
+                assert Poset(len(succs), succs).count_ideals() == count_ideals_bfs(
                     len(succs), succs
                 ), (n, d, anti, kind)
 
 
 def test_count_on_random_posets():
     for count, succs in _random_posets():
-        assert count_ideals(count, succs) == count_ideals_bfs(count, succs)
+        assert Poset(count, succs).count_ideals() == count_ideals_bfs(count, succs)
 
 
 def _random_posets():
@@ -174,16 +174,16 @@ def test_product_split_needs_fewer_states_at_n8(n, d, flavor, anti):
 def test_deep_chain_counts_without_recursion():
     count = 5000
     succs = [[i + 1] for i in range(count - 1)] + [[]]
-    assert count_ideals(count, succs) == count + 1
-    assert count_ideals(20, [[] for _ in range(20)]) == 1 << 20
+    assert Poset(count, succs).count_ideals() == count + 1
+    assert Poset(20, [[] for _ in range(20)]).count_ideals() == 1 << 20
 
 
 def test_count_stops_at_its_state_budget(monkeypatch):
     deltas, succs = fragment_precedence(standard_cubillage(6, 3))
-    assert count_ideals(len(deltas), succs) == 17812
+    assert Poset(len(deltas), succs).count_ideals() == 17812
     monkeypatch.setattr(posets, "IDEAL_STATE_BUDGET", 50)
     with pytest.raises(IdealCapExceeded, match="exceeded the cap of 50"):
-        count_ideals(len(deltas), succs)
+        Poset(len(deltas), succs).count_ideals()
 
 
 def _instances():

@@ -9,7 +9,6 @@ from zonosep.cubillage import (
     precedence_digraph,
     standard_cubillage,
 )
-from zonosep.geometry import front_rear_vertices
 from zonosep.ground import mask_of
 import zonosep.membranes as mb
 import zonosep.posets as posets
@@ -20,30 +19,28 @@ from zonosep.membranes import (
     Fragment,
     Membrane,
     base_membrane,
-    double_comb_scan,
     fragment_precedence,
     fragments,
     h_tile,
-    is_e_membrane,
-    lowering_flip,
     membrane_census,
     membrane_from_ideal,
     membrane_vertices,
     precedence_to_dot,
-    property_P_scan,
     raising_flip,
     rear_boundary_tiles,
     scan_membranes,
     v_tile,
 )
-from zonosep.separation import is_weakly_r_separated
-from zonosep.systems import SetSystem, s_formula, weak
+from zonosep.separation import is_double_r_comb, is_weakly_r_separated
+from zonosep.systems import s_formula, weak
 
 import pytest
 
 from oracles import (
     count_ideals_bfs,
     e_membranes,
+    front_rear_vertices,
+    is_e_membrane,
     pairwise_fragment_precedence,
     s_membranes,
     w_membranes,
@@ -202,9 +199,11 @@ def test_raising_and_lowering_flips_invert() -> None:
     base = base_membrane(q)
     picked = [fr for fr in deltas if fr.low_height() == 0][0]
     raised = raising_flip(base, picked)
-    assert lowering_flip(raised, picked) == base
-    with pytest.raises(ValueError):
-        lowering_flip(base, picked)
+    assert raised.ideal == (picked,)
+    # swapping the rear side back for the front side restores the base
+    assert (raised.tiles - picked.eps_rear()) | picked.eps_front() == base.tiles
+    with pytest.raises(ValueError, match="already behind"):
+        raising_flip(raised, picked)
     blocked = [fr for fr in deltas if fr.low_height() >= 2][0]
     with pytest.raises(ValueError, match="blocked"):
         raising_flip(base, blocked)
@@ -372,34 +371,29 @@ def test_comb_membrane_through_both_middle_slabs() -> None:
     assert not is_e_membrane(q, mem)
     system = membrane_vertices(mem)
     assert m(1, 3) in system and m(2, 4) in system
-    assert double_comb_scan(system, 2) == [(m(1, 3), m(2, 4))]
+    combs = [(a, b) for a, b in combinations(system.members, 2) if is_double_r_comb(a, b, 2)]
+    assert combs == [(m(1, 3), m(2, 4))]
     members = system.members
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             assert is_weakly_r_separated(members[i], members[j], 2)
 
 
-def test_double_comb_scan_small() -> None:
-    system = SetSystem.from_sets(4, [{1, 3}, {2, 4}, {1, 2}])
-    assert double_comb_scan(system, 2) == [(m(1, 3), m(2, 4))]
-    assert double_comb_scan(system, 4) == []
-
-
 def test_property_p_scan_reports() -> None:
     for n, d, count in [(4, 4, 4), (5, 4, 50)]:
-        rep = property_P_scan(standard_cubillage(n, d))
+        rep = scan_membranes(standard_cubillage(n, d), FLAVOR_E, check_combs=True)
         assert rep.ok and rep.comb_free
         assert rep.membrane_count == count
         assert rep.sizes_seen == {s_formula(n, 2)}
         blob = rep.to_json()
         assert blob["violations"] == []
     with pytest.raises(ValueError):
-        property_P_scan(standard_cubillage(4, 3))
+        scan_membranes(standard_cubillage(4, 3), FLAVOR_E, check_combs=True)
 
 
 def test_property_p_scan_z64_both_cubillages() -> None:
     for anti in (False, True):
-        rep = property_P_scan(standard_cubillage(6, 4, anti))
+        rep = scan_membranes(standard_cubillage(6, 4, anti), FLAVOR_E, check_combs=True)
         assert rep.ok and rep.comb_free is True
         assert rep.membrane_count == 3256
         assert rep.sizes_seen == {42} == {s_formula(6, 2)}
@@ -408,7 +402,7 @@ def test_property_p_scan_z64_both_cubillages() -> None:
 
 @pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
 def test_property_p_scan_z74(anti):
-    rep = property_P_scan(standard_cubillage(7, 4, anti))
+    rep = scan_membranes(standard_cubillage(7, 4, anti), FLAVOR_E, check_combs=True)
     assert not rep.capped
     assert rep.membrane_count == 1_575_598
     assert rep.sizes_seen == {64} == {s_formula(7, 2)}
@@ -428,7 +422,7 @@ def test_membrane_theorem_z83(anti):
 
 @pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
 def test_property_p_scan_z84(anti):
-    rep = property_P_scan(standard_cubillage(8, 4, anti))
+    rep = scan_membranes(standard_cubillage(8, 4, anti), FLAVOR_E, check_combs=True)
     assert rep.membrane_count == 8_955_302_494
     assert rep.sizes_seen == {93} == {s_formula(8, 2)}
     assert rep.violations == [] and rep.comb_free is True and rep.ok
@@ -437,7 +431,7 @@ def test_property_p_scan_z84(anti):
 @pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
 def test_property_p_scan_z94(anti):
     # beyond any walk: ~21,000 memo states, far inside the count's budget
-    rep = property_P_scan(standard_cubillage(9, 4, anti))
+    rep = scan_membranes(standard_cubillage(9, 4, anti), FLAVOR_E, check_combs=True)
     assert rep.membrane_count == 900_508_869_423_234
     assert rep.sizes_seen == {130} == {s_formula(9, 2)}
     assert rep.violations == [] and rep.comb_free is True and rep.ok
@@ -473,10 +467,9 @@ def test_scan_without_one_presence_interval_is_undecided(monkeypatch) -> None:
 def test_membrane_json_and_dot() -> None:
     q = standard_cubillage(3, 3)
     mem = w_membranes(q)[2]
-    blob = mem.to_json()
-    assert blob["flavor"] == "W"
-    assert blob["ideal"] == ["{}|{1,2,3}#h1", "{}|{1,2,3}#h2"]
-    assert all(tile["kind"] in ("H", "V") for tile in blob["tiles"])
+    assert mem.flavor == "W"
+    assert [delta.label() for delta in mem.ideal] == ["{}|{1,2,3}#h1", "{}|{1,2,3}#h2"]
+    assert all(tile.kind in ("H", "V") for tile in mem.tiles)
     deltas, succs = fragment_precedence(q)
     dot = precedence_to_dot(deltas, succs)
     assert dot.startswith("digraph fragments {")

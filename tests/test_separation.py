@@ -6,19 +6,18 @@ import random
 
 import pytest
 
-from zonosep.ground import elements, full_mask, mask_of
+from zonosep.ground import elements, mask_of
 from zonosep.separation import (
     is_double_r_comb,
     is_strongly_r_separated,
     is_weakly_r_separated,
     is_weakly_r_separated_even,
     is_weakly_r_separated_odd,
-    separation_verdict,
     surrounds,
     surrounds_from_right,
 )
 
-from oracles import raw_double_comb, raw_weakly_separated
+from oracles import full_mask, raw_double_comb, raw_weakly_separated
 
 
 def m(*elems: int) -> int:
@@ -142,15 +141,3 @@ def test_complement_invariance():
                     assert is_weakly_r_separated(a, b, r) == is_weakly_r_separated(
                         full & ~a, full & ~b, r
                     )
-
-
-def test_verdict_diagnostics():
-    v = separation_verdict(m(1, 2, 6), m(2, 3, 4, 5), 1, "weak")
-    assert v.separated and v.degree == 3 and v.surrounds_ab
-    blob = v.to_json()
-    assert blob["a"] == [1, 2, 6] and blob["degree"] == 3 and blob["separated"]
-    assert [iv["side"] for iv in blob["cortege"]] == ["A", "B", "A"]
-    v2 = separation_verdict(m(1, 3), m(2, 4), 2, "strong")
-    assert not v2.separated and v2.degree == 4
-    with pytest.raises(ValueError):
-        separation_verdict(m(1), m(2), 1, "fuzzy")

@@ -7,7 +7,7 @@ import pytest
 from zonosep import cubillage, flips, geometry, membranes, systems
 from zonosep.cubillage import Cube, Cubillage, all_cubes, standard_cubillage
 from zonosep.flips import verify_flip_theorem_odd, verify_local_neighb_even, verify_refined_lemma
-from zonosep.geometry import boundary_vertices, front_rear_vertices, zonotope_sides
+from zonosep.geometry import boundary_vertices, zonotope_sides
 from zonosep.ground import mask_of
 from zonosep.posets import Poset
 from zonosep.systems import (
@@ -55,7 +55,7 @@ def test_set_system_json_round_trip():
     blob = s.to_json(weak_odd(1))
     assert blob["schema"] == "zonosep/1"
     assert blob["predicate"] == {"kind": "WEAK_ODD", "r": 1}
-    assert SetSystem.from_json(blob) == s
+    assert SetSystem.from_sets(blob["n"], blob["members"]) == s
 
 
 def test_predicate_validation():
@@ -223,7 +223,7 @@ class _UnreachablePredicate:
 TABLE = RELATION_TABLE_CAP + 1
 SEARCH = DEFAULT_EXHAUSTIVE_BOUND + 1
 # an even d and only TABLE cubes, given as data because the builder
-# refuses TABLE itself, so property_P_scan gets as far as its limit
+# refuses TABLE itself, so the e-membrane scan gets as far as its limit
 WIDE = Cubillage.from_cubes(
     TABLE, TABLE - 1, [Cube(0, (1 << TABLE) - 1 ^ 1 << i) for i in range(TABLE)]
 )
@@ -236,7 +236,6 @@ PAST_THE_LIMIT = {
     "enumerate_maximal": lambda: enumerate_maximal(SEARCH, strong(1)),
     "extend_to_maximal": lambda: extend_to_maximal(SetSystem(TABLE, ()), _UnreachablePredicate()),
     "boundary_vertices": lambda: boundary_vertices(TABLE, 3),
-    "front_rear_vertices": lambda: front_rear_vertices(TABLE, 3),
     "all_cubes": lambda: all_cubes(TABLE, 3),
     "standard_cubillage": lambda: standard_cubillage(TABLE, 3),
     "zonotope_sides": lambda: zonotope_sides(TABLE, 3),
@@ -244,7 +243,7 @@ PAST_THE_LIMIT = {
     "refined_lemma": lambda: verify_refined_lemma(TABLE, 3),
     "local_neighb_even": lambda: verify_local_neighb_even(TABLE, 2),
     "scan_membranes": lambda: membranes.scan_membranes(WIDE),
-    "property_P_scan": lambda: membranes.property_P_scan(WIDE),
+    "property_P_scan": lambda: membranes.scan_membranes(WIDE, membranes.FLAVOR_E, check_combs=True),
 }
 
 
@@ -258,7 +257,6 @@ def test_every_limit_is_checked_before_the_expensive_stage(monkeypatch, entry):
         (flips, "relation_table"),
         (membranes, "fragments"),
         (geometry, "sign_changes"),
-        (geometry, "interval_count"),
         (geometry, "veronese"),
         (cubillage, "submasks"),
         (cubillage, "veronese"),
