@@ -38,7 +38,7 @@ print("The small maximal system is geometric.  Start from the 52 vertices")
 print("of the four-dimensional cyclic zonotope on six generators, then add")
 print("three more sets:")
 verts = boundary_vertices(6, 4)
-witness = nonpurity_witness()
+witness = nonpurity_witness(verts)
 extras = sorted(witness.member_set() - verts.member_set(), key=lambda m: (m.bit_count(), m))
 print(f"  extras: {', '.join(set_notation(m) for m in extras)}")
 ok, _ = check_pairwise(witness, weak_odd(3))

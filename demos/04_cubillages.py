@@ -6,13 +6,14 @@ Run: python3 demos/04_cubillages.py
 from zonosep.cubillage import (
     apex_vertices,
     bead_thread_graph,
-    gamma_is_acyclic,
+    gamma_graph,
     precedence_digraph,
     standard_cubillage,
     validate_cubillage,
 )
 from zonosep.ground import set_notation
 from zonosep.membranes import FLAVOR_S, membrane_census
+from zonosep.posets import is_acyclic
 from zonosep.systems import SetSystem, s_formula
 
 n, d = 4, 3
@@ -41,7 +42,8 @@ for i, out in enumerate(succs):
     if out:
         targets = ", ".join(cubes[j].label() for j in out)
         print(f"  {cubes[i].label()} -> {targets}")
-print(f"acyclic on all cubes of [{n}] at d={d}: {gamma_is_acyclic(n, d)}")
+every_cube, every_succs = gamma_graph(n, d)
+print(f"acyclic on all cubes of [{n}] at d={d}: {is_acyclic(len(every_cube), every_succs)}")
 print()
 
 threads = bead_thread_graph(q)

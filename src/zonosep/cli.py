@@ -19,6 +19,7 @@ import argparse
 import sys
 import time
 from collections import Counter
+from math import comb
 
 from . import cubillage as cb
 from . import flips as fl
@@ -571,15 +572,12 @@ def cmd_verify_refined(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_verify_acyclicity(args) -> int:
-    ns = _suite_range("--nmax", args.nmax, 2, RELATION_TABLE_CAP)
-    _suite_range("--dmax", args.dmax)
-    all_ok = True
+def _precedence_digraphs(ns: range, dmax: int):
+    """Each digraph `verify acyclicity` judges, as (name, nodes, successors)."""
     for n in ns:
-        for d in range(2, min(n, args.dmax) + 1):
-            ok = cb.gamma_is_acyclic(n, d)
-            all_ok &= ok
-            print(f"precedence on all cubes, n={n} d={d}: {_verdict(ok)}")
+        for d in range(2, min(n, dmax) + 1):
+            cubes, succs = cb.gamma_graph(n, d)
+            yield f"precedence on all cubes, n={n} d={d}", len(cubes), succs
     for n, d in STRUCTURAL:
         for anti in (False, True):
             q = cb.standard_cubillage(n, d, anti)
@@ -587,9 +585,27 @@ def cmd_verify_acyclicity(args) -> int:
             flavors = ((mb.FLAVOR_W, "fragment"), (mb.FLAVOR_E, "enlarged"))[: 2 - d % 2]
             for flavor, what in flavors:
                 deltas, succs = mb.fragment_precedence(q, flavor)
-                ok = is_acyclic(len(deltas), succs)
-                all_ok &= ok
-                print(f"{what} precedence {_cub_name(n, d, anti)}: {_verdict(ok)}")
+                yield f"{what} precedence {_cub_name(n, d, anti)}", len(deltas), succs
+
+
+def cmd_verify_acyclicity(args) -> int:
+    ns = _suite_range("--nmax", args.nmax, 2, RELATION_TABLE_CAP)
+    _suite_range("--dmax", args.dmax)
+    all_ok = True
+    digraphs = nodes = arcs = 0
+    start = time.perf_counter()
+    for name, count, succs in _precedence_digraphs(ns, args.dmax):
+        ok = is_acyclic(count, succs)
+        all_ok &= ok
+        digraphs += 1
+        nodes += count
+        arcs += sum(map(len, succs))
+        print(f"{name}: {_verdict(ok)}")
+    seconds = time.perf_counter() - start
+    print(
+        f"acyclicity: {digraphs} digraphs, {nodes} nodes, {arcs} arcs, {seconds:.2f} s",
+        file=sys.stderr,
+    )
     return 0 if all_ok else 1
 
 
@@ -617,14 +633,16 @@ def _nonpurity_instance() -> tuple[SetSystem, list[int], SetSystem]:
     order, and the 55-member maximal witness."""
     verts = boundary_vertices(6, 4)
     missing = sorted(set(range(64)) - verts.member_set(), key=canonical_key)
-    return verts, missing, nonpurity_witness()
+    return verts, missing, nonpurity_witness(verts)
 
 
 def cmd_verify_nonpurity(args) -> int:
+    start = time.perf_counter()
     verts, missing, witness = _nonpurity_instance()
     sep_ok, _ = check_pairwise(witness, weak_odd(3))
     maximal = extend_to_maximal(witness, weak_odd(3)) == witness
     maximum = s_formula(6, 3)
+    seconds = time.perf_counter() - start
     ok = (
         len(verts) == 52
         and len(missing) == 12
@@ -642,6 +660,11 @@ def cmd_verify_nonpurity(args) -> int:
     )
     print(f"maximum size: {maximum}")
     print(f"nonpurity: {_verdict(ok)}")
+    print(
+        f"nonpurity: {len(verts) + len(missing)} subsets of [6], "
+        f"{comb(len(witness), 2)} witness pairs, {seconds:.2f} s",
+        file=sys.stderr,
+    )
     return 0 if ok else 1
 
 

@@ -20,12 +20,13 @@ unshared facet is a genuine boundary facet of the zonotope.  The
 validator here checks exactly that, plus the separation property of
 the vertex set: it is strongly (d-1)-separated of size s(n, d-1).
 
-The *standard* cubillage is cut out by exact normals one dimension up:
-for each type T, the normal of span{xi_t : t in T} inside the
-(d+1)-dimensional configuration, oriented with negative last
-coordinate, has a positive side, and the generators outside T on that
-side form the root.  The *anti-standard* cubillage takes the opposite
-orientation.
+The *standard* cubillage is cut out by the hyperplanes one dimension
+up: for each type T, span{xi_t : t in T} on the (d+1)-dimensional
+moment curve, with its normal oriented to a negative last coordinate,
+has a positive side, and the generators outside T on that side form
+the root.  They are the generators with an odd number of elements of T
+above them (`geometry.side_roots`).  The *anti-standard* cubillage
+takes the opposite orientation: an even number above.
 
 Cubes are partially ordered by shared facets (rear facet of one equals
 front facet of the next); this precedence is acyclic both on any
@@ -45,9 +46,9 @@ from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable, Sequence
 
-from .geometry import Face, side_roots, veronese, zonotope_sides
+from .geometry import Face, side_roots, zonotope_sides
 from .ground import check_ground, check_mask, elements, mask_of, set_notation, submasks
-from .posets import digraph_dot, is_acyclic
+from .posets import digraph_dot
 from .systems import SCHEMA, SetSystem, check_dimension, check_limit, check_pairwise, s_formula, strong
 
 FRONT = "front"
@@ -156,23 +157,22 @@ class Cubillage:
 
 
 def standard_cubillage(n: int, d: int, anti: bool = False) -> Cubillage:
-    """Cut the standard (or anti-standard) cubillage of Z(n, d) by normals.
+    """Cut the standard (or anti-standard) cubillage of Z(n, d) by the parity rule.
 
     For each d-element type T, the hyperplane through the corresponding
-    generators one dimension up splits the others (geometry.side_roots);
+    generators one dimension up splits the others (geometry.side_roots):
     the root is the positive side (standard) or the negative side
-    (anti-standard) of the normal with negative last coordinate.
-    C(n, d) cubes, so n is held to the relation-table cap before any.
+    (anti-standard) of the normal with negative last coordinate, that
+    is, the generators with an odd (even) number of elements of T above
+    them.  C(n, d) cubes, so n is held to the relation-table cap before
+    any.
     """
     check_limit(n)
     check_dimension(n, d)
-    if d == n:
-        return Cubillage.from_cubes(n, d, [Cube(0, (1 << n) - 1)])
-    config = veronese(n, d + 1, validate=False)
     cubes = []
     for combo in combinations(range(1, n + 1), d):
         typemask = mask_of(combo, n)
-        cubes.append(Cube(side_roots(config, typemask)[anti], typemask))
+        cubes.append(Cube(side_roots(n, typemask)[anti], typemask))
     return Cubillage.from_cubes(n, d, cubes)
 
 
@@ -306,11 +306,6 @@ def gamma_graph(n: int, d: int) -> tuple[list[Cube], list[list[int]]]:
     """The precedence digraph on all of C(n, d) (every cube on [n])."""
     cubes = all_cubes(n, d)
     return cubes, precedence_digraph(cubes)
-
-
-def gamma_is_acyclic(n: int, d: int) -> bool:
-    cubes, succs = gamma_graph(n, d)
-    return is_acyclic(len(cubes), succs)
 
 
 def precedence_dot(

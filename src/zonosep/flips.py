@@ -144,10 +144,6 @@ class FlipSite:
         return PARITY_ODD if self.q.bit_count() > self.p.bit_count() else PARITY_EVEN
 
     @property
-    def r_prime(self) -> int:
-        return self.p.bit_count()
-
-    @property
     def r(self) -> int:
         rp = self.p.bit_count()
         return 2 * rp - 1 if self.parity == PARITY_ODD else 2 * rp - 2

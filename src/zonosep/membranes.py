@@ -119,9 +119,10 @@ def v_tile(facet: Face, slab: int) -> Tile | None:
 class Fragment:
     """Slabs h..top of a cube, between heights |X|+h-1 and |X|+top.
 
-    top None is the one slab h.  The sections between the covered slabs
-    are interior to the fragment; where a flavor cuts is `fragments`'s
-    business.
+    top None is the one slab h, and top == h is stored as None, so a
+    single slab has one encoding.  The sections between the covered
+    slabs are interior to the fragment; where a flavor cuts is
+    `fragments`'s business.
     """
 
     cube: Cube
@@ -129,6 +130,8 @@ class Fragment:
     top: int | None = None
 
     def __post_init__(self) -> None:
+        if self.top == self.h:
+            object.__setattr__(self, "top", None)
         last = self.h if self.top is None else self.top
         if not 1 <= self.h <= last <= self.cube.d:
             raise ValueError(f"slabs {self.h}..{last} outside 1..{self.cube.d}")
@@ -139,9 +142,6 @@ class Fragment:
 
     def label(self) -> str:
         return f"{self.cube.label()}#h{'+'.join(str(s) for s in self.slabs)}"
-
-    def low_height(self) -> int:
-        return self.cube.root.bit_count() + self.h - 1
 
     def eps_front(self) -> frozenset[Tile]:
         return self._side(front_facets(self.cube), self.h - 1)
@@ -181,7 +181,7 @@ def fragments(q: Cubillage, flavor: str = FLAVOR_W) -> list[Fragment]:
         raise ValueError(f"unknown flavor {flavor!r}")
     bounds = [0, *cuts, d]
     return [
-        Fragment(cube, low + 1, top if top > low + 1 else None)
+        Fragment(cube, low + 1, top)
         for cube in q.cubes
         for low, top in zip(bounds, bounds[1:])
     ]

@@ -107,10 +107,6 @@ class SetSystem:
     def from_masks(n: int, masks: Iterable[int]) -> "SetSystem":
         return SetSystem(n, tuple(sorted(set(masks), key=canonical_key)))
 
-    @staticmethod
-    def from_sets(n: int, sets: Iterable[Iterable[int]]) -> "SetSystem":
-        return SetSystem.from_masks(n, (mask_of(s, n) for s in sets))
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -641,17 +637,15 @@ def _maximal_cliques(n: int, predicate: PairwisePredicate) -> Iterator[SetSystem
         yield SetSystem.from_masks(n, clique)
 
 
-def nonpurity_witness() -> SetSystem:
+def nonpurity_witness(vertices: SetSystem) -> SetSystem:
     """The 55-member maximal weakly 3-separated system on [6].
 
-    Vertices of the four-dimensional cyclic zonotope on six generators
-    plus {2,4}, {3,5}, {1,3,4,6}; maximal but smaller than the maximum 57.
+    The given vertex system of the four-dimensional cyclic zonotope on
+    six generators (`geometry.boundary_vertices(6, 4)`) plus {2,4},
+    {3,5}, {1,3,4,6}; maximal but smaller than the maximum 57.
     """
-    from .geometry import boundary_vertices  # deferred: geometry builds on systems
-
-    vertex_masks = set(boundary_vertices(6, 4).members)
-    extras = {mask_of(s, 6) for s in ({2, 4}, {3, 5}, {1, 3, 4, 6})}
-    return SetSystem.from_masks(6, vertex_masks | extras)
+    extras = (mask_of(s, 6) for s in ({2, 4}, {3, 5}, {1, 3, 4, 6}))
+    return SetSystem.from_masks(6, [*vertices.members, *extras])
 
 
 def dump_json(blob: dict) -> str:

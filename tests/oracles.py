@@ -9,6 +9,7 @@ path.  Slow is fine; these run at desk scale only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -76,6 +77,13 @@ def subsets_of(n: int):
     for k in range(n + 1):
         for combo in combinations(universe, k):
             yield set(combo)
+
+
+def set_system(n: int, sets):
+    """The SetSystem on [n] of plain sets of 1-indexed elements."""
+    from zonosep.systems import SetSystem
+
+    return SetSystem.from_masks(n, (sum(1 << (e - 1) for e in s) for s in sets))
 
 
 def full_mask(n: int) -> int:
@@ -178,10 +186,92 @@ def cubillage_from_collection(collection, d: int):
     return q
 
 
-def point_of(config, mask: int) -> tuple[int, ...]:
+# ---------------------------------------------------------------------------
+# Exact normals on the moment curve: the Fraction linear algebra that the
+# parity rule `zonosep.geometry.side_roots` replaced, kept as its reference.
+
+
+def veronese(n: int, d: int, ts=None) -> list[tuple[int, ...]]:
+    """Columns xi_i = (1, t_i, ..., t_i^(d-1)) at strictly increasing
+    integer parameters ts, by default 1..n."""
+    ts = tuple(range(1, n + 1)) if ts is None else tuple(ts)
+    if not 2 <= d <= n:
+        raise ValueError(f"need 2 <= d <= n, got d={d}, n={n}")
+    if len(ts) != n or any(a >= b for a, b in zip(ts, ts[1:])):
+        raise ValueError("ts must be n strictly increasing integers")
+    return [tuple(t**j for j in range(d)) for t in ts]
+
+
+def det(rows) -> Fraction:
+    """Exact determinant by Gaussian elimination over Fractions."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    size = len(mat)
+    value = Fraction(1)
+    for col in range(size):
+        pivot = next((row for row in range(col, size) if mat[row][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            value = -value
+        value *= mat[col][col]
+        for row in range(col + 1, size):
+            factor = mat[row][col] / mat[col][col]
+            for k in range(col, size):
+                mat[row][k] -= factor * mat[col][k]
+    return value
+
+
+def flag_minors_positive(columns, d: int) -> bool:
+    """All determinants of the top k rows on increasing k-subsets of the
+    columns are positive, for every k <= d."""
+    return all(
+        det([[columns[c][row] for c in combo] for row in range(k)]) > 0
+        for k in range(1, d + 1)
+        for combo in combinations(range(len(columns)), k)
+    )
+
+
+def normal_vector(columns, typemask: int) -> tuple[int, ...]:
+    """Integer normal to the span of the columns in a (d-1)-type, by
+    cofactor expansion, oriented as the cofactor formula gives it."""
+    d = len(columns[0])
+    rows = [col for i, col in enumerate(columns, start=1) if typemask >> (i - 1) & 1]
+    if len(rows) != d - 1:
+        raise ValueError(f"normal_vector expects a (d-1)-subset, got {len(rows)} columns")
+    return tuple(
+        (-1) ** j * int(det([[row[k] for k in range(d) if k != j] for row in rows]))
+        for j in range(d)
+    )
+
+
+def exact_side_roots(columns, typemask: int) -> tuple[int, int]:
+    """The generators off the span of a type, split by the sign of their
+    product with its normal oriented to a negative last coordinate:
+    (positive side, negative side).  Raises ArithmeticError where a
+    configuration is not cyclic enough for the split to exist."""
+    normal = normal_vector(columns, typemask)
+    if normal[-1] == 0:
+        raise ArithmeticError("normal with zero last coordinate")
+    sign = -1 if normal[-1] > 0 else 1
+    positive = negative = 0
+    for i, col in enumerate(columns, start=1):
+        if typemask >> (i - 1) & 1:
+            continue
+        value = sign * sum(a * b for a, b in zip(normal, col))
+        if value == 0:
+            raise ArithmeticError("generator on the span of a type: not cyclic")
+        if value > 0:
+            positive |= 1 << (i - 1)
+        else:
+            negative |= 1 << (i - 1)
+    return positive, negative
+
+
+def point_of(columns, mask: int) -> tuple[int, ...]:
     """Vertex point of X: the sum of the generators indexed by X."""
-    cols = [config.column(i) for i in range(1, config.n + 1) if mask >> (i - 1) & 1]
-    return tuple(sum(col[j] for col in cols) for j in range(config.d))
+    cols = [col for i, col in enumerate(columns, start=1) if mask >> (i - 1) & 1]
+    return tuple(sum(col[j] for col in cols) for j in range(len(columns[0])))
 
 
 def front_rear_vertices(n: int, d: int):

@@ -16,7 +16,7 @@ from oracles import (
 )
 from zonosep.cubillage import (
     bead_thread_graph,
-    gamma_is_acyclic,
+    gamma_graph,
     standard_cubillage,
     validate_cubillage,
 )
@@ -95,7 +95,7 @@ def test_criterion_03_nonpurity():
         m(1, 2, 4, 6), m(1, 3, 4, 6), m(1, 3, 5, 6),
     ]
     assert set(range(64)) - verts.member_set() == set(twelve)
-    witness = nonpurity_witness()
+    witness = nonpurity_witness(verts)
     assert len(witness) == 55
     ok, _ = check_pairwise(witness, weak_odd(3))
     assert ok
@@ -121,7 +121,8 @@ def test_criterion_04_cubillages_validate():
 def test_criterion_05_precedence_acyclic():
     for n in range(2, 6):
         for d in range(2, min(n, 3) + 1):
-            assert gamma_is_acyclic(n, d), (n, d)
+            cubes, succs = gamma_graph(n, d)
+            assert is_acyclic(len(cubes), succs), (n, d)
     for n, d in STRUCTURAL:
         for q in both_cubillages(n, d):
             deltas, succs = fragment_precedence(q)

@@ -399,10 +399,13 @@ def test_verify_refined_and_even(capsys):
 
 
 def test_verify_acyclicity(capsys):
-    code, out, _ = run(capsys, "verify", "acyclicity", "--nmax", "4", "--dmax", "2")
+    code, out, err = run(capsys, "verify", "acyclicity", "--nmax", "4", "--dmax", "2")
     assert code == 0
     assert "FAIL" not in out
     assert "enlarged precedence Z(6,4): PASS" in out
+    # 3 cube digraphs (n = 2..4, d = 2) and 14 fragment digraphs, one per line
+    assert out.count(": PASS\n") == 17
+    assert re.fullmatch(r"acyclicity: 17 digraphs, 371 nodes, 868 arcs, \d+\.\d\d s\n", err)
 
 
 def test_verify_membranes(capsys):
@@ -551,12 +554,14 @@ def test_internal_errors_from_any_module_are_one_line(capsys, monkeypatch):
         code, out, err = run(capsys, "search", "max", "--n", "4", "--kind", "strong", "--r", "1")
     assert code == 1 and out == ""
     assert err == "internal error: relation table not invariant under complement at {}\n"
-    # a normal with a zero last coordinate raises ArithmeticError in geometry
-    real = geometry.normal_vector
-    monkeypatch.setattr(geometry, "normal_vector", lambda c, t: real(c, t)[:-1] + (0,))
+    # an ArithmeticError from geometry is the same one line
+    def on_the_span(n, typemask):
+        raise ArithmeticError("generator on the span of a type")
+
+    monkeypatch.setattr(geometry, "side_roots", on_the_span)
     code, out, err = run(capsys, "zono", "sides", "--n", "5", "--d", "3")
     assert code == 1 and out == ""
-    assert err == "internal error: normal with zero last coordinate\n"
+    assert err == "internal error: generator on the span of a type\n"
 
 
 def test_membrane_enumerate_cap_is_one_line_error(capsys):
@@ -642,7 +647,9 @@ def test_membrane_enumerate_dot(capsys, tmp_path):
 
 
 def test_verify_nonpurity(capsys):
-    code, out, _ = run(capsys, "verify", "nonpurity")
+    code, out, err = run(capsys, "verify", "nonpurity")
+    # all 2^6 subsets scanned, C(55, 2) witness pairs checked
+    assert re.fullmatch(r"nonpurity: 64 subsets of \[6\], 1485 witness pairs, \d+\.\d\d s\n", err)
     assert code == 0
     assert "52 members" in out
     assert "non-vertex subsets of [6]: 12" in out
@@ -756,12 +763,12 @@ def test_empty_suite_ranges_are_usage_errors(capsys):
 def test_all_cube_runs_past_the_scan_cap_are_usage_errors(capsys, monkeypatch):
     # C(n, d) * 2^(n-d) cubes, or the C(n, d) of one cubillage, or the
     # C(n, d - 1) facets of a side: the ground size is checked before any
-    # output, and before the first generator a cube or facet is cut from
-    def no_generators(*args, **kwargs):
-        raise AssertionError("generators built before the limit check")
+    # output, and before the first cube or facet is cut
+    def no_cuts(*args, **kwargs):
+        raise AssertionError("cut before the limit check")
 
-    monkeypatch.setattr(geometry, "veronese", no_generators)
-    monkeypatch.setattr(cubillage, "veronese", no_generators)
+    monkeypatch.setattr(geometry, "side_roots", no_cuts)
+    monkeypatch.setattr(cubillage, "side_roots", no_cuts)
     built = [
         (*command, "--n", n, "--d", d)
         for command in (

@@ -8,7 +8,7 @@ from zonosep.cubillage import (
     bead_thread_graph,
     cube_facets,
     front_facets,
-    gamma_is_acyclic,
+    gamma_graph,
     precedence_digraph,
     precedence_dot,
     rear_facets,
@@ -17,6 +17,7 @@ from zonosep.cubillage import (
 )
 from zonosep.geometry import Face, zonotope_sides
 from zonosep.ground import mask_of
+from zonosep.posets import is_acyclic
 from zonosep.separation import is_strongly_r_separated
 from zonosep.systems import SetSystem, s_formula
 
@@ -186,7 +187,8 @@ def test_all_cubes_and_gamma_acyclicity() -> None:
     assert len(all_cubes(4, 2)) == 6 * 4
     assert len(all_cubes(5, 3)) == 10 * 4
     for n, d in [(3, 2), (4, 2), (5, 2), (4, 3), (5, 3)]:
-        assert gamma_is_acyclic(n, d), (n, d)
+        cubes, succs = gamma_graph(n, d)
+        assert is_acyclic(len(cubes), succs), (n, d)
 
 
 def test_immediate_precedence_example() -> None:

@@ -18,6 +18,7 @@ from oracles import (
     reference_flip_theorem_odd,
     reference_local_neighb_even,
     reference_refined_lemma,
+    set_system,
     w_membranes,
 )
 from zonosep.cubillage import apex_vertices, standard_cubillage
@@ -65,13 +66,13 @@ def masks(n: int, *sets) -> list[int]:
 def test_site_parity_and_derived_numbers():
     odd = FlipSite(5, mask_of([5], 5), mask_of([2], 5), mask_of([1, 3], 5))
     assert odd.parity == PARITY_ODD
-    assert (odd.r, odd.r_prime) == (1, 1)
+    assert (odd.r, odd.p.bit_count()) == (1, 1)
     assert odd.xp == mask_of([2, 5], 5)
     assert odd.xq == mask_of([1, 3, 5], 5)
 
     even = FlipSite(5, mask_of([5], 5), mask_of([1, 3], 5), mask_of([2, 4], 5))
     assert even.parity == PARITY_EVEN
-    assert (even.r, even.r_prime) == (2, 2)
+    assert (even.r, even.p.bit_count()) == (2, 2)
 
     big = FlipSite(7, 0, mask_of([2, 4], 7), mask_of([1, 3, 5], 7))
     assert (big.parity, big.r) == (PARITY_ODD, 3)
@@ -100,7 +101,7 @@ def test_four_witness_instance():
     assert set(neighbors_down(site).members) == expected
     assert set(neighbors(site).members) == expected
 
-    w = SetSystem.from_sets(3, [[1], [3], [1, 2], [2, 3], [2]])
+    w = set_system(3, [[1], [3], [1, 2], [2, 3], [2]])
     flipped = apply_flip(w, site, RAISE, MODE_SHARP)
     assert set(flipped.members) == set(masks(3, [1], [3], [1, 2], [2, 3], [1, 3]))
     ok, _ = check_pairwise(flipped, weak(1))
@@ -111,7 +112,7 @@ def test_four_witness_instance():
 
 def test_witness_pool_sizes_r3():
     site = FlipSite(7, mask_of([6], 7), mask_of([2, 4], 7), mask_of([1, 3, 5], 7))
-    rp = site.r_prime
+    rp = site.p.bit_count()
     assert rp == 2
     pool = neighbors(site)
     assert len(pool.members) == comb(5, rp) + comb(5, rp + 1) - 2
@@ -263,33 +264,33 @@ def test_complement_duality_reduction():
 
 def test_apply_flip_validation():
     site = FlipSite(3, 0, mask_of([2], 3), mask_of([1, 3], 3))
-    w = SetSystem.from_sets(3, [[1], [3], [1, 2], [2, 3], [2]])
+    w = set_system(3, [[1], [3], [1, 2], [2, 3], [2]])
     with pytest.raises(ValueError, match="not in the collection"):
-        apply_flip(SetSystem.from_sets(3, [[1], [3]]), site, RAISE)
+        apply_flip(set_system(3, [[1], [3]]), site, RAISE)
     with pytest.raises(ValueError, match="already in the collection"):
         apply_flip(
-            SetSystem.from_sets(3, [[1], [3], [1, 2], [2, 3], [2], [1, 3]]),
+            set_system(3, [[1], [3], [1, 2], [2, 3], [2], [1, 3]]),
             site,
             RAISE,
         )
     with pytest.raises(ValueError, match="missing witnesses"):
-        apply_flip(SetSystem.from_sets(3, [[1], [3], [1, 2], [2]]), site, RAISE)
+        apply_flip(set_system(3, [[1], [3], [1, 2], [2]]), site, RAISE)
     with pytest.raises(ValueError, match="direction"):
         apply_flip(w, site, "sideways")
     with pytest.raises(ValueError, match="witness mode"):
         apply_flip(w, site, RAISE, "loose")
     with pytest.raises(ValueError, match="ground"):
-        apply_flip(SetSystem.from_sets(4, [[2]]), site, RAISE)
+        apply_flip(set_system(4, [[2]]), site, RAISE)
     # membership and witnesses fine, but {1,3,4} clashes with {2}
     site4 = FlipSite(4, 0, mask_of([2], 4), mask_of([1, 3], 4))
-    bad = SetSystem.from_sets(4, [[2], [1], [3], [1, 2], [2, 3], [1, 3, 4]])
+    bad = set_system(4, [[2], [1], [3], [1, 2], [2, 3], [1, 3, 4]])
     with pytest.raises(ValueError, match="not weakly"):
         apply_flip(bad, site4, RAISE)
 
 
 def test_full_mode_is_odd_only():
     even = FlipSite(4, 0, mask_of([1, 3], 4), mask_of([2, 4], 4))
-    w = SetSystem.from_sets(4, [[1, 3]])
+    w = set_system(4, [[1, 3]])
     with pytest.raises(ValueError, match="odd parity"):
         apply_flip(w, even, RAISE, MODE_FULL)
     with pytest.raises(ValueError, match="odd parity"):

@@ -2,28 +2,25 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
-from zonosep.geometry import (
-    CyclicConfiguration,
-    boundary_vertices,
-    flag_minors_positive,
-    normal_vector,
-    side_roots,
-    sign_changes,
-    veronese,
-    zonotope_sides,
-)
+from zonosep.geometry import boundary_vertices, side_roots, sign_changes, zonotope_sides
 from zonosep.ground import elements, mask_of
 from zonosep.separation import is_strongly_r_separated
 from zonosep.systems import SetSystem, s_formula
 
 from oracles import (
+    exact_side_roots,
+    flag_minors_positive,
     front_rear_vertices,
     full_mask,
     interval_count,
     linear_functional_separates,
+    normal_vector,
     point_of,
+    veronese,
 )
 
 
@@ -33,9 +30,9 @@ def m(*elems: int) -> int:
 
 def test_veronese_basics():
     config = veronese(4, 3)
-    assert config.column(2) == (1, 2, 4)
-    assert config.column(4) == (1, 4, 16)
-    assert all(isinstance(x, int) for col in config.columns for x in col)
+    assert config[1] == (1, 2, 4)
+    assert config[3] == (1, 4, 16)
+    assert all(isinstance(x, int) for col in config for x in col)
     with pytest.raises(ValueError):
         veronese(3, 1)
     with pytest.raises(ValueError):
@@ -46,7 +43,8 @@ def test_veronese_basics():
 
 def test_custom_parameters_pass_flag_validator():
     config = veronese(4, 3, ts=(-3, 0, 2, 7))
-    assert config.column(1) == (1, -3, 9)
+    assert config[0] == (1, -3, 9)
+    assert flag_minors_positive(config, 3)
     # a non-increasing-power matrix fails the validator
     assert not flag_minors_positive([(1, 0), (1, -1)], 2)
     assert flag_minors_positive([(1, 1), (1, 2), (1, 3)], 2)
@@ -104,10 +102,10 @@ def test_boundary_vertices_counts():
 def test_sign_rule_matches_functional_oracle():
     for n in range(2, 8):
         for d in range(2, min(n, 5) + 1):
-            config = veronese(n, d, validate=False)
+            config = veronese(n, d)
             for x in range(1 << n):
-                inside = [config.column(i) for i in elements(x)]
-                outside = [config.column(i) for i in range(1, n + 1) if not x >> (i - 1) & 1]
+                inside = [config[i - 1] for i in elements(x)]
+                outside = [config[i - 1] for i in range(1, n + 1) if not x >> (i - 1) & 1]
                 want = linear_functional_separates(inside, outside)
                 assert (sign_changes(x, n) <= d - 1) == want, (n, d, x)
 
@@ -158,35 +156,61 @@ def test_zonotope_sides_even_d():
 
 
 def test_normal_vector_expectations():
-    config = veronese(3, 3, validate=False)
+    config = veronese(3, 3)
     normal = normal_vector(config, m(1, 2))
     # cross product of (1,1,1) and (1,2,4)
     assert normal == (2, -3, 1)
     with pytest.raises(ValueError):
         normal_vector(config, m(1))
-    # side_roots flips it to (-2,3,-1); generator 3 = (1,3,9) gives -2
-    assert side_roots(config, m(1, 2)) == (0, m(3))
-    cols = ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0))
-    flat = CyclicConfiguration(4, 3, (1, 2, 3, 4), cols)
+    # oriented to (-2,3,-1); generator 3 = (1,3,9) gives -2
+    assert exact_side_roots(config, m(1, 2)) == side_roots(3, m(1, 2)) == (0, m(3))
+    flat = [(1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0)]
     with pytest.raises(ArithmeticError, match="zero last coordinate"):
-        side_roots(flat, m(1, 2))  # normal (0,-1,0)
+        exact_side_roots(flat, m(1, 2))  # normal (0,-1,0)
     with pytest.raises(ArithmeticError, match="not cyclic"):
-        side_roots(flat, m(1, 3))  # generator 4 lies on the span
-    twin = CyclicConfiguration(3, 3, (1, 2, 3), ((1, 1, 1), (2, 2, 2), (1, 2, 4)))
-    with pytest.raises(ArithmeticError, match="degenerate span"):
-        normal_vector(twin, m(1, 2))  # parallel generators span a line
+        exact_side_roots(flat, m(1, 3))  # generator 4 lies on the span
+
+
+def _side_roots_against_exact_normals(nmax: int, ts=None) -> tuple[int, list]:
+    """Over every 2 <= D <= n <= nmax and (D-1)-subset T: the number of
+    (n, D, T) triples, and those where the parity rule and the oriented
+    cofactor normal on the moment curve in dimension D split the other
+    generators differently."""
+    checked, bad = 0, []
+    for n in range(2, nmax + 1):
+        for dim in range(2, n + 1):
+            config = veronese(n, dim, None if ts is None else ts[:n])
+            for combo in combinations(range(1, n + 1), dim - 1):
+                typemask = mask_of(combo, n)
+                checked += 1
+                if side_roots(n, typemask) != exact_side_roots(config, typemask):
+                    bad.append((n, dim, typemask))
+    return checked, bad
+
+
+def test_side_roots_match_exact_normals():
+    assert _side_roots_against_exact_normals(9) == (1004, [])
+    # the rule reads only the order of the t_i, so uneven increasing
+    # parameters give the same split
+    assert _side_roots_against_exact_normals(6, ts=(-7, -2, 0, 1, 5, 13)) == (114, [])
+
+
+@pytest.mark.slow
+def test_side_roots_match_exact_normals_to_the_table_cap():
+    # every n up to the relation-table cap 12
+    assert _side_roots_against_exact_normals(12) == (8166, [])
 
 
 def test_nonpurity_witness_shape():
     from zonosep.systems import check_pairwise, extend_to_maximal, nonpurity_witness, weak_odd
 
-    witness = nonpurity_witness()
+    verts = boundary_vertices(6, 4)
+    witness = nonpurity_witness(verts)
     assert len(witness) == 55
     ok, _ = check_pairwise(witness, weak_odd(3))
     assert ok
     assert extend_to_maximal(witness, weak_odd(3)) == witness  # maximal already
     # vertex part is strongly 3-separated on its own
-    verts = boundary_vertices(6, 4)
     for i, a in enumerate(verts.members):
         for b in verts.members[i + 1 :]:
             assert is_strongly_r_separated(a, b, 3)

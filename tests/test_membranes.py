@@ -132,13 +132,18 @@ def test_fragment_precedence_single_cube_chain() -> None:
     assert succs == [[1], [2], []]
 
 
+def _low_height(fr: Fragment) -> int:
+    """The height of a fragment's floor: |X| + h - 1."""
+    return fr.cube.root.bit_count() + fr.h - 1
+
+
 def test_precedence_heights_never_decrease() -> None:
     for n, d in [(4, 3), (5, 4)]:
         q = standard_cubillage(n, d)
         deltas, succs = fragment_precedence(q)
         for i, out in enumerate(succs):
             for j in out:
-                assert deltas[i].low_height() <= deltas[j].low_height()
+                assert _low_height(deltas[i]) <= _low_height(deltas[j])
 
 
 def test_base_membrane_is_front_boundary() -> None:
@@ -150,6 +155,16 @@ def test_base_membrane_is_front_boundary() -> None:
     full = membrane_from_ideal(q, fragments(q))
     assert full.tiles == rear_boundary_tiles(q)
     assert membrane_vertices(full).members == rear.members
+
+
+def test_single_slab_fragment_has_one_encoding() -> None:
+    # top == h and top None both name the one slab h
+    q = standard_cubillage(4, 2)
+    c = q.cubes[0]
+    assert Fragment(c, 1, 1) == Fragment(c, 1) == fragments(q)[0]
+    assert hash(Fragment(c, 1, 1)) == hash(Fragment(c, 1))
+    assert Fragment(c, 1, 1).label() == "{}|{1,2}#h1"
+    assert membrane_from_ideal(q, [Fragment(c, 1, 1)]) == membrane_from_ideal(q, [Fragment(c, 1)])
 
 
 def test_membrane_from_ideal_rejects_bad_input() -> None:
@@ -197,14 +212,14 @@ def test_raising_and_lowering_flips_invert() -> None:
     q = standard_cubillage(4, 3)
     deltas, _succs = fragment_precedence(q)
     base = base_membrane(q)
-    picked = [fr for fr in deltas if fr.low_height() == 0][0]
+    picked = [fr for fr in deltas if _low_height(fr) == 0][0]
     raised = raising_flip(base, picked)
     assert raised.ideal == (picked,)
     # swapping the rear side back for the front side restores the base
     assert (raised.tiles - picked.eps_rear()) | picked.eps_front() == base.tiles
     with pytest.raises(ValueError, match="already behind"):
         raising_flip(raised, picked)
-    blocked = [fr for fr in deltas if fr.low_height() >= 2][0]
+    blocked = [fr for fr in deltas if _low_height(fr) >= 2][0]
     with pytest.raises(ValueError, match="blocked"):
         raising_flip(base, blocked)
 

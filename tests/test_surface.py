@@ -1,10 +1,12 @@
 """Every public name of the package has a caller in the package or the benchmark.
 
 A module-level function, class or constant of src/zonosep whose name
-does not start with "_" must be referenced as code (a NAME token, not a
+does not start with "_", and a method or property of such a class whose
+name does not either, must be referenced as code (a NAME token, not a
 string or a comment) somewhere in src/zonosep or bench/ outside its own
-definition.  Tests and demos do not count as callers: a name only they
-use is a test oracle and belongs in tests/oracles.py, or is dead.
+definition.  A method counts as called where its bare name occurs, on
+whatever object.  Tests and demos do not count as callers: a name only
+they use is a test oracle and belongs in tests/oracles.py, or is dead.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ ALLOWED = {
 }
 
 
-def _public_definitions() -> list[tuple[Path, str, int, int]]:
-    """(module, name, first line, last line) of each public module-level name."""
+def _public_definitions() -> list[tuple[Path, str, str, int, int]]:
+    """(module, reported name, bare name, first line, last line) of each
+    public module-level name and each public method of a public class;
+    a method is reported as Class.method."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -39,10 +43,17 @@ def _public_definitions() -> list[tuple[Path, str, int, int]]:
             else:
                 continue
             found += [
-                (path, name, node.lineno, node.end_lineno)
+                (path, name, name, node.lineno, node.end_lineno)
                 for name in names
                 if not name.startswith("_")
             ]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                found += [
+                    (path, f"{node.name}.{member.name}", member.name,
+                     member.lineno, member.end_lineno)
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                ]
     return found
 
 
@@ -61,8 +72,8 @@ def _uncalled() -> set[str]:
     """The public names with no reference outside their own definition."""
     refs = _references()
     return {
-        name
-        for path, name, first, last in _public_definitions()
+        reported
+        for path, reported, name, first, last in _public_definitions()
         if all(where == path and first <= line <= last for where, line in refs.get(name, ()))
     }
 

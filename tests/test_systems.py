@@ -31,7 +31,7 @@ from zonosep.systems import (
     weak_odd,
 )
 
-from oracles import alternation_degree, brute_force_max_system, raw_weakly_separated
+from oracles import alternation_degree, brute_force_max_system, raw_weakly_separated, set_system
 
 
 def m(*elems: int) -> int:
@@ -39,7 +39,7 @@ def m(*elems: int) -> int:
 
 
 def test_set_system_canonical_order():
-    s = SetSystem.from_sets(4, [{2, 3}, {1}, set(), {1, 2, 3}, {1, 3}])
+    s = set_system(4, [{2, 3}, {1}, set(), {1, 2, 3}, {1, 3}])
     assert s.to_lists() == [[], [1], [1, 3], [2, 3], [1, 2, 3]]
     assert len(s) == 5 and m(1, 3) in s
     with pytest.raises(ValueError):
@@ -51,11 +51,11 @@ def test_set_system_canonical_order():
 
 
 def test_set_system_json_round_trip():
-    s = SetSystem.from_sets(5, [{1, 4}, {2}])
+    s = set_system(5, [{1, 4}, {2}])
     blob = s.to_json(weak_odd(1))
     assert blob["schema"] == "zonosep/1"
     assert blob["predicate"] == {"kind": "WEAK_ODD", "r": 1}
-    assert SetSystem.from_sets(blob["n"], blob["members"]) == s
+    assert set_system(blob["n"], blob["members"]) == s
 
 
 def test_predicate_validation():
@@ -92,7 +92,7 @@ def test_s_formula_values():
 
 
 def test_check_pairwise_reports_first_violation():
-    s = SetSystem.from_sets(6, [{1, 3}, {2, 6}, {2, 4}])
+    s = set_system(6, [{1, 3}, {2, 6}, {2, 4}])
     ok, pair = check_pairwise(s, strong(1))
     assert not ok and pair == (m(1, 3), m(2, 4))
     ok, pair = check_pairwise(s, strong(3))
@@ -105,7 +105,7 @@ def test_extend_to_maximal_deterministic():
     assert full.to_lists() == [[], [1], [1, 2]]  # the canonical 0-separated chain
     again = extend_to_maximal(full, strong(0))
     assert again == full
-    bad = SetSystem.from_sets(6, [{1, 3}, {2, 4}])
+    bad = set_system(6, [{1, 3}, {2, 4}])
     with pytest.raises(ValueError):
         extend_to_maximal(bad, strong(1))
 
@@ -257,9 +257,9 @@ def test_every_limit_is_checked_before_the_expensive_stage(monkeypatch, entry):
         (flips, "relation_table"),
         (membranes, "fragments"),
         (geometry, "sign_changes"),
-        (geometry, "veronese"),
+        (geometry, "side_roots"),
         (cubillage, "submasks"),
-        (cubillage, "veronese"),
+        (cubillage, "side_roots"),
     ):
         monkeypatch.setattr(module, stage, _unreachable)
     monkeypatch.setattr(Poset, "count_ideals", _unreachable)
