@@ -2,16 +2,16 @@
 
 A *cube* (X | T) consists of a root X and a type T, disjoint subsets
 of [n] with |T| = d; its vertices are the sets X + A over A inside T.
-Writing T = {p_1 < ... < p_d}, the 2d facets are
-
-    F_i = (X | T - p_i)       and      G_i = (X + p_i | T - p_i),
-
-and the facet is a *front* facet of the cube when d - i is even (for
-F_i) resp. odd (for G_i), otherwise a *rear* facet.  The two inner
-vertices are t_C = X + {p_i : d - i odd} (on every front facet) and
-h_C = X + {p_i : d - i even} (on every rear facet).  Cubes and facets
-are both `geometry.Face`s; a `Cube` is a face whose type is nonempty
-and disjoint from its root.
+Each direction p in T gives two facets, (X | T - p) and (X + p | T - p).
+The one on the *front* side is (X + p | T - p) when an odd number of
+elements of T are larger than p, and (X | T - p) otherwise; the other
+one is on the *rear* side.  That is the parity rule of
+`geometry.odd_above` applied to T, since T and T - p have the same
+elements above p.  The two inner vertices are t_C = X + (T & odd) (on
+every front facet) and h_C = X + (T - odd) (on every rear facet), odd
+the generators with an odd number of elements of T above them.  Cubes
+and facets are both `geometry.Face`s; a `Cube` is a face whose type is
+nonempty and disjoint from its root.
 
 A *cubillage* of Z(n, d) is a complete set of C(n, d) cubes, one per
 type, that fits together facet to facet: every facet shared by two
@@ -46,7 +46,7 @@ from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable, Sequence
 
-from .geometry import Face, side_roots, zonotope_sides
+from .geometry import Face, odd_above, side_roots, zonotope_sides
 from .ground import check_ground, check_mask, elements, mask_of, set_notation, submasks
 from .posets import digraph_dot
 from .systems import SCHEMA, SetSystem, check_dimension, check_limit, check_pairwise, s_formula, strong
@@ -74,40 +74,27 @@ class Cube(Face):
 
 def apex_vertices(cube: Cube) -> tuple[int, int]:
     """(t_C, h_C): the inner vertex on the front side and on the rear side."""
-    order = elements(cube.type)
-    d = len(order)
-    front_inner = cube.root
-    rear_inner = cube.root
-    for i, p in enumerate(order, start=1):
-        if (d - i) % 2:
-            front_inner |= 1 << (p - 1)
-        else:
-            rear_inner |= 1 << (p - 1)
-    return front_inner, rear_inner
+    odd = odd_above(cube.type)
+    return cube.root | cube.type & odd, cube.root | cube.type & ~odd
 
 
 def cube_facets(cube: Cube) -> list[tuple[Face, str]]:
-    """All 2d facets with their side, in a fixed order (F_1..F_d, G_1..G_d)."""
-    order = elements(cube.type)
-    d = len(order)
-    out: list[tuple[Face, str]] = []
-    for i, p in enumerate(order, start=1):
-        bit = 1 << (p - 1)
-        side_f = FRONT if (d - i) % 2 == 0 else REAR
-        out.append((Face(cube.root, cube.type & ~bit), side_f))
-    for i, p in enumerate(order, start=1):
-        bit = 1 << (p - 1)
-        side_g = FRONT if (d - i) % 2 else REAR
-        out.append((Face(cube.root | bit, cube.type & ~bit), side_g))
-    return out
+    """All 2d facets with their side: the front ones, then the rear ones."""
+    return [(f, FRONT) for f in front_facets(cube)] + [(f, REAR) for f in rear_facets(cube)]
 
 
 def front_facets(cube: Cube) -> list[Face]:
-    return [f for f, side in cube_facets(cube) if side == FRONT]
+    return _facets(cube, odd_above(cube.type))
 
 
 def rear_facets(cube: Cube) -> list[Face]:
-    return [f for f, side in cube_facets(cube) if side == REAR]
+    return _facets(cube, ~odd_above(cube.type))
+
+
+def _facets(cube: Cube, lifted: int) -> list[Face]:
+    """(X + (p & lifted) | T - p) for each direction p, ascending."""
+    bits = [1 << (p - 1) for p in elements(cube.type)]
+    return [Face(cube.root | bit & lifted, cube.type ^ bit) for bit in bits]
 
 
 @dataclass(frozen=True)
@@ -308,10 +295,8 @@ def gamma_graph(n: int, d: int) -> tuple[list[Cube], list[list[int]]]:
     return cubes, precedence_digraph(cubes)
 
 
-def precedence_dot(
-    cubes: Sequence[Cube], succs: Sequence[Sequence[int]], name: str = "gamma"
-) -> str:
-    return digraph_dot([cube.label() for cube in cubes], succs, name)
+def precedence_dot(cubes: Sequence[Cube], succs: Sequence[Sequence[int]]) -> str:
+    return digraph_dot([cube.label() for cube in cubes], succs, "gamma")
 
 
 @dataclass

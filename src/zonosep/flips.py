@@ -459,12 +459,10 @@ def _singleton_bricks(a: int, b: int) -> tuple[set[int], set[int]]:
     return first, second
 
 
-def verify_refined_lemma(
-    n: int, r: int, shard: tuple[int, int] | None = None
-) -> HarnessReport:
+def verify_refined_lemma(n: int, r: int) -> HarnessReport:
     """Bad {Y, XP} with all N_up witnesses good forces singleton bricks:
     every element of P on the XP side, or every element of Q on the Y side."""
-    report, patterns, bad = _harness("refined_lemma", n, r, shard, PARITY_ODD)
+    report, patterns, bad = _harness("refined_lemma", n, r, None, PARITY_ODD)
     for p, q, xs in patterns:
         up_pool = _up(p, q)
         p_elems, q_elems = elements(p), elements(q)

@@ -6,24 +6,23 @@ coordinate is computed here: each question below has a rule in the
 order of the generators alone, and the test suite checks every rule
 against exact integer linear algebra in `tests/oracles.py`.
 
-A subset X of [n] spans a vertex (the point sum of xi_i over i in X)
-exactly when some linear functional is positive on the xi_i with i in
-X and negative on the rest; for a cyclic configuration this is a sign
-rule: the +/- membership sequence of X along 1..n may change sign at
-most d - 1 times.  The test suite compares it exhaustively with an
-exact Fourier-Motzkin feasibility check
-(`tests/oracles.linear_functional_separates`).
-
-A type T of D - 1 generators spans a hyperplane of the moment curve in
-dimension D, and `side_roots` splits the other generators by the side
-of it they lie on, the normal oriented to a negative last coordinate:
-generator k is on the positive side exactly when an odd number of
-elements of T are larger than k.  The test suite compares this parity
-rule with oriented cofactor normals (`tests/oracles.exact_side_roots`).
-With D = d it cuts the boundary of Z(n, d) into a front and a rear side
-(outward normal with negative resp. positive last coordinate), facet by
-facet; with D = d + 1 it cuts the cubes of the standard cubillage
-(`cubillage.standard_cubillage`).  For odd d the sides also have a
+One rule orients everything (`odd_above`): on the moment curve in
+dimension D, a type T of D - 1 generators spans a hyperplane, and
+generator k lies on the positive side of it (the normal oriented to a
+negative last coordinate) exactly when an odd number of elements of T
+are larger than k.  The test suite compares this parity rule with
+oriented cofactor normals (`tests/oracles.exact_side_roots`).
+`side_roots` splits the generators outside T by it.  With D = d it
+cuts the boundary of Z(n, d) into a front and a rear side (outward
+normal with negative resp. positive last coordinate), facet by facet,
+and the vertices of Z(n, d) are the union of the two sides; the test
+suite compares that union with the sign rule (at most d - 1 sign
+changes of the membership sequence along 1..n) and the sign rule with
+an exact Fourier-Motzkin feasibility check
+(`tests/oracles.linear_functional_separates`).  With D = d + 1 it cuts
+the cubes of the standard cubillage (`cubillage.standard_cubillage`),
+and within a cube (X | T) it orients each facet and picks the two
+apexes (`cubillage.cube_facets`).  For odd d the sides also have a
 closed combinatorial form: the front vertices are the k-intervals with
 k <= (d-1)/2, the rear vertices are their complements, and the rim
 (front meets rear) drops the (d-1)/2-intervals containing neither 1
@@ -67,46 +66,40 @@ class Face(NamedTuple):
         return {"root": elements(self.root), "type": elements(self.type)}
 
 
-def sign_changes(mask: int, n: int) -> int:
-    """Sign changes of the +/- membership sequence of X along 1..n."""
-    changes = 0
-    prev = mask & 1
-    for i in range(1, n):
-        cur = mask >> i & 1
-        if cur != prev:
-            changes += 1
-            prev = cur
-    return changes
-
-
-def side_roots(n: int, typemask: int) -> tuple[int, int]:
-    """The generators outside a type, split by the side of its span they lie on.
+def odd_above(typemask: int) -> int:
+    """The generators with an odd number of elements of the type above them.
 
     On the moment curve xi_i = (1, t_i, ..., t_i^(D-1)), D = |T| + 1,
     the normal of span{xi_t : t in T} oriented to a negative last
     coordinate is the coefficient vector of -prod_{t in T} (x - t_t).
     Its product with xi_k is -prod_{t in T} (t_k - t_t), positive
-    exactly when an odd number of elements of T are larger than k.  The
-    first root collects those generators, the second the rest.  Only the
-    order of the t_i enters, so the split holds for every increasing t.
+    exactly when k is in this mask.  Only the order of the t_i enters,
+    so the rule holds for every increasing t.  It is the one side rule
+    of the package: boundary facets, standard cubes, cube facets and
+    apexes are all oriented by it.
     """
-    odd_above = 0
+    odd = 0
     for t in elements(typemask):
-        odd_above ^= (1 << (t - 1)) - 1  # toggles every generator below t
+        odd ^= (1 << (t - 1)) - 1  # toggles every generator below t
+    return odd
+
+
+def side_roots(n: int, typemask: int) -> tuple[int, int]:
+    """The generators outside a type: those on the positive side of its
+    span (`odd_above`), then the rest."""
+    odd = odd_above(typemask)
     rest = ((1 << n) - 1) & ~typemask
-    return rest & odd_above, rest & ~odd_above
+    return rest & odd, rest & ~odd
 
 
 def boundary_vertices(n: int, d: int) -> SetSystem:
     """All subsets of [n] spanning vertices of Z(n, d), canonically ordered.
 
-    A scan over all 2^n subsets, so n is held to the relation-table cap.
+    Every vertex lies on a front or a rear facet, so these are the two
+    sides of `zonotope_sides` together, with n held to its limit.
     """
-    check_limit(n)
-    check_dimension(n, d)
-    return SetSystem.from_masks(
-        n, (x for x in range(1 << n) if sign_changes(x, n) <= d - 1)
-    )
+    sides = zonotope_sides(n, d)
+    return SetSystem.from_masks(n, [*sides.front.members, *sides.rear.members])
 
 
 @dataclass(frozen=True)

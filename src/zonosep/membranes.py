@@ -4,10 +4,13 @@ Slicing every cube of a cubillage of Z(n, d) by the hyperplanes of
 integer height (cardinality of the vertex sets) cuts it into d
 *fragments*: the h-th fragment of C = (X | T) lies between the
 cardinality levels |X| + h - 1 and |X| + h.  Fragment boundaries are
-*tiles*, in two kinds: the H-tile of (C, j) is the horizontal section
-with vertex sets X + A, |A| = j, and a V-tile is a one-slab slice of a
-cube facet.  Tiles are identified by their vertex sets alone, which
-determine the facet and the slab, so facet sharing is decided exactly.
+*tiles*, and a tile is the frozenset of its vertex masks: the H-tile
+of (C, j) is the horizontal section X + A, |A| = j, and a V-tile is a
+one-slab slice of a cube facet, its vertex sets on two adjacent levels
+(`tile_label` tells the two apart by that count).  The vertex set
+determines the facet and the slab, so facet sharing is decided
+exactly.  The front and rear sides of a cube's facets come from the
+one parity rule (`cubillage.front_facets`, `geometry.odd_above`).
 
 Fragments are ordered as cubes are (`cubillage.side_precedence`): the
 rear side of one meets the front side of the next.  The order is
@@ -45,6 +48,7 @@ time is built by replay (`membrane_from_ideal`, or `base_membrane` and
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -65,54 +69,33 @@ from .systems import (
     weak_even_no_comb,
 )
 
-H_TILE = "H"
-V_TILE = "V"
 FLAVOR_W = "W"
 FLAVOR_E = "E"
 FLAVOR_S = "S"
 
 
-@dataclass(frozen=True)
-class Tile:
-    """A facet piece of a fragment; identity is the vertex set.
-
-    The kind is recoverable from the vertex set (an H-tile has one
-    cardinality level, a V-tile two), so it rides along for display
-    only.
-    """
-
-    kind: str
-    verts: frozenset[int]
-
-    def sorted_verts(self) -> tuple[int, ...]:
-        return tuple(sorted(self.verts))
-
-    def label(self) -> str:
-        inner = ",".join(set_notation(v) for v in self.sorted_verts())
-        return f"{self.kind}[{inner}]"
+def tile_label(tile: frozenset[int]) -> str:
+    """H[...] for a tile on one cardinality level, V[...] for one on two."""
+    kind = "H" if len({v.bit_count() for v in tile}) == 1 else "V"
+    return f"{kind}[{','.join(set_notation(v) for v in sorted(tile))}]"
 
 
-def h_tile(cube: Cube, j: int) -> Tile | None:
+def _levels(face: Face, low: int, high: int) -> frozenset[int]:
+    """The vertex sets root + A of a face with low <= |A| <= high."""
+    return frozenset(
+        face.root | sub for sub in submasks(face.type) if low <= sub.bit_count() <= high
+    )
+
+
+def h_tile(cube: Cube, j: int) -> frozenset[int] | None:
     """Horizontal section of a cube at local height j; None when degenerate."""
-    d = cube.d
-    if not 1 <= j <= d - 1:
-        return None
-    verts = {cube.root | sub for sub in submasks(cube.type) if sub.bit_count() == j}
-    return Tile(H_TILE, frozenset(verts))
+    return _levels(cube, j, j) if 1 <= j <= cube.d - 1 else None
 
 
-def v_tile(facet: Face, slab: int) -> Tile | None:
+def v_tile(facet: Face, slab: int) -> frozenset[int] | None:
     """One-slab slice of a facet: the vertex layers at sizes slab, slab+1."""
-    base = facet.root.bit_count()
-    k = slab - base
-    if not 0 <= k <= facet.type.bit_count() - 1:
-        return None
-    verts = {
-        facet.root | sub
-        for sub in submasks(facet.type)
-        if sub.bit_count() in (k, k + 1)
-    }
-    return Tile(V_TILE, frozenset(verts))
+    k = slab - facet.root.bit_count()
+    return _levels(facet, k, k + 1) if 0 <= k <= facet.type.bit_count() - 1 else None
 
 
 @dataclass(frozen=True)
@@ -143,13 +126,13 @@ class Fragment:
     def label(self) -> str:
         return f"{self.cube.label()}#h{'+'.join(str(s) for s in self.slabs)}"
 
-    def eps_front(self) -> frozenset[Tile]:
+    def eps_front(self) -> frozenset[frozenset[int]]:
         return self._side(front_facets(self.cube), self.h - 1)
 
-    def eps_rear(self) -> frozenset[Tile]:
+    def eps_rear(self) -> frozenset[frozenset[int]]:
         return self._side(rear_facets(self.cube), self.slabs[-1])
 
-    def _side(self, facets: list[Face], lid: int) -> frozenset[Tile]:
+    def _side(self, facets: list[Face], lid: int) -> frozenset[frozenset[int]]:
         """V-tiles of the facets at every covered slab, plus the section at
         local height lid: the floor (front side) or the ceiling (rear side)."""
         base = self.cube.root.bit_count()
@@ -192,18 +175,23 @@ def fragment_precedence(
 ) -> tuple[list[Fragment], list[list[int]]]:
     """The fragments of the flavor, and arcs i -> j where a rear tile of
     fragment i is a front tile of fragment j."""
+    deltas, _, _, succs = _fragment_sides(q, flavor)
+    return deltas, succs
+
+
+def _fragment_sides(
+    q: Cubillage, flavor: str
+) -> tuple[list[Fragment], list[frozenset], list[frozenset], list[list[int]]]:
+    """The fragments of the flavor, their front and rear sides, and the
+    arcs of their precedence."""
     deltas = fragments(q, flavor)
     fronts = [delta.eps_front() for delta in deltas]
     rears = [delta.eps_rear() for delta in deltas]
-    return deltas, side_precedence(fronts, rears)
+    return deltas, fronts, rears, side_precedence(fronts, rears)
 
 
-def precedence_to_dot(
-    deltas: Sequence[Fragment],
-    succs: Sequence[Sequence[int]],
-    name: str = "fragments",
-) -> str:
-    return digraph_dot([delta.label() for delta in deltas], succs, name)
+def precedence_to_dot(deltas: Sequence[Fragment], succs: Sequence[Sequence[int]]) -> str:
+    return digraph_dot([delta.label() for delta in deltas], succs, "fragments")
 
 
 @dataclass(frozen=True)
@@ -215,28 +203,19 @@ class Membrane:
     d: int
     flavor: str
     ideal: tuple
-    tiles: frozenset[Tile]
+    tiles: frozenset[frozenset[int]]
 
     def vertex_masks(self) -> set[int]:
-        verts: set[int] = set()
-        for tile in self.tiles:
-            verts.update(tile.verts)
-        return verts
+        return set().union(*self.tiles)
 
 
 def membrane_vertices(m: Membrane) -> SetSystem:
     return SetSystem.from_masks(m.n, m.vertex_masks())
 
 
-def _slice_boundary(facets: Iterable[Face]) -> set[Tile]:
-    tiles: set[Tile] = set()
-    for facet in facets:
-        base = facet.root.bit_count()
-        for slab in range(base, base + facet.type.bit_count()):
-            tile = v_tile(facet, slab)
-            if tile is not None:
-                tiles.add(tile)
-    return tiles
+def _slice_boundary(facets: Iterable[Face]) -> frozenset[frozenset[int]]:
+    """Every facet cut into its one-slab V-tiles."""
+    return frozenset(_levels(f, k, k + 1) for f in facets for k in range(f.type.bit_count()))
 
 
 def base_membrane(q: Cubillage, flavor: str = FLAVOR_W) -> Membrane:
@@ -247,13 +226,13 @@ def base_membrane(q: Cubillage, flavor: str = FLAVOR_W) -> Membrane:
         d=q.d,
         flavor=flavor,
         ideal=(),
-        tiles=frozenset(_slice_boundary(sides.front_facets)),
+        tiles=_slice_boundary(sides.front_facets),
     )
 
 
-def rear_boundary_tiles(q: Cubillage) -> frozenset[Tile]:
+def rear_boundary_tiles(q: Cubillage) -> frozenset[frozenset[int]]:
     sides = zonotope_sides(q.n, q.d)
-    return frozenset(_slice_boundary(sides.rear_facets))
+    return _slice_boundary(sides.rear_facets)
 
 
 def raising_flip(m: Membrane, delta: Fragment) -> Membrane:
@@ -265,13 +244,13 @@ def raising_flip(m: Membrane, delta: Fragment) -> Membrane:
     if missing:
         raise ValueError(
             f"raising flip at {delta.label()} blocked: missing "
-            + ", ".join(sorted(t.label() for t in missing))
+            + ", ".join(sorted(map(tile_label, missing)))
         )
     clashing = rear & m.tiles
     if clashing:
         raise ValueError(
             f"raising flip at {delta.label()} blocked: present "
-            + ", ".join(sorted(t.label() for t in clashing))
+            + ", ".join(sorted(map(tile_label, clashing)))
         )
     return Membrane(
         n=m.n,
@@ -476,10 +455,7 @@ def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:
     """
     clock = time.perf_counter
     started = clock()
-    deltas = fragments(q, flavor)
-    fronts = [delta.eps_front() for delta in deltas]
-    rears = [delta.eps_rear() for delta in deltas]
-    succs = side_precedence(fronts, rears)
+    deltas, fronts, rears, succs = _fragment_sides(q, flavor)
     poset = Poset(len(deltas), succs)
     census = MembraneCensus(deltas=deltas, succs=succs, poset=poset)
     stats = census.stats
@@ -558,6 +534,8 @@ def scan_membranes(
         r = q.d - 2
     if r < 1:
         raise ValueError("separation order must be at least 1")
+    if check_combs:
+        weak_even_no_comb(r)  # refuses odd r before the census, not after it
     census = membrane_census(q, flavor)
     report = MembraneScanReport(
         n=q.n,
@@ -604,20 +582,16 @@ def scan_membranes(
     return report
 
 
-def _multiplicities(tiles: Iterable[Tile]) -> dict[int, int]:
+def _multiplicities(tiles: Iterable[frozenset[int]]) -> dict[int, int]:
     """How many of the tiles contain each vertex."""
-    counts: dict[int, int] = {}
-    for tile in tiles:
-        for v in tile.verts:
-            counts[v] = counts.get(v, 0) + 1
-    return counts
+    return Counter(v for tile in tiles for v in tile)
 
 
 def _check_lifespans(
     base: frozenset,
     pieces: Sequence[Fragment],
-    fronts: Sequence[frozenset[Tile]],
-    rears: Sequence[frozenset[Tile]],
+    fronts: Sequence[frozenset[frozenset[int]]],
+    rears: Sequence[frozenset[frozenset[int]]],
 ) -> None:
     """Check that every tile is present on one interval of raising flips.
 
@@ -631,37 +605,37 @@ def _check_lifespans(
     membrane is 0 or 1, and every raising flip finds its front side
     present and its rear side absent.
     """
-    born: dict[Tile, int] = {}
-    dies: dict[Tile, int] = {}
+    born: dict[frozenset[int], int] = {}
+    dies: dict[frozenset[int], int] = {}
     for i, piece in enumerate(pieces):
         for tile in rears[i]:
             if tile in born:
                 raise MembraneInvariantError(
-                    f"tile {tile.label()} is born at both "
+                    f"tile {tile_label(tile)} is born at both "
                     f"{pieces[born[tile]].label()} and {piece.label()}"
                 )
             if tile in base:
                 raise MembraneInvariantError(
-                    f"front-boundary tile {tile.label()} is born again at "
+                    f"front-boundary tile {tile_label(tile)} is born again at "
                     f"{piece.label()}: multiplicity 2"
                 )
             born[tile] = i
         for tile in fronts[i]:
             if tile in dies:
                 raise MembraneInvariantError(
-                    f"tile {tile.label()} dies at both "
+                    f"tile {tile_label(tile)} dies at both "
                     f"{pieces[dies[tile]].label()} and {piece.label()}"
                 )
             dies[tile] = i
     for tile, i in dies.items():
         if tile not in base and born.get(tile, i) == i:
             raise MembraneInvariantError(
-                f"tile {tile.label()} dies at {pieces[i].label()} without being "
+                f"tile {tile_label(tile)} dies at {pieces[i].label()} without being "
                 f"present before: multiplicity -1"
             )
 
 
-def _net_changes(front: frozenset[Tile], rear: frozenset[Tile]) -> dict[int, int]:
+def _net_changes(front: frozenset[frozenset[int]], rear: frozenset[frozenset[int]]) -> dict[int, int]:
     """A raising flip's nonzero vertex multiplicity changes.
 
     +1 per rear tile holding the vertex, -1 per front tile; with the

@@ -589,17 +589,16 @@ def enumerate_maximal(
     n: int,
     predicate: PairwisePredicate,
     limit: int | None = None,
-    bound: int = DEFAULT_EXHAUSTIVE_BOUND,
 ) -> Iterator[SetSystem]:
     """Stream all inclusion-maximal compatible systems (maximal cliques).
 
     Deterministic pivoted Bron-Kerbosch over the compatibility graph;
     the stream order is the fixed DFS order of that algorithm.  A limit
-    of k stops after k systems (none for k = 0).  n is held to the bound
-    as in search_max; n and the limit are checked on the call, before the
-    search starts.
+    of k stops after k systems (none for k = 0).  n is held to the default
+    bound of search_max; n and the limit are checked on the call, before
+    the search starts.
     """
-    check_limit(n, min(bound, HARD_EXHAUSTIVE_CAP), SEARCH_LIMIT)
+    check_limit(n, DEFAULT_EXHAUSTIVE_BOUND, "the exhaustive-search bound {}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
     return islice(_maximal_cliques(n, predicate), limit)

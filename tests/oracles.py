@@ -156,6 +156,43 @@ def standard_root(typeset: set[int], n: int, anti: bool = False) -> set[int]:
     }
 
 
+def reference_cube_facets(cube) -> list[tuple[tuple[int, int], str]]:
+    """The 2d facets ((root, type), side) of a cube by the F_i/G_i numbering.
+
+    With T = {p_1 < ... < p_d}, F_i = (X | T - p_i) is a front facet when
+    d - i is even and G_i = (X + p_i | T - p_i) when d - i is odd; the
+    others are rear facets.  The numbering that the parity mask
+    `zonosep.geometry.odd_above` replaced, kept as its reference.
+    """
+    order = [i for i in range(1, cube.type.bit_length() + 1) if cube.type >> (i - 1) & 1]
+    d = len(order)
+    out = []
+    for i, p in enumerate(order, start=1):
+        bit = 1 << (p - 1)
+        out.append(((cube.root, cube.type & ~bit), "front" if (d - i) % 2 == 0 else "rear"))
+        out.append(((cube.root | bit, cube.type & ~bit), "front" if (d - i) % 2 else "rear"))
+    return out
+
+
+def reference_apex_vertices(cube) -> tuple[int, int]:
+    """(t_C, h_C) = (X + {p_i : d - i odd}, X + {p_i : d - i even})."""
+    order = [i for i in range(1, cube.type.bit_length() + 1) if cube.type >> (i - 1) & 1]
+    d = len(order)
+    tail = head = cube.root
+    for i, p in enumerate(order, start=1):
+        if (d - i) % 2:
+            tail |= 1 << (p - 1)
+        else:
+            head |= 1 << (p - 1)
+    return tail, head
+
+
+def sign_changes(mask: int, n: int) -> int:
+    """Sign changes of the +/- membership sequence of X along 1..n: X spans
+    a vertex of Z(n, d) exactly when there are at most d - 1 of them."""
+    return sum(1 for i in range(1, n) if (mask >> i & 1) != (mask >> (i - 1) & 1))
+
+
 def cubillage_from_collection(collection, d: int):
     """Reconstruct a cubillage from the vertex set of one.
 
@@ -414,14 +451,12 @@ def reference_flip_theorem_odd(n: int, r: int, shard=None, bad=bad_pair):
     return report
 
 
-def reference_refined_lemma(n: int, r: int, shard=None, bad=bad_pair):
+def reference_refined_lemma(n: int, r: int, bad=bad_pair):
     from zonosep.flips import _singleton_bricks, neighbors_up
     from zonosep.ground import elements
 
-    report = _report("refined_lemma", n, r, shard)
-    for idx, site in enumerate(odd_sites(n, r)):
-        if not _in_shard(idx, shard):
-            continue
+    report = _report("refined_lemma", n, r, None)
+    for site in odd_sites(n, r):
         report.sites += 1
         up = [site.x | s for s in neighbors_up(site).members]
         for y in range(1 << n):
@@ -834,7 +869,7 @@ def reference_scan_membranes(
     `incompat` overrides the rows of the pairs counted as violations
     (default: not weakly r-separated).
     """
-    from zonosep.membranes import Tile, _comb_rows, base_membrane, fragment_precedence
+    from zonosep.membranes import _comb_rows, base_membrane, fragment_precedence
     from zonosep.posets import IdealCapExceeded
     from zonosep.systems import complement_table, weak
 
@@ -845,8 +880,8 @@ def reference_scan_membranes(
     if incompat is None:
         incompat = complement_table(q.n, weak(r))
     combs = _comb_rows(q.n, r) if check_combs else None
-    eps_front_of = [sorted(d_.eps_front(), key=Tile.sorted_verts) for d_ in deltas]
-    eps_rear_of = [sorted(d_.eps_rear(), key=Tile.sorted_verts) for d_ in deltas]
+    eps_front_of = [sorted(d_.eps_front(), key=sorted) for d_ in deltas]
+    eps_rear_of = [sorted(d_.eps_rear(), key=sorted) for d_ in deltas]
     refcount = {}
     state = {"active": 0, "bad": 0, "comb": 0}
 
@@ -863,14 +898,14 @@ def reference_scan_membranes(
             state["comb"] -= (state["active"] & combs[v]).bit_count()
 
     def add_tile(tile):
-        for v in tile.verts:
+        for v in tile:
             count = refcount.get(v, 0)
             if count == 0:
                 activate(v)
             refcount[v] = count + 1
 
     def drop_tile(tile):
-        for v in tile.verts:
+        for v in tile:
             count = refcount[v] - 1
             refcount[v] = count
             if count == 0:

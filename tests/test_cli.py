@@ -519,6 +519,19 @@ def test_internal_error_is_one_line_and_not_usage(capsys, monkeypatch):
     assert "multiplicity -1" in err
 
 
+def test_combs_at_odd_r_are_refused_before_the_census(capsys, monkeypatch):
+    # a double-comb check needs even r; the refusal comes before phases 1-3,
+    # so neither a long census nor one past its memo budget runs first
+    def no_census(q, flavor):
+        raise AssertionError("census started before the r check")
+
+    monkeypatch.setattr(mb, "membrane_census", no_census)
+    for argv in (("--n", "5", "--d", "3"), ("--n", "6", "--d", "4", "--flavor", "e", "--r", "3")):
+        code, out, err = run(capsys, "membrane", "scan", *argv, "--combs")
+        assert code == 2 and out == ""
+        assert err == "error: WEAK_EVEN_NO_COMB needs even positive r\n"
+
+
 def test_witness_replay_failure_is_an_internal_error(capsys, monkeypatch):
     # the scan built the witness itself, so a flip it cannot replay is no usage error
     def refuse(m, delta):

@@ -23,7 +23,14 @@ from zonosep.systems import SetSystem, s_formula
 
 import pytest
 
-from oracles import cubillage_from_collection, immediately_precedes, s_membranes, standard_root
+from oracles import (
+    cubillage_from_collection,
+    immediately_precedes,
+    reference_apex_vertices,
+    reference_cube_facets,
+    s_membranes,
+    standard_root,
+)
 
 
 def m(*elems: int) -> int:
@@ -73,6 +80,20 @@ def test_apex_and_facets_in_dimension_three() -> None:
         assert t in f.vertices()
     for f in rear_facets(c):
         assert h in f.vertices()
+
+
+def test_parity_mask_matches_the_facet_numbering() -> None:
+    # every cube of C(n, d), 1 <= d <= n <= 8: the facets and sides of the
+    # parity mask against the F_i/G_i numbering, and t_C, h_C likewise
+    cubes = 0
+    for n in range(1, 9):
+        for d in range(1, n + 1):
+            for c in all_cubes(n, d):
+                got = sorted(((f.root, f.type), side) for f, side in cube_facets(c))
+                assert got == sorted(reference_cube_facets(c)), c
+                assert apex_vertices(c) == reference_apex_vertices(c), c
+                cubes += 1
+    assert cubes == 9_330
 
 
 def test_standard_z32_frozen() -> None:

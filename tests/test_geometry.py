@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from zonosep.geometry import boundary_vertices, side_roots, sign_changes, zonotope_sides
+from zonosep.geometry import boundary_vertices, side_roots, zonotope_sides
 from zonosep.ground import elements, mask_of
 from zonosep.separation import is_strongly_r_separated
 from zonosep.systems import SetSystem, s_formula
@@ -20,6 +20,7 @@ from oracles import (
     linear_functional_separates,
     normal_vector,
     point_of,
+    sign_changes,
     veronese,
 )
 
@@ -71,8 +72,8 @@ def test_sign_rule_examples():
 
 
 def test_boundary_vertices_beyond_the_search_bound():
-    # a 2^n scan, held to the relation-table cap rather than the clique
-    # search bound: at most d - 1 = 2 sign changes, 2 (1 + C(n-1, 1) + C(n-1, 2))
+    # held to the relation-table cap rather than the clique search
+    # bound: at most d - 1 = 2 sign changes, 2 (1 + C(n-1, 1) + C(n-1, 2))
     assert len(boundary_vertices(8, 3)) == 58
     assert len(boundary_vertices(12, 3)) == 134
     with pytest.raises(ValueError, match="n = 13 exceeds the relation-table cap 12"):
@@ -97,6 +98,26 @@ def test_boundary_vertices_counts():
     assert all(sign_changes(x, 6) > 3 for x in want)
     # non-vertices pair up under complementation in [6]
     assert {full & ~x for x in want} == set(want)
+
+
+def _sides_against_the_sign_rule(nmin: int, nmax: int) -> list[tuple[int, int]]:
+    """The (n, d) where front and rear together miss or add a sign-rule vertex."""
+    return [
+        (n, d)
+        for n in range(nmin, nmax + 1)
+        for d in range(2, n + 1)
+        if boundary_vertices(n, d)
+        != SetSystem.from_masks(n, (x for x in range(1 << n) if sign_changes(x, n) <= d - 1))
+    ]
+
+
+def test_boundary_vertices_match_the_sign_rule():
+    assert _sides_against_the_sign_rule(2, 10) == []
+
+
+@pytest.mark.slow
+def test_boundary_vertices_match_the_sign_rule_to_the_table_cap():
+    assert _sides_against_the_sign_rule(11, 12) == []
 
 
 def test_sign_rule_matches_functional_oracle():

@@ -29,6 +29,7 @@ from zonosep.membranes import (
     raising_flip,
     rear_boundary_tiles,
     scan_membranes,
+    tile_label,
     v_tile,
 )
 from zonosep.separation import is_double_r_comb, is_weakly_r_separated
@@ -60,17 +61,17 @@ def test_tile_identity_determines_shape() -> None:
         q = standard_cubillage(n, d)
         for fr in fragments(q):
             for tile in fr.eps_front() | fr.eps_rear():
-                sizes = {v.bit_count() for v in tile.verts}
-                want_kind = "H" if len(sizes) == 1 else "V"
-                assert tile.kind == want_kind
-                meet = union = next(iter(tile.verts))
-                for v in tile.verts:
+                sizes = {v.bit_count() for v in tile}
+                kind = tile_label(tile)[0]
+                assert kind == ("H" if len(sizes) == 1 else "V")
+                meet = union = next(iter(tile))
+                for v in tile:
                     meet &= v
                     union |= v
-                shape = (tile.kind, meet, union, min(sizes))
-                if tile.verts in seen:
-                    assert seen[tile.verts] == shape
-                seen[tile.verts] = shape
+                shape = (kind, meet, union, min(sizes))
+                if tile in seen:
+                    assert seen[tile] == shape
+                seen[tile] = shape
     shapes = list(seen.values())
     assert len(set(shapes)) == len(shapes)
 
@@ -91,10 +92,10 @@ def test_bottom_fragment_has_no_floor() -> None:
     # the floor of the first slab degenerates to the root point
     c = Cube(0, m(1, 2, 3))
     fr = Fragment(c, 1)
-    assert all(tile.kind == "V" for tile in fr.eps_front())
-    assert any(tile.kind == "H" for tile in fr.eps_rear())
+    assert all(tile_label(tile)[0] == "V" for tile in fr.eps_front())
+    assert any(tile_label(tile)[0] == "H" for tile in fr.eps_rear())
     top = Fragment(c, 3)
-    assert all(tile.kind == "V" for tile in top.eps_rear())
+    assert all(tile_label(tile)[0] == "V" for tile in top.eps_rear())
 
 
 def test_eps_sides_partition_fragment_boundary() -> None:
@@ -120,9 +121,10 @@ def test_degenerate_tiles_are_none() -> None:
     c = Cube(0, m(1, 2, 3))
     assert h_tile(c, 0) is None
     assert h_tile(c, 3) is None
-    assert h_tile(c, 2) is not None
+    assert tile_label(h_tile(c, 2)) == "H[{1,2},{1,3},{2,3}]"
     facet = [f for f, _ in cube_facets(c)][0]
     assert v_tile(facet, 5) is None
+    assert tile_label(v_tile(Cube(0, m(2, 3)), 1)) == "V[{2},{3},{2,3}]"
 
 
 def test_fragment_precedence_single_cube_chain() -> None:
@@ -484,7 +486,7 @@ def test_membrane_json_and_dot() -> None:
     mem = w_membranes(q)[2]
     assert mem.flavor == "W"
     assert [delta.label() for delta in mem.ideal] == ["{}|{1,2,3}#h1", "{}|{1,2,3}#h2"]
-    assert all(tile.kind in ("H", "V") for tile in mem.tiles)
+    assert all(tile_label(tile)[:2] in ("H[", "V[") for tile in mem.tiles)
     deltas, succs = fragment_precedence(q)
     dot = precedence_to_dot(deltas, succs)
     assert dot.startswith("digraph fragments {")

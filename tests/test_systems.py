@@ -256,7 +256,6 @@ def test_every_limit_is_checked_before_the_expensive_stage(monkeypatch, entry):
         (membranes, "relation_table"),
         (flips, "relation_table"),
         (membranes, "fragments"),
-        (geometry, "sign_changes"),
         (geometry, "side_roots"),
         (cubillage, "submasks"),
         (cubillage, "side_roots"),
