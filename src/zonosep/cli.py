@@ -11,6 +11,10 @@ failed or an internal invariant broke, 2 usage error, 3 the run was
 capped or left undecided and did not cover its whole range.  Output is
 deterministic for fixed flags: tables to stdout, machine-readable JSON
 or DOT to files on request; counters and timings go to stderr only.
+
+A command loads only what it runs: this module imports `systems` (with
+`ground` and `separation`), each handler imports the heavier modules it
+drives, and the parser builds the commands of the named group alone.
 """
 
 from __future__ import annotations
@@ -20,13 +24,9 @@ import sys
 import time
 from collections import Counter
 from math import comb
+from typing import TYPE_CHECKING
 
-from . import cubillage as cb
-from . import flips as fl
-from . import membranes as mb
-from .geometry import boundary_vertices, zonotope_sides
 from .ground import elements, interval_cortege, mask_of, set_notation
-from .posets import is_acyclic, topological_order
 from .separation import is_strongly_r_separated, is_weakly_r_separated
 from .systems import (
     DEFAULT_EXHAUSTIVE_BOUND,
@@ -50,6 +50,10 @@ from .systems import (
     extend_to_maximal,
     weak_odd,
 )
+
+if TYPE_CHECKING:  # for annotations only: the handlers import these where they run them
+    from . import flips as fl
+    from . import membranes as mb
 
 KINDS = {
     "strong": KIND_STRONG,
@@ -221,6 +225,8 @@ def cmd_search_maximal(args) -> int:
 
 
 def cmd_zono_vertices(args) -> int:
+    from .geometry import boundary_vertices
+
     verts = boundary_vertices(args.n, args.d)
     print(f"vertices of Z({args.n},{args.d}): {len(verts)}")
     print(str(verts))
@@ -229,6 +235,8 @@ def cmd_zono_vertices(args) -> int:
 
 
 def cmd_zono_sides(args) -> int:
+    from .geometry import zonotope_sides
+
     sides = zonotope_sides(args.n, args.d)
     print(f"Z({args.n},{args.d}) boundary")
     print(f"front facets: {len(sides.front_facets)}")
@@ -256,6 +264,8 @@ def cmd_zono_sides(args) -> int:
 
 
 def _cub_build_and_validate(args, anti: bool) -> int:
+    from . import cubillage as cb
+
     q = cb.standard_cubillage(args.n, args.d, anti)
     report = cb.validate_cubillage(q)
     verdict = "PASS" if report.ok else "FAIL"
@@ -278,6 +288,8 @@ def cmd_cub_anti(args) -> int:
 def cmd_cub_validate(args) -> int:
     import json as _json
 
+    from . import cubillage as cb
+
     with open(args.infile, encoding="utf-8") as handle:
         q = cb.Cubillage.from_json(_json.load(handle))
     report = cb.validate_cubillage(q)
@@ -290,6 +302,8 @@ def cmd_cub_validate(args) -> int:
 
 
 def cmd_cub_beads(args) -> int:
+    from . import cubillage as cb
+
     q = cb.standard_cubillage(args.n, args.d, args.anti)
     threads = cb.bead_thread_graph(q)
     verdict = "PASS" if threads.ok else "FAIL"
@@ -308,6 +322,9 @@ def cmd_cub_beads(args) -> int:
 
 
 def cmd_cub_gamma(args) -> int:
+    from . import cubillage as cb
+    from .posets import is_acyclic
+
     cubes, succs = cb.gamma_graph(args.n, args.d)
     acyclic = is_acyclic(len(cubes), succs)
     arcs = sum(len(out) for out in succs)
@@ -325,6 +342,9 @@ def cmd_cub_gamma(args) -> int:
 
 
 def cmd_membrane_enumerate(args) -> int:
+    from . import cubillage as cb
+    from . import membranes as mb
+
     q = cb.standard_cubillage(args.n, args.d, args.anti)
     what = f"{args.flavor}-membranes of {_cub_name(args.n, args.d, args.anti)}"
     census = mb.membrane_census(q, args.flavor.upper())
@@ -355,6 +375,10 @@ def cmd_membrane_enumerate(args) -> int:
 
 
 def cmd_membrane_flipwalk(args) -> int:
+    from . import cubillage as cb
+    from . import membranes as mb
+    from .posets import topological_order
+
     q = cb.standard_cubillage(args.n, args.d, args.anti)
     deltas, succs = mb.fragment_precedence(q)
     current = mb.base_membrane(q)
@@ -388,6 +412,9 @@ def _print_scan_stats(what: str, report: mb.MembraneScanReport) -> None:
 
 
 def cmd_membrane_scan(args) -> int:
+    from . import cubillage as cb
+    from . import membranes as mb
+
     q = cb.standard_cubillage(args.n, args.d, args.anti)
     report = mb.scan_membranes(
         q,
@@ -427,6 +454,8 @@ def _incomplete(reason: str) -> str:
 
 
 def _site(args) -> fl.FlipSite:
+    from . import flips as fl
+
     return fl.FlipSite(
         args.n,
         _parse_set(args.x, args.n),
@@ -436,6 +465,8 @@ def _site(args) -> fl.FlipSite:
 
 
 def cmd_flip_witnesses(args) -> int:
+    from . import flips as fl
+
     site = _site(args)
     print(f"site {site.label()} on [{args.n}]")
     print(f"parity {site.parity}, r = {site.r}")
@@ -458,6 +489,8 @@ def cmd_flip_witnesses(args) -> int:
 
 
 def cmd_flip_apply(args) -> int:
+    from . import flips as fl
+
     site = _site(args)
     w = SetSystem.from_masks(args.n, _parse_members(args.members, args.n))
     flipped = fl.apply_flip(w, site, args.direction, args.mode)
@@ -555,6 +588,8 @@ def _print_harness(report: fl.HarnessReport) -> None:
 
 
 def cmd_verify_flips(args) -> int:
+    from . import flips as fl
+
     shard = _parse_shard(args.shard) if args.shard else None
     if args.parity == "odd":
         report = fl.verify_flip_theorem_odd(args.n, args.r, shard=shard)
@@ -566,6 +601,8 @@ def cmd_verify_flips(args) -> int:
 
 
 def cmd_verify_refined(args) -> int:
+    from . import flips as fl
+
     report = fl.verify_refined_lemma(args.n, args.r)
     _print_harness(report)
     _emit_json(args, report.to_json())
@@ -574,6 +611,9 @@ def cmd_verify_refined(args) -> int:
 
 def _precedence_digraphs(ns: range, dmax: int):
     """Each digraph `verify acyclicity` judges, as (name, nodes, successors)."""
+    from . import cubillage as cb
+    from . import membranes as mb
+
     for n in ns:
         for d in range(2, min(n, dmax) + 1):
             cubes, succs = cb.gamma_graph(n, d)
@@ -589,6 +629,8 @@ def _precedence_digraphs(ns: range, dmax: int):
 
 
 def cmd_verify_acyclicity(args) -> int:
+    from .posets import is_acyclic
+
     ns = _suite_range("--nmax", args.nmax, 2, RELATION_TABLE_CAP)
     _suite_range("--dmax", args.dmax)
     all_ok = True
@@ -610,6 +652,9 @@ def cmd_verify_acyclicity(args) -> int:
 
 
 def cmd_verify_membranes(args) -> int:
+    from . import cubillage as cb
+    from . import membranes as mb
+
     ns = _suite_range("--nmax", args.nmax, 3, RELATION_TABLE_CAP)
     targets = [(n, 3) for n in ns] + [(5, 5)]
     codes = set()
@@ -631,6 +676,8 @@ def cmd_verify_membranes(args) -> int:
 def _nonpurity_instance() -> tuple[SetSystem, list[int], SetSystem]:
     """Z(6,4)'s vertex system, the subsets of [6] outside it in canonical
     order, and the 55-member maximal witness."""
+    from .geometry import boundary_vertices
+
     verts = boundary_vertices(6, 4)
     missing = sorted(set(range(64)) - verts.member_set(), key=canonical_key)
     return verts, missing, nonpurity_witness(verts)
@@ -707,16 +754,7 @@ def _add_nd(parser) -> None:
     parser.add_argument("--d", type=int, required=True, help="dimension, at most n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zonosep",
-        description="exact combinatorics of separated set systems and cubillages",
-    )
-    top = parser.add_subparsers(dest="group", required=True)
-
-    # sep
-    sep = top.add_parser("sep", help="pairwise separation predicates")
-    sub = sep.add_subparsers(dest="command", required=True)
+def _sep_commands(sub) -> None:
     check = sub.add_parser("check", help="evaluate one pair")
     check.add_argument("--n", type=int, required=True)
     check.add_argument("--a", required=True, help="comma-separated elements")
@@ -734,9 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json(cortege)
     cortege.set_defaults(func=cmd_sep_cortege)
 
-    # search
-    search = top.add_parser("search", help="exact searches over systems")
-    sub = search.add_subparsers(dest="command", required=True)
+
+def _search_commands(sub) -> None:
     mx = sub.add_parser("max", help="maximum compatible system")
     mx.add_argument("--n", type=int, required=True)
     mx.add_argument("--kind", choices=sorted(KINDS), required=True)
@@ -751,9 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json(maximal)
     maximal.set_defaults(func=cmd_search_maximal)
 
-    # zono
-    zono = top.add_parser("zono", help="cyclic zonotope geometry")
-    sub = zono.add_subparsers(dest="command", required=True)
+
+def _zono_commands(sub) -> None:
     vertices = sub.add_parser("vertices", help="boundary vertex system")
     _add_nd(vertices)
     _add_json(vertices)
@@ -763,9 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json(sides)
     sides.set_defaults(func=cmd_zono_sides)
 
-    # cub
-    cub = top.add_parser("cub", help="cubillages")
-    sub = cub.add_subparsers(dest="command", required=True)
+
+def _cub_commands(sub) -> None:
     standard = sub.add_parser("standard", help="build and validate")
     _add_nd(standard)
     _add_json(standard)
@@ -788,9 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dot(gamma)
     gamma.set_defaults(func=cmd_cub_gamma)
 
-    # membrane
-    membrane = top.add_parser("membrane", help="membranes of a cubillage")
-    sub = membrane.add_subparsers(dest="command", required=True)
+
+def _membrane_commands(sub) -> None:
     enumerate_ = sub.add_parser("enumerate", help="count membranes by flavor")
     _add_nd(enumerate_)
     enumerate_.add_argument("--anti", action="store_true")
@@ -811,9 +845,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json(scan)
     scan.set_defaults(func=cmd_membrane_scan)
 
-    # flip
-    flip = top.add_parser("flip", help="elementary flips on collections")
-    sub = flip.add_subparsers(dest="command", required=True)
+
+def _flip_commands(sub) -> None:
+    from . import flips as fl
+
     witnesses = sub.add_parser("witnesses", help="witness pools of a site")
     witnesses.add_argument("--n", type=int, required=True)
     witnesses.add_argument("--x", default="", help="comma-separated, may be empty")
@@ -836,9 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json(apply_)
     apply_.set_defaults(func=cmd_flip_apply)
 
-    # verify
-    verify = top.add_parser("verify", help="exhaustive verification suites")
-    sub = verify.add_subparsers(dest="command", required=True)
+
+def _verify_commands(sub) -> None:
     snr = sub.add_parser("snr", help="strong separation maximum sizes")
     snr.add_argument("--nmax", type=int, default=6)
     snr.set_defaults(func=cmd_verify_snr)
@@ -867,26 +901,55 @@ def build_parser() -> argparse.ArgumentParser:
     nonpurity = sub.add_parser("nonpurity", help="two maximal sizes exist")
     nonpurity.set_defaults(func=cmd_verify_nonpurity)
 
-    # demo
-    demo = top.add_parser("demo", help="narrated walkthroughs")
-    sub = demo.add_subparsers(dest="command", required=True)
+
+def _demo_commands(sub) -> None:
     nonpure = sub.add_parser("nonpurity", help="the 52/55/57 story")
     nonpure.set_defaults(func=cmd_demo_nonpurity)
 
+
+# each group: its help line, and the function that adds its commands
+GROUPS = {
+    "sep": ("pairwise separation predicates", _sep_commands),
+    "search": ("exact searches over systems", _search_commands),
+    "zono": ("cyclic zonotope geometry", _zono_commands),
+    "cub": ("cubillages", _cub_commands),
+    "membrane": ("membranes of a cubillage", _membrane_commands),
+    "flip": ("elementary flips on collections", _flip_commands),
+    "verify": ("exhaustive verification suites", _verify_commands),
+    "demo": ("narrated walkthroughs", _demo_commands),
+}
+
+
+def build_parser(group: str | None) -> argparse.ArgumentParser:
+    """The top-level parser with every group, and the commands of `group`
+    alone (of none for None): a command line runs one group, and the
+    other groups' commands would only add start-up."""
+    parser = argparse.ArgumentParser(
+        prog="zonosep",
+        description="exact combinatorics of separated set systems and cubillages",
+    )
+    top = parser.add_subparsers(dest="group", required=True)
+    for name, (help_, add_commands) in GROUPS.items():
+        group_parser = top.add_parser(name, help=help_)
+        if name == group:
+            add_commands(group_parser.add_subparsers(dest="command", required=True))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top level has no option that takes a value, so the first word
+    # naming a group is the group argparse will select
+    args = build_parser(next((a for a in argv if a in GROUPS), None)).parse_args(argv)
     try:
         return args.func(args)
-    except fl.FalsificationError as exc:
-        print(f"FALSIFICATION: {exc}", file=sys.stderr)
-        return 1
     except (RuntimeError, ArithmeticError, AssertionError) as exc:
-        # a broken invariant of the program itself, from any module
-        print(f"internal error: {exc}", file=sys.stderr)
+        # flips.FalsificationError, a stated claim that failed, by its class
+        # name so that commands which never run a flip need not import flips;
+        # anything else is a broken invariant of the program itself
+        label = "FALSIFICATION" if type(exc).__name__ == "FalsificationError" else "internal error"
+        print(f"{label}: {exc}", file=sys.stderr)
         return 1
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -546,7 +546,11 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
                     best_clique, best_size = clique | bit, grown
                 cand &= ~orbit[v] if root else ~bit
 
-    expand(0, 0, all_m, True)
+    try:
+        expand(0, 0, all_m, True)
+    finally:
+        # expand refers to itself; drop it so the relabelled tables go on return
+        del expand
 
     witness = universal + [order[i] for i in range(m) if best_clique >> i & 1]
     return MaxSearch(
@@ -632,8 +636,12 @@ def _maximal_cliques(n: int, predicate: PairwisePredicate) -> Iterator[SetSystem
             excluded |= low
             rest ^= low
 
-    for clique in bk([], full, 0):
-        yield SetSystem.from_masks(n, clique)
+    try:
+        for clique in bk([], full, 0):
+            yield SetSystem.from_masks(n, clique)
+    finally:
+        # bk refers to itself; drop it so adj goes when the stream ends or is dropped
+        del bk
 
 
 def nonpurity_witness(vertices: SetSystem) -> SetSystem:

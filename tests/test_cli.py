@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -314,6 +318,20 @@ def test_flip_apply(capsys):
     )
     assert code == 0
     assert "result: {{1}, {3}, {1,2}, {1,3}, {2,3}}" in out
+
+
+def test_flip_apply_falsification_is_one_line(capsys, monkeypatch):
+    # a flip whose re-check fails falsifies a claim: its own label, not an internal error
+    def falsified(w, site, direction, mode):
+        raise fl.FalsificationError("flip at 2 -> 1,3 left {2}, {1,3} unseparated")
+
+    monkeypatch.setattr(fl, "apply_flip", falsified)
+    code, out, err = run(
+        capsys, "flip", "apply", "--n", "3", "--p", "2", "--q", "1,3",
+        "--members", "1;3;1,2;2,3;2",
+    )
+    assert code == 1 and out == ""
+    assert err == "FALSIFICATION: flip at 2 -> 1,3 left {2}, {1,3} unseparated\n"
 
 
 def test_flip_apply_missing_witness_is_usage(capsys):
@@ -851,3 +869,111 @@ def test_harness_stats_line(capsys, monkeypatch):
         "96 judged, 48 memo entries; "
     ) in err
 
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# runs main on the command line it is given, then prints the zonosep modules loaded
+FOOTPRINT = """
+import sys
+from zonosep.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(" ".join(sorted(m for m in sys.modules if m.startswith("zonosep."))))
+sys.exit(code)
+"""
+
+
+# (command line, modules it must load, modules it must not)
+FOOTPRINTS = [
+    (("sep", "check", "--n", "6", "--a", "1,2,6", "--b", "2,3,4,5", "--weak", "--r", "1"),
+     {"systems"}, {"geometry", "posets", "cubillage", "membranes", "flips"}),
+    (("search", "max", "--n", "5", "--kind", "weak_odd", "--r", "1"),
+     {"systems"}, {"geometry", "posets", "cubillage", "membranes", "flips"}),
+    (("zono", "vertices", "--n", "5", "--d", "3"), {"geometry"}, {"cubillage", "membranes", "flips"}),
+    (("cub", "standard", "--n", "5", "--d", "3"), {"cubillage"}, {"membranes", "flips"}),
+    (("verify", "flips", "--n", "6", "--r", "3"), {"flips"}, {"membranes", "cubillage"}),
+    (("membrane", "scan", "--n", "5", "--d", "3"), {"membranes"}, {"flips"}),
+    (("--help",), {"systems"}, {"geometry", "posets", "cubillage", "membranes", "flips"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, absent", FOOTPRINTS, ids=["-".join(argv[:2]) for argv, _, _ in FOOTPRINTS]
+)
+def test_a_command_imports_only_the_modules_it_runs(argv, loaded, absent):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    modules = {name.removeprefix("zonosep.") for name in done.stdout.splitlines()[-1].split()}
+    assert loaded <= modules and not absent & modules, modules
+
+
+GROUP_COMMANDS = {
+    "sep": ("check", "cortege"),
+    "search": ("max", "maximal"),
+    "zono": ("vertices", "sides"),
+    "cub": ("standard", "anti", "validate", "beads", "gamma"),
+    "membrane": ("enumerate", "flipwalk", "scan"),
+    "flip": ("witnesses", "apply"),
+    "verify": ("snr", "wnr", "flips", "refined", "acyclicity", "membranes", "nonpurity"),
+    "demo": ("nonpurity",),
+}
+
+
+@pytest.fixture
+def columns_80(monkeypatch):
+    # argparse wraps help and usage to the terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def _exit(capsys, *argv) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def _choose_from(names) -> str:
+    # older argparse releases quote each choice, newer ones do not
+    return r"\(choose from " + ", ".join(f"'?{name}'?" for name in names) + r"\)"
+
+
+def test_help_lists_every_group_and_its_commands(capsys, columns_80):
+    code, out, _ = _exit(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: zonosep [-h]")
+    assert "{sep,search,zono,cub,membrane,flip,verify,demo}" in out
+    for group in GROUP_COMMANDS:
+        assert re.search(rf"^    {group} +\S", out, re.M), group
+    for group, commands in GROUP_COMMANDS.items():
+        code, out, _ = _exit(capsys, group, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: zonosep {group} [-h]")
+        assert f"{{{','.join(commands)}}}" in out
+        for command in commands:
+            assert re.search(rf"^    {command} +\S", out, re.M), (group, command)
+            code, out_, _ = _exit(capsys, group, command, "--help")
+            assert code == 0 and out_.startswith(f"usage: zonosep {group} {command} [-h]")
+
+
+def test_unknown_group_and_command_list_the_choices(capsys, columns_80):
+    code, out, err = _exit(capsys, "membran")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: zonosep [-h]")
+    assert re.search(
+        r"zonosep: error: argument group: invalid choice: 'membran' " + _choose_from(GROUP_COMMANDS),
+        err,
+    ), err
+    code, out, err = _exit(capsys, "membrane", "bogus")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: zonosep membrane [-h] {enumerate,flipwalk,scan}")
+    assert re.search(
+        r"zonosep membrane: error: argument command: invalid choice: 'bogus' "
+        + _choose_from(GROUP_COMMANDS["membrane"]),
+        err,
+    ), err

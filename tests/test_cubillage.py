@@ -16,10 +16,10 @@ from zonosep.cubillage import (
     validate_cubillage,
 )
 from zonosep.geometry import Face, zonotope_sides
-from zonosep.ground import mask_of
+from zonosep.ground import mask_of, set_notation, submasks
 from zonosep.posets import is_acyclic
 from zonosep.separation import is_strongly_r_separated
-from zonosep.systems import SetSystem, s_formula
+from zonosep.systems import SetSystem, check_pairwise, s_formula, strong
 
 import pytest
 
@@ -186,6 +186,30 @@ def test_validate_reports_the_first_unseparated_pair() -> None:
     assert [p for p in report.problems if "separated" in p] == [
         "vertices {2}, {1,4} not strongly 1-separated"
     ]
+
+
+@pytest.mark.parametrize("n, d", [(5, 2), (5, 3), (6, 3), (6, 4)])
+def test_table_separation_check_matches_check_pairwise(n, d) -> None:
+    # every cubillage with one cube moved to another root: the validator reads
+    # the relation table's rows, check_pairwise calls the predicate per pair,
+    # and both must name the same first unseparated pair (or none)
+    q = standard_cubillage(n, d)
+    found = 0
+    for i, old in enumerate(q.cubes):
+        for root in sorted(submasks(((1 << n) - 1) & ~old.type)):
+            if root == old.root:
+                continue
+            cubes = q.cubes[:i] + (Cube(root, old.type),) + q.cubes[i + 1 :]
+            moved = Cubillage.from_cubes(n, d, cubes)
+            ok, bad = check_pairwise(moved.vertex_set(), strong(d - 1))
+            want = [] if ok else [
+                f"vertices {set_notation(bad[0])}, {set_notation(bad[1])} "
+                f"not strongly {d - 1}-separated"
+            ]
+            problems = validate_cubillage(moved).problems
+            assert [p for p in problems if p.startswith("vertices ")] == want, (i, root)
+            found += not ok
+    assert found
 
 
 def test_reconstruction_roundtrip() -> None:

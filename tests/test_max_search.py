@@ -9,6 +9,7 @@ the candidate symmetries are checked against plain clique enumeration.
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import combinations
 
@@ -17,6 +18,7 @@ import pytest
 from zonosep.ground import elements
 from zonosep.systems import (
     check_pairwise,
+    enumerate_maximal,
     max_clique,
     max_size,
     relation_table,
@@ -251,3 +253,21 @@ def test_orbits_partition_the_sets():
             assert order % len(orbit) == 0  # orbit-stabiliser
             # the complement is always in the group
             assert (1 << n) - 1 - v in orbit
+
+
+def test_searches_leave_no_cycle_behind():
+    # max_clique's expand and the maximal-clique stream's bk refer to
+    # themselves; each is dropped on return, so the relabelled adjacency
+    # goes with the call instead of waiting for a full collection
+    table = relation_table(7, weak_odd(1))
+    gc.collect()
+    gc.disable()
+    try:
+        assert max_clique(7, table).size == 29
+        assert gc.collect() == 0
+        assert len(list(enumerate_maximal(4, strong(1)))) == 8  # exhausted
+        assert gc.collect() == 0
+        assert len(list(enumerate_maximal(5, strong(1), limit=3))) == 3  # cut short
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
