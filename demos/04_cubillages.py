@@ -6,7 +6,9 @@ Run: python3 demos/04_cubillages.py
 from zonosep.cubillage import (
     apex_vertices,
     bead_thread_graph,
+    from_inversions,
     gamma_graph,
+    inversions,
     precedence_digraph,
     standard_cubillage,
     validate_cubillage,
@@ -31,6 +33,15 @@ print()
 report = validate_cubillage(q)
 print(f"validator: {'ok' if report.ok else report.problems}")
 print(f"vertex system size: {len(q.vertex_set())} = C({n},<= {d}) = {s_formula(n, d - 1)}")
+print()
+
+print("A cubillage is its inversion set U, a set of (d+1)-subsets: the cube of")
+print("type T has the root {k not in T : k in odd_above(T) XOR T + k in U}.")
+print("U = {} is the standard cubillage; U tiles exactly when every (d+2)-set")
+print("holds a prefix or a suffix of its (d+1)-subsets in lexicographic order.")
+tilings = [u for u in range(1 << 4) if not inversions(from_inversions(4, 2, u))[1]]
+print(f"Of the 16 sets of 3-subsets of [4], {len(tilings)} tile Z(4,2): the rhombus")
+print("tilings of the octagon.")
 print()
 
 cubes = q.cubes

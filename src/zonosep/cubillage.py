@@ -13,20 +13,21 @@ the generators with an odd number of elements of T above them.  Cubes
 and facets are both `geometry.Face`s; a `Cube` is a face whose type is
 nonempty and disjoint from its root.
 
-A *cubillage* of Z(n, d) is a complete set of C(n, d) cubes, one per
-type, that fits together facet to facet: every facet shared by two
-cubes occurs once as a front and once as a rear facet, and every
-unshared facet is a genuine boundary facet of the zonotope.  The
-validator here checks exactly that, plus the separation property of
-the vertex set: it is strongly (d-1)-separated of size s(n, d-1).
-
-The *standard* cubillage is cut out by the hyperplanes one dimension
-up: for each type T, span{xi_t : t in T} on the (d+1)-dimensional
-moment curve, with its normal oriented to a negative last coordinate,
-has a positive side, and the generators outside T on that side form
-the root.  They are the generators with an odd number of elements of T
-above them (`geometry.side_roots`).  The *anti-standard* cubillage
-takes the opposite orientation: an even number above.
+A *cubillage* of Z(n, d) is a set of C(n, d) cubes, one per type, that
+tiles the zonotope.  Cubillages are in bijection with the higher Bruhat
+order B(n, d) (Manin and Schechtman 1989; Ziegler 1993): the consistent
+sets U of (d+1)-subsets of [n], where for each (d+2)-set P the members
+of U among the (d+1)-subsets of P are a prefix or a suffix of their
+lexicographic order (P - max P first).  `from_inversions` gives the cube
+of type T the root {k not in T : k in odd_above(T) XOR T + k in U}: U = {}
+makes the *standard* cubillage (each root the generators on the positive
+side of the span of its type one dimension up), U = all the
+*anti-standard* one.  `inversions` reads U back once from each of the
+d+1 cubes of every (d+1)-set.  With one cube per type, readings that
+agree make the cubes those of U, and by the bijection they tile exactly
+when U is consistent: a complete tiling check that lists no facet.
+`validate_cubillage` runs it and checks that the vertex set is strongly
+(d-1)-separated of size s(n, d-1).
 
 Cubes are partially ordered by shared facets (rear facet of one equals
 front facet of the next); this precedence is acyclic both on any
@@ -46,13 +47,9 @@ from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable, Sequence
 
-from .geometry import Face, odd_above, side_roots, zonotope_sides
+from .geometry import Face, odd_above, zonotope_sides
 from .ground import check_ground, check_mask, elements, mask_of, set_notation, submasks
-from .posets import digraph_dot
 from .systems import SCHEMA, SetSystem, check_dimension, check_limit, relation_table, s_formula, strong
-
-FRONT = "front"
-REAR = "rear"
 
 
 class Cube(Face):
@@ -78,11 +75,6 @@ def apex_vertices(cube: Cube) -> tuple[int, int]:
     return cube.root | cube.type & odd, cube.root | cube.type & ~odd
 
 
-def cube_facets(cube: Cube) -> list[tuple[Face, str]]:
-    """All 2d facets with their side: the front ones, then the rear ones."""
-    return [(f, FRONT) for f in front_facets(cube)] + [(f, REAR) for f in rear_facets(cube)]
-
-
 def front_facets(cube: Cube) -> list[Face]:
     return _facets(cube, odd_above(cube.type))
 
@@ -93,13 +85,12 @@ def rear_facets(cube: Cube) -> list[Face]:
 
 def _facets(cube: Cube, lifted: int) -> list[Face]:
     """(X + (p & lifted) | T - p) for each direction p, ascending."""
-    bits = [1 << (p - 1) for p in elements(cube.type)]
-    return [Face(cube.root | bit & lifted, cube.type ^ bit) for bit in bits]
+    return [Face(cube.root | bit & lifted, cube.type ^ bit) for bit in _bits(cube.type)]
 
 
 @dataclass(frozen=True)
 class Cubillage:
-    """A complete facet-matching set of cubes tiling Z(n, d)."""
+    """d-cubes on [n], one per type when they tile Z(n, d) (see validate_cubillage)."""
 
     n: int
     d: int
@@ -118,9 +109,7 @@ class Cubillage:
         return Cubillage(n=n, d=d, cubes=ordered)
 
     def vertex_set(self) -> SetSystem:
-        return SetSystem.from_masks(
-            self.n, (v for cube in self.cubes for v in cube.vertices())
-        )
+        return SetSystem.from_masks(self.n, (v for c in self.cubes for v in c.vertices()))
 
     def to_json(self) -> dict:
         return {
@@ -144,23 +133,63 @@ class Cubillage:
 
 
 def standard_cubillage(n: int, d: int, anti: bool = False) -> Cubillage:
-    """Cut the standard (or anti-standard) cubillage of Z(n, d) by the parity rule.
-
-    For each d-element type T, the hyperplane through the corresponding
-    generators one dimension up splits the others (geometry.side_roots):
-    the root is the positive side (standard) or the negative side
-    (anti-standard) of the normal with negative last coordinate, that
-    is, the generators with an odd (even) number of elements of T above
-    them.  C(n, d) cubes, so n is held to the relation-table cap before
-    any.
-    """
+    """The standard (U = {}) or anti-standard (U = all) cubillage; n is
+    held to the relation-table cap before U's C(n, d+1) bits are made."""
     check_limit(n)
     check_dimension(n, d)
+    return from_inversions(n, d, (1 << comb(n, d + 1)) - 1 if anti else 0)
+
+
+def from_inversions(n: int, d: int, inverted: int) -> Cubillage:
+    """The cube of each type of Z(n, d) for the inversion set U = inverted,
+    consistent or not; n is held to the relation-table cap first."""
+    check_limit(n)
+    check_dimension(n, d)
+    index = _subset_index(n, d + 1)
+    if not 0 <= inverted < 1 << len(index):
+        raise ValueError(f"inversion set {inverted} is not a set of (d+1)-subsets of [{n}]")
     cubes = []
-    for combo in combinations(range(1, n + 1), d):
-        typemask = mask_of(combo, n)
-        cubes.append(Cube(side_roots(n, typemask)[anti], typemask))
+    for typemask in _subset_index(n, d):
+        rest = ((1 << n) - 1) & ~typemask
+        flip = sum(k for k in _bits(rest) if inverted >> index[typemask | k] & 1)
+        cubes.append(Cube(rest & (odd_above(typemask) ^ flip), typemask))
     return Cubillage.from_cubes(n, d, cubes)
+
+
+def inversions(q: Cubillage) -> tuple[int, list[str]]:
+    """(U, problems).  The cube of type S - k reads S in U when k is in its
+    root XOR in odd_above(S - k), and the readings of S must agree; then
+    the U-membership word of each (d+2)-set's (d+1)-subsets in
+    lexicographic order must change at most once (prefix or suffix)."""
+    check_limit(q.n)
+    check_dimension(q.n, q.d)
+    roots = {cube.type: cube.root for cube in q.cubes}
+    index = _subset_index(q.n, q.d + 1)
+    inverted = 0
+    problems = []
+    for whole, i in index.items():
+        read = {(roots[whole ^ k] ^ odd_above(whole ^ k)) & k != 0
+                for k in _bits(whole) if whole ^ k in roots}
+        if len(read) > 1:
+            problems.append(f"inversion of {set_notation(whole)} read both ways by its cubes")
+        inverted |= (True in read) << i
+    if problems:
+        return inverted, problems
+    for whole in _subset_index(q.n, q.d + 2):
+        word = "".join(str(inverted >> index[whole ^ k] & 1) for k in reversed(_bits(whole)))
+        if sum(a != b for a, b in zip(word, word[1:])) > 1:
+            problems.append(f"inversions in {set_notation(whole)}: {word}, no prefix or suffix")
+    return inverted, problems
+
+
+def _subset_index(n: int, k: int) -> dict[int, int]:
+    """The k-subsets of [n] as masks, numbered in `combinations` order."""
+    return {mask_of(c, n): i for i, c in enumerate(combinations(range(1, n + 1), k))}
+
+
+def _bits(mask: int) -> list[int]:
+    """The one-bit masks of a mask, ascending."""
+    return [1 << (e - 1) for e in elements(mask)]
 
 
 @dataclass
@@ -190,7 +219,7 @@ class ValidationReport:
 
 
 def validate_cubillage(q: Cubillage) -> ValidationReport:
-    """Completeness, facet matching, boundary consistency, vertex separation."""
+    """One cube per type, the inversion-set tiling check, vertex separation."""
     problems: list[str] = []
     n, d = q.n, q.d
 
@@ -202,30 +231,7 @@ def validate_cubillage(q: Cubillage) -> ValidationReport:
     if any(t.bit_count() != d for t in types):
         problems.append("cube of wrong dimension")
 
-    # facet matching: count (facet, side) incidences over all cubes
-    incidence: dict[Face, list[str]] = {}
-    for cube in q.cubes:
-        for facet, side in cube_facets(cube):
-            incidence.setdefault(facet, []).append(side)
-    sides = zonotope_sides(n, d)
-    boundary = {f: FRONT for f in sides.front_facets} | {f: REAR for f in sides.rear_facets}
-    for facet, side_list in sorted(incidence.items()):
-        label = facet.label()
-        if len(side_list) == 2:
-            if sorted(side_list) != [FRONT, REAR]:
-                problems.append(f"facet {label} shared with equal sides")
-            if facet in boundary:
-                problems.append(f"boundary facet {label} shared by two cubes")
-        elif len(side_list) == 1:
-            want = boundary.get(facet)
-            if want is None:
-                problems.append(f"internal facet {label} unmatched")
-            elif want != side_list[0]:
-                problems.append(
-                    f"boundary facet {label} on the {want} side used as {side_list[0]}"
-                )
-        else:
-            problems.append(f"facet {label} shared by {len(side_list)} cubes")
+    problems += inversions(q)[1]
 
     vertices = q.vertex_set()
     expected = s_formula(n, d - 1) if d - 1 < n else 1 << n
@@ -238,13 +244,7 @@ def validate_cubillage(q: Cubillage) -> ValidationReport:
             f"vertices {set_notation(a)}, {set_notation(b)} not strongly {d - 1}-separated"
         )
 
-    return ValidationReport(
-        n=n,
-        d=d,
-        cube_count=len(q.cubes),
-        vertex_count=len(vertices),
-        problems=problems,
-    )
+    return ValidationReport(n, d, len(q.cubes), len(vertices), problems)
 
 
 def _first_unrelated_pair(system: SetSystem, table: Sequence[int]) -> tuple[int, int] | None:
@@ -270,8 +270,7 @@ def all_cubes(n: int, d: int) -> list[Cube]:
     check_limit(n)
     check_dimension(n, d, low=1)
     cubes = []
-    for combo in combinations(range(1, n + 1), d):
-        typemask = mask_of(combo, n)
+    for typemask in _subset_index(n, d):
         rest = ((1 << n) - 1) & ~typemask
         for root in sorted(submasks(rest)):
             cubes.append(Cube(root, typemask))
@@ -310,6 +309,8 @@ def gamma_graph(n: int, d: int) -> tuple[list[Cube], list[list[int]]]:
 
 
 def precedence_dot(cubes: Sequence[Cube], succs: Sequence[Sequence[int]]) -> str:
+    from .posets import digraph_dot
+
     return digraph_dot([cube.label() for cube in cubes], succs, "gamma")
 
 
@@ -359,9 +360,7 @@ def bead_thread_graph(q: Cubillage) -> BeadThreads:
         out_map[tail] = head
         in_map[head] = tail
         gap = head.bit_count() - tail.bit_count()
-        if q.d % 2 and gap != 1:
-            problems.append(f"arc at cube {cube.label()} changes height by {gap}")
-        if q.d % 2 == 0 and gap != 0:
+        if gap != q.d % 2:  # up one level for odd d, level for even d
             problems.append(f"arc at cube {cube.label()} changes height by {gap}")
 
     starts = [v for v in sorted(out_map) if v not in in_map]

@@ -20,9 +20,9 @@ suite compares that union with the sign rule (at most d - 1 sign
 changes of the membership sequence along 1..n) and the sign rule with
 an exact Fourier-Motzkin feasibility check
 (`tests/oracles.linear_functional_separates`).  With D = d + 1 it cuts
-the cubes of the standard cubillage (`cubillage.standard_cubillage`),
-and within a cube (X | T) it orients each facet and picks the two
-apexes (`cubillage.cube_facets`).  For odd d the sides also have a
+the cubes of every cubillage (`cubillage.from_inversions`), and within a
+cube (X | T) it orients each facet and picks the two apexes
+(`cubillage.front_facets`, `cubillage.apex_vertices`).  For odd d the sides also have a
 closed combinatorial form: the front vertices are the k-intervals with
 k <= (d-1)/2, the rear vertices are their complements, and the rim
 (front meets rear) drops the (d-1)/2-intervals containing neither 1
@@ -75,7 +75,7 @@ def odd_above(typemask: int) -> int:
     Its product with xi_k is -prod_{t in T} (t_k - t_t), positive
     exactly when k is in this mask.  Only the order of the t_i enters,
     so the rule holds for every increasing t.  It is the one side rule
-    of the package: boundary facets, standard cubes, cube facets and
+    of the package: boundary facets, cube roots, cube facets and
     apexes are all oriented by it.
     """
     odd = 0

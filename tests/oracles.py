@@ -187,6 +187,108 @@ def reference_apex_vertices(cube) -> tuple[int, int]:
     return tail, head
 
 
+def reference_tiling_problems(q) -> list[str]:
+    """Facet matching: the tiling check that the inversion-set check replaced.
+
+    Every facet of a cube (by the F_i/G_i numbering) shared by two cubes
+    must occur once as a front and once as a rear facet and lie inside
+    the zonotope; every unshared one must be a boundary facet of Z(n, d)
+    on its own side.  Together with one cube per type (checked here too)
+    that is a tiling.
+    """
+    from math import comb
+
+    from zonosep.geometry import zonotope_sides
+
+    problems = []
+    types = [cube.type for cube in q.cubes]
+    if len(set(types)) != len(types) or len(types) != comb(q.n, q.d):
+        problems.append("not one cube per type")
+    incidence = {}
+    for cube in q.cubes:
+        for facet, side in reference_cube_facets(cube):
+            incidence.setdefault(facet, []).append(side)
+    sides = zonotope_sides(q.n, q.d)
+    boundary = {f: "front" for f in sides.front_facets} | {f: "rear" for f in sides.rear_facets}
+    for facet, side_list in sorted(incidence.items()):
+        if len(side_list) == 2:
+            if sorted(side_list) != ["front", "rear"]:
+                problems.append(f"facet {facet} shared with equal sides")
+            if facet in boundary:
+                problems.append(f"boundary facet {facet} shared by two cubes")
+        elif len(side_list) == 1:
+            want = boundary.get(facet)
+            if want is None:
+                problems.append(f"internal facet {facet} unmatched")
+            elif want != side_list[0]:
+                problems.append(f"boundary facet {facet} on the {want} side used as {side_list[0]}")
+        else:
+            problems.append(f"facet {facet} shared by {len(side_list)} cubes")
+    return problems
+
+
+def _consistent_at(inverted: frozenset, whole: tuple[int, ...]) -> bool:
+    """The members of U among the (d+1)-subsets of the (d+2)-set P = whole,
+    listed in lexicographic order (P - max P first), are a prefix or a
+    suffix of that list."""
+    word = [whole[:i] + whole[i + 1 :] in inverted for i in reversed(range(len(whole)))]
+    return word in (sorted(word), sorted(word, reverse=True))
+
+
+def bruhat_order(n: int, d: int) -> list[int]:
+    """Every element of the higher Bruhat order B(n, d), in increasing order.
+
+    A depth-first search from U = {} over single-element additions that
+    keep U consistent; only the (d+2)-sets holding the added set can
+    break.  Each U is returned as an int whose bit i stands for the i-th
+    (d+1)-subset of [n] in `combinations` order.
+    """
+    subsets = list(combinations(range(1, n + 1), d + 1))
+    seen = {frozenset()}
+    stack = [frozenset()]
+    while stack:
+        inverted = stack.pop()
+        for new in subsets:
+            grown = inverted | {new}
+            if grown in seen:
+                continue
+            wholes = [tuple(sorted(new + (x,))) for x in range(1, n + 1) if x not in new]
+            if all(_consistent_at(grown, whole) for whole in wholes):
+                seen.add(grown)
+                stack.append(grown)
+    return sorted(sum(1 << i for i, sub in enumerate(subsets) if sub in u) for u in seen)
+
+
+def inversion_chain_order(n: int, d: int, inverted: int) -> list[list[int]]:
+    """Successor lists on the C(n, d) types in `combinations` order: for
+    each (d+1)-set S, its d+1 types S - s in a chain, S - max S first and
+    S - min S last when S is not in U, the other way round when it is."""
+    types = list(combinations(range(1, n + 1), d))
+    position = {t: i for i, t in enumerate(types)}
+    succs = [set() for _ in types]
+    for i, whole in enumerate(combinations(range(1, n + 1), d + 1)):
+        chain = [position[whole[:j] + whole[j + 1 :]] for j in reversed(range(d + 1))]
+        if inverted >> i & 1:
+            chain.reverse()
+        for a, b in zip(chain, chain[1:]):
+            succs[a].add(b)
+    return [sorted(s) for s in succs]
+
+
+def transitive_closure(succs) -> list[int]:
+    """Bitmask of the nodes reachable from each node by a nonempty path."""
+    reach = [None] * len(succs)
+
+    def visit(i):
+        if reach[i] is None:
+            reach[i] = 0
+            for j in succs[i]:
+                reach[i] |= 1 << j | visit(j)
+        return reach[i]
+
+    return [visit(i) for i in range(len(succs))]
+
+
 def sign_changes(mask: int, n: int) -> int:
     """Sign changes of the +/- membership sequence of X along 1..n: X spans
     a vertex of Z(n, d) exactly when there are at most d - 1 of them."""

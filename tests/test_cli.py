@@ -799,7 +799,7 @@ def test_all_cube_runs_past_the_scan_cap_are_usage_errors(capsys, monkeypatch):
         raise AssertionError("cut before the limit check")
 
     monkeypatch.setattr(geometry, "side_roots", no_cuts)
-    monkeypatch.setattr(cubillage, "side_roots", no_cuts)
+    monkeypatch.setattr(cubillage, "from_inversions", no_cuts)
     built = [
         (*command, "--n", n, "--d", d)
         for command in (
@@ -892,7 +892,8 @@ FOOTPRINTS = [
     (("search", "max", "--n", "5", "--kind", "weak_odd", "--r", "1"),
      {"systems"}, {"geometry", "posets", "cubillage", "membranes", "flips"}),
     (("zono", "vertices", "--n", "5", "--d", "3"), {"geometry"}, {"cubillage", "membranes", "flips"}),
-    (("cub", "standard", "--n", "5", "--d", "3"), {"cubillage"}, {"membranes", "flips"}),
+    (("cub", "standard", "--n", "5", "--d", "3"), {"cubillage"}, {"posets", "membranes", "flips"}),
+    (("cub", "validate", "--in", "z53.json"), {"cubillage"}, {"posets", "membranes", "flips"}),
     (("verify", "flips", "--n", "6", "--r", "3"), {"flips"}, {"membranes", "cubillage"}),
     (("membrane", "scan", "--n", "5", "--d", "3"), {"membranes"}, {"flips"}),
     (("--help",), {"systems"}, {"geometry", "posets", "cubillage", "membranes", "flips"}),
@@ -902,11 +903,12 @@ FOOTPRINTS = [
 @pytest.mark.parametrize(
     "argv, loaded, absent", FOOTPRINTS, ids=["-".join(argv[:2]) for argv, _, _ in FOOTPRINTS]
 )
-def test_a_command_imports_only_the_modules_it_runs(argv, loaded, absent):
+def test_a_command_imports_only_the_modules_it_runs(argv, loaded, absent, tmp_path):
+    (tmp_path / "z53.json").write_text(dump_json(standard_cubillage(5, 3).to_json()))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c", FOOTPRINT, *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=env, capture_output=True, text=True, timeout=60, cwd=tmp_path,
     )
     assert done.returncode == 0, done.stderr
     modules = {name.removeprefix("zonosep.") for name in done.stdout.splitlines()[-1].split()}

@@ -1,4 +1,6 @@
-"""Cubes, standard cubillages, validation, bead threads, cube-level membranes."""
+"""Cubes, cubillages from inversion sets, validation, bead threads, cube-level membranes."""
+
+from itertools import combinations
 
 from zonosep.cubillage import (
     Cube,
@@ -6,9 +8,10 @@ from zonosep.cubillage import (
     all_cubes,
     apex_vertices,
     bead_thread_graph,
-    cube_facets,
+    from_inversions,
     front_facets,
     gamma_graph,
+    inversions,
     precedence_digraph,
     precedence_dot,
     rear_facets,
@@ -24,12 +27,16 @@ from zonosep.systems import SetSystem, check_pairwise, s_formula, strong
 import pytest
 
 from oracles import (
+    bruhat_order,
     cubillage_from_collection,
     immediately_precedes,
+    inversion_chain_order,
     reference_apex_vertices,
     reference_cube_facets,
+    reference_tiling_problems,
     s_membranes,
     standard_root,
+    transitive_closure,
 )
 
 
@@ -41,13 +48,20 @@ def cube(root: tuple[int, ...], typ: tuple[int, ...]) -> Cube:
     return Cube(m(*root), m(*typ))
 
 
+def sided_facets(c: Cube) -> list[tuple[tuple[int, int], str]]:
+    """Each facet of a cube as a (root, type) pair with its side."""
+    return [((f.root, f.type), "front") for f in front_facets(c)] + [
+        ((f.root, f.type), "rear") for f in rear_facets(c)
+    ]
+
+
 def test_cube_basics() -> None:
     c = cube((), (1, 2))
     assert set(SetSystem.from_masks(4, c.vertices()).members) == {0, m(1), m(2), m(1, 2)}
     assert apex_vertices(c) == (m(1), m(2))
 
     # rhombus facet sides: the lower path is the front
-    sides = dict(((f.root, f.type), s) for f, s in cube_facets(c))
+    sides = dict(sided_facets(c))
     assert sides[(0, m(1))] == "front"
     assert sides[(m(1), m(2))] == "front"
     assert sides[(0, m(2))] == "rear"
@@ -89,8 +103,7 @@ def test_parity_mask_matches_the_facet_numbering() -> None:
     for n in range(1, 9):
         for d in range(1, n + 1):
             for c in all_cubes(n, d):
-                got = sorted(((f.root, f.type), side) for f, side in cube_facets(c))
-                assert got == sorted(reference_cube_facets(c)), c
+                assert sorted(sided_facets(c)) == sorted(reference_cube_facets(c)), c
                 assert apex_vertices(c) == reference_apex_vertices(c), c
                 cubes += 1
     assert cubes == 9_330
@@ -158,7 +171,12 @@ def test_validate_catches_breakage() -> None:
     broken[-1] = cube((1,), (3, 4))
     report = validate_cubillage(Cubillage.from_cubes(4, 2, broken))
     assert not report.ok
-    assert any("facet" in p for p in report.problems)
+    assert "inversion of {1,3,4} read both ways by its cubes" in report.problems
+
+    # cubes that read one inversion set, but an inconsistent one: {1,2,4}
+    # alone, the second of the four 3-subsets of {1,2,3,4} in lexicographic order
+    report = validate_cubillage(from_inversions(4, 2, 0b0010))
+    assert "inversions in {1,2,3,4}: 0100, no prefix or suffix" in report.problems
 
     # drop a cube: completeness must break
     report = validate_cubillage(Cubillage.from_cubes(4, 2, q.cubes[:-1]))
@@ -327,3 +345,87 @@ def test_s_membranes_even_dimension() -> None:
     # monotone paths through the standard rhombus tiling of Z(4, 2):
     # 8 of them, matching the ideal count of its tile precedence
     assert len(membranes) == 8
+
+
+# |B(n, d)| for 2 <= d <= n: d = n has only U = {}, d = n - 1 one (d+1)-set
+BRUHAT_COUNTS = {(4, 2): 8, (5, 2): 62, (6, 2): 908, (5, 3): 10, (6, 3): 148, (6, 4): 12}
+SLOW_BRUHAT_COUNTS = {(7, 3): 7_686, (7, 4): 338, (7, 5): 14}
+
+
+def _bruhat_count(n: int, d: int) -> int:
+    return {**BRUHAT_COUNTS, **SLOW_BRUHAT_COUNTS}.get((n, d), 2 if d == n - 1 else 1)
+
+
+def _closure_by_type(types: list[int], succs: list[list[int]]) -> dict[int, set[int]]:
+    reach = transitive_closure(succs)
+    return {t: {u for j, u in enumerate(types) if reach[i] >> j & 1} for i, t in enumerate(types)}
+
+
+def _check_every_cubillage(n: int, d: int) -> None:
+    # every element U of B(n, d) builds cubes that both tiling checks pass,
+    # that read back as U, that no other U builds, and whose facet order has
+    # the transitive closure of the chains of the (d+1)-sets
+    elements = bruhat_order(n, d)
+    assert len(elements) == _bruhat_count(n, d)
+    types = [mask_of(t, n) for t in combinations(range(1, n + 1), d)]
+    seen = set()
+    for inverted in elements:
+        q = from_inversions(n, d, inverted)
+        assert validate_cubillage(q).problems == [], (n, d, inverted)
+        assert reference_tiling_problems(q) == [], (n, d, inverted)
+        assert inversions(q) == (inverted, []), (n, d, inverted)
+        seen.add(q.cubes)
+        facet_order = _closure_by_type([c.type for c in q.cubes], precedence_digraph(q.cubes))
+        chains = _closure_by_type(types, inversion_chain_order(n, d, inverted))
+        assert facet_order == chains, (n, d, inverted)
+    assert len(seen) == len(elements)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_every_cubillage_is_its_inversion_set(n) -> None:
+    for d in range(2, n + 1):
+        _check_every_cubillage(n, d)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_every_cubillage_of_z7_is_its_inversion_set(d) -> None:
+    _check_every_cubillage(7, d)
+
+
+def _broken(q: Cubillage):
+    """(kind, cubes): one root bit flipped, two roots swapped, one cube dropped."""
+    cubes = q.cubes
+    for i, c in enumerate(cubes):
+        for k in range(q.n):
+            if not c.type >> k & 1:
+                yield "flip", cubes[:i] + (Cube(c.root ^ 1 << k, c.type),) + cubes[i + 1 :]
+    for i, j in combinations(range(len(cubes)), 2):
+        a, b = cubes[i], cubes[j]
+        if a.root != b.root and not a.root & b.type and not b.root & a.type:
+            swapped = list(cubes)
+            swapped[i], swapped[j] = Cube(b.root, a.type), Cube(a.root, b.type)
+            yield "swap", tuple(swapped)
+    for i in range(len(cubes)):
+        yield "drop", cubes[:i] + cubes[i + 1 :]
+
+
+def test_broken_cubillages_agree_with_the_facet_check() -> None:
+    # on the standard and anti-standard cubillages with n <= 6, the
+    # inversion check and the facet-matching oracle refuse the same inputs
+    kinds = {"flip": 0, "swap": 0, "drop": 0}
+    refused = 0
+    for n in range(2, 7):
+        for d in range(2, n + 1):
+            for anti in (False, True):
+                for kind, cubes in _broken(standard_cubillage(n, d, anti)):
+                    q = Cubillage.from_cubes(n, d, cubes)
+                    oracle_ok = reference_tiling_problems(q) == []
+                    assert validate_cubillage(q).ok == oracle_ok, (n, d, anti, kind, cubes)
+                    if kind != "drop":
+                        assert (inversions(q)[1] == []) == oracle_ok, (n, d, anti, kind, cubes)
+                    kinds[kind] += 1
+                    refused += not oracle_ok
+    # a swap of two distinct roots never lands on another cubillage here
+    assert kinds == {"flip": 460, "swap": 72, "drop": 198}
+    assert refused == 730

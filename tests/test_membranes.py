@@ -5,8 +5,9 @@ from itertools import combinations
 from zonosep.cubillage import (
     Cube,
     apex_vertices,
-    cube_facets,
+    front_facets,
     precedence_digraph,
+    rear_facets,
     standard_cubillage,
 )
 from zonosep.ground import mask_of
@@ -106,7 +107,7 @@ def test_eps_sides_partition_fragment_boundary() -> None:
             assert not front & rear
             direct = set()
             base = fr.cube.root.bit_count()
-            for facet, _side in cube_facets(fr.cube):
+            for facet in front_facets(fr.cube) + rear_facets(fr.cube):
                 tile = v_tile(facet, base + fr.h - 1)
                 if tile is not None:
                     direct.add(tile)
@@ -122,7 +123,7 @@ def test_degenerate_tiles_are_none() -> None:
     assert h_tile(c, 0) is None
     assert h_tile(c, 3) is None
     assert tile_label(h_tile(c, 2)) == "H[{1,2},{1,3},{2,3}]"
-    facet = [f for f, _ in cube_facets(c)][0]
+    facet = front_facets(c)[0]
     assert v_tile(facet, 5) is None
     assert tile_label(v_tile(Cube(0, m(2, 3)), 1)) == "V[{2},{3},{2,3}]"
 

@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 
 from zonosep import cubillage, flips, geometry, membranes, systems
-from zonosep.cubillage import Cube, Cubillage, all_cubes, standard_cubillage
+from zonosep.cubillage import (
+    Cube,
+    Cubillage,
+    all_cubes,
+    from_inversions,
+    standard_cubillage,
+    validate_cubillage,
+)
 from zonosep.flips import verify_flip_theorem_odd, verify_local_neighb_even, verify_refined_lemma
 from zonosep.geometry import boundary_vertices, zonotope_sides
 from zonosep.ground import mask_of
@@ -238,6 +245,8 @@ PAST_THE_LIMIT = {
     "boundary_vertices": lambda: boundary_vertices(TABLE, 3),
     "all_cubes": lambda: all_cubes(TABLE, 3),
     "standard_cubillage": lambda: standard_cubillage(TABLE, 3),
+    "from_inversions": lambda: from_inversions(TABLE, 3, 0),
+    "validate_cubillage": lambda: validate_cubillage(WIDE),
     "zonotope_sides": lambda: zonotope_sides(TABLE, 3),
     "flip_theorem_odd": lambda: verify_flip_theorem_odd(TABLE, 3),
     "refined_lemma": lambda: verify_refined_lemma(TABLE, 3),
@@ -258,7 +267,8 @@ def test_every_limit_is_checked_before_the_expensive_stage(monkeypatch, entry):
         (membranes, "fragments"),
         (geometry, "side_roots"),
         (cubillage, "submasks"),
-        (cubillage, "side_roots"),
+        (cubillage, "from_inversions"),
+        (cubillage, "combinations"),
     ):
         monkeypatch.setattr(module, stage, _unreachable)
     monkeypatch.setattr(Poset, "count_ideals", _unreachable)
