@@ -109,7 +109,9 @@ class Cubillage:
         return Cubillage(n=n, d=d, cubes=ordered)
 
     def vertex_set(self) -> SetSystem:
-        return SetSystem.from_masks(self.n, (v for c in self.cubes for v in c.vertices()))
+        return SetSystem.from_masks(
+            self.n, (v for cube in self.cubes for v in cube.vertices())
+        )
 
     def to_json(self) -> dict:
         return {
@@ -244,7 +246,13 @@ def validate_cubillage(q: Cubillage) -> ValidationReport:
             f"vertices {set_notation(a)}, {set_notation(b)} not strongly {d - 1}-separated"
         )
 
-    return ValidationReport(n, d, len(q.cubes), len(vertices), problems)
+    return ValidationReport(
+        n=n,
+        d=d,
+        cube_count=len(q.cubes),
+        vertex_count=len(vertices),
+        problems=problems,
+    )
 
 
 def _first_unrelated_pair(system: SetSystem, table: Sequence[int]) -> tuple[int, int] | None:
@@ -270,7 +278,8 @@ def all_cubes(n: int, d: int) -> list[Cube]:
     check_limit(n)
     check_dimension(n, d, low=1)
     cubes = []
-    for typemask in _subset_index(n, d):
+    for combo in combinations(range(1, n + 1), d):
+        typemask = mask_of(combo, n)
         rest = ((1 << n) - 1) & ~typemask
         for root in sorted(submasks(rest)):
             cubes.append(Cube(root, typemask))
@@ -360,7 +369,9 @@ def bead_thread_graph(q: Cubillage) -> BeadThreads:
         out_map[tail] = head
         in_map[head] = tail
         gap = head.bit_count() - tail.bit_count()
-        if gap != q.d % 2:  # up one level for odd d, level for even d
+        if q.d % 2 and gap != 1:
+            problems.append(f"arc at cube {cube.label()} changes height by {gap}")
+        if q.d % 2 == 0 and gap != 0:
             problems.append(f"arc at cube {cube.label()} changes height by {gap}")
 
     starts = [v for v in sorted(out_map) if v not in in_map]

@@ -20,9 +20,9 @@ suite compares that union with the sign rule (at most d - 1 sign
 changes of the membership sequence along 1..n) and the sign rule with
 an exact Fourier-Motzkin feasibility check
 (`tests/oracles.linear_functional_separates`).  With D = d + 1 it cuts
-the cubes of every cubillage (`cubillage.from_inversions`), and within a
-cube (X | T) it orients each facet and picks the two apexes
-(`cubillage.front_facets`, `cubillage.apex_vertices`).  For odd d the sides also have a
+the cubes of every cubillage (`cubillage.from_inversions`), and within
+a cube (X | T) it orients each facet and picks the two apexes
+(`cubillage.front_facets`, `apex_vertices`).  For odd d the sides also have a
 closed combinatorial form: the front vertices are the k-intervals with
 k <= (d-1)/2, the rear vertices are their complements, and the rim
 (front meets rear) drops the (d-1)/2-intervals containing neither 1
