@@ -263,26 +263,18 @@ def cmd_zono_sides(args) -> int:
 # ---------------------------------------------------------------- cub
 
 
-def _cub_build_and_validate(args, anti: bool) -> int:
+def cmd_cub_build(args) -> int:
     from . import cubillage as cb
 
-    q = cb.standard_cubillage(args.n, args.d, anti)
+    q = cb.standard_cubillage(args.n, args.d, args.anti)
     report = cb.validate_cubillage(q)
     verdict = "PASS" if report.ok else "FAIL"
-    print(f"{_cub_name(args.n, args.d, anti)}: {len(q.cubes)} cubes, validator {verdict}")
+    print(f"{_cub_name(args.n, args.d, args.anti)}: {len(q.cubes)} cubes, validator {verdict}")
     for problem in report.problems:
         print(f"  problem: {problem}")
     if getattr(args, "json", None):
         _write(args.json, dump_json(q.to_json()), "json")
     return 0 if report.ok else 1
-
-
-def cmd_cub_standard(args) -> int:
-    return _cub_build_and_validate(args, anti=False)
-
-
-def cmd_cub_anti(args) -> int:
-    return _cub_build_and_validate(args, anti=True)
 
 
 def cmd_cub_validate(args) -> int:
@@ -804,11 +796,11 @@ def _cub_commands(sub) -> None:
     standard = sub.add_parser("standard", help="build and validate")
     _add_nd(standard)
     _add_json(standard)
-    standard.set_defaults(func=cmd_cub_standard)
+    standard.set_defaults(func=cmd_cub_build, anti=False)
     anti = sub.add_parser("anti", help="anti-standard build and validate")
     _add_nd(anti)
     _add_json(anti)
-    anti.set_defaults(func=cmd_cub_anti)
+    anti.set_defaults(func=cmd_cub_build, anti=True)
     validate = sub.add_parser("validate", help="validate a cubillage JSON file")
     validate.add_argument("--in", dest="infile", required=True, metavar="PATH")
     _add_json(validate)

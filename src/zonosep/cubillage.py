@@ -49,7 +49,16 @@ from typing import Hashable, Iterable, Sequence
 
 from .geometry import Face, odd_above, zonotope_sides
 from .ground import check_ground, check_mask, elements, mask_of, set_notation, submasks
-from .systems import SCHEMA, SetSystem, check_dimension, check_limit, relation_table, s_formula, strong
+from .systems import (
+    SCHEMA,
+    SetSystem,
+    check_dimension,
+    check_limit,
+    first_unrelated_pair,
+    relation_table,
+    s_formula,
+    strong,
+)
 
 
 class Cube(Face):
@@ -100,8 +109,6 @@ class Cubillage:
         check_ground(self.n)
         for cube in self.cubes:
             check_mask(cube.root | cube.type, self.n)
-            if cube.d != self.d:
-                raise ValueError(f"cube {cube.label()} has dimension {cube.d}, not {self.d}")
 
     @staticmethod
     def from_cubes(n: int, d: int, cubes: Sequence[Cube]) -> "Cubillage":
@@ -239,7 +246,7 @@ def validate_cubillage(q: Cubillage) -> ValidationReport:
     expected = s_formula(n, d - 1) if d - 1 < n else 1 << n
     if len(vertices) != expected:
         problems.append(f"vertex count {len(vertices)}, expected {expected}")
-    bad = _first_unrelated_pair(vertices, relation_table(n, strong(d - 1)))
+    bad = first_unrelated_pair(vertices, relation_table(n, strong(d - 1)))
     if bad is not None:
         a, b = bad
         problems.append(
@@ -253,20 +260,6 @@ def validate_cubillage(q: Cubillage) -> ValidationReport:
         vertex_count=len(vertices),
         problems=problems,
     )
-
-
-def _first_unrelated_pair(system: SetSystem, table: Sequence[int]) -> tuple[int, int] | None:
-    """The first pair of members, in canonical order, that a symmetric
-    relation's table leaves unrelated: check_pairwise's pair, read off the
-    rows with one AND per member instead of one predicate call per pair."""
-    members = system.members
-    later = sum(1 << m for m in members)
-    for i, a in enumerate(members):
-        later ^= 1 << a
-        if later & ~table[a]:
-            b = next(b for b in members[i + 1 :] if not table[a] >> b & 1)
-            return a, b
-    return None
 
 
 def all_cubes(n: int, d: int) -> list[Cube]:

@@ -1,9 +1,10 @@
 """Finite poset utilities: topological order and order-ideal enumeration.
 
 Precedence relations in this package (cubes under shared-facet
-precedence, fragments of any flavor under shared-tile precedence) are given as successor maps on an indexed node list.  The
-enumeration of order ideals is a reverse search over the ideal
-lattice: nodes are re-indexed by topological position, and the
+precedence, fragments of any flavor under shared-tile precedence) are given as successor maps on an indexed node list.  `Poset`
+numbers the nodes by topological position, once, and keeps each
+position's arcs in and out.  The enumeration of order ideals is a
+reverse search over the ideal lattice on that numbering: the
 children of an ideal I are the ideals I + {p} where p is addable (all
 predecessors inside I) and lies above every position in I.  Each
 ideal then has the unique parent obtained by removing its topologically
@@ -34,7 +35,8 @@ quickly, so counts of seven to twenty-two figures take from a thousand
 to a few hundred thousand memo states.  Counting ideals is #P-hard in
 general (Provan & Ball, SIAM J. Comput. 1983), so the memo is held to a
 fixed budget of states, past which the count stops with
-IdealCapExceeded.
+IdealCapExceeded.  The budget is the only cap: the walk has none, and
+a caller that wants to stop it raises from its own callback.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ class CycleError(RuntimeError):
 
 
 class IdealCapExceeded(RuntimeError):
-    """Ideal enumeration hit its cap, or an ideal count its memo budget."""
+    """An ideal count reached its memo budget."""
 
-    def __init__(self, cap: int, what: str = "order-ideal enumeration"):
-        super().__init__(f"{what} exceeded the cap of {cap}")
+    def __init__(self, cap: int):
+        super().__init__(f"ideal count's memo exceeded the cap of {cap}")
         self.cap = cap
 
 
@@ -103,41 +105,24 @@ def scan_ideals(
     visit: Callable[[tuple[int, ...]], None] | None = None,
     enter: Callable[[int], None] | None = None,
     leave: Callable[[int], None] | None = None,
-    cap: int | None = None,
 ) -> int:
     """Visit every order ideal exactly once; returns the ideal count.
 
-    Nodes are re-indexed internally into topological order.  `enter(e)`
-    fires when element e (original index) joins the current ideal,
-    `leave(e)` when the walk backtracks over it, and `visit(ideal)`
-    once per ideal with the original indices in topological order.
-    Raises IdealCapExceeded when more than `cap` ideals appear.
+    The walk runs on the topological positions of `Poset(count, succs)`.
+    `enter(e)` fires when element e (original index) joins the current
+    ideal, `leave(e)` when the walk backtracks over it, and
+    `visit(ideal)` once per ideal with the original indices in
+    topological order.
     """
-    topo = topological_order(count, succs)
-    position = [0] * count
-    for i, node in enumerate(topo):
-        position[node] = i
-    # per topological position: predecessor bitmask, successor positions
-    preds = [0] * count
-    later: list[list[int]] = [[] for _ in range(count)]
-    for node in range(count):
-        for succ in succs[node]:
-            preds[position[succ]] |= 1 << position[node]
-            later[position[node]].append(position[succ])
-
+    poset = Poset(count, succs)
+    preds, later, topo = poset.preds, poset.later, poset.topo
     current: list[int] = []
     visited = 1
-    if cap is not None and visited > cap:
-        raise IdealCapExceeded(cap)
     if visit is not None:
         visit(())
-    roots = 0
-    for pos in range(count):
-        if not preds[pos]:
-            roots |= 1 << pos
     # frame: (children still to try, positions in the ideal); the
     # children of an ideal are its addable positions above its last one
-    stack = [(roots, 0)]
+    stack = [(sum(1 << pos for pos in range(count) if not preds[pos]), 0)]
     while stack:
         children, included = stack[-1]
         if not children:
@@ -160,8 +145,6 @@ def scan_ideals(
             enter(node)
         current.append(node)
         visited += 1
-        if cap is not None and visited > cap:
-            raise IdealCapExceeded(cap)
         if visit is not None:
             visit(tuple(current))
         stack.append((rest, included))
@@ -171,10 +154,11 @@ def scan_ideals(
 class Poset:
     """A finite poset given by successor lists on nodes 0..count-1.
 
-    Nodes are re-indexed by topological position; `down[p]` and `up[p]`
-    are the bitmasks of the positions below and above position p, p
-    included.  `states` is the number of memo states the last count or
-    sum-set fold held.
+    Nodes are re-indexed by topological position; `preds[p]` (a bitmask)
+    and `later[p]` (a list) hold the positions of the given arcs into and
+    out of position p, and `down[p]` and `up[p]` are the bitmasks of the
+    positions below and above p, p included.  `states` is the number of
+    memo states the last count or sum-set fold held.
     """
 
     def __init__(self, count: int, succs: Sequence[Sequence[int]]):
@@ -182,10 +166,13 @@ class Poset:
         position = [0] * count
         for pos, node in enumerate(self.topo):
             position[node] = pos
-        preds = [0] * count  # tails of the given arcs, by position
+        preds = self.preds = [0] * count
+        later: list[list[int]] = [[] for _ in range(count)]
+        self.later = later
         for node in range(count):
             for succ in succs[node]:
                 preds[position[succ]] |= 1 << position[node]
+                later[position[node]].append(position[succ])
         self.down = [1 << pos for pos in range(count)]
         self.up = [1 << pos for pos in range(count)]
         for pos in range(count):
@@ -277,7 +264,7 @@ class Poset:
                 memo[rest] = branch(memo[parts[0]], memo[parts[1]], rest & down[x])
             stack.pop()
             if len(memo) > budget:
-                raise IdealCapExceeded(budget, "ideal count's memo")
+                raise IdealCapExceeded(budget)
         self.states = len(memo)
         return memo[full]
 

@@ -21,7 +21,8 @@ Every pair table in the package comes from relation_table: one row
 bitset per subset of [n], assembled on first use from one predicate
 call per disjoint pair of difference sets and memoised per
 (n, predicate).  The searches read it as an adjacency
-matrix; the membrane scans and the flip harnesses read its complement.
+matrix, maximal extension and the cubillage validator read its rows,
+and the membrane scans and the flip harnesses read its complement.
 
 The expected maximum for strong separation is the closed form
 
@@ -212,29 +213,41 @@ def check_pairwise(
     return True, None
 
 
+def first_unrelated_pair(system: SetSystem, table: Sequence[int]) -> tuple[int, int] | None:
+    """The first pair of members, in canonical order, that a symmetric
+    relation's table leaves unrelated: check_pairwise's pair, read off the
+    rows with one AND per member instead of one predicate call per pair."""
+    members = system.members
+    later = sum(1 << m for m in members)
+    for i, a in enumerate(members):
+        later ^= 1 << a
+        if later & ~table[a]:
+            b = next(b for b in members[i + 1 :] if not table[a] >> b & 1)
+            return a, b
+    return None
+
+
 def extend_to_maximal(system: SetSystem, predicate: PairwisePredicate) -> SetSystem:
     """Deterministically complete a compatible system to an inclusion-maximal one.
 
-    Scans every subset of [n] in canonical order and greedily adds the
-    compatible ones, so the result is reproducible.
+    Scans every subset of [n] in canonical order and greedily adds each
+    one whose relation-table row holds every set chosen so far, so the
+    result is reproducible.
     """
     check_limit(system.n)
-    ok, bad = check_pairwise(system, predicate)
-    if not ok:
-        a, b = bad  # type: ignore[misc]
+    table = relation_table(system.n, predicate)
+    bad = first_unrelated_pair(system, table)
+    if bad is not None:
+        a, b = bad
         raise ValueError(
             f"input system violates {predicate.label()} on "
             f"{set_notation(a)}, {set_notation(b)}"
         )
-    chosen = list(system.members)
-    have = set(chosen)
+    chosen = sum(1 << m for m in system.members)
     for mask in sorted(range(1 << system.n), key=canonical_key):
-        if mask in have:
-            continue
-        if all(predicate.holds(mask, member) for member in chosen):
-            chosen.append(mask)
-            have.add(mask)
-    return SetSystem.from_masks(system.n, chosen)
+        if not chosen & ~table[mask] & ~(1 << mask):
+            chosen |= 1 << mask
+    return SetSystem.from_masks(system.n, (v for v in range(1 << system.n) if chosen >> v & 1))
 
 
 def check_limit(n: int, limit: int = RELATION_TABLE_CAP, name: str = TABLE_LIMIT) -> int:

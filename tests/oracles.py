@@ -679,14 +679,35 @@ def reference_local_neighb_even(n: int, r: int, shard=None, bad=bad_pair):
     return report
 
 
-def reference_scan_ideals(count, succs, visit=None, enter=None, leave=None, cap=None):
+def capped(visit, cap):
+    """A cap on an ideal walk: `visit` wrapped to raise IdealCapExceeded
+    at the (cap + 1)-th ideal, before it sees it, after every callback
+    of the walk up to that point has fired.  None leaves `visit` as is."""
+    from zonosep.posets import IdealCapExceeded
+
+    if cap is None:
+        return visit
+    seen = 0
+
+    def counted(ideal):
+        nonlocal seen
+        seen += 1
+        if seen > cap:
+            raise IdealCapExceeded(cap)
+        if visit is not None:
+            visit(ideal)
+
+    return counted
+
+
+def reference_scan_ideals(count, succs, visit=None, enter=None, leave=None):
     """The recursive order-ideal walk that `posets.scan_ideals` replaced.
 
     Rescans every position above the last one at each node; same
-    callbacks, same order, same cap behaviour.  Recursion depth grows
-    with the longest chain, so keep it to small posets.
+    callbacks, same order.  Recursion depth grows with the longest
+    chain, so keep it to small posets.
     """
-    from zonosep.posets import IdealCapExceeded, topological_order
+    from zonosep.posets import topological_order
 
     topo = topological_order(count, succs)
     position = {node: i for i, node in enumerate(topo)}
@@ -701,8 +722,6 @@ def reference_scan_ideals(count, succs, visit=None, enter=None, leave=None, cap=
     def emit():
         nonlocal visited
         visited += 1
-        if cap is not None and visited > cap:
-            raise IdealCapExceeded(cap)
         if visit is not None:
             visit(tuple(current))
 
@@ -857,7 +876,7 @@ def _collect_membranes(q, flavor, cap, visit=None):
     def snapshot(_ideal):
         visit(Membrane(n=q.n, d=q.d, flavor=flavor, ideal=tuple(stack), tiles=frozenset(tiles)))
 
-    scan_ideals(len(deltas), succs, visit=snapshot, enter=enter, leave=leave, cap=cap)
+    scan_ideals(len(deltas), succs, visit=capped(snapshot, cap), enter=enter, leave=leave)
     return out
 
 
@@ -941,7 +960,7 @@ def s_membranes(q, cap=None):
             )
         )
 
-    scan_ideals(len(q.cubes), succs, visit=visit, enter=enter, leave=leave, cap=cap)
+    scan_ideals(len(q.cubes), succs, visit=capped(visit, cap), enter=enter, leave=leave)
     return snapshots
 
 
@@ -1047,12 +1066,24 @@ def reference_scan_membranes(
             pairs(combs, report.comb_pairs)
 
     try:
-        reference_scan_ideals(len(deltas), succs, visit=visit, enter=enter, leave=leave, cap=cap)
+        reference_scan_ideals(
+            len(deltas), succs, visit=capped(visit, cap), enter=enter, leave=leave
+        )
     except IdealCapExceeded:
         report.capped = True
     if combs is not None:
         report.comb_free = not report.comb_pairs
     return report
+
+
+def every_predicate(n: int):
+    """Every predicate kind with every r in 0..n that the kind accepts."""
+    from zonosep.systems import strong, weak_even, weak_even_no_comb, weak_odd
+
+    yield from (strong(r) for r in range(n + 1))
+    yield from (weak_odd(r) for r in range(1, n + 1, 2))
+    yield from (weak_even(r) for r in range(2, n + 1, 2))
+    yield from (weak_even_no_comb(r) for r in range(2, n + 1, 2))
 
 
 def reference_relation_table(n: int, predicate) -> tuple[int, ...]:
@@ -1066,6 +1097,27 @@ def reference_relation_table(n: int, predicate) -> tuple[int, ...]:
                 table[u] |= 1 << v
                 table[v] |= 1 << u
     return tuple(table)
+
+
+def reference_extend_to_maximal(system, predicate):
+    """The greedy completion that `systems.extend_to_maximal` replaced: every
+    subset of [n] in canonical order joins when predicate.holds with each
+    set chosen so far, one call per pair; an incompatible input is refused
+    with check_pairwise's first pair."""
+    from zonosep.ground import set_notation
+    from zonosep.systems import SetSystem, canonical_key, check_pairwise
+
+    ok, bad = check_pairwise(system, predicate)
+    if not ok:
+        raise ValueError(
+            f"input system violates {predicate.label()} on "
+            f"{set_notation(bad[0])}, {set_notation(bad[1])}"
+        )
+    chosen = list(system.members)
+    for mask in sorted(range(1 << system.n), key=canonical_key):
+        if mask not in chosen and all(predicate.holds(mask, member) for member in chosen):
+            chosen.append(mask)
+    return SetSystem.from_masks(system.n, chosen)
 
 
 def reference_max_size(n: int, predicate) -> tuple[int, list[int]]:

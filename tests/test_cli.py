@@ -190,6 +190,20 @@ def test_cub_validate_rejects_broken(capsys, tmp_path):
     assert "problem" in out
 
 
+def test_cub_validate_reports_a_cube_of_wrong_dimension(capsys, tmp_path):
+    # a 3-set type in Z(4,2) is a validator FAIL (exit 1), not a load error
+    blob = standard_cubillage(4, 2).to_json()
+    blob["cubes"][0]["type"] = [1, 2, 3]
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(blob))
+    code, out, _ = run(capsys, "cub", "validate", "--in", str(path))
+    assert code == 1
+    assert out.splitlines()[:2] == [
+        f"cubillage of Z(4,2) from {path}: validator FAIL",
+        "  problem: cube of wrong dimension",
+    ]
+
+
 @pytest.mark.parametrize(
     "blob",
     [

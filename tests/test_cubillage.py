@@ -189,6 +189,19 @@ def test_validate_catches_breakage() -> None:
     assert any("duplicate" in p for p in report.problems)
 
 
+def test_validate_reports_a_cube_of_wrong_dimension() -> None:
+    # the validator judges a cube's dimension; building the cubillage does not
+    q = Cubillage.from_cubes(4, 2, [Cube(0, 0b111)])
+    assert q.cubes == (Cube(0, 0b111),)
+    assert "cube of wrong dimension" in validate_cubillage(q).problems
+    swapped = Cubillage.from_cubes(4, 2, [Cube(0, 0b111), *standard_cubillage(4, 2).cubes[1:]])
+    assert validate_cubillage(swapped).problems == [
+        "cube of wrong dimension",
+        "vertex count 12, expected 11",
+        "vertices {2}, {1,3} not strongly 1-separated",
+    ]
+
+
 def test_validate_reports_the_first_unseparated_pair() -> None:
     q = standard_cubillage(4, 2)
     moved = Cubillage.from_cubes(4, 2, [cube((4,), (1, 2))] + list(q.cubes[1:]))

@@ -32,6 +32,7 @@ from zonosep.separation import is_double_r_comb
 from zonosep.systems import complement_table, strong, weak, weak_odd
 
 from oracles import (
+    capped,
     count_ideals_bfs,
     reference_count_ideals,
     reference_scan_ideals,
@@ -46,10 +47,9 @@ def _events(walker, count, succs, cap=None):
         total = walker(
             count,
             succs,
-            visit=lambda ideal: log.append(("visit", ideal)),
+            visit=capped(lambda ideal: log.append(("visit", ideal)), cap),
             enter=lambda node: log.append(("enter", node)),
             leave=lambda node: log.append(("leave", node)),
-            cap=cap,
         )
     except IdealCapExceeded:
         log.append(("capped", cap))
@@ -83,8 +83,8 @@ def test_callbacks_are_optional():
     deltas, succs = fragment_precedence(q)
     assert scan_ideals(len(deltas), succs) == 496
     with pytest.raises(IdealCapExceeded):
-        scan_ideals(len(deltas), succs, cap=495)
-    assert scan_ideals(len(deltas), succs, cap=496) == 496
+        scan_ideals(len(deltas), succs, visit=capped(None, 495))
+    assert scan_ideals(len(deltas), succs, visit=capped(None, 496)) == 496
 
 
 def test_deep_chain_does_not_recurse():
@@ -102,7 +102,7 @@ def test_deep_fragment_precedence_scans_to_its_cap():
     assert len(deltas) == 1260
     seen = []
     with pytest.raises(IdealCapExceeded):
-        scan_ideals(len(deltas), succs, visit=seen.append, cap=3000)
+        scan_ideals(len(deltas), succs, visit=capped(seen.append, 3000))
     assert len(seen) == 3000
 
 

@@ -12,6 +12,7 @@ checked against the per-pair builder it replaced
 import pytest
 
 from oracles import (
+    every_predicate,
     raw_double_comb,
     raw_strongly_separated,
     raw_weakly_separated,
@@ -98,13 +99,6 @@ def test_table_size_is_capped():
         relation_table(RELATION_TABLE_CAP + 1, strong(1))
 
 
-def _every_predicate(n: int):
-    yield from (strong(r) for r in range(n + 1))
-    yield from (weak_odd(r) for r in range(1, n + 1, 2))
-    yield from (weak_even(r) for r in range(2, n + 1, 2))
-    yield from (weak_even_no_comb(r) for r in range(2, n + 1, 2))
-
-
 def test_kernel_calls_the_predicate_once_per_disjoint_pair(monkeypatch):
     seen = []
 
@@ -122,7 +116,7 @@ def test_kernel_calls_the_predicate_once_per_disjoint_pair(monkeypatch):
 
 
 def _check_against_the_reference(n: int):
-    for predicate in _every_predicate(n):
+    for predicate in every_predicate(n):
         assert relation_table.__wrapped__(n, predicate) == reference_relation_table(
             n, predicate
         ), predicate.label()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from zonosep import cubillage, flips, geometry, membranes, systems
@@ -15,7 +17,7 @@ from zonosep.cubillage import (
 )
 from zonosep.flips import verify_flip_theorem_odd, verify_local_neighb_even, verify_refined_lemma
 from zonosep.geometry import boundary_vertices, zonotope_sides
-from zonosep.ground import mask_of
+from zonosep.ground import mask_of, set_notation
 from zonosep.posets import Poset
 from zonosep.systems import (
     DEFAULT_EXHAUSTIVE_BOUND,
@@ -38,7 +40,14 @@ from zonosep.systems import (
     weak_odd,
 )
 
-from oracles import alternation_degree, brute_force_max_system, raw_weakly_separated, set_system
+from oracles import (
+    alternation_degree,
+    brute_force_max_system,
+    every_predicate,
+    raw_weakly_separated,
+    reference_extend_to_maximal,
+    set_system,
+)
 
 
 def m(*elems: int) -> int:
@@ -115,6 +124,48 @@ def test_extend_to_maximal_deterministic():
     bad = set_system(6, [{1, 3}, {2, 4}])
     with pytest.raises(ValueError):
         extend_to_maximal(bad, strong(1))
+
+
+def _random_inputs(n: int, predicate, rng: random.Random):
+    """The empty system, three compatible ones (greedy over the first 1 to 2n
+    sets of a shuffled 2^[n], judged by predicate.holds) and one with an
+    unrelated pair."""
+    yield SetSystem(n, ())
+    for _ in range(3):
+        order = rng.sample(range(1 << n), 1 << n)
+        chosen: list[int] = []
+        for mask in order[: rng.randint(1, 2 * n)]:
+            if all(predicate.holds(mask, other) for other in chosen):
+                chosen.append(mask)
+        yield SetSystem.from_masks(n, chosen)
+    pairs = [(a, b) for a in range(1 << n) for b in range(a) if not predicate.holds(a, b)]
+    if pairs:
+        extra = rng.sample(range(1 << n), rng.randint(0, 4))
+        yield SetSystem.from_masks(n, [*rng.choice(pairs), *extra])
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_extend_to_maximal_matches_the_predicate_loop(n):
+    # the row-reading completion against the greedy loop it replaced, and an
+    # incompatible input refused on check_pairwise's first pair
+    rng = random.Random(20261019 + n)
+    refused = 0
+    for predicate in every_predicate(n):
+        for system in _random_inputs(n, predicate, rng):
+            ok, bad = check_pairwise(system, predicate)
+            if ok:
+                assert extend_to_maximal(system, predicate) == reference_extend_to_maximal(
+                    system, predicate
+                ), (predicate.label(), system)
+                continue
+            refused += 1
+            with pytest.raises(ValueError) as got:
+                extend_to_maximal(system, predicate)
+            with pytest.raises(ValueError) as want:
+                reference_extend_to_maximal(system, predicate)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).endswith(f"on {set_notation(bad[0])}, {set_notation(bad[1])}")
+    assert refused
 
 
 def test_max_size_small_against_brute_force():
