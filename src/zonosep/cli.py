@@ -15,6 +15,11 @@ or DOT to files on request; counters and timings go to stderr only.
 A command loads only what it runs: this module imports `systems` (with
 `ground` and `separation`), each handler imports the heavier modules it
 drives, and the parser builds the commands of the named group alone.
+Of the standard library a command pays for `argparse`, and the package
+for `typing` (its NamedTuple records), `collections`, `functools`,
+`itertools`, `math`, `operator` and `time`; `json` loads only in a
+command that reads or writes a JSON file, and `heapq` only for a
+topological order.
 """
 
 from __future__ import annotations

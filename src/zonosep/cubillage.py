@@ -42,13 +42,12 @@ counts as the fragmentation that cuts no cube (flavor S).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .geometry import Face, odd_above, zonotope_sides
-from .ground import check_ground, check_mask, elements, mask_of, set_notation, submasks
+from .ground import Record, check_ground, check_mask, elements, mask_of, set_notation, submasks
 from .systems import (
     SCHEMA,
     SetSystem,
@@ -97,18 +96,16 @@ def _facets(cube: Cube, lifted: int) -> list[Face]:
     return [Face(cube.root | bit & lifted, cube.type ^ bit) for bit in _bits(cube.type)]
 
 
-@dataclass(frozen=True)
-class Cubillage:
+class Cubillage(Record):
     """d-cubes on [n], one per type when they tile Z(n, d) (see validate_cubillage)."""
 
-    n: int
-    d: int
-    cubes: tuple[Cube, ...]
+    __slots__ = ("n", "d", "cubes")
 
-    def __post_init__(self) -> None:
-        check_ground(self.n)
-        for cube in self.cubes:
-            check_mask(cube.root | cube.type, self.n)
+    def __init__(self, n: int, d: int, cubes: tuple[Cube, ...]) -> None:
+        check_ground(n)
+        for cube in cubes:
+            check_mask(cube.root | cube.type, n)
+        self.n, self.d, self.cubes = n, d, cubes
 
     @staticmethod
     def from_cubes(n: int, d: int, cubes: Sequence[Cube]) -> "Cubillage":
@@ -137,7 +134,7 @@ class Cubillage:
             raise ValueError(
                 "cubillage JSON needs keys n, d and cubes, each cube a root and a type list"
             ) from None
-        check_dimension(n, d, low=1)
+        check_dimension(n, d)
         return Cubillage.from_cubes(n, d, cubes)
 
 
@@ -201,8 +198,7 @@ def _bits(mask: int) -> list[int]:
     return [1 << (e - 1) for e in elements(mask)]
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of validate_cubillage: ok iff problems is empty."""
 
     n: int
@@ -316,8 +312,7 @@ def precedence_dot(cubes: Sequence[Cube], succs: Sequence[Sequence[int]]) -> str
     return digraph_dot([cube.label() for cube in cubes], succs, "gamma")
 
 
-@dataclass
-class BeadThreads:
+class BeadThreads(NamedTuple):
     """Bead-thread structure of a cubillage: arcs t_C -> h_C chained into paths."""
 
     n: int

@@ -71,12 +71,19 @@ error instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from time import perf_counter
 from typing import Iterator
 
-from .ground import SIDE_A, check_ground, check_mask, elements, interval_cortege, set_notation
+from .ground import (
+    SIDE_A,
+    Record,
+    check_ground,
+    check_mask,
+    elements,
+    interval_cortege,
+    set_notation,
+)
 from .separation import is_double_r_comb
 from .systems import (
     SCHEMA,
@@ -104,8 +111,7 @@ class FalsificationError(RuntimeError):
     """A re-checked conclusion of a proved statement failed to hold."""
 
 
-@dataclass(frozen=True)
-class FlipSite:
+class FlipSite(Record):
     """Disjoint X, P, Q over [n] with the interleaving of one parity.
 
     Odd parity: |Q| = |P| + 1 and the merged sequence alternates
@@ -113,31 +119,26 @@ class FlipSite:
     and the merged sequence alternates starting with a P element.
     """
 
-    n: int
-    x: int
-    p: int
-    q: int
+    __slots__ = ("n", "x", "p", "q")
 
-    def __post_init__(self) -> None:
-        check_ground(self.n)
-        check_mask(self.x | self.p | self.q, self.n)
-        if self.x & (self.p | self.q) or self.p & self.q:
+    def __init__(self, n: int, x: int, p: int, q: int) -> None:
+        check_ground(n)
+        check_mask(x | p | q, n)
+        if x & (p | q) or p & q:
             raise ValueError("X, P, Q must be pairwise disjoint")
-        sizes = (self.p.bit_count(), self.q.bit_count())
+        sizes = (p.bit_count(), q.bit_count())
         if sizes[1] == sizes[0] + 1:
-            start = self.q  # odd: q_0 first, q_{r'} last
+            start = q  # odd: q_0 first, q_{r'} last
         elif sizes[0] == sizes[1] and sizes[0] >= 2:
-            start = self.p  # even: p_1 first, q_{r'} last
+            start = p  # even: p_1 first, q_{r'} last
         else:
             raise ValueError(f"|P|={sizes[0]}, |Q|={sizes[1]} fit neither parity")
         side = start
-        for e in elements(self.p | self.q):
+        for e in elements(p | q):
             if not side >> (e - 1) & 1:
-                raise ValueError(
-                    f"P={set_notation(self.p)} and Q={set_notation(self.q)} "
-                    "do not interleave"
-                )
-            side = (self.p | self.q) ^ side  # alternate expected side
+                raise ValueError(f"P={set_notation(p)} and Q={set_notation(q)} do not interleave")
+            side = (p | q) ^ side  # alternate expected side
+        self.n, self.x, self.p, self.q = n, x, p, q
 
     @property
     def parity(self) -> str:
@@ -310,20 +311,21 @@ def _patterns(n: int, r: int, start_with_q: bool) -> Iterator[Pattern]:
         yield p, q, xs
 
 
-@dataclass
 class HarnessReport:
     """Outcome of one exhaustive verification run; ok iff nothing is listed."""
 
-    name: str
-    n: int
-    r: int
-    sites: int = 0
-    checks: int = 0
-    counterexamples: list[dict] = field(default_factory=list)
-    recorded: int = 0  # even harness: unclassified cases with degree > r+2
-    shard: str | None = None
-    # counters and seconds of the run; never part of to_json
-    stats: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("name", "n", "r", "sites", "checks", "counterexamples", "recorded", "shard",
+                 "stats")
+
+    def __init__(self, name: str, n: int, r: int, shard: str | None = None) -> None:
+        self.name, self.n, self.r = name, n, r
+        self.sites = 0
+        self.checks = 0
+        self.counterexamples: list[dict] = []
+        self.recorded = 0  # even harness: unclassified cases with degree > r+2
+        self.shard = shard
+        # counters and seconds of the run; never part of to_json
+        self.stats: dict = {}
 
     @property
     def ok(self) -> bool:

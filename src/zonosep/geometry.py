@@ -37,7 +37,6 @@ boundary facet of Z(n, d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -102,8 +101,7 @@ def boundary_vertices(n: int, d: int) -> SetSystem:
     return SetSystem.from_masks(n, [*sides.front.members, *sides.rear.members])
 
 
-@dataclass(frozen=True)
-class ZonotopeSides:
+class ZonotopeSides(NamedTuple):
     """Front/rear boundary facets of Z(n, d) and their vertex sets.
 
     Facets are `Face`s, ordered by (type, root): type is a (d-1)-subset

@@ -30,7 +30,7 @@ Example: A = {1,2,5,6,7,10}, B = {2,3,6,9} produces the cortege
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 MAX_GROUND = 64
@@ -95,43 +95,63 @@ def mask_max(mask: int) -> int:
     return mask.bit_length()
 
 
-@dataclass(frozen=True)
-class CortegeInterval:
-    """One interval of a cortege: [lo, hi] covering a run from one side."""
+class Record:
+    """Equality and hash by value over `__slots__`, for the checked records.
 
-    lo: int
-    hi: int
-    side: str  # SIDE_A covers A - B, SIDE_B covers B - A
+    A subclass lists its fields in `__slots__` and checks them in its
+    `__init__`; two records are equal when their types and fields are.
+    """
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi or self.lo < 1:
-            raise ValueError(f"bad interval [{self.lo},{self.hi}]")
-        if self.side not in (SIDE_A, SIDE_B):
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+
+class CortegeInterval(Record):
+    """One interval of a cortege: [lo, hi] covering a run from one side;
+    side SIDE_A covers A - B, SIDE_B covers B - A."""
+
+    __slots__ = ("lo", "hi", "side")
+
+    def __init__(self, lo: int, hi: int, side: str) -> None:
+        if lo > hi or lo < 1:
+            raise ValueError(f"bad interval [{lo},{hi}]")
+        if side not in (SIDE_A, SIDE_B):
             raise ValueError(f"side must be {SIDE_A!r} or {SIDE_B!r}")
+        self.lo, self.hi, self.side = lo, hi, side
 
     def to_json(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "side": self.side}
 
 
-@dataclass(frozen=True)
-class Cortege:
+class Cortege(Record):
     """Minimal alternating interval cover of (A - B, B - A) for a pair A, B.
 
     Intervals are strictly increasing and strictly alternate sides; the
     empty cortege belongs to a pair with A = B.
     """
 
-    intervals: tuple[CortegeInterval, ...]
+    __slots__ = ("intervals",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, intervals: tuple[CortegeInterval, ...]) -> None:
         prev = None
-        for iv in self.intervals:
+        for iv in intervals:
             if prev is not None:
                 if prev.hi >= iv.lo:
                     raise ValueError("cortege intervals must be strictly increasing")
                 if prev.side == iv.side:
                     raise ValueError("cortege intervals must alternate sides")
             prev = iv
+        self.intervals = intervals
 
     @property
     def degree(self) -> int:

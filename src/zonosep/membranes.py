@@ -49,12 +49,11 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cubillage import Cube, Cubillage, front_facets, rear_facets, side_precedence
 from .geometry import Face, zonotope_sides
-from .ground import elements, set_notation, submasks
+from .ground import Record, elements, set_notation, submasks
 from .posets import IdealCapExceeded, Poset, digraph_dot
 from .separation import is_double_r_comb
 from .systems import (
@@ -98,8 +97,7 @@ def v_tile(facet: Face, slab: int) -> frozenset[int] | None:
     return _levels(facet, k, k + 1) if 0 <= k <= facet.type.bit_count() - 1 else None
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(Record):
     """Slabs h..top of a cube, between heights |X|+h-1 and |X|+top.
 
     top None is the one slab h, and top == h is stored as None, so a
@@ -108,16 +106,15 @@ class Fragment:
     `fragments`'s business.
     """
 
-    cube: Cube
-    h: int
-    top: int | None = None
+    __slots__ = ("cube", "h", "top")
 
-    def __post_init__(self) -> None:
-        if self.top == self.h:
-            object.__setattr__(self, "top", None)
-        last = self.h if self.top is None else self.top
-        if not 1 <= self.h <= last <= self.cube.d:
-            raise ValueError(f"slabs {self.h}..{last} outside 1..{self.cube.d}")
+    def __init__(self, cube: Cube, h: int, top: int | None = None) -> None:
+        if top == h:
+            top = None
+        last = h if top is None else top
+        if not 1 <= h <= last <= cube.d:
+            raise ValueError(f"slabs {h}..{last} outside 1..{cube.d}")
+        self.cube, self.h, self.top = cube, h, top
 
     @property
     def slabs(self) -> tuple[int, ...]:
@@ -194,8 +191,7 @@ def precedence_to_dot(deltas: Sequence[Fragment], succs: Sequence[Sequence[int]]
     return digraph_dot([delta.label() for delta in deltas], succs, "fragments")
 
 
-@dataclass(frozen=True)
-class Membrane:
+class Membrane(NamedTuple):
     """A tile set between the front and rear boundary, with the ideal of
     fragments behind it; the flavor names the fragmentation (`fragments`)."""
 
@@ -317,8 +313,7 @@ KIND_WEAK = "weak"
 KIND_COMB = "comb"
 
 
-@dataclass(frozen=True)
-class ScanViolation:
+class ScanViolation(NamedTuple):
     """One reason a scan fails.
 
     Kinds weak and comb: a vertex pair violating weak r-separation, or
@@ -359,7 +354,6 @@ class ScanViolation:
         }
 
 
-@dataclass
 class MembraneScanReport:
     """The decided membrane claims of one cubillage.
 
@@ -369,17 +363,20 @@ class MembraneScanReport:
     counters and phase seconds for display and never enters the JSON.
     """
 
-    n: int
-    d: int
-    flavor: str
-    r: int
-    expected_size: int
-    membrane_count: int = 0
-    sizes_seen: set[int] = field(default_factory=set)
-    violations: list[ScanViolation] = field(default_factory=list)
-    comb_free: bool | None = None
-    undecided: str | None = None
-    stats: dict = field(default_factory=dict)
+    __slots__ = ("n", "d", "flavor", "r", "expected_size", "membrane_count", "sizes_seen",
+                 "violations", "comb_free", "undecided", "stats")
+
+    def __init__(self, n: int, d: int, flavor: str, r: int, expected_size: int,
+                 membrane_count: int, sizes_seen: set[int], undecided: str | None,
+                 stats: dict) -> None:
+        self.n, self.d, self.flavor, self.r = n, d, flavor, r
+        self.expected_size = expected_size
+        self.membrane_count = membrane_count
+        self.sizes_seen = sizes_seen
+        self.violations: list[ScanViolation] = []
+        self.comb_free: bool | None = None
+        self.undecided = undecided
+        self.stats = stats
 
     @property
     def capped(self) -> bool:
@@ -419,7 +416,6 @@ def _comb_rows(n: int, r: int) -> list[int]:
     return [row ^ kept[v] for v, row in enumerate(relation_table(n, weak_even(r)))]
 
 
-@dataclass
 class MembraneCensus:
     """How many membranes one cubillage has, and their vertex-set sizes.
 
@@ -434,16 +430,19 @@ class MembraneCensus:
     `_presence_intervals`) and each fragment's size change.
     """
 
-    count: int = 0
-    sizes: set[int] = field(default_factory=set)
-    undecided: str | None = None
-    stats: dict = field(default_factory=dict)
-    deltas: Sequence[Fragment] = ()
-    succs: Sequence[Sequence[int]] = ()
-    poset: Poset | None = None
-    base: Membrane | None = None
-    intervals: dict[int, tuple[int | None, int | None]] = field(default_factory=dict)
-    weights: list[int] = field(default_factory=list)
+    __slots__ = ("count", "sizes", "undecided", "stats", "deltas", "succs", "poset", "base",
+                 "intervals", "weights")
+
+    def __init__(self, deltas: Sequence[Fragment], succs: Sequence[Sequence[int]],
+                 poset: Poset) -> None:
+        self.count = 0
+        self.sizes: set[int] = set()
+        self.undecided: str | None = None
+        self.stats: dict = {}
+        self.deltas, self.succs, self.poset = deltas, succs, poset
+        self.base: Membrane | None = None
+        self.intervals: dict[int, tuple[int | None, int | None]] = {}
+        self.weights: list[int] = []
 
 
 def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:

@@ -41,15 +41,13 @@ plus {2,4}, {3,5}, {1,3,4,6}.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
 from math import comb
 from operator import itemgetter, lshift, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .ground import check_ground, check_mask, elements, mask_of, set_notation
+from .ground import Record, check_ground, check_mask, elements, mask_of, set_notation
 from .separation import (
     is_double_r_comb,
     is_strongly_r_separated,
@@ -83,19 +81,17 @@ def canonical_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
-@dataclass(frozen=True)
-class SetSystem:
-    """Immutable family of subsets of [n] in canonical order."""
+class SetSystem(Record):
+    """Family of subsets of [n] in canonical order."""
 
-    n: int
-    members: tuple[int, ...]
+    __slots__ = ("n", "members")
 
-    def __post_init__(self) -> None:
-        check_ground(self.n)
+    def __init__(self, n: int, members: tuple[int, ...]) -> None:
+        check_ground(n)
         seen = set()
         prev = None
-        for mask in self.members:
-            check_mask(mask, self.n)
+        for mask in members:
+            check_mask(mask, n)
             if mask in seen:
                 raise ValueError(f"duplicate member {set_notation(mask)}")
             seen.add(mask)
@@ -103,6 +99,7 @@ class SetSystem:
             if prev is not None and key <= prev:
                 raise ValueError("members not in canonical order")
             prev = key
+        self.n, self.members = n, members
 
     @staticmethod
     def from_masks(n: int, masks: Iterable[int]) -> "SetSystem":
@@ -134,25 +131,25 @@ class SetSystem:
         return "{" + ", ".join(set_notation(mask) for mask in self.members) + "}"
 
 
-@dataclass(frozen=True)
-class PairwisePredicate:
-    """One of the four compatibility predicates, with its parameter r."""
+class PairwisePredicate(Record):
+    """One of the four compatibility predicates, with its parameter r;
+    equal predicates share their `relation_table` cache entries."""
 
-    kind: str
-    r: int
+    __slots__ = ("kind", "r")
 
-    def __post_init__(self) -> None:
-        if self.kind == KIND_STRONG:
-            if self.r < 0:
+    def __init__(self, kind: str, r: int) -> None:
+        if kind == KIND_STRONG:
+            if r < 0:
                 raise ValueError("STRONG needs r >= 0")
-        elif self.kind == KIND_WEAK_ODD:
-            if self.r < 1 or self.r % 2 == 0:
+        elif kind == KIND_WEAK_ODD:
+            if r < 1 or r % 2 == 0:
                 raise ValueError("WEAK_ODD needs odd positive r")
-        elif self.kind in (KIND_WEAK_EVEN, KIND_WEAK_EVEN_NO_COMB):
-            if self.r < 2 or self.r % 2:
-                raise ValueError(f"{self.kind} needs even positive r")
+        elif kind in (KIND_WEAK_EVEN, KIND_WEAK_EVEN_NO_COMB):
+            if r < 2 or r % 2:
+                raise ValueError(f"{kind} needs even positive r")
         else:
-            raise ValueError(f"unknown predicate kind {self.kind!r}")
+            raise ValueError(f"unknown predicate kind {kind!r}")
+        self.kind, self.r = kind, r
 
     def holds(self, a: int, b: int) -> bool:
         if self.kind == KIND_STRONG:
@@ -340,8 +337,7 @@ def compatibility_adjacency(n: int, predicate: PairwisePredicate) -> list[int]:
     return list(relation_table(n, predicate))
 
 
-@dataclass(frozen=True)
-class MaxSearch:
+class MaxSearch(NamedTuple):
     """One exact maximum search: the size, a witness and its counters.
 
     nodes counts the branch-and-bound nodes expanded, the root included;
@@ -669,4 +665,6 @@ def nonpurity_witness(vertices: SetSystem) -> SetSystem:
 
 
 def dump_json(blob: dict) -> str:
+    import json  # only a command that writes JSON pays for it
+
     return json.dumps(blob, sort_keys=True, indent=2) + "\n"

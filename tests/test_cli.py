@@ -1,6 +1,5 @@
 """Command-line behavior: output shape, exit codes, file export, determinism."""
 
-import dataclasses
 import json
 import os
 import re
@@ -202,6 +201,16 @@ def test_cub_validate_reports_a_cube_of_wrong_dimension(capsys, tmp_path):
         f"cubillage of Z(4,2) from {path}: validator FAIL",
         "  problem: cube of wrong dimension",
     ]
+
+
+def test_cub_validate_refuses_a_one_dimensional_file(capsys, tmp_path):
+    # three edges of Z(3,1): the loader refuses d = 1, as the builders and the validator do
+    z31 = {"n": 3, "d": 1, "cubes": [
+        {"root": [], "type": [1]}, {"root": [1], "type": [2]}, {"root": [1, 2], "type": [3]}]}
+    path = tmp_path / "z31.json"
+    path.write_text(json.dumps(z31))
+    code, out, err = run(capsys, "cub", "validate", "--in", str(path))
+    assert (code, out, err) == (2, "", "error: need 2 <= d <= n, got d=1, n=3\n")
 
 
 @pytest.mark.parametrize(
@@ -543,7 +552,7 @@ def test_internal_error_is_one_line_and_not_usage(capsys, monkeypatch):
     monkeypatch.setattr(
         mb,
         "base_membrane",
-        lambda q, flavor="W": dataclasses.replace(real(q, flavor), tiles=frozenset()),
+        lambda q, flavor="W": real(q, flavor)._replace(tiles=frozenset()),
     )
     code, out, err = run(capsys, "membrane", "scan", "--n", "4", "--d", "3")
     assert code == 1 and out == ""
@@ -886,15 +895,17 @@ def test_harness_stats_line(capsys, monkeypatch):
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# runs main on the command line it is given, then prints the zonosep modules loaded
+# runs main on the command line it is given, then prints the zonosep modules it
+# loaded and those of STDLIB it loaded, which a command should not pay for idly
 FOOTPRINT = """
 import sys
+STDLIB = ("dataclasses", "json")
 from zonosep.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(" ".join(sorted(m for m in sys.modules if m.startswith("zonosep."))))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("zonosep.") or m in STDLIB)))
 sys.exit(code)
 """
 
@@ -908,6 +919,8 @@ FOOTPRINTS = [
     (("zono", "vertices", "--n", "5", "--d", "3"), {"geometry"}, {"cubillage", "membranes", "flips"}),
     (("cub", "standard", "--n", "5", "--d", "3"), {"cubillage"}, {"posets", "membranes", "flips"}),
     (("cub", "validate", "--in", "z53.json"), {"cubillage"}, {"posets", "membranes", "flips"}),
+    (("cub", "anti", "--n", "5", "--d", "3", "--json", "anti.json"), {"cubillage"},
+     {"posets", "membranes", "flips"}),
     (("verify", "flips", "--n", "6", "--r", "3"), {"flips"}, {"membranes", "cubillage"}),
     (("membrane", "scan", "--n", "5", "--d", "3"), {"membranes"}, {"flips"}),
     (("--help",), {"systems"}, {"geometry", "posets", "cubillage", "membranes", "flips"}),
@@ -927,6 +940,9 @@ def test_a_command_imports_only_the_modules_it_runs(argv, loaded, absent, tmp_pa
     assert done.returncode == 0, done.stderr
     modules = {name.removeprefix("zonosep.") for name in done.stdout.splitlines()[-1].split()}
     assert loaded <= modules and not absent & modules, modules
+    assert "dataclasses" not in modules
+    # only a command that reads or writes a JSON file imports json
+    assert ("json" in modules) == ("--in" in argv or "--json" in argv), modules
 
 
 GROUP_COMMANDS = {

@@ -259,6 +259,14 @@ def test_json_roundtrip() -> None:
     assert Cubillage.from_json(q.to_json()) == q
 
 
+def test_from_json_refuses_d_1() -> None:
+    # three edges of Z(3,1): no builder or validator takes d = 1, so neither does the loader
+    z31 = {"n": 3, "d": 1, "cubes": [
+        {"root": [], "type": [1]}, {"root": [1], "type": [2]}, {"root": [1, 2], "type": [3]}]}
+    with pytest.raises(ValueError, match=r"^need 2 <= d <= n, got d=1, n=3$"):
+        Cubillage.from_json(z31)
+
+
 def test_all_cubes_and_gamma_acyclicity() -> None:
     assert len(all_cubes(4, 2)) == 6 * 4
     assert len(all_cubes(5, 3)) == 10 * 4

@@ -6,7 +6,6 @@ over every membrane; the walker's callbacks, the counts, the sizes and
 the exact sets of violating pairs must agree with them.
 """
 
-import dataclasses
 import random
 from functools import lru_cache
 from itertools import product
@@ -15,7 +14,7 @@ import pytest
 
 import zonosep.membranes as mb
 import zonosep.posets as posets
-from zonosep.cubillage import precedence_digraph, standard_cubillage
+from zonosep.cubillage import Cubillage, precedence_digraph, standard_cubillage
 from zonosep.membranes import (
     FLAVOR_E,
     FLAVOR_S,
@@ -310,7 +309,7 @@ def test_negative_multiplicity_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(
         mb,
         "base_membrane",
-        lambda q, flavor=FLAVOR_W: dataclasses.replace(real(q, flavor), tiles=frozenset()),
+        lambda q, flavor=FLAVOR_W: real(q, flavor)._replace(tiles=frozenset()),
     )
     with pytest.raises(MembraneInvariantError, match="multiplicity -1"):
         scan_membranes(standard_cubillage(4, 3))
@@ -330,7 +329,7 @@ def test_tile_born_twice_is_an_internal_error(monkeypatch):
 def test_facet_born_twice_is_an_internal_error():
     # a cube listed twice sweeps its rear facets in twice
     q = standard_cubillage(4, 3)
-    doubled = dataclasses.replace(q, cubes=(q.cubes[0],) + q.cubes)
+    doubled = Cubillage(q.n, q.d, (q.cubes[0],) + q.cubes)
     with pytest.raises(MembraneInvariantError, match="^tile V.* is born at both"):
         mb.membrane_census(doubled, FLAVOR_S)
 
@@ -340,7 +339,7 @@ def test_witness_mismatch_is_an_internal_error(monkeypatch):
     q = standard_cubillage(5, 3)
     monkeypatch.setattr(mb, "weak", strong)
     monkeypatch.setattr(
-        mb, "_replay", lambda *args: dataclasses.replace(mb.base_membrane(q), tiles=frozenset())
+        mb, "_replay", lambda *args: mb.base_membrane(q)._replace(tiles=frozenset())
     )
     with pytest.raises(MembraneInvariantError, match="does not replay"):
         scan_membranes(q)

@@ -94,6 +94,15 @@ def test_tables_are_memoised_and_immutable():
     assert isinstance(first, tuple)
 
 
+def test_equal_predicates_share_one_table():
+    first, second = weak_odd(1), weak_odd(1)
+    assert first is not second
+    table = relation_table(7, first)
+    hits = relation_table.cache_info().hits
+    assert relation_table(7, second) is table
+    assert relation_table.cache_info().hits == hits + 1
+
+
 def test_table_size_is_capped():
     with pytest.raises(ValueError, match="relation-table cap"):
         relation_table(RELATION_TABLE_CAP + 1, strong(1))
