@@ -183,6 +183,10 @@ def _predicate(args) -> PairwisePredicate:
     return PairwisePredicate(KINDS[args.kind], args.r)
 
 
+def _nodes_per_s(nodes: int, seconds: float) -> str:
+    return f"{nodes / seconds if seconds else 0.0:.0f} nodes/s"
+
+
 def cmd_search_max(args) -> int:
     predicate = _predicate(args)
     n = check_limit(args.n, *CLI_SEARCH_LIMIT)
@@ -194,7 +198,8 @@ def cmd_search_max(args) -> int:
     print(
         f"search: {found.nodes} nodes, {found.universal} universal, "
         f"{found.symmetries} symmetries, "
-        f"{found.symmetry_pruned} root branches pruned by symmetry, {seconds:.2f} s",
+        f"{found.symmetry_pruned} root branches pruned by symmetry, {seconds:.2f} s, "
+        f"{_nodes_per_s(found.nodes, seconds)}",
         file=sys.stderr,
     )
     _emit_json(args, {"size": found.size, **found.witness.to_json(predicate)})
@@ -535,7 +540,8 @@ def _verify_sizes(name: str, what: str, instances) -> int:
         )
     seconds = time.perf_counter() - start
     print(
-        f"{name}: {count} instances, {nodes} search nodes, {seconds:.2f} s",
+        f"{name}: {count} instances, {nodes} search nodes, {seconds:.2f} s, "
+        f"{_nodes_per_s(nodes, seconds)}",
         file=sys.stderr,
     )
     return 0 if all_ok else 1

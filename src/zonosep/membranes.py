@@ -231,6 +231,29 @@ def rear_boundary_tiles(q: Cubillage) -> frozenset[frozenset[int]]:
     return _slice_boundary(sides.rear_facets)
 
 
+class _Ideal(tuple):
+    """The fragments behind a membrane in raising order, with a dict from
+    each to its place there.  The ideals along one walk of raising flips
+    share the dict, and a fragment is in an ideal when its place is below
+    the ideal's length: `in` is one lookup, not one comparison with every
+    fragment raised before."""
+
+    def __contains__(self, delta: object) -> bool:
+        return self._places.get(delta, len(self)) < len(self)
+
+
+def _raised(ideal: tuple, delta: Fragment) -> _Ideal:
+    """ideal + (delta,), sharing ideal's dict unless a longer ideal has
+    grown it (a second flip from one membrane) or ideal has none."""
+    places = getattr(ideal, "_places", None)
+    if places is None or len(places) != len(ideal):
+        places = {fr: i for i, fr in enumerate(ideal)}
+    places[delta] = len(ideal)
+    out = _Ideal(ideal + (delta,))
+    out._places = places
+    return out
+
+
 def raising_flip(m: Membrane, delta: Fragment) -> Membrane:
     """Swap the front side of the fragment for its rear side."""
     if delta in m.ideal:
@@ -252,7 +275,7 @@ def raising_flip(m: Membrane, delta: Fragment) -> Membrane:
         n=m.n,
         d=m.d,
         flavor=m.flavor,
-        ideal=m.ideal + (delta,),
+        ideal=_raised(m.ideal, delta),
         tiles=(m.tiles - front) | rear,
     )
 

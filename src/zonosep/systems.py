@@ -386,20 +386,36 @@ def _twisted_rotation(v: int, n: int) -> int:
 SYMMETRY_CANDIDATES = (_complement, _reversal, _rotation, _twisted_rotation)
 
 
+def _permuted_rows(rows: Iterable[int], width: int, bits: Sequence[int]) -> Iterator[int]:
+    """Each row of width bits rebuilt from the bits listed, top bit first:
+    bit bits[j] of the row becomes bit len(bits) - 1 - j of the result.
+
+    Bit u of a row is character width - 1 - u of its binary string, so
+    one itemgetter over those characters permutes a whole row at once.
+    """
+    if not bits:  # itemgetter takes at least one item
+        for _ in rows:
+            yield 0
+        return
+    pick = itemgetter(*(width - 1 - u for u in bits))
+    form = f"0{width}b"
+    for row in rows:
+        # one bit picks a str, not a tuple; join takes either
+        yield int("".join(pick(format(row, form))), 2)
+
+
 def _first_break(table: Sequence[int], image: Sequence[int]) -> int | None:
     """The first set v whose row, mapped by image, is not the row of image[v].
 
-    image is a permutation of 2^[n].  Bit u of a row is character
-    size - 1 - u of its binary string, so the mapped row reads
-    character size - 1 - pre(size - 1 - j) at place j, pre the inverse.
+    image is a permutation of 2^[n]; bit image[u] of the mapped row is bit
+    u of the row, so bit j is bit pre[j], pre the inverse.
     """
     size = len(image)
     pre = [0] * size
     for v, w in enumerate(image):
         pre[w] = v
-    pick = itemgetter(*(size - 1 - pre[size - 1 - j] for j in range(size)))
-    for v, row in enumerate(table):
-        if int("".join(pick(format(row, f"0{size}b"))), 2) != table[image[v]]:
+    for v, row in enumerate(_permuted_rows(table, size, pre[::-1])):
+        if row != table[image[v]]:
             return v
     return None
 
@@ -470,13 +486,18 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
     1. Universal vertices, related to every other set, join every
        maximum clique, so they go in up front and the search covers
        the rest.
-    2. The rest are numbered by degree (descending, canonical
-       tie-break).  At each node the candidates are split greedily
-       into colour classes (independent sets) with bitset operations;
-       only vertices of colour k >= best - |clique| + 1 are branched
-       on, highest colour first, and a branch stops once |clique| + k
-       cannot beat the best.  A branch that leaves no candidate is a
-       leaf and is scored without another call.
+    2. The rest are put in search order by degree (descending,
+       canonical tie-break), and the i-th of the m sets in that order
+       is bit m - 1 - i of every bitset.  At each node the candidates
+       are split greedily into colour classes (independent sets): each
+       step takes the highest candidate bit, the earliest set, with
+       one bit_length and no negation.  Only vertices of colour
+       k >= best - |clique| + 1 are branched on, highest colour first
+       and the lowest bit (the latest set) of a class first, and a
+       branch stops once |clique| + k cannot beat the best.  A branch
+       that leaves no candidate is a leaf and is scored without
+       another call.  The rows are renumbered one string permutation
+       each (_permuted_rows).
     3. Orbital branching at the root (Ostrowski et al. 2011): the
        group of symmetry_orbits preserves the table (checked here,
        never assumed).  So once the root has branched on v, the whole
@@ -498,19 +519,15 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
         key=lambda v: (-table[v].bit_count(),) + canonical_key(v),
     )
     m = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-    # relabel so vertex i is the i-th in search order
-    adj = [0] * m
-    for i, v in enumerate(order):
-        row = 0
-        for u in order:
-            if table[v] >> u & 1:
-                row |= 1 << pos[u]
-        adj[i] = row
+    # the i-th set in search order is bit m - 1 - i, so entry b of each
+    # list below is about the set order[m - 1 - b]
+    adj = list(_permuted_rows([table[v] for v in reversed(order)], size, order))
+    bits = [1 << b for b in range(m)]
     all_m = (1 << m) - 1
-    # non-neighbours of i, i itself included: one AND per colour step
-    others = [all_m ^ row ^ 1 << i for i, row in enumerate(adj)]
-    orbit = [sum(1 << pos[u] for u in orbits[v]) for v in order]
+    # non-neighbours of b, b itself included: one AND per colour step
+    others = [all_m ^ row ^ bits[b] for b, row in enumerate(adj)]
+    bit_of = {v: bits[m - 1 - i] for i, v in enumerate(order)}
+    orbit = [sum(bit_of[u] for u in orbits[v]) for v in reversed(order)]
 
     best_clique = 0
     best_size = 0
@@ -518,7 +535,8 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
     symmetry_pruned = 0
 
     def colour_classes(cand: int, kmin: int) -> list[tuple[int, int]]:
-        # (colour k, class bitset) for every class with k >= kmin
+        # (colour k, class bitset) for every class with k >= kmin; each
+        # step takes the highest bit, the earliest set in search order
         classes = []
         k = 0
         while cand:
@@ -526,9 +544,9 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
             left = cand
             cls = 0
             while left:
-                low = left & -left
-                cls |= low
-                left &= others[low.bit_length() - 1]
+                b = left.bit_length() - 1
+                cls |= bits[b]
+                left &= others[b]
             cand ^= cls
             if k >= kmin:
                 classes.append((k, cls))
@@ -542,12 +560,12 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
             while cls:
                 if csize + k <= best_size:
                     return
-                v = cls.bit_length() - 1
-                bit = 1 << v
+                bit = cls & -cls  # the latest set of the class in search order
                 cls ^= bit
                 if not cand & bit:
                     symmetry_pruned += 1
                     continue
+                v = bit.bit_length() - 1
                 sub = cand & adj[v]
                 if sub:
                     expand(clique | bit, grown, sub, False)
@@ -561,7 +579,7 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
         # expand refers to itself; drop it so the relabelled tables go on return
         del expand
 
-    witness = universal + [order[i] for i in range(m) if best_clique >> i & 1]
+    witness = universal + [order[m - 1 - b] for b in range(m) if best_clique >> b & 1]
     return MaxSearch(
         size=len(witness),
         witness=SetSystem.from_masks(n, witness),

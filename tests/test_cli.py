@@ -88,7 +88,7 @@ def test_search_max_counters_stay_out_of_json(capsys, tmp_path):
         assert "max WEAK_ODD(1) on [6]: 22" in out
         assert re.fullmatch(
             r"search: \d+ nodes, 12 universal, 4 symmetries, "
-            r"\d+ root branches pruned by symmetry, \d+\.\d\d s\n",
+            r"\d+ root branches pruned by symmetry, \d+\.\d\d s, \d+ nodes/s\n",
             err,
         ), err
         assert "nodes" not in out
@@ -372,7 +372,7 @@ def test_verify_snr(capsys):
     assert "strong n=4 r=1: max 11, bound 11, PASS" in out
     assert "FAIL" not in out
     # n = 2..4, r = 1..n-1: six searches, counted on stderr only
-    assert re.fullmatch(r"snr: 6 instances, \d+ search nodes, \d+\.\d\d s\n", err)
+    assert re.fullmatch(r"snr: 6 instances, \d+ search nodes, \d+\.\d\d s, \d+ nodes/s\n", err)
 
 
 def test_verify_wnr(capsys):
@@ -380,7 +380,7 @@ def test_verify_wnr(capsys):
     assert code == 0
     assert "weak n=4 r=3: max 16, bound 16, PASS" in out
     # r = 1 at n = 2..4 and r = 3 at n = 4
-    assert re.fullmatch(r"wnr: 4 instances, \d+ search nodes, \d+\.\d\d s\n", err)
+    assert re.fullmatch(r"wnr: 4 instances, \d+ search nodes, \d+\.\d\d s, \d+ nodes/s\n", err)
 
 
 def test_size_suites_count_their_search_nodes(capsys):

@@ -17,6 +17,7 @@ import pytest
 
 from zonosep.ground import elements
 from zonosep.systems import (
+    _permuted_rows,
     check_pairwise,
     enumerate_maximal,
     max_clique,
@@ -81,6 +82,42 @@ def test_counters_show_the_reductions():
     assert found.universal == 14
     assert found.symmetry_pruned > 0
     assert found.nodes > 1
+
+
+# The search tree, pinned: size, nodes, root branches pruned by symmetry
+# and the witness as a bitset over 2^[n].  Any change to the numbering or
+# the colouring must walk exactly these nodes and find these witnesses.
+PINNED = [
+    (7, weak_odd(1), 29, 10201, 54, 0xD1D1000100F100018080000080BB808B),
+    (7, weak_even_no_comb(2), 67, 692, 13, 0xFBAB819F8189819FF3A90009F3E9D1DF),
+    # every set universal: nothing is left to search (m = 0)
+    (7, strong(6), 128, 1, 0, (1 << 128) - 1),
+    # all but {2,4,6} and {1,3,5,7} universal: the least m above 0 is 2,
+    # since the non-universal sets are closed under the complement, which
+    # fixes no set; so m = 1 never reaches the search
+    (7, weak_odd(5), 127, 1, 0, ((1 << 128) - 1) ^ 1 << 0b0101010),
+]
+
+
+@pytest.mark.parametrize(
+    "n, predicate, size, nodes, pruned, witness",
+    PINNED,
+    ids=[f"n{n}-{p.label()}" for n, p, *_ in PINNED],
+)
+def test_search_tree_is_pinned(n, predicate, size, nodes, pruned, witness):
+    found = search_max(n, predicate)
+    assert (found.size, found.nodes, found.symmetry_pruned) == (size, nodes, pruned)
+    assert sum(1 << v for v in found.witness) == witness
+
+
+def test_row_permutation_at_zero_one_and_many_bits():
+    # the renumbering keeps m of a row's bits, m = 0 and m = 1 included
+    rows = [0b0000, 0b1010, 0b0110, 0b1111]
+    assert list(_permuted_rows(rows, 4, [])) == [0, 0, 0, 0]
+    assert list(_permuted_rows(rows, 4, [1])) == [0, 1, 1, 1]
+    # bits 3, 0, 2 become bits 2, 1, 0
+    assert list(_permuted_rows(rows, 4, [3, 0, 2])) == [0b000, 0b100, 0b001, 0b111]
+    assert list(_permuted_rows(rows, 4, [3, 2, 1, 0])) == rows
 
 
 def test_hand_made_table():

@@ -227,6 +227,71 @@ def test_raising_and_lowering_flips_invert() -> None:
         raising_flip(base, blocked)
 
 
+def test_a_raised_fragment_is_refused_in_one_lookup(monkeypatch) -> None:
+    # a walk through every fragment of Z(5,3), front to rear: each flip
+    # looks the fragment up once instead of comparing it with every
+    # fragment raised before it (30 fragments, 435 comparisons that way)
+    q = standard_cubillage(5, 3)
+    deltas, succs = fragment_precedence(q)
+    compared = []
+    equal = Fragment.__eq__
+    monkeypatch.setattr(Fragment, "__eq__", lambda a, b: compared.append(a) or equal(a, b))
+    walk = [base_membrane(q)]
+    for i in posets.topological_order(len(deltas), succs):
+        walk.append(raising_flip(walk[-1], deltas[i]))
+    assert len(compared) <= len(deltas)
+    monkeypatch.undo()
+    assert walk[-1].tiles == rear_boundary_tiles(q)
+    assert walk[-1].ideal == tuple(deltas[i] for i in posets.topological_order(len(deltas), succs))
+    # every fragment behind a membrane of the walk is refused as before,
+    # also when it is an equal copy rather than the same object
+    # and the next one is not
+    for mem, after in zip(walk, walk[1:] + [None]):
+        for delta in mem.ideal:
+            for again in (delta, Fragment(delta.cube, delta.h, delta.top)):
+                with pytest.raises(ValueError) as refused:
+                    raising_flip(mem, again)
+                assert str(refused.value) == f"{delta.label()} already behind the membrane"
+        if after is not None:
+            assert after.ideal[-1] not in mem.ideal
+
+
+def _raised_or_none(mem: Membrane, delta: Fragment):
+    try:
+        return raising_flip(mem, delta)
+    except ValueError:
+        return None
+
+
+def test_two_flips_from_one_membrane_keep_their_own_ideals() -> None:
+    # the first membrane of Z(4,3) past the base with two fragments raisable
+    # in either order, raised flip by flip so that its flips share one dict
+    q = standard_cubillage(4, 3)
+    deltas = fragments(q)
+    mem, first, second = next(
+        (mem, x, y)
+        for mem in w_membranes(q)
+        if mem.ideal
+        for x, y in combinations(deltas, 2)
+        if _raised_or_none(mem, x) and _raised_or_none(mem, y)
+    )
+    base = base_membrane(q)
+    for delta in mem.ideal:
+        base = raising_flip(base, delta)
+    a = raising_flip(base, first)
+    b = raising_flip(base, second)  # the second flip from base
+    assert (a.ideal, b.ideal) == (base.ideal + (first,), base.ideal + (second,))
+    assert second not in a.ideal and first not in b.ideal
+    assert first not in base.ideal and second not in base.ideal
+    ab = raising_flip(a, second)
+    ba = raising_flip(b, first)
+    assert ab.tiles == ba.tiles and set(ab.ideal) == set(ba.ideal)
+    for mem, delta in ((a, first), (b, second), (ab, first), (ab, second), (ba, first)):
+        with pytest.raises(ValueError) as refused:
+            raising_flip(mem, delta)
+        assert str(refused.value) == f"{delta.label()} already behind the membrane"
+
+
 def test_membranes_reachable_by_raising_flips() -> None:
     q = standard_cubillage(4, 3)
     for mem in w_membranes(q):
