@@ -8,7 +8,9 @@ non-purity walkthrough (demo).
 
 Exit codes: 0 all checks passed, 1 a verification or validation
 failed or an internal invariant broke, 2 usage error, 3 the run was
-capped or left undecided and did not cover its whole range.  Output is
+capped or left undecided and did not cover its whole range.  One rule,
+`_status`, gives every PASS, FAIL or INCOMPLETE verdict its word and
+its exit code, and every handler takes both from it.  Output is
 deterministic for fixed flags: tables to stdout, machine-readable JSON
 or DOT to files on request; counters and timings go to stderr only.
 
@@ -53,25 +55,19 @@ from .systems import (
     check_limit,
     check_pairwise,
     extend_to_maximal,
+    strong,
     weak_odd,
 )
 
 if TYPE_CHECKING:  # for annotations only: the handlers import these where they run them
+    from . import cubillage as cb
     from . import flips as fl
     from . import membranes as mb
 
 KINDS = {
-    "strong": KIND_STRONG,
-    "weak_odd": KIND_WEAK_ODD,
-    "weak_even": KIND_WEAK_EVEN,
-    "weak_even_no_comb": KIND_WEAK_EVEN_NO_COMB,
+    kind.lower(): kind
+    for kind in (KIND_STRONG, KIND_WEAK_ODD, KIND_WEAK_EVEN, KIND_WEAK_EVEN_NO_COMB)
 }
-
-# the cubillage instances every structural verify suite walks
-STRUCTURAL = ((4, 2), (4, 3), (5, 3), (6, 4), (5, 5))
-
-# exit code of a run that stopped at its cap before covering its range
-EXIT_INCOMPLETE = 3
 
 # the search limit and its name on the command line, which has no bound option
 CLI_SEARCH_LIMIT = (
@@ -80,19 +76,15 @@ CLI_SEARCH_LIMIT = (
 )
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_set(text: str, n: int) -> int:
     if text in ("", "-"):
         return 0
     try:
         elems = [int(part) for part in text.split(",")]
     except ValueError:
-        raise UsageError(f"cannot parse set {text!r}") from None
+        raise ValueError(f"cannot parse set {text!r}") from None
     if any(not 1 <= e <= n for e in elems):
-        raise UsageError(f"set {text!r} leaves the ground set [{n}]")
+        raise ValueError(f"set {text!r} leaves the ground set [{n}]")
     return mask_of(elems, n)
 
 
@@ -107,7 +99,7 @@ def _parse_shard(text: str) -> tuple[int, int]:
         k, m = text.split("/")
         return int(k), int(m)
     except ValueError:
-        raise UsageError(f"shard must look like k/m, got {text!r}") from None
+        raise ValueError(f"shard must look like k/m, got {text!r}") from None
 
 
 def _write(path: str, payload: str, what: str) -> None:
@@ -117,12 +109,23 @@ def _write(path: str, payload: str, what: str) -> None:
 
 
 def _emit_json(args, blob: dict) -> None:
-    if getattr(args, "json", None):
-        _write(args.json, dump_json(blob), "json")
+    if getattr(args, "json", None):  # every JSON file names its schema
+        _write(args.json, dump_json({**blob, "schema": SCHEMA}), "json")
 
 
 def _cub_name(n: int, d: int, anti: bool) -> str:
     return f"{'anti-' if anti else ''}Z({n},{d})"
+
+
+def _status(ok: bool, undecided: str | None = None) -> tuple[str, int]:
+    """The verdict word and exit code of a report or a suite: FAIL and 1 if
+    anything failed, even with another part undecided; else INCOMPLETE and
+    3 (with the reason) if anything was undecided, never PASS; else PASS, 0."""
+    if not ok:
+        return "FAIL", 1
+    if undecided is not None:
+        return f"INCOMPLETE (not decided: {undecided})", 3
+    return "PASS", 0
 
 
 # ---------------------------------------------------------------- sep
@@ -131,12 +134,8 @@ def _cub_name(n: int, d: int, anti: bool) -> str:
 def cmd_sep_check(args) -> int:
     a = _parse_set(args.a, args.n)
     b = _parse_set(args.b, args.n)
-    if args.strong:
-        verdict = is_strongly_r_separated(a, b, args.r)
-        mode = "strong"
-    else:
-        verdict = is_weakly_r_separated(a, b, args.r)
-        mode = "weak"
+    mode = "strong" if args.strong else "weak"
+    verdict = (is_strongly_r_separated if args.strong else is_weakly_r_separated)(a, b, args.r)
     print(
         f"{mode} r={args.r} {set_notation(a)} vs {set_notation(b)}: "
         f"{str(verdict).lower()}"
@@ -144,7 +143,6 @@ def cmd_sep_check(args) -> int:
     _emit_json(
         args,
         {
-            "schema": SCHEMA,
             "a": elements(a),
             "b": elements(b),
             "mode": mode,
@@ -166,7 +164,6 @@ def cmd_sep_cortege(args) -> int:
     _emit_json(
         args,
         {
-            "schema": SCHEMA,
             "a": elements(a),
             "b": elements(b),
             "degree": cortege.degree,
@@ -179,8 +176,10 @@ def cmd_sep_cortege(args) -> int:
 # ------------------------------------------------------------- search
 
 
-def _predicate(args) -> PairwisePredicate:
-    return PairwisePredicate(KINDS[args.kind], args.r)
+def _predicate(args) -> tuple[int, PairwisePredicate]:
+    """The --n, held to the search limit, and the predicate of --kind --r."""
+    predicate = PairwisePredicate(KINDS[args.kind], args.r)
+    return check_limit(args.n, *CLI_SEARCH_LIMIT), predicate
 
 
 def _nodes_per_s(nodes: int, seconds: float) -> str:
@@ -188,8 +187,7 @@ def _nodes_per_s(nodes: int, seconds: float) -> str:
 
 
 def cmd_search_max(args) -> int:
-    predicate = _predicate(args)
-    n = check_limit(args.n, *CLI_SEARCH_LIMIT)
+    n, predicate = _predicate(args)
     start = time.perf_counter()
     found = search_max(n, predicate)
     seconds = time.perf_counter() - start
@@ -207,13 +205,9 @@ def cmd_search_max(args) -> int:
 
 
 def cmd_search_maximal(args) -> int:
-    predicate = _predicate(args)
-    sizes: dict[int, int] = {}
-    emitted = 0
-    n = check_limit(args.n, *CLI_SEARCH_LIMIT)
-    for system in enumerate_maximal(n, predicate, limit=args.limit):
-        sizes[len(system)] = sizes.get(len(system), 0) + 1
-        emitted += 1
+    n, predicate = _predicate(args)
+    sizes = Counter(map(len, enumerate_maximal(n, predicate, limit=args.limit)))
+    emitted = sum(sizes.values())
     label = "all" if args.limit is None else f"first {args.limit}"
     print(f"{label} maximal {predicate.label()} systems on [{args.n}]: {emitted}")
     for size in sorted(sizes):
@@ -221,7 +215,6 @@ def cmd_search_maximal(args) -> int:
     _emit_json(
         args,
         {
-            "schema": SCHEMA,
             "n": args.n,
             "predicate": predicate.to_json(),
             "count": emitted,
@@ -257,7 +250,6 @@ def cmd_zono_sides(args) -> int:
     _emit_json(
         args,
         {
-            "schema": SCHEMA,
             "n": args.n,
             "d": args.d,
             "front_facets": [f.to_json() for f in sides.front_facets],
@@ -273,18 +265,26 @@ def cmd_zono_sides(args) -> int:
 # ---------------------------------------------------------------- cub
 
 
+def _validate(args, q: cb.Cubillage, title: str, written=None) -> int:
+    """Validate q: title, its verdict, one line per problem, then
+    --json gets `written` (the report if None); returns the exit code."""
+    from . import cubillage as cb
+
+    report = cb.validate_cubillage(q)
+    word, code = _status(report.ok)
+    print(f"{title} validator {word}")
+    for problem in report.problems:
+        print(f"  problem: {problem}")
+    _emit_json(args, (report if written is None else written).to_json())
+    return code
+
+
 def cmd_cub_build(args) -> int:
     from . import cubillage as cb
 
     q = cb.standard_cubillage(args.n, args.d, args.anti)
-    report = cb.validate_cubillage(q)
-    verdict = "PASS" if report.ok else "FAIL"
-    print(f"{_cub_name(args.n, args.d, args.anti)}: {len(q.cubes)} cubes, validator {verdict}")
-    for problem in report.problems:
-        print(f"  problem: {problem}")
-    if getattr(args, "json", None):
-        _write(args.json, dump_json(q.to_json()), "json")
-    return 0 if report.ok else 1
+    title = f"{_cub_name(args.n, args.d, args.anti)}: {len(q.cubes)} cubes,"
+    return _validate(args, q, title, q)
 
 
 def cmd_cub_validate(args) -> int:
@@ -294,13 +294,7 @@ def cmd_cub_validate(args) -> int:
 
     with open(args.infile, encoding="utf-8") as handle:
         q = cb.Cubillage.from_json(_json.load(handle))
-    report = cb.validate_cubillage(q)
-    verdict = "PASS" if report.ok else "FAIL"
-    print(f"cubillage of Z({q.n},{q.d}) from {args.infile}: validator {verdict}")
-    for problem in report.problems:
-        print(f"  problem: {problem}")
-    _emit_json(args, report.to_json())
-    return 0 if report.ok else 1
+    return _validate(args, q, f"cubillage of Z({q.n},{q.d}) from {args.infile}:")
 
 
 def cmd_cub_beads(args) -> int:
@@ -308,10 +302,10 @@ def cmd_cub_beads(args) -> int:
 
     q = cb.standard_cubillage(args.n, args.d, args.anti)
     threads = cb.bead_thread_graph(q)
-    verdict = "PASS" if threads.ok else "FAIL"
+    word, code = _status(threads.ok)
     print(
         f"bead threads of {_cub_name(args.n, args.d, args.anti)}: "
-        f"{len(threads.arcs)} arcs, {len(threads.threads)} threads, {verdict}"
+        f"{len(threads.arcs)} arcs, {len(threads.threads)} threads, {word}"
     )
     for i, thread in enumerate(threads.threads):
         path = " -> ".join(set_notation(v) for v in thread)
@@ -320,24 +314,23 @@ def cmd_cub_beads(args) -> int:
         print(f"  problem: {problem}")
     if getattr(args, "dot", None):
         _write(args.dot, threads.to_dot(), "dot")
-    return 0 if threads.ok else 1
+    return code
 
 
 def cmd_cub_gamma(args) -> int:
     from . import cubillage as cb
-    from .posets import is_acyclic
+    from .posets import digraph_dot, is_acyclic
 
     cubes, succs = cb.gamma_graph(args.n, args.d)
-    acyclic = is_acyclic(len(cubes), succs)
+    word, code = _status(is_acyclic(len(cubes), succs))
     arcs = sum(len(out) for out in succs)
-    verdict = "PASS" if acyclic else "FAIL"
     print(
         f"precedence digraph on all {len(cubes)} cubes of C({args.n},{args.d}): "
-        f"{arcs} arcs, acyclic {verdict}"
+        f"{arcs} arcs, acyclic {word}"
     )
     if getattr(args, "dot", None):
-        _write(args.dot, cb.precedence_dot(cubes, succs), "dot")
-    return 0 if acyclic else 1
+        _write(args.dot, digraph_dot([cube.label() for cube in cubes], succs, "gamma"), "dot")
+    return code
 
 
 # ----------------------------------------------------------- membrane
@@ -346,16 +339,17 @@ def cmd_cub_gamma(args) -> int:
 def cmd_membrane_enumerate(args) -> int:
     from . import cubillage as cb
     from . import membranes as mb
+    from .posets import digraph_dot
 
     q = cb.standard_cubillage(args.n, args.d, args.anti)
     what = f"{args.flavor}-membranes of {_cub_name(args.n, args.d, args.anti)}"
     census = mb.membrane_census(q, args.flavor.upper())
-    if census.undecided is not None:
-        print(f"{what}: {_incomplete(census.undecided)}")
-        return EXIT_INCOMPLETE
+    word, code = _status(True, census.undecided)
+    if code:  # a decided census prints its count, not a verdict
+        print(f"{what}: {word}")
+        return code
     print(f"{what}: {census.count}")
     blob = {
-        "schema": SCHEMA,
         "n": args.n,
         "d": args.d,
         "flavor": args.flavor,
@@ -367,11 +361,10 @@ def cmd_membrane_enumerate(args) -> int:
         blob.update(flavor=args.flavor.upper(), sizes=sizes)
     _emit_json(args, blob)
     if getattr(args, "dot", None):
-        if args.flavor == "s":
-            # an uncut fragment is its cube, so the order is the cube precedence
-            dot = cb.precedence_dot([delta.cube for delta in census.deltas], census.succs)
-        else:
-            dot = mb.precedence_to_dot(census.deltas, census.succs)
+        # an uncut fragment is its cube, so the s order is the cube precedence
+        cubes = args.flavor == "s"
+        labels = [(delta.cube if cubes else delta).label() for delta in census.deltas]
+        dot = digraph_dot(labels, census.succs, "gamma" if cubes else "fragments")
         _write(args.dot, dot, "dot")
     return 0
 
@@ -398,19 +391,22 @@ def cmd_membrane_flipwalk(args) -> int:
     return 0
 
 
-def _print_scan_stats(what: str, report: mb.MembraneScanReport) -> None:
-    """One stderr line of counters and phase seconds for a decided scan."""
-    if report.undecided is not None:
-        return
+def _print_scan(what: str, report: mb.MembraneScanReport, detail: str, head: str = "") -> int:
+    """The counters and phase seconds of a decided scan on stderr, then
+    its line ending in the verdict; returns the exit code."""
     s = report.stats
-    print(
-        f"decided {what}: {s['fragments']} fragments, {s['vertices']} vertices, "
-        f"{s['states']} memo states, {s['pairs']} pairs tested; "
-        f"precedence {s['precedence_s']:.3f} s, lifespans and intervals "
-        f"{s['intervals_s']:.3f} s, count {s['count_s']:.3f} s, "
-        f"pairs {s['pairs_s']:.3f} s",
-        file=sys.stderr,
-    )
+    if report.undecided is None:
+        print(
+            f"decided {what}: {s['fragments']} fragments, {s['vertices']} vertices, "
+            f"{s['states']} memo states, {s['pairs']} pairs tested; "
+            f"precedence {s['precedence_s']:.3f} s, lifespans and intervals "
+            f"{s['intervals_s']:.3f} s, count {s['count_s']:.3f} s, "
+            f"pairs {s['pairs_s']:.3f} s",
+            file=sys.stderr,
+        )
+    word, code = _status(not report.violations, report.undecided)
+    print(f"{head}{what}: {report.membrane_count} scanned, {detail}, {word}")
+    return code
 
 
 def cmd_membrane_scan(args) -> int:
@@ -424,13 +420,9 @@ def cmd_membrane_scan(args) -> int:
         r=args.r,
         check_combs=args.combs,
     )
-    name = _cub_name(args.n, args.d, args.anti)
-    _print_scan_stats(f"{args.flavor}-membranes of {name}", report)
-    status, code = _scan_status(report)
-    print(
-        f"scan {args.flavor}-membranes of {name}: {report.membrane_count} scanned, "
-        f"sizes {sorted(report.sizes_seen)}, expected {report.expected_size}, {status}"
-    )
+    what = f"{args.flavor}-membranes of {_cub_name(args.n, args.d, args.anti)}"
+    sizes = f"sizes {sorted(report.sizes_seen)}, expected {report.expected_size}"
+    code = _print_scan(what, report, sizes, "scan ")
     if args.combs:
         print(f"double-comb free: {report.comb_free}")
     for violation in report.violations[:10]:
@@ -439,31 +431,13 @@ def cmd_membrane_scan(args) -> int:
     return code
 
 
-def _scan_status(report: mb.MembraneScanReport) -> tuple[str, int]:
-    """Verdict and exit code of a scan: an undecided run is never PASS."""
-    if report.ok:
-        return "PASS", 0
-    if report.violations:
-        return "FAIL", 1
-    return _incomplete(report.undecided), EXIT_INCOMPLETE
-
-
-def _incomplete(reason: str) -> str:
-    return f"INCOMPLETE (not decided: {reason})"
-
-
 # --------------------------------------------------------------- flip
 
 
 def _site(args) -> fl.FlipSite:
     from . import flips as fl
 
-    return fl.FlipSite(
-        args.n,
-        _parse_set(args.x, args.n),
-        _parse_set(args.p, args.n),
-        _parse_set(args.q, args.n),
-    )
+    return fl.FlipSite(args.n, *(_parse_set(text, args.n) for text in (args.x, args.p, args.q)))
 
 
 def cmd_flip_witnesses(args) -> int:
@@ -477,7 +451,6 @@ def cmd_flip_witnesses(args) -> int:
     print(f"raised witnesses: {', '.join(set_notation(m) for m in up)}")
     print(f"lowered witnesses: {', '.join(set_notation(m) for m in down)}")
     blob = {
-        "schema": SCHEMA,
         "site": site.to_json(),
         "up": [elements(m) for m in up],
         "down": [elements(m) for m in down],
@@ -505,25 +478,27 @@ def cmd_flip_apply(args) -> int:
 # ------------------------------------------------------------- verify
 
 
-def _verdict(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
-
-
 def _suite_range(option: str, top: int, low: int = 2, *limit) -> range:
     """low..top, a suite's range of n (--nmax) or d (--dmax), checked whole
     before its first line: an empty range, or a top past the limit given
     as check_limit's arguments, is a usage error."""
     if top < low:
-        raise UsageError(f"{option} {top} leaves no {option[2]} in {low}..{option[2:]} to verify")
+        raise ValueError(f"{option} {top} leaves no {option[2]} in {low}..{option[2:]} to verify")
     if limit:
         check_limit(top, *limit)
     return range(low, top + 1)
 
 
-def _verify_sizes(name: str, what: str, instances) -> int:
-    """Search each (n, predicate) and hold its maximum to s(n, r): one line
+def _verify_sizes(args) -> int:
+    """verify snr (STRONG(r), 1 <= r < n) and wnr (WEAK_ODD(1) and (3)):
+    search each (n, predicate) and hold its maximum to s(n, r): one line
     per instance, then one stderr line with the instances, their search
     nodes in total and the seconds."""
+    ns = _suite_range("--nmax", args.nmax, 2, *CLI_SEARCH_LIMIT)
+    if args.command == "snr":
+        what, instances = "strong", ((n, strong(r)) for n in ns for r in range(1, n))
+    else:
+        what, instances = "weak", ((n, weak_odd(r)) for r in (1, 3) for n in range(r + 1, ns.stop))
     all_ok = True
     count = nodes = 0
     start = time.perf_counter()
@@ -536,33 +511,20 @@ def _verify_sizes(name: str, what: str, instances) -> int:
         all_ok &= ok
         print(
             f"{what} n={n} r={predicate.r}: max {found.size}, bound {want}, "
-            f"{_verdict(ok)}"
+            f"{_status(ok)[0]}"
         )
     seconds = time.perf_counter() - start
     print(
-        f"{name}: {count} instances, {nodes} search nodes, {seconds:.2f} s, "
+        f"{args.command}: {count} instances, {nodes} search nodes, {seconds:.2f} s, "
         f"{_nodes_per_s(nodes, seconds)}",
         file=sys.stderr,
     )
-    return 0 if all_ok else 1
+    return _status(all_ok)[1]
 
 
-def cmd_verify_snr(args) -> int:
-    ns = _suite_range("--nmax", args.nmax, 2, *CLI_SEARCH_LIMIT)
-    strong_r = ((n, PairwisePredicate(KIND_STRONG, r)) for n in ns for r in range(1, n))
-    return _verify_sizes("snr", "strong", strong_r)
-
-
-def cmd_verify_wnr(args) -> int:
-    ns = _suite_range("--nmax", args.nmax, 2, *CLI_SEARCH_LIMIT)
-    weak_r = (
-        (n, PairwisePredicate(KIND_WEAK_ODD, r)) for r in (1, 3) for n in range(r + 1, ns.stop)
-    )
-    return _verify_sizes("wnr", "weak", weak_r)
-
-
-def _print_harness_stats(report: fl.HarnessReport) -> None:
-    """One stderr line of counters and phase seconds for a harness run."""
+def _harness(args, report: fl.HarnessReport) -> int:
+    """A harness run: its counters and phase seconds on stderr, its verdict
+    line and first counterexamples, its JSON; returns the exit code."""
     s = report.stats
     clauses = Counter(bad.get("clause", "dichotomy") for bad in report.counterexamples)
     by_clause = ", ".join(f"{c} {k}" for c, k in sorted(clauses.items()))
@@ -576,18 +538,17 @@ def _print_harness_stats(report: fl.HarnessReport) -> None:
         f"table {s['table_s']:.3f} s, sites {s['sites_s']:.3f} s, {rate:.0f} checks/s",
         file=sys.stderr,
     )
-
-
-def _print_harness(report: fl.HarnessReport) -> None:
-    _print_harness_stats(report)
+    word, code = _status(report.ok)
     shard = f" shard {report.shard}" if report.shard else ""
     print(
         f"{report.name} n={report.n} r={report.r}{shard}: "
         f"{report.sites} sites, {report.checks} checks, "
-        f"{report.recorded} recorded, {_verdict(report.ok)}"
+        f"{report.recorded} recorded, {word}"
     )
     for bad in report.counterexamples[:10]:
         print(f"  counterexample: {bad}")
+    _emit_json(args, report.to_json())
+    return code
 
 
 def cmd_verify_flips(args) -> int:
@@ -598,18 +559,13 @@ def cmd_verify_flips(args) -> int:
         report = fl.verify_flip_theorem_odd(args.n, args.r, shard=shard)
     else:
         report = fl.verify_local_neighb_even(args.n, args.r, shard=shard)
-    _print_harness(report)
-    _emit_json(args, report.to_json())
-    return 0 if report.ok else 1
+    return _harness(args, report)
 
 
 def cmd_verify_refined(args) -> int:
     from . import flips as fl
 
-    report = fl.verify_refined_lemma(args.n, args.r)
-    _print_harness(report)
-    _emit_json(args, report.to_json())
-    return 0 if report.ok else 1
+    return _harness(args, fl.verify_refined_lemma(args.n, args.r))
 
 
 def _precedence_digraphs(ns: range, dmax: int):
@@ -621,7 +577,7 @@ def _precedence_digraphs(ns: range, dmax: int):
         for d in range(2, min(n, dmax) + 1):
             cubes, succs = cb.gamma_graph(n, d)
             yield f"precedence on all cubes, n={n} d={d}", len(cubes), succs
-    for n, d in STRUCTURAL:
+    for n, d in ((4, 2), (4, 3), (5, 3), (6, 4), (5, 5)):  # the structural instances
         for anti in (False, True):
             q = cb.standard_cubillage(n, d, anti)
             # the enlarged fragmentation exists at even d only
@@ -645,13 +601,13 @@ def cmd_verify_acyclicity(args) -> int:
         digraphs += 1
         nodes += count
         arcs += sum(map(len, succs))
-        print(f"{name}: {_verdict(ok)}")
+        print(f"{name}: {_status(ok)[0]}")
     seconds = time.perf_counter() - start
     print(
         f"acyclicity: {digraphs} digraphs, {nodes} nodes, {arcs} arcs, {seconds:.2f} s",
         file=sys.stderr,
     )
-    return 0 if all_ok else 1
+    return _status(all_ok)[1]
 
 
 def cmd_verify_membranes(args) -> int:
@@ -660,20 +616,13 @@ def cmd_verify_membranes(args) -> int:
 
     ns = _suite_range("--nmax", args.nmax, 3, RELATION_TABLE_CAP)
     targets = [(n, 3) for n in ns] + [(5, 5)]
-    codes = set()
+    all_ok, undecided = True, None
     for n, d in targets:
-        q = cb.standard_cubillage(n, d)
-        report = mb.scan_membranes(q)
-        _print_scan_stats(f"w-membranes of Z({n},{d})", report)
-        status, code = _scan_status(report)
-        codes.add(code)
-        print(
-            f"w-membranes of Z({n},{d}): {report.membrane_count} scanned, "
-            f"size {report.expected_size}, {status}"
-        )
-    if 1 in codes:
-        return 1
-    return EXIT_INCOMPLETE if EXIT_INCOMPLETE in codes else 0
+        report = mb.scan_membranes(cb.standard_cubillage(n, d))
+        _print_scan(f"w-membranes of Z({n},{d})", report, f"size {report.expected_size}")
+        all_ok &= not report.violations
+        undecided = undecided or report.undecided
+    return _status(all_ok, undecided)[1]
 
 
 def _nonpurity_instance() -> tuple[SetSystem, list[int], SetSystem]:
@@ -702,6 +651,7 @@ def cmd_verify_nonpurity(args) -> int:
         and maximum == 57
         and len(witness) < maximum
     )
+    word, code = _status(ok)
     print(f"vertex system of Z(6,4): {len(verts)} members")
     print(f"non-vertex subsets of [6]: {len(missing)}")
     print(
@@ -709,13 +659,13 @@ def cmd_verify_nonpurity(args) -> int:
         f"{str(sep_ok).lower()}, maximal {str(maximal).lower()}"
     )
     print(f"maximum size: {maximum}")
-    print(f"nonpurity: {_verdict(ok)}")
+    print(f"nonpurity: {word}")
     print(
         f"nonpurity: {len(verts) + len(missing)} subsets of [6], "
         f"{comb(len(witness), 2)} witness pairs, {seconds:.2f} s",
         file=sys.stderr,
     )
-    return 0 if ok else 1
+    return code
 
 
 # --------------------------------------------------------------- demo
@@ -752,118 +702,116 @@ def _add_dot(parser) -> None:
     parser.add_argument("--dot", metavar="PATH", help="write DOT graph to PATH")
 
 
-def _add_nd(parser) -> None:
+def _add_nd(parser, anti: bool = False) -> None:
+    """--n and --d; with anti, --anti for either standard cubillage."""
     parser.add_argument("--n", type=int, required=True, help="ground set size")
     parser.add_argument("--d", type=int, required=True, help="dimension, at most n")
+    if anti:
+        parser.add_argument("--anti", action="store_true")
+
+
+def _add_pair(parser) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--a", required=True, help="comma-separated elements")
+    parser.add_argument("--b", required=True)
+
+
+def _add_site(parser) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--x", default="", help="comma-separated, may be empty")
+    parser.add_argument("--p", required=True)
+    parser.add_argument("--q", required=True)
+
+
+def _add_nr(parser, kind: bool = False) -> None:
+    """--n and --r; with kind, the predicate's --kind between them."""
+    parser.add_argument("--n", type=int, required=True)
+    if kind:
+        parser.add_argument("--kind", choices=sorted(KINDS), required=True)
+    parser.add_argument("--r", type=int, required=True)
+
+
+def _command(sub, name: str, help_: str, func) -> argparse.ArgumentParser:
+    """The parser of one command, bound to the handler that runs it."""
+    parser = sub.add_parser(name, help=help_)
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _sep_commands(sub) -> None:
-    check = sub.add_parser("check", help="evaluate one pair")
-    check.add_argument("--n", type=int, required=True)
-    check.add_argument("--a", required=True, help="comma-separated elements")
-    check.add_argument("--b", required=True)
+    check = _command(sub, "check", "evaluate one pair", cmd_sep_check)
+    _add_pair(check)
     group = check.add_mutually_exclusive_group(required=True)
     group.add_argument("--weak", action="store_true")
     group.add_argument("--strong", action="store_true")
     check.add_argument("--r", type=int, required=True)
     _add_json(check)
-    check.set_defaults(func=cmd_sep_check)
-    cortege = sub.add_parser("cortege", help="interval cortege of one pair")
-    cortege.add_argument("--n", type=int, required=True)
-    cortege.add_argument("--a", required=True)
-    cortege.add_argument("--b", required=True)
+    cortege = _command(sub, "cortege", "interval cortege of one pair", cmd_sep_cortege)
+    _add_pair(cortege)
     _add_json(cortege)
-    cortege.set_defaults(func=cmd_sep_cortege)
 
 
 def _search_commands(sub) -> None:
-    mx = sub.add_parser("max", help="maximum compatible system")
-    mx.add_argument("--n", type=int, required=True)
-    mx.add_argument("--kind", choices=sorted(KINDS), required=True)
-    mx.add_argument("--r", type=int, required=True)
+    mx = _command(sub, "max", "maximum compatible system", cmd_search_max)
+    _add_nr(mx, kind=True)
     _add_json(mx)
-    mx.set_defaults(func=cmd_search_max)
-    maximal = sub.add_parser("maximal", help="inclusion-maximal systems")
-    maximal.add_argument("--n", type=int, required=True)
-    maximal.add_argument("--kind", choices=sorted(KINDS), required=True)
-    maximal.add_argument("--r", type=int, required=True)
+    maximal = _command(sub, "maximal", "inclusion-maximal systems", cmd_search_maximal)
+    _add_nr(maximal, kind=True)
     maximal.add_argument("--limit", type=int, default=None)
     _add_json(maximal)
-    maximal.set_defaults(func=cmd_search_maximal)
 
 
 def _zono_commands(sub) -> None:
-    vertices = sub.add_parser("vertices", help="boundary vertex system")
+    vertices = _command(sub, "vertices", "boundary vertex system", cmd_zono_vertices)
     _add_nd(vertices)
     _add_json(vertices)
-    vertices.set_defaults(func=cmd_zono_vertices)
-    sides = sub.add_parser("sides", help="front and rear boundary")
+    sides = _command(sub, "sides", "front and rear boundary", cmd_zono_sides)
     _add_nd(sides)
     _add_json(sides)
-    sides.set_defaults(func=cmd_zono_sides)
 
 
 def _cub_commands(sub) -> None:
-    standard = sub.add_parser("standard", help="build and validate")
-    _add_nd(standard)
-    _add_json(standard)
-    standard.set_defaults(func=cmd_cub_build, anti=False)
-    anti = sub.add_parser("anti", help="anti-standard build and validate")
-    _add_nd(anti)
-    _add_json(anti)
-    anti.set_defaults(func=cmd_cub_build, anti=True)
-    validate = sub.add_parser("validate", help="validate a cubillage JSON file")
+    for name, anti in (("standard", False), ("anti", True)):
+        help_ = f"{'anti-standard ' if anti else ''}build and validate"
+        build = _command(sub, name, help_, cmd_cub_build)
+        build.set_defaults(anti=anti)
+        _add_nd(build)
+        _add_json(build)
+    validate = _command(sub, "validate", "validate a cubillage JSON file", cmd_cub_validate)
     validate.add_argument("--in", dest="infile", required=True, metavar="PATH")
     _add_json(validate)
-    validate.set_defaults(func=cmd_cub_validate)
-    beads = sub.add_parser("beads", help="bead threads")
-    _add_nd(beads)
-    beads.add_argument("--anti", action="store_true")
+    beads = _command(sub, "beads", "bead threads", cmd_cub_beads)
+    _add_nd(beads, anti=True)
     _add_dot(beads)
-    beads.set_defaults(func=cmd_cub_beads)
-    gamma = sub.add_parser("gamma", help="precedence digraph on all cubes")
+    gamma = _command(sub, "gamma", "precedence digraph on all cubes", cmd_cub_gamma)
     _add_nd(gamma)
     _add_dot(gamma)
-    gamma.set_defaults(func=cmd_cub_gamma)
 
 
 def _membrane_commands(sub) -> None:
-    enumerate_ = sub.add_parser("enumerate", help="count membranes by flavor")
-    _add_nd(enumerate_)
-    enumerate_.add_argument("--anti", action="store_true")
+    enumerate_ = _command(sub, "enumerate", "count membranes by flavor", cmd_membrane_enumerate)
+    _add_nd(enumerate_, anti=True)
     enumerate_.add_argument("--flavor", choices=("s", "w", "e"), default="w")
     _add_json(enumerate_)
     _add_dot(enumerate_)
-    enumerate_.set_defaults(func=cmd_membrane_enumerate)
-    flipwalk = sub.add_parser("flipwalk", help="raising flips front to rear")
-    _add_nd(flipwalk)
-    flipwalk.add_argument("--anti", action="store_true")
-    flipwalk.set_defaults(func=cmd_membrane_flipwalk)
-    scan = sub.add_parser("scan", help="decide the claims over every membrane")
-    _add_nd(scan)
-    scan.add_argument("--anti", action="store_true")
+    flipwalk = _command(sub, "flipwalk", "raising flips front to rear", cmd_membrane_flipwalk)
+    _add_nd(flipwalk, anti=True)
+    scan = _command(sub, "scan", "decide the claims over every membrane", cmd_membrane_scan)
+    _add_nd(scan, anti=True)
     scan.add_argument("--flavor", choices=("w", "e"), default="w")
     scan.add_argument("--r", type=int, default=None)
     scan.add_argument("--combs", action="store_true", help="also scan for double combs")
     _add_json(scan)
-    scan.set_defaults(func=cmd_membrane_scan)
 
 
 def _flip_commands(sub) -> None:
     from . import flips as fl
 
-    witnesses = sub.add_parser("witnesses", help="witness pools of a site")
-    witnesses.add_argument("--n", type=int, required=True)
-    witnesses.add_argument("--x", default="", help="comma-separated, may be empty")
-    witnesses.add_argument("--p", required=True)
-    witnesses.add_argument("--q", required=True)
+    witnesses = _command(sub, "witnesses", "witness pools of a site", cmd_flip_witnesses)
+    _add_site(witnesses)
     _add_json(witnesses)
-    witnesses.set_defaults(func=cmd_flip_witnesses)
-    apply_ = sub.add_parser("apply", help="apply one flip to a collection")
-    apply_.add_argument("--n", type=int, required=True)
-    apply_.add_argument("--x", default="")
-    apply_.add_argument("--p", required=True)
-    apply_.add_argument("--q", required=True)
+    apply_ = _command(sub, "apply", "apply one flip to a collection", cmd_flip_apply)
+    _add_site(apply_)
     apply_.add_argument("--members", required=True, help="semicolon-separated sets")
     apply_.add_argument(
         "--direction", choices=(fl.RAISE, fl.LOWER), default=fl.RAISE
@@ -872,42 +820,32 @@ def _flip_commands(sub) -> None:
         "--mode", choices=(fl.MODE_SHARP, fl.MODE_FULL), default=fl.MODE_SHARP
     )
     _add_json(apply_)
-    apply_.set_defaults(func=cmd_flip_apply)
 
 
 def _verify_commands(sub) -> None:
-    snr = sub.add_parser("snr", help="strong separation maximum sizes")
-    snr.add_argument("--nmax", type=int, default=6)
-    snr.set_defaults(func=cmd_verify_snr)
-    wnr = sub.add_parser("wnr", help="weak separation maximum sizes")
-    wnr.add_argument("--nmax", type=int, default=6)
-    wnr.set_defaults(func=cmd_verify_wnr)
-    flips_ = sub.add_parser("flips", help="flip witness theorem harness")
-    flips_.add_argument("--n", type=int, required=True)
-    flips_.add_argument("--r", type=int, required=True)
+    for name, what in (("snr", "strong"), ("wnr", "weak")):
+        sizes = _command(sub, name, f"{what} separation maximum sizes", _verify_sizes)
+        sizes.add_argument("--nmax", type=int, default=6)
+    flips_ = _command(sub, "flips", "flip witness theorem harness", cmd_verify_flips)
+    _add_nr(flips_)
     flips_.add_argument("--parity", choices=("odd", "even"), default="odd")
     flips_.add_argument("--shard", default=None, metavar="K/M")
     _add_json(flips_)
-    flips_.set_defaults(func=cmd_verify_flips)
-    refined = sub.add_parser("refined", help="refined-element dichotomy harness")
-    refined.add_argument("--n", type=int, required=True)
-    refined.add_argument("--r", type=int, required=True)
+    refined = _command(sub, "refined", "refined-element dichotomy harness", cmd_verify_refined)
+    _add_nr(refined)
     _add_json(refined)
-    refined.set_defaults(func=cmd_verify_refined)
-    acyclicity = sub.add_parser("acyclicity", help="precedence digraphs are acyclic")
+    acyclicity = _command(
+        sub, "acyclicity", "precedence digraphs are acyclic", cmd_verify_acyclicity
+    )
     acyclicity.add_argument("--nmax", type=int, default=5)
     acyclicity.add_argument("--dmax", type=int, default=3)
-    acyclicity.set_defaults(func=cmd_verify_acyclicity)
-    membranes_ = sub.add_parser("membranes", help="membrane vertex systems")
+    membranes_ = _command(sub, "membranes", "membrane vertex systems", cmd_verify_membranes)
     membranes_.add_argument("--nmax", type=int, default=6)
-    membranes_.set_defaults(func=cmd_verify_membranes)
-    nonpurity = sub.add_parser("nonpurity", help="two maximal sizes exist")
-    nonpurity.set_defaults(func=cmd_verify_nonpurity)
+    _command(sub, "nonpurity", "two maximal sizes exist", cmd_verify_nonpurity)
 
 
 def _demo_commands(sub) -> None:
-    nonpure = sub.add_parser("nonpurity", help="the 52/55/57 story")
-    nonpure.set_defaults(func=cmd_demo_nonpurity)
+    _command(sub, "nonpurity", "the 52/55/57 story", cmd_demo_nonpurity)
 
 
 # each group: its help line, and the function that adds its commands
@@ -954,7 +892,7 @@ def main(argv: list[str] | None = None) -> int:
         label = "FALSIFICATION" if type(exc).__name__ == "FalsificationError" else "internal error"
         print(f"{label}: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -306,12 +306,6 @@ def gamma_graph(n: int, d: int) -> tuple[list[Cube], list[list[int]]]:
     return cubes, precedence_digraph(cubes)
 
 
-def precedence_dot(cubes: Sequence[Cube], succs: Sequence[Sequence[int]]) -> str:
-    from .posets import digraph_dot
-
-    return digraph_dot([cube.label() for cube in cubes], succs, "gamma")
-
-
 class BeadThreads(NamedTuple):
     """Bead-thread structure of a cubillage: arcs t_C -> h_C chained into paths."""
 

@@ -54,7 +54,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .cubillage import Cube, Cubillage, front_facets, rear_facets, side_precedence
 from .geometry import Face, zonotope_sides
 from .ground import Record, elements, set_notation, submasks
-from .posets import IdealCapExceeded, Poset, digraph_dot
+from .posets import IdealCapExceeded, Poset
 from .separation import is_double_r_comb
 from .systems import (
     SCHEMA,
@@ -185,10 +185,6 @@ def _fragment_sides(
     fronts = [delta.eps_front() for delta in deltas]
     rears = [delta.eps_rear() for delta in deltas]
     return deltas, fronts, rears, side_precedence(fronts, rears)
-
-
-def precedence_to_dot(deltas: Sequence[Fragment], succs: Sequence[Sequence[int]]) -> str:
-    return digraph_dot([delta.label() for delta in deltas], succs, "fragments")
 
 
 class Membrane(NamedTuple):

@@ -420,36 +420,26 @@ def _first_break(table: Sequence[int], image: Sequence[int]) -> int | None:
     return None
 
 
-def check_complement_invariant(n: int, table: Sequence[int]) -> None:
-    """Raise unless v -> [n] - v maps the relation table onto itself.
+def symmetry_orbits(n: int, table: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """The group the table keeps among SYMMETRY_CANDIDATES: its order and orbits.
 
-    Over 2^[n] the complement sends bit u of a row to bit 2^n - 1 - u,
-    which reverses the row; so row v reversed must equal the row of the
-    complement of v.
+    The table must have 2^n rows (ValueError otherwise), and the
+    complement, the first candidate, must preserve it (RuntimeError
+    otherwise); each other candidate joins the generators only if it
+    maps every row onto the row of its image.  Returns the order of
+    the group the generators span and, for each set v of 2^[n], its
+    orbit as a sorted tuple (one tuple shared by all its members).
     """
     size = 1 << n
     if len(table) != size:
         raise ValueError(f"relation table over 2^[{n}] needs {size} rows, got {len(table)}")
-    v = _first_break(table, range(size - 1, -1, -1))
-    if v is not None:
-        raise RuntimeError(
-            f"relation table not invariant under complement at {set_notation(v)}"
-        )
-
-
-def symmetry_orbits(n: int, table: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
-    """The group the table keeps among SYMMETRY_CANDIDATES: its order and orbits.
-
-    The complement must preserve the table (check_complement_invariant
-    raises otherwise); each other candidate joins the generators only if
-    it maps every row onto the row of its image.  Returns the order of
-    the group the generators span and, for each set v of 2^[n], its
-    orbit as a sorted tuple (one tuple shared by all its members).
-    """
-    check_complement_invariant(n, table)
-    size = 1 << n
     images = [tuple(map_(v, n) for v in range(size)) for map_ in SYMMETRY_CANDIDATES]
-    generators = images[:1] + [g for g in images[1:] if _first_break(table, g) is None]
+    breaks = [_first_break(table, g) for g in images]
+    if breaks[0] is not None:
+        raise RuntimeError(
+            f"relation table not invariant under complement at {set_notation(breaks[0])}"
+        )
+    generators = [g for g, v in zip(images, breaks) if v is None]
     # every candidate is v -> pi(v) XOR c for a permutation pi of [n], and
     # so is each element g of the group; g is fixed by its images of the
     # empty set and the singletons, so the closure runs on those n + 1

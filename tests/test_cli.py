@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
+import zonosep.cli as cli
 import zonosep.cubillage as cubillage
 import zonosep.flips as fl
 import zonosep.geometry as geometry
 import zonosep.membranes as mb
 import zonosep.posets as posets
 import zonosep.systems as systems
-from zonosep.cli import main
+from zonosep.cli import _status, main
 from zonosep.cubillage import Cubillage, standard_cubillage
 from zonosep.membranes import scan_membranes
 from zonosep.systems import SCHEMA, dump_json, search_max, strong
@@ -485,6 +486,96 @@ def test_membrane_scan_cap_is_incomplete(capsys, tmp_path, monkeypatch):
     blob = json.loads(path.read_text())
     assert blob["capped"] is True and blob["membranes"] == 0
     assert blob["undecided"] == "ideal count's memo exceeded the cap of 10"
+
+
+def test_status_rule():
+    # a failure outranks an undecided part; an undecided run is never PASS
+    assert _status(True) == ("PASS", 0)
+    assert _status(False) == ("FAIL", 1)
+    assert _status(True, "why") == ("INCOMPLETE (not decided: why)", 3)
+    assert _status(False, "why") == ("FAIL", 1)
+
+
+def _with_counterexample(report):
+    report.counterexamples.append({"clause": "forced"})
+    return report
+
+
+# one command of each report kind that cannot be undecided, forced to fail: its
+# command line, the function whose result is changed, the change, and the
+# lines the failure prints.  Census and scan reports, the kinds that can be
+# undecided, have their FAIL and INCOMPLETE cases in the tests above.
+FORCED_FAILURES = {
+    "validation": (
+        ("cub", "standard", "--n", "4", "--d", "2"),
+        (cubillage, "validate_cubillage"), lambda report: report._replace(problems=["forced"]),
+        "Z(4,2): 6 cubes, validator FAIL\n  problem: forced\n",
+    ),
+    "beads": (
+        ("cub", "beads", "--n", "4", "--d", "3"),
+        (cubillage, "bead_thread_graph"), lambda threads: threads._replace(problems=["forced"]),
+        "bead threads of Z(4,3): 4 arcs, 3 threads, FAIL\n",
+    ),
+    "gamma": (
+        ("cub", "gamma", "--n", "4", "--d", "2"),
+        (posets, "is_acyclic"), lambda acyclic: False,
+        "precedence digraph on all 24 cubes of C(4,2): 48 arcs, acyclic FAIL\n",
+    ),
+    "harness": (
+        ("verify", "refined", "--n", "5", "--r", "1"),
+        (fl, "verify_refined_lemma"), _with_counterexample,
+        "refined_lemma n=5 r=1: 40 sites, 0 checks, 0 recorded, FAIL\n"
+        "  counterexample: {'clause': 'forced'}\n",
+    ),
+    "sizes": (
+        ("verify", "snr", "--nmax", "3"),
+        (cli, "s_formula"), lambda want: want + 1,
+        "strong n=3 r=2: max 8, bound 9, FAIL\n",
+    ),
+    "acyclicity": (
+        ("verify", "acyclicity", "--nmax", "2", "--dmax", "2"),
+        (posets, "is_acyclic"), lambda acyclic: False,
+        "fragment precedence anti-Z(5,5): FAIL\n",
+    ),
+    "nonpurity": (
+        ("verify", "nonpurity"),
+        (cli, "s_formula"), lambda want: want + 1,
+        "maximum size: 58\nnonpurity: FAIL\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", FORCED_FAILURES)
+def test_a_forced_failure_is_fail_and_exit_1(capsys, monkeypatch, kind):
+    argv, (module, name), change, line = FORCED_FAILURES[kind]
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert line in out and "PASS" not in out
+
+
+def test_verify_membranes_failure_beats_undecided(capsys, monkeypatch):
+    # Z(4,3) is undecided and a scan before or after it fails: the suite failed
+    real = mb.scan_membranes
+    for failing in ((3, 3), (5, 5)):
+        def forced(q, *args, **kwargs):
+            report = real(q, *args, **kwargs)
+            if (q.n, q.d) == failing:
+                report.violations.append("forced")
+            elif (q.n, q.d) == (4, 3):
+                report.undecided = "forced"
+            return report
+
+        monkeypatch.setattr(mb, "scan_membranes", forced)
+        code, out, _ = run(capsys, "verify", "membranes", "--nmax", "4")
+        assert code == 1
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert lines["w-membranes of Z({},{})".format(*failing)].endswith(", FAIL")
+        assert lines["w-membranes of Z(4,3)"] == (
+            "30 scanned, size 11, INCOMPLETE (not decided: forced)"
+        )
+        assert out.count("PASS") == 1
 
 
 def test_scan_cap_flag_is_a_usage_error(capsys):

@@ -13,14 +13,13 @@ from zonosep.cubillage import (
     gamma_graph,
     inversions,
     precedence_digraph,
-    precedence_dot,
     rear_facets,
     standard_cubillage,
     validate_cubillage,
 )
 from zonosep.geometry import Face, zonotope_sides
 from zonosep.ground import mask_of, set_notation, submasks
-from zonosep.posets import is_acyclic
+from zonosep.posets import digraph_dot, is_acyclic
 from zonosep.separation import is_strongly_r_separated
 from zonosep.systems import SetSystem, check_pairwise, s_formula, strong
 
@@ -298,7 +297,7 @@ def test_precedence_digraph_z43_is_a_chain() -> None:
     q = standard_cubillage(4, 3)
     succs = precedence_digraph(q.cubes)
     assert succs == [[1, 2, 3], [2, 3], [3], []]
-    dot = precedence_dot(q.cubes, succs)
+    dot = digraph_dot([cube.label() for cube in q.cubes], succs, "gamma")
     assert dot.startswith("digraph gamma {")
     assert dot.count("->") == 6
 

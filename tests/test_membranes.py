@@ -26,13 +26,13 @@ from zonosep.membranes import (
     membrane_census,
     membrane_from_ideal,
     membrane_vertices,
-    precedence_to_dot,
     raising_flip,
     rear_boundary_tiles,
     scan_membranes,
     tile_label,
     v_tile,
 )
+from zonosep.posets import digraph_dot
 from zonosep.separation import is_double_r_comb, is_weakly_r_separated
 from zonosep.systems import s_formula, weak
 
@@ -554,6 +554,6 @@ def test_membrane_json_and_dot() -> None:
     assert [delta.label() for delta in mem.ideal] == ["{}|{1,2,3}#h1", "{}|{1,2,3}#h2"]
     assert all(tile_label(tile)[:2] in ("H[", "V[") for tile in mem.tiles)
     deltas, succs = fragment_precedence(q)
-    dot = precedence_to_dot(deltas, succs)
+    dot = digraph_dot([delta.label() for delta in deltas], succs, "fragments")
     assert dot.startswith("digraph fragments {")
     assert dot.count("->") == 2
