@@ -30,9 +30,9 @@ for a_elems, b_elems in pairs:
     print(f"{set_notation(a):>12} vs {set_notation(b):<12} degree {cortege.degree}  {shape}")
 print()
 
-print("Weak separation relaxes the degree bound by one step when the")
-print("surrounding set is no larger (odd r) or wins the max-comparison")
-print("(even r).  A few verdicts at r = 1 and r = 2:")
+print("Weak separation relaxes the degree bound by one step when the side")
+print("holding the largest element of the symmetric difference is not the")
+print("larger set, for odd and even r alike.  Verdicts at r = 1, 2 and 3:")
 print()
 for a_elems, b_elems in pairs:
     a, b = mask_of(a_elems, n), mask_of(b_elems, n)

@@ -5,14 +5,9 @@ integers: bit i-1 set means element i is present.  All arithmetic on
 subsets is exact bit arithmetic; n is capped at 64 so that a subset
 always fits one word on any sensible backend.
 
-The order conventions used throughout the package live here:
-
-  * max(emptyset) = 0 and min(emptyset) = n + 1, so that X < Y
-    ("every element of X is smaller than every element of Y") holds
-    vacuously when either side is empty;
-  * an interval [a, b] is the set {a, a+1, ..., b}, and a k-interval
-    is a disjoint union of k intervals that cannot be written with
-    fewer (the empty set is the unique 0-interval).
+An interval [a, b] is the set {a, a+1, ..., b}, and a k-interval is a
+disjoint union of k intervals that cannot be written with fewer (the
+empty set is the unique 0-interval).
 
 For two subsets A and B, the *interval cortege* of the pair is the
 unique minimal sequence of intervals I_1 < I_2 < ... < I_k, alternately
@@ -88,11 +83,6 @@ def submasks(mask: int) -> list[int]:
 def set_notation(mask: int) -> str:
     """Render a mask as {1,3,4}; the empty set renders as {}."""
     return "{" + ",".join(str(e) for e in elements(mask)) + "}"
-
-
-def mask_max(mask: int) -> int:
-    """Largest element, with max(emptyset) = 0."""
-    return mask.bit_length()
 
 
 class Record:

@@ -4,21 +4,18 @@ A pair (A, B) is *strongly r-separated* when its interlacing degree is
 at most r + 1, i.e. the differences A - B and B - A can be covered by
 at most r + 1 alternating intervals.
 
-*Weak* r-separation relaxes this by one extra interval under a
-surrounding condition whose shape depends on the parity of r.
+*Weak* r-separation allows one interval more, under one rule for either
+parity of r: the pair is weakly r-separated when its degree is at most
+r + 1, or it is exactly r + 2 and the side that holds max(A xor B) is
+not the larger set.
 
-For odd r: the pair is weakly r-separated when it is r'-interlaced
-with r' <= r + 1, or (r+2)-interlaced and either A surrounds B with
-|A| <= |B|, or B surrounds A with |B| <= |A|.  Here "A surrounds B"
-means min(A - B) < min(B - A) and max(A - B) > max(B - A).  With odd
-r the degree r + 2 is odd, so the first and last cortege intervals
-come from the same side and exactly that side surrounds the other;
-this is asserted, not assumed.
-
-For even r: the same scheme with "surrounds" replaced by "surrounds
-from the right", i.e. max(A - B) > max(B - A) alone.  At even degree
-r + 2 the bookend intervals come from opposite sides, and the side
-owning the last interval surrounds the other from the right.
+The paper words the degree-(r+2) case as "A surrounds B and |A| <= |B|,
+or the same with A and B swapped", where for odd r "A surrounds B" means
+min(A - B) < min(B - A) and max(A - B) > max(B - A), and for even r
+("from the right") the max comparison alone.  Only the side holding the
+last cortege interval can surround, and at the odd degree r + 2 (odd r)
+it holds the first interval too, so in both parities exactly that side
+surrounds and the paper's condition is the rule above.
 
 A *double r-comb* (even r) is a pair that is (r+2)-interlaced with
 |A xor B| = r + 2: every cortege interval is a singleton.  The
@@ -27,27 +24,7 @@ smallest example on [r+2] is the pair ({2,4,...,r+2}, {1,3,...,r+1}).
 
 from __future__ import annotations
 
-from .ground import interlacing_degree, mask_max
-
-
-def surrounds(a: int, b: int) -> bool:
-    """A surrounds B: min(A-B) < min(B-A) and max(A-B) > max(B-A).
-
-    Empty differences follow the max(emptyset) = 0, min(emptyset) = n+1
-    conventions; both comparisons then resolve without knowing n.
-    """
-    d1 = a & ~b
-    d2 = b & ~a
-    if not d1:
-        return False  # min(emptyset) = n+1 beats nothing; 0 > max(d2) needs d2 empty too
-    if not d2:
-        return True  # min(d1) <= n < n+1 and max(d1) >= 1 > 0
-    return (d1 & -d1) < (d2 & -d2) and mask_max(d1) > mask_max(d2)
-
-
-def surrounds_from_right(a: int, b: int) -> bool:
-    """A surrounds B from the right: max(A-B) > max(B-A)."""
-    return mask_max(a & ~b) > mask_max(b & ~a)
+from .ground import interlacing_degree
 
 
 def is_strongly_r_separated(a: int, b: int, r: int) -> bool:
@@ -58,52 +35,31 @@ def is_strongly_r_separated(a: int, b: int, r: int) -> bool:
 
 
 def is_weakly_r_separated_odd(a: int, b: int, r: int) -> bool:
-    """Weak separation for odd r (surround plus cardinality tie-break)."""
+    """Weak separation for odd r."""
     if r < 1 or r % 2 == 0:
         raise ValueError(f"odd positive r required, got {r}")
-    deg = interlacing_degree(a, b)
-    if deg <= r + 1:
-        return True
-    if deg > r + 2:
-        return False
-    sab = surrounds(a, b)
-    sba = surrounds(b, a)
-    # odd degree: the bookend intervals share a side, so one surround must hold
-    assert sab or sba, (
-        f"degree {deg} pair with neither surround at odd r={r}: a={a:#x} b={b:#x}"
-    )
-    return (sab and a.bit_count() <= b.bit_count()) or (
-        sba and b.bit_count() <= a.bit_count()
-    )
+    return is_weakly_r_separated(a, b, r)
 
 
 def is_weakly_r_separated_even(a: int, b: int, r: int) -> bool:
-    """Weak separation for even r (right-surround plus cardinality tie-break)."""
+    """Weak separation for even r."""
     if r < 2 or r % 2:
         raise ValueError(f"even positive r required, got {r}")
-    deg = interlacing_degree(a, b)
-    if deg <= r + 1:
-        return True
-    if deg > r + 2:
-        return False
-    sab = surrounds_from_right(a, b)
-    sba = surrounds_from_right(b, a)
-    # even degree >= 2: the side owning the last interval right-surrounds the other
-    assert sab != sba, (
-        f"degree {deg} pair without unique right-surround: a={a:#x} b={b:#x}"
-    )
-    return (sab and a.bit_count() <= b.bit_count()) or (
-        sba and b.bit_count() <= a.bit_count()
-    )
+    return is_weakly_r_separated(a, b, r)
 
 
 def is_weakly_r_separated(a: int, b: int, r: int) -> bool:
-    """Parity-dispatching weak separation predicate (r positive)."""
+    """Weak separation for any positive r: degree at most r + 1, or r + 2
+    with the side holding max(A xor B) no larger than the other."""
     if r < 1:
         raise ValueError(f"positive r required, got {r}")
-    if r % 2:
-        return is_weakly_r_separated_odd(a, b, r)
-    return is_weakly_r_separated_even(a, b, r)
+    deg = interlacing_degree(a, b)
+    if deg != r + 2:
+        return deg <= r + 1
+    # the difference masks are disjoint, so the larger one holds the top element
+    if a & ~b > b & ~a:
+        return a.bit_count() <= b.bit_count()
+    return b.bit_count() <= a.bit_count()
 
 
 def is_double_r_comb(a: int, b: int, r: int) -> bool:

@@ -51,8 +51,7 @@ from .ground import Record, check_ground, check_mask, elements, mask_of, set_not
 from .separation import (
     is_double_r_comb,
     is_strongly_r_separated,
-    is_weakly_r_separated_even,
-    is_weakly_r_separated_odd,
+    is_weakly_r_separated,
 )
 
 SCHEMA = "zonosep/1"
@@ -112,7 +111,7 @@ class SetSystem(Record):
         return iter(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
+        return mask in self.members
 
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
@@ -154,13 +153,9 @@ class PairwisePredicate(Record):
     def holds(self, a: int, b: int) -> bool:
         if self.kind == KIND_STRONG:
             return is_strongly_r_separated(a, b, self.r)
-        if self.kind == KIND_WEAK_ODD:
-            return is_weakly_r_separated_odd(a, b, self.r)
-        if self.kind == KIND_WEAK_EVEN:
-            return is_weakly_r_separated_even(a, b, self.r)
-        return is_weakly_r_separated_even(a, b, self.r) and not is_double_r_comb(
-            a, b, self.r
-        )
+        if self.kind in (KIND_WEAK_ODD, KIND_WEAK_EVEN):
+            return is_weakly_r_separated(a, b, self.r)
+        return is_weakly_r_separated(a, b, self.r) and not is_double_r_comb(a, b, self.r)
 
     def label(self) -> str:
         return f"{self.kind}({self.r})"

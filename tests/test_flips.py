@@ -15,6 +15,7 @@ from oracles import (
     bad_pair,
     even_sites,
     odd_sites,
+    raw_surrounds,
     reference_flip_theorem_odd,
     reference_local_neighb_even,
     reference_refined_lemma,
@@ -47,7 +48,7 @@ from zonosep.membranes import (
     membrane_vertices,
     raising_flip,
 )
-from zonosep.separation import is_double_r_comb, surrounds
+from zonosep.separation import is_double_r_comb
 from zonosep.systems import (
     RELATION_TABLE_CAP,
     SetSystem,
@@ -135,7 +136,7 @@ def test_odd_site_pair_facts():
         for site in odd_sites(n, r):
             count += 1
             assert interlacing_degree(site.xp, site.xq) == r + 2
-            assert surrounds(site.xq, site.xp)
+            assert raw_surrounds(set(elements(site.xq)), set(elements(site.xp)), n)
             assert site.xq.bit_count() == site.xp.bit_count() + 1
             shifted = [site.xp, site.xq] + [
                 site.x | s for s in neighbors(site).members

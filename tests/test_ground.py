@@ -14,7 +14,6 @@ from zonosep.ground import (
     elements,
     interlacing_degree,
     interval_cortege,
-    mask_max,
     mask_of,
     set_notation,
     submasks,
@@ -36,11 +35,6 @@ def test_mask_basics():
         mask_of([0], 4)
     with pytest.raises(ValueError):
         mask_of([5], 4)
-
-
-def test_min_max_conventions():
-    assert mask_max(0) == 0
-    assert mask_max(m(3, 5)) == 5
 
 
 def test_submasks():

@@ -13,11 +13,15 @@ from zonosep.separation import (
     is_weakly_r_separated,
     is_weakly_r_separated_even,
     is_weakly_r_separated_odd,
-    surrounds,
-    surrounds_from_right,
 )
 
-from oracles import full_mask, raw_double_comb, raw_weakly_separated
+from oracles import (
+    full_mask,
+    raw_double_comb,
+    raw_right_surrounds,
+    raw_surrounds,
+    raw_weakly_separated,
+)
 
 
 def m(*elems: int) -> int:
@@ -25,14 +29,17 @@ def m(*elems: int) -> int:
 
 
 def test_surrounds_examples():
-    assert not surrounds(m(2, 4), m(2, 4))
-    assert not surrounds(m(2), m(1, 3))
-    assert surrounds(m(1, 3), m(2))
-    assert surrounds(m(1, 4), 0)
-    assert not surrounds(0, m(1, 4))
-    assert surrounds_from_right(m(2, 4), m(1, 3))
-    assert not surrounds_from_right(m(1, 3), m(2, 4))
-    assert not surrounds_from_right(m(5), m(5))
+    # the literal surround relations of the paper, on [5], with the
+    # conventions max(emptyset) = 0 and min(emptyset) = n + 1
+    n = 5
+    assert not raw_surrounds({2, 4}, {2, 4}, n)
+    assert not raw_surrounds({2}, {1, 3}, n)
+    assert raw_surrounds({1, 3}, {2}, n)
+    assert raw_surrounds({1, 4}, set(), n)
+    assert not raw_surrounds(set(), {1, 4}, n)
+    assert raw_right_surrounds({2, 4}, {1, 3})
+    assert not raw_right_surrounds({1, 3}, {2, 4})
+    assert not raw_right_surrounds({5}, {5})
 
 
 def test_strong_separation_examples():
@@ -94,16 +101,18 @@ def test_smallest_comb_pair_by_search():
 
 
 def test_weak_matches_raw_definition_exhaustive():
-    n = 6
+    n = 7
     full = full_mask(n)
     for a in range(full + 1):
         sa = set(elements(a))
         for b in range(a, full + 1):
             sb = set(elements(b))
-            for r in (1, 2, 3, 4):
+            for r in range(1, 6):
                 want = raw_weakly_separated(sa, sb, r, n)
-                assert is_weakly_r_separated(a, b, r) == want
-                assert is_weakly_r_separated(b, a, r) == want
+                by_parity = is_weakly_r_separated_odd if r % 2 else is_weakly_r_separated_even
+                for x, y in ((a, b), (b, a)):
+                    assert is_weakly_r_separated(x, y, r) == want
+                    assert by_parity(x, y, r) == want
             assert is_double_r_comb(a, b, 2) == raw_double_comb(sa, sb, 2)
 
 
