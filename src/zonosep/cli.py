@@ -196,7 +196,7 @@ def cmd_search_max(args) -> int:
     print(
         f"search: {found.nodes} nodes, {found.universal} universal, "
         f"{found.symmetries} symmetries, "
-        f"{found.symmetry_pruned} root branches pruned by symmetry, {seconds:.2f} s, "
+        f"{found.symmetry_pruned} candidates pruned by symmetry, {seconds:.2f} s, "
         f"{_nodes_per_s(found.nodes, seconds)}",
         file=sys.stderr,
     )

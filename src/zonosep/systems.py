@@ -13,9 +13,10 @@ one of four pairwise predicates,
 and answer exact questions about cliques: the maximum clique size with
 a witness and search counters (branch and bound in the style of BBMC:
 universal sets join up front, bitset colour classes bound each node and
-the root branches drop whole orbits of the table's checked symmetry
-group), streaming of all inclusion-maximal cliques, and deterministic
-completion of a partial system to a maximal one.
+each node drops whole orbits of the part of the table's checked symmetry
+group that fixes its clique), streaming of all inclusion-maximal
+cliques, and deterministic completion of a partial system to a maximal
+one.
 
 Every pair table in the package comes from relation_table: one row
 bitset per subset of [n], assembled on first use from one predicate
@@ -41,8 +42,8 @@ plus {2,4}, {3,5}, {1,3,4,6}.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import islice, repeat
+from functools import lru_cache, reduce
+from itertools import compress, islice, repeat
 from math import comb
 from operator import itemgetter, lshift, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -338,9 +339,9 @@ class MaxSearch(NamedTuple):
     nodes counts the branch-and-bound nodes expanded, the root included;
     universal counts the sets related to every other set, which join the
     clique up front; symmetries is the order of the group of checked
-    table symmetries (see symmetry_orbits); symmetry_pruned counts the
-    root candidates skipped because a set in their orbit had already
-    been branched on.
+    table symmetries (see symmetry_group); symmetry_pruned counts the
+    candidates skipped, at any depth, because a set in their orbit under
+    the node's stabiliser had already been branched on (see max_clique).
     """
 
     size: int
@@ -415,15 +416,15 @@ def _first_break(table: Sequence[int], image: Sequence[int]) -> int | None:
     return None
 
 
-def symmetry_orbits(n: int, table: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
-    """The group the table keeps among SYMMETRY_CANDIDATES: its order and orbits.
+def symmetry_group(n: int, table: Sequence[int]) -> list[tuple[int, ...]]:
+    """The group the table keeps among SYMMETRY_CANDIDATES, element by element.
 
     The table must have 2^n rows (ValueError otherwise), and the
     complement, the first candidate, must preserve it (RuntimeError
     otherwise); each other candidate joins the generators only if it
-    maps every row onto the row of its image.  Returns the order of
-    the group the generators span and, for each set v of 2^[n], its
-    orbit as a sorted tuple (one tuple shared by all its members).
+    maps every row onto the row of its image.  Returns every element of
+    the group the generators span, the identity first, as its tuple of
+    images of the sets 0 .. 2^n - 1.
     """
     size = 1 << n
     if len(table) != size:
@@ -435,37 +436,75 @@ def symmetry_orbits(n: int, table: Sequence[int]) -> tuple[int, list[tuple[int, 
             f"relation table not invariant under complement at {set_notation(breaks[0])}"
         )
     generators = [g for g, v in zip(images, breaks) if v is None]
-    # every candidate is v -> pi(v) XOR c for a permutation pi of [n], and
-    # so is each element g of the group; g is fixed by its images of the
-    # empty set and the singletons, so the closure runs on those n + 1
-    base = (0,) + tuple(1 << i for i in range(n))
-    group = [base]
-    seen = {base}
+    identity = tuple(range(size))
+    group = [identity]
+    seen = {identity}
     for g in group:  # grows while it is read
         for h in generators:
-            hg = tuple(h[x] for x in g)
+            hg = itemgetter(*g)(h)  # h after g
             if hg not in seen:
                 seen.add(hg)
                 group.append(hg)
-    orbits: list[tuple[int, ...]] = [()] * size
-    for v in range(size):
-        if orbits[v]:
-            continue
-        members = [v]
-        found = {v}
-        for x in members:  # grows while it is read
-            for h in generators:
-                if h[x] not in found:
-                    found.add(h[x])
-                    members.append(h[x])
-        orbit = tuple(sorted(members))
-        for x in orbit:
-            orbits[x] = orbit
-    return len(group), orbits
+    return group
 
 
-def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
+class _Layout(NamedTuple):
+    """What a search of one table needs before its first node.
+
+    The m sets left after the universal ones are in search order, and
+    the i-th of them has index m - i: bit m - 1 - i of every bitset, so
+    a bitset's bit_length() is the index of its earliest set.  Entry 0
+    of adj, bits and others, and of each permutation in group, pads
+    the index so that no step subtracts 1.
+    """
+
+    universal: list[int]  # related to every other set: in every maximum clique
+    order: list[int]  # the other sets in search order
+    adj: list[int]  # the row of each index, renumbered
+    bits: list[int]  # 1 << (index - 1)
+    others: list[int]  # the non-neighbours of each index, itself included
+    group: list[tuple[int, ...]]  # the non-identity symmetries, as index permutations
+
+
+def _layout(n: int, table: Sequence[int]) -> _Layout:
+    group = symmetry_group(n, table)
+    size = 1 << n
+    everyone = (1 << size) - 1
+    universal = [v for v in range(size) if table[v] | 1 << v == everyone]
+    order = sorted(
+        (v for v in range(size) if table[v] | 1 << v != everyone),
+        key=lambda v: (-table[v].bit_count(),) + canonical_key(v),
+    )
+    m = len(order)
+    adj = [0, *_permuted_rows([table[v] for v in reversed(order)], size, order)]
+    bits = [0] + [1 << b for b in range(m)]
+    all_m = (1 << m) - 1
+    others = [0] + [all_m ^ adj[b] ^ bits[b] for b in range(1, m + 1)]
+    # a symmetry keeps the table, so it maps universal sets among
+    # themselves and the searched sets among themselves
+    index = dict.fromkeys(universal, 0)
+    index.update((v, m - i) for i, v in enumerate(order))
+    searched = order[::-1]  # the sets of indices 1 .. m
+    perms = [(0, *map(index.__getitem__, map(g.__getitem__, searched))) for g in group[1:]]
+    return _Layout(universal, order, adj, bits, others, perms)
+
+
+@lru_cache(maxsize=RELATION_CACHE_SIZE)
+def _search_layout(n: int, predicate: PairwisePredicate) -> _Layout:
+    """The layout of relation_table(n, predicate), memoised like the table."""
+    return _layout(n, relation_table(n, predicate))
+
+
+# a subgroup of a layout's group: the orbit mask of each index, and the
+# key of the subgroup that fixes it (the positions of its elements in group)
+_Subgroup = tuple[list[int], list[tuple[int, ...]]]
+
+
+def max_clique(n: int, table: Sequence[int], layout: _Layout | None = None) -> MaxSearch:
     """Exact maximum clique of a complement-invariant relation table.
+
+    layout is the table's _layout if the caller holds it (search_max
+    memoises it per (n, predicate)); it is built here otherwise.
 
     Branch and bound in the style of BBMC (San Segundo et al. 2011):
     1. Universal vertices, related to every other set, join every
@@ -483,41 +522,48 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
        that leaves no candidate is a leaf and is scored without
        another call.  The rows are renumbered one string permutation
        each (_permuted_rows).
-    3. Orbital branching at the root (Ostrowski et al. 2011): the
-       group of symmetry_orbits preserves the table (checked here,
-       never assumed).  So once the root has branched on v, the whole
-       orbit of v leaves the root candidates: any clique through g(v)
-       maps under g^-1 to one of the same size through v.  The dropped
-       sets are a union of orbits, so the candidates left are too, and
-       every later root branch keeps this argument.  Below the root
-       the candidates are not closed under the group, so only v goes.
+    3. Orbital branching at every node (Ostrowski et al. 2011; Margot
+       2002): the group of symmetry_group preserves the table (checked
+       here, never assumed).  Each node carries H, the elements of the
+       group that fix every set of its clique C: the whole group at the
+       root, and at a child the parent's elements that fix the set just
+       branched on.  Once a node has branched on v, the whole H-orbit
+       of v leaves its candidates.  This is sound because the
+       candidates of a node are H-invariant: those of the root are a
+       union of orbits; a child's are the parent's candidates, which
+       its H keeps since H is a subgroup of the parent's, met with the
+       row of v, which every element fixing v keeps; and each removal
+       is a whole H-orbit.  So a clique through C + h(v) among the
+       candidates left maps under h^-1, which fixes C and keeps the
+       candidates, onto one of the same size through C + v, which the
+       branch on v has already searched.  Once H is trivial only v
+       goes, at no extra cost.  The orbit masks and stabilisers are
+       memoised per subgroup within one search.
 
     The search never stops early at a target size.  Fully
-    deterministic.
+    deterministic; the layout is only read.
     """
-    symmetries, orbits = symmetry_orbits(n, table)
-    size = 1 << n
-    everyone = (1 << size) - 1
-    universal = [v for v in range(size) if table[v] | 1 << v == everyone]
-    order = sorted(
-        (v for v in range(size) if table[v] | 1 << v != everyone),
-        key=lambda v: (-table[v].bit_count(),) + canonical_key(v),
-    )
+    universal, order, adj, bits, others, group = layout or _layout(n, table)
     m = len(order)
-    # the i-th set in search order is bit m - 1 - i, so entry b of each
-    # list below is about the set order[m - 1 - b]
-    adj = list(_permuted_rows([table[v] for v in reversed(order)], size, order))
-    bits = [1 << b for b in range(m)]
-    all_m = (1 << m) - 1
-    # non-neighbours of b, b itself included: one AND per colour step
-    others = [all_m ^ row ^ bits[b] for b, row in enumerate(adj)]
-    bit_of = {v: bits[m - 1 - i] for i, v in enumerate(order)}
-    orbit = [sum(bit_of[u] for u in orbits[v]) for v in reversed(order)]
-
     best_clique = 0
     best_size = 0
     nodes = 0
     symmetry_pruned = 0
+    memo: dict[tuple[int, ...], _Subgroup] = {}
+
+    def subgroup(key: tuple[int, ...]) -> _Subgroup | None:
+        # the subgroup of the identity and the elements group[i], i in
+        # key; None for the identity alone
+        if not key:
+            return None
+        found = memo.get(key)
+        if found is None:
+            orbits, stabs = [], []
+            for b, images in enumerate(zip(*(group[i] for i in key))):
+                orbits.append(reduce(or_, map(bits.__getitem__, images), bits[b]))
+                stabs.append(tuple(compress(key, map(b.__eq__, images))))
+            found = memo[key] = (orbits, stabs)
+        return found
 
     def colour_classes(cand: int, kmin: int) -> list[tuple[int, int]]:
         # (colour k, class bitset) for every class with k >= kmin; each
@@ -529,7 +575,7 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
             left = cand
             cls = 0
             while left:
-                b = left.bit_length() - 1
+                b = left.bit_length()
                 cls |= bits[b]
                 left &= others[b]
             cand ^= cls
@@ -537,7 +583,8 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
                 classes.append((k, cls))
         return classes
 
-    def expand(clique: int, csize: int, cand: int, root: bool) -> None:
+    def expand(clique: int, csize: int, cand: int, sym: _Subgroup | None) -> None:
+        # sym: subgroup() of the elements that fix every set of the clique
         nonlocal best_clique, best_size, nodes, symmetry_pruned
         nodes += 1
         grown = csize + 1
@@ -550,27 +597,27 @@ def max_clique(n: int, table: Sequence[int]) -> MaxSearch:
                 if not cand & bit:
                     symmetry_pruned += 1
                     continue
-                v = bit.bit_length() - 1
+                v = bit.bit_length()
                 sub = cand & adj[v]
                 if sub:
-                    expand(clique | bit, grown, sub, False)
+                    expand(clique | bit, grown, sub, sym and subgroup(sym[1][v]))
                 elif grown > best_size:
                     best_clique, best_size = clique | bit, grown
-                cand &= ~orbit[v] if root else ~bit
+                cand &= ~sym[0][v] if sym else ~bit
 
     try:
-        expand(0, 0, all_m, True)
+        expand(0, 0, (1 << m) - 1, subgroup(tuple(range(len(group)))))
     finally:
-        # expand refers to itself; drop it so the relabelled tables go on return
+        # expand refers to itself; drop it so the memo goes on return
         del expand
 
-    witness = universal + [order[m - 1 - b] for b in range(m) if best_clique >> b & 1]
+    witness = universal + [order[m - b] for b in range(1, m + 1) if best_clique & bits[b]]
     return MaxSearch(
         size=len(witness),
         witness=SetSystem.from_masks(n, witness),
         nodes=nodes,
         universal=len(universal),
-        symmetries=symmetries,
+        symmetries=len(group) + 1,
         symmetry_pruned=symmetry_pruned,
     )
 
@@ -585,7 +632,7 @@ def search_max(
     n is held to the bound, and the bound to HARD_EXHAUSTIVE_CAP.
     """
     check_limit(n, min(bound, HARD_EXHAUSTIVE_CAP), SEARCH_LIMIT)
-    return max_clique(n, relation_table(n, predicate))
+    return max_clique(n, relation_table(n, predicate), _search_layout(n, predicate))
 
 
 def max_size(

@@ -89,7 +89,7 @@ def test_search_max_counters_stay_out_of_json(capsys, tmp_path):
         assert "max WEAK_ODD(1) on [6]: 22" in out
         assert re.fullmatch(
             r"search: \d+ nodes, 12 universal, 4 symmetries, "
-            r"\d+ root branches pruned by symmetry, \d+\.\d\d s, \d+ nodes/s\n",
+            r"\d+ candidates pruned by symmetry, \d+\.\d\d s, \d+ nodes/s\n",
             err,
         ), err
         assert "nodes" not in out
@@ -693,7 +693,9 @@ def test_precedence_cycle_is_an_internal_error(capsys, monkeypatch):
 
 
 def test_internal_errors_from_any_module_are_one_line(capsys, monkeypatch):
-    # a symmetry check that breaks at once raises RuntimeError in systems
+    # a symmetry check that breaks at once raises RuntimeError in systems;
+    # a layout memoised by an earlier search would skip the check
+    systems._search_layout.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(systems, "_first_break", lambda table, image: 0)
         code, out, err = run(capsys, "search", "max", "--n", "4", "--kind", "strong", "--r", "1")

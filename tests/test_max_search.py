@@ -2,7 +2,7 @@
 
 reference_max_size in oracles.py is the plain greedy-colouring search
 that max_size used before the universal-vertex reduction, the colour
-class bound and the orbit pruning at the root; it builds its own
+class bound and the orbital branching; it builds its own
 adjacency from the predicate.  Random tables closed under subgroups of
 the candidate symmetries are checked against plain clique enumeration.
 """
@@ -18,6 +18,7 @@ import pytest
 from zonosep.ground import elements
 from zonosep.systems import (
     _permuted_rows,
+    _search_layout,
     check_pairwise,
     enumerate_maximal,
     max_clique,
@@ -25,7 +26,7 @@ from zonosep.systems import (
     relation_table,
     search_max,
     strong,
-    symmetry_orbits,
+    symmetry_group,
     weak_even,
     weak_even_no_comb,
     weak_odd,
@@ -70,7 +71,9 @@ def test_search_matches_reference(n, predicate):
 def test_search_is_deterministic():
     for n, predicate in ((6, weak_odd(1)), (7, weak_even_no_comb(2))):
         first = search_max(n, predicate)
-        relation_table.cache_clear()  # the second run rebuilds its table
+        # the second run rebuilds its table and its layout
+        relation_table.cache_clear()
+        _search_layout.cache_clear()
         again = search_max(n, predicate)
         assert first == again
         assert first.witness.members == again.witness.members
@@ -84,11 +87,11 @@ def test_counters_show_the_reductions():
     assert found.nodes > 1
 
 
-# The search tree, pinned: size, nodes, root branches pruned by symmetry
+# The search tree, pinned: size, nodes, candidates pruned by symmetry
 # and the witness as a bitset over 2^[n].  Any change to the numbering or
 # the colouring must walk exactly these nodes and find these witnesses.
 PINNED = [
-    (7, weak_odd(1), 29, 10201, 54, 0xD1D1000100F100018080000080BB808B),
+    (7, weak_odd(1), 29, 9402, 84, 0xD1D1000100F100018080000080BB808B),
     (7, weak_even_no_comb(2), 67, 692, 13, 0xFBAB819F8189819FF3A90009F3E9D1DF),
     # every set universal: nothing is left to search (m = 0)
     (7, strong(6), 128, 1, 0, (1 << 128) - 1),
@@ -259,8 +262,34 @@ def test_random_group_closed_tables_against_brute_force(n, names):
         assert found == max_clique(n, table)
 
 
+# (n, extra maps, seed of _random_closed_table, maximum): tables on which
+# the search loses its maximum if a child's stabiliser is taken in the
+# whole group instead of in its parent's, so that it keeps elements that
+# move an earlier set of the clique; the 100 seeds above miss both
+STABILISER_CASES = [
+    (4, ("reversal", "twisted"), 571, 5),
+    (5, ("reversal", "rotation"), 764, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "n, names, seed, size",
+    STABILISER_CASES,
+    ids=[f"n{n}-seed{seed}" for n, _, seed, _ in STABILISER_CASES],
+)
+def test_stabiliser_fixes_the_whole_clique(n, names, seed, size):
+    maps = [_complement] + [EXTRA_MAPS[name] for name in names]
+    generators = [tuple(f(v, n) for v in range(1 << n)) for f in maps]
+    table = _random_closed_table(n, generators, random.Random(seed))
+    assert brute_force_max_clique(table) == size
+    found = max_clique(n, table)
+    assert found.size == size
+    clique = sum(1 << v for v in found.witness)
+    assert all((table[v] | 1 << v) & clique == clique for v in found.witness)
+
+
 def _group_orders(n, predicates):
-    return {p.label(): symmetry_orbits(n, relation_table(n, p))[0] for p in predicates}
+    return {p.label(): len(symmetry_group(n, relation_table(n, p))) for p in predicates}
 
 
 @pytest.mark.parametrize("n", (6, 7, 8))
@@ -284,10 +313,13 @@ def test_group_order_near_complete_tables():
 
 def test_orbits_partition_the_sets():
     for n, predicate in ((6, strong(1)), (6, weak_odd(1)), (7, weak_even(2))):
-        order, orbits = symmetry_orbits(n, relation_table(n, predicate))
+        group = symmetry_group(n, relation_table(n, predicate))
+        assert group[0] == tuple(range(1 << n))  # the identity first
+        assert len(set(group)) == len(group)
+        orbits = [frozenset(g[v] for g in group) for v in range(1 << n)]
         for v, orbit in enumerate(orbits):
-            assert v in orbit and all(orbits[u] is orbit for u in orbit)
-            assert order % len(orbit) == 0  # orbit-stabiliser
+            assert v in orbit and all(orbits[u] == orbit for u in orbit)
+            assert len(group) % len(orbit) == 0  # orbit-stabiliser
             # the complement is always in the group
             assert (1 << n) - 1 - v in orbit
 

@@ -44,16 +44,16 @@ def test_n8_maximum(predicate, size):
         assert size == s_formula(8, predicate.r)
 
 
-# (size, nodes, root branches pruned by symmetry, witness as a bitset over
+# (size, nodes, candidates pruned by symmetry, witness as a bitset over
 # 2^[8]) at n = 8: the first three are the bench's search-n8 instances, the
 # rest README's table.
 TREES = [
-    (strong(1), 37, 21_888, 176, 0xD1D1000100FB000B000000000008000B8080000000880000808000008088808B),
-    (strong(3), 163, 9_204, 53, 0xFFFFF1FFF1BBF1FFF1310001F133F1FFFBBB808BA0BBA0ABFBBB808BFBBBFBFF),
+    (strong(1), 37, 14_749, 230, 0xD1D1000100FB000B000000000008000B8080000000880000808000008088808B),
+    (strong(3), 163, 5_890, 77, 0xFFFFF1FFF1BBF1FFF1310001F133F1FFFBBB808BA0BBA0ABFBBB808BFBBBFBFF),
     (weak_even(2), 121, 6_034, 37, 0xFB8B8B8B8000819F81019F9F81019FDFFB8B9F8980008001FF01FF89F901D9DF),
-    (strong(2), 93, 50_431, 106, 0xFBFB808B8000808BD1FFC0DFD151D1DFD101000100000001D1010001D101D1DF),
-    (weak_odd(1), 37, 1_596_748, 126, 0xD1D1000100D1000100000000000000018080000000D7004B8080000080C0808B),
-    (weak_odd(3), 163, 136_587, 38, 0xFFFFF1FFD333F1FFF32BE0ABFBBBF1FFFBABA08B8000808BFB8B808BFBBBFBFF),
+    (strong(2), 93, 25_030, 233, 0xFBFB808B8000808BD1FFC0DFD151D1DFD101000100000001D1010001D101D1DF),
+    (weak_odd(1), 37, 1_403_420, 400, 0xD1D1000100D1000100000000000000018080000000D7004B8080000080C0808B),
+    (weak_odd(3), 163, 124_363, 85, 0xFFFFF1FFD333F1FFF32BE0ABFBBBF1FFFBABA08B8000808BFB8B808BFBBBFBFF),
     (weak_even_no_comb(2), 101, 113_545, 42, 0xFB9F909F9119F9DF910980019101D1DFF989800100008001F9818001D101D1DF),
 ]
 
