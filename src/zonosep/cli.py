@@ -196,7 +196,8 @@ def cmd_search_max(args) -> int:
     print(
         f"search: {found.nodes} nodes, {found.universal} universal, "
         f"{found.symmetries} symmetries, "
-        f"{found.symmetry_pruned} candidates pruned by symmetry, {seconds:.2f} s, "
+        f"{found.symmetry_pruned} candidates pruned by symmetry, "
+        f"{found.processes} process{'es' if found.processes > 1 else ''}, {seconds:.2f} s, "
         f"{_nodes_per_s(found.nodes, seconds)}",
         file=sys.stderr,
     )
@@ -413,6 +414,11 @@ def cmd_membrane_scan(args) -> int:
     from . import cubillage as cb
     from . import membranes as mb
 
+    if args.flavor == "w" and args.d % 2 == 0:
+        raise ValueError(
+            "w-membranes are held to the odd-d contract (size s(n, d-2), weak (d-2)-separation), "
+            f"got d={args.d}; use --flavor e at even d"
+        )
     q = cb.standard_cubillage(args.n, args.d, args.anti)
     report = mb.scan_membranes(
         q,

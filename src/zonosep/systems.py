@@ -12,11 +12,12 @@ one of four pairwise predicates,
 
 and answer exact questions about cliques: the maximum clique size with
 a witness and search counters (branch and bound in the style of BBMC:
-universal sets join up front, bitset colour classes bound each node and
+universal sets join up front, bitset colour classes bound each node,
 each node drops whole orbits of the part of the table's checked symmetry
-group that fixes its clique), streaming of all inclusion-maximal
-cliques, and deterministic completion of a partial system to a maximal
-one.
+group that fixes its clique, and the tree is searched as two fixed
+parts, the second in a forked child where that pays), streaming of all
+inclusion-maximal cliques, and deterministic completion of a partial
+system to a maximal one.
 
 Every pair table in the package comes from relation_table: one row
 bitset per subset of [n], assembled on first use from one predicate
@@ -46,7 +47,7 @@ from functools import lru_cache, reduce
 from itertools import compress, islice, repeat
 from math import comb
 from operator import itemgetter, lshift, or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .ground import Record, check_ground, check_mask, elements, mask_of, set_notation
 from .separation import (
@@ -151,18 +152,28 @@ class PairwisePredicate(Record):
             raise ValueError(f"unknown predicate kind {kind!r}")
         self.kind, self.r = kind, r
 
-    def holds(self, a: int, b: int) -> bool:
+    def rule(self) -> tuple[Callable[[int, int, int], bool], int]:
+        """(f, r) with f(a, b, r) the verdict on the pair (a, b): the kind
+        resolved once for a caller that asks about many pairs."""
         if self.kind == KIND_STRONG:
-            return is_strongly_r_separated(a, b, self.r)
+            return is_strongly_r_separated, self.r
         if self.kind in (KIND_WEAK_ODD, KIND_WEAK_EVEN):
-            return is_weakly_r_separated(a, b, self.r)
-        return is_weakly_r_separated(a, b, self.r) and not is_double_r_comb(a, b, self.r)
+            return is_weakly_r_separated, self.r
+        return _is_weakly_r_separated_no_comb, self.r
+
+    def holds(self, a: int, b: int) -> bool:
+        f, r = self.rule()
+        return f(a, b, r)
 
     def label(self) -> str:
         return f"{self.kind}({self.r})"
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "r": self.r}
+
+
+def _is_weakly_r_separated_no_comb(a: int, b: int, r: int) -> bool:
+    return is_weakly_r_separated(a, b, r) and not is_double_r_comb(a, b, r)
 
 
 def strong(r: int) -> PairwisePredicate:
@@ -197,12 +208,17 @@ def s_formula(n: int, r: int) -> int:
 def check_pairwise(
     system: SetSystem, predicate: PairwisePredicate
 ) -> tuple[bool, tuple[int, int] | None]:
-    """All pairs compatible?  Returns the first violating pair in canonical order."""
+    """All pairs compatible?  Returns the first violating pair in canonical order.
+
+    One predicate call per pair, never the relation table, so that it
+    re-checks what the table-based searches return.
+    """
+    holds, r = predicate.rule()
     members = system.members
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if not predicate.holds(members[i], members[j]):
-                return False, (members[i], members[j])
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if not holds(a, b, r):
+                return False, (a, b)
     return True, None
 
 
@@ -297,13 +313,15 @@ def relation_table(n: int, predicate: PairwisePredicate) -> tuple[int, ...]:
     """
     check_limit(n)
     half = n // 2  # the pairs are made per half, not all 3^n of them at once
+    holds, r = predicate.rule()
     low1, low2 = _difference_pairs(0, half)
     pieces: list[int] = []
     for high1, high2 in zip(*_difference_pairs(half, n)):
         pieces += map(
-            predicate.holds,
+            holds,
             map(or_, low1, repeat(high1)),
             map(or_, low2, repeat(high2)),
+            repeat(r),
         )
     pieces[0] = 0
     for i in range(n):
@@ -336,12 +354,16 @@ def compatibility_adjacency(n: int, predicate: PairwisePredicate) -> list[int]:
 class MaxSearch(NamedTuple):
     """One exact maximum search: the size, a witness and its counters.
 
-    nodes counts the branch-and-bound nodes expanded, the root included;
-    universal counts the sets related to every other set, which join the
-    clique up front; symmetries is the order of the group of checked
-    table symmetries (see symmetry_group); symmetry_pruned counts the
-    candidates skipped, at any depth, because a set in their orbit under
-    the node's stabiliser had already been branched on (see max_clique).
+    nodes counts the branch-and-bound nodes expanded, the root included,
+    summed over the two parts of the tree, so a node above the split
+    counts twice; universal counts the sets related to every other set,
+    which join the clique up front; symmetries is the order of the group
+    of checked table symmetries (see symmetry_group); symmetry_pruned
+    counts the candidates skipped, at any depth and summed like nodes,
+    because a set in their orbit under the node's stabiliser had already
+    been branched on (see max_clique).  processes is 2 if part 1 of the
+    tree ran in a forked child, 1 if both ran in this process; the
+    other fields do not depend on it.
     """
 
     size: int
@@ -350,6 +372,7 @@ class MaxSearch(NamedTuple):
     universal: int
     symmetries: int
     symmetry_pruned: int
+    processes: int
 
 
 def _complement(v: int, n: int) -> int:
@@ -448,6 +471,11 @@ def symmetry_group(n: int, table: Sequence[int]) -> list[tuple[int, ...]]:
     return group
 
 
+# a subgroup of a layout's group: the orbit mask of each index, and the
+# key of the subgroup that fixes it (the positions of its elements in group)
+_Subgroup = tuple[list[int], list[tuple[int, ...]]]
+
+
 class _Layout(NamedTuple):
     """What a search of one table needs before its first node.
 
@@ -455,7 +483,9 @@ class _Layout(NamedTuple):
     the i-th of them has index m - i: bit m - 1 - i of every bitset, so
     a bitset's bit_length() is the index of its earliest set.  Entry 0
     of adj, bits and others, and of each permutation in group, pads
-    the index so that no step subtracts 1.
+    the index so that no step subtracts 1.  subgroups fills in as the
+    searches of the table meet new subgroups, so a repeated search, or
+    a forked child, reuses what the searches before it built.
     """
 
     universal: list[int]  # related to every other set: in every maximum clique
@@ -464,6 +494,8 @@ class _Layout(NamedTuple):
     bits: list[int]  # 1 << (index - 1)
     others: list[int]  # the non-neighbours of each index, itself included
     group: list[tuple[int, ...]]  # the non-identity symmetries, as index permutations
+    # by key, the positions in group of a subgroup's elements
+    subgroups: dict[tuple[int, ...], _Subgroup]
 
 
 def _layout(n: int, table: Sequence[int]) -> _Layout:
@@ -486,7 +518,7 @@ def _layout(n: int, table: Sequence[int]) -> _Layout:
     index.update((v, m - i) for i, v in enumerate(order))
     searched = order[::-1]  # the sets of indices 1 .. m
     perms = [(0, *map(index.__getitem__, map(g.__getitem__, searched))) for g in group[1:]]
-    return _Layout(universal, order, adj, bits, others, perms)
+    return _Layout(universal, order, adj, bits, others, perms, {})
 
 
 @lru_cache(maxsize=RELATION_CACHE_SIZE)
@@ -495,9 +527,172 @@ def _search_layout(n: int, predicate: PairwisePredicate) -> _Layout:
     return _layout(n, relation_table(n, predicate))
 
 
-# a subgroup of a layout's group: the orbit mask of each index, and the
-# key of the subgroup that fixes it (the positions of its elements in group)
-_Subgroup = tuple[list[int], list[tuple[int, ...]]]
+# The search tree is cut into two parts below depth SPLIT_DEPTH, and
+# part 1 runs in a forked child once FORK_CROSSOVER or more sets are
+# searched (see max_clique; README "Maximum search" has the measurements).
+# Depth 3 balances the parts of the n = 8 searches.  A fork and reap cost
+# ~1.5 ms, which no table on n <= 7 (at most 2^7 - 2 sets searched, the
+# empty set and [n] being related to every set) reliably won back.
+SPLIT_DEPTH = 3
+FORK_CROSSOVER = 128
+
+# one part's result: the size and bitset of its best clique, the
+# positions of the branches above SPLIT_DEPTH on the path to it, its
+# nodes and its candidates pruned by symmetry
+_Part = tuple[int, int, tuple[int, ...], int, int]
+
+
+def _search_part(layout: _Layout, part: int) -> _Part:
+    """Part 0 or 1 of the search tree of max_clique, with its own incumbent."""
+    _, order, adj, bits, others, group, memo = layout
+    best_clique = best_size = nodes = symmetry_pruned = 0
+    best_path: tuple[int, ...] = ()
+    # path[j]: the position, among the branches its node has taken so
+    # far, of the branch at depth j on the way to the current node
+    path = [0] * SPLIT_DEPTH
+
+    def subgroup(key: tuple[int, ...]) -> _Subgroup | None:
+        # the subgroup of the identity and the elements group[i], i in
+        # key; None for the identity alone
+        if not key:
+            return None
+        found = memo.get(key)
+        if found is None:
+            orbits, stabs = [], []
+            for b, images in enumerate(zip(*(group[i] for i in key))):
+                orbits.append(reduce(or_, map(bits.__getitem__, images), bits[b]))
+                stabs.append(tuple(compress(key, map(b.__eq__, images))))
+            found = memo[key] = (orbits, stabs)
+        return found
+
+    def colour_classes(cand: int, kmin: int) -> list[tuple[int, int]]:
+        # (colour k, class bitset) for every class with k >= kmin; each
+        # step takes the highest bit, the earliest set in search order
+        classes = []
+        k = 0
+        while cand:
+            k += 1
+            left = cand
+            cls = 0
+            while left:
+                b = left.bit_length()
+                cls |= bits[b]
+                left &= others[b]
+            cand ^= cls
+            if k >= kmin:
+                classes.append((k, cls))
+        return classes
+
+    def expand(clique: int, csize: int, cand: int, sym: _Subgroup | None) -> None:
+        # sym: subgroup() of the elements that fix every set of the clique
+        nonlocal best_clique, best_size, best_path, nodes, symmetry_pruned
+        nodes += 1
+        grown = csize + 1
+        above = csize < SPLIT_DEPTH  # a node of both parts
+        mine = True
+        if above:
+            path[csize] = -1
+        for k, cls in reversed(colour_classes(cand, best_size - csize + 1)):
+            while cls:
+                if csize + k <= best_size:
+                    return
+                bit = cls & -cls  # the latest set of the class in search order
+                cls ^= bit
+                if not cand & bit:
+                    symmetry_pruned += 1
+                    continue
+                v = bit.bit_length()
+                if above:
+                    path[csize] += 1
+                    # a branch into the split depth: part sum(path) mod 2's
+                    mine = grown < SPLIT_DEPTH or sum(path) % 2 == part
+                if mine:
+                    sub = cand & adj[v]
+                    if sub:
+                        expand(clique | bit, grown, sub, sym and subgroup(sym[1][v]))
+                    elif grown > best_size:
+                        best_clique, best_size = clique | bit, grown
+                        best_path = tuple(path[:grown])
+                # the orbit goes whichever part took the branch
+                cand &= ~sym[0][v] if sym else ~bit
+
+    try:
+        expand(0, 0, (1 << len(order)) - 1, subgroup(tuple(range(len(group)))))
+    finally:
+        # expand refers to itself; drop it so its cells go on return
+        del expand
+    return best_size, best_clique, best_path, nodes, symmetry_pruned
+
+
+def _processes(m: int) -> int:
+    """2 if the search of m sets is to run part 1 in a forked child: fork
+    exists, this process may run on two CPUs and m is FORK_CROSSOVER or
+    more; 1 otherwise."""
+    import os
+
+    if m < FORK_CROSSOVER or not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
+def _both_parts(layout: _Layout) -> tuple[list[_Part], int]:
+    """Parts 0 and 1 of the search, and the number of processes that ran them."""
+    if _processes(len(layout.order)) == 2:
+        parts = _forked_parts(layout)
+        if parts is not None:
+            return parts, 2
+    return [_search_part(layout, 0), _search_part(layout, 1)], 1
+
+
+def _forked_parts(layout: _Layout) -> list[_Part] | None:
+    """Part 0 here and part 1 in a forked child; None if no child can be forked.
+
+    The child sends its result back marshalled over a pipe and exits.
+    The parent always reaps the child, and kills it first if its own
+    part raises or is interrupted.  A child that fails makes the parent
+    raise RuntimeError with the child's message.
+    """
+    import marshal
+    import os
+    import signal
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:  # the child: part 1, then out without running the parent's cleanup
+        try:
+            os.close(read)
+            try:
+                reply = True, _search_part(layout, 1)
+            except BaseException as exc:
+                reply = False, f"{type(exc).__name__}: {exc}".splitlines()[0]
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(reply))
+        finally:
+            os._exit(0)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        try:
+            first = _search_part(layout, 0)
+            blob = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if not blob:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"search child ended without a result (exit status {code})")
+    ok, second = marshal.loads(blob)
+    if not ok:
+        raise RuntimeError(f"search child failed: {second}")
+    return [first, second]
 
 
 def max_clique(n: int, table: Sequence[int], layout: _Layout | None = None) -> MaxSearch:
@@ -538,87 +733,45 @@ def max_clique(n: int, table: Sequence[int], layout: _Layout | None = None) -> M
        candidates, onto one of the same size through C + v, which the
        branch on v has already searched.  Once H is trivial only v
        goes, at no extra cost.  The orbit masks and stabilisers are
-       memoised per subgroup within one search.
+       memoised per subgroup in the layout.
+    4. Two parts of one tree (McCreesh and Prosser 2015; Depolli et
+       al. 2013).  Both parts expand every node of depth less than
+       SPLIT_DEPTH, and both drop the orbit of every branch there,
+       theirs or not, so their candidates agree.  A branch's position
+       is its index among the branches its node takes; a branch into
+       depth SPLIT_DEPTH belongs to part (the sum of the positions on
+       its path) mod 2, and the other part skips it.  Each part keeps
+       its own incumbent, so each is a branch and bound of its own, and
+       part 1 runs in a forked child when that pays (_processes).  The
+       larger size wins.  On equal sizes the clique whose path of
+       positions above the split comes first wins, which gives back
+       the one-process witness, the first maximum clique in DFS order:
+       both parts keep its branch order, and a subtree that holds a
+       clique larger than the part's incumbent is never pruned, so no
+       part finds that size at an earlier position than its first
+       maximum clique.  nodes and symmetry_pruned are summed over the
+       parts, so a node above the split counts twice, in one process
+       or in two.
 
     The search never stops early at a target size.  Fully
-    deterministic; the layout is only read.
+    deterministic: the result does not depend on the processes.  The
+    search adds to the layout's subgroups and changes nothing else in it.
     """
-    universal, order, adj, bits, others, group = layout or _layout(n, table)
+    layout = layout or _layout(n, table)
+    universal, order, *_ = layout
+    parts, processes = _both_parts(layout)
+    # the larger size, then the earlier path
+    _, clique, *_ = min(parts, key=lambda part: (-part[0], part[2]))
     m = len(order)
-    best_clique = 0
-    best_size = 0
-    nodes = 0
-    symmetry_pruned = 0
-    memo: dict[tuple[int, ...], _Subgroup] = {}
-
-    def subgroup(key: tuple[int, ...]) -> _Subgroup | None:
-        # the subgroup of the identity and the elements group[i], i in
-        # key; None for the identity alone
-        if not key:
-            return None
-        found = memo.get(key)
-        if found is None:
-            orbits, stabs = [], []
-            for b, images in enumerate(zip(*(group[i] for i in key))):
-                orbits.append(reduce(or_, map(bits.__getitem__, images), bits[b]))
-                stabs.append(tuple(compress(key, map(b.__eq__, images))))
-            found = memo[key] = (orbits, stabs)
-        return found
-
-    def colour_classes(cand: int, kmin: int) -> list[tuple[int, int]]:
-        # (colour k, class bitset) for every class with k >= kmin; each
-        # step takes the highest bit, the earliest set in search order
-        classes = []
-        k = 0
-        while cand:
-            k += 1
-            left = cand
-            cls = 0
-            while left:
-                b = left.bit_length()
-                cls |= bits[b]
-                left &= others[b]
-            cand ^= cls
-            if k >= kmin:
-                classes.append((k, cls))
-        return classes
-
-    def expand(clique: int, csize: int, cand: int, sym: _Subgroup | None) -> None:
-        # sym: subgroup() of the elements that fix every set of the clique
-        nonlocal best_clique, best_size, nodes, symmetry_pruned
-        nodes += 1
-        grown = csize + 1
-        for k, cls in reversed(colour_classes(cand, best_size - csize + 1)):
-            while cls:
-                if csize + k <= best_size:
-                    return
-                bit = cls & -cls  # the latest set of the class in search order
-                cls ^= bit
-                if not cand & bit:
-                    symmetry_pruned += 1
-                    continue
-                v = bit.bit_length()
-                sub = cand & adj[v]
-                if sub:
-                    expand(clique | bit, grown, sub, sym and subgroup(sym[1][v]))
-                elif grown > best_size:
-                    best_clique, best_size = clique | bit, grown
-                cand &= ~sym[0][v] if sym else ~bit
-
-    try:
-        expand(0, 0, (1 << m) - 1, subgroup(tuple(range(len(group)))))
-    finally:
-        # expand refers to itself; drop it so the memo goes on return
-        del expand
-
-    witness = universal + [order[m - b] for b in range(1, m + 1) if best_clique & bits[b]]
+    witness = universal + [order[m - b] for b in range(1, m + 1) if clique >> b - 1 & 1]
     return MaxSearch(
         size=len(witness),
         witness=SetSystem.from_masks(n, witness),
-        nodes=nodes,
+        nodes=sum(part[3] for part in parts),
         universal=len(universal),
-        symmetries=len(group) + 1,
-        symmetry_pruned=symmetry_pruned,
+        symmetries=len(layout.group) + 1,
+        symmetry_pruned=sum(part[4] for part in parts),
+        processes=processes,
     )
 
 

@@ -89,7 +89,7 @@ def test_search_max_counters_stay_out_of_json(capsys, tmp_path):
         assert "max WEAK_ODD(1) on [6]: 22" in out
         assert re.fullmatch(
             r"search: \d+ nodes, 12 universal, 4 symmetries, "
-            r"\d+ candidates pruned by symmetry, \d+\.\d\d s, \d+ nodes/s\n",
+            r"\d+ candidates pruned by symmetry, 1 process, \d+\.\d\d s, \d+ nodes/s\n",
             err,
         ), err
         assert "nodes" not in out
@@ -592,11 +592,35 @@ def test_scan_cap_flag_is_a_usage_error(capsys):
         assert f"unrecognized arguments: --cap {argv[-1]}" in captured.err
 
 
-def test_membrane_scan_failure_names_pairs_and_fragments(capsys, tmp_path):
+def _w_scan_at_even_d(monkeypatch):
+    """Make `membrane scan --flavor e` print the library's w-flavor report,
+    which the command refuses at even d: the one scan that fails."""
+    real = mb.scan_membranes
+    monkeypatch.setattr(
+        mb, "scan_membranes", lambda q, flavor, r, check_combs: real(q, "W", r, check_combs)
+    )
+
+
+def test_w_scan_at_even_d_is_refused_before_the_scan(capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(mb, "scan_membranes", no_scan)
+    code, out, err = run(capsys, "membrane", "scan", "--n", "6", "--d", "4")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: w-membranes are held to the odd-d contract (size s(n, d-2), weak "
+        "(d-2)-separation), got d=4; use --flavor e at even d\n"
+    )
+
+
+def test_membrane_scan_failure_names_pairs_and_fragments(capsys, tmp_path, monkeypatch):
     # w-membranes of Z(5,4) vary in size and carry double 2-combs
+    _w_scan_at_even_d(monkeypatch)
     path = tmp_path / "scan.json"
     code, out, _ = run(
-        capsys, "membrane", "scan", "--n", "5", "--d", "4", "--combs", "--json", str(path),
+        capsys, "membrane", "scan", "--n", "5", "--d", "4", "--flavor", "e", "--combs",
+        "--json", str(path),
     )
     assert code == 1
     assert "sizes [26, 27, 28, 29], expected 26, FAIL" in out
@@ -670,7 +694,10 @@ def test_witness_replay_failure_is_an_internal_error(capsys, monkeypatch):
         raise ValueError(f"raising flip at {delta.label()} blocked")
 
     monkeypatch.setattr(mb, "raising_flip", refuse)
-    code, out, err = run(capsys, "membrane", "scan", "--n", "5", "--d", "4", "--combs")
+    _w_scan_at_even_d(monkeypatch)
+    code, out, err = run(
+        capsys, "membrane", "scan", "--n", "5", "--d", "4", "--flavor", "e", "--combs"
+    )
     assert code == 1 and out == ""
     assert err.startswith("internal error: witness replay failed: raising flip at ")
     assert err.count("\n") == 1

@@ -10,14 +10,19 @@ the candidate symmetries are checked against plain clique enumeration.
 from __future__ import annotations
 
 import gc
+import os
 import random
+import time
 from itertools import combinations
 
 import pytest
 
+import zonosep.systems as systems
 from zonosep.ground import elements
 from zonosep.systems import (
+    FORK_CROSSOVER,
     _permuted_rows,
+    _processes,
     _search_layout,
     check_pairwise,
     enumerate_maximal,
@@ -90,15 +95,18 @@ def test_counters_show_the_reductions():
 # The search tree, pinned: size, nodes, candidates pruned by symmetry
 # and the witness as a bitset over 2^[n].  Any change to the numbering or
 # the colouring must walk exactly these nodes and find these witnesses.
+# The counters are summed over the two parts of the tree, so the nodes
+# above the split depth, the root among them, count twice.
 PINNED = [
-    (7, weak_odd(1), 29, 9402, 84, 0xD1D1000100F100018080000080BB808B),
-    (7, weak_even_no_comb(2), 67, 692, 13, 0xFBAB819F8189819FF3A90009F3E9D1DF),
-    # every set universal: nothing is left to search (m = 0)
-    (7, strong(6), 128, 1, 0, (1 << 128) - 1),
+    (7, weak_odd(1), 29, 9689, 167, 0xD1D1000100F100018080000080BB808B),
+    (7, weak_even_no_comb(2), 67, 1121, 26, 0xFBAB819F8189819FF3A90009F3E9D1DF),
+    # every set universal: nothing is left to search (m = 0), and each
+    # part expands the root alone
+    (7, strong(6), 128, 2, 0, (1 << 128) - 1),
     # all but {2,4,6} and {1,3,5,7} universal: the least m above 0 is 2,
     # since the non-universal sets are closed under the complement, which
     # fixes no set; so m = 1 never reaches the search
-    (7, weak_odd(5), 127, 1, 0, ((1 << 128) - 1) ^ 1 << 0b0101010),
+    (7, weak_odd(5), 127, 2, 0, ((1 << 128) - 1) ^ 1 << 0b0101010),
 ]
 
 
@@ -340,3 +348,130 @@ def test_searches_leave_no_cycle_behind():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# The two parts of the tree, run in one process and in two.
+
+
+def _in(processes, monkeypatch):
+    """Make every search below run in the given number of processes."""
+    monkeypatch.setattr(systems, "_processes", lambda m: processes)
+
+
+def _counted(found):
+    return found.size, found.witness, found.nodes, found.symmetry_pruned
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n, predicate", [(n, p) for n, p, *_ in PINNED[:2]], ids=["wo1", "wenc2"])
+def test_forked_search_equals_the_in_process_one(n, predicate, monkeypatch):
+    table = relation_table(n, predicate)
+    _in(1, monkeypatch)
+    here = max_clique(n, table)
+    _in(2, monkeypatch)
+    forked = max_clique(n, table)
+    assert (here.processes, forked.processes) == (1, 2)
+    assert _counted(forked) == _counted(here)
+    assert forked.witness.members == here.witness.members
+    _no_child_left()
+
+
+def test_forked_search_equals_the_in_process_one_on_group_closed_tables(monkeypatch):
+    for n, names in SUBGROUPS:
+        maps = [_complement] + [EXTRA_MAPS[name] for name in names]
+        generators = [tuple(f(v, n) for v in range(1 << n)) for f in maps]
+        for seed in range(10):
+            table = _random_closed_table(n, generators, random.Random(seed))
+            _in(1, monkeypatch)
+            here = max_clique(n, table)
+            _in(2, monkeypatch)
+            assert _counted(max_clique(n, table)) == _counted(here), (n, names, seed)
+    _no_child_left()
+
+
+def test_a_failing_child_is_an_error_of_the_parent(monkeypatch):
+    real = systems._search_part
+
+    def part_1_breaks(layout, part):
+        if part == 1:
+            raise ValueError("part 1 broke\nat the root")
+        return real(layout, part)
+
+    _in(2, monkeypatch)
+    monkeypatch.setattr(systems, "_search_part", part_1_breaks)
+    with pytest.raises(RuntimeError, match=r"^search child failed: ValueError: part 1 broke$"):
+        max_clique(5, relation_table(5, weak_odd(1)))
+    _no_child_left()
+
+
+def test_an_interrupted_parent_kills_and_reaps_its_child(monkeypatch):
+    def part(layout, part):
+        if part == 1:
+            time.sleep(60)  # the child: killed long before it wakes
+        raise KeyboardInterrupt
+
+    _in(2, monkeypatch)
+    monkeypatch.setattr(systems, "_search_part", part)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        max_clique(5, relation_table(5, weak_odd(1)))
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+def test_when_the_search_forks(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _processes(FORK_CROSSOVER) == 2
+    # below the crossover, and on n <= 7, where at most 2^7 - 2 sets are searched
+    assert _processes(FORK_CROSSOVER - 1) == 1
+    assert FORK_CROSSOVER > (1 << 7) - 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert _processes(FORK_CROSSOVER) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delattr(os, "fork")
+    assert _processes(FORK_CROSSOVER) == 1
+
+
+def test_a_second_search_of_a_table_adds_no_subgroup(monkeypatch):
+    _in(1, monkeypatch)
+    _search_layout.cache_clear()
+    layout = _search_layout(7, weak_odd(1))
+    search_max(7, weak_odd(1))
+    built = len(layout.subgroups)
+    assert built > 1
+    search_max(7, weak_odd(1))
+    assert len(layout.subgroups) == built
+
+
+def test_a_child_that_dies_is_an_error_of_the_parent(monkeypatch):
+    real = systems._search_part
+
+    def part_1_dies(layout, part):
+        if part == 1:
+            os._exit(3)  # the child only: gone before it answers
+        return real(layout, part)
+
+    _in(2, monkeypatch)
+    monkeypatch.setattr(systems, "_search_part", part_1_dies)
+    with pytest.raises(RuntimeError, match=r"^search child ended without a result \(exit status 3\)$"):
+        max_clique(5, relation_table(5, weak_odd(1)))
+    _no_child_left()
+
+
+def test_no_process_to_fork_searches_in_one(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    table = relation_table(6, weak_odd(1))
+    _in(1, monkeypatch)
+    here = max_clique(6, table)
+    _in(2, monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    assert max_clique(6, table) == here  # processes 1 included
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed

@@ -26,7 +26,7 @@ def _cortege(last: int = 4) -> Cortege:
 
 
 def _search(nodes: int = 5) -> MaxSearch:
-    return MaxSearch(2, SetSystem(2, (m(1), m(2))), nodes, 1, 2, 0)
+    return MaxSearch(2, SetSystem(2, (m(1), m(2))), nodes, 1, 2, 0, 1)
 
 
 # name: (build a fresh record, the same build with one field changed)

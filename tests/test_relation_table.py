@@ -111,12 +111,12 @@ def test_table_size_is_capped():
 def test_kernel_calls_the_predicate_once_per_disjoint_pair(monkeypatch):
     seen = []
 
-    def holds(self, a, b):
+    def holds(a, b, r):
         assert not a & b, "the kernel asks only about disjoint difference sets"
         seen.append((a, b))
         return True
 
-    monkeypatch.setattr(PairwisePredicate, "holds", holds)
+    monkeypatch.setattr(PairwisePredicate, "rule", lambda self: (holds, self.r))
     table = relation_table.__wrapped__(6, strong(1))  # fresh, not from the cache
     assert len(seen) == 3**6 == 729
     assert len(set(seen)) == 729

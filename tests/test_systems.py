@@ -115,6 +115,28 @@ def test_check_pairwise_reports_first_violation():
     assert ok and pair is None
 
 
+@pytest.mark.parametrize("predicate", every_predicate(5), ids=lambda p: p.label())
+def test_check_pairwise_calls_the_predicate_once_per_pair(predicate, monkeypatch):
+    # the first failing pair of the plain double loop, the empty set
+    # included, and one call of the resolved predicate per pair up to it
+    rng = random.Random(predicate.label())
+    holds, r = predicate.rule()
+    calls = []
+
+    def counted(a, b, r):
+        calls.append((a, b))
+        return holds(a, b, r)
+
+    monkeypatch.setattr(PairwisePredicate, "rule", lambda self: (counted, r))
+    for _ in range(20):
+        system = SetSystem.from_masks(5, rng.sample(range(32), rng.choice((2, 5, 9))))
+        pairs = [(a, b) for i, a in enumerate(system) for b in system.members[i + 1 :]]
+        first = next((pair for pair in pairs if not holds(*pair, r)), None)
+        calls.clear()
+        assert check_pairwise(system, predicate) == (first is None, first)
+        assert calls == pairs[: pairs.index(first) + 1 if first else len(pairs)]
+
+
 def test_extend_to_maximal_deterministic():
     base = SetSystem.from_masks(2, ())
     full = extend_to_maximal(base, strong(0))
