@@ -420,12 +420,7 @@ def cmd_membrane_scan(args) -> int:
             f"got d={args.d}; use --flavor e at even d"
         )
     q = cb.standard_cubillage(args.n, args.d, args.anti)
-    report = mb.scan_membranes(
-        q,
-        flavor=args.flavor.upper(),
-        r=args.r,
-        check_combs=args.combs,
-    )
+    report = mb.scan_membranes(q, flavor=args.flavor.upper(), check_combs=args.combs)
     what = f"{args.flavor}-membranes of {_cub_name(args.n, args.d, args.anti)}"
     sizes = f"sizes {sorted(report.sizes_seen)}, expected {report.expected_size}"
     code = _print_scan(what, report, sizes, "scan ")
@@ -805,7 +800,6 @@ def _membrane_commands(sub) -> None:
     scan = _command(sub, "scan", "decide the claims over every membrane", cmd_membrane_scan)
     _add_nd(scan, anti=True)
     scan.add_argument("--flavor", choices=("w", "e"), default="w")
-    scan.add_argument("--r", type=int, default=None)
     scan.add_argument("--combs", action="store_true", help="also scan for double combs")
     _add_json(scan)
 

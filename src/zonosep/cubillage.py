@@ -351,9 +351,7 @@ def bead_thread_graph(q: Cubillage) -> BeadThreads:
         out_map[tail] = head
         in_map[head] = tail
         gap = head.bit_count() - tail.bit_count()
-        if q.d % 2 and gap != 1:
-            problems.append(f"arc at cube {cube.label()} changes height by {gap}")
-        if q.d % 2 == 0 and gap != 0:
+        if gap != q.d % 2:
             problems.append(f"arc at cube {cube.label()} changes height by {gap}")
 
     starts = [v for v in sorted(out_map) if v not in in_map]

@@ -61,10 +61,8 @@ from .systems import (
     SetSystem,
     check_limit,
     complement_table,
-    relation_table,
     s_formula,
     weak,
-    weak_even,
     weak_even_no_comb,
 )
 
@@ -98,27 +96,24 @@ def v_tile(facet: Face, slab: int) -> frozenset[int] | None:
 
 
 class Fragment(Record):
-    """Slabs h..top of a cube, between heights |X|+h-1 and |X|+top.
+    """Slabs h..top of a cube, between heights |X|+h-1 and |X|+top; top
+    defaults to h, the one slab h.
 
-    top None is the one slab h, and top == h is stored as None, so a
-    single slab has one encoding.  The sections between the covered
-    slabs are interior to the fragment; where a flavor cuts is
-    `fragments`'s business.
+    The sections between the covered slabs are interior to the fragment;
+    where a flavor cuts is `fragments`'s business.
     """
 
     __slots__ = ("cube", "h", "top")
 
     def __init__(self, cube: Cube, h: int, top: int | None = None) -> None:
-        if top == h:
-            top = None
-        last = h if top is None else top
-        if not 1 <= h <= last <= cube.d:
-            raise ValueError(f"slabs {h}..{last} outside 1..{cube.d}")
+        top = h if top is None else top
+        if not 1 <= h <= top <= cube.d:
+            raise ValueError(f"slabs {h}..{top} outside 1..{cube.d}")
         self.cube, self.h, self.top = cube, h, top
 
     @property
     def slabs(self) -> tuple[int, ...]:
-        return tuple(range(self.h, (self.h if self.top is None else self.top) + 1))
+        return tuple(range(self.h, self.top + 1))
 
     def label(self) -> str:
         return f"{self.cube.label()}#h{'+'.join(str(s) for s in self.slabs)}"
@@ -127,7 +122,7 @@ class Fragment(Record):
         return self._side(front_facets(self.cube), self.h - 1)
 
     def eps_rear(self) -> frozenset[frozenset[int]]:
-        return self._side(rear_facets(self.cube), self.slabs[-1])
+        return self._side(rear_facets(self.cube), self.top)
 
     def _side(self, facets: list[Face], lid: int) -> frozenset[frozenset[int]]:
         """V-tiles of the facets at every covered slab, plus the section at
@@ -382,13 +377,13 @@ class MembraneScanReport:
     counters and phase seconds for display and never enters the JSON.
     """
 
-    __slots__ = ("n", "d", "flavor", "r", "expected_size", "membrane_count", "sizes_seen",
+    __slots__ = ("n", "d", "flavor", "expected_size", "membrane_count", "sizes_seen",
                  "violations", "comb_free", "undecided", "stats")
 
-    def __init__(self, n: int, d: int, flavor: str, r: int, expected_size: int,
+    def __init__(self, n: int, d: int, flavor: str, expected_size: int,
                  membrane_count: int, sizes_seen: set[int], undecided: str | None,
                  stats: dict) -> None:
-        self.n, self.d, self.flavor, self.r = n, d, flavor, r
+        self.n, self.d, self.flavor = n, d, flavor
         self.expected_size = expected_size
         self.membrane_count = membrane_count
         self.sizes_seen = sizes_seen
@@ -412,7 +407,7 @@ class MembraneScanReport:
             "n": self.n,
             "d": self.d,
             "flavor": self.flavor,
-            "r": self.r,
+            "r": self.d - 2,
             "expected_size": self.expected_size,
             "membranes": self.membrane_count,
             "capped": self.capped,
@@ -423,16 +418,6 @@ class MembraneScanReport:
         if self.undecided is not None:
             blob["undecided"] = self.undecided
         return blob
-
-
-def _comb_rows(n: int, r: int) -> list[int]:
-    """Row v: the sets forming a double r-comb with v.
-
-    A double r-comb is weakly r-separated, so these are exactly the
-    weak partners of v that WEAK_EVEN_NO_COMB(r) drops.
-    """
-    kept = relation_table(n, weak_even_no_comb(r))
-    return [row ^ kept[v] for v, row in enumerate(relation_table(n, weak_even(r)))]
 
 
 class MembraneCensus:
@@ -517,15 +502,15 @@ def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:
 def scan_membranes(
     q: Cubillage,
     flavor: str = FLAVOR_W,
-    r: int | None = None,
     check_combs: bool = False,
 ) -> MembraneScanReport:
     """Decide the membrane claims of one cubillage without visiting membranes.
 
-    The claims: every membrane has s(n, d-2) vertices, no two of its
-    vertices violate weak r-separation, and (with check_combs) no two
-    form a double r-comb.  The decision runs in four phases, the first
-    three of them `membrane_census`:
+    The claims, at r = d-2: every membrane has s(n, r) vertices, and
+    every two of its vertices satisfy the claimed relation, weak
+    r-separation or, with check_combs, WEAK_EVEN_NO_COMB(r) (weak
+    separation and no double r-comb).  The decision runs in four phases,
+    the first three of them `membrane_census`:
 
     1. the fragment precedence and its down- and up-set bitmasks;
     2. tile lifespans: every tile is born by at most one raising flip
@@ -542,25 +527,27 @@ def scan_membranes(
        fragment weights w = #(a_v = fragment) - #(b_v = fragment)
        summed over I, folded over the ideals only when a weight is
        nonzero;
-    4. pairs: an incompatible pair (u, v) lies on a common membrane iff
-       neither b_u nor b_v lies in the down-set of {a_u, a_v}, and
-       that down-set is the witness.  Every witness is replayed through
-       the membrane construction and the pair re-checked from scratch.
+    4. pairs, in one pass over the pairs outside the claimed relation:
+       such a pair (u, v) lies on a common membrane iff neither b_u nor
+       b_v lies in the down-set of {a_u, a_v}, and that down-set is the
+       witness.  Every witness is replayed through the membrane
+       construction and the pair re-judged from scratch: a pair that
+       weak r-separation rejects is of kind weak, any other a double
+       r-comb, of kind comb.  A double comb is weakly separated, so the
+       two kinds never meet; the weak pairs are listed first.
     """
     check_limit(q.n)  # phase 4 reads the relation table, so check before phase 1
-    if r is None:
-        r = q.d - 2
+    r = q.d - 2
     if r < 1:
         raise ValueError("separation order must be at least 1")
-    if check_combs:
-        weak_even_no_comb(r)  # refuses odd r before the census, not after it
+    # built here, so an odd r with combs is refused before the census
+    claim = weak_even_no_comb(r) if check_combs else weak(r)
     census = membrane_census(q, flavor)
     report = MembraneScanReport(
         n=q.n,
         d=q.d,
         flavor=flavor,
-        r=r,
-        expected_size=s_formula(q.n, q.d - 2),
+        expected_size=s_formula(q.n, r),
         membrane_count=census.count,
         sizes_seen=census.sizes,
         undecided=census.undecided,
@@ -582,20 +569,17 @@ def scan_membranes(
 
     clock = time.perf_counter
     started = clock()
-    rows = [(KIND_WEAK, complement_table(q.n, weak(r)))]
+    pairs, report.stats["pairs"] = _coexisting_pairs(
+        poset, census.intervals, complement_table(q.n, claim)
+    )
+    found = [
+        _replayed(census.base, deltas, poset, r, check_combs, u, v, poset.nodes(witness))
+        for u, v, witness in pairs
+    ]
+    found.sort(key=lambda violation: violation.kind == KIND_COMB)  # stable: (u, v) within a kind
+    report.violations += found
     if check_combs:
-        rows.append((KIND_COMB, _comb_rows(q.n, r)))
-    tested = 0
-    for kind, table in rows:
-        pairs, count = _coexisting_pairs(poset, census.intervals, table)
-        tested += count
-        for u, v, witness in pairs:
-            report.violations.append(
-                _replayed(census.base, deltas, poset, kind, r, u, v, poset.nodes(witness))
-            )
-        if kind == KIND_COMB:
-            report.comb_free = not pairs
-    report.stats["pairs"] = tested
+        report.comb_free = all(violation.kind != KIND_COMB for violation in found)
     report.stats["pairs_s"] = clock() - started
     return report
 
@@ -753,28 +737,31 @@ def _replayed(
     base: Membrane,
     deltas: Sequence[Fragment],
     poset: Poset,
-    kind: str,
     r: int,
+    check_combs: bool,
     u: int,
     v: int,
     witness: list[int],
 ) -> ScanViolation:
     """The violation of pair (u, v), after replaying its witness ideal.
 
-    The membrane is rebuilt flip by flip and the pair re-judged with the
-    plain predicates, independently of the tables and intervals.
+    The membrane is rebuilt flip by flip and the pair judged with the
+    plain predicates, independently of the tables and intervals: weak if
+    weak r-separation rejects it, else comb if check_combs and it is a
+    double r-comb.
     """
     try:
         verts = _replay(base, deltas, poset, set(witness)).vertex_masks()
     except ValueError as exc:
         raise MembraneInvariantError(f"witness replay failed: {exc}") from exc
-    if kind == KIND_WEAK:
-        fails = not weak(r).holds(u, v)
+    if not weak(r).holds(u, v):
+        kind = KIND_WEAK
+    elif check_combs and is_double_r_comb(u, v, r):
+        kind = KIND_COMB
     else:
-        fails = is_double_r_comb(u, v, r)
-    if u not in verts or v not in verts or not fails:
+        kind = None
+    if u not in verts or v not in verts or kind is None:
         raise MembraneInvariantError(
-            f"witness of {set_notation(u)} vs {set_notation(v)} ({kind}) "
-            f"does not replay"
+            f"witness of {set_notation(u)} vs {set_notation(v)} does not replay"
         )
     return ScanViolation(kind, (u, v), tuple(deltas[i].label() for i in witness))

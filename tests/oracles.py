@@ -980,27 +980,35 @@ class ReferenceScan:
     comb_free: bool | None = None
 
 
-def reference_scan_membranes(
-    q, flavor="W", r=None, cap=None, check_combs=False, incompat=None
-):
+def reference_comb_rows(n: int, r: int) -> list[int]:
+    """Row v: the sets forming a double r-comb with v, one raw_double_comb
+    call per pair of subsets of [n]."""
+    from zonosep.ground import elements
+
+    sets = [set(elements(m)) for m in range(1 << n)]
+    return [
+        sum(1 << u for u, a in enumerate(sets) if raw_double_comb(a, b, r)) for b in sets
+    ]
+
+
+def reference_scan_membranes(q, flavor="W", cap=None, check_combs=False, incompat=None):
     """The per-tile refcount walk that `membranes.scan_membranes` replaced.
 
     Visits every membrane: each flip drops the front tiles and adds the
     rear tiles one vertex at a time, driven by `reference_scan_ideals`.
     `incompat` overrides the rows of the pairs counted as violations
-    (default: not weakly r-separated).
+    (default: not weakly (d-2)-separated).
     """
-    from zonosep.membranes import _comb_rows, base_membrane, fragment_precedence
+    from zonosep.membranes import base_membrane, fragment_precedence
     from zonosep.posets import IdealCapExceeded
     from zonosep.systems import complement_table, weak
 
     deltas, succs = fragment_precedence(q, flavor)
-    if r is None:
-        r = q.d - 2
+    r = q.d - 2
     report = ReferenceScan()
     if incompat is None:
         incompat = complement_table(q.n, weak(r))
-    combs = _comb_rows(q.n, r) if check_combs else None
+    combs = reference_comb_rows(q.n, r) if check_combs else None
     eps_front_of = [sorted(d_.eps_front(), key=sorted) for d_ in deltas]
     eps_rear_of = [sorted(d_.eps_rear(), key=sorted) for d_ in deltas]
     refcount = {}

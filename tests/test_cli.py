@@ -579,17 +579,19 @@ def test_verify_membranes_failure_beats_undecided(capsys, monkeypatch):
 
 
 def test_scan_cap_flag_is_a_usage_error(capsys):
-    # the scans decide every membrane without visiting one: no --cap to take
+    # the scans decide every membrane without visiting one: no --cap to take;
+    # and every claim is at r = d - 2: no --r either, refused and not ignored
     for argv in (
         ("membrane", "scan", "--n", "5", "--d", "3", "--cap", "10"),
         ("verify", "membranes", "--nmax", "3", "--cap", "4"),
+        ("membrane", "scan", "--n", "5", "--d", "3", "--r", "1"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"unrecognized arguments: --cap {argv[-1]}" in captured.err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
 def _w_scan_at_even_d(monkeypatch):
@@ -597,7 +599,7 @@ def _w_scan_at_even_d(monkeypatch):
     which the command refuses at even d: the one scan that fails."""
     real = mb.scan_membranes
     monkeypatch.setattr(
-        mb, "scan_membranes", lambda q, flavor, r, check_combs: real(q, "W", r, check_combs)
+        mb, "scan_membranes", lambda q, flavor, check_combs: real(q, "W", check_combs)
     )
 
 
@@ -661,6 +663,28 @@ def test_scan_stats_line_stays_out_of_json(capsys, tmp_path):
     assert code == 0 and err.count("decided w-membranes of Z(") == 3
 
 
+PAIRS_TESTED_WITH_COMBS = [
+    # (n, w-scan through the library, pairs tested at d = 4): the pairs
+    # outside WEAK_EVEN_NO_COMB(2) on both cubillages, each tested once
+    (6, False, 52), (7, False, 196), (8, False, 609),
+    (5, True, 10), (6, True, 52), (7, True, 196),
+]
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+def test_scans_with_combs_test_each_pair_once(capsys, monkeypatch, anti):
+    for n, w_scan, pairs in PAIRS_TESTED_WITH_COMBS:
+        with monkeypatch.context() as patch:
+            if w_scan:
+                _w_scan_at_even_d(patch)
+            code, _, err = run(
+                capsys, "membrane", "scan", "--n", str(n), "--d", "4", "--flavor", "e",
+                "--combs", *(("--anti",) if anti else ()),
+            )
+        assert code == (1 if w_scan else 0)
+        assert f", {pairs} pairs tested; " in err, (n, w_scan)
+
+
 def test_internal_error_is_one_line_and_not_usage(capsys, monkeypatch):
     # an empty front boundary breaks the tile lifespans
     real = mb.base_membrane
@@ -682,7 +706,7 @@ def test_combs_at_odd_r_are_refused_before_the_census(capsys, monkeypatch):
         raise AssertionError("census started before the r check")
 
     monkeypatch.setattr(mb, "membrane_census", no_census)
-    for argv in (("--n", "5", "--d", "3"), ("--n", "6", "--d", "4", "--flavor", "e", "--r", "3")):
+    for argv in (("--n", "5", "--d", "3"), ("--n", "6", "--d", "5")):
         code, out, err = run(capsys, "membrane", "scan", *argv, "--combs")
         assert code == 2 and out == ""
         assert err == "error: WEAK_EVEN_NO_COMB needs even positive r\n"

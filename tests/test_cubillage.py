@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import zonosep.cubillage as cb
 from zonosep.cubillage import (
     Cube,
     Cubillage,
@@ -328,6 +329,25 @@ def test_bead_threads_structural() -> None:
             assert beads.ok, (n, d, anti, beads.problems)
     dot = bead_thread_graph(standard_cubillage(4, 2)).to_dot()
     assert dot.count("->") == 6
+
+
+@pytest.mark.parametrize("n, d", [(4, 3), (5, 4)])
+def test_bead_arc_off_its_height_is_a_problem(monkeypatch, n, d):
+    # an arc from a cube's bottom vertex to its top rises by d, where
+    # arcs rise by 1 at odd d and stay level at even d
+    q = standard_cubillage(n, d)
+    first = q.cubes[0]
+    real = cb.apex_vertices
+    monkeypatch.setattr(
+        cb,
+        "apex_vertices",
+        lambda cube: (cube.root, cube.root | cube.type) if cube == first else real(cube),
+    )
+    beads = bead_thread_graph(q)
+    assert [p for p in beads.problems if "changes height" in p] == [
+        f"arc at cube {first.label()} changes height by {d}"
+    ]
+    assert not beads.ok
 
 
 def test_s_membranes_z32() -> None:

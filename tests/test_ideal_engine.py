@@ -20,6 +20,7 @@ from zonosep.membranes import (
     FLAVOR_S,
     FLAVOR_W,
     KIND_COMB,
+    KIND_SIZE,
     KIND_WEAK,
     MembraneInvariantError,
     fragment_precedence,
@@ -27,7 +28,7 @@ from zonosep.membranes import (
     scan_membranes,
 )
 from zonosep.posets import IdealCapExceeded, Poset, scan_ideals
-from zonosep.separation import is_double_r_comb
+from zonosep.separation import is_double_r_comb, is_strongly_r_separated
 from zonosep.systems import complement_table, strong, weak, weak_odd
 
 from oracles import (
@@ -248,26 +249,61 @@ def test_budget_entries_stop_the_scan():
 
 
 WRONG_TABLES = [
-    # (n, d, flavor, r, stand-in for weak(r), violating pairs)
-    (5, 3, FLAVOR_W, 1, strong, 7),
-    (6, 4, FLAVOR_E, 1, weak_odd, 249),
+    # (n, d, flavor, stand-in for weak(r) at r = d - 2, violating pairs)
+    (5, 3, FLAVOR_W, strong, 7),
+    (6, 4, FLAVOR_E, lambda r: weak_odd(r - 1), 249),
 ]
 
 
 def test_scan_and_oracle_agree_on_a_wrong_table(monkeypatch):
     # count stricter relations than weak r-separation as violations on
     # both sides: the scans then fail, and must name the same pairs
-    for (n, d, flavor, r, stand_in, pairs), anti in product(WRONG_TABLES, (False, True)):
+    for (n, d, flavor, stand_in, pairs), anti in product(WRONG_TABLES, (False, True)):
         q = standard_cubillage(n, d, anti)
         want = reference_scan_membranes(
-            q, flavor=flavor, r=r, incompat=complement_table(n, stand_in(r))
+            q, flavor=flavor, incompat=complement_table(n, stand_in(d - 2))
         )
         with monkeypatch.context() as patch:
             patch.setattr(mb, "weak", stand_in)
-            got = scan_membranes(q, flavor=flavor, r=r)
+            got = scan_membranes(q, flavor=flavor)
         assert len(want.bad_pairs) == pairs
         assert _pairs(got, KIND_WEAK) == want.bad_pairs
         assert not got.ok
+
+
+class _StrongOrComb:
+    """Stand-in for weak(r): strongly (r-1)-separated, or a double r-comb."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def holds(self, a, b):
+        return is_strongly_r_separated(a, b, self.r - 1) or is_double_r_comb(a, b, self.r)
+
+
+@pytest.mark.parametrize("flavor, weak_pairs, comb_pairs", [(FLAVOR_W, 70, 8), (FLAVOR_E, 68, 0)])
+def test_one_pass_finds_both_kinds(flavor, weak_pairs, comb_pairs, monkeypatch):
+    # claim strong 1-separation with combs: the pairs outside it are the
+    # double 2-combs, of kind comb, and pairs the stand-in for weak(2)
+    # rejects, of kind weak; one pass finds them all, weak ones first
+    monkeypatch.setattr(mb, "weak_even_no_comb", lambda r: strong(r - 1))
+    monkeypatch.setattr(mb, "weak", _StrongOrComb)
+    for anti in (False, True):
+        q = standard_cubillage(5, 4, anti)
+        want = reference_scan_membranes(
+            q, flavor=flavor, check_combs=True, incompat=complement_table(5, strong(1))
+        )
+        got = scan_membranes(q, flavor=flavor, check_combs=True)
+        pairs = [v for v in got.violations if v.kind != KIND_SIZE]
+        kinds = [v.kind for v in pairs]
+        assert kinds == [KIND_WEAK] * weak_pairs + [KIND_COMB] * comb_pairs
+        weak, combs = pairs[:weak_pairs], pairs[weak_pairs:]
+        assert [v.pair for v in weak] == sorted(v.pair for v in weak)
+        assert [v.pair for v in combs] == sorted(v.pair for v in combs)
+        assert {v.pair for v in pairs} == want.bad_pairs
+        assert _pairs(got, KIND_COMB) == want.comb_pairs
+        assert got.comb_free is (comb_pairs == 0) is want.comb_free
+        assert got.stats["pairs"] == 80
 
 
 def test_witnesses_replay_to_violating_membranes():

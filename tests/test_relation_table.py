@@ -1,9 +1,10 @@
 """The relation kernel, row by row against the raw predicates of the oracles.
 
 relation_table is the one pair-table builder behind the searches, the
-membrane scans and the flip harnesses, so every predicate kind, and the
-double-comb rows the membrane scans derive from two of its tables, is
-checked exhaustively over small ground sets.  Its rows come from one
+membrane scans and the flip harnesses, so every predicate kind is
+checked exhaustively over small ground sets, as is the fact the scans
+with combs stand on: WEAK_EVEN_NO_COMB drops exactly the double combs
+from WEAK_EVEN.  Its rows come from one
 predicate call per disjoint pair of difference sets; they are also
 checked against the per-pair builder it replaced
 (reference_relation_table), at n <= 7 here and at n = 8, 9 as `slow`.
@@ -16,10 +17,10 @@ from oracles import (
     raw_double_comb,
     raw_strongly_separated,
     raw_weakly_separated,
+    reference_comb_rows,
     reference_relation_table,
 )
 from zonosep.ground import elements
-from zonosep.membranes import _comb_rows
 from zonosep.systems import (
     RELATION_TABLE_CAP,
     PairwisePredicate,
@@ -50,9 +51,6 @@ def _relations(n: int):
             lambda a, b, r=r: raw_weakly_separated(a, b, r, n)
             and not raw_double_comb(a, b, r)
         )
-        yield f"comb({r})", _comb_rows(n, r), (
-            lambda a, b, r=r: raw_double_comb(a, b, r)
-        )
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -77,6 +75,17 @@ def test_kernel_rows_are_symmetric_with_empty_diagonal(n):
                 low = bits & -bits
                 assert rows[low.bit_length() - 1] >> v & 1, (label, v)
                 bits ^= low
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_no_comb_drops_exactly_the_double_combs(n):
+    # every double comb is weakly separated, so the pairs outside
+    # WEAK_EVEN_NO_COMB(r) are the non-weak pairs and the combs, apart
+    for r in range(2, n + 1, 2):
+        weak = relation_table(n, weak_even(r))
+        kept = relation_table(n, weak_even_no_comb(r))
+        assert all(row & ~outer == 0 for row, outer in zip(kept, weak)), r
+        assert [row ^ kept[v] for v, row in enumerate(weak)] == reference_comb_rows(n, r), r
 
 
 def test_complement_rows_partition_the_other_sets():

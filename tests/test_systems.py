@@ -335,7 +335,7 @@ def test_every_limit_is_checked_before_the_expensive_stage(monkeypatch, entry):
     # list, and no 2^n scan of the entry point's own, is started first
     for module, stage in (
         (systems, "relation_table"),
-        (membranes, "relation_table"),
+        (membranes, "complement_table"),
         (flips, "relation_table"),
         (membranes, "fragments"),
         (geometry, "side_roots"),
