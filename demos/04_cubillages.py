@@ -65,7 +65,7 @@ for i, thread in enumerate(threads.threads):
 print()
 
 census = membrane_census(q, FLAVOR_S)
-print(f"Ideals of the precedence order are membranes: {census.count} of them here,")
+print(f"Ideals of the precedence order are membranes: {census.membrane_count} of them here,")
 print("from the front boundary (empty ideal) to the rear (all cubes), each")
-sizes = ", ".join(str(s) for s in sorted(census.sizes))
+sizes = ", ".join(str(s) for s in sorted(census.sizes_seen))
 print(f"with {sizes} vertices = C({n},<= {d - 1}) = {s_formula(n, d - 2)}.")

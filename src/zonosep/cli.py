@@ -349,15 +349,15 @@ def cmd_membrane_enumerate(args) -> int:
     if code:  # a decided census prints its count, not a verdict
         print(f"{what}: {word}")
         return code
-    print(f"{what}: {census.count}")
+    print(f"{what}: {census.membrane_count}")
     blob = {
         "n": args.n,
         "d": args.d,
         "flavor": args.flavor,
-        "count": census.count,
+        "count": census.membrane_count,
     }
     if args.flavor != "s":
-        sizes = sorted(census.sizes)
+        sizes = sorted(census.sizes_seen)
         print(f"vertex-system sizes: {', '.join(str(s) for s in sizes)}")
         blob.update(flavor=args.flavor.upper(), sizes=sizes)
     _emit_json(args, blob)
@@ -392,7 +392,7 @@ def cmd_membrane_flipwalk(args) -> int:
     return 0
 
 
-def _print_scan(what: str, report: mb.MembraneScanReport, detail: str, head: str = "") -> int:
+def _print_scan(what: str, report: mb.MembraneCensus, detail: str, head: str = "") -> int:
     """The counters and phase seconds of a decided scan on stderr, then
     its line ending in the verdict; returns the exit code."""
     s = report.stats
@@ -414,7 +414,8 @@ def cmd_membrane_scan(args) -> int:
     from . import cubillage as cb
     from . import membranes as mb
 
-    if args.flavor == "w" and args.d % 2 == 0:
+    # scan_membranes refuses d < 3 itself, before this advice could mislead
+    if args.flavor == "w" and args.d % 2 == 0 and args.d > 2:
         raise ValueError(
             "w-membranes are held to the odd-d contract (size s(n, d-2), weak (d-2)-separation), "
             f"got d={args.d}; use --flavor e at even d"

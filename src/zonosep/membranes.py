@@ -368,33 +368,45 @@ class ScanViolation(NamedTuple):
         }
 
 
-class MembraneScanReport:
-    """The decided membrane claims of one cubillage.
+class MembraneCensus:
+    """The membranes of one cubillage, and the claims decided on them.
 
-    `undecided` says why the scan could not decide (a vertex whose
-    presence is not one interval of the ideal lattice, or a count past
-    its memo budget); such a report is never ok.  `stats` holds
-    counters and phase seconds for display and never enters the JSON.
+    `membrane_census` fills the count and sizes, `scan_membranes` then
+    sets `expected_size` and decides the claims on the same record; on a
+    census alone they are unset (None, no violations), so `ok` means
+    decided.  `undecided` says why the count could not be decided (a
+    vertex whose presence is not one interval of the ideal lattice, or a
+    count past its memo budget); such a record is never ok.  `stats`
+    holds counters and phase seconds for display and never enters the
+    JSON.  The other fields are what the census decided the sizes from,
+    and what the scan tests pairs on: the fragments and their
+    precedence, the poset over them, the front boundary, each vertex's
+    presence interval (positions a, b, as in `_presence_intervals`) and
+    each fragment's size change.
     """
 
     __slots__ = ("n", "d", "flavor", "expected_size", "membrane_count", "sizes_seen",
-                 "violations", "comb_free", "undecided", "stats")
+                 "violations", "comb_free", "undecided", "stats", "deltas", "succs", "poset",
+                 "base", "intervals", "weights")
 
-    def __init__(self, n: int, d: int, flavor: str, expected_size: int,
-                 membrane_count: int, sizes_seen: set[int], undecided: str | None,
-                 stats: dict) -> None:
-        self.n, self.d, self.flavor = n, d, flavor
-        self.expected_size = expected_size
-        self.membrane_count = membrane_count
-        self.sizes_seen = sizes_seen
+    def __init__(self, q: Cubillage, flavor: str, deltas: Sequence[Fragment],
+                 succs: Sequence[Sequence[int]], poset: Poset) -> None:
+        self.n, self.d, self.flavor = q.n, q.d, flavor
+        self.expected_size: int | None = None
+        self.membrane_count = 0
+        self.sizes_seen: set[int] = set()
         self.violations: list[ScanViolation] = []
         self.comb_free: bool | None = None
-        self.undecided = undecided
-        self.stats = stats
+        self.undecided: str | None = None
+        self.stats: dict = {}
+        self.deltas, self.succs, self.poset = deltas, succs, poset
+        self.base: Membrane | None = None
+        self.intervals: dict[int, tuple[int | None, int | None]] = {}
+        self.weights: list[int] = []
 
     @property
     def capped(self) -> bool:
-        """The scan did not cover every membrane."""
+        """The census did not decide every membrane."""
         return self.undecided is not None
 
     @property
@@ -420,47 +432,18 @@ class MembraneScanReport:
         return blob
 
 
-class MembraneCensus:
-    """How many membranes one cubillage has, and their vertex-set sizes.
-
-    `count` and `sizes` hold when `undecided` is None; otherwise it says
-    why they could not be decided (a vertex whose presence is not one
-    interval of the ideal lattice, or a count past its memo budget).
-    `stats` holds counters and phase seconds for display.  The other
-    fields are what the census decided the sizes from, and what
-    `scan_membranes` tests pairs on:
-    the fragments and their precedence, the poset over them, the front
-    boundary, each vertex's presence interval (positions a, b, as in
-    `_presence_intervals`) and each fragment's size change.
-    """
-
-    __slots__ = ("count", "sizes", "undecided", "stats", "deltas", "succs", "poset", "base",
-                 "intervals", "weights")
-
-    def __init__(self, deltas: Sequence[Fragment], succs: Sequence[Sequence[int]],
-                 poset: Poset) -> None:
-        self.count = 0
-        self.sizes: set[int] = set()
-        self.undecided: str | None = None
-        self.stats: dict = {}
-        self.deltas, self.succs, self.poset = deltas, succs, poset
-        self.base: Membrane | None = None
-        self.intervals: dict[int, tuple[int | None, int | None]] = {}
-        self.weights: list[int] = []
-
-
 def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:
     """Count the membranes of the flavor and their sizes without visiting one.
 
     These are the first three phases of `scan_membranes`: the fragment
     precedence, then tile lifespans and presence intervals, then the
-    ideal count and the size fold.
+    ideal count and the size fold.  The claims are left unset.
     """
     clock = time.perf_counter
     started = clock()
     deltas, fronts, rears, succs = _fragment_sides(q, flavor)
     poset = Poset(len(deltas), succs)
-    census = MembraneCensus(deltas=deltas, succs=succs, poset=poset)
+    census = MembraneCensus(q, flavor, deltas, succs, poset)
     stats = census.stats
     stats["fragments"] = len(deltas)
     stats["precedence_s"] = clock() - started
@@ -488,13 +471,13 @@ def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:
         if b is not None:
             weights[poset.topo[b]] -= 1
     try:
-        census.count = poset.count_ideals()
+        census.membrane_count = poset.count_ideals()
         sums = poset.ideal_sums(weights) if any(weights) else {0}
     except IdealCapExceeded as exc:
         census.undecided = str(exc)
         return census
     stats["states"] = poset.states
-    census.sizes = {size0 + s for s in sums}
+    census.sizes_seen = {size0 + s for s in sums}
     stats["count_s"] = clock() - started
     return census
 
@@ -503,14 +486,16 @@ def scan_membranes(
     q: Cubillage,
     flavor: str = FLAVOR_W,
     check_combs: bool = False,
-) -> MembraneScanReport:
+) -> MembraneCensus:
     """Decide the membrane claims of one cubillage without visiting membranes.
 
     The claims, at r = d-2: every membrane has s(n, r) vertices, and
     every two of its vertices satisfy the claimed relation, weak
     r-separation or, with check_combs, WEAK_EVEN_NO_COMB(r) (weak
-    separation and no double r-comb).  The decision runs in four phases,
-    the first three of them `membrane_census`:
+    separation and no double r-comb).  So d < 3, and double combs at odd
+    d, are refused before the census.  The decision runs in four phases,
+    the first three of them `membrane_census`, whose record this one
+    completes and returns:
 
     1. the fragment precedence and its down- and up-set bitmasks;
     2. tile lifespans: every tile is born by at most one raising flip
@@ -521,7 +506,7 @@ def scan_membranes(
        enumerated to derive fragments a_v, b_v with "v is present iff
        a_v in I and b_v not in I" (a_v absent for a vertex on the front
        boundary, b_v for one never leaving).  That form is checked on
-       every instance, never assumed; where it fails the report is
+       every instance, never assumed; where it fails the record is
        undecided;
     3. the membrane count, and the sizes as size(empty ideal) plus the
        fragment weights w = #(a_v = fragment) - #(b_v = fragment)
@@ -539,30 +524,22 @@ def scan_membranes(
     check_limit(q.n)  # phase 4 reads the relation table, so check before phase 1
     r = q.d - 2
     if r < 1:
-        raise ValueError("separation order must be at least 1")
-    # built here, so an odd r with combs is refused before the census
+        raise ValueError(f"membrane claims are at r = d-2 and need d >= 3, got d={q.d}")
+    if check_combs and r % 2:
+        raise ValueError(f"double combs need even d, got d={q.d}")
     claim = weak_even_no_comb(r) if check_combs else weak(r)
-    census = membrane_census(q, flavor)
-    report = MembraneScanReport(
-        n=q.n,
-        d=q.d,
-        flavor=flavor,
-        expected_size=s_formula(q.n, r),
-        membrane_count=census.count,
-        sizes_seen=census.sizes,
-        undecided=census.undecided,
-        stats=census.stats,
-    )
-    if census.undecided is not None:
+    report = membrane_census(q, flavor)
+    report.expected_size = s_formula(q.n, r)
+    if report.undecided is not None:
         return report
-    deltas, poset = census.deltas, census.poset
+    deltas, poset = report.deltas, report.poset
     if report.sizes_seen != {report.expected_size}:
         report.violations.append(
             ScanViolation(
                 KIND_SIZE,
                 sizes=tuple(sorted(report.sizes_seen)),
                 weights=tuple(
-                    (deltas[i].label(), w) for i, w in enumerate(census.weights) if w
+                    (deltas[i].label(), w) for i, w in enumerate(report.weights) if w
                 ),
             )
         )
@@ -570,10 +547,10 @@ def scan_membranes(
     clock = time.perf_counter
     started = clock()
     pairs, report.stats["pairs"] = _coexisting_pairs(
-        poset, census.intervals, complement_table(q.n, claim)
+        poset, report.intervals, complement_table(q.n, claim)
     )
     found = [
-        _replayed(census.base, deltas, poset, r, check_combs, u, v, poset.nodes(witness))
+        _replayed(report.base, deltas, poset, r, check_combs, u, v, poset.nodes(witness))
         for u, v, witness in pairs
     ]
     found.sort(key=lambda violation: violation.kind == KIND_COMB)  # stable: (u, v) within a kind

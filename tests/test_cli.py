@@ -700,16 +700,26 @@ def test_internal_error_is_one_line_and_not_usage(capsys, monkeypatch):
 
 
 def test_combs_at_odd_r_are_refused_before_the_census(capsys, monkeypatch):
-    # a double-comb check needs even r; the refusal comes before phases 1-3,
-    # so neither a long census nor one past its memo budget runs first
+    # a double-comb check needs even r = d - 2, and every claim r >= 1; each
+    # refusal names the d typed and comes before phases 1-3, so neither a long
+    # census nor one past its memo budget runs first, and w at d = 2 is not
+    # sent to --flavor e, which d = 2 refuses too
     def no_census(q, flavor):
-        raise AssertionError("census started before the r check")
+        raise AssertionError("census started before the d check")
 
     monkeypatch.setattr(mb, "membrane_census", no_census)
-    for argv in (("--n", "5", "--d", "3"), ("--n", "6", "--d", "5")):
-        code, out, err = run(capsys, "membrane", "scan", *argv, "--combs")
-        assert code == 2 and out == ""
-        assert err == "error: WEAK_EVEN_NO_COMB needs even positive r\n"
+    below = "membrane claims are at r = d-2 and need d >= 3, got d=2"
+    for n, d, combs, error in (
+        (5, 3, True, "double combs need even d, got d=3"),
+        (6, 5, True, "double combs need even d, got d=5"),
+        (4, 2, False, below),
+        (4, 2, True, below),
+    ):
+        for flavor in ("w", "e"):
+            argv = ("--n", str(n), "--d", str(d), "--flavor", flavor) + ("--combs",) * combs
+            code, out, err = run(capsys, "membrane", "scan", *argv)
+            assert code == 2 and out == ""
+            assert err == f"error: {error}\n", argv
 
 
 def test_witness_replay_failure_is_an_internal_error(capsys, monkeypatch):

@@ -350,6 +350,47 @@ def test_bead_arc_off_its_height_is_a_problem(monkeypatch, n, d):
     assert not beads.ok
 
 
+def _beads_of_arcs(monkeypatch, q, arcs):
+    """The bead threads of q with the i-th cube's apex arc replaced by arcs[i]."""
+    apexes = dict(zip(q.cubes, arcs))
+    monkeypatch.setattr(cb, "apex_vertices", lambda cube: apexes[cube])
+    return bead_thread_graph(q).problems
+
+
+def test_bead_degree_two_cycles_and_cover_are_problems(monkeypatch) -> None:
+    q = standard_cubillage(3, 2)  # three cubes, so three arcs
+    s, a, b, t = m(1), m(2), m(3), m(1, 2)
+    # a cube listed twice gives its tail out-degree 2 and its head in-degree 2
+    doubled = Cubillage(q.n, q.d, (q.cubes[0],) + q.cubes)
+    tail, head = cb.apex_vertices(q.cubes[0])
+    problems = bead_thread_graph(doubled).problems
+    assert f"vertex {set_notation(tail)} has out-degree 2" in problems
+    assert f"vertex {set_notation(head)} has in-degree 2" in problems
+    # s -> a -> b -> a: the thread from s runs into a cycle
+    problems = _beads_of_arcs(monkeypatch, q, [(s, a), (a, b), (b, a)])
+    assert f"vertex {set_notation(a)} has in-degree 2" in problems
+    assert f"thread cycle through {set_notation(a)}" in problems
+    # s -> t, and a -> b -> a apart from every thread start
+    problems = _beads_of_arcs(monkeypatch, q, [(s, t), (a, b), (b, a)])
+    assert "threads do not cover all arc vertices" in problems
+    assert not any("thread cycle" in p for p in problems)
+
+
+def test_from_inversions_refuses_a_u_outside_its_range() -> None:
+    # U is a set of the C(4, 3) = 4 triples of [4]: 0 <= U < 2^4
+    assert from_inversions(4, 2, 15) == standard_cubillage(4, 2, anti=True)
+    for inverted in (-1, 16):
+        with pytest.raises(ValueError, match=(
+            rf"^inversion set {inverted} is not a set of \(d\+1\)-subsets of \[4\]$"
+        )):
+            from_inversions(4, 2, inverted)
+
+
+def test_two_cycle_is_not_acyclic() -> None:
+    assert is_acyclic(2, [[1], []])
+    assert not is_acyclic(2, [[1], [0]])
+
+
 def test_s_membranes_z32() -> None:
     q = standard_cubillage(3, 2)
     membranes = list(s_membranes(q))

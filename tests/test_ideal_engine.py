@@ -379,3 +379,48 @@ def test_witness_mismatch_is_an_internal_error(monkeypatch):
     )
     with pytest.raises(MembraneInvariantError, match="does not replay"):
         scan_membranes(q)
+
+
+def _sides(q):
+    """The front boundary's tiles, and the W fragments with their sides."""
+    deltas, fronts, rears, _ = mb._fragment_sides(q, FLAVOR_W)
+    return mb.base_membrane(q).tiles, deltas, fronts, rears
+
+
+def test_tile_born_onto_the_front_boundary_is_an_internal_error():
+    # a front boundary that already holds the rear one: each rear tile is born twice
+    q = standard_cubillage(4, 3)
+    base, deltas, fronts, rears = _sides(q)
+    mb._check_lifespans(base, deltas, fronts, rears)
+    with pytest.raises(MembraneInvariantError, match=r"^front-boundary tile V.* is born again "
+                       r"at .*: multiplicity 2$"):
+        mb._check_lifespans(base | mb.rear_boundary_tiles(q), deltas, fronts, rears)
+
+
+def test_tile_dying_twice_is_an_internal_error():
+    # give the second fragment the first one's front side
+    base, deltas, fronts, rears = _sides(standard_cubillage(4, 3))
+    fronts = [fronts[0], fronts[0], *fronts[2:]]
+    with pytest.raises(MembraneInvariantError, match=(
+        f"dies at both {deltas[0].label()} and {deltas[1].label()}$"
+    )):
+        mb._check_lifespans(base, deltas, fronts, rears)
+
+
+def test_flip_onto_a_present_rear_side_is_blocked():
+    q = standard_cubillage(4, 3)
+    base = mb.base_membrane(q)
+    first = fragment_precedence(q)[0][0]  # the bottom slab of the first cube
+    assert mb.raising_flip(base, first).ideal == (first,)
+    doubled = base._replace(tiles=base.tiles | first.eps_rear())
+    with pytest.raises(ValueError, match=r"blocked: present (H|V)\["):
+        mb.raising_flip(doubled, first)
+
+
+def test_witness_breaking_no_claim_is_an_internal_error(monkeypatch):
+    # report every pair as outside the claim: the first one replays to a
+    # membrane carrying it and is weakly 1-separated, so it breaks no claim
+    full = (1 << 32) - 1
+    monkeypatch.setattr(mb, "complement_table", lambda n, claim: [full] * 32)
+    with pytest.raises(MembraneInvariantError, match="does not replay"):
+        scan_membranes(standard_cubillage(5, 3))

@@ -385,8 +385,8 @@ def test_s_census_matches_the_walker(n, d, anti) -> None:
     walked = s_membranes(q)
     census = membrane_census(q, FLAVOR_S)
     assert census.undecided is None
-    assert census.count == len(walked)
-    assert census.sizes == {len(mem.vertex_set()) for mem in walked} == {s_formula(n, d - 2)}
+    assert census.membrane_count == len(walked)
+    assert census.sizes_seen == {len(mem.vertex_set()) for mem in walked} == {s_formula(n, d - 2)}
 
 
 S_COUNTS = {
@@ -398,7 +398,7 @@ S_COUNTS = {
 def test_s_census_counts(anti) -> None:
     for (n, d), count in S_COUNTS.items():
         census = membrane_census(standard_cubillage(n, d, anti), FLAVOR_S)
-        assert (census.count, census.sizes) == (count, {s_formula(n, d - 2)}), (n, d)
+        assert (census.membrane_count, census.sizes_seen) == (count, {s_formula(n, d - 2)}), (n, d)
 
 
 def test_e_membrane_from_plain_fragments() -> None:
@@ -472,6 +472,17 @@ def test_property_p_scan_reports() -> None:
         assert blob["violations"] == []
     with pytest.raises(ValueError):
         scan_membranes(standard_cubillage(4, 3), FLAVOR_E, check_combs=True)
+
+
+@pytest.mark.parametrize("flavor", [FLAVOR_W, FLAVOR_E, FLAVOR_S])
+def test_scans_below_d3_are_refused(flavor) -> None:
+    # the claims are at r = d - 2 >= 1; a census of Z(4,2) is fine
+    q = standard_cubillage(4, 2)
+    assert membrane_census(q, flavor).ok
+    refusal = r"^membrane claims are at r = d-2 and need d >= 3, got d=2$"
+    for check_combs in (False, True):
+        with pytest.raises(ValueError, match=refusal):
+            scan_membranes(q, flavor, check_combs)
 
 
 def test_property_p_scan_z64_both_cubillages() -> None:
