@@ -48,7 +48,8 @@ time is built by replay (`membrane_from_ideal`, or `base_membrane` and
 from __future__ import annotations
 
 import time
-from collections import Counter
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .cubillage import Cube, Cubillage, front_facets, rear_facets, side_precedence
@@ -77,22 +78,56 @@ def tile_label(tile: frozenset[int]) -> str:
     return f"{kind}[{','.join(set_notation(v) for v in sorted(tile))}]"
 
 
-def _levels(face: Face, low: int, high: int) -> frozenset[int]:
-    """The vertex sets root + A of a face with low <= |A| <= high."""
-    return frozenset(
-        face.root | sub for sub in submasks(face.type) if low <= sub.bit_count() <= high
-    )
+def _layers(face: Face) -> list[list[int]]:
+    """The vertex sets root + A of a face, grouped by |A| = 0..|type|.
+
+    Every tile is cut from these: an H-tile is one layer of a cube, a
+    V-tile two adjacent layers of a facet (`_slab`).
+    """
+    layers: list[list[int]] = [[] for _ in range(face.type.bit_count() + 1)]
+    for sub in submasks(face.type):
+        layers[sub.bit_count()].append(face.root | sub)
+    return layers
+
+
+def _slab(layers: list[list[int]], k: int) -> frozenset[int] | None:
+    """The tile of layers k and k+1 of a face; None outside the face."""
+    return frozenset(layers[k] + layers[k + 1]) if 0 <= k < len(layers) - 1 else None
 
 
 def h_tile(cube: Cube, j: int) -> frozenset[int] | None:
     """Horizontal section of a cube at local height j; None when degenerate."""
-    return _levels(cube, j, j) if 1 <= j <= cube.d - 1 else None
+    return frozenset(_layers(cube)[j]) if 1 <= j <= cube.d - 1 else None
 
 
 def v_tile(facet: Face, slab: int) -> frozenset[int] | None:
     """One-slab slice of a facet: the vertex layers at sizes slab, slab+1."""
-    k = slab - facet.root.bit_count()
-    return _levels(facet, k, k + 1) if 0 <= k <= facet.type.bit_count() - 1 else None
+    return _slab(_layers(facet), slab - facet.root.bit_count())
+
+
+def _cube_sides(
+    cube: Cube, runs: Iterable[tuple[int, ...]], rear: bool
+) -> list[frozenset[frozenset[int]]]:
+    """The front side, or with rear the rear side, of the fragment of
+    the cube over each run of slabs (`Fragment.slabs`).
+
+    A side is the V-tiles of the cube's front (rear) facets at every
+    slab of the run, plus the section below the run's first slab, the
+    floor (above its last, the ceiling), none at heights 0 and d.  Each
+    facet's layers are built once and every run is cut from them.
+    """
+    base = cube.root.bit_count()
+    faces = [
+        (_layers(facet), facet.root.bit_count() - base)
+        for facet in (rear_facets(cube) if rear else front_facets(cube))
+    ]
+    sides = []
+    for slabs in runs:
+        tiles = {_slab(layers, s - 1 - lift) for layers, lift in faces for s in slabs}
+        tiles.add(h_tile(cube, slabs[-1] if rear else slabs[0] - 1))
+        tiles.discard(None)
+        sides.append(frozenset(tiles))
+    return sides
 
 
 class Fragment(Record):
@@ -119,19 +154,10 @@ class Fragment(Record):
         return f"{self.cube.label()}#h{'+'.join(str(s) for s in self.slabs)}"
 
     def eps_front(self) -> frozenset[frozenset[int]]:
-        return self._side(front_facets(self.cube), self.h - 1)
+        return _cube_sides(self.cube, [self.slabs], rear=False)[0]
 
     def eps_rear(self) -> frozenset[frozenset[int]]:
-        return self._side(rear_facets(self.cube), self.top)
-
-    def _side(self, facets: list[Face], lid: int) -> frozenset[frozenset[int]]:
-        """V-tiles of the facets at every covered slab, plus the section at
-        local height lid: the floor (front side) or the ceiling (rear side)."""
-        base = self.cube.root.bit_count()
-        tiles = {v_tile(facet, base + h - 1) for h in self.slabs for facet in facets}
-        tiles.add(h_tile(self.cube, lid))
-        tiles.discard(None)
-        return frozenset(tiles)
+        return _cube_sides(self.cube, [self.slabs], rear=True)[0]
 
 
 def fragments(q: Cubillage, flavor: str = FLAVOR_W) -> list[Fragment]:
@@ -177,8 +203,12 @@ def _fragment_sides(
     """The fragments of the flavor, their front and rear sides, and the
     arcs of their precedence."""
     deltas = fragments(q, flavor)
-    fronts = [delta.eps_front() for delta in deltas]
-    rears = [delta.eps_rear() for delta in deltas]
+    fronts: list[frozenset] = []
+    rears: list[frozenset] = []
+    for cube, group in groupby(deltas, key=attrgetter("cube")):
+        runs = [delta.slabs for delta in group]
+        fronts += _cube_sides(cube, runs, rear=False)
+        rears += _cube_sides(cube, runs, rear=True)
     return deltas, fronts, rears, side_precedence(fronts, rears)
 
 
@@ -202,7 +232,11 @@ def membrane_vertices(m: Membrane) -> SetSystem:
 
 def _slice_boundary(facets: Iterable[Face]) -> frozenset[frozenset[int]]:
     """Every facet cut into its one-slab V-tiles."""
-    return frozenset(_levels(f, k, k + 1) for f in facets for k in range(f.type.bit_count()))
+    tiles = []
+    for facet in facets:
+        low = facet.root.bit_count()
+        tiles += [v_tile(facet, slab) for slab in range(low, low + facet.type.bit_count())]
+    return frozenset(tiles)
 
 
 def base_membrane(q: Cubillage, flavor: str = FLAVOR_W) -> Membrane:
@@ -316,9 +350,9 @@ class MembraneInvariantError(RuntimeError):
 
     Raised when a tile is born or dies at two fragments, when a tile's
     multiplicity would leave {0, 1} (present twice, or dying while
-    absent), or when a witness ideal's replayed membrane does not carry
-    the pair the scan reported.  It is an internal error of the model,
-    never a usage error.
+    absent), when a witness ideal's replayed membrane does not carry
+    the pair the scan reported, or when it does but the pair breaks no
+    claim.  It is an internal error of the model, never a usage error.
     """
 
 
@@ -451,8 +485,8 @@ def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:
     started = clock()
     census.base = base = base_membrane(q, flavor=flavor)
     _check_lifespans(base.tiles, deltas, fronts, rears)
-    nets = [_net_changes(front, rear) for front, rear in zip(fronts, rears)]
-    intervals = _presence_intervals(poset, _multiplicities(base.tiles), nets)
+    nets = [_net_changes(rear, front) for front, rear in zip(fronts, rears)]
+    intervals = _presence_intervals(poset, _net_changes(base.tiles), nets)
     stats["intervals_s"] = clock() - started
     if isinstance(intervals, str):
         census.undecided = intervals
@@ -561,11 +595,6 @@ def scan_membranes(
     return report
 
 
-def _multiplicities(tiles: Iterable[frozenset[int]]) -> dict[int, int]:
-    """How many of the tiles contain each vertex."""
-    return Counter(v for tile in tiles for v in tile)
-
-
 def _check_lifespans(
     base: frozenset,
     pieces: Sequence[Fragment],
@@ -614,16 +643,23 @@ def _check_lifespans(
             )
 
 
-def _net_changes(front: frozenset[frozenset[int]], rear: frozenset[frozenset[int]]) -> dict[int, int]:
-    """A raising flip's nonzero vertex multiplicity changes.
+def _net_changes(
+    rear: Iterable[frozenset[int]], front: Iterable[frozenset[int]] = ()
+) -> dict[int, int]:
+    """Per vertex, the rear tiles holding it less the front tiles; zeros dropped.
 
-    +1 per rear tile holding the vertex, -1 per front tile; with the
-    lifespans checked, a vertex's multiplicity on a membrane is its
-    front-boundary count plus these changes over the ideal.
+    For a fragment's two sides, a raising flip's vertex multiplicity
+    changes; with the lifespans checked, a vertex's multiplicity on a
+    membrane is its front-boundary count, `_net_changes(base)`, plus
+    these changes over the ideal.
     """
-    net = _multiplicities(rear)
-    for v, k in _multiplicities(front).items():
-        net[v] = net.get(v, 0) - k
+    net: dict[int, int] = {}
+    for tile in rear:
+        for v in tile:
+            net[v] = net.get(v, 0) + 1
+    for tile in front:
+        for v in tile:
+            net[v] = net.get(v, 0) - 1
     return {v: k for v, k in net.items() if k}
 
 
@@ -737,8 +773,9 @@ def _replayed(
         kind = KIND_COMB
     else:
         kind = None
-    if u not in verts or v not in verts or kind is None:
-        raise MembraneInvariantError(
-            f"witness of {set_notation(u)} vs {set_notation(v)} does not replay"
-        )
+    pair = f"{set_notation(u)} vs {set_notation(v)}"
+    if u not in verts or v not in verts:
+        raise MembraneInvariantError(f"witness of {pair} does not replay")
+    if kind is None:
+        raise MembraneInvariantError(f"witness of {pair} replays, but the pair breaks no claim")
     return ScanViolation(kind, (u, v), tuple(deltas[i].label() for i in witness))

@@ -746,13 +746,15 @@ def reference_scan_ideals(count, succs, visit=None, enter=None, leave=None):
     return visited
 
 
-def reference_count_ideals(count, succs) -> tuple[int, int]:
-    """The ideal count that `posets.Poset.count_ideals` replaced: (count, memo states).
+def reference_count_ideals(count, succs, split="middle") -> tuple[int, int]:
+    """The ideal counts that `posets.Poset.count_ideals` replaced: (count, memo states).
 
-    Splits a connected remaining set on its middle node in topological
-    order, I(P) = I(P - up(x)) + I(P - down(x)), multiplies over
-    components and memoises on the remaining bitset, with no budget.
-    The states count the memo entries, the empty set included.
+    Splits a connected remaining set R, I(P) = I(P - up(x)) + I(P - down(x)),
+    multiplies over components and memoises on the remaining bitset,
+    with no budget.  Split "middle" takes x as R's middle node in
+    topological order; split "product" the x with the largest
+    |up(x) & R| * |down(x) & R|, the lowest position on ties.  The
+    states count the memo entries, the empty set included.
     """
     from zonosep.posets import topological_order
 
@@ -798,7 +800,12 @@ def reference_count_ideals(count, succs) -> tuple[int, int]:
             if len(parts) > 1:
                 plans[rest] = (None, parts)
             else:
-                x = order[len(order) // 2]
+                if split == "middle":
+                    x = order[len(order) // 2]
+                else:
+                    x = max(order, key=lambda pos: (
+                        (up[pos] & rest).bit_count() * (down[pos] & rest).bit_count(), -pos
+                    ))
                 plans[rest] = (x, [rest & ~up[x], rest & ~down[x]])
             stack.extend(part for part in plans[rest][1] if part not in memo)
             continue

@@ -14,7 +14,7 @@ import pytest
 
 import zonosep.membranes as mb
 import zonosep.posets as posets
-from zonosep.cubillage import Cubillage, precedence_digraph, standard_cubillage
+from zonosep.cubillage import Cubillage, from_inversions, precedence_digraph, standard_cubillage
 from zonosep.membranes import (
     FLAVOR_E,
     FLAVOR_S,
@@ -32,6 +32,7 @@ from zonosep.separation import is_double_r_comb, is_strongly_r_separated
 from zonosep.systems import complement_table, strong, weak, weak_odd
 
 from oracles import (
+    bruhat_order,
     capped,
     count_ideals_bfs,
     reference_count_ideals,
@@ -165,10 +166,43 @@ def test_count_matches_middle_split_on_small_posets():
     ids=["8-3-fragment_precedence", "8-4-enlarged_precedence"],
 )
 def test_product_split_needs_fewer_states_at_n8(n, d, flavor, anti):
-    # Z(8,3) w: 4,517 / 4,529 states against 30,575 / 15,862;
-    # Z(8,4) e: 2,476 / 2,514 against 65,490 / 64,321
+    # Z(8,3) w: 3,211 / 3,211 states against 30,575 / 15,862;
+    # Z(8,4) e: 1,770 / 1,772 against 65,490 / 64,321
     got, want = _split_states(fragment_precedence(standard_cubillage(n, d, anti), flavor)[1])
     assert 3 * got < want
+
+
+def _against_local_product(succs):
+    """(memo states of the split, of the local product alone), counts checked equal."""
+    poset = posets.Poset(len(succs), succs)
+    count = poset.count_ideals()
+    want, states = reference_count_ideals(len(succs), succs, split="product")
+    assert count == want
+    return poset.states, states
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+@pytest.mark.parametrize("d, flavor", [(3, FLAVOR_W), (4, FLAVOR_E)], ids=["w", "e"])
+def test_split_never_needs_more_states_than_the_local_product(d, flavor, anti):
+    # the whole-poset factors |up(x)| * |down(x)| cut the states on both
+    # standard cubillages up to n = 8 (Z(8,3) w: 4,517 -> 3,211)
+    for n in range(d, 9):
+        got, want = _against_local_product(
+            fragment_precedence(standard_cubillage(n, d, anti), flavor)[1]
+        )
+        assert got <= want, (n, d, anti)
+
+
+@pytest.mark.parametrize("n, d, flavor", [(6, 3, FLAVOR_W), (7, 4, FLAVOR_E)])
+def test_split_needs_fewer_states_over_every_cubillage(n, d, flavor):
+    # summed over B(6,3) (148 cubillages) 27,425 states against 32,161,
+    # over B(7,4) (338) 88,306 against 98,974; single cubillages can need
+    # more (4 and 10 of them), so only the sums are compared
+    got, want = map(sum, zip(*(
+        _against_local_product(fragment_precedence(from_inversions(n, d, u), flavor)[1])
+        for u in bruhat_order(n, d)
+    )))
+    assert got < want
 
 
 def test_deep_chain_counts_without_recursion():
@@ -422,5 +456,6 @@ def test_witness_breaking_no_claim_is_an_internal_error(monkeypatch):
     # membrane carrying it and is weakly 1-separated, so it breaks no claim
     full = (1 << 32) - 1
     monkeypatch.setattr(mb, "complement_table", lambda n, claim: [full] * 32)
-    with pytest.raises(MembraneInvariantError, match="does not replay"):
+    with pytest.raises(MembraneInvariantError, match=r"^witness of \{.*\} vs \{.*\} replays, "
+                       r"but the pair breaks no claim$"):
         scan_membranes(standard_cubillage(5, 3))

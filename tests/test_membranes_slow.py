@@ -4,14 +4,15 @@
 
 The walk visits all 1,406,640 w-membranes of Z(7,3) and all 1,575,598
 e-membranes of Z(7,4); count, sizes and the exact sets of violating
-pairs must agree with the scan that visits none of them.  Z(10,3), far
-past any walk, pins the scan's own count and sizes.
+pairs must agree with the scan that visits none of them.  Z(10,3) and
+Z(11,3), far past any walk, pin the scan's own count and sizes.
 """
 
 import pytest
 
 from zonosep.cubillage import standard_cubillage
 from zonosep.membranes import FLAVOR_E, FLAVOR_W, KIND_COMB, KIND_WEAK, scan_membranes
+from zonosep.posets import IDEAL_STATE_BUDGET
 from zonosep.systems import s_formula
 
 from oracles import reference_scan_membranes
@@ -38,8 +39,18 @@ def test_scan_matches_the_walk_at_n7(n, d, flavor, check_combs, count, anti):
 
 @pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
 def test_membrane_theorem_z103(anti):
-    # beyond any walk: ~150,000 memo states, ~5 s per cubillage
+    # beyond any walk: ~98,000 memo states, ~3 s per cubillage
     rep = scan_membranes(standard_cubillage(10, 3, anti))
     assert rep.membrane_count == 76_066_025_690_064
     assert rep.sizes_seen == {56} == {s_formula(10, 1)}
     assert rep.violations == [] and rep.ok
+
+
+def test_membrane_theorem_z113_within_the_budget():
+    # ~907,000 memo states, ~20 s and ~170 MiB: the largest w count the
+    # budget decides
+    rep = scan_membranes(standard_cubillage(11, 3))
+    assert rep.membrane_count == 138_046_137_655_561_536
+    assert rep.sizes_seen == {67} == {rep.expected_size}
+    assert rep.ok
+    assert rep.stats["states"] < IDEAL_STATE_BUDGET
