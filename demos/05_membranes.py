@@ -7,7 +7,6 @@ from zonosep.cubillage import standard_cubillage
 from zonosep.membranes import (
     base_membrane,
     fragment_precedence,
-    fragments,
     membrane_vertices,
     raising_flip,
     scan_membranes,
@@ -16,12 +15,11 @@ from zonosep.systems import s_formula
 
 n, d = 4, 3
 q = standard_cubillage(n, d)
-deltas = fragments(q)
+deltas, succs = fragment_precedence(q)
 print(f"Slicing each cube of the standard cubillage of Z({n},{d}) between")
 print(f"consecutive vertex heights yields {len(deltas)} fragments, {d} per cube.")
 print()
 
-_, succs = fragment_precedence(q)
 arcs = sum(len(out) for out in succs)
 report = scan_membranes(q)
 print(f"Fragment precedence has {arcs} arcs; its order ideals are exactly")

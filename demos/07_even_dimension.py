@@ -8,7 +8,7 @@ from zonosep.ground import set_notation
 from zonosep.membranes import (
     FLAVOR_E,
     KIND_COMB,
-    fragments,
+    fragment_precedence,
     membrane_from_ideal,
     membrane_vertices,
     scan_membranes,
@@ -34,7 +34,7 @@ t, h = apex_vertices(cube)
 print(f"  (the apexes of {cube.label()} are {set_notation(t)} and {set_notation(h)})")
 print()
 
-enlarged = fragments(q, FLAVOR_E)
+enlarged = fragment_precedence(q, FLAVOR_E)[0]
 centers = [delta for delta in enlarged if len(delta.slabs) == 2]
 print("Merging each cube's two middle slabs into a center fragment removes")
 print(f"exactly those paths: {len(enlarged)} enlarged fragments, "

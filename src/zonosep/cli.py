@@ -398,7 +398,8 @@ def _print_scan(what: str, report: mb.MembraneCensus, detail: str, head: str = "
     s = report.stats
     if report.undecided is None:
         print(
-            f"decided {what}: {s['fragments']} fragments, {s['vertices']} vertices, "
+            f"decided {what}: {s['fragments']} fragments, {s['cubes_cut']} cubes cut, "
+            f"{s['cubes_reused']} reused, {s['vertices']} vertices, "
             f"{s['states']} memo states, {s['pairs']} pairs tested; "
             f"precedence {s['precedence_s']:.3f} s, lifespans and intervals "
             f"{s['intervals_s']:.3f} s, count {s['count_s']:.3f} s, "

@@ -22,7 +22,7 @@ Every precondition of every swap is asserted, so a defect in the
 lattice structure surfaces as a hard failure instead of a silently
 wrong tile set.
 
-A flavor is where the fragmentation cuts each cube (`fragments`).  The
+A flavor is where the fragmentation cuts each cube (`_runs`).  The
 plain one (flavor W) cuts at every integer height.  For even d the
 *enlarged* fragmentation (flavor E) leaves the middle height uncut: the
 two middle slabs of every cube merge into one *center* fragment, the
@@ -43,13 +43,19 @@ no e-membrane carries a double (d-2)-comb, is
 `scan_membranes(q, FLAVOR_E, check_combs=True)`.  One membrane at a
 time is built by replay (`membrane_from_ideal`, or `base_membrane` and
 `raising_flip` step by step).
+
+All of that but the whole-cubillage part is cube-local, and a cube
+recurs across the cubillages of one Z(n, d).  So a cube's fragments,
+their two sides and their net vertex changes are cut once per process
+and memoised per (cube, flavor), and the front boundary per (n, d);
+a census assembles a cubillage from those pieces, and its lifespans,
+precedence, poset, intervals, count and pairs are its own.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import groupby
-from operator import attrgetter
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .cubillage import Cube, Cubillage, front_facets, rear_facets, side_precedence
@@ -58,6 +64,7 @@ from .ground import Record, elements, set_notation, submasks
 from .posets import IdealCapExceeded, Poset
 from .separation import is_double_r_comb
 from .systems import (
+    RELATION_CACHE_SIZE,
     SCHEMA,
     SetSystem,
     check_limit,
@@ -135,7 +142,7 @@ class Fragment(Record):
     defaults to h, the one slab h.
 
     The sections between the covered slabs are interior to the fragment;
-    where a flavor cuts is `fragments`'s business.
+    where a flavor cuts is `_runs`'s business.
     """
 
     __slots__ = ("cube", "h", "top")
@@ -160,8 +167,8 @@ class Fragment(Record):
         return _cube_sides(self.cube, [self.slabs], rear=True)[0]
 
 
-def fragments(q: Cubillage, flavor: str = FLAVOR_W) -> list[Fragment]:
-    """The fragments, cubes in canonical order, slabs ascending.
+def _runs(d: int, flavor: str) -> tuple[tuple[int, int], ...]:
+    """The slabs (h, top) of each fragment of a cube of Z(n, d), ascending.
 
     The one rule for where a flavor cuts a cube: W at every height
     1..d-1, giving all d * C(n, d) slabs; E, the enlarged fragmentation
@@ -169,7 +176,6 @@ def fragments(q: Cubillage, flavor: str = FLAVOR_W) -> list[Fragment]:
     slabs merge into its center; S at none, so each fragment is a whole
     cube and its sides are its facets, cut into slabs.
     """
-    d = q.d
     if flavor == FLAVOR_W:
         cuts = list(range(1, d))
     elif flavor == FLAVOR_E:
@@ -181,40 +187,71 @@ def fragments(q: Cubillage, flavor: str = FLAVOR_W) -> list[Fragment]:
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
     bounds = [0, *cuts, d]
-    return [
-        Fragment(cube, low + 1, top)
-        for cube in q.cubes
-        for low, top in zip(bounds, bounds[1:])
-    ]
+    return tuple((low + 1, top) for low, top in zip(bounds, bounds[1:]))
+
+
+class _CubePieces(NamedTuple):
+    """One cube's fragments, their front and rear sides, and their net
+    vertex changes (`_net_changes`), in slab order."""
+
+    deltas: tuple[Fragment, ...]
+    fronts: tuple[frozenset[frozenset[int]], ...]
+    rears: tuple[frozenset[frozenset[int]], ...]
+    nets: tuple[tuple[tuple[int, int], ...], ...]
+
+
+# A cube recurs across the cubillages of one Z(n, d): Z(7,3) has 560
+# cubes and each of its cubillages uses 35.  So each cube is cut once per
+# process and the pieces of the last CUBE_MEMO_SIZE (cube, runs) pairs
+# are kept: more than the 924 cubes of one cubillage at the relation-table
+# cap, Z(12,6), so a census never evicts its own cubes, and every cube of
+# Z(8,3) (1,792).  README "Membrane scans" gives the memory it holds.
+CUBE_MEMO_SIZE = 2048
+
+
+@lru_cache(maxsize=CUBE_MEMO_SIZE)
+def _cube_pieces(cube: Cube, runs: tuple[tuple[int, int], ...]) -> _CubePieces:
+    """The cube's pieces for the slab runs of `_runs`."""
+    deltas = tuple(Fragment(cube, h, top) for h, top in runs)
+    slabs = [delta.slabs for delta in deltas]
+    fronts = tuple(_cube_sides(cube, slabs, rear=False))
+    rears = tuple(_cube_sides(cube, slabs, rear=True))
+    return _CubePieces(deltas, fronts, rears, tuple(map(_net_changes, rears, fronts)))
 
 
 def fragment_precedence(
     q: Cubillage, flavor: str = FLAVOR_W
 ) -> tuple[list[Fragment], list[list[int]]]:
-    """The fragments of the flavor, and arcs i -> j where a rear tile of
-    fragment i is a front tile of fragment j."""
-    deltas, _, _, succs = _fragment_sides(q, flavor)
+    """The fragments of the flavor, cubes in canonical order, slabs
+    ascending, and arcs i -> j where a rear tile of fragment i is a front
+    tile of fragment j."""
+    deltas, _, _, _, succs = _fragment_sides(q, flavor)
     return deltas, succs
 
 
-def _fragment_sides(
-    q: Cubillage, flavor: str
-) -> tuple[list[Fragment], list[frozenset], list[frozenset], list[list[int]]]:
-    """The fragments of the flavor, their front and rear sides, and the
-    arcs of their precedence."""
-    deltas = fragments(q, flavor)
+def _fragment_sides(q: Cubillage, flavor: str) -> tuple[
+    list[Fragment], list[frozenset], list[frozenset], list[tuple], list[list[int]]
+]:
+    """The fragments of the flavor, their front and rear sides, their net
+    vertex changes, each cube's read from the memo (`_cube_pieces`), and
+    the arcs of their precedence."""
+    runs = _runs(q.d, flavor)
+    deltas: list[Fragment] = []
     fronts: list[frozenset] = []
     rears: list[frozenset] = []
-    for cube, group in groupby(deltas, key=attrgetter("cube")):
-        runs = [delta.slabs for delta in group]
-        fronts += _cube_sides(cube, runs, rear=False)
-        rears += _cube_sides(cube, runs, rear=True)
-    return deltas, fronts, rears, side_precedence(fronts, rears)
+    nets: list[tuple] = []
+    for cube in q.cubes:
+        pieces = _cube_pieces(cube, runs)
+        deltas += pieces.deltas
+        fronts += pieces.fronts
+        rears += pieces.rears
+        nets += pieces.nets
+    return deltas, fronts, rears, nets, side_precedence(fronts, rears)
 
 
 class Membrane(NamedTuple):
     """A tile set between the front and rear boundary, with the ideal of
-    fragments behind it; the flavor names the fragmentation (`fragments`)."""
+    fragments behind it; the flavor names the fragmentation (`_runs`)."""
 
     n: int
     d: int
@@ -239,15 +276,28 @@ def _slice_boundary(facets: Iterable[Face]) -> frozenset[frozenset[int]]:
     return frozenset(tiles)
 
 
+class _Boundary(NamedTuple):
+    """The front boundary of Z(n, d) cut into slabs, and its vertex counts."""
+
+    tiles: frozenset[frozenset[int]]
+    nets: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=RELATION_CACHE_SIZE)
+def _front_boundary(n: int, d: int) -> _Boundary:
+    """The front boundary of Z(n, d), memoised like the relation table."""
+    tiles = _slice_boundary(zonotope_sides(n, d).front_facets)
+    return _Boundary(tiles, _net_changes(tiles))
+
+
 def base_membrane(q: Cubillage, flavor: str = FLAVOR_W) -> Membrane:
     """The front boundary of Z(n, d), each facet cut into its slabs."""
-    sides = zonotope_sides(q.n, q.d)
     return Membrane(
         n=q.n,
         d=q.d,
         flavor=flavor,
         ideal=(),
-        tiles=_slice_boundary(sides.front_facets),
+        tiles=_front_boundary(q.n, q.d).tiles,
     )
 
 
@@ -475,18 +525,20 @@ def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:
     """
     clock = time.perf_counter
     started = clock()
-    deltas, fronts, rears, succs = _fragment_sides(q, flavor)
+    before = _cube_pieces.cache_info()
+    deltas, fronts, rears, nets, succs = _fragment_sides(q, flavor)
+    cut = _cube_pieces.cache_info().misses - before.misses
     poset = Poset(len(deltas), succs)
     census = MembraneCensus(q, flavor, deltas, succs, poset)
     stats = census.stats
     stats["fragments"] = len(deltas)
+    stats["cubes_cut"], stats["cubes_reused"] = cut, len(q.cubes) - cut
     stats["precedence_s"] = clock() - started
 
     started = clock()
     census.base = base = base_membrane(q, flavor=flavor)
     _check_lifespans(base.tiles, deltas, fronts, rears)
-    nets = [_net_changes(rear, front) for front, rear in zip(fronts, rears)]
-    intervals = _presence_intervals(poset, _net_changes(base.tiles), nets)
+    intervals = _presence_intervals(poset, _front_boundary(q.n, q.d).nets, nets)
     stats["intervals_s"] = clock() - started
     if isinstance(intervals, str):
         census.undecided = intervals
@@ -645,8 +697,9 @@ def _check_lifespans(
 
 def _net_changes(
     rear: Iterable[frozenset[int]], front: Iterable[frozenset[int]] = ()
-) -> dict[int, int]:
-    """Per vertex, the rear tiles holding it less the front tiles; zeros dropped.
+) -> tuple[tuple[int, int], ...]:
+    """Per vertex, the rear tiles holding it less the front tiles, as
+    (vertex, change) pairs; zeros dropped.
 
     For a fragment's two sides, a raising flip's vertex multiplicity
     changes; with the lifespans checked, a vertex's multiplicity on a
@@ -660,11 +713,13 @@ def _net_changes(
     for tile in front:
         for v in tile:
             net[v] = net.get(v, 0) - 1
-    return {v: k for v, k in net.items() if k}
+    return tuple((v, k) for v, k in net.items() if k)
 
 
 def _presence_intervals(
-    poset: Poset, base: dict[int, int], nets: Sequence[dict[int, int]]
+    poset: Poset,
+    base: Iterable[tuple[int, int]],
+    nets: Sequence[Iterable[tuple[int, int]]],
 ) -> dict[int, tuple[int | None, int | None]] | str:
     """Per vertex ever present, the positions (a, b) of its presence interval.
 
@@ -675,11 +730,13 @@ def _presence_intervals(
     reaches), and the form is checked on each of those ideals; the first
     vertex where it fails turns the result into a reason string.  With
     multiplicities additive over I and never negative, the form forces
-    a below b, as the size weights need.
+    a below b, as the size weights need.  base and nets hold (vertex,
+    change) pairs, as `_net_changes` gives them.
     """
-    changes: dict[int, list[tuple[int, int]]] = {v: [] for v in base}
+    start = dict(base)
+    changes: dict[int, list[tuple[int, int]]] = {v: [] for v in start}
     for pos, node in enumerate(poset.topo):
-        for v, k in nets[node].items():
+        for v, k in nets[node]:
             changes.setdefault(v, []).append((pos, k))
     down = poset.down
     out: dict[int, tuple[int | None, int | None]] = {}
@@ -687,7 +744,7 @@ def _presence_intervals(
         span = 0
         for pos, _ in steps:
             span |= 1 << pos
-        ideals = [(0, base.get(v, 0))]
+        ideals = [(0, start.get(v, 0))]
         for pos, k in steps:
             need = down[pos] & span & ~(1 << pos)
             ideals += [(j | 1 << pos, m + k) for j, m in ideals if j & need == need]

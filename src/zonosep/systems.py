@@ -527,12 +527,14 @@ def _search_layout(n: int, predicate: PairwisePredicate) -> _Layout:
     return _layout(n, relation_table(n, predicate))
 
 
-# The search tree is cut into two parts below depth SPLIT_DEPTH, and
-# part 1 runs in a forked child once FORK_CROSSOVER or more sets are
-# searched (see max_clique; README "Maximum search" has the measurements).
-# Depth 3 balances the parts of the n = 8 searches.  A fork and reap cost
-# ~1.5 ms, which no table on n <= 7 (at most 2^7 - 2 sets searched, the
-# empty set and [n] being related to every set) reliably won back.
+# From FORK_CROSSOVER searched sets on, the search tree is cut into two
+# parts below depth SPLIT_DEPTH, and part 1 runs in a forked child where
+# one can (see max_clique; README "Maximum search" has the measurements);
+# below it, one tree is searched.  Depth 3 balances the parts of the
+# n = 8 searches.  A fork and reap cost ~1.5 ms, which no table on n <= 7
+# (at most 2^7 - 2 sets searched, the empty set and [n] being related to
+# every set) reliably won back, and split parts in one process only add
+# nodes.
 SPLIT_DEPTH = 3
 FORK_CROSSOVER = 128
 
@@ -542,8 +544,9 @@ FORK_CROSSOVER = 128
 _Part = tuple[int, int, tuple[int, ...], int, int]
 
 
-def _search_part(layout: _Layout, part: int) -> _Part:
-    """Part 0 or 1 of the search tree of max_clique, with its own incumbent."""
+def _search_part(layout: _Layout, part: int | None) -> _Part:
+    """Part 0 or 1 of the search tree of max_clique, with its own
+    incumbent; the whole tree for part None."""
     _, order, adj, bits, others, group, memo = layout
     best_clique = best_size = nodes = symmetry_pruned = 0
     best_path: tuple[int, ...] = ()
@@ -605,7 +608,7 @@ def _search_part(layout: _Layout, part: int) -> _Part:
                 if above:
                     path[csize] += 1
                     # a branch into the split depth: part sum(path) mod 2's
-                    mine = grown < SPLIT_DEPTH or sum(path) % 2 == part
+                    mine = part is None or grown < SPLIT_DEPTH or sum(path) % 2 == part
                 if mine:
                     sub = cand & adj[v]
                     if sub:
@@ -624,22 +627,24 @@ def _search_part(layout: _Layout, part: int) -> _Part:
     return best_size, best_clique, best_path, nodes, symmetry_pruned
 
 
-def _processes(m: int) -> int:
-    """2 if the search of m sets is to run part 1 in a forked child: fork
-    exists, this process may run on two CPUs and m is FORK_CROSSOVER or
-    more; 1 otherwise."""
+def _processes() -> int:
+    """2 if part 1 of a split search is to run in a forked child: fork
+    exists and this process may run on two CPUs; 1 otherwise."""
     import os
 
-    if m < FORK_CROSSOVER or not hasattr(os, "fork"):
+    if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
         return min(2, len(os.sched_getaffinity(0)))
     return min(2, os.cpu_count() or 1)
 
 
-def _both_parts(layout: _Layout) -> tuple[list[_Part], int]:
-    """Parts 0 and 1 of the search, and the number of processes that ran them."""
-    if _processes(len(layout.order)) == 2:
+def _parts(layout: _Layout) -> tuple[list[_Part], int]:
+    """The parts of the search, and the number of processes that ran them:
+    the whole tree below FORK_CROSSOVER searched sets, else parts 0 and 1."""
+    if len(layout.order) < FORK_CROSSOVER:
+        return [_search_part(layout, None)], 1
+    if _processes() == 2:
         parts = _forked_parts(layout)
         if parts is not None:
             return parts, 2
@@ -735,9 +740,10 @@ def max_clique(n: int, table: Sequence[int], layout: _Layout | None = None) -> M
        goes, at no extra cost.  The orbit masks and stabilisers are
        memoised per subgroup in the layout.
     4. Two parts of one tree (McCreesh and Prosser 2015; Depolli et
-       al. 2013).  Both parts expand every node of depth less than
-       SPLIT_DEPTH, and both drop the orbit of every branch there,
-       theirs or not, so their candidates agree.  A branch's position
+       al. 2013), from FORK_CROSSOVER searched sets on; fewer are
+       searched as one tree (_parts).  Both parts expand every node of
+       depth less than SPLIT_DEPTH, and both drop the orbit of every
+       branch there, theirs or not, so their candidates agree.  A branch's position
        is its index among the branches its node takes; a branch into
        depth SPLIT_DEPTH belongs to part (the sum of the positions on
        its path) mod 2, and the other part skips it.  Each part keeps
@@ -754,12 +760,14 @@ def max_clique(n: int, table: Sequence[int], layout: _Layout | None = None) -> M
        or in two.
 
     The search never stops early at a target size.  Fully
-    deterministic: the result does not depend on the processes.  The
-    search adds to the layout's subgroups and changes nothing else in it.
+    deterministic: whether the tree is split depends on the number of
+    searched sets alone, and the result does not depend on the
+    processes.  The search adds to the layout's subgroups and changes
+    nothing else in it.
     """
     layout = layout or _layout(n, table)
     universal, order, *_ = layout
-    parts, processes = _both_parts(layout)
+    parts, processes = _parts(layout)
     # the larger size, then the earlier path
     _, clique, *_ = min(parts, key=lambda part: (-part[0], part[2]))
     m = len(order)

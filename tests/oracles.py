@@ -987,6 +987,26 @@ class ReferenceScan:
     comb_free: bool | None = None
 
 
+def scan_record(report) -> tuple:
+    """Everything a membrane census or scan decided, for comparing two
+    runs: its JSON, fragments, precedence, front boundary, presence
+    intervals, size weights and counters, but no seconds and not the
+    cubes it cut or reused, which depend on what ran before it."""
+    counters = {
+        key: value for key, value in report.stats.items()
+        if not key.endswith("_s") and not key.startswith("cubes_")
+    }
+    return (
+        report.to_json(),
+        [delta.label() for delta in report.deltas],
+        report.succs,
+        report.base.tiles,
+        report.intervals,
+        report.weights,
+        counters,
+    )
+
+
 def reference_comb_rows(n: int, r: int) -> list[int]:
     """Row v: the sets forming a double r-comb with v, one raw_double_comb
     call per pair of subsets of [n]."""

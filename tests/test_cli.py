@@ -324,7 +324,13 @@ def test_membrane_scan_z94_is_decided(capsys):
         "scan e-membranes of Z(9,4): 900508869423234 scanned, sizes [130], "
         "expected 130, PASS\ndouble-comb free: True\n"
     )
-    assert err.startswith("decided e-membranes of Z(9,4): 378 fragments, 256 vertices, ")
+    # C(9,4) = 126 cubes, each cut here or reused from an earlier census in this process
+    decided = re.match(
+        r"decided e-membranes of Z\(9,4\): 378 fragments, (\d+) cubes cut, (\d+) reused, "
+        r"256 vertices, ",
+        err,
+    )
+    assert decided and sum(map(int, decided.groups())) == 126
 
 
 def test_flip_witnesses(capsys):
@@ -652,7 +658,8 @@ def test_scan_stats_line_stays_out_of_json(capsys, tmp_path):
     )
     assert code == 0
     assert re.fullmatch(
-        r"decided e-membranes of Z\(6,4\): 45 fragments, 57 vertices, \d+ memo states, "
+        r"decided e-membranes of Z\(6,4\): 45 fragments, \d+ cubes cut, \d+ reused, 57 vertices, "
+        r"\d+ memo states, "
         r"52 pairs tested; precedence [\d.]+ s, lifespans and intervals [\d.]+ s, "
         r"count [\d.]+ s, pairs [\d.]+ s\n",
         err,
@@ -686,7 +693,8 @@ def test_scans_with_combs_test_each_pair_once(capsys, monkeypatch, anti):
 
 
 def test_internal_error_is_one_line_and_not_usage(capsys, monkeypatch):
-    # an empty front boundary breaks the tile lifespans
+    # an empty front boundary breaks the tile lifespans, memo warm or not
+    scan_membranes(standard_cubillage(4, 3))
     real = mb.base_membrane
     monkeypatch.setattr(
         mb,
@@ -1001,11 +1009,12 @@ def test_all_cube_runs_past_the_scan_cap_are_usage_errors(capsys, monkeypatch):
 
 
 def test_scans_past_the_table_limit_are_refused_before_the_census(capsys, monkeypatch):
-    # the pair phase needs the n = 13 table, so no count may start first
+    # the pair phase needs the n = 13 table, so no count may start first;
+    # the census is stubbed where every scan enters it, warm cube memo or not
     def no_census(*args):
         raise AssertionError("census started before the limit check")
 
-    monkeypatch.setattr(mb, "fragments", no_census)
+    monkeypatch.setattr(mb, "membrane_census", no_census)
     for argv in (
         ("membrane", "scan", "--n", "13", "--d", "4", "--flavor", "e"),
         ("membrane", "scan", "--n", "14", "--d", "3"),

@@ -374,7 +374,10 @@ def test_pairs_need_both_vertices_present():
 
 def test_negative_multiplicity_is_an_internal_error(monkeypatch):
     # start from an empty front boundary: the first raising flip then
-    # removes tiles that were never there
+    # removes tiles that were never there; the census reads the boundary
+    # on every call, so a memo warmed by an earlier census still meets it
+    q = standard_cubillage(4, 3)
+    assert scan_membranes(q).ok
     real = mb.base_membrane
     monkeypatch.setattr(
         mb,
@@ -382,16 +385,22 @@ def test_negative_multiplicity_is_an_internal_error(monkeypatch):
         lambda q, flavor=FLAVOR_W: real(q, flavor)._replace(tiles=frozenset()),
     )
     with pytest.raises(MembraneInvariantError, match="multiplicity -1"):
-        scan_membranes(standard_cubillage(4, 3))
+        scan_membranes(q)
     assert not issubclass(MembraneInvariantError, ValueError)
 
 
 def test_tile_born_twice_is_an_internal_error(monkeypatch):
-    # give two fragments the same rear side
+    # give the first fragment the second one's place and sides, after the
+    # cube memo: a warm memo cannot skip the fault
     q = standard_cubillage(4, 3)
-    deltas = mb.fragments(q)
-    twin = deltas[1]
-    monkeypatch.setattr(mb, "fragments", lambda _q, flavor=FLAVOR_W: [twin] + deltas[1:])
+    assert scan_membranes(q).ok
+    real = mb._fragment_sides
+
+    def twinned(q, flavor):
+        *parts, succs = real(q, flavor)
+        return (*([part[1], *part[1:]] for part in parts), succs)
+
+    monkeypatch.setattr(mb, "_fragment_sides", twinned)
     with pytest.raises(MembraneInvariantError, match="born at both"):
         scan_membranes(q)
 
@@ -417,7 +426,7 @@ def test_witness_mismatch_is_an_internal_error(monkeypatch):
 
 def _sides(q):
     """The front boundary's tiles, and the W fragments with their sides."""
-    deltas, fronts, rears, _ = mb._fragment_sides(q, FLAVOR_W)
+    deltas, fronts, rears, _, _ = mb._fragment_sides(q, FLAVOR_W)
     return mb.base_membrane(q).tiles, deltas, fronts, rears
 
 

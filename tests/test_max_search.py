@@ -95,18 +95,17 @@ def test_counters_show_the_reductions():
 # The search tree, pinned: size, nodes, candidates pruned by symmetry
 # and the witness as a bitset over 2^[n].  Any change to the numbering or
 # the colouring must walk exactly these nodes and find these witnesses.
-# The counters are summed over the two parts of the tree, so the nodes
-# above the split depth, the root among them, count twice.
+# No table on n <= 7 searches FORK_CROSSOVER sets, so each is one tree.
 PINNED = [
-    (7, weak_odd(1), 29, 9689, 167, 0xD1D1000100F100018080000080BB808B),
-    (7, weak_even_no_comb(2), 67, 1121, 26, 0xFBAB819F8189819FF3A90009F3E9D1DF),
-    # every set universal: nothing is left to search (m = 0), and each
-    # part expands the root alone
-    (7, strong(6), 128, 2, 0, (1 << 128) - 1),
+    (7, weak_odd(1), 29, 9402, 84, 0xD1D1000100F100018080000080BB808B),
+    (7, weak_even_no_comb(2), 67, 692, 13, 0xFBAB819F8189819FF3A90009F3E9D1DF),
+    # every set universal: nothing is left to search (m = 0), and the
+    # search expands the root alone
+    (7, strong(6), 128, 1, 0, (1 << 128) - 1),
     # all but {2,4,6} and {1,3,5,7} universal: the least m above 0 is 2,
     # since the non-universal sets are closed under the complement, which
     # fixes no set; so m = 1 never reaches the search
-    (7, weak_odd(5), 127, 2, 0, ((1 << 128) - 1) ^ 1 << 0b0101010),
+    (7, weak_odd(5), 127, 1, 0, ((1 << 128) - 1) ^ 1 << 0b0101010),
 ]
 
 
@@ -354,8 +353,10 @@ def test_searches_leave_no_cycle_behind():
 
 
 def _in(processes, monkeypatch):
-    """Make every search below run in the given number of processes."""
-    monkeypatch.setattr(systems, "_processes", lambda m: processes)
+    """Make every search below split its tree, whatever its size, and run
+    the parts in the given number of processes."""
+    monkeypatch.setattr(systems, "FORK_CROSSOVER", 0)
+    monkeypatch.setattr(systems, "_processes", lambda: processes)
 
 
 def _counted(found):
@@ -386,10 +387,15 @@ def test_forked_search_equals_the_in_process_one_on_group_closed_tables(monkeypa
         generators = [tuple(f(v, n) for v in range(1 << n)) for f in maps]
         for seed in range(10):
             table = _random_closed_table(n, generators, random.Random(seed))
-            _in(1, monkeypatch)
-            here = max_clique(n, table)
-            _in(2, monkeypatch)
-            assert _counted(max_clique(n, table)) == _counted(here), (n, names, seed)
+            with monkeypatch.context() as patch:
+                whole = max_clique(n, table)  # one tree: no table here reaches the crossover
+                _in(1, patch)
+                here = max_clique(n, table)
+                _in(2, patch)
+                assert _counted(max_clique(n, table)) == _counted(here), (n, names, seed)
+            # the split gives back the one tree's witness, with more nodes
+            assert (here.size, here.witness) == (whole.size, whole.witness), (n, names, seed)
+            assert here.nodes >= whole.nodes
     _no_child_left()
 
 
@@ -425,15 +431,17 @@ def test_an_interrupted_parent_kills_and_reaps_its_child(monkeypatch):
 
 def test_when_the_search_forks(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert _processes(FORK_CROSSOVER) == 2
-    # below the crossover, and on n <= 7, where at most 2^7 - 2 sets are searched
-    assert _processes(FORK_CROSSOVER - 1) == 1
-    assert FORK_CROSSOVER > (1 << 7) - 2
+    assert _processes() == 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert _processes(FORK_CROSSOVER) == 1
+    assert _processes() == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.delattr(os, "fork")
-    assert _processes(FORK_CROSSOVER) == 1
+    assert _processes() == 1
+    # below the crossover, and so on n <= 7, where at most 2^7 - 2 sets are
+    # searched, one tree in one process, whatever the host
+    assert FORK_CROSSOVER > (1 << 7) - 2
+    monkeypatch.setattr(systems, "_processes", lambda: 2)
+    assert search_max(7, weak_odd(1)).processes == 1
 
 
 def test_a_second_search_of_a_table_adds_no_subgroup(monkeypatch):

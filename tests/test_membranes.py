@@ -1,16 +1,18 @@
 """Fragmentation, w-membranes, e-membranes, flips, and the separation scans."""
 
 from itertools import combinations
+from math import comb
 
 from zonosep.cubillage import (
     Cube,
     apex_vertices,
+    from_inversions,
     front_facets,
     precedence_digraph,
     rear_facets,
     standard_cubillage,
 )
-from zonosep.ground import mask_of
+from zonosep.ground import mask_of, submasks
 import zonosep.membranes as mb
 import zonosep.posets as posets
 from zonosep.membranes import (
@@ -21,7 +23,6 @@ from zonosep.membranes import (
     Membrane,
     base_membrane,
     fragment_precedence,
-    fragments,
     h_tile,
     membrane_census,
     membrane_from_ideal,
@@ -34,17 +35,19 @@ from zonosep.membranes import (
 )
 from zonosep.posets import digraph_dot
 from zonosep.separation import is_double_r_comb, is_weakly_r_separated
-from zonosep.systems import s_formula, weak
+from zonosep.systems import RELATION_TABLE_CAP, s_formula, weak
 
 import pytest
 
 from oracles import (
+    bruhat_order,
     count_ideals_bfs,
     e_membranes,
     front_rear_vertices,
     is_e_membrane,
     pairwise_fragment_precedence,
     s_membranes,
+    scan_record,
     w_membranes,
 )
 
@@ -60,7 +63,7 @@ def test_tile_identity_determines_shape() -> None:
     seen: dict[frozenset, tuple] = {}
     for n, d in [(4, 3), (5, 4)]:
         q = standard_cubillage(n, d)
-        for fr in fragments(q):
+        for fr in fragment_precedence(q)[0]:
             for tile in fr.eps_front() | fr.eps_rear():
                 sizes = {v.bit_count() for v in tile}
                 kind = tile_label(tile)[0]
@@ -79,14 +82,14 @@ def test_tile_identity_determines_shape() -> None:
 
 def test_fragment_counts_and_validation() -> None:
     q = standard_cubillage(5, 3)
-    frs = fragments(q)
+    frs = fragment_precedence(q)[0]
     assert len(frs) == 3 * 10
     with pytest.raises(ValueError):
         Fragment(q.cubes[0], 0)
     with pytest.raises(ValueError):
         Fragment(q.cubes[0], 4)
     with pytest.raises(ValueError, match="unknown flavor 's'"):
-        fragments(q, "s")
+        fragment_precedence(q, "s")
 
 
 def test_bottom_fragment_has_no_floor() -> None:
@@ -102,7 +105,7 @@ def test_bottom_fragment_has_no_floor() -> None:
 def test_eps_sides_partition_fragment_boundary() -> None:
     for n, d in [(4, 2), (4, 3), (5, 4), (5, 5)]:
         q = standard_cubillage(n, d)
-        for fr in fragments(q):
+        for fr in fragment_precedence(q)[0]:
             front, rear = fr.eps_front(), fr.eps_rear()
             assert not front & rear
             direct = set()
@@ -155,7 +158,7 @@ def test_base_membrane_is_front_boundary() -> None:
     front, rear, _rim = front_rear_vertices(4, 3)
     assert membrane_vertices(base).members == front.members
 
-    full = membrane_from_ideal(q, fragments(q))
+    full = membrane_from_ideal(q, fragment_precedence(q)[0])
     assert full.tiles == rear_boundary_tiles(q)
     assert membrane_vertices(full).members == rear.members
 
@@ -164,7 +167,7 @@ def test_single_slab_fragment_has_one_encoding() -> None:
     # top == h and top None both name the one slab h
     q = standard_cubillage(4, 2)
     c = q.cubes[0]
-    assert Fragment(c, 1, 1) == Fragment(c, 1) == fragments(q)[0]
+    assert Fragment(c, 1, 1) == Fragment(c, 1) == fragment_precedence(q)[0][0]
     assert hash(Fragment(c, 1, 1)) == hash(Fragment(c, 1))
     assert Fragment(c, 1, 1).label() == "{}|{1,2}#h1"
     assert membrane_from_ideal(q, [Fragment(c, 1, 1)]) == membrane_from_ideal(q, [Fragment(c, 1)])
@@ -172,7 +175,7 @@ def test_single_slab_fragment_has_one_encoding() -> None:
 
 def test_membrane_from_ideal_rejects_bad_input() -> None:
     q = standard_cubillage(3, 3)
-    frs = fragments(q)
+    frs = fragment_precedence(q)[0]
     with pytest.raises(ValueError, match="not an ideal"):
         membrane_from_ideal(q, [frs[2]])
     foreign = Fragment(Cube(0, m(1, 2)), 1)
@@ -267,7 +270,7 @@ def test_two_flips_from_one_membrane_keep_their_own_ideals() -> None:
     # the first membrane of Z(4,3) past the base with two fragments raisable
     # in either order, raised flip by flip so that its flips share one dict
     q = standard_cubillage(4, 3)
-    deltas = fragments(q)
+    deltas = fragment_precedence(q)[0]
     mem, first, second = next(
         (mem, x, y)
         for mem in w_membranes(q)
@@ -320,7 +323,7 @@ def test_flip_vertex_effect_in_odd_d() -> None:
 
 def _flippable(q, mem: Membrane):
     out = []
-    for fr in fragments(q):
+    for fr in fragment_precedence(q)[0]:
         if fr in mem.ideal:
             continue
         if fr.eps_front() <= mem.tiles and not (fr.eps_rear() & mem.tiles):
@@ -343,7 +346,7 @@ def test_lattice_laws_meet_join() -> None:
 
 def test_enlarged_fragmentation_z44() -> None:
     q = standard_cubillage(4, 4)
-    en = fragments(q, FLAVOR_E)
+    en = fragment_precedence(q, FLAVOR_E)[0]
     assert [delta.label() for delta in en] == [
         "{}|{1,2,3,4}#h1",
         "{}|{1,2,3,4}#h2+3",
@@ -358,7 +361,7 @@ def test_enlarged_fragmentation_z44() -> None:
     assert middle not in center.eps_rear()
 
     with pytest.raises(ValueError):
-        fragments(standard_cubillage(4, 3), FLAVOR_E)
+        fragment_precedence(standard_cubillage(4, 3), FLAVOR_E)
     for h, top in ((3, 2), (4, 5)):
         with pytest.raises(ValueError, match=f"slabs {h}..{top} outside 1..4"):
             Fragment(q.cubes[0], h, top)
@@ -404,7 +407,7 @@ def test_s_census_counts(anti) -> None:
 def test_e_membrane_from_plain_fragments() -> None:
     # the slabs outside the middle are the same fragments in both flavors
     q = standard_cubillage(4, 4)
-    h1, h2, _h3, h4 = fragments(q)
+    h1, h2, _h3, h4 = fragment_precedence(q)[0]
     center = Fragment(q.cubes[0], 2, 3)
     low = membrane_from_ideal(q, [h1], FLAVOR_E)
     assert low.flavor == FLAVOR_E and is_e_membrane(q, low)
@@ -449,7 +452,7 @@ def test_comb_membrane_through_both_middle_slabs() -> None:
     # the w-membrane between the middle sections of Z(4,4) carries the
     # comb pair {1,3},{2,4}; equal cardinality keeps it weakly 2-separated
     q = standard_cubillage(4, 4)
-    frs = fragments(q)
+    frs = fragment_precedence(q)[0]
     mem = membrane_from_ideal(q, [fr for fr in frs if fr.h <= 2])
     assert not is_e_membrane(q, mem)
     system = membrane_vertices(mem)
@@ -546,9 +549,9 @@ def test_scan_without_one_presence_interval_is_undecided(monkeypatch) -> None:
     # present on two intervals of the ideal lattice
     chain = posets.Poset(3, [[1], [2], []])
     v = m(1)
-    assert mb._presence_intervals(chain, {v: 1}, [{v: -1}, {}, {}]) == {v: (None, 0)}
-    assert mb._presence_intervals(chain, {}, [{}, {v: 1}, {v: -1}]) == {v: (1, 2)}
-    reason = mb._presence_intervals(chain, {v: 1}, [{v: -1}, {v: 1}, {}])
+    assert mb._presence_intervals(chain, [(v, 1)], [[(v, -1)], [], []]) == {v: (None, 0)}
+    assert mb._presence_intervals(chain, [], [[], [(v, 1)], [(v, -1)]]) == {v: (1, 2)}
+    reason = mb._presence_intervals(chain, [(v, 1)], [[(v, -1)], [(v, 1)], []])
     assert reason == "presence of vertex {1} is not one interval of the ideal lattice"
     # such an instance is reported undecided, never as a pass
     monkeypatch.setattr(mb, "_presence_intervals", lambda *args: reason)
@@ -568,3 +571,62 @@ def test_membrane_json_and_dot() -> None:
     dot = digraph_dot([delta.label() for delta in deltas], succs, "fragments")
     assert dot.startswith("digraph fragments {")
     assert dot.count("->") == 2
+
+
+MEMO_SWEEPS = [
+    (5, 3, FLAVOR_W, False),
+    (6, 3, FLAVOR_W, False),
+    (6, 4, FLAVOR_W, False),
+    (6, 4, FLAVOR_E, True),
+]
+
+
+@pytest.mark.parametrize(
+    "n, d, flavor, check_combs", MEMO_SWEEPS, ids=[f"z{n}{d}-{f}" for n, d, f, _ in MEMO_SWEEPS]
+)
+def test_cube_memo_changes_no_scan(n, d, flavor, check_combs) -> None:
+    # every cubillage of Z(n, d), scanned with a memo cleared before each,
+    # then with the pieces of every flavor of every cubillage held, in
+    # B(n, d) order and in reverse: the same records
+    qs = [from_inversions(n, d, u) for u in bruhat_order(n, d)]
+    cold = []
+    for q in qs:
+        mb._cube_pieces.cache_clear()
+        report = scan_membranes(q, flavor, check_combs)
+        assert (report.stats["cubes_cut"], report.stats["cubes_reused"]) == (comb(n, d), 0)
+        cold.append(scan_record(report))
+    for q in qs:
+        for other in (FLAVOR_W, FLAVOR_S, FLAVOR_E)[: 3 - d % 2]:
+            fragment_precedence(q, other)
+    for order, want in ((qs, cold), (qs[::-1], cold[::-1])):
+        reports = [scan_membranes(q, flavor, check_combs) for q in order]
+        assert all(report.stats["cubes_reused"] == comb(n, d) for report in reports)
+        assert [scan_record(report) for report in reports] == want
+
+
+def test_cube_memo_holds_its_bound() -> None:
+    # a cubillage at the relation-table cap fits, so no census evicts its own cubes
+    assert mb.CUBE_MEMO_SIZE >= comb(RELATION_TABLE_CAP, RELATION_TABLE_CAP // 2)
+    n, d = 9, 3
+    full = (1 << n) - 1
+    cubes = [
+        Cube(root, mask_of(t, n))
+        for t in combinations(range(1, n + 1), d)
+        for root in submasks(full ^ mask_of(t, n))
+    ]
+    assert len(cubes) > mb.CUBE_MEMO_SIZE
+    runs = mb._runs(d, FLAVOR_W)
+    mb._cube_pieces.cache_clear()
+    try:
+        for cube in cubes:
+            mb._cube_pieces(cube, runs)
+            assert mb._cube_pieces.cache_info().currsize <= mb.CUBE_MEMO_SIZE
+        assert mb._cube_pieces.cache_info().currsize == mb.CUBE_MEMO_SIZE
+        # the least recently cut went first, the latest are kept
+        misses = mb._cube_pieces.cache_info().misses
+        mb._cube_pieces(cubes[-1], runs)
+        assert mb._cube_pieces.cache_info().misses == misses
+        mb._cube_pieces(cubes[0], runs)
+        assert mb._cube_pieces.cache_info().misses == misses + 1
+    finally:
+        mb._cube_pieces.cache_clear()

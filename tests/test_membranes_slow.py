@@ -5,17 +5,19 @@
 The walk visits all 1,406,640 w-membranes of Z(7,3) and all 1,575,598
 e-membranes of Z(7,4); count, sizes and the exact sets of violating
 pairs must agree with the scan that visits none of them.  Z(10,3) and
-Z(11,3), far past any walk, pin the scan's own count and sizes.
+Z(11,3), far past any walk, pin the scan's own count and sizes.  The
+cube memo is checked over all 338 cubillages of Z(7,4).
 """
 
 import pytest
 
-from zonosep.cubillage import standard_cubillage
+import zonosep.membranes as mb
+from zonosep.cubillage import from_inversions, standard_cubillage
 from zonosep.membranes import FLAVOR_E, FLAVOR_W, KIND_COMB, KIND_WEAK, scan_membranes
 from zonosep.posets import IDEAL_STATE_BUDGET
 from zonosep.systems import s_formula
 
-from oracles import reference_scan_membranes
+from oracles import bruhat_order, reference_scan_membranes, scan_record
 
 pytestmark = pytest.mark.slow
 
@@ -54,3 +56,22 @@ def test_membrane_theorem_z113_within_the_budget():
     assert rep.sizes_seen == {67} == {rep.expected_size}
     assert rep.ok
     assert rep.stats["states"] < IDEAL_STATE_BUDGET
+
+
+def test_cube_memo_over_every_cubillage_of_z74():
+    # Property P on all 338 cubillages of Z(7,4), with the cube memo
+    # cleared before each and kept warm: the same records, and the warm
+    # sweep cuts each of the cubes it meets once
+    qs = [from_inversions(7, 4, u) for u in bruhat_order(7, 4)]
+    assert len(qs) == 338
+    cold = []
+    for q in qs:
+        mb._cube_pieces.cache_clear()
+        cold.append(scan_record(scan_membranes(q, FLAVOR_E, check_combs=True)))
+    mb._cube_pieces.cache_clear()
+    reports = [scan_membranes(q, FLAVOR_E, check_combs=True) for q in qs]
+    assert [scan_record(report) for report in reports] == cold
+    assert all(record[0]["violations"] == [] and record[0]["comb_free"] for record in cold)
+    assert sum(record[0]["membranes"] for record in cold) == 189_769_474
+    cubes = {cube for q in qs for cube in q.cubes}
+    assert sum(report.stats["cubes_cut"] for report in reports) == len(cubes)

@@ -331,13 +331,13 @@ PAST_THE_LIMIT = {
 
 @pytest.mark.parametrize("entry", PAST_THE_LIMIT)
 def test_every_limit_is_checked_before_the_expensive_stage(monkeypatch, entry):
-    # n = limit + 1 is refused on the call: no table, ideal count or fragment
-    # list, and no 2^n scan of the entry point's own, is started first
+    # n = limit + 1 is refused on the call: no table, ideal count or membrane
+    # census, and no 2^n scan of the entry point's own, is started first
     for module, stage in (
         (systems, "relation_table"),
         (membranes, "complement_table"),
         (flips, "relation_table"),
-        (membranes, "fragments"),
+        (membranes, "membrane_census"),
         (geometry, "side_roots"),
         (cubillage, "submasks"),
         (cubillage, "from_inversions"),
