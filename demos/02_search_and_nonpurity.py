@@ -5,9 +5,9 @@ Run: python3 demos/02_search_and_nonpurity.py
 
 from zonosep.geometry import boundary_vertices
 from zonosep.ground import set_notation
+from zonosep.search import enumerate_maximal
 from zonosep.systems import (
     check_pairwise,
-    enumerate_maximal,
     extend_to_maximal,
     max_size,
     nonpurity_witness,

@@ -1,5 +1,6 @@
 """Command-line behavior: output shape, exit codes, file export, determinism."""
 
+import importlib.util
 import json
 import os
 import re
@@ -9,17 +10,18 @@ from pathlib import Path
 
 import pytest
 
-import zonosep.cli as cli
+import zonosep.cli.verify as cli_verify
 import zonosep.cubillage as cubillage
 import zonosep.flips as fl
 import zonosep.geometry as geometry
 import zonosep.membranes as mb
 import zonosep.posets as posets
-import zonosep.systems as systems
+import zonosep.search as search
 from zonosep.cli import _status, main
 from zonosep.cubillage import Cubillage, standard_cubillage
 from zonosep.membranes import scan_membranes
-from zonosep.systems import SCHEMA, dump_json, search_max, strong
+from zonosep.search import search_max
+from zonosep.systems import SCHEMA, dump_json, strong
 
 from oracles import (
     e_membranes,
@@ -535,7 +537,7 @@ FORCED_FAILURES = {
     ),
     "sizes": (
         ("verify", "snr", "--nmax", "3"),
-        (cli, "s_formula"), lambda want: want + 1,
+        (cli_verify, "s_formula"), lambda want: want + 1,
         "strong n=3 r=2: max 8, bound 9, FAIL\n",
     ),
     "acyclicity": (
@@ -545,7 +547,7 @@ FORCED_FAILURES = {
     ),
     "nonpurity": (
         ("verify", "nonpurity"),
-        (cli, "s_formula"), lambda want: want + 1,
+        (cli_verify, "s_formula"), lambda want: want + 1,
         "maximum size: 58\nnonpurity: FAIL\n",
     ),
 }
@@ -582,6 +584,29 @@ def test_verify_membranes_failure_beats_undecided(capsys, monkeypatch):
             "30 scanned, size 11, INCOMPLETE (not decided: forced)"
         )
         assert out.count("PASS") == 1
+
+
+def test_an_unwritable_output_is_refused_before_the_run(capsys, monkeypatch, tmp_path):
+    # a --json or --dot file that cannot be written is a usage error found
+    # before the handler runs: no verdict, no work
+    def not_run(*args, **kwargs):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cubillage, "standard_cubillage", not_run)
+    monkeypatch.setattr(cubillage, "gamma_graph", not_run)
+    (tmp_path / "file").write_text("")
+    missing = str(tmp_path / "missing" / "x.json")
+    under_file = str(tmp_path / "file" / "g.dot")
+    for argv, error in (
+        (("cub", "standard", "--n", "6", "--d", "3", "--json", missing),
+         f"cannot write {missing}: no directory {tmp_path / 'missing'}"),
+        (("cub", "gamma", "--n", "4", "--d", "2", "--dot", under_file),
+         f"cannot write {under_file}: no directory {tmp_path / 'file'}"),
+        (("cub", "standard", "--n", "6", "--d", "3", "--json", str(tmp_path)),
+         f"cannot write {tmp_path}: it is a directory"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_scan_cap_flag_is_a_usage_error(capsys):
@@ -762,11 +787,11 @@ def test_precedence_cycle_is_an_internal_error(capsys, monkeypatch):
 
 
 def test_internal_errors_from_any_module_are_one_line(capsys, monkeypatch):
-    # a symmetry check that breaks at once raises RuntimeError in systems;
+    # a symmetry check that breaks at once raises RuntimeError in search;
     # a layout memoised by an earlier search would skip the check
-    systems._search_layout.cache_clear()
+    search._search_layout.cache_clear()
     with monkeypatch.context() as patch:
-        patch.setattr(systems, "_first_break", lambda table, image: 0)
+        patch.setattr(search, "_first_break", lambda table, image: 0)
         code, out, err = run(capsys, "search", "max", "--n", "4", "--kind", "strong", "--r", "1")
     assert code == 1 and out == ""
     assert err == "internal error: relation table not invariant under complement at {}\n"
@@ -1058,56 +1083,6 @@ def test_harness_stats_line(capsys, monkeypatch):
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# runs main on the command line it is given, then prints the zonosep modules it
-# loaded and those of STDLIB it loaded, which a command should not pay for idly
-FOOTPRINT = """
-import sys
-STDLIB = ("dataclasses", "json")
-from zonosep.cli import main
-try:
-    code = main(sys.argv[1:])
-except SystemExit as exc:
-    code = exc.code
-print(" ".join(sorted(m for m in sys.modules if m.startswith("zonosep.") or m in STDLIB)))
-sys.exit(code)
-"""
-
-
-# (command line, modules it must load, modules it must not)
-FOOTPRINTS = [
-    (("sep", "check", "--n", "6", "--a", "1,2,6", "--b", "2,3,4,5", "--weak", "--r", "1"),
-     {"systems"}, {"geometry", "posets", "cubillage", "membranes", "flips"}),
-    (("search", "max", "--n", "5", "--kind", "weak_odd", "--r", "1"),
-     {"systems"}, {"geometry", "posets", "cubillage", "membranes", "flips"}),
-    (("zono", "vertices", "--n", "5", "--d", "3"), {"geometry"}, {"cubillage", "membranes", "flips"}),
-    (("cub", "standard", "--n", "5", "--d", "3"), {"cubillage"}, {"posets", "membranes", "flips"}),
-    (("cub", "validate", "--in", "z53.json"), {"cubillage"}, {"posets", "membranes", "flips"}),
-    (("cub", "anti", "--n", "5", "--d", "3", "--json", "anti.json"), {"cubillage"},
-     {"posets", "membranes", "flips"}),
-    (("verify", "flips", "--n", "6", "--r", "3"), {"flips"}, {"membranes", "cubillage"}),
-    (("membrane", "scan", "--n", "5", "--d", "3"), {"membranes"}, {"flips"}),
-    (("--help",), {"systems"}, {"geometry", "posets", "cubillage", "membranes", "flips"}),
-]
-
-
-@pytest.mark.parametrize(
-    "argv, loaded, absent", FOOTPRINTS, ids=["-".join(argv[:2]) for argv, _, _ in FOOTPRINTS]
-)
-def test_a_command_imports_only_the_modules_it_runs(argv, loaded, absent, tmp_path):
-    (tmp_path / "z53.json").write_text(dump_json(standard_cubillage(5, 3).to_json()))
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, *argv],
-        env=env, capture_output=True, text=True, timeout=60, cwd=tmp_path,
-    )
-    assert done.returncode == 0, done.stderr
-    modules = {name.removeprefix("zonosep.") for name in done.stdout.splitlines()[-1].split()}
-    assert loaded <= modules and not absent & modules, modules
-    assert "dataclasses" not in modules
-    # only a command that reads or writes a JSON file imports json
-    assert ("json" in modules) == ("--in" in argv or "--json" in argv), modules
-
-
 GROUP_COMMANDS = {
     "sep": ("check", "cortege"),
     "search": ("max", "maximal"),
@@ -1118,6 +1093,81 @@ GROUP_COMMANDS = {
     "verify": ("snr", "wnr", "flips", "refined", "acyclicity", "membranes", "nonpurity"),
     "demo": ("nonpurity",),
 }
+
+
+# the zonosep modules every command that reads the relation tables loads
+SYSTEMS = {"ground", "separation", "systems"}
+CUB = SYSTEMS | {"geometry", "cubillage"}
+
+# (command line, the zonosep modules it imports, without the "zonosep." prefix)
+FOOTPRINTS = [
+    (("--help",), {"cli"}),
+    (("sep", "check", "--n", "6", "--a", "1,2,6", "--b", "2,3,4,5", "--weak", "--r", "1"),
+     {"cli", "cli.sep", "ground", "separation"}),
+    (("search", "max", "--n", "5", "--kind", "weak_odd", "--r", "1"),
+     {"cli", "cli.search", "search"} | SYSTEMS),
+    (("search", "maximal", "--n", "4", "--kind", "strong", "--r", "1"),
+     {"cli", "cli.search", "search"} | SYSTEMS),
+    (("zono", "vertices", "--n", "5", "--d", "3"), {"cli", "cli.zono", "geometry"} | SYSTEMS),
+    (("cub", "standard", "--n", "5", "--d", "3"), {"cli", "cli.cub"} | CUB),
+    (("cub", "validate", "--in", "z53.json"), {"cli", "cli.cub"} | CUB),
+    (("cub", "anti", "--n", "5", "--d", "3", "--json", "anti.json"), {"cli", "cli.cub"} | CUB),
+    (("cub", "gamma", "--n", "4", "--d", "2"), {"cli", "cli.cub", "posets"} | CUB),
+    (("membrane", "scan", "--n", "5", "--d", "3"),
+     {"cli", "cli.membrane", "membranes", "posets"} | CUB),
+    (("flip", "witnesses", "--n", "3", "--p", "2", "--q", "1,3"),
+     {"cli", "cli.flip", "flips"} | SYSTEMS),
+    (("verify", "flips", "--n", "6", "--r", "3"), {"cli", "cli.verify", "flips"} | SYSTEMS),
+    (("verify", "snr", "--nmax", "3"), {"cli", "cli.verify", "search"} | SYSTEMS),
+    (("verify", "nonpurity"), {"cli", "cli.verify", "geometry"} | SYSTEMS),
+    (("demo", "nonpurity"), {"cli", "cli.demo", "geometry", "search"} | SYSTEMS),
+]
+
+# the only commands that run the maximum search
+SEARCHING = {("search", "max"), ("search", "maximal"), ("verify", "snr"), ("verify", "wnr"),
+             ("demo", "nonpurity")}
+
+
+def _imported(stderr: str) -> set[str]:
+    """The modules -X importtime reports, one per "import time:" line."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:") and not line.endswith("imported package")
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, loaded", FOOTPRINTS, ids=["-".join(argv[:2]) for argv, _ in FOOTPRINTS]
+)
+def test_a_command_imports_only_the_modules_it_runs(argv, loaded, tmp_path):
+    # run as the benchmark runs a command: python -m zonosep.cli, its imports
+    # read off -X importtime
+    (tmp_path / "z53.json").write_text(dump_json(standard_cubillage(5, 3).to_json()))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "zonosep.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    imported = _imported(done.stderr)
+    modules = {name.removeprefix("zonosep.") for name in imported if name.startswith("zonosep.")}
+    assert modules == loaded
+    assert ("search" in modules) == (argv[:2] in SEARCHING)
+    # the named group's module and no other; none for the top-level --help
+    assert {m for m in modules if m.startswith("cli.")} == (
+        {f"cli.{argv[0]}"} if argv[0] in GROUP_COMMANDS else set()
+    )
+    # no source file is compiled twice: the -m target, cli/__main__.py, is
+    # not the file of any module the command imports
+    origins = [importlib.util.find_spec(f"zonosep.{m}").origin for m in modules]
+    origins.append(importlib.util.find_spec("zonosep.cli.__main__").origin)
+    assert len(set(origins)) == len(origins)
+    assert "dataclasses" not in imported
+    # only a command that reads or writes a JSON file imports json
+    assert ("json" in imported) == ("--in" in argv or "--json" in argv), imported
+
+
 
 
 @pytest.fixture

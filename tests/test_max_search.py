@@ -17,21 +17,23 @@ from itertools import combinations
 
 import pytest
 
-import zonosep.systems as systems
+import zonosep.search as search
 from zonosep.ground import elements
-from zonosep.systems import (
+from zonosep.search import (
     FORK_CROSSOVER,
     _permuted_rows,
     _processes,
     _search_layout,
-    check_pairwise,
     enumerate_maximal,
     max_clique,
+    search_max,
+    symmetry_group,
+)
+from zonosep.systems import (
+    check_pairwise,
     max_size,
     relation_table,
-    search_max,
     strong,
-    symmetry_group,
     weak_even,
     weak_even_no_comb,
     weak_odd,
@@ -355,8 +357,8 @@ def test_searches_leave_no_cycle_behind():
 def _in(processes, monkeypatch):
     """Make every search below split its tree, whatever its size, and run
     the parts in the given number of processes."""
-    monkeypatch.setattr(systems, "FORK_CROSSOVER", 0)
-    monkeypatch.setattr(systems, "_processes", lambda: processes)
+    monkeypatch.setattr(search, "FORK_CROSSOVER", 0)
+    monkeypatch.setattr(search, "_processes", lambda: processes)
 
 
 def _counted(found):
@@ -400,7 +402,7 @@ def test_forked_search_equals_the_in_process_one_on_group_closed_tables(monkeypa
 
 
 def test_a_failing_child_is_an_error_of_the_parent(monkeypatch):
-    real = systems._search_part
+    real = search._search_part
 
     def part_1_breaks(layout, part):
         if part == 1:
@@ -408,7 +410,7 @@ def test_a_failing_child_is_an_error_of_the_parent(monkeypatch):
         return real(layout, part)
 
     _in(2, monkeypatch)
-    monkeypatch.setattr(systems, "_search_part", part_1_breaks)
+    monkeypatch.setattr(search, "_search_part", part_1_breaks)
     with pytest.raises(RuntimeError, match=r"^search child failed: ValueError: part 1 broke$"):
         max_clique(5, relation_table(5, weak_odd(1)))
     _no_child_left()
@@ -421,7 +423,7 @@ def test_an_interrupted_parent_kills_and_reaps_its_child(monkeypatch):
         raise KeyboardInterrupt
 
     _in(2, monkeypatch)
-    monkeypatch.setattr(systems, "_search_part", part)
+    monkeypatch.setattr(search, "_search_part", part)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         max_clique(5, relation_table(5, weak_odd(1)))
@@ -440,7 +442,7 @@ def test_when_the_search_forks(monkeypatch):
     # below the crossover, and so on n <= 7, where at most 2^7 - 2 sets are
     # searched, one tree in one process, whatever the host
     assert FORK_CROSSOVER > (1 << 7) - 2
-    monkeypatch.setattr(systems, "_processes", lambda: 2)
+    monkeypatch.setattr(search, "_processes", lambda: 2)
     assert search_max(7, weak_odd(1)).processes == 1
 
 
@@ -456,7 +458,7 @@ def test_a_second_search_of_a_table_adds_no_subgroup(monkeypatch):
 
 
 def test_a_child_that_dies_is_an_error_of_the_parent(monkeypatch):
-    real = systems._search_part
+    real = search._search_part
 
     def part_1_dies(layout, part):
         if part == 1:
@@ -464,7 +466,7 @@ def test_a_child_that_dies_is_an_error_of_the_parent(monkeypatch):
         return real(layout, part)
 
     _in(2, monkeypatch)
-    monkeypatch.setattr(systems, "_search_part", part_1_dies)
+    monkeypatch.setattr(search, "_search_part", part_1_dies)
     with pytest.raises(RuntimeError, match=r"^search child ended without a result \(exit status 3\)$"):
         max_clique(5, relation_table(5, weak_odd(1)))
     _no_child_left()

@@ -10,10 +10,10 @@ from functools import lru_cache
 
 import pytest
 
+from zonosep.search import search_max
 from zonosep.systems import (
     check_pairwise,
     s_formula,
-    search_max,
     strong,
     weak_even,
     weak_even_no_comb,

@@ -14,7 +14,8 @@ from zonosep.flips import FlipSite
 from zonosep.geometry import zonotope_sides
 from zonosep.ground import SIDE_A, SIDE_B, Cortege, CortegeInterval, mask_of
 from zonosep.membranes import KIND_WEAK, Fragment, ScanViolation, base_membrane
-from zonosep.systems import MaxSearch, PairwisePredicate, SetSystem
+from zonosep.search import MaxSearch
+from zonosep.systems import PairwisePredicate, SetSystem
 
 
 def m(*elems: int) -> int:

@@ -1,10 +1,11 @@
 """Every public name of the package has a caller in the package or the benchmark.
 
-A module-level function, class or constant of src/zonosep whose name
-does not start with "_", and a method or property of such a class whose
-name does not either, must be referenced as code (a NAME token, not a
-string or a comment) somewhere in src/zonosep or bench/ outside its own
-definition.  A method counts as called where its bare name occurs, on
+A module-level function, class or constant of src/zonosep or of a
+subpackage of it (zonosep.cli and its group modules) whose name does
+not start with "_", and a method or property of such a class whose name
+does not either, must be referenced as code (a NAME token, not a string
+or a comment) somewhere in src/zonosep, its subpackages or bench/
+outside its own definition.  A method counts as called where its bare name occurs, on
 whatever object.  Tests and demos do not count as callers: a name only
 they use is a test oracle and belongs in tests/oracles.py, or is dead.
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "zonosep"
-CALLERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+CALLERS = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 # names kept without a caller, each with its reason
 ALLOWED = {
@@ -32,7 +33,7 @@ def _public_definitions() -> list[tuple[Path, str, str, int, int]]:
     public module-level name and each public method of a public class;
     a method is reported as Class.method."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]

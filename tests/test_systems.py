@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from zonosep import cubillage, flips, geometry, membranes, systems
+from zonosep import cubillage, flips, geometry, membranes, search, systems
 from zonosep.cubillage import (
     Cube,
     Cubillage,
@@ -19,6 +19,7 @@ from zonosep.flips import verify_flip_theorem_odd, verify_local_neighb_even, ver
 from zonosep.geometry import boundary_vertices, zonotope_sides
 from zonosep.ground import mask_of, set_notation
 from zonosep.posets import Poset
+from zonosep.search import enumerate_maximal, search_max
 from zonosep.systems import (
     DEFAULT_EXHAUSTIVE_BOUND,
     HARD_EXHAUSTIVE_CAP,
@@ -27,12 +28,10 @@ from zonosep.systems import (
     SetSystem,
     check_pairwise,
     compatibility_adjacency,
-    enumerate_maximal,
     extend_to_maximal,
     max_size,
     relation_table,
     s_formula,
-    search_max,
     strong,
     weak,
     weak_even,
@@ -335,6 +334,8 @@ def test_every_limit_is_checked_before_the_expensive_stage(monkeypatch, entry):
     # census, and no 2^n scan of the entry point's own, is started first
     for module, stage in (
         (systems, "relation_table"),
+        (search, "relation_table"),
+        (search, "compatibility_adjacency"),
         (membranes, "complement_table"),
         (flips, "relation_table"),
         (membranes, "membrane_census"),
