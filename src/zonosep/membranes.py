@@ -20,7 +20,9 @@ front boundary of Z sliced into slabs and, for each fragment of the
 ideal in topological order, swap its front side for its rear side.
 Every precondition of every swap is asserted, so a defect in the
 lattice structure surfaces as a hard failure instead of a silently
-wrong tile set.
+wrong tile set.  The tiles also refuse a fragment raised twice: its
+front side died at its first flip, and a tile born at most once and
+never onto the front boundary does not come back.
 
 A flavor is where the fragmentation cuts each cube (`_runs`).  The
 plain one (flavor W) cuts at every integer height.  For even d the
@@ -61,7 +63,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .cubillage import Cube, Cubillage, front_facets, rear_facets, side_precedence
 from .geometry import Face, zonotope_sides
 from .ground import Record, elements, set_notation, submasks
-from .posets import IdealCapExceeded, Poset
+from .posets import IDEAL_STATE_BUDGET, IdealCapExceeded, Poset
 from .separation import is_double_r_comb
 from .systems import (
     RELATION_CACHE_SIZE,
@@ -306,36 +308,20 @@ def rear_boundary_tiles(q: Cubillage) -> frozenset[frozenset[int]]:
     return _slice_boundary(sides.rear_facets)
 
 
-class _Ideal(tuple):
-    """The fragments behind a membrane in raising order, with a dict from
-    each to its place there.  The ideals along one walk of raising flips
-    share the dict, and a fragment is in an ideal when its place is below
-    the ideal's length: `in` is one lookup, not one comparison with every
-    fragment raised before."""
-
-    def __contains__(self, delta: object) -> bool:
-        return self._places.get(delta, len(self)) < len(self)
-
-
-def _raised(ideal: tuple, delta: Fragment) -> _Ideal:
-    """ideal + (delta,), sharing ideal's dict unless a longer ideal has
-    grown it (a second flip from one membrane) or ideal has none."""
-    places = getattr(ideal, "_places", None)
-    if places is None or len(places) != len(ideal):
-        places = {fr: i for i, fr in enumerate(ideal)}
-    places[delta] = len(ideal)
-    out = _Ideal(ideal + (delta,))
-    out._places = places
-    return out
-
-
 def raising_flip(m: Membrane, delta: Fragment) -> Membrane:
-    """Swap the front side of the fragment for its rear side."""
-    if delta in m.ideal:
-        raise ValueError(f"{delta.label()} already behind the membrane")
+    """Swap the front side of the fragment for its rear side.
+
+    The tiles alone decide whether the flip is legal.  A fragment behind
+    the membrane lost its front side to its own flip, and no later flip
+    brings a tile of it back, as every census checks (`_check_lifespans`):
+    a second raise finds front tiles missing, and only then is the ideal
+    read, to say why.
+    """
     front, rear = delta.eps_front(), delta.eps_rear()
     missing = front - m.tiles
     if missing:
+        if delta in m.ideal:
+            raise ValueError(f"{delta.label()} already behind the membrane")
         raise ValueError(
             f"raising flip at {delta.label()} blocked: missing "
             + ", ".join(sorted(map(tile_label, missing)))
@@ -350,7 +336,7 @@ def raising_flip(m: Membrane, delta: Fragment) -> Membrane:
         n=m.n,
         d=m.d,
         flavor=m.flavor,
-        ideal=_raised(m.ideal, delta),
+        ideal=m.ideal + (delta,),
         tiles=(m.tiles - front) | rear,
     )
 
@@ -362,26 +348,22 @@ def membrane_from_ideal(
 ) -> Membrane:
     """Replay one raising flip per ideal element, in topological order."""
     deltas, succs = fragment_precedence(q, flavor)
-    index = {delta: i for i, delta in enumerate(deltas)}
-    chosen = set()
+    poset = Poset(len(deltas), succs)
+    place = {deltas[i]: pos for pos, i in enumerate(poset.topo)}
+    held = 0
     for delta in ideal:
-        if delta not in index:
+        if delta not in place:
             raise ValueError(f"{delta.label()} is not a fragment of this cubillage")
-        chosen.add(index[delta])
-    return _replay(base_membrane(q, flavor=flavor), deltas, Poset(len(deltas), succs), chosen)
+        held |= 1 << place[delta]
+    return _replay(base_membrane(q, flavor=flavor), deltas, poset, held)
 
 
-def _replay(
-    base: Membrane,
-    deltas: Sequence[Fragment],
-    poset: Poset,
-    chosen: set[int],
-) -> Membrane:
-    """Raise the base membrane by the chosen fragments, in topological order.
+def _replay(base: Membrane, deltas: Sequence[Fragment], poset: Poset, held: int) -> Membrane:
+    """Raise the base membrane by the fragments at the topological
+    positions set in held, in topological order.
 
-    Each chosen fragment needs its whole down-set chosen too.
+    Each held fragment needs its whole down-set held too.
     """
-    held = sum(1 << pos for pos, i in enumerate(poset.topo) if i in chosen)
     m = base
     for pos, i in enumerate(poset.topo):
         if held >> pos & 1:
@@ -459,10 +441,10 @@ class MembraneCensus:
     sets `expected_size` and decides the claims on the same record; on a
     census alone they are unset (None, no violations), so `ok` means
     decided.  `undecided` says why the count could not be decided (a
-    vertex whose presence is not one interval of the ideal lattice, or a
-    count past its memo budget); such a record is never ok.  `stats`
-    holds counters and phase seconds for display and never enters the
-    JSON.  The other fields are what the census decided the sizes from,
+    vertex whose presence is not one interval of the ideal lattice or
+    needs more ideals to check than the budget, or a count past its memo
+    budget); such a record is never ok.  `stats` holds counters and phase
+    seconds for display and never enters the JSON.  The other fields are what the census decided the sizes from,
     and what the scan tests pairs on: the fragments and their
     precedence, the poset over them, the front boundary, each vertex's
     presence interval (positions a, b, as in `_presence_intervals`) and
@@ -592,8 +574,8 @@ def scan_membranes(
        enumerated to derive fragments a_v, b_v with "v is present iff
        a_v in I and b_v not in I" (a_v absent for a vertex on the front
        boundary, b_v for one never leaving).  That form is checked on
-       every instance, never assumed; where it fails the record is
-       undecided;
+       every instance, never assumed; where it fails, or a vertex's
+       ideals pass the memo budget, the record is undecided;
     3. the membrane count, and the sizes as size(empty ideal) plus the
        fragment weights w = #(a_v = fragment) - #(b_v = fragment)
        summed over I, folded over the ideals only when a weight is
@@ -636,7 +618,7 @@ def scan_membranes(
         poset, report.intervals, complement_table(q.n, claim)
     )
     found = [
-        _replayed(report.base, deltas, poset, r, check_combs, u, v, poset.nodes(witness))
+        _replayed(report.base, deltas, poset, r, check_combs, u, v, witness)
         for u, v, witness in pairs
     ]
     found.sort(key=lambda violation: violation.kind == KIND_COMB)  # stable: (u, v) within a kind
@@ -720,6 +702,7 @@ def _presence_intervals(
     poset: Poset,
     base: Iterable[tuple[int, int]],
     nets: Sequence[Iterable[tuple[int, int]]],
+    budget: int = IDEAL_STATE_BUDGET,
 ) -> dict[int, tuple[int | None, int | None]] | str:
     """Per vertex ever present, the positions (a, b) of its presence interval.
 
@@ -728,7 +711,9 @@ def _presence_intervals(
     the subposet of fragments changing v's multiplicity (a tops the
     intersection of the present ones, b bottoms what none of them
     reaches), and the form is checked on each of those ideals; the first
-    vertex where it fails turns the result into a reason string.  With
+    vertex where it fails turns the result into a reason string, and so
+    does the first whose list of ideals passes the budget (bound here
+    once, so that lowering the count's budget leaves this one alone).  With
     multiplicities additive over I and never negative, the form forces
     a below b, as the size weights need.  base and nets hold (vertex,
     change) pairs, as `_net_changes` gives them.
@@ -748,6 +733,11 @@ def _presence_intervals(
         for pos, k in steps:
             need = down[pos] & span & ~(1 << pos)
             ideals += [(j | 1 << pos, m + k) for j, m in ideals if j & need == need]
+            if len(ideals) > budget:
+                return (
+                    f"presence of vertex {set_notation(v)} needs more than {budget} "
+                    f"ideals to check"
+                )
         present = [j for j, m in ideals if m > 0]
         if not present:
             continue  # never on a membrane
@@ -811,9 +801,10 @@ def _replayed(
     check_combs: bool,
     u: int,
     v: int,
-    witness: list[int],
+    witness: int,
 ) -> ScanViolation:
-    """The violation of pair (u, v), after replaying its witness ideal.
+    """The violation of pair (u, v), after replaying its witness ideal
+    (a mask of topological positions).
 
     The membrane is rebuilt flip by flip and the pair judged with the
     plain predicates, independently of the tables and intervals: weak if
@@ -821,7 +812,7 @@ def _replayed(
     double r-comb.
     """
     try:
-        verts = _replay(base, deltas, poset, set(witness)).vertex_masks()
+        verts = _replay(base, deltas, poset, witness).vertex_masks()
     except ValueError as exc:
         raise MembraneInvariantError(f"witness replay failed: {exc}") from exc
     if not weak(r).holds(u, v):
@@ -835,4 +826,4 @@ def _replayed(
         raise MembraneInvariantError(f"witness of {pair} does not replay")
     if kind is None:
         raise MembraneInvariantError(f"witness of {pair} replays, but the pair breaks no claim")
-    return ScanViolation(kind, (u, v), tuple(deltas[i].label() for i in witness))
+    return ScanViolation(kind, (u, v), tuple(deltas[i].label() for i in poset.nodes(witness)))

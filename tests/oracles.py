@@ -906,6 +906,51 @@ def pairwise_fragment_precedence(deltas):
     ]
 
 
+def raising_flip_outcomes(q, flavor, membranes):
+    """Every raising flip of every fragment from every given membrane,
+    judged against the pairwise precedence.
+
+    A fragment behind the membrane must be refused as already behind it;
+    one whose every predecessor is behind must be raised, its front side
+    swapped for its rear side; any other must be refused as blocked.
+    Returns the count of each outcome, and (ideal labels, fragment label,
+    result) for each flip that went otherwise.
+    """
+    from zonosep.membranes import fragment_precedence, raising_flip
+
+    deltas = fragment_precedence(q, flavor)[0]
+    preds = [set() for _ in deltas]
+    for i, out in enumerate(pairwise_fragment_precedence(deltas)):
+        for j in out:
+            preds[j].add(i)
+    index = {delta: i for i, delta in enumerate(deltas)}
+    counts = {"behind": 0, "raised": 0, "blocked": 0}
+    wrong = []
+    for mem in membranes:
+        behind = {index[delta] for delta in mem.ideal}
+        for i, delta in enumerate(deltas):
+            label = delta.label()
+            try:
+                got = raising_flip(mem, delta)
+            except ValueError as exc:
+                got = str(exc)
+            if i in behind:
+                outcome = "behind"
+                ok = got == f"{label} already behind the membrane"
+            elif preds[i] <= behind:
+                outcome = "raised"
+                swapped = (mem.tiles - delta.eps_front()) | delta.eps_rear()
+                ok = not isinstance(got, str) and (got.ideal, got.tiles) == (
+                    mem.ideal + (delta,), swapped)
+            else:
+                outcome = "blocked"
+                ok = isinstance(got, str) and got.startswith(f"raising flip at {label} blocked: ")
+            counts[outcome] += 1
+            if not ok:
+                wrong.append(([fr.label() for fr in mem.ideal], label, got))
+    return counts, wrong
+
+
 @dataclass(frozen=True)
 class SMembrane:
     """A cube-level membrane: an ideal of the cube precedence of one cubillage,

@@ -1,5 +1,6 @@
 """Command-line behavior: output shape, exit codes, file export, determinism."""
 
+import functools
 import importlib.util
 import json
 import os
@@ -850,6 +851,29 @@ def test_membrane_enumerate_matches_the_walkers(capsys, tmp_path, n, d, anti):
         assert code == 0 and err == ""
         assert out == lines + f"wrote json to {path}\n"
         assert path.read_text() == dump_json(blob)
+
+
+def test_presence_past_its_budget_is_incomplete(capsys, tmp_path, monkeypatch):
+    # a vertex whose sub-poset ideals pass the phase-2 budget stops the census,
+    # which a lowered count budget leaves alone
+    budget = 10
+    monkeypatch.setattr(
+        mb, "_presence_intervals", functools.partial(mb._presence_intervals, budget=budget)
+    )
+    reason = "presence of vertex {1,3,4} needs more than 10 ideals to check"
+    census = mb.membrane_census(standard_cubillage(5, 3))
+    assert census.undecided == reason and census.capped and census.membrane_count == 0
+    path = tmp_path / "scan.json"
+    code, out, err = run(capsys, "membrane", "scan", "--n", "5", "--d", "3", "--json", str(path))
+    assert code == 3
+    assert [line for line in out.splitlines() if "INCOMPLETE" in line] == [
+        "scan w-membranes of Z(5,3): 0 scanned, sizes [], expected 16, "
+        f"INCOMPLETE (not decided: {reason})"
+    ]
+    assert "PASS" not in out and "decided" not in err
+    blob = json.loads(path.read_text())
+    assert blob["capped"] is True and blob["membranes"] == 0
+    assert blob["undecided"] == reason
 
 
 def test_membrane_enumerate_undecided_is_incomplete(capsys, tmp_path, monkeypatch):

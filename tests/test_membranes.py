@@ -46,6 +46,7 @@ from oracles import (
     front_rear_vertices,
     is_e_membrane,
     pairwise_fragment_precedence,
+    raising_flip_outcomes,
     s_membranes,
     scan_record,
     w_membranes,
@@ -231,9 +232,9 @@ def test_raising_and_lowering_flips_invert() -> None:
 
 
 def test_a_raised_fragment_is_refused_in_one_lookup(monkeypatch) -> None:
-    # a walk through every fragment of Z(5,3), front to rear: each flip
-    # looks the fragment up once instead of comparing it with every
-    # fragment raised before it (30 fragments, 435 comparisons that way)
+    # a walk through every fragment of Z(5,3), front to rear: the tiles
+    # alone admit each flip, so none compares the fragment with those
+    # raised before it (30 fragments, 435 comparisons that way)
     q = standard_cubillage(5, 3)
     deltas, succs = fragment_precedence(q)
     compared = []
@@ -268,7 +269,7 @@ def _raised_or_none(mem: Membrane, delta: Fragment):
 
 def test_two_flips_from_one_membrane_keep_their_own_ideals() -> None:
     # the first membrane of Z(4,3) past the base with two fragments raisable
-    # in either order, raised flip by flip so that its flips share one dict
+    # in either order, raised flip by flip
     q = standard_cubillage(4, 3)
     deltas = fragment_precedence(q)[0]
     mem, first, second = next(
@@ -293,6 +294,22 @@ def test_two_flips_from_one_membrane_keep_their_own_ideals() -> None:
         with pytest.raises(ValueError) as refused:
             raising_flip(mem, delta)
         assert str(refused.value) == f"{delta.label()} already behind the membrane"
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
+@pytest.mark.parametrize(
+    "n, d, flavor, walk",
+    [(4, 3, FLAVOR_W, w_membranes), (5, 3, FLAVOR_W, w_membranes),
+     (4, 4, FLAVOR_E, e_membranes), (5, 4, FLAVOR_E, e_membranes)],
+)
+def test_every_flip_from_every_membrane_is_judged_by_its_tiles(n, d, flavor, walk, anti) -> None:
+    # any ideal, not one walk: from every membrane, a fragment behind it is
+    # refused as already behind, one with every predecessor behind is raised,
+    # and any other is refused as blocked
+    q = standard_cubillage(n, d, anti)
+    counts, wrong = raising_flip_outcomes(q, flavor, walk(q))
+    assert wrong == []
+    assert min(counts.values()) > 0
 
 
 def test_membranes_reachable_by_raising_flips() -> None:

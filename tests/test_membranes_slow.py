@@ -6,7 +6,8 @@ The walk visits all 1,406,640 w-membranes of Z(7,3) and all 1,575,598
 e-membranes of Z(7,4); count, sizes and the exact sets of violating
 pairs must agree with the scan that visits none of them.  Z(10,3) and
 Z(11,3), far past any walk, pin the scan's own count and sizes.  The
-cube memo is checked over all 338 cubillages of Z(7,4).
+cube memo is checked over all 338 cubillages of Z(7,4), and every
+raising flip from every membrane over all of B(5,3) w and B(6,4) e.
 """
 
 import pytest
@@ -17,7 +18,14 @@ from zonosep.membranes import FLAVOR_E, FLAVOR_W, KIND_COMB, KIND_WEAK, scan_mem
 from zonosep.posets import IDEAL_STATE_BUDGET
 from zonosep.systems import s_formula
 
-from oracles import bruhat_order, reference_scan_membranes, scan_record
+from oracles import (
+    bruhat_order,
+    e_membranes,
+    raising_flip_outcomes,
+    reference_scan_membranes,
+    scan_record,
+    w_membranes,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -75,3 +83,19 @@ def test_cube_memo_over_every_cubillage_of_z74():
     assert sum(record[0]["membranes"] for record in cold) == 189_769_474
     cubes = {cube for q in qs for cube in q.cubes}
     assert sum(report.stats["cubes_cut"] for report in reports) == len(cubes)
+
+
+@pytest.mark.parametrize(
+    "n, d, flavor, walk, count",
+    [(5, 3, FLAVOR_W, w_membranes, 10), (6, 4, FLAVOR_E, e_membranes, 12)],
+)
+def test_every_flip_from_every_membrane_of_every_cubillage(n, d, flavor, walk, count):
+    # every cubillage of B(5,3) w and of B(6,4) e: a fragment behind a
+    # membrane is refused as already behind, an addable one is raised,
+    # any other is blocked
+    qs = [from_inversions(n, d, u) for u in bruhat_order(n, d)]
+    assert len(qs) == count
+    for q in qs:
+        counts, wrong = raising_flip_outcomes(q, flavor, walk(q))
+        assert wrong == []
+        assert min(counts.values()) > 0
