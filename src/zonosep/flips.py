@@ -53,12 +53,14 @@ harness call.
 One helper, _harness, opens every run: it checks n against the
 relation-table limit (systems.check_limit) before any site or table,
 then r (a range with r + 2 > n has no site and is an error, not a
-pass), builds the report, and keeps the sites of the shard.  Shard k/m
-(m >= 1) keeps sites k, k+m, k+2m, ... of the canonical site order, so
-the m shards of a run partition its sites.  report.stats holds the
-run's counters and seconds (patterns, judged Y, memo entries, the
-time to get the tables, one or two, and the site-loop time); to_json
-leaves them out.
+pass), then the shard, and builds the report.  One generator,
+_patterns, then streams the run's sites pattern by pattern in
+canonical order.  Shard k/m (m >= 1) keeps sites k, k+m, k+2m, ... of
+that order, so the m shards of a run partition its sites; the stream
+counts the kept patterns and sites into the report and times the loop
+over them.  report.stats holds the run's counters and seconds
+(patterns, judged Y, memo entries, the time to get the tables, one or
+two, and the site-loop time); to_json leaves them out.
 
 apply_flip performs the XP <-> XQ swap on an actual collection after
 verifying membership and witnesses, then re-checks the weak separation
@@ -281,36 +283,6 @@ def apply_flip(
     return flipped
 
 
-def _site_patterns(n: int, r: int, parity: str) -> Iterator[Pattern]:
-    """The sites of one parity, pattern by pattern in canonical order.
-
-    n and r are checked here, before the first site is drawn: r must
-    have the parity, and P and Q need r + 2 <= n elements.
-    """
-    check_ground(n)
-    if parity == PARITY_ODD and (r < 1 or r % 2 == 0):
-        raise ValueError(f"odd positive r required, got {r}")
-    if parity == PARITY_EVEN and (r < 2 or r % 2):
-        raise ValueError(f"even r >= 2 required, got {r}")
-    if r + 2 > n:
-        raise ValueError(f"r = {r} leaves no flip site: it needs n >= {r + 2}, got n = {n}")
-    return _patterns(n, r, start_with_q=parity == PARITY_ODD)
-
-
-def _patterns(n: int, r: int, start_with_q: bool) -> Iterator[Pattern]:
-    for union in combinations(range(1, n + 1), r + 2):
-        p = q = 0
-        for idx, e in enumerate(union):
-            bit = 1 << (e - 1)
-            if (idx % 2 == 0) == start_with_q:
-                q |= bit
-            else:
-                p |= bit
-        rest = [1 << (e - 1) for e in range(1, n + 1) if not (p | q) >> (e - 1) & 1]
-        xs = [sum(combo) for k in range(len(rest) + 1) for combo in combinations(rest, k)]
-        yield p, q, xs
-
-
 class HarnessReport:
     """Outcome of one exhaustive verification run; ok iff nothing is listed."""
 
@@ -373,40 +345,57 @@ def _harness(
 ) -> tuple[HarnessReport, Iterator[Pattern], list[int]]:
     """The report, the site patterns of the shard and the bad rows of one run.
 
-    The ground size is checked before any site or table, then r, then
-    the shard: (k, m) with 0 <= k < m keeps sites k, k + m, ... of the
-    canonical order.  The table and the loop over the patterns are timed
-    into report.stats, the patterns counted.
+    The ground size is checked before any site or table, then r, which
+    must have the parity and leave P and Q their r + 2 <= n elements,
+    then the shard: (k, m) with 0 <= k < m keeps sites k, k + m, ... of
+    the canonical order.  The table is timed into report.stats.
     """
     check_limit(n)
-    patterns = _site_patterns(n, r, parity)
-    report = HarnessReport(name=name, n=n, r=r)
-    if shard is not None:
-        k, m = shard
-        if m < 1:
-            raise ValueError(f"shard count m must be at least 1, got {k}/{m}")
-        if not 0 <= k < m:
-            raise ValueError(f"shard index {k} outside 0..{m - 1}")
-        report.shard = f"{k}/{m}"
-        patterns = _shard(patterns, k, m)
+    if parity == PARITY_ODD and (r < 1 or r % 2 == 0):
+        raise ValueError(f"odd positive r required, got {r}")
+    if parity == PARITY_EVEN and (r < 2 or r % 2):
+        raise ValueError(f"even r >= 2 required, got {r}")
+    if r + 2 > n:
+        raise ValueError(f"r = {r} leaves no flip site: it needs n >= {r + 2}, got n = {n}")
+    k, m = shard or (0, 1)
+    if m < 1:
+        raise ValueError(f"shard count m must be at least 1, got {k}/{m}")
+    if not 0 <= k < m:
+        raise ValueError(f"shard index {k} outside 0..{m - 1}")
+    report = HarnessReport(name=name, n=n, r=r, shard=None if shard is None else f"{k}/{m}")
     report.stats = {"patterns": 0, "judged": 0, "memo": 0, "table_s": 0.0}
-    return report, _timed(report, patterns), _table(report, _bad_rows, n, r)
+    patterns = _patterns(report, r, parity == PARITY_ODD, k, m)
+    return report, patterns, _table(report, _bad_rows, n, r)
 
 
-def _shard(patterns: Iterator[Pattern], k: int, m: int) -> Iterator[Pattern]:
+def _patterns(
+    report: HarnessReport, r: int, start_with_q: bool, k: int, m: int
+) -> Iterator[Pattern]:
+    """The run's sites, pattern by pattern in canonical order.
+
+    Sites k, k + m, k + 2m, ... of that order are kept, and a pattern
+    with no kept site is skipped.  The kept patterns and sites are
+    counted into the report, and the loop over them timed.
+    """
+    n = report.n
+    start = perf_counter()
     first = 0  # canonical index of the pattern's first site
-    for p, q, xs in patterns:
+    for union in combinations(range(1, n + 1), r + 2):
+        p = q = 0
+        for idx, e in enumerate(union):
+            bit = 1 << (e - 1)
+            if (idx % 2 == 0) == start_with_q:
+                q |= bit
+            else:
+                p |= bit
+        rest = [1 << (e - 1) for e in range(1, n + 1) if not (p | q) >> (e - 1) & 1]
+        xs = [sum(combo) for size in range(len(rest) + 1) for combo in combinations(rest, size)]
         kept = xs[(k - first) % m :: m]
         first += len(xs)
         if kept:
+            report.stats["patterns"] += 1
+            report.sites += len(kept)
             yield p, q, kept
-
-
-def _timed(report: HarnessReport, patterns: Iterator[Pattern]) -> Iterator[Pattern]:
-    start = perf_counter()
-    for pattern in patterns:
-        report.stats["patterns"] += 1
-        yield pattern
     report.stats["sites_s"] = perf_counter() - start
 
 
@@ -432,7 +421,6 @@ def verify_flip_theorem_odd(
     report, patterns, bad = _harness("flip_theorem_odd", n, r, shard, PARITY_ODD)
     for p, q, xs in patterns:
         up_pool, down_pool = _up(p, q), _down(p, q)
-        report.sites += len(xs)
         report.checks += len(xs) * ((1 << n) - 2)
         for x in xs:
             xp, xq = x | p, x | q
@@ -468,7 +456,6 @@ def verify_refined_lemma(n: int, r: int) -> HarnessReport:
     for p, q, xs in patterns:
         up_pool = _up(p, q)
         p_elems, q_elems = elements(p), elements(q)
-        report.sites += len(xs)
         for x in xs:
             xp = x | p
             triggered = _unwitnessed(bad, x, xp, 1 << xp | 1 << (x | q), up_pool)
@@ -531,7 +518,6 @@ def verify_local_neighb_even(
              lambda b: q & ~q_bits[_bracket_index(p, b) - 1],
              "XP-b", "uniqueness-lower", "converse-down", {}),
         )
-        report.sites += len(xs)
         report.checks += len(xs) * ((1 << n) - 2)
         for x in xs:
             xp, xq = x | p, x | q

@@ -712,8 +712,10 @@ def _presence_intervals(
     intersection of the present ones, b bottoms what none of them
     reaches), and the form is checked on each of those ideals; the first
     vertex where it fails turns the result into a reason string, and so
-    does the first whose list of ideals passes the budget (bound here
-    once, so that lowering the count's budget leaves this one alone).  With
+    does the first whose list of ideals would pass the budget (bound here
+    once, so that lowering the count's budget leaves this one alone).  A
+    listed ideal is a mask over v's own steps, and the budget is tested
+    before each step, so the list stays within it.  With
     multiplicities additive over I and never negative, the form forces
     a below b, as the size weights need.  base and nets hold (vertex,
     change) pairs, as `_net_changes` gives them.
@@ -726,27 +728,34 @@ def _presence_intervals(
     down = poset.down
     out: dict[int, tuple[int | None, int | None]] = {}
     for v, steps in changes.items():
-        span = 0
-        for pos, _ in steps:
-            span |= 1 << pos
+        # an ideal is a mask over v's own steps: bit i for steps[i]
+        local = {pos: i for i, (pos, _) in enumerate(steps)}
+        span = sum(1 << pos for pos in local)
+        full = (1 << len(steps)) - 1
         ideals = [(0, start.get(v, 0))]
-        for pos, k in steps:
-            need = down[pos] & span & ~(1 << pos)
-            ideals += [(j | 1 << pos, m + k) for j, m in ideals if j & need == need]
-            if len(ideals) > budget:
+        for i, (pos, k) in enumerate(steps):
+            need = 0
+            below = down[pos] & span & ~(1 << pos)
+            while below:
+                top = below.bit_length() - 1
+                below ^= 1 << top
+                need |= 1 << local[top]
+            grown = [(j | 1 << i, m + k) for j, m in ideals if j & need == need]
+            if len(ideals) + len(grown) > budget:
                 return (
                     f"presence of vertex {set_notation(v)} needs more than {budget} "
                     f"ideals to check"
                 )
+            ideals += grown
         present = [j for j, m in ideals if m > 0]
         if not present:
             continue  # never on a membrane
-        inside, reach = span, 0
+        inside, reach = full, 0
         for j in present:
             inside &= j
             reach |= j
         a = inside.bit_length() - 1 if inside else None
-        gone = span & ~reach
+        gone = full & ~reach
         b = (gone & -gone).bit_length() - 1 if gone else None
         if any(
             (m > 0) != ((a is None or j >> a & 1) and (b is None or not j >> b & 1))
@@ -756,7 +765,10 @@ def _presence_intervals(
                 f"presence of vertex {set_notation(v)} is not one interval "
                 f"of the ideal lattice"
             )
-        out[v] = (a, b)
+        out[v] = (
+            None if a is None else steps[a][0],
+            None if b is None else steps[b][0],
+        )
     return out
 
 

@@ -484,8 +484,8 @@ def _fm_strict_feasible(rows) -> bool:
 
 # ---------------------------------------------------------------------------
 # Reference flip harnesses: the per-Y loops the production harnesses
-# replaced with row algebra over relation tables.  They share the site
-# enumeration and witness pools with zonosep.flips, but judge every
+# replaced with row algebra over relation tables.  They share the witness
+# pools with zonosep.flips, but draw their own sites, judge every
 # (site, Y) pair by direct predicate calls, through `bad(a, b, r)`, and
 # pick a shard's sites by their index modulo m rather than by slicing.
 
@@ -500,11 +500,41 @@ def even_sites(n: int, r: int):
     return _sites(n, r, "even")
 
 
-def _sites(n: int, r: int, parity: str):
-    from zonosep.flips import FlipSite, _site_patterns
+def _sites(n: int, r: int, parity: str) -> list:
+    """Every disjoint (P, Q) with |P + Q| = r + 2, over the 3^n digit
+    strings, and every X inside the rest: the sites FlipSite accepts
+    with the parity, sorted into the canonical order."""
+    from zonosep.flips import FlipSite
+    from zonosep.ground import check_ground, elements
 
-    patterns = _site_patterns(n, r, parity)  # checks n and r on the call
-    return (FlipSite(n, x, p, q) for p, q, xs in patterns for x in xs)
+    check_ground(n)
+    low = 1 if parity == "odd" else 2
+    if r < low or r % 2 != low % 2:
+        raise ValueError(f"{parity} sites need r >= {low} of that parity, got r = {r}")
+    if r + 2 > n:
+        raise ValueError(f"r = {r} needs n >= {r + 2}, got n = {n}")
+    sites = []
+    for code in range(3**n):
+        p = q = 0
+        for e in range(n):
+            code, digit = divmod(code, 3)
+            p |= (digit == 1) << e
+            q |= (digit == 2) << e
+        if (p | q).bit_count() != r + 2:
+            continue
+        rest = x = (1 << n) - 1 - p - q
+        while True:  # every submask x of rest, down to 0
+            try:
+                site = FlipSite(n, x, p, q)
+            except ValueError:
+                break  # P and Q do not interleave, whatever X is
+            if site.parity == parity:
+                sites.append(site)
+            if not x:
+                break
+            x = (x - 1) & rest
+    sites.sort(key=lambda s: (elements(s.p | s.q), s.x.bit_count(), elements(s.x)))
+    return sites
 
 
 def bad_pair(a: int, b: int, r: int) -> bool:

@@ -166,6 +166,7 @@ def test_sharding_partitions_the_run():
     ]:
         whole = harness(n, r)
         parts = [harness(n, r, shard=(k, 3)) for k in range(3)]
+        assert whole.stats["patterns"] == comb(n, r + 2)
         assert sum(p.sites for p in parts) == whole.sites
         assert sum(p.checks for p in parts) == whole.checks
         assert sum(p.recorded for p in parts) == whole.recorded
