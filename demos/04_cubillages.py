@@ -25,7 +25,7 @@ print(f"C({n},{d}) = {len(q.cubes)} parallelotopes, each named (root | type):")
 print()
 for cube in q.cubes:
     t, h = apex_vertices(cube)
-    verts = SetSystem.from_masks(n, cube.vertices())
+    verts = SetSystem(n, cube.vertices())
     print(f"  {cube.label():<14} inner front apex {set_notation(t):<8} "
           f"inner rear apex {set_notation(h):<8} {len(verts)} vertices")
 print()

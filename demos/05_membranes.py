@@ -7,11 +7,10 @@ from zonosep.cubillage import standard_cubillage
 from zonosep.membranes import (
     base_membrane,
     fragment_precedence,
-    membrane_vertices,
     raising_flip,
     scan_membranes,
 )
-from zonosep.systems import s_formula
+from zonosep.systems import SetSystem, s_formula
 
 n, d = 4, 3
 q = standard_cubillage(n, d)
@@ -43,9 +42,7 @@ while progressed and step < 4:
         except ValueError:
             continue
         step += 1
-        moved = set(membrane_vertices(nxt).members) - set(
-            membrane_vertices(current).members
-        )
+        moved = set(SetSystem(n, nxt.vertex_masks())) - set(SetSystem(n, current.vertex_masks()))
         tag = "vertices unchanged" if not moved else "apex swapped"
         print(f"  step {step}: raise {delta.label()} ({tag})")
         current = nxt

@@ -23,7 +23,7 @@ print("four witnesses make the swap safe:")
 site = FlipSite(3, 0, mask_of([2], 3), mask_of([1, 3], 3))
 print(f"  raised witnesses:  {', '.join(set_notation(m) for m in neighbors_up(site).members)}")
 print(f"  lowered witnesses: {', '.join(set_notation(m) for m in neighbors_down(site).members)}")
-w = SetSystem.from_masks(3, (mask_of(s, 3) for s in [[1], [3], [1, 2], [2, 3], [2]]))
+w = SetSystem(3, (mask_of(s, 3) for s in [[1], [3], [1, 2], [2, 3], [2]]))
 flipped = apply_flip(w, site, RAISE, MODE_SHARP)
 print(f"  {w}")
 print(f"  -> {flipped}")

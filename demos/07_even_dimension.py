@@ -10,10 +10,9 @@ from zonosep.membranes import (
     KIND_COMB,
     fragment_precedence,
     membrane_from_ideal,
-    membrane_vertices,
     scan_membranes,
 )
-from zonosep.systems import s_formula
+from zonosep.systems import SetSystem, s_formula
 
 n, d = 4, 4
 q = standard_cubillage(n, d)
@@ -43,7 +42,7 @@ report = scan_membranes(q, flavor=FLAVOR_E)
 print(f"Center-avoiding membranes: {report.membrane_count}, sizes "
       f"{sorted(report.sizes_seen)}; the one just behind the center:")
 behind = membrane_from_ideal(q, [delta for delta in enlarged if delta.h <= d // 2], FLAVOR_E)
-print(f"  size {len(membrane_vertices(behind))}")
+print(f"  size {len(SetSystem(n, behind.vertex_masks()))}")
 print()
 
 print("Scanning them for double combs and separation on ground sets 4")

@@ -41,7 +41,7 @@ def cmd_flip_witnesses(args) -> int:
 
 def cmd_flip_apply(args) -> int:
     site = _site(args)
-    w = SetSystem.from_masks(args.n, _parse_members(args.members, args.n))
+    w = SetSystem(args.n, _parse_members(args.members, args.n))
     flipped = fl.apply_flip(w, site, args.direction, args.mode)
     print(f"{args.direction} flip at {site.label()}: ok")
     print(f"result: {flipped}")

@@ -41,8 +41,9 @@ def cmd_membrane_enumerate(args) -> int:
     if getattr(args, "dot", None):
         # an uncut fragment is its cube, so the s order is the cube precedence
         cubes = args.flavor == "s"
-        labels = [(delta.cube if cubes else delta).label() for delta in census.deltas]
-        dot = digraph_dot(labels, census.succs, "gamma" if cubes else "fragments")
+        deltas, succs = mb.fragment_precedence(q, census.flavor)
+        labels = [(delta.cube if cubes else delta).label() for delta in deltas]
+        dot = digraph_dot(labels, succs, "gamma" if cubes else "fragments")
         _write(args.dot, dot, "dot")
     return 0
 
@@ -57,7 +58,7 @@ def cmd_membrane_flipwalk(args) -> int:
         except ValueError as exc:
             # every fragment before it in the order is raised: a broken precedence
             raise mb.MembraneInvariantError(str(exc)) from None
-        size = len(mb.membrane_vertices(current))
+        size = len(current.vertex_masks())
         print(f"step {step}: raise {deltas[i].label()}, {size} vertices")
     if current.tiles != mb.rear_boundary_tiles(q):
         raise mb.MembraneInvariantError("raising every fragment misses the rear boundary")

@@ -97,25 +97,22 @@ def _facets(cube: Cube, lifted: int) -> list[Face]:
 
 
 class Cubillage(Record):
-    """d-cubes on [n], one per type when they tile Z(n, d) (see validate_cubillage)."""
+    """d-cubes on [n], one per type when they tile Z(n, d) (see validate_cubillage).
+
+    The cubes may come in any order; they are kept sorted by (type, root).
+    """
 
     __slots__ = ("n", "d", "cubes")
 
-    def __init__(self, n: int, d: int, cubes: tuple[Cube, ...]) -> None:
+    def __init__(self, n: int, d: int, cubes: Iterable[Cube]) -> None:
         check_ground(n)
-        for cube in cubes:
+        self.n, self.d = n, d
+        self.cubes = tuple(sorted(cubes, key=lambda c: (c.type, c.root)))
+        for cube in self.cubes:
             check_mask(cube.root | cube.type, n)
-        self.n, self.d, self.cubes = n, d, cubes
-
-    @staticmethod
-    def from_cubes(n: int, d: int, cubes: Sequence[Cube]) -> "Cubillage":
-        ordered = tuple(sorted(cubes, key=lambda c: (c.type, c.root)))
-        return Cubillage(n=n, d=d, cubes=ordered)
 
     def vertex_set(self) -> SetSystem:
-        return SetSystem.from_masks(
-            self.n, (v for cube in self.cubes for v in cube.vertices())
-        )
+        return SetSystem(self.n, (v for cube in self.cubes for v in cube.vertices()))
 
     def to_json(self) -> dict:
         return {
@@ -135,7 +132,7 @@ class Cubillage(Record):
                 "cubillage JSON needs keys n, d and cubes, each cube a root and a type list"
             ) from None
         check_dimension(n, d)
-        return Cubillage.from_cubes(n, d, cubes)
+        return Cubillage(n, d, cubes)
 
 
 def standard_cubillage(n: int, d: int, anti: bool = False) -> Cubillage:
@@ -159,7 +156,7 @@ def from_inversions(n: int, d: int, inverted: int) -> Cubillage:
         rest = ((1 << n) - 1) & ~typemask
         flip = sum(k for k in _bits(rest) if inverted >> index[typemask | k] & 1)
         cubes.append(Cube(rest & (odd_above(typemask) ^ flip), typemask))
-    return Cubillage.from_cubes(n, d, cubes)
+    return Cubillage(n, d, cubes)
 
 
 def inversions(q: Cubillage) -> tuple[int, list[str]]:

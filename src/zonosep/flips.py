@@ -181,7 +181,7 @@ def neighbors(site: FlipSite) -> SetSystem:
         raise ValueError("the full neighbor pool is defined for odd parity only")
     rp = site.p.bit_count()
     pool = _pool(site.p, site.q, rp, rp + 1)
-    return SetSystem.from_masks(site.n, pool)
+    return SetSystem(site.n, pool)
 
 
 def _pool(p: int, q: int, lo: int, hi: int) -> list[int]:
@@ -218,12 +218,12 @@ def _down(p: int, q: int) -> set[int]:
 
 def neighbors_up(site: FlipSite) -> SetSystem:
     """{P+q} and {(P-p)+q}: the witnesses guarding XP from above."""
-    return SetSystem.from_masks(site.n, _up(site.p, site.q))
+    return SetSystem(site.n, _up(site.p, site.q))
 
 
 def neighbors_down(site: FlipSite) -> SetSystem:
     """{Q-q} and {(Q-q)+p}: the witnesses guarding XQ from below."""
-    return SetSystem.from_masks(site.n, _down(site.p, site.q))
+    return SetSystem(site.n, _down(site.p, site.q))
 
 
 def apply_flip(
@@ -268,9 +268,7 @@ def apply_flip(
             f"input is not weakly {r}-separated: "
             f"{set_notation(violation[0])}, {set_notation(violation[1])}"
         )
-    flipped = SetSystem.from_masks(
-        w.n, [m for m in w.members if m != leaving] + [entering]
-    )
+    flipped = SetSystem(w.n, [m for m in w.members if m != leaving] + [entering])
     ok, violation = check_pairwise(flipped, weak(r))
     if not ok:
         detail = (

@@ -98,7 +98,7 @@ def boundary_vertices(n: int, d: int) -> SetSystem:
     sides of `zonotope_sides` together, with n held to its limit.
     """
     sides = zonotope_sides(n, d)
-    return SetSystem.from_masks(n, [*sides.front.members, *sides.rear.members])
+    return SetSystem(n, [*sides.front.members, *sides.rear.members])
 
 
 class ZonotopeSides(NamedTuple):
@@ -146,7 +146,7 @@ def zonotope_sides(n: int, d: int) -> ZonotopeSides:
         d=d,
         front_facets=tuple(sorted(front_facets, key=lambda f: (f.type, f.root))),
         rear_facets=tuple(sorted(rear_facets, key=lambda f: (f.type, f.root))),
-        front=SetSystem.from_masks(n, front_verts),
-        rear=SetSystem.from_masks(n, rear_verts),
-        rim=SetSystem.from_masks(n, front_verts & rear_verts),
+        front=SetSystem(n, front_verts),
+        rear=SetSystem(n, rear_verts),
+        rim=SetSystem(n, front_verts & rear_verts),
     )

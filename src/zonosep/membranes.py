@@ -68,7 +68,6 @@ from .separation import is_double_r_comb
 from .systems import (
     RELATION_CACHE_SIZE,
     SCHEMA,
-    SetSystem,
     check_limit,
     complement_table,
     s_formula,
@@ -265,10 +264,6 @@ class Membrane(NamedTuple):
         return set().union(*self.tiles)
 
 
-def membrane_vertices(m: Membrane) -> SetSystem:
-    return SetSystem.from_masks(m.n, m.vertex_masks())
-
-
 def _slice_boundary(facets: Iterable[Face]) -> frozenset[frozenset[int]]:
     """Every facet cut into its one-slab V-tiles."""
     tiles = []
@@ -349,7 +344,8 @@ def membrane_from_ideal(
     """Replay one raising flip per ideal element, in topological order."""
     deltas, succs = fragment_precedence(q, flavor)
     poset = Poset(len(deltas), succs)
-    place = {deltas[i]: pos for pos, i in enumerate(poset.topo)}
+    deltas = [deltas[node] for node in poset.topo]
+    place = {delta: pos for pos, delta in enumerate(deltas)}
     held = 0
     for delta in ideal:
         if delta not in place:
@@ -360,20 +356,20 @@ def membrane_from_ideal(
 
 def _replay(base: Membrane, deltas: Sequence[Fragment], poset: Poset, held: int) -> Membrane:
     """Raise the base membrane by the fragments at the topological
-    positions set in held, in topological order.
+    positions set in held, in topological order (deltas by position).
 
     Each held fragment needs its whole down-set held too.
     """
     m = base
-    for pos, i in enumerate(poset.topo):
+    for pos, delta in enumerate(deltas):
         if held >> pos & 1:
             lacking = poset.down[pos] & ~held
             if lacking:
                 raise ValueError(
-                    f"not an ideal: {deltas[i].label()} lacks "
-                    f"{deltas[poset.nodes(lacking)[0]].label()}"
+                    f"not an ideal: {delta.label()} lacks "
+                    f"{deltas[(lacking & -lacking).bit_length() - 1].label()}"
                 )
-            m = raising_flip(m, deltas[i])
+            m = raising_flip(m, delta)
     return m
 
 
@@ -444,19 +440,20 @@ class MembraneCensus:
     vertex whose presence is not one interval of the ideal lattice or
     needs more ideals to check than the budget, or a count past its memo
     budget); such a record is never ok.  `stats` holds counters and phase
-    seconds for display and never enters the JSON.  The other fields are what the census decided the sizes from,
-    and what the scan tests pairs on: the fragments and their
-    precedence, the poset over them, the front boundary, each vertex's
-    presence interval (positions a, b, as in `_presence_intervals`) and
-    each fragment's size change.
+    seconds for display and never enters the JSON.  The other fields are
+    what the census decided the sizes from, and what the scan tests pairs
+    on, all by topological position: the fragments in the order of
+    their poset (`deltas[p]` is the fragment at position p of `poset`),
+    each vertex's presence interval (positions a, b, as in
+    `_presence_intervals`) and each position's size change.
     """
 
     __slots__ = ("n", "d", "flavor", "expected_size", "membrane_count", "sizes_seen",
-                 "violations", "comb_free", "undecided", "stats", "deltas", "succs", "poset",
-                 "base", "intervals", "weights")
+                 "violations", "comb_free", "undecided", "stats", "deltas", "poset",
+                 "intervals", "weights")
 
     def __init__(self, q: Cubillage, flavor: str, deltas: Sequence[Fragment],
-                 succs: Sequence[Sequence[int]], poset: Poset) -> None:
+                 poset: Poset) -> None:
         self.n, self.d, self.flavor = q.n, q.d, flavor
         self.expected_size: int | None = None
         self.membrane_count = 0
@@ -465,8 +462,7 @@ class MembraneCensus:
         self.comb_free: bool | None = None
         self.undecided: str | None = None
         self.stats: dict = {}
-        self.deltas, self.succs, self.poset = deltas, succs, poset
-        self.base: Membrane | None = None
+        self.deltas, self.poset = deltas, poset
         self.intervals: dict[int, tuple[int | None, int | None]] = {}
         self.weights: list[int] = []
 
@@ -508,18 +504,19 @@ def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:
     clock = time.perf_counter
     started = clock()
     before = _cube_pieces.cache_info()
-    deltas, fronts, rears, nets, succs = _fragment_sides(q, flavor)
+    canonical, fronts, rears, nets, succs = _fragment_sides(q, flavor)
     cut = _cube_pieces.cache_info().misses - before.misses
-    poset = Poset(len(deltas), succs)
-    census = MembraneCensus(q, flavor, deltas, succs, poset)
+    poset = Poset(len(canonical), succs)
+    deltas = [canonical[node] for node in poset.topo]
+    nets = [nets[node] for node in poset.topo]
+    census = MembraneCensus(q, flavor, deltas, poset)
     stats = census.stats
     stats["fragments"] = len(deltas)
     stats["cubes_cut"], stats["cubes_reused"] = cut, len(q.cubes) - cut
     stats["precedence_s"] = clock() - started
 
     started = clock()
-    census.base = base = base_membrane(q, flavor=flavor)
-    _check_lifespans(base.tiles, deltas, fronts, rears)
+    _check_lifespans(base_membrane(q, flavor=flavor).tiles, canonical, fronts, rears)
     intervals = _presence_intervals(poset, _front_boundary(q.n, q.d).nets, nets)
     stats["intervals_s"] = clock() - started
     if isinstance(intervals, str):
@@ -535,9 +532,9 @@ def membrane_census(q: Cubillage, flavor: str = FLAVOR_W) -> MembraneCensus:
         if a is None:
             size0 += 1
         else:
-            weights[poset.topo[a]] += 1
+            weights[a] += 1
         if b is not None:
-            weights[poset.topo[b]] -= 1
+            weights[b] -= 1
     try:
         census.membrane_count = poset.count_ideals()
         sums = poset.ideal_sums(weights) if any(weights) else {0}
@@ -602,13 +599,15 @@ def scan_membranes(
         return report
     deltas, poset = report.deltas, report.poset
     if report.sizes_seen != {report.expected_size}:
+        changing = sorted(
+            ((delta, w) for delta, w in zip(deltas, report.weights) if w),
+            key=lambda change: (change[0].cube.type, change[0].cube.root, change[0].h),
+        )  # canonical order, so that the report does not follow the topological one
         report.violations.append(
             ScanViolation(
                 KIND_SIZE,
                 sizes=tuple(sorted(report.sizes_seen)),
-                weights=tuple(
-                    (deltas[i].label(), w) for i, w in enumerate(report.weights) if w
-                ),
+                weights=tuple((delta.label(), w) for delta, w in changing),
             )
         )
 
@@ -617,8 +616,9 @@ def scan_membranes(
     pairs, report.stats["pairs"] = _coexisting_pairs(
         poset, report.intervals, complement_table(q.n, claim)
     )
+    base = base_membrane(q, flavor=flavor)
     found = [
-        _replayed(report.base, deltas, poset, r, check_combs, u, v, witness)
+        _replayed(base, deltas, poset, r, check_combs, u, v, witness)
         for u, v, witness in pairs
     ]
     found.sort(key=lambda violation: violation.kind == KIND_COMB)  # stable: (u, v) within a kind
@@ -718,12 +718,12 @@ def _presence_intervals(
     before each step, so the list stays within it.  With
     multiplicities additive over I and never negative, the form forces
     a below b, as the size weights need.  base and nets hold (vertex,
-    change) pairs, as `_net_changes` gives them.
+    change) pairs, as `_net_changes` gives them, nets by position.
     """
     start = dict(base)
     changes: dict[int, list[tuple[int, int]]] = {v: [] for v in start}
-    for pos, node in enumerate(poset.topo):
-        for v, k in nets[node]:
+    for pos, net in enumerate(nets):
+        for v, k in net:
             changes.setdefault(v, []).append((pos, k))
     down = poset.down
     out: dict[int, tuple[int | None, int | None]] = {}
@@ -838,4 +838,5 @@ def _replayed(
         raise MembraneInvariantError(f"witness of {pair} does not replay")
     if kind is None:
         raise MembraneInvariantError(f"witness of {pair} replays, but the pair breaks no claim")
-    return ScanViolation(kind, (u, v), tuple(deltas[i].label() for i in poset.nodes(witness)))
+    labels = tuple(delta.label() for pos, delta in enumerate(deltas) if witness >> pos & 1)
+    return ScanViolation(kind, (u, v), labels)

@@ -1,27 +1,29 @@
 """Finite poset utilities: topological order and order-ideal enumeration.
 
 Precedence relations in this package (cubes under shared-facet
-precedence, fragments of any flavor under shared-tile precedence) are given as successor maps on an indexed node list.  `Poset`
-numbers the nodes by topological position, once, and keeps each
-position's arcs in and out.  The enumeration of order ideals is a
-reverse search over the ideal lattice on that numbering: the
-children of an ideal I are the ideals I + {p} where p is addable (all
-predecessors inside I) and lies above every position in I.  Each
-ideal then has the unique parent obtained by removing its topologically
-largest element, so every ideal is visited exactly once, starting from
-the empty ideal, with one enter/leave callback pair per lattice edge -
-which is exactly a raising flip and its undo for a walker that builds
-every membrane (the test suite's reference walkers do).
+precedence, fragments of any flavor under shared-tile precedence) are
+given as successor maps on an indexed node list.  `Poset` numbers the
+nodes by topological position, once, and is that order: `topo` maps
+each position to its node, and the down- and up-sets are indexed by
+position.  The enumeration of order ideals is a reverse search over the
+ideal lattice on that numbering: the children of an ideal I are the
+ideals I + {p} where p is addable (all predecessors inside I) and lies
+above every position in I.  Each ideal then has the unique parent
+obtained by removing its topologically largest element, so every ideal
+is visited exactly once, starting from the empty ideal, with one
+enter/leave callback pair per lattice edge - which is exactly a raising
+flip and its undo for a walker that builds every membrane (the test
+suite's reference walkers do).
 
 The walk is iterative.  An explicit stack holds one frame per ideal on
 the current path: the bitmask of children not yet tried and the
 bitmask of positions included.  Adding p takes it out of the addable
-mask and sets the bit of each successor of p whose predecessors are
-now all included; the new frame's children are the addable positions
-above p.  No position is rescanned and nothing recurses, so the depth
-of the poset is bounded by memory only.
+mask and sets the bit of each successor of p whose down-set is now
+included but for itself; the new frame's children are the addable
+positions above p.  No position is rescanned and nothing recurses, so
+the depth of the poset is bounded by memory only.
 
-Counting the ideals does not walk them.  `Poset` holds every node's
+Counting the ideals does not walk them.  `Poset` holds every position's
 down-set and up-set as bitmasks over topological positions, and
 `Poset.count_ideals` uses I(P) = I(P - up(x)) + I(P - down(x)): the
 ideals avoiding x are the ideals of P - up(x), those holding x are
@@ -109,21 +111,26 @@ def scan_ideals(
 ) -> int:
     """Visit every order ideal exactly once; returns the ideal count.
 
-    The walk runs on the topological positions of `Poset(count, succs)`.
+    The walk runs on the topological positions of `Poset(count, succs)`,
+    with each position's successors read from succs through `topo`.
     `enter(e)` fires when element e (original index) joins the current
     ideal, `leave(e)` when the walk backtracks over it, and
     `visit(ideal)` once per ideal with the original indices in
     topological order.
     """
     poset = Poset(count, succs)
-    preds, later, topo = poset.preds, poset.later, poset.topo
+    topo, down = poset.topo, poset.down
+    position = [0] * count
+    for pos, node in enumerate(topo):
+        position[node] = pos
+    later = [[position[succ] for succ in succs[node]] for node in topo]
     current: list[int] = []
     visited = 1
     if visit is not None:
         visit(())
     # frame: (children still to try, positions in the ideal); the
     # children of an ideal are its addable positions above its last one
-    stack = [(sum(1 << pos for pos in range(count) if not preds[pos]), 0)]
+    stack = [(sum(1 << pos for pos in range(count) if down[pos] == 1 << pos), 0)]
     while stack:
         children, included = stack[-1]
         if not children:
@@ -139,7 +146,7 @@ def scan_ideals(
         pos = low.bit_length() - 1
         included |= low
         for succ in later[pos]:
-            if not preds[succ] & ~included:
+            if down[succ] & ~included == 1 << succ:
                 rest |= 1 << succ
         node = topo[pos]
         if enter is not None:
@@ -153,13 +160,13 @@ def scan_ideals(
 
 
 class Poset:
-    """A finite poset given by successor lists on nodes 0..count-1.
+    """A finite poset given by successor lists on nodes 0..count-1, kept
+    in topological order.
 
-    Nodes are re-indexed by topological position; `preds[p]` (a bitmask)
-    and `later[p]` (a list) hold the positions of the given arcs into and
-    out of position p, and `down[p]` and `up[p]` are the bitmasks of the
-    positions below and above p, p included.  `states` is the number of
-    memo states the last count or sum-set fold held.
+    `topo[p]` is the node at position p, and the other members are by
+    position: `down[p]` and `up[p]` are the bitmasks of the positions
+    below and above p, p included.  `states` is the number of memo
+    states the last count or sum-set fold held.
     """
 
     def __init__(self, count: int, succs: Sequence[Sequence[int]]):
@@ -167,13 +174,10 @@ class Poset:
         position = [0] * count
         for pos, node in enumerate(self.topo):
             position[node] = pos
-        preds = self.preds = [0] * count
-        later: list[list[int]] = [[] for _ in range(count)]
-        self.later = later
+        preds = [0] * count
         for node in range(count):
             for succ in succs[node]:
                 preds[position[succ]] |= 1 << position[node]
-                later[position[node]].append(position[succ])
         self.down = [1 << pos for pos in range(count)]
         self.up = [1 << pos for pos in range(count)]
         for pos in range(count):
@@ -184,19 +188,14 @@ class Poset:
                 self.up[below] |= self.up[pos]
         self.states = 0
 
-    def nodes(self, mask: int) -> list[int]:
-        """The nodes at the positions set in mask, in topological order."""
-        return [self.topo[pos] for pos in _positions(mask)]
-
     def count_ideals(self) -> int:
         return self._fold(1, lambda a, b: a * b, lambda without, with_, _down: without + with_)
 
     def ideal_sums(self, weights: Sequence[int]) -> set[int]:
-        """Every value of the weight sum over an ideal (weights by node)."""
-        at = [weights[node] for node in self.topo]
+        """Every value of the weight sum over an ideal (weights by position)."""
 
         def branch(without: frozenset, with_: frozenset, down: int) -> frozenset:
-            shift = sum(at[pos] for pos in _positions(down))
+            shift = sum(weights[pos] for pos in _positions(down))
             return without | {s + shift for s in with_}
 
         def times(a: frozenset, b: frozenset) -> frozenset:

@@ -461,7 +461,7 @@ def max_clique(n: int, table: Sequence[int], layout: _Layout | None = None) -> M
     witness = universal + [order[m - b] for b in range(1, m + 1) if clique >> b - 1 & 1]
     return MaxSearch(
         size=len(witness),
-        witness=SetSystem.from_masks(n, witness),
+        witness=SetSystem(n, witness),
         nodes=sum(part[3] for part in parts),
         universal=len(universal),
         symmetries=len(layout.group) + 1,
@@ -533,7 +533,7 @@ def _maximal_cliques(n: int, predicate: PairwisePredicate) -> Iterator[SetSystem
 
     try:
         for clique in bk([], full, 0):
-            yield SetSystem.from_masks(n, clique)
+            yield SetSystem(n, clique)
     finally:
         # bk refers to itself; drop it so adj goes when the stream ends or is dropped
         del bk

@@ -80,28 +80,20 @@ def canonical_key(mask: int) -> tuple[int, int]:
 
 
 class SetSystem(Record):
-    """Family of subsets of [n] in canonical order."""
+    """Family of distinct subsets of [n], kept in canonical order.
+
+    The masks may come in any order and with repeats: the constructor
+    checks the ground size and each mask, and keeps each mask once,
+    sorted by `canonical_key`.
+    """
 
     __slots__ = ("n", "members")
 
-    def __init__(self, n: int, members: tuple[int, ...]) -> None:
+    def __init__(self, n: int, masks: Iterable[int]) -> None:
         check_ground(n)
-        seen = set()
-        prev = None
-        for mask in members:
+        self.n, self.members = n, tuple(sorted(set(masks), key=canonical_key))
+        for mask in self.members:
             check_mask(mask, n)
-            if mask in seen:
-                raise ValueError(f"duplicate member {set_notation(mask)}")
-            seen.add(mask)
-            key = canonical_key(mask)
-            if prev is not None and key <= prev:
-                raise ValueError("members not in canonical order")
-            prev = key
-        self.n, self.members = n, members
-
-    @staticmethod
-    def from_masks(n: int, masks: Iterable[int]) -> "SetSystem":
-        return SetSystem(n, tuple(sorted(set(masks), key=canonical_key)))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -253,7 +245,7 @@ def extend_to_maximal(system: SetSystem, predicate: PairwisePredicate) -> SetSys
     for mask in sorted(range(1 << system.n), key=canonical_key):
         if not chosen & ~table[mask] & ~(1 << mask):
             chosen |= 1 << mask
-    return SetSystem.from_masks(system.n, (v for v in range(1 << system.n) if chosen >> v & 1))
+    return SetSystem(system.n, (v for v in range(1 << system.n) if chosen >> v & 1))
 
 
 def check_limit(n: int, limit: int = RELATION_TABLE_CAP, name: str = TABLE_LIMIT) -> int:
@@ -372,7 +364,7 @@ def nonpurity_witness(vertices: SetSystem) -> SetSystem:
     {3,5}, {1,3,4,6}; maximal but smaller than the maximum 57.
     """
     extras = (mask_of(s, 6) for s in ({2, 4}, {3, 5}, {1, 3, 4, 6}))
-    return SetSystem.from_masks(6, [*vertices.members, *extras])
+    return SetSystem(6, [*vertices.members, *extras])
 
 
 def dump_json(blob: dict) -> str:

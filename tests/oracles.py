@@ -83,7 +83,7 @@ def set_system(n: int, sets):
     """The SetSystem on [n] of plain sets of 1-indexed elements."""
     from zonosep.systems import SetSystem
 
-    return SetSystem.from_masks(n, (sum(1 << (e - 1) for e in s) for s in sets))
+    return SetSystem(n, (sum(1 << (e - 1) for e in s) for s in sets))
 
 
 def full_mask(n: int) -> int:
@@ -315,7 +315,7 @@ def cubillage_from_collection(collection, d: int):
             cube = Cube(root, typemask)
             if have.issuperset(cube.vertices()):
                 cubes.append(cube)
-    q = Cubillage.from_cubes(n, d, cubes)
+    q = Cubillage(n, d, cubes)
     report = validate_cubillage(q)
     if not report.ok:
         raise ValueError(
@@ -434,9 +434,9 @@ def front_rear_vertices(n: int, d: int):
         if interval_count(x) < half or x & 1 or x >> (n - 1) & 1
     ]
     return (
-        SetSystem.from_masks(n, front),
-        SetSystem.from_masks(n, rear),
-        SetSystem.from_masks(n, rim),
+        SetSystem(n, front),
+        SetSystem(n, rear),
+        SetSystem(n, rim),
     )
 
 
@@ -858,6 +858,13 @@ def reference_count_ideals(count, succs, split="middle") -> tuple[int, int]:
 # and the single-membrane tests compare against.
 
 
+def membrane_vertices(m):
+    """A membrane's vertex system, every vertex checked against [n]."""
+    from zonosep.systems import SetSystem
+
+    return SetSystem(m.n, m.vertex_masks())
+
+
 def w_membranes(q, cap=None, visit=None):
     """All w-membranes, one per ideal of the fragment precedence.
 
@@ -999,7 +1006,7 @@ class SMembrane:
         for root, typemask in self.facets:
             for sub in submasks(typemask):
                 verts.add(root | sub)
-        return SetSystem.from_masks(self.n, verts)
+        return SetSystem(self.n, verts)
 
 
 def s_membranes(q, cap=None):
@@ -1064,9 +1071,9 @@ class ReferenceScan:
 
 def scan_record(report) -> tuple:
     """Everything a membrane census or scan decided, for comparing two
-    runs: its JSON, fragments, precedence, front boundary, presence
-    intervals, size weights and counters, but no seconds and not the
-    cubes it cut or reused, which depend on what ran before it."""
+    runs: its JSON, fragments, their order (down-sets by position),
+    presence intervals, size weights and counters, but no seconds and
+    not the cubes it cut or reused, which depend on what ran before it."""
     counters = {
         key: value for key, value in report.stats.items()
         if not key.endswith("_s") and not key.startswith("cubes_")
@@ -1074,8 +1081,7 @@ def scan_record(report) -> tuple:
     return (
         report.to_json(),
         [delta.label() for delta in report.deltas],
-        report.succs,
-        report.base.tiles,
+        report.poset.down,
         report.intervals,
         report.weights,
         counters,
@@ -1227,7 +1233,7 @@ def reference_extend_to_maximal(system, predicate):
     for mask in sorted(range(1 << system.n), key=canonical_key):
         if mask not in chosen and all(predicate.holds(mask, member) for member in chosen):
             chosen.append(mask)
-    return SetSystem.from_masks(system.n, chosen)
+    return SetSystem(system.n, chosen)
 
 
 def reference_max_size(n: int, predicate) -> tuple[int, list[int]]:

@@ -211,7 +211,7 @@ def test_criterion_11_property_suites():
     flips_done = 0
     for site in odd_sites(4, 1):
         members = {site.xp} | {site.x | s for s in neighbors(site).members}
-        w = SetSystem.from_masks(4, members)
+        w = SetSystem(4, members)
         ok, _ = check_pairwise(w, weak(1))
         assert ok  # witnesses plus the lower member always coexist
         raised = apply_flip(w, site, RAISE, MODE_SHARP)

@@ -57,7 +57,7 @@ def sided_facets(c: Cube) -> list[tuple[tuple[int, int], str]]:
 
 def test_cube_basics() -> None:
     c = cube((), (1, 2))
-    assert set(SetSystem.from_masks(4, c.vertices()).members) == {0, m(1), m(2), m(1, 2)}
+    assert set(SetSystem(4, c.vertices()).members) == {0, m(1), m(2), m(1, 2)}
     assert apex_vertices(c) == (m(1), m(2))
 
     # rhombus facet sides: the lower path is the front
@@ -169,7 +169,7 @@ def test_validate_catches_breakage() -> None:
     # move one cube to a wrong root: facet matching must break
     broken = list(q.cubes)
     broken[-1] = cube((1,), (3, 4))
-    report = validate_cubillage(Cubillage.from_cubes(4, 2, broken))
+    report = validate_cubillage(Cubillage(4, 2, broken))
     assert not report.ok
     assert "inversion of {1,3,4} read both ways by its cubes" in report.problems
 
@@ -179,22 +179,22 @@ def test_validate_catches_breakage() -> None:
     assert "inversions in {1,2,3,4}: 0100, no prefix or suffix" in report.problems
 
     # drop a cube: completeness must break
-    report = validate_cubillage(Cubillage.from_cubes(4, 2, q.cubes[:-1]))
+    report = validate_cubillage(Cubillage(4, 2, q.cubes[:-1]))
     assert not report.ok
     assert any("expected 6 cubes" in p for p in report.problems)
 
     # duplicate a type
     doubled = list(q.cubes[:-1]) + [q.cubes[0]]
-    report = validate_cubillage(Cubillage.from_cubes(4, 2, doubled))
+    report = validate_cubillage(Cubillage(4, 2, doubled))
     assert any("duplicate" in p for p in report.problems)
 
 
 def test_validate_reports_a_cube_of_wrong_dimension() -> None:
     # the validator judges a cube's dimension; building the cubillage does not
-    q = Cubillage.from_cubes(4, 2, [Cube(0, 0b111)])
+    q = Cubillage(4, 2, [Cube(0, 0b111)])
     assert q.cubes == (Cube(0, 0b111),)
     assert "cube of wrong dimension" in validate_cubillage(q).problems
-    swapped = Cubillage.from_cubes(4, 2, [Cube(0, 0b111), *standard_cubillage(4, 2).cubes[1:]])
+    swapped = Cubillage(4, 2, [Cube(0, 0b111), *standard_cubillage(4, 2).cubes[1:]])
     assert validate_cubillage(swapped).problems == [
         "cube of wrong dimension",
         "vertex count 12, expected 11",
@@ -204,7 +204,7 @@ def test_validate_reports_a_cube_of_wrong_dimension() -> None:
 
 def test_validate_reports_the_first_unseparated_pair() -> None:
     q = standard_cubillage(4, 2)
-    moved = Cubillage.from_cubes(4, 2, [cube((4,), (1, 2))] + list(q.cubes[1:]))
+    moved = Cubillage(4, 2, [cube((4,), (1, 2))] + list(q.cubes[1:]))
     members = moved.vertex_set().members
     bad = [
         (a, b)
@@ -231,7 +231,7 @@ def test_table_separation_check_matches_check_pairwise(n, d) -> None:
             if root == old.root:
                 continue
             cubes = q.cubes[:i] + (Cube(root, old.type),) + q.cubes[i + 1 :]
-            moved = Cubillage.from_cubes(n, d, cubes)
+            moved = Cubillage(n, d, cubes)
             ok, bad = check_pairwise(moved.vertex_set(), strong(d - 1))
             want = [] if ok else [
                 f"vertices {set_notation(bad[0])}, {set_notation(bad[1])} "
@@ -249,7 +249,7 @@ def test_reconstruction_roundtrip() -> None:
         again = cubillage_from_collection(q.vertex_set(), d)
         assert again == q
 
-    full = SetSystem.from_masks(3, range(8))
+    full = SetSystem(3, range(8))
     with pytest.raises(ValueError):
         cubillage_from_collection(full, 2)
 
@@ -500,7 +500,7 @@ def test_broken_cubillages_agree_with_the_facet_check() -> None:
         for d in range(2, n + 1):
             for anti in (False, True):
                 for kind, cubes in _broken(standard_cubillage(n, d, anti)):
-                    q = Cubillage.from_cubes(n, d, cubes)
+                    q = Cubillage(n, d, cubes)
                     oracle_ok = reference_tiling_problems(q) == []
                     assert validate_cubillage(q).ok == oracle_ok, (n, d, anti, kind, cubes)
                     if kind != "drop":

@@ -14,6 +14,7 @@ import zonosep.separation as separation_module
 from oracles import (
     bad_pair,
     even_sites,
+    membrane_vertices,
     odd_sites,
     raw_surrounds,
     reference_flip_theorem_odd,
@@ -43,11 +44,7 @@ from zonosep.flips import (
     _singleton_bricks,
 )
 from zonosep.ground import elements, interlacing_degree, mask_of, set_notation
-from zonosep.membranes import (
-    fragment_precedence,
-    membrane_vertices,
-    raising_flip,
-)
+from zonosep.membranes import fragment_precedence, raising_flip
 from zonosep.separation import is_double_r_comb
 from zonosep.systems import (
     RELATION_TABLE_CAP,
@@ -306,7 +303,7 @@ def test_even_flip_can_break_separation_legitimately():
     site = FlipSite(5, 0, mask_of([1, 3], 5), mask_of([2, 4], 5))
     stranger = mask_of([1, 3, 5], 5)
     down = [site.x | s for s in neighbors_down(site).members]
-    w = SetSystem.from_masks(5, set(down) | {site.xp, stranger})
+    w = SetSystem(5, set(down) | {site.xp, stranger})
     ok, _ = check_pairwise(w, weak(2))
     assert ok
     with pytest.raises(ValueError, match="comb-freeness"):
@@ -327,7 +324,7 @@ def test_membrane_flip_matches_apply_flip():
     deltas = fragment_precedence(q)[0]
     checked = 0
     for m in w_membranes(q):
-        before = SetSystem.from_masks(4, membrane_vertices(m).members)
+        before = SetSystem(4, membrane_vertices(m).members)
         for delta in deltas:
             if delta.h != 2:
                 continue

@@ -107,7 +107,7 @@ def _sides_against_the_sign_rule(nmin: int, nmax: int) -> list[tuple[int, int]]:
         for n in range(nmin, nmax + 1)
         for d in range(2, n + 1)
         if boundary_vertices(n, d)
-        != SetSystem.from_masks(n, (x for x in range(1 << n) if sign_changes(x, n) <= d - 1))
+        != SetSystem(n, (x for x in range(1 << n) if sign_changes(x, n) <= d - 1))
     ]
 
 

@@ -26,7 +26,6 @@ from zonosep.membranes import (
     h_tile,
     membrane_census,
     membrane_from_ideal,
-    membrane_vertices,
     raising_flip,
     rear_boundary_tiles,
     scan_membranes,
@@ -45,6 +44,7 @@ from oracles import (
     e_membranes,
     front_rear_vertices,
     is_e_membrane,
+    membrane_vertices,
     pairwise_fragment_precedence,
     raising_flip_outcomes,
     s_membranes,
@@ -394,6 +394,25 @@ def test_fragment_precedence_matches_pairwise_oracle(anti) -> None:
                 assert succs == pairwise_fragment_precedence(deltas), (n, d, flavor)
             # an uncut cube's sides are its facets, so S orders cubes as cubes do
             assert fragment_precedence(q, FLAVOR_S)[1] == precedence_digraph(q.cubes)
+
+
+def test_census_keeps_its_fragments_in_topological_order() -> None:
+    # the census indexes everything by position, so its fragments are the
+    # precedence's own, and every arc runs from a lower position to a higher
+    for n in range(2, 6):
+        for d in range(2, n + 1):
+            for u in bruhat_order(n, d):
+                q = from_inversions(n, d, u)
+                for flavor in (FLAVOR_W, FLAVOR_S, FLAVOR_E)[: 3 - d % 2]:
+                    deltas, succs = fragment_precedence(q, flavor)
+                    census = membrane_census(q, flavor)
+                    assert sorted(census.deltas, key=deltas.index) == deltas
+                    position = {delta: pos for pos, delta in enumerate(census.deltas)}
+                    assert all(
+                        position[deltas[i]] < position[deltas[j]]
+                        for i, out in enumerate(succs)
+                        for j in out
+                    ), (n, d, u, flavor)
 
 
 @pytest.mark.parametrize("anti", [False, True], ids=["standard", "anti"])
